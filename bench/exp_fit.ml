@@ -9,7 +9,9 @@
    gravitates to the top of the ladder — the battery quantifies exactly
    how often — while the penalized pick is gated on ">= 90% true-class
    recovery" in CI.  A fits/s row tracks the cost of a selection (the
-   regression watch runs one per routine per run). *)
+   regression watch runs one per routine per run), and [fit_cost] rows
+   track how that cost grows with the number of distinct inputs — the
+   profile richness drms exists to raise. *)
 
 module Basis = Aprof_analysis.Fit_basis
 module Select = Aprof_analysis.Fit_select
@@ -43,6 +45,47 @@ let plant rng cls coefs ~noise =
     sizes
 
 let noises = [ 0.05; 0.12 ]
+
+(* Selection cost against profile richness: the wall time of one
+   [select ~bootstrap:40] (what [aprof fit] spends per routine and
+   metric) on a noisy plateau curve with [d] distinct inputs, one point
+   each, spread over the same range for every [d]; median of [reps]. *)
+let cost_inputs = [ 16; 128; 512; 1024 ]
+let cost_bootstrap = 40
+
+let cost_curve d =
+  let rng = Rng.create d in
+  let step = 16384 / d in
+  let coefs = [| 30.; 4.; float_of_int (8 + (d / 3 * step)) |] in
+  List.init d (fun i ->
+      let n = 8 + (i * step) in
+      let y = Basis.eval Basis.Plateau ~coefs (float_of_int n) in
+      (n, y *. Float.max 0.05 (Rng.gaussian rng ~mu:1.0 ~sigma:0.05)))
+
+let selection_cost ~quick ppf =
+  let cores = Aprof_util.Par.available_parallelism () in
+  let reps = if quick then 1 else 5 in
+  Format.fprintf ppf "  selection cost (bootstrap %d, %d cores):@."
+    cost_bootstrap cores;
+  List.iter
+    (fun d ->
+      let points = cost_curve d in
+      let times =
+        List.init reps (fun _ ->
+            let t0 = Unix.gettimeofday () in
+            ignore (Select.select ~bootstrap:cost_bootstrap ~seed:1 points);
+            Unix.gettimeofday () -. t0)
+      in
+      let ms = 1e3 *. Aprof_util.Stats.percentile 50. times in
+      Format.fprintf ppf "    %5d distinct inputs: %9.1f ms@." d ms;
+      Exp_common.emit_row ~experiment:"fit_cost"
+        [
+          ("distinct_inputs", Exp_common.Int d);
+          ("bootstrap", Exp_common.Int cost_bootstrap);
+          ("select_ms", Exp_common.Float ms);
+          ("cores", Exp_common.Int cores);
+        ])
+    cost_inputs
 
 let run ~quick ppf =
   let seeds = if quick then 6 else 30 in
@@ -132,4 +175,6 @@ let run ~quick ppf =
       ("selections_per_s", Exp_common.Float fits_per_s);
       ("bootstrap", Exp_common.Int bootstrap);
       ("points_per_curve", Exp_common.Int (List.length sizes));
-    ]
+      ("cores", Exp_common.Int (Aprof_util.Par.available_parallelism ()));
+    ];
+  selection_cost ~quick ppf

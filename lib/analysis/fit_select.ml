@@ -26,16 +26,15 @@ let score ~criterion ~n_points ~params ~rss ~scale =
     let denom = Float.max 0.5 (m -. k -. 1.) in
     base +. (2. *. k) +. (2. *. k *. (k +. 1.) /. denom)
 
-let admissible_fits ~criterion points =
-  let n_points = List.length points in
-  (* Relative-error weighting.  Empirical cost measurements carry noise
-     roughly proportional to their magnitude, so an unweighted RSS is
-     dominated by the few largest inputs and the parameter penalty never
-     bites — exactly the regime where the extra cubic column pays for
-     itself by chasing the top point.  Weighting each residual by
-     1/y^2 makes the per-point contributions commensurate and the
-     information criteria honest.  The weighted RSS is dimensionless
-     (a mean squared relative error), hence [~scale:1.] below. *)
+(* Relative-error weighting.  Empirical cost measurements carry noise
+   roughly proportional to their magnitude, so an unweighted RSS is
+   dominated by the few largest inputs and the parameter penalty never
+   bites — exactly the regime where the extra cubic column pays for
+   itself by chasing the top point.  Weighting each residual by 1/y^2
+   makes the per-point contributions commensurate and the information
+   criteria honest.  The weighted RSS is dimensionless (a mean squared
+   relative error), hence [~scale:1.] below. *)
+let relative_weights points =
   let median_abs =
     match List.map (fun (_, y) -> Float.abs y) points with
     | [] -> 0.
@@ -45,21 +44,23 @@ let admissible_fits ~criterion points =
      magnitude: a routine whose cost happens to measure (near) zero at
      one input must not receive a near-infinite weight and drag every
      fit through that point. *)
-  let weights =
-    Array.of_list
-      (List.map
-         (fun (_, y) ->
-           let d =
-             Float.max (Float.abs y) (Float.max (1e-3 *. median_abs) 1e-9)
-           in
-           1. /. (d *. d))
-         points)
-  in
+  Array.of_list
+    (List.map
+       (fun (_, y) ->
+         let d =
+           Float.max (Float.abs y) (Float.max (1e-3 *. median_abs) 1e-9)
+         in
+         1. /. (d *. d))
+       points)
+
+let admissible_fits ~criterion points sample =
+  let n_points = List.length points in
+  let weights = relative_weights points in
   List.filter_map
     (fun cls ->
       if n_points < Fit_basis.param_count cls + 2 then None
       else
-        match Fit_solve.fit_cls ~weights cls points with
+        match Fit_solve.fit_sample ~weights cls sample with
         | None -> None
         | Some fit ->
           (* A non-positive leading coefficient is not an asymptotic
@@ -79,9 +80,10 @@ let admissible_fits ~criterion points =
     Fit_basis.all
 
 let select_core ~criterion points =
-  if Fit_solve.distinct_inputs points < 3 then None
+  let sample = Fit_solve.sample points in
+  if Fit_solve.sample_distinct sample < 3 then None
   else
-    match admissible_fits ~criterion points with
+    match admissible_fits ~criterion points sample with
     | [] -> None
     | fits ->
       let ranking =

@@ -51,6 +51,12 @@ val score :
   scale:float ->
   float
 
+(** [relative_weights points] — the per-point weights every fit of a
+    selection runs under: 1/y^2, with |y| floored at 1e-3 of the median
+    magnitude (and at 1e-9) so that a near-zero cost cannot dominate.
+    Exposed for tests. *)
+val relative_weights : (int * float) list -> float array
+
 (** [select ?criterion ?bootstrap ?seed points] fits every admissible
     class and picks the criterion minimum (ties to fewer parameters,
     then lower asymptotic order).  [None] when fewer than 3 distinct

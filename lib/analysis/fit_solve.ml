@@ -53,17 +53,24 @@ let fit_terms ?weights ~terms points =
   let k = List.length terms in
   if m < k || k = 0 then None
   else begin
-    let xs = Array.of_list (List.map fst points) in
-    let ys = Array.of_list (List.map snd points) in
     let w =
       match weights with
       | Some w when Array.length w = m -> w
       | Some _ -> invalid_arg "Fit_solve.fit_terms: weights/points mismatch"
       | None -> Array.make m 1.
     in
-    let design =
-      Array.map (fun x -> Array.of_list (List.map (fun t -> t x) terms)) xs
-    in
+    (* The design, row-major in one flat array: [raw.(i * k + j)] is
+       term j at point i, unscaled; the residuals reuse it. *)
+    let terms = Array.of_list terms in
+    let ys = Array.make m 0. in
+    let raw = Array.make (m * k) 0. in
+    List.iteri
+      (fun i (x, y) ->
+        ys.(i) <- y;
+        for j = 0 to k - 1 do
+          raw.((i * k) + j) <- terms.(j) x
+        done)
+      points;
     (* Column scaling: normalize each column of the *weighted* design
        (sqrt w_i * term_j x_i) to unit infinity-norm.  This keeps the
        normal equations solvable when 1 and n^3 share a design, and —
@@ -72,29 +79,26 @@ let fit_terms ?weights ~terms points =
        weights themselves span twenty orders of magnitude (as 1/y^2
        weights do on a cubic curve). *)
     let scale = Array.make k 0. in
-    Array.iteri
-      (fun i row ->
-        let sw = sqrt w.(i) in
-        for j = 0 to k - 1 do
-          scale.(j) <- Float.max scale.(j) (sw *. Float.abs row.(j))
-        done)
-      design;
+    for i = 0 to m - 1 do
+      let sw = sqrt w.(i) in
+      for j = 0 to k - 1 do
+        scale.(j) <- Float.max scale.(j) (sw *. Float.abs raw.((i * k) + j))
+      done
+    done;
     if Array.exists (fun s -> s < 1e-300 || not (Float.is_finite s)) scale then
       None
     else begin
-      Array.iter
-        (fun row ->
-          for j = 0 to k - 1 do
-            row.(j) <- row.(j) /. scale.(j)
-          done)
-        design;
       let a = Array.make_matrix k k 0. in
       let b = Array.make k 0. in
+      let row = Array.make k 0. in
       for i = 0 to m - 1 do
-        let row = design.(i) in
+        for j = 0 to k - 1 do
+          row.(j) <- raw.((i * k) + j) /. scale.(j)
+        done;
         for p = 0 to k - 1 do
+          let ap = a.(p) in
           for q = 0 to k - 1 do
-            a.(p).(q) <- a.(p).(q) +. (w.(i) *. row.(p) *. row.(q))
+            ap.(q) <- ap.(q) +. (w.(i) *. row.(p) *. row.(q))
           done;
           b.(p) <- b.(p) +. (w.(i) *. row.(p) *. ys.(i))
         done
@@ -104,16 +108,9 @@ let fit_terms ?weights ~terms points =
         let coefs = Array.mapi (fun j c -> c /. scale.(j)) b in
         if Array.exists (fun c -> not (Float.is_finite c)) coefs then None
         else begin
-          let predict x =
-            List.fold_left
-              (fun (acc, j) t -> (acc +. (coefs.(j) *. t x), j + 1))
-              (0., 0) terms
-            |> fst
-          in
           (* RSS and r^2 under the same weighting as the fit itself; with
              unit weights this reduces exactly to the unweighted
              residuals of the legacy estimator. *)
-          let pred = Array.of_list (List.map (fun (x, _) -> predict x) points) in
           let wsum = Array.fold_left ( +. ) 0. w in
           let mean =
             let s = ref 0. in
@@ -121,11 +118,15 @@ let fit_terms ?weights ~terms points =
             !s /. wsum
           in
           let ss_tot = ref 0. and rss = ref 0. in
-          Array.iteri
-            (fun i y ->
-              ss_tot := !ss_tot +. (w.(i) *. ((y -. mean) ** 2.));
-              rss := !rss +. (w.(i) *. ((y -. pred.(i)) ** 2.)))
-            ys;
+          for i = 0 to m - 1 do
+            let pred = ref 0. in
+            for j = 0 to k - 1 do
+              pred := !pred +. (coefs.(j) *. raw.((i * k) + j))
+            done;
+            let y = ys.(i) in
+            ss_tot := !ss_tot +. (w.(i) *. ((y -. mean) ** 2.));
+            rss := !rss +. (w.(i) *. ((y -. !pred) ** 2.))
+          done;
           let r2 =
             if !ss_tot < 1e-12 then if !rss < 1e-12 then 1. else 0.
             else Float.max 0. (1. -. (!rss /. !ss_tot))
@@ -157,51 +158,225 @@ let distinct_inputs points =
 let float_points points =
   List.map (fun (n, y) -> (float_of_int n, y)) points
 
-let fit_plateau ?weights points =
-  let fpoints = float_points points in
-  let inputs = List.sort_uniq compare (List.map fst fpoints) in
-  (* A breakpoint is only identified when at least two distinct inputs
-     lie on the growing side and at least one on the plateau. *)
-  let candidates =
-    match inputs with
-    | _ :: _ :: _ ->
-      List.filteri (fun i _ -> i >= 1 && i < List.length inputs - 1) inputs
-    | _ -> []
-  in
-  List.fold_left
-    (fun best n0 ->
-      match
-        fit_terms ?weights
-          ~terms:[ (fun _ -> 1.); (fun n -> Float.min n n0) ]
-          fpoints
-      with
-      | None -> best
-      | Some (coefs, rss, r2) -> (
-        let fit =
-          {
-            cls = Fit_basis.Plateau;
-            coefs = [| coefs.(0); coefs.(1); n0 |];
-            rss;
-            r2;
-            params = 3;
-          }
-        in
-        match best with
-        | Some b when b.rss <= rss -> best
-        | _ -> Some fit))
-    None candidates
+type sample = {
+  fpoints : (float * float) list;  (* as given, inputs as floats *)
+  xs : float array;
+  ys : float array;
+  order : int array;  (* point indices by ascending input *)
+  group : int array;  (* [group.(k)]: index in [inputs] of point [order.(k)] *)
+  inputs : float array;  (* distinct inputs, ascending *)
+  distinct : int;  (* distinct integer inputs *)
+}
 
-let fit_cls ?weights cls points =
-  if distinct_inputs points < 3 then None
+let sample points =
+  let arr = Array.of_list points in
+  let m = Array.length arr in
+  let order = Array.init m Fun.id in
+  Array.stable_sort (fun i j -> Int.compare (fst arr.(i)) (fst arr.(j))) order;
+  let xs = Array.map (fun (n, _) -> float_of_int n) arr in
+  let group = Array.make m 0 in
+  let inputs = ref [] and n_inputs = ref 0 and distinct = ref 0 in
+  Array.iteri
+    (fun k i ->
+      if k = 0 || fst arr.(i) <> fst arr.(order.(k - 1)) then incr distinct;
+      (* Distinct ints above 2^53 can share a float; the plateau scan
+         counts float breakpoints, as the float design sees them. *)
+      if k = 0 || xs.(i) <> xs.(order.(k - 1)) then begin
+        inputs := xs.(i) :: !inputs;
+        incr n_inputs
+      end;
+      group.(k) <- !n_inputs - 1)
+    order;
+  {
+    fpoints = float_points points;
+    xs;
+    ys = Array.map snd arr;
+    order;
+    group;
+    inputs = Array.of_list (List.rev !inputs);
+    distinct = !distinct;
+  }
+
+let sample_distinct s = s.distinct
+
+(* Rounding allowance of the plateau screen, in units of
+   (m + 4) * eps * g * sum w y^2 (see [plateau_screen]). *)
+let screen_slack = 32.
+
+(* The breakpoint screen.  For a breakpoint n0 the plateau design is
+   [1, z] with z = min(x, n0), and its least-squares RSS has the closed
+   form  M2y - Czy^2 / M2z  in the weighted centered moments of y and z.
+   With the points sorted by input, z = x on the prefix up to n0 and
+   z = n0 (no spread, no comoment) on the suffix, so Chan's pairwise
+   update combines running prefix moments of x and y with the suffix's
+   weight and mean of y into M2z and Czy in O(1) per candidate.
+
+   Each screened RSS carries an allowance of
+   [screen_slack * (m + 4) * eps * g * sum w y^2], where
+   g = sum w z^2 / M2z is the conditioning of the candidate's design
+   (large when z barely moves).  The allowance bounds the screen's own
+   rounding error plus the downward rounding error of the residual sum
+   [fit_terms] evaluates — first-order terms of (m + small) * eps *
+   sqrt g * sum w y^2 — with room to spare.  Rounding in the solved
+   coefficients needs none: any coefficient error only raises the RSS
+   a solve reports.  So a candidate whose screened RSS minus its
+   allowance exceeds some solved candidate's RSS solves to more than
+   that, and cannot be the scan's first minimum.  Returns those lower
+   bounds over [s.inputs] ([neg_infinity] where the closed form breaks
+   down) and the candidate to solve first, the one with the least
+   screened RSS plus allowance; [None] when the weights or costs are
+   unfit for the screen. *)
+let plateau_screen w s =
+  let m = Array.length s.xs in
+  let d = Array.length s.inputs in
+  if
+    d < 3
+    || Array.length w <> m
+    || Array.exists (fun wi -> not (wi > 0. && Float.is_finite wi)) w
+    || Array.exists (fun y -> not (Float.is_finite y)) s.ys
+  then None
+  else begin
+    (* Running weighted moments (Welford/West) of the prefix ending at
+       each input, and the weight and mean of y past it. *)
+    let pw = Array.make d 0. and px = Array.make d 0. in
+    let py = Array.make d 0. and pxx = Array.make d 0. in
+    let pxy = Array.make d 0. in
+    let sw = ref 0. and mx = ref 0. and my = ref 0. in
+    let mxx = ref 0. and mxy = ref 0. and syy = ref 0. in
+    Array.iteri
+      (fun k i ->
+        let x = s.xs.(i) and y = s.ys.(i) and wi = w.(i) in
+        let w' = !sw +. wi in
+        let dx = x -. !mx and dy = y -. !my in
+        mx := !mx +. (dx *. wi /. w');
+        my := !my +. (dy *. wi /. w');
+        mxx := !mxx +. (wi *. dx *. (x -. !mx));
+        mxy := !mxy +. (wi *. dx *. (y -. !my));
+        syy := !syy +. (wi *. y *. y);
+        sw := w';
+        let g = s.group.(k) in
+        pw.(g) <- !sw;
+        px.(g) <- !mx;
+        py.(g) <- !my;
+        pxx.(g) <- !mxx;
+        pxy.(g) <- !mxy)
+      s.order;
+    let ybar = !my in
+    let m2y = ref 0. in
+    Array.iteri
+      (fun i y -> m2y := !m2y +. (w.(i) *. (y -. ybar) *. (y -. ybar)))
+      s.ys;
+    let qw = Array.make d 0. and qy = Array.make d 0. in
+    let sw = ref 0. and my = ref 0. in
+    for k = m - 1 downto 0 do
+      let g = s.group.(k) in
+      if k = m - 1 || s.group.(k + 1) <> g then begin
+        qw.(g) <- !sw;
+        qy.(g) <- !my
+      end;
+      let i = s.order.(k) in
+      sw := !sw +. w.(i);
+      my := !my +. ((s.ys.(i) -. !my) *. w.(i) /. !sw)
+    done;
+    let tau =
+      screen_slack *. float_of_int (m + 4) *. epsilon_float *. !syy
+    in
+    let lo = Array.make d neg_infinity in
+    let anchor = ref 1 and anchor_hi = ref infinity in
+    for j = 1 to d - 2 do
+      let n0 = s.inputs.(j) in
+      let wt = pw.(j) +. qw.(j) in
+      let f = pw.(j) *. qw.(j) /. wt in
+      let dz = n0 -. px.(j) in
+      let m2z = pxx.(j) +. (dz *. dz *. f) in
+      let czy = pxy.(j) +. (dz *. (qy.(j) -. py.(j)) *. f) in
+      let rss = !m2y -. (czy *. czy /. m2z) in
+      let zbar = ((pw.(j) *. px.(j)) +. (qw.(j) *. n0)) /. wt in
+      let slack = tau *. (1. +. (wt *. zbar *. zbar /. m2z)) in
+      if m2z > 0. && Float.is_finite rss && Float.is_finite slack then begin
+        lo.(j) <- rss -. slack;
+        if rss +. slack < !anchor_hi then begin
+          anchor := j;
+          anchor_hi := rss +. slack
+        end
+      end
+    done;
+    Some (lo, !anchor)
+  end
+
+(* The least-RSS breakpoint over every distinct input but the first and
+   last — two inputs must lie on the growing side, one on the plateau —
+   with ties to the smallest.  Candidates are solved by [fit_terms] on
+   the points as given; after the screen's anchor, only those whose
+   lower bound does not exceed the anchor's RSS, so the result is
+   bit-for-bit that of solving every candidate. *)
+let fit_plateau ?weights s =
+  let d = Array.length s.inputs in
+  let solved = Array.make d None in
+  let solve j =
+    match solved.(j) with
+    | Some r -> r
+    | None ->
+      let n0 = s.inputs.(j) in
+      let r =
+        match
+          fit_terms ?weights
+            ~terms:[ (fun _ -> 1.); (fun n -> Float.min n n0) ]
+            s.fpoints
+        with
+        | None -> None
+        | Some (coefs, rss, r2) ->
+          Some
+            {
+              cls = Fit_basis.Plateau;
+              coefs = [| coefs.(0); coefs.(1); n0 |];
+              rss;
+              r2;
+              params = 3;
+            }
+      in
+      solved.(j) <- Some r;
+      r
+  in
+  let w =
+    match weights with
+    | Some w -> w
+    | None -> Array.make (Array.length s.xs) 1.
+  in
+  let keep =
+    match plateau_screen w s with
+    | None -> fun _ -> true
+    | Some (lo, anchor) -> (
+      match solve anchor with
+      | Some a when Float.is_finite a.rss ->
+        fun j -> j = anchor || lo.(j) <= a.rss
+      | _ -> fun _ -> true)
+  in
+  let best = ref None in
+  for j = 1 to d - 2 do
+    if keep j then
+      match solve j with
+      | None -> ()
+      | Some fit -> (
+        match !best with
+        | Some b when b.rss <= fit.rss -> ()
+        | _ -> best := Some fit)
+  done;
+  !best
+
+let fit_sample ?weights cls s =
+  if s.distinct < 3 then None
   else
     match cls with
-    | Fit_basis.Plateau -> fit_plateau ?weights points
+    | Fit_basis.Plateau -> fit_plateau ?weights s
     | _ -> (
       let terms = Fit_basis.columns cls in
-      match fit_terms ?weights ~terms (float_points points) with
+      match fit_terms ?weights ~terms s.fpoints with
       | None -> None
       | Some (coefs, rss, r2) ->
         Some { cls; coefs; rss; r2; params = List.length terms })
+
+let fit_cls ?weights cls points = fit_sample ?weights cls (sample points)
 
 let power_law points =
   (* Zero or negative costs have no logarithm: drop them up front rather

@@ -44,12 +44,45 @@ type fit = {
 (** [predict fit n] evaluates the fitted curve at input size [n]. *)
 val predict : fit -> float -> float
 
+(** A point set prepared for fitting: its inputs are sorted once, and
+    the order is shared by the distinct-input guard and the plateau
+    scan of every class fitted to it. *)
+type sample
+
+val sample : (int * float) list -> sample
+
+(** [sample_distinct s] — distinct input count of [s], as
+    {!distinct_inputs}. *)
+val sample_distinct : sample -> int
+
+(** [fit_sample ?weights cls s] is {!fit_cls} on the points of [s],
+    reusing their sort; [weights] align with the points in the order
+    given to {!sample}. *)
+val fit_sample : ?weights:float array -> Fit_basis.cls -> sample -> fit option
+
 (** [fit_cls ?weights cls points] fits one class to [(input, cost)]
-    points.  [Plateau] is fitted by scanning every distinct input as the
-    breakpoint candidate and keeping the least-RSS solve; other classes
-    go through {!fit_terms} on their {!Fit_basis.columns}.  [None] on
-    degenerate input (fewer than 3 distinct inputs, singular design, or
-    a plateau with no room for a breakpoint). *)
+    points.  Classes other than [Plateau] go through {!fit_terms} on
+    their {!Fit_basis.columns}.
+
+    [Plateau] takes the least-RSS breakpoint n0 over the distinct inputs
+    (all but the first and last: two inputs must lie on the growing
+    side, one on the plateau), ties to the smallest n0.  A screen finds
+    it without solving every candidate.  With the points sorted by
+    input once, each breakpoint's weighted RSS has an O(1) closed form
+    in centered prefix moments.  That screened RSS is exact up to a
+    rounding allowance: a multiple of (m + 4) * eps * sum w y^2, scaled
+    by the conditioning of the candidate's [1, min(n, n0)] design.  The
+    candidate with the least screened RSS plus allowance is solved by
+    {!fit_terms} first.  Every candidate whose screened RSS minus its
+    allowance exceeds that solved RSS must solve to more, and is
+    skipped; the rest are solved in order under the same tie rule.  So
+    [coefs], [rss] and [r2] are bit-for-bit those of solving every
+    candidate, at O(m log m) for the sort plus O(m) per solved
+    candidate, instead of O(m) for each of the d distinct inputs.  A
+    constant curve ties on every breakpoint, and all are solved.
+
+    [None] on degenerate input (fewer than 3 distinct inputs, singular
+    design, or a plateau with no room for a breakpoint). *)
 val fit_cls :
   ?weights:float array -> Fit_basis.cls -> (int * float) list -> fit option
 

@@ -96,6 +96,11 @@ let parse_model_line fields =
         Some nc )
       when nc >= 0 -> (
       match (take nc rest, drop nc rest) with
+      | _ when nc <> Fit_basis.param_count cls ->
+        (* Every consumer indexes coefficients by class. *)
+        Error
+          (Printf.sprintf "class %s takes %d coefficients, not %d"
+             (Fit_basis.token cls) (Fit_basis.param_count cls) nc)
       | Some coef_fields, Some name_fields when name_fields <> [] ->
         let coefs = List.map float_of_string_opt coef_fields in
         if List.exists Option.is_none coefs then Error "bad coefficient"

@@ -42,7 +42,9 @@ val routines : t -> string list
 
 val to_string : t -> string
 
-(** [of_string s] parses a dump; [Error] carries a line number. *)
+(** [of_string s] parses a dump; [Error] carries a line number.  A
+    model line whose coefficient count is not its class's
+    {!Fit_basis.param_count} is an error. *)
 val of_string : string -> (t, string) result
 
 val save : out_channel -> t -> unit

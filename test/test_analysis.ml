@@ -166,6 +166,257 @@ let test_exponent_interval () =
     Alcotest.(check (float 0.15)) "exponent near 1.5" 1.5 k
   | _ -> Alcotest.fail "expected an exponent interval"
 
+(* --- plateau screen = full breakpoint scan ------------------------------ *)
+
+(* [Fit_solve] solves only the breakpoints its closed-form screen cannot
+   rule out; {!Plateau_ref} solves every one.  The two must agree to the
+   bit on coefficients, RSS and r^2 — under unit weights and under the
+   relative-error weights selection uses. *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let show_fit (f : Solve.fit) =
+  Printf.sprintf "coefs [%s] rss %h r2 %h"
+    (String.concat "; "
+       (Array.to_list (Array.map (Printf.sprintf "%h") f.Solve.coefs)))
+    f.Solve.rss f.Solve.r2
+
+let check_plateau_same ~what ?weights points =
+  match
+    (Solve.fit_cls ?weights Basis.Plateau points, Plateau_ref.fit ?weights points)
+  with
+  | None, None -> ()
+  | Some g, Some w ->
+    let same =
+      Array.length g.Solve.coefs = Array.length w.Solve.coefs
+      && Array.for_all2 same_bits g.Solve.coefs w.Solve.coefs
+      && same_bits g.Solve.rss w.Solve.rss
+      && same_bits g.Solve.r2 w.Solve.r2
+    in
+    if not same then
+      Alcotest.failf "%s: screened %s, full scan %s" what (show_fit g)
+        (show_fit w)
+  | g, _ ->
+    Alcotest.failf "%s: screened fit %s, full scan %s" what
+      (if g = None then "absent" else "present")
+      (if g = None then "present" else "absent")
+
+let check_both_weightings ~what points =
+  check_plateau_same ~what:(what ^ " (unit weights)") points;
+  check_plateau_same
+    ~what:(what ^ " (relative weights)")
+    ~weights:(Select.relative_weights points)
+    points
+
+let resample rng points =
+  let arr = Array.of_list points in
+  List.init (Array.length arr) (fun _ ->
+      arr.(Aprof_util.Rng.int rng (Array.length arr)))
+
+(* The points and bootstrap resamples of every registry workload's
+   merged drms and rms profiles, under worst-case and mean costs. *)
+let test_plateau_screen_workloads () =
+  let rich = ref 0 in
+  List.iter
+    (fun spec ->
+      let scale =
+        match spec.Aprof_workloads.Workload.name with
+        | "vips" -> 30
+        | "dedup" -> 60
+        | _ -> 80
+      in
+      let result =
+        Aprof_workloads.Workload.run_spec spec ~threads:3 ~scale ~seed:13
+      in
+      let p = Aprof_core.Drms_profiler.create () in
+      Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+      let rng = Aprof_util.Rng.create 17 in
+      List.iter
+        (fun (rid, d) ->
+          List.iter
+            (fun (metric, cost) ->
+              let points = Fit.points_of_profile ~metric ~cost d in
+              let what i =
+                Printf.sprintf "%s routine %d %s %s sample %d"
+                  spec.Aprof_workloads.Workload.name rid
+                  (Store.metric_name metric)
+                  (match cost with `Max -> "max" | `Mean -> "mean")
+                  i
+              in
+              if Solve.distinct_inputs points >= 3 then begin
+                incr rich;
+                check_both_weightings ~what:(what 0) points;
+                for i = 1 to 4 do
+                  check_both_weightings ~what:(what i) (resample rng points)
+                done
+              end)
+            [ (`Drms, `Max); (`Drms, `Mean); (`Rms, `Max); (`Rms, `Mean) ])
+        (Profile.merge_threads (Aprof_core.Drms_profiler.finish p)))
+    Aprof_workloads.Registry.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "compared many workload curves (%d)" !rich)
+    true (!rich >= 100)
+
+let grid ~lo ~step n = List.init n (fun i -> lo + (i * step))
+
+(* Every breakpoint ties on a constant curve, so the screen must keep
+   them all; the full scan's winner is decided by rounding alone. *)
+let test_plateau_screen_constant () =
+  List.iter
+    (fun c ->
+      List.iter
+        (fun (name, inputs) ->
+          let points = List.map (fun n -> (n, c)) inputs in
+          check_both_weightings
+            ~what:(Printf.sprintf "constant %g on %s" c name)
+            points)
+        [
+          ("battery sizes", battery_sizes);
+          ("1..40", grid ~lo:1 ~step:1 40);
+          ("0..", grid ~lo:0 ~step:7 25);
+          ("large inputs", grid ~lo:1_000_000 ~step:3 30);
+          ("duplicated", List.concat_map (fun n -> [ n; n; n ]) battery_sizes);
+        ])
+    [ 0.; 1.; 0.1; 40.; 1e-7; 123456.789; 1e12 ]
+
+let plateau_curve ~coefs inputs =
+  List.map
+    (fun n -> (n, Basis.eval Basis.Plateau ~coefs (float_of_int n)))
+    inputs
+
+(* Exact plateaus (breakpoint on an input, between inputs, past the
+   last) and noisy ones, on single and duplicated inputs. *)
+let test_plateau_screen_planted () =
+  let rng = Aprof_util.Rng.create 29 in
+  let factor ~noise =
+    Float.max 0.05 (Aprof_util.Rng.gaussian rng ~mu:1.0 ~sigma:noise)
+  in
+  let noisy ~noise points =
+    List.map (fun (n, y) -> (n, y *. factor ~noise)) points
+  in
+  let shapes =
+    [
+      ("battery sizes", battery_sizes);
+      ("1..60", grid ~lo:1 ~step:1 60);
+      ("10..", grid ~lo:10 ~step:37 80);
+      ( "duplicated",
+        List.concat_map (fun n -> [ n; n ]) (grid ~lo:4 ~step:5 40) );
+    ]
+  in
+  List.iter
+    (fun (name, inputs) ->
+      let hi = List.fold_left max 0 inputs in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun (c0, c1) ->
+              let exact =
+                plateau_curve ~coefs:[| c0; c1; float_of_int b |] inputs
+              in
+              let what kind =
+                Printf.sprintf "%s plateau %g + %g min(n, %d) on %s" kind c0
+                  c1 b name
+              in
+              check_both_weightings ~what:(what "exact") exact;
+              List.iter
+                (fun noise ->
+                  check_both_weightings
+                    ~what:(what (Printf.sprintf "noise %g" noise))
+                    (noisy ~noise exact))
+                [ 0.01; 0.05; 0.12 ])
+            [ (30., 4.); (0., 1.); (1e6, 0.5); (5., 1e4) ])
+        [ 3; List.nth inputs 2; hi / 3; (hi / 2) + 1; hi - 1; hi; 2 * hi ])
+    shapes;
+  (* A large offset under a small plateau or small noise: the RSS
+     differences between breakpoints are comparable to the solve's
+     rounding error, so the screen must keep every candidate the
+     rounding could decide between. *)
+  List.iter
+    (fun (name, inputs) ->
+      List.iter
+        (fun offset ->
+          List.iter
+            (fun wiggle ->
+              let points =
+                List.map
+                  (fun n ->
+                    let bump = wiggle *. Float.min (float_of_int n) 50. in
+                    (n, offset +. bump +. (wiggle *. Aprof_util.Rng.float rng 1.)))
+                  inputs
+              in
+              check_both_weightings
+                ~what:
+                  (Printf.sprintf "offset %g, wiggle %g on %s" offset wiggle
+                     name)
+                points)
+            [ 1e-6; 1e-3; 1. ])
+        [ 1e6; 1e9; 1e12 ])
+    shapes;
+  (* Inputs repeated a random number of times with independent noise,
+     under random shapes from the whole family. *)
+  for trial = 1 to 200 do
+    let d = 3 + Aprof_util.Rng.int rng 40 in
+    let inputs =
+      List.concat_map
+        (fun i ->
+          List.init (1 + Aprof_util.Rng.int rng 3) (fun _ -> (i * 3) + 1))
+        (List.init d Fun.id)
+    in
+    let cls, coefs =
+      List.nth battery_classes
+        (Aprof_util.Rng.int rng (List.length battery_classes))
+    in
+    let points =
+      List.map
+        (fun n ->
+          let y = Basis.eval cls ~coefs (float_of_int n) in
+          (n, y *. factor ~noise:0.1))
+        inputs
+    in
+    check_both_weightings
+      ~what:(Printf.sprintf "trial %d (%s, %d inputs)" trial (Basis.name cls) d)
+      points
+  done
+
+(* The whole [bench -e fit] battery — every class, both noise levels,
+   30 seeds, bootstrap 60 — through [Select.select]: class, bootstrap
+   confidence and exponent interval per curve, pinned against
+   test/golden/fit_battery.txt, which the full breakpoint scan wrote.
+   Regenerate only for an intended change to selection:
+     APROF_WRITE_GOLDEN=$PWD/test/golden \
+       dune exec test/test_main.exe -- test analysis *)
+let battery_selections () =
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun (cls, coefs) ->
+      List.iter
+        (fun noise ->
+          for seed = 1 to 30 do
+            let rng =
+              Aprof_util.Rng.create
+                ((seed * 7919) + int_of_float (noise *. 1000.))
+            in
+            let points = plant rng cls coefs ~noise in
+            Printf.bprintf buf "%s %g %d: " (Basis.token cls) noise seed;
+            match Select.select ~bootstrap:60 ~seed points with
+            | None -> Buffer.add_string buf "none\n"
+            | Some sel ->
+              Printf.bprintf buf "%s %.17g"
+                (Basis.token sel.Select.best.Solve.cls)
+                sel.Select.confidence;
+              (match sel.Select.exponent with
+              | Some (k, lo, hi) ->
+                Printf.bprintf buf " %.17g %.17g %.17g" k lo hi
+              | None -> Buffer.add_string buf " -");
+              Buffer.add_char buf '\n'
+          done)
+        [ 0.05; 0.12 ])
+    battery_classes;
+  Buffer.contents buf
+
+let test_battery_selections () =
+  Test_golden.check_golden "fit_battery.txt" (battery_selections ())
+
 (* --- model store -------------------------------------------------------- *)
 
 let meta ?(seed = 1) () =
@@ -283,6 +534,9 @@ let test_store_versioning () =
       "model,drms,linear,3\n";
       "model,drms,nosuch,3,1,1,1,1,1,2,1,2,r\n";
       "model,drms,linear,3,1,1,1,1,1,5,1,2,r\n";
+      (* Coefficient counts that disagree with the class. *)
+      "model,drms,linear,12,0.99,0.92,2,1.8,2.2,0,hot_routine\n";
+      "model,drms,plateau,12,0.99,0.92,1,0.9,1.1,1,5,hot_routine\n";
     ]
 
 (* --- cost diff ---------------------------------------------------------- *)
@@ -539,6 +793,14 @@ let suite =
     Alcotest.test_case "degenerate selection inputs" `Quick
       test_select_degenerate;
     Alcotest.test_case "exponent interval" `Quick test_exponent_interval;
+    Alcotest.test_case "plateau screen: registry workloads" `Quick
+      test_plateau_screen_workloads;
+    Alcotest.test_case "plateau screen: constant curves" `Quick
+      test_plateau_screen_constant;
+    Alcotest.test_case "plateau screen: planted curves" `Quick
+      test_plateau_screen_planted;
+    Alcotest.test_case "battery selections pinned" `Quick
+      test_battery_selections;
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
     Alcotest.test_case "store versioning" `Quick test_store_versioning;
     Alcotest.test_case "planted regression flagged" `Quick
