@@ -55,8 +55,10 @@ let take_buffer t =
 let recycle t b =
   if Bytes.length b = t.buffer_bytes then begin
     Mutex.lock t.m;
-    (* Cap the free list at the queue capacity's worth of slices. *)
-    if Queue.length t.free * t.buffer_bytes < t.capacity then Queue.push b t.free;
+    (* Cap the free list at the queue capacity's worth of slices; a
+       closed inbox keeps none. *)
+    if (not t.closed) && Queue.length t.free * t.buffer_bytes < t.capacity
+    then Queue.push b t.free;
     Mutex.unlock t.m
   end
 
@@ -100,6 +102,7 @@ let close t =
   Mutex.lock t.m;
   t.closed <- true;
   Queue.clear t.q;
+  Queue.clear t.free;
   t.bytes <- 0;
   Condition.broadcast t.not_full;
   Mutex.unlock t.m

@@ -4,9 +4,10 @@
     worker that owns the connection pops and decodes them.  {!push}
     blocks while the queued payload exceeds the capacity, which stops
     the reader from calling [read] — the kernel socket buffer and then
-    the peer absorb the pressure, so per-connection memory never grows
-    with a slow consumer.  An empty queue accepts one slice of any
-    size, so a producer can never deadlock on capacity alone.
+    the peer absorb the pressure, so the bytes queued for a connection
+    stay bounded however slow the consumer is.  An empty queue accepts
+    one slice of any size, so a producer can never deadlock on capacity
+    alone.
 
     Consumers never block: {!pop} is non-blocking (the server's
     scheduler wakes a worker when a connection has queued bytes).
@@ -39,8 +40,9 @@ val push_eof : t -> unit
 (** Non-blocking pop; [None] when nothing is queued. *)
 val pop : t -> item option
 
-(** Consumer side is gone: drop queued items, unblock and neuter
-    producers. *)
+(** Consumer side is gone: drop queued items and recycled slices,
+    unblock and neuter producers.  Later {!recycle}d slices are dropped
+    too, so a closed inbox holds no buffers. *)
 val close : t -> unit
 
 val queued_bytes : t -> int

@@ -118,6 +118,10 @@ type t = {
   mutable listeners : (Unix.file_descr * string) list;
 }
 
+(* See server.mli: a finished connection's counters and bookkeeping
+   measure about 60 words. *)
+let finished_conn_words = 1024
+
 type stats = {
   s_live : int;
   s_conns : int;
@@ -292,53 +296,75 @@ let make_conn t fd peer =
 (* ------------------------------------------------------------------ *)
 (* Ingest workers *)
 
+(* A finished connection keeps only the counters STATS and the fleet
+   CSV read: its decoder (frame buffer, batch) and its driver (partial
+   profiler) go — [finish] already emptied the inbox and its recycled
+   slices.  Worker-side only, like every use of the two. *)
+let release c =
+  c.c_net <- None;
+  c.c_driver <- None
+
 (* Feed everything queued to the connection's decoder.  Exactly one
    worker runs this for a given connection at a time (scheduler
-   invariant), so the decoder and driver need no locking. *)
+   invariant), so the decoder and driver need no locking.  A connection
+   re-queued after its state was released has nothing left to do. *)
 let drain t c =
-  let net = Option.get c.c_net in
-  let driver = Option.get c.c_driver in
-  let continue = ref true in
-  while !continue do
-    match Inbox.pop c.c_inbox with
-    | None -> continue := false
-    | Some Inbox.Eof ->
-      continue := false;
-      (if conn_error t c = None then begin
-         match Trace_net.close net with
-         | () -> finish t c
-         | exception Trace_stream.Decode_error msg ->
-           Ingest_driver.abort driver;
-           finish t ~error:msg c
-       end
-       else finish t c);
-      (* An Eof item means the reader saw read = 0 and will never touch
-         the socket again, so closing here is safe — and it is what
-         turns the peer's pending read into EOF: a client that waits
-         for EOF after shutdown knows its whole stream was decoded and
-         folded. *)
-      close_fd t c
-    | Some (Inbox.Data (b, n)) ->
-      if conn_error t c = None then begin
-        Mutex.lock t.stats_m;
-        c.c_bytes <- c.c_bytes + n;
-        Mutex.unlock t.stats_m;
-        match Trace_net.feed net b ~pos:0 ~len:n with
-        | () -> Inbox.recycle c.c_inbox b
-        | exception Trace_stream.Decode_error msg ->
-          continue := false;
-          Ingest_driver.abort driver;
-          finish t ~error:msg c;
-          (* If the reader already exited (its Eof was just cleared by
-             [finish]'s inbox close), the fd is ours to release; if it
-             is still in its loop, it will observe [c_done] on waking
-             and close on its side. *)
+  match (c.c_net, c.c_driver) with
+  | None, _ | _, None -> ()
+  | Some net, Some driver ->
+    let continue = ref true in
+    while !continue do
+      match Inbox.pop c.c_inbox with
+      | None -> continue := false
+      | Some Inbox.Eof ->
+        continue := false;
+        (if conn_error t c = None then begin
+           match Trace_net.close net with
+           | () -> finish t c
+           | exception Trace_stream.Decode_error msg ->
+             Ingest_driver.abort driver;
+             finish t ~error:msg c
+         end
+         else finish t c);
+        (* An Eof item means the reader saw read = 0 and will never touch
+           the socket again, so closing here is safe — and it is what
+           turns the peer's pending read into EOF: a client that waits
+           for EOF after shutdown knows its whole stream was decoded and
+           folded, and its connection's state released. *)
+        release c;
+        close_fd t c
+      | Some (Inbox.Data (b, n)) ->
+        if conn_error t c = None then begin
           Mutex.lock t.stats_m;
-          let reader_done = c.c_reader_done in
+          c.c_bytes <- c.c_bytes + n;
           Mutex.unlock t.stats_m;
-          if reader_done then close_fd t c
-      end
-  done
+          match Trace_net.feed net b ~pos:0 ~len:n with
+          | () -> Inbox.recycle c.c_inbox b
+          | exception Trace_stream.Decode_error msg ->
+            continue := false;
+            Ingest_driver.abort driver;
+            finish t ~error:msg c;
+            (* If the reader already exited (its Eof was just cleared by
+               [finish]'s inbox close), the fd is ours to release; if it
+               is still in its loop, it will observe [c_done] on waking
+               and close on its side. *)
+            Mutex.lock t.stats_m;
+            let reader_done = c.c_reader_done in
+            Mutex.unlock t.stats_m;
+            if reader_done then close_fd t c
+        end
+    done
+
+(* Every [finish] is followed by a drain of its connection: [drain]'s
+   own Eof and error paths run on it, the reader marks it runnable after
+   each of its own, and the stop sequence's forced [finish] wakes the
+   reader.  So checking after each drain releases every finished
+   connection. *)
+let release_if_done t c =
+  Mutex.lock t.stats_m;
+  let finished = c.c_done in
+  Mutex.unlock t.stats_m;
+  if finished then release c
 
 let worker_loop t () =
   let rec next () =
@@ -354,6 +380,7 @@ let worker_loop t () =
       (try drain t c
        with e ->
          finish t ~error:("internal error: " ^ Printexc.to_string e) c);
+      release_if_done t c;
       Mutex.lock t.sched_m;
       (match c.c_state with
       | Running_dirty ->

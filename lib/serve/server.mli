@@ -13,8 +13,12 @@
     Guarantees:
 
     - {b Bounded memory}: per-connection buffering is capped by
-      [inbox_bytes] plus one decoder frame; when a worker falls behind,
-      the reader stops reading and the socket/peer absorb the pressure.
+      [inbox_bytes] plus one decoder frame and one batch; when a worker
+      falls behind, the reader stops reading and the socket/peer absorb
+      the pressure.  A finished connection keeps only the counters that
+      {!stats} and {!clients} report: its decoder, profiler and inbox
+      slices are released when it finishes, so it costs fewer than
+      {!finished_conn_words} live heap words for the daemon's lifetime.
     - {b Exact aggregation}: profiles are folded only at trace
       boundaries, and snapshots are trace-atomic (the fold/snapshot
       gate of {!Shard_acc}), so any snapshot equals the offline
@@ -93,6 +97,13 @@ val write_snapshot : t -> (unit, string) result
 val snapshot : t -> Profile.t * (int, string) Hashtbl.t
 
 val stats : t -> stats
+
+(** The stated bound on what a finished connection keeps: its counters,
+    peer name and bookkeeping come to well under 1,024 words (8 KiB),
+    against the hundreds of thousands a decoder and profiler take.  The
+    test suite pushes 64 sequential streams and checks the live heap
+    grows by less than this per stream. *)
+val finished_conn_words : int
 
 (** Per-connection fleet rows (live connections report their window so
     far). *)

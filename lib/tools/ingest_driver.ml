@@ -3,8 +3,9 @@
    connection receives batches as they decode off a socket, so the
    driver is push-based — feed it batches, tell it when a trace ends,
    and it finishes the profiler and hands the completed trace's profile
-   to [on_profile], then starts a fresh profiler for the next trace on
-   the same connection.  An aborted trace (connection died, terminal
+   to [on_profile].  The next trace's profiler is created at that
+   trace's first batch, so a driver whose stream has ended holds no
+   profiler state at all.  An aborted trace (connection died, terminal
    decode error) discards the partial state without surfacing anything,
    the same all-or-nothing contract the replay driver keeps per file.
 
@@ -29,7 +30,7 @@ type instance =
 type t = {
   kind : profiler;
   on_profile : profile:Profile.t -> events:int -> unit;
-  mutable inst : instance;
+  mutable inst : instance option;  (* None until the trace's first batch *)
   mutable events : int;  (* events of the current (partial) trace *)
   mutable salvaging : bool;  (* a drop was noted for the current trace *)
   depth : (int, int) Hashtbl.t;  (* per-thread call depth *)
@@ -44,7 +45,7 @@ let create ?(profiler = (`Drms : profiler)) ~on_profile () =
   {
     kind = profiler;
     on_profile;
-    inst = fresh profiler;
+    inst = None;
     events = 0;
     salvaging = false;
     depth = Hashtbl.create 8;
@@ -89,10 +90,18 @@ let track_and_filter t b =
   done;
   if filtering then Batch.unsafe_set_length b !kept
 
+let current t =
+  match t.inst with
+  | Some i -> i
+  | None ->
+    let i = fresh t.kind in
+    t.inst <- Some i;
+    i
+
 let on_batch t b =
   track_and_filter t b;
   t.events <- t.events + Batch.length b;
-  match t.inst with
+  match current t with
   | Drms p -> Aprof_core.Drms_profiler.on_batch p b
   | Rms p -> Aprof_core.Rms_profiler.on_batch p b
   | Naive p -> Batch.iter_events (Aprof_core.Naive_drms.on_event p) b
@@ -100,14 +109,14 @@ let on_batch t b =
 let note_drop t = t.salvaging <- true
 
 let reset t =
-  t.inst <- fresh t.kind;
+  t.inst <- None;
   t.events <- 0;
   t.salvaging <- false;
   Hashtbl.reset t.depth
 
 let trace_end t =
   let profile =
-    match t.inst with
+    match current t with
     | Drms p -> Aprof_core.Drms_profiler.finish p
     | Rms p -> Aprof_core.Rms_profiler.finish p
     | Naive p -> Aprof_core.Naive_drms.finish p

@@ -4,8 +4,10 @@
     One driver serves one connection.  Feed it decoded batches
     ({!on_batch}) as {!Aprof_trace.Trace_net} produces them; at each
     end-of-trace marker call {!trace_end}, which finishes the current
-    profiler, hands the completed trace's profile to [on_profile], and
-    starts a fresh profiler for the next trace on the same connection.
+    profiler and hands the completed trace's profile to [on_profile].
+    Each trace's profiler is created at its first batch, so between
+    traces — and after the last one — the driver holds no profiler
+    state.
     {!abort} discards partial state (connection died mid-trace) without
     surfacing anything — the per-file all-or-nothing contract of the
     replay driver, transplanted to connections.
@@ -39,8 +41,9 @@ val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
     trace, arming the orphaned-return filter until the trace ends. *)
 val note_drop : t -> unit
 
-(** [trace_end t] finishes the current profiler, reports through
-    [on_profile], and resets for the next trace. *)
+(** [trace_end t] finishes the current profiler (an empty trace's
+    profile comes from a fresh one), reports through [on_profile], and
+    resets for the next trace. *)
 val trace_end : t -> unit
 
 (** [abort t] discards the current trace's partial state. *)

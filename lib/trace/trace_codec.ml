@@ -30,11 +30,10 @@ let read_uvarint = Trace_wire.read_uvarint
 let uvarint_size = Trace_wire.uvarint_size
 let end_tag = Trace_record.end_tag
 let step_record = Trace_record.step_record
-let chunk_step = Trace_record.chunk_step
+let fill_chunk = Trace_record.fill_chunk
 let validate_batch = Trace_record.validate_batch
 let fill_batch = Trace_record.fill_batch
 let fill_batch_bytes = Trace_record.fill_batch_bytes
-let fill_batch_bytes_keep = Trace_record.fill_batch_bytes_keep
 let parse_header = Trace_container.parse_header
 let input_header = Trace_container.input_header
 let default_routine_name = Trace_record.default_routine_name
@@ -351,20 +350,6 @@ let batch_reader_v2 ~batch_size ic =
       true
     end
   in
-  let read_byte () =
-    if !pos >= !len then -1
-    else begin
-      let c = Char.code (Bytes.unsafe_get !chunk !pos) in
-      incr pos;
-      c
-    end
-  in
-  let read_string n =
-    if !pos + n > !len then bad "truncated name";
-    let s = Bytes.sub_string !chunk !pos n in
-    pos := !pos + n;
-    s
-  in
   let fill () =
     Batch.clear b;
     let fin = ref false in
@@ -372,11 +357,7 @@ let batch_reader_v2 ~batch_size ic =
       if !pos >= !len then begin
         if !frames_done || not (advance ()) then fin := true
       end
-      else begin
-        fill_batch_bytes b !chunk pos !len;
-        if (not (Batch.is_full b)) && !pos < !len then
-          ignore (chunk_step ~read_byte ~read_string ~define b)
-      end
+      else ignore (fill_chunk ~define b !chunk pos !len)
     done;
     validate_batch b;
     !fin
@@ -538,20 +519,6 @@ let sharded_reader_v2 ~path ~batch_size ic shs ~select =
       len := sh.bytes;
       true
   in
-  let read_byte () =
-    if !pos >= !len then -1
-    else begin
-      let b = Char.code (Bytes.unsafe_get !chunk !pos) in
-      incr pos;
-      b
-    end
-  in
-  let read_string n =
-    if !pos + n > !len then bad "truncated name";
-    let s = Bytes.sub_string !chunk !pos n in
-    pos := !pos + n;
-    s
-  in
   let fill () =
     Batch.clear b;
     let fin = ref false in
@@ -559,11 +526,7 @@ let sharded_reader_v2 ~path ~batch_size ic shs ~select =
       if !pos >= !len then begin
         if not (advance ()) then fin := true
       end
-      else begin
-        fill_batch_bytes b !chunk pos !len;
-        if (not (Batch.is_full b)) && !pos < !len then
-          ignore (chunk_step ~read_byte ~read_string ~define b)
-      end
+      else ignore (fill_chunk ~define b !chunk pos !len)
     done;
     validate_batch b;
     !fin
@@ -655,35 +618,11 @@ let chunk_session_v2 ~batch_size ?keep ic =
   let buf = ref Bytes.empty in
   let pos = ref 0 in
   let len = ref 0 in
-  let read_byte () =
-    if !pos >= !len then -1
-    else begin
-      let c = Char.code (Bytes.unsafe_get !buf !pos) in
-      incr pos;
-      c
-    end
-  in
-  let read_string n =
-    if !pos + n > !len then bad "truncated name";
-    let s = Bytes.sub_string !buf !pos n in
-    pos := !pos + n;
-    s
-  in
   let fill () =
     Batch.clear b;
-    let fin = ref false in
-    while (not !fin) && not (Batch.is_full b) do
-      if !pos >= !len then fin := true
-      else begin
-        (match keep with
-        | None -> fill_batch_bytes b !buf pos !len
-        | Some keep -> fill_batch_bytes_keep b !buf pos !len ~keep);
-        if (not (Batch.is_full b)) && !pos < !len then
-          ignore (chunk_step ?keep ~read_byte ~read_string ~define b)
-      end
-    done;
+    let fin = fill_chunk ?keep ~define b !buf pos !len in
     validate_batch b;
-    !fin
+    fin
   in
   let read (sh : shard) =
     if Bytes.length !buf < sh.bytes then buf := Bytes.create sh.bytes;
@@ -767,28 +706,9 @@ let decode_whole_chunk ~stage ~defs chunk n =
   if Batch.capacity !stage < need then stage := Batch.create ~capacity:need ();
   let b = !stage in
   Batch.clear b;
-  let pos = ref 0 in
-  let read_byte () =
-    if !pos >= n then -1
-    else begin
-      let c = Char.code (Bytes.unsafe_get chunk !pos) in
-      incr pos;
-      c
-    end
-  in
-  let read_string k =
-    if !pos + k > n then bad "truncated name";
-    let s = Bytes.sub_string chunk !pos k in
-    pos := !pos + k;
-    s
-  in
   let define id name = defs := (id, name) :: !defs in
-  let fin = ref false in
-  while not !fin do
-    fill_batch_bytes b chunk pos n;
-    if !pos >= n then fin := true
-    else ignore (chunk_step ~read_byte ~read_string ~define b)
-  done;
+  (* The stage holds every record, so one fill drains the chunk. *)
+  ignore (fill_chunk ~define b chunk (ref 0) n);
   validate_batch b;
   b
 
@@ -847,8 +767,8 @@ let v3_chunk_decoder () =
 
 (* The whole-chunk decoders, exported for consumers that receive framed
    chunks from somewhere other than a seekable file — the socket-fed
-   reader ({!Trace_net}) hands each CRC-verified payload to one of
-   these. *)
+   reader ({!Trace_net}) in salvage mode hands each CRC-verified payload
+   to one of these. *)
 let chunk_decoder ~version () =
   if version >= 3 then v3_chunk_decoder () else v2_chunk_decoder ()
 

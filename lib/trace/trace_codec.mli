@@ -336,9 +336,9 @@ val of_string :
 
 (** {1 Whole-chunk decoding}
 
-    The building block behind salvage and the socket-fed reader
-    ({!Trace_net}): decode one complete framed chunk payload,
-    all-or-nothing, into a batch. *)
+    The building block behind salvage, of files and of the socket-fed
+    reader ({!Trace_net} in salvage mode): decode one complete framed
+    chunk payload, all-or-nothing, into a batch. *)
 
 (** [chunk_decoder ~version ()] is a reusable decoder for the chunk
     payloads of a version-[version] trace ([2] plain records, [>= 3]

@@ -6,21 +6,25 @@
    recorded trace file verbatim, and several traces may follow each
    other back-to-back on one connection.
 
-   Memory is bounded by one frame: the machine buffers bytes only until
-   the item under the cursor (frame header + payload, one v1 record, or
-   the footer) is complete, then decodes and releases them.  Callers
+   Memory is bounded by one frame plus one batch: the machine buffers
+   bytes only until the item under the cursor (frame header + payload,
+   one v1 record, or the footer) is complete, then decodes and releases
+   them, and decoded events pass through one recycled batch.  Callers
    implement backpressure on top: stop feeding when downstream is busy
    and the kernel socket buffer fills — nothing here queues decoded
    work.
 
-   Corruption policy mirrors the file salvage trichotomy.  In strict
-   mode the first malformation raises {!Trace_stream.Decode_error} and
-   poisons the machine.  With [~salvage:true] a damaged v2/v3 chunk is
-   dropped whole (the frame length re-synchronizes the stream) and
-   reported through [on_drop]; damage to the framing itself — an
-   implausible length, a broken header — is beyond salvage and still
-   raises, as does any v1 malformation (bare records offer no boundary
-   to re-synchronize on). *)
+   Corruption policy mirrors the file salvage trichotomy, and so does
+   the decode path.  In strict mode a CRC-verified chunk is streamed in
+   place through the recycled batch, exactly as the file reader streams
+   it, and the first malformation raises {!Trace_stream.Decode_error}
+   and poisons the machine.  With [~salvage:true] a chunk is decoded
+   whole into a stage first ({!Trace_codec.chunk_decoder}), so a damaged
+   v2/v3 chunk is dropped whole (the frame length re-synchronizes the
+   stream) and reported through [on_drop]; damage to the framing itself
+   — an implausible length, a broken header — is beyond salvage and
+   still raises, as does any v1 malformation (bare records offer no
+   boundary to re-synchronize on). *)
 
 module Batch = Event.Batch
 
@@ -32,8 +36,7 @@ exception Need_more
 
 type callbacks = {
   on_batch : Batch.t -> unit;
-      (* one decoded chunk (or a batch of v1 records), validated;
-         valid until the next [feed]/[close] *)
+      (* decoded events, validated; valid until the callback returns *)
   on_define : int -> string -> unit;  (* routine-name definition *)
   on_trace_end : unit -> unit;  (* end-of-trace marker consumed *)
   on_drop : Trace_codec.drop -> unit;
@@ -65,9 +68,13 @@ type t = {
   mutable chunk_ord : int;
   mutable frames : (int * int) list;  (* streamed (paylen, crc), newest first *)
   mutable traces : int;
-  mutable decoders : (int * decoder) list;  (* per-version reusable decoders *)
-  mutable scratch : Bytes.t;  (* payload copy handed to the chunk decoder *)
-  v1_batch : Batch.t;
+  batch : Batch.t;  (* the recycled batch every streamed event passes through *)
+  packed : Trace_packed.decoder;  (* strict v3 chunks *)
+  unpacked : Bytes.t ref;  (* strict v3: entropy-decoded payload *)
+  (* Salvage only: per-version whole-chunk decoders and the payload copy
+     they decode from. *)
+  mutable decoders : (int * decoder) list;
+  mutable scratch : Bytes.t;
 }
 
 (* Names travel inside records, so a corrupt length varint could demand
@@ -96,9 +103,16 @@ let create ?(salvage = false) ?(max_frame_bytes = 1 lsl 26) ?batch_size cb =
     chunk_ord = 0;
     frames = [];
     traces = 0;
+    batch =
+      Batch.create
+        ~capacity:
+          (max Trace_packed.pat_kmax
+             (Option.value batch_size ~default:Batch.default_capacity))
+        ();
+    packed = Trace_packed.create_decoder ();
+    unpacked = ref Bytes.empty;
     decoders = [];
     scratch = Bytes.empty;
-    v1_batch = Batch.create ?capacity:batch_size ();
   }
 
 let pending_bytes t = t.len
@@ -159,11 +173,11 @@ let step_header t =
     true
   end
 
-let deliver_v1 t =
-  if Batch.length t.v1_batch > 0 then begin
-    (try Batch.validate t.v1_batch with Invalid_argument m -> bad "%s" m);
-    t.cb.on_batch t.v1_batch;
-    Batch.clear t.v1_batch
+let deliver t =
+  if Batch.length t.batch > 0 then begin
+    Trace_record.validate_batch t.batch;
+    t.cb.on_batch t.batch;
+    Batch.clear t.batch
   end
 
 (* Version-1 records, one at a time: each record commits on its own (a
@@ -177,7 +191,7 @@ let step_records t =
        let cur = ref 0 in
        let tag = u8 t cur in
        if tag = Trace_record.end_tag then begin
-         deliver_v1 t;
+         deliver t;
          commit t !cur;
          progress := true;
          t.traces <- t.traces + 1;
@@ -210,19 +224,74 @@ let step_records t =
          in
          commit t !cur;
          progress := true;
-         if Batch.is_full t.v1_batch then deliver_v1 t;
-         Batch.unsafe_push t.v1_batch ~tag ~tid ~arg ~len:ln
+         if Batch.is_full t.batch then deliver t;
+         Batch.unsafe_push t.batch ~tag ~tid ~arg ~len:ln
        end
        else bad "unknown record tag %d" tag
      done
    with Need_more -> ());
   !progress
 
-(* One framed chunk (or the end marker).  The payload is copied into a
+(* Strict mode streams a verified payload [t.buf[pos..pos+len)] through
+   the recycled batch with the file readers' per-version fills,
+   delivering whenever the batch fills; definitions go out inline, so
+   each precedes the batch that may reference it.  The remainder waits
+   in the batch for the next chunk, the end marker or the end of the
+   feed. *)
+let stream_chunk t pos len =
+  let fill =
+    if t.version >= 3 then begin
+      let pbuf, ppos, plen =
+        Trace_transform.open_payload t.buf ~pos ~len ~scratch:t.unpacked
+      in
+      Trace_packed.start_chunk t.packed pbuf ~pos:ppos ~len:plen;
+      fun () -> Trace_packed.fill t.packed ~define:t.cb.on_define t.batch
+    end
+    else
+      let cur = ref pos in
+      fun () ->
+        Trace_record.fill_chunk ~define:t.cb.on_define t.batch t.buf cur
+          (pos + len)
+  in
+  while not (fill ()) do
+    deliver t
+  done
+
+(* Salvage mode decodes the payload whole before delivering anything, so
+   a damaged chunk is dropped whole.  The payload is copied into a
    recycled scratch buffer and its pending bytes committed *before* the
-   CRC check and decode, so a damaged chunk is already skipped when
-   salvage reports it — the frame length is the re-synchronization
-   point, exactly as in the file reader. *)
+   CRC check and decode, so the chunk is already skipped when salvage
+   reports it — the frame length is the re-synchronization point,
+   exactly as in the file reader. *)
+let salvage_chunk t ~hdr ~paylen ~crc ~ord ~rel_off =
+  if Bytes.length t.scratch < paylen then
+    t.scratch <- Bytes.create (max paylen (2 * Bytes.length t.scratch));
+  Bytes.blit t.buf (t.start + hdr) t.scratch 0 paylen;
+  commit t (hdr + paylen);
+  match
+    let context () = Printf.sprintf "chunk %d at byte %d" ord rel_off in
+    Trace_frame.check_payload ~context t.scratch ~pos:0 ~len:paylen ~crc;
+    let defs = ref [] in
+    let b = (decoder t) ~defs t.scratch paylen ~events_hint:(-1) in
+    (b, defs)
+  with
+  | b, defs ->
+    List.iter (fun (id, name) -> t.cb.on_define id name) (List.rev !defs);
+    t.cb.on_batch b
+  | exception Trace_stream.Decode_error reason ->
+    t.cb.on_drop
+      {
+        Trace_codec.drop_chunk = ord;
+        drop_offset = rel_off;
+        drop_bytes = paylen;
+        drop_events = -1;
+        drop_reason = reason;
+      }
+
+(* One framed chunk (or the end marker).  A strict chunk is committed
+   first, like a salvaged one, so it is consumed exactly once whatever
+   its callbacks do, and then checked and decoded where it lies: nothing
+   overwrites the buffer before the next [feed] appends. *)
 let step_chunk t =
   let parsed =
     let cur = ref 0 in
@@ -245,6 +314,7 @@ let step_chunk t =
   match parsed with
   | `More -> false
   | `End n ->
+    deliver t;
     commit t n;
     t.traces <- t.traces + 1;
     t.state <- Trailer;
@@ -255,30 +325,14 @@ let step_chunk t =
     let ord = t.chunk_ord in
     t.chunk_ord <- ord + 1;
     t.frames <- (paylen, crc) :: t.frames;
-    if Bytes.length t.scratch < paylen then
-      t.scratch <- Bytes.create (max paylen (2 * Bytes.length t.scratch));
-    Bytes.blit t.buf (t.start + hdr) t.scratch 0 paylen;
-    commit t (hdr + paylen);
-    (match
-       let context () = Printf.sprintf "chunk %d at byte %d" ord rel_off in
-       Trace_frame.check_payload ~context t.scratch ~pos:0 ~len:paylen ~crc;
-       let defs = ref [] in
-       let b = (decoder t) ~defs t.scratch paylen ~events_hint:(-1) in
-       (b, defs)
-     with
-    | b, defs ->
-      List.iter (fun (id, name) -> t.cb.on_define id name) (List.rev !defs);
-      t.cb.on_batch b
-    | exception Trace_stream.Decode_error reason ->
-      if not t.salvage then bad "%s" reason;
-      t.cb.on_drop
-        {
-          Trace_codec.drop_chunk = ord;
-          drop_offset = rel_off;
-          drop_bytes = paylen;
-          drop_events = -1;
-          drop_reason = reason;
-        });
+    if t.salvage then salvage_chunk t ~hdr ~paylen ~crc ~ord ~rel_off
+    else begin
+      let pos = t.start + hdr in
+      commit t (hdr + paylen);
+      let context () = Printf.sprintf "chunk %d at byte %d" ord rel_off in
+      Trace_frame.check_payload ~context t.buf ~pos ~len:paylen ~crc;
+      stream_chunk t pos paylen
+    end;
     true
 
 (* The shard-index footer, streamed.  In strict mode the streamed frame
@@ -371,9 +425,9 @@ let feed t bytes ~pos ~len =
         | Records -> step_records t
         | Trailer -> step_trailer t)
     done;
-    (* Deliver what this slice completed even when the next record is
+    (* Deliver what this slice completed even when the next item is
        still open: a live profiler should not wait for a full batch. *)
-    if t.state = Records then deliver_v1 t;
+    deliver t;
     if t.len > t.max_frame_bytes + pending_slack then
       bad "connection buffered %d bytes without a decodable item" t.len
   with Trace_stream.Decode_error m as e ->

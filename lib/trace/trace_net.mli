@@ -9,23 +9,31 @@
     traces may follow back-to-back on one connection (each delimited by
     its own header and end marker).
 
-    Peak buffered memory is one frame (plus the feed slice): bytes are
-    held only until the item under the cursor is complete, then decoded
-    and released.  The machine never queues decoded work — callbacks run
-    inside {!feed} — so callers implement backpressure by not feeding.
+    Peak memory is one frame plus one batch (plus the feed slice):
+    bytes are held only until the item under the cursor is complete,
+    then decoded and released, and decoded events pass through one
+    recycled batch.  The machine never queues decoded work — callbacks
+    run inside {!feed} — so callers implement backpressure by not
+    feeding.
 
-    Corruption follows the salvage trichotomy of {!Trace_codec.read}:
-    strict mode fails the connection on the first malformation; with
-    [~salvage:true] a damaged v2/v3 chunk is dropped whole and reported
-    (the frame length re-synchronizes), while damage to the framing
-    itself, and any version-1 malformation, remains fatal.  After a
-    failure the machine is poisoned: every later call re-raises. *)
+    Decoding and corruption follow {!Trace_codec.read}.  In strict mode
+    (the default) each CRC-verified v2/v3 chunk is streamed through the
+    recycled batch as the file reader streams it, so a chunk that
+    decodes to many events arrives as several batches, and the first
+    malformation fails the connection.  With [~salvage:true] each chunk
+    is decoded whole before any of it is delivered, so a damaged v2/v3
+    chunk is dropped whole and reported (the frame length
+    re-synchronizes) while a good one arrives as one batch of any size;
+    damage to the framing itself, and any version-1 malformation,
+    remains fatal.  After a failure the machine is poisoned: every later
+    call re-raises. *)
 
 type callbacks = {
   on_batch : Event.Batch.t -> unit;
-      (** One validated decoded chunk (or a batch of v1 records).  The
-          batch is recycled: it is valid only until the callback
-          returns. *)
+      (** Validated decoded events, in stream order: at most
+          [batch_size] of them, except that salvage mode delivers each
+          v2/v3 chunk whole.  The batch is recycled: it is valid only
+          until the callback returns. *)
   on_define : int -> string -> unit;
       (** A routine-name definition, in stream order, always before the
           first delivered batch that could reference it. *)
@@ -46,8 +54,11 @@ type t
     @param max_frame_bytes largest acceptable chunk payload; a frame
     announcing more is treated as framing damage and fails the
     connection even under salvage (default 64 MiB).
-    @param batch_size capacity of the recycled batch used for version-1
-    records (framed chunks always arrive as one whole-chunk batch). *)
+    @param batch_size capacity of the recycled batch every strict-mode
+    event passes through, raised to 16 (the longest packed tag pattern)
+    if smaller (default {!Event.Batch.default_capacity}).  Batches are
+    delivered when full, at each end-of-trace marker and at the end of
+    every {!feed}. *)
 val create : ?salvage:bool -> ?max_frame_bytes:int -> ?batch_size:int ->
   callbacks -> t
 

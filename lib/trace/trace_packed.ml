@@ -63,6 +63,61 @@ let min_region_bytes = 4
 
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 
+(* ===== per-thread address history ======================================= *)
+
+(* Depth-2 address registers per thread id, one set each for the
+   encoder and the decoder: [prev2] (the delta base) holds the
+   second-most-recent address, [prev] the most recent, and an entry is
+   valid only while its [epoch] equals [cur_epoch] (bumped per chunk, so
+   a chunk starts with empty history without clearing anything).  The
+   arrays are sized on demand: real traces index them with a handful of
+   tids, so they start at [history_init] entries and grow by doubling
+   when a thread switch names a tid beyond them — never past
+   [Event.max_tid], which every switch is range-checked against. *)
+type history = {
+  mutable prev : int array;
+  mutable prev2 : int array;
+  mutable epoch : int array;
+  mutable cur_epoch : int;
+}
+
+let history_init = 64
+
+let create_history () =
+  {
+    prev = Array.make history_init 0;
+    prev2 = Array.make history_init 0;
+    epoch = Array.make history_init 0;
+    cur_epoch = 1;
+  }
+
+(* Make [tid] (already range-checked) addressable.  Grown entries carry
+   epoch 0, which no chunk ever runs under, so they read as empty. *)
+let reserve h tid =
+  let n = Array.length h.epoch in
+  if tid >= n then begin
+    let cap = min (max (2 * n) (tid + 1)) (Event.max_tid + 1) in
+    let grow a =
+      let g = Array.make cap 0 in
+      Array.blit a 0 g 0 n;
+      g
+    in
+    h.prev <- grow h.prev;
+    h.prev2 <- grow h.prev2;
+    h.epoch <- grow h.epoch
+  end
+
+let[@inline] prev2_get h tid =
+  if h.epoch.(tid) = h.cur_epoch then h.prev2.(tid) else 0
+
+let[@inline] prev_shift h tid v =
+  if h.epoch.(tid) = h.cur_epoch then h.prev2.(tid) <- h.prev.(tid)
+  else begin
+    h.epoch.(tid) <- h.cur_epoch;
+    h.prev2.(tid) <- 0
+  end;
+  h.prev.(tid) <- v
+
 (* ===== encoder ========================================================= *)
 
 type encoder = {
@@ -70,12 +125,7 @@ type encoder = {
   mutable olen : int;
   (* chunk-local event context (mirrored by the decoder) *)
   mutable e_cur_tid : int;
-  (* per-tid address history, depth 2: [e_prev2] (the delta base) holds
-     the second-most-recent address, [e_prev] the most recent *)
-  e_prev : int array;
-  e_prev2 : int array;
-  e_epoch : int array; (* history valid iff epoch matches *)
-  mutable e_cur_epoch : int;
+  e_hist : history;
   (* pattern dictionary, reset per chunk *)
   mutable pats : int array array;
   mutable npats : int;
@@ -106,10 +156,7 @@ let create_encoder () =
     out = Bytes.create 4096;
     olen = 0;
     e_cur_tid = 0;
-    e_prev = Array.make (Event.max_tid + 1) 0;
-    e_prev2 = Array.make (Event.max_tid + 1) 0;
-    e_epoch = Array.make (Event.max_tid + 1) 0;
-    e_cur_epoch = 1;
+    e_hist = create_history ();
     pats = Array.make 64 [||];
     npats = 0;
     pat_by_first = Array.make 16 (-1);
@@ -162,17 +209,6 @@ let put_varint e n =
   done;
   Bytes.unsafe_set e.out !p (Char.unsafe_chr !v);
   e.olen <- !p + 1
-
-let[@inline] prev2_get e tid =
-  if e.e_epoch.(tid) = e.e_cur_epoch then e.e_prev2.(tid) else 0
-
-let[@inline] prev_shift e tid v =
-  if e.e_epoch.(tid) = e.e_cur_epoch then e.e_prev2.(tid) <- e.e_prev.(tid)
-  else begin
-    e.e_epoch.(tid) <- e.e_cur_epoch;
-    e.e_prev2.(tid) <- 0
-  end;
-  e.e_prev.(tid) <- v
 
 let bytes_eq b p1 p2 n =
   let i = ref 0 in
@@ -276,8 +312,8 @@ let commit_group e gstart =
 let put_operands e ~tag ~tid ~arg ~len =
   if (Batch.arg_mask lsr tag) land 1 = 1 then
     if (Batch.addr_mask lsr tag) land 1 = 1 then begin
-      put_varint e (arg - prev2_get e tid);
-      prev_shift e tid arg
+      put_varint e (arg - prev2_get e.e_hist tid);
+      prev_shift e.e_hist tid arg
     end
     else put_varint e arg;
   if (Batch.len_mask lsr tag) land 1 = 1 then put_varint e len
@@ -326,13 +362,19 @@ let maybe_define_pattern e =
     end
   end
 
-let emit_literal e ~tag ~tid ~arg ~len =
-  let g = e.olen in
+(* Thread switches are the only place a new tid enters the context
+   (the chunk starts on tid 0, which the history always covers). *)
+let switch_tid e tid =
   if tid <> e.e_cur_tid then begin
+    reserve e.e_hist tid;
     put_byte e op_set_tid;
     put_varint e tid;
     e.e_cur_tid <- tid
-  end;
+  end
+
+let emit_literal e ~tag ~tid ~arg ~len =
+  let g = e.olen in
+  switch_tid e tid;
   put_byte e tag;
   put_operands e ~tag ~tid ~arg ~len;
   commit_group e g;
@@ -347,11 +389,7 @@ let complete_instance e =
   let tid = e.inst_tid in
   e.inst_pat <- -1;
   let g = e.olen in
-  if tid <> e.e_cur_tid then begin
-    put_byte e op_set_tid;
-    put_varint e tid;
-    e.e_cur_tid <- tid
-  end;
+  switch_tid e tid;
   if id < 256 - first_short_usepat then put_byte e (first_short_usepat + id)
   else begin
     put_byte e op_usepat;
@@ -429,7 +467,7 @@ let take_chunk e =
   let chunk = Bytes.sub e.out 0 e.olen in
   e.olen <- 0;
   e.e_cur_tid <- 0;
-  e.e_cur_epoch <- e.e_cur_epoch + 1;
+  e.e_hist.cur_epoch <- e.e_hist.cur_epoch + 1;
   e.npats <- 0;
   Hashtbl.reset e.pat_dict;
   Array.fill e.pat_by_first 0 16 (-1);
@@ -445,11 +483,7 @@ type decoder = {
   mutable start : int;
   mutable limit : int;
   mutable d_cur_tid : int;
-  (* per-tid address history, depth 2, mirroring the encoder *)
-  d_prev : int array;
-  d_prev2 : int array;
-  d_epoch : int array;
-  mutable d_cur_epoch : int;
+  d_hist : history;  (* mirrors the encoder's *)
   mutable d_pats : int array array;
   mutable d_npats : int;
   mutable rep_on : bool;
@@ -480,10 +514,7 @@ let create_decoder () =
     start = 0;
     limit = 0;
     d_cur_tid = 0;
-    d_prev = Array.make (Event.max_tid + 1) 0;
-    d_prev2 = Array.make (Event.max_tid + 1) 0;
-    d_epoch = Array.make (Event.max_tid + 1) 0;
-    d_cur_epoch = 1;
+    d_hist = create_history ();
     d_pats = Array.make 64 [||];
     d_npats = 0;
     rep_on = false;
@@ -505,20 +536,9 @@ let start_chunk d src ~pos ~len =
   d.start <- pos;
   d.limit <- pos + len;
   d.d_cur_tid <- 0;
-  d.d_cur_epoch <- d.d_cur_epoch + 1;
+  d.d_hist.cur_epoch <- d.d_hist.cur_epoch + 1;
   d.d_npats <- 0;
   d.rep_on <- false
-
-let[@inline] dprev2_get d tid =
-  if d.d_epoch.(tid) = d.d_cur_epoch then d.d_prev2.(tid) else 0
-
-let[@inline] dprev_shift d tid v =
-  if d.d_epoch.(tid) = d.d_cur_epoch then d.d_prev2.(tid) <- d.d_prev.(tid)
-  else begin
-    d.d_epoch.(tid) <- d.d_cur_epoch;
-    d.d_prev2.(tid) <- 0
-  end;
-  d.d_prev.(tid) <- v
 
 (* Decode the operand fields of one event.  [el] is the effective limit
    (the repeat region end while parsing a template); [fast] means a
@@ -623,6 +643,7 @@ let build_template d lo hi =
       let tid = field fast in
       if tid < 0 || tid > Event.max_tid then
         bad "packed chunk: thread id %d out of range" tid;
+      reserve d.d_hist tid;
       cur := tid
     end
     else if op = op_def then bad "packed chunk: definition inside repeat region"
@@ -644,6 +665,7 @@ let fill d ?keep ~define b =
   let tags_a = Batch.tags b and tids_a = Batch.tids b in
   let args_a = Batch.args b and lens_a = Batch.lens b in
   let pos = d.pos in
+  let h = d.d_hist in
   let n = ref (Batch.length b) in
   (* 0 = running, 1 = batch full (deliver), 2 = chunk exhausted. *)
   let state = ref 0 in
@@ -676,8 +698,8 @@ let fill d ?keep ~define b =
           let v = Array.unsafe_get t_args !i in
           let arg =
             if Array.unsafe_get t_kind !i = 1 then begin
-              let a = dprev2_get d tid + v in
-              dprev_shift d tid a;
+              let a = prev2_get h tid + v in
+              prev_shift h tid a;
               a
             end
             else v
@@ -712,8 +734,8 @@ let fill d ?keep ~define b =
           let arg =
             if (Batch.arg_mask lsr op) land 1 = 1 then
               if (Batch.addr_mask lsr op) land 1 = 1 then begin
-                let a = dprev2_get d tid + read_field d el fast in
-                dprev_shift d tid a;
+                let a = prev2_get h tid + read_field d el fast in
+                prev_shift h tid a;
                 a
               end
               else read_field d el fast
@@ -759,8 +781,8 @@ let fill d ?keep ~define b =
               let arg =
                 if (Batch.arg_mask lsr tag) land 1 = 1 then
                   if (Batch.addr_mask lsr tag) land 1 = 1 then begin
-                    let a = dprev2_get d tid + read_field d el fast in
-                    dprev_shift d tid a;
+                    let a = prev2_get h tid + read_field d el fast in
+                    prev_shift h tid a;
                     a
                   end
                   else read_field d el fast
@@ -789,6 +811,7 @@ let fill d ?keep ~define b =
           let tid = read_field d el fast in
           if tid < 0 || tid > Event.max_tid then
             bad "packed chunk: thread id %d out of range" tid;
+          reserve h tid;
           d.d_cur_tid <- tid
         end
         else if op = op_def then begin

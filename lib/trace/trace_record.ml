@@ -223,3 +223,34 @@ let fill_batch_bytes_keep b chunk pos limit ~keep =
   done;
   Batch.unsafe_set_length b !i;
   pos := !p
+
+(* Fill [b] from the plain chunk payload [chunk[!pos..limit)] until the
+   batch is full or the payload is exhausted, returning [true] on
+   exhaustion: the bulk fast path while a whole record fits, one
+   [chunk_step] at definitions and near the end.  Resumable ([pos] is
+   the cursor), so every plain-chunk reader — sequential, seeking,
+   whole-chunk salvage, socket-fed — is this loop plus its own frame
+   walk.  [?keep] filters as in [chunk_step]. *)
+let fill_chunk ?keep ~define b chunk pos limit =
+  let read_byte () =
+    if !pos >= limit then -1
+    else begin
+      let c = Char.code (Bytes.unsafe_get chunk !pos) in
+      incr pos;
+      c
+    end
+  in
+  let read_string n =
+    if n > limit - !pos then bad "truncated name";
+    let s = Bytes.sub_string chunk !pos n in
+    pos := !pos + n;
+    s
+  in
+  while !pos < limit && not (Batch.is_full b) do
+    (match keep with
+    | None -> fill_batch_bytes b chunk pos limit
+    | Some keep -> fill_batch_bytes_keep b chunk pos limit ~keep);
+    if !pos < limit && not (Batch.is_full b) then
+      ignore (chunk_step ?keep ~read_byte ~read_string ~define b)
+  done;
+  !pos >= limit

@@ -283,6 +283,142 @@ let v3_golden_bytes () =
     ("ATRC\x03\x08" ^ le32 ^ stored ^ "\x00")
     s
 
+(* --- on-demand thread history ------------------------------------------ *)
+
+(* Thread ids at the edges of the on-demand address history: 0 and 63
+   fit its first 64 entries, 64 forces the first doubling, 4097 jumps
+   far past it, 65535 is [Event.max_tid].  They interleave within one
+   chunk (round-robin, then pseudo-random reads), inside repeat regions
+   (one thread's strided sweep, then two threads alternating, so the
+   region carries thread switches) and, through the 256-byte-chunk file
+   path, across chunks. *)
+let edge_tids = [ 0; 63; 64; 4097; 65535 ]
+
+let edge_tid_trace () =
+  let tr = Vec.create () in
+  List.iteri
+    (fun r tid -> Vec.push tr (Event.Call { tid; routine = r }))
+    edge_tids;
+  for i = 0 to 19 do
+    List.iter
+      (fun tid ->
+        Vec.push tr (Event.Read { tid; addr = (1000 * tid) + (8 * i) }))
+      edge_tids
+  done;
+  (* A pseudo-random interleaving: enough skewed literal bytes for the
+     entropy stage to pay off. *)
+  let x = ref 12345 in
+  for _ = 1 to 2000 do
+    x := ((!x * 1103515245) + 12345) land 0x3fffffff;
+    let tid = List.nth edge_tids ((!x lsr 16) mod 5) in
+    Vec.push tr (Event.Read { tid; addr = 8 * (!x land 0xff) })
+  done;
+  for i = 0 to 199 do
+    Vec.push tr (Event.Write { tid = 65535; addr = 64 * i })
+  done;
+  for i = 0 to 199 do
+    Vec.push tr (Event.Write { tid = 65535; addr = 64 * i });
+    Vec.push tr (Event.Read { tid = 4097; addr = 128 * i })
+  done;
+  List.iter
+    (fun tid -> Vec.push tr (Event.Return { tid }))
+    (List.rev edge_tids);
+  tr
+
+(* MD5 of the encodings written by the fixed-size history (65,536
+   entries per array) that preceded on-demand sizing: the history's
+   size must never show in the bytes. *)
+let edge_tid_digests =
+  [
+    ("raw", "f09724308e33c776a1e3e896703de93e");
+    ("entropy", "177eef378753268ad7b0406a64788208");
+    ("file", "78f644a41fa437ea57e7ea9936ad61c9");
+  ]
+
+let edge_tid_encodings tr =
+  let file =
+    with_tmp (fun file ->
+        write_v3 ~entropy:false tr file;
+        In_channel.with_open_bin file In_channel.input_all)
+  in
+  [
+    ("raw", Codec.to_string ~format_version:3 ~entropy:false tr);
+    ("entropy", Codec.to_string ~format_version:3 ~entropy:true tr);
+    ("file", file);
+  ]
+
+let thread_history_round_trip () =
+  let tr = edge_tid_trace () in
+  check_trace ~label:"edge tids" tr;
+  check_file ~label:"edge tids" tr;
+  List.iter
+    (fun (name, s) ->
+      Alcotest.(check string)
+        ("edge tids " ^ name ^ " bytes")
+        (List.assoc name edge_tid_digests)
+        (Digest.to_hex (Digest.string s)))
+    (edge_tid_encodings tr)
+
+(* The history grows only as far as the tids a chunk names, on both
+   sides of the codec. *)
+let thread_history_sized_on_demand () =
+  let module P = Aprof_trace.Trace_packed in
+  let enc = P.create_encoder () in
+  let dec = P.create_decoder () in
+  let b = Batch.create () in
+  let round tids =
+    List.iter
+      (fun tid ->
+        P.add_event enc ~tag:Batch.tag_read ~tid ~arg:(8 * tid) ~len:0)
+      tids;
+    let chunk = P.take_chunk enc in
+    P.start_chunk dec chunk ~pos:0 ~len:(Bytes.length chunk);
+    Batch.clear b;
+    Alcotest.(check bool) "chunk drained" true
+      (P.fill dec ~define:(fun _ _ -> ()) b);
+    Alcotest.(check (list int)) "tids decoded" tids
+      (List.init (Batch.length b) (fun i -> (Batch.tids b).(i)));
+    (Array.length enc.P.e_hist.P.epoch, Array.length dec.P.d_hist.P.epoch)
+  in
+  Alcotest.(check (pair int int)) "small tids keep the initial size" (64, 64)
+    (round [ 0; 1; 63; 2 ]);
+  Alcotest.(check (pair int int)) "tid 64 doubles" (128, 128) (round [ 64; 0 ]);
+  Alcotest.(check (pair int int)) "max_tid reaches the full range"
+    (Event.max_tid + 1, Event.max_tid + 1)
+    (round [ 5; Event.max_tid ])
+
+(* A thread switch beyond [Event.max_tid] (or below 0) is a clean decode
+   error on every path, never an out-of-bounds history access. *)
+let thread_history_rejects_bad_tid () =
+  List.iter
+    (fun zz_tid ->
+      (* op_set_tid, the zigzag tid, then a Return on that thread *)
+      let stored = "\x01\x10" ^ zz_tid ^ "\x02" in
+      let b = Buffer.create 32 in
+      Buffer.add_string b "ATRC\x03";
+      Aprof_trace.Trace_frame.add_frame b stored;
+      Buffer.add_char b '\x00';
+      let s = Buffer.contents b in
+      (match Codec.of_string s with
+      | Ok _ -> Alcotest.fail "out-of-range set_tid decoded"
+      | Error _ -> ());
+      let net =
+        Aprof_trace.Trace_net.create
+          {
+            Aprof_trace.Trace_net.on_batch = ignore;
+            on_define = (fun _ _ -> ());
+            on_trace_end = ignore;
+            on_drop = ignore;
+          }
+      in
+      match
+        Aprof_trace.Trace_net.feed net (Bytes.of_string s) ~pos:0
+          ~len:(String.length s)
+      with
+      | () -> Alcotest.fail "out-of-range set_tid streamed"
+      | exception Stream.Decode_error _ -> ())
+    [ (* zigzag 65536 *) "\x80\x80\x08"; (* zigzag (-1) *) "\x01" ]
+
 (* --- compression smoke ------------------------------------------------ *)
 
 (* A strided sweep — the shape the delta + repeat stages exist for —
@@ -318,6 +454,12 @@ let suite =
     Alcotest.test_case "parallel replay of v3 files, -j {2,3,4}" `Slow
       parallel_v3_files;
     Alcotest.test_case "v3 byte stream is pinned" `Quick v3_golden_bytes;
+    Alcotest.test_case "edge thread ids round-trip, bytes unchanged" `Quick
+      thread_history_round_trip;
+    Alcotest.test_case "thread history is sized on demand" `Quick
+      thread_history_sized_on_demand;
+    Alcotest.test_case "set_tid out of range is a decode error" `Quick
+      thread_history_rejects_bad_tid;
     Alcotest.test_case "strided sweep compresses >= 5x" `Quick
       compression_smoke;
   ]

@@ -102,31 +102,63 @@ let small_run =
        ~scheduler:(Aprof_vm.Scheduler.Round_robin { slice = 64 })
        spec ~threads:3 ~scale:30 ~seed:11)
 
-let trace_bytes ~version =
+let trace_bytes ?entropy ~version () =
   let result = Lazy.force small_run in
-  Codec.to_string ~format_version:version
+  Codec.to_string ~format_version:version ?entropy
     ~routine_name:
       (Aprof_trace.Routine_table.name result.Aprof_vm.Interp.routines)
     result.Aprof_vm.Interp.trace
+
+(* One strided sweep per thread.  Delta coding turns each sweep into a
+   v3 repeat region whose expansion runs far past any batch, so strict
+   streaming must resume [Trace_packed.fill] mid-repeat; in v2 the
+   sweeps fill several chunks near 64 KiB. *)
+let sweep_trace =
+  lazy
+    (let tr = Vec.create () in
+     for tid = 0 to 2 do
+       Vec.push tr (Event.Call { tid; routine = tid });
+       for i = 0 to 7_999 do
+         Vec.push tr (Event.Read { tid; addr = 4096 + (8 * i) });
+         Vec.push tr (Event.Write { tid; addr = 1_048_576 + (8 * i) })
+       done;
+       Vec.push tr (Event.Return { tid })
+     done;
+     tr)
 
 type collected = {
   mutable lines : string list;  (* reversed *)
   mutable defs : (int * string) list;  (* reversed *)
   mutable ends : int;
+  mutable ended_after : int list;  (* events delivered at each end, reversed *)
   mutable drops : int;
+  mutable max_batch : int;  (* largest delivered batch *)
 }
 
 let collector () =
-  let c = { lines = []; defs = []; ends = 0; drops = 0 } in
+  let c =
+    {
+      lines = [];
+      defs = [];
+      ends = 0;
+      ended_after = [];
+      drops = 0;
+      max_batch = 0;
+    }
+  in
   let cb =
     {
       Trace_net.on_batch =
         (fun b ->
+          c.max_batch <- max c.max_batch (Event.Batch.length b);
           Event.Batch.iter_events
             (fun e -> c.lines <- Event.to_line e :: c.lines)
             b);
       on_define = (fun id name -> c.defs <- (id, name) :: c.defs);
-      on_trace_end = (fun () -> c.ends <- c.ends + 1);
+      on_trace_end =
+        (fun () ->
+          c.ends <- c.ends + 1;
+          c.ended_after <- List.length c.lines :: c.ended_after);
       on_drop = (fun _ -> c.drops <- c.drops + 1);
     }
   in
@@ -147,40 +179,76 @@ let reference_lines s =
   | Ok (tr, names) -> (List.map Event.to_line (Vec.to_list tr), names)
   | Error e -> Alcotest.failf "reference decode failed: %s" e
 
+(* Every version and slice size, at the default batch size and at 16,
+   against the whole-string reference.  The sweep traces make strict
+   chunks decode to many batches; no delivered batch may exceed the
+   batch size. *)
 let test_net_matches_reference () =
+  let sweep = Lazy.force sweep_trace in
+  let sweep_v2 = Codec.to_string sweep in
+  let sweep_v3 = Codec.to_string ~format_version:3 sweep in
+  let v3 = trace_bytes ~version:3 () in
+  let v3_entropy = trace_bytes ~entropy:true ~version:3 () in
+  (* The cases must exercise what they are named for. *)
+  Alcotest.(check bool) "sweep v2 spans several 64 KiB chunks" true
+    (String.length sweep_v2 > 3 * 64 * 1024);
+  Alcotest.(check bool) "sweep v3 carries repeat regions" true
+    (String.length sweep_v3 < Vec.length sweep);
+  Alcotest.(check bool) "entropy coding applied" true (v3_entropy <> v3);
+  let cases =
+    [
+      ("v1", trace_bytes ~version:1 ());
+      ("v2", trace_bytes ~version:2 ());
+      ("v3", v3);
+      ("v3 entropy", v3_entropy);
+      ("sweep v2", sweep_v2);
+      ("sweep v3", sweep_v3);
+    ]
+  in
   List.iter
-    (fun version ->
-      let s = trace_bytes ~version in
+    (fun (name, s) ->
       let expected_lines, expected_names = reference_lines s in
       List.iter
-        (fun slice ->
-          let c, cb = collector () in
-          let net = Trace_net.create cb in
-          feed_in_slices net s ~slice;
-          Trace_net.close net;
-          Alcotest.(check (list string))
-            (Printf.sprintf "v%d slice=%d events" version slice)
-            expected_lines
-            (List.rev c.lines);
-          Alcotest.(check (list (pair int string)))
-            (Printf.sprintf "v%d slice=%d defs" version slice)
-            expected_names (List.rev c.defs);
-          Alcotest.(check int)
-            (Printf.sprintf "v%d slice=%d trace ends" version slice)
-            1 c.ends;
-          Alcotest.(check int)
-            (Printf.sprintf "v%d slice=%d completed" version slice)
-            1
-            (Trace_net.traces_completed net);
-          Alcotest.(check int)
-            (Printf.sprintf "v%d slice=%d nothing pending" version slice)
-            0
-            (Trace_net.pending_bytes net))
-        [ 1; 3; 7; String.length s ])
-    [ 1; 2; 3 ]
+        (fun batch_size ->
+          List.iter
+            (fun slice ->
+              let label =
+                Printf.sprintf "%s batch=%s slice=%d" name
+                  (match batch_size with
+                  | Some n -> string_of_int n
+                  | None -> "default")
+                  slice
+              in
+              let c, cb = collector () in
+              let net = Trace_net.create ?batch_size cb in
+              feed_in_slices net s ~slice;
+              Trace_net.close net;
+              Alcotest.(check (list string))
+                (label ^ " events") expected_lines (List.rev c.lines);
+              Alcotest.(check (list (pair int string)))
+                (label ^ " defs") expected_names (List.rev c.defs);
+              Alcotest.(check bool)
+                (label ^ " batches within the batch size")
+                true
+                (c.max_batch
+                <= Option.value batch_size
+                     ~default:Event.Batch.default_capacity);
+              Alcotest.(check (list int))
+                (label ^ " every event delivered before the trace end")
+                [ List.length expected_lines ]
+                c.ended_after;
+              Alcotest.(check int)
+                (label ^ " completed") 1
+                (Trace_net.traces_completed net);
+              Alcotest.(check int)
+                (label ^ " nothing pending") 0
+                (Trace_net.pending_bytes net))
+            [ 1; 3; 7; String.length s ])
+        [ None; Some 16 ])
+    cases
 
 let test_net_back_to_back_traces () =
-  let s = trace_bytes ~version:2 in
+  let s = trace_bytes ~version:2 () in
   let expected_lines, _ = reference_lines s in
   let c, cb = collector () in
   let net = Trace_net.create cb in
@@ -230,7 +298,7 @@ let test_net_with_footer () =
     [ 7; String.length s ]
 
 let test_net_truncation_detected () =
-  let s = trace_bytes ~version:2 in
+  let s = trace_bytes ~version:2 () in
   let c, cb = collector () in
   ignore c;
   let net = Trace_net.create cb in
@@ -242,7 +310,7 @@ let test_net_truncation_detected () =
   Alcotest.(check bool) "poisoned" true (Trace_net.failure net <> None)
 
 let test_net_strict_fails_on_corruption () =
-  let s = trace_bytes ~version:2 in
+  let s = trace_bytes ~version:2 () in
   let b = Bytes.of_string s in
   (* Offset 40 is well inside the first chunk payload for this trace. *)
   Bytes.set b 40 (Char.chr (Char.code (Bytes.get b 40) lxor 0xff));
@@ -258,7 +326,7 @@ let test_net_strict_fails_on_corruption () =
     | exception Stream.Decode_error _ -> ())
 
 let test_net_salvage_drops_chunk () =
-  let s = trace_bytes ~version:2 in
+  let s = trace_bytes ~version:2 () in
   let b = Bytes.of_string s in
   Bytes.set b 40 (Char.chr (Char.code (Bytes.get b 40) lxor 0xff));
   let expected_lines, _ = reference_lines s in
@@ -273,6 +341,63 @@ let test_net_salvage_drops_chunk () =
      be all of them); nothing extra may appear. *)
   Alcotest.(check bool) "no events invented" true
     (List.length c.lines < List.length expected_lines)
+
+(* Append [junk] to the last chunk's payload and re-seal its frame: the
+   CRC still verifies, so only the decoder can object, and only after
+   streaming every earlier record of the trace.  Records never span
+   frames, so the junk lands on a record (or packed group) boundary. *)
+let malform_last_chunk s ~junk =
+  let pos = ref 5 in
+  let byte () =
+    let c = Char.code s.[!pos] in
+    incr pos;
+    c
+  in
+  let last = ref None in
+  let rec walk () =
+    let start = !pos in
+    let paylen = Aprof_trace.Trace_wire.read_uvarint byte in
+    if paylen > 0 then begin
+      last := Some (start, !pos + 4, paylen);
+      pos := !pos + 4 + paylen;
+      walk ()
+    end
+  in
+  walk ();
+  match !last with
+  | None -> Alcotest.fail "trace has no chunk"
+  | Some (start, payload, paylen) ->
+    let b = Buffer.create (String.length s + 16) in
+    Buffer.add_string b (String.sub s 0 start);
+    Aprof_trace.Trace_frame.add_frame b (String.sub s payload paylen ^ junk);
+    Buffer.add_string b
+      (String.sub s (payload + paylen) (String.length s - payload - paylen));
+    Buffer.contents b
+
+(* Tag 31 is no v2 record; opcode 20 is no v3 group. *)
+let malformed_v2 () =
+  malform_last_chunk (trace_bytes ~version:2 ()) ~junk:"\x1f"
+
+let malformed_v3 () =
+  malform_last_chunk (trace_bytes ~version:3 ()) ~junk:"\x14"
+
+let test_net_strict_malformed_payload () =
+  List.iter
+    (fun (name, s) ->
+      (match Codec.of_string s with
+      | Ok _ -> Alcotest.failf "%s: reference accepted the malformed chunk" name
+      | Error _ -> ());
+      let _, cb = collector () in
+      let net = Trace_net.create cb in
+      (match feed_in_slices net s ~slice:64 with
+      | () -> Alcotest.failf "%s: malformed chunk accepted" name
+      | exception Stream.Decode_error _ -> ());
+      Alcotest.(check bool) (name ^ " poisoned") true
+        (Trace_net.failure net <> None);
+      match Trace_net.close net with
+      | () -> Alcotest.failf "%s: poisoned machine closed cleanly" name
+      | exception Stream.Decode_error _ -> ())
+    [ ("v2", malformed_v2 ()); ("v3", malformed_v3 ()) ]
 
 (* ---------------------------------------------------------------- *)
 (* Shard accumulators *)
@@ -444,7 +569,7 @@ let start_test_server ?(salvage = false) sock =
     }
 
 let test_server_differential () =
-  let s = trace_bytes ~version:2 in
+  let s = trace_bytes ~version:2 () in
   let sock = temp_sock () in
   let srv = start_test_server sock in
   (* 6 concurrent clients; two stream the trace twice back-to-back. *)
@@ -468,7 +593,7 @@ let test_server_differential () =
   Alcotest.(check bool) "names arrived" true (Hashtbl.length names > 0)
 
 let test_server_corruption_isolation () =
-  let s = trace_bytes ~version:2 in
+  let s = trace_bytes ~version:2 () in
   let sock = temp_sock () in
   let srv = start_test_server sock in
   let good =
@@ -493,8 +618,35 @@ let test_server_corruption_isolation () =
           (fun (c : Fleet.client) -> c.Fleet.error <> None)
           (Server.clients srv)))
 
+(* A CRC-valid but malformed last chunk fails its connection only after
+   the rest of the trace has streamed into the driver: that partial
+   trace must be aborted, never folded. *)
+let test_server_malformed_payload_isolation () =
+  let s = trace_bytes ~version:3 () in
+  let sock = temp_sock () in
+  let srv = start_test_server sock in
+  let clients =
+    List.map
+      (fun bytes ->
+        Thread.create (fun () -> push_bytes ~sock ~repeat:1 bytes) ())
+      [ s; malformed_v2 (); s; malformed_v3 (); s ]
+  in
+  List.iter Thread.join clients;
+  let stats = Server.stats srv in
+  Alcotest.(check int) "all connections seen" 5 stats.Server.s_conns;
+  Alcotest.(check int) "only good traces folded" 3 stats.Server.s_traces;
+  let got, _ = Server.snapshot srv in
+  Server.stop srv;
+  Helpers.check_profiles_equal "malformed streams isolated"
+    (expected_merge ~copies:3) got;
+  Alcotest.(check int) "two errored clients" 2
+    (List.length
+       (List.filter
+          (fun (c : Fleet.client) -> c.Fleet.error <> None)
+          (Server.clients srv)))
+
 let test_server_salvage_keeps_stream () =
-  let s = trace_bytes ~version:2 in
+  let s = trace_bytes ~version:2 () in
   let sock = temp_sock () in
   let srv = start_test_server ~salvage:true sock in
   push_bytes ~flip:40 ~sock ~repeat:1 s;
@@ -504,6 +656,38 @@ let test_server_salvage_keeps_stream () =
   (* Under salvage the damaged chunk is dropped but both traces fold. *)
   Alcotest.(check int) "both traces folded" 2 stats.Server.s_traces;
   Alcotest.(check int) "chunk dropped" 1 stats.Server.s_drops
+
+(* A long-lived daemon must not accumulate per-stream state: once a
+   connection finishes, only its STATS / fleet counters may stay
+   reachable.  Sequential pushes (each returns once the server closed
+   the socket, i.e. after the final fold) make the measurement
+   deterministic; the warm-up pushes let the accumulators and name
+   table reach their steady size first. *)
+let test_server_finished_conns_bounded () =
+  let s = trace_bytes ~version:3 () in
+  let sock = temp_sock () in
+  let srv = start_test_server sock in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let warmup = 4 and pushes = 64 in
+  for _ = 1 to warmup do
+    push_bytes ~sock ~repeat:1 s
+  done;
+  let before = live_words () in
+  for _ = 1 to pushes do
+    push_bytes ~sock ~repeat:1 s
+  done;
+  let after = live_words () in
+  let stats = Server.stats srv in
+  Server.stop srv;
+  Alcotest.(check int) "every push folded" (warmup + pushes)
+    stats.Server.s_traces;
+  let per_conn = (after - before) / pushes in
+  if per_conn >= Server.finished_conn_words then
+    Alcotest.failf "%d live words per finished connection (bound %d)"
+      per_conn Server.finished_conn_words
 
 let suite =
   [
@@ -527,6 +711,8 @@ let suite =
       test_net_strict_fails_on_corruption;
     Alcotest.test_case "net: salvage drops the damaged chunk only" `Quick
       test_net_salvage_drops_chunk;
+    Alcotest.test_case "net: CRC-valid malformed payload poisons strict mode"
+      `Quick test_net_strict_malformed_payload;
     Alcotest.test_case "shards: fold/snapshot = offline merge + partition"
       `Quick test_shard_fold_equals_merge;
     Alcotest.test_case "shards: concurrent folds against snapshots" `Quick
@@ -537,6 +723,10 @@ let suite =
       test_server_differential;
     Alcotest.test_case "server: corrupt stream never perturbs others" `Quick
       test_server_corruption_isolation;
+    Alcotest.test_case "server: malformed payload never folds" `Quick
+      test_server_malformed_payload_isolation;
     Alcotest.test_case "server: salvage keeps a damaged stream alive" `Quick
       test_server_salvage_keeps_stream;
+    Alcotest.test_case "server: finished connections release their state"
+      `Quick test_server_finished_conns_bounded;
   ]
