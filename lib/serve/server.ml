@@ -273,11 +273,17 @@ let make_conn t fd peer =
           Mutex.lock t.stats_m;
           c.c_drops <- c.c_drops + 1;
           Mutex.unlock t.stats_m;
+          let open Aprof_trace.Trace_codec in
           t.cfg.log
-            (Printf.sprintf "conn %d (%s): dropped chunk %d (%d bytes): %s"
-               c.c_id c.c_peer d.Aprof_trace.Trace_codec.drop_chunk
-               d.Aprof_trace.Trace_codec.drop_bytes
-               d.Aprof_trace.Trace_codec.drop_reason));
+            (if d.drop_bytes < 0 then
+               Printf.sprintf
+                 "conn %d (%s): dropped the rest from chunk %d at byte %d: %s"
+                 c.c_id c.c_peer d.drop_chunk d.drop_offset d.drop_reason
+             else
+               Printf.sprintf
+                 "conn %d (%s): dropped chunk %d at byte %d (%d bytes): %s"
+                 c.c_id c.c_peer d.drop_chunk d.drop_offset d.drop_bytes
+                 d.drop_reason));
     }
   in
   c.c_driver <- Some driver;

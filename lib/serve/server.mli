@@ -26,7 +26,8 @@
     - {b Corruption isolation}: a malformed stream poisons only its own
       connection; its partial trace is aborted, never folded.  With
       [salvage] damaged chunks are dropped per the salvage trichotomy
-      and the stream continues. *)
+      and the stream continues; damage no chunk boundary bounds drops
+      the rest of the connection as one region. *)
 
 module Profile = Aprof_core.Profile
 
@@ -56,7 +57,7 @@ type stats = {
   s_conns : int;  (** ingest connections ever accepted *)
   s_traces : int;  (** completed traces folded *)
   s_events : int;  (** events of completed traces *)
-  s_drops : int;  (** salvage chunk drops *)
+  s_drops : int;  (** regions salvage dropped *)
   s_folds : int;  (** shard-accumulator folds *)
 }
 

@@ -9,13 +9,9 @@
    decode error) discards the partial state without surfacing anything,
    the same all-or-nothing contract the replay driver keeps per file.
 
-   Salvaged streams need the same orphaned-return filter as salvaged
-   files: a dropped chunk can swallow the [Call]s whose activations a
-   later chunk closes, and the orphaned [Return]s would pop an empty
-   shadow stack and abort the profiler.  Per-thread call depth is
-   tracked across the whole trace (it must already be correct when the
-   first drop happens), and once a drop is noted every unmatched return
-   is compacted out of the batch in place. *)
+   Salvaged streams go through the same orphaned-return filter as
+   salvaged files ({!Replay_driver.filter_orphans}), one per trace,
+   armed by the first drop noted on it. *)
 
 module Batch = Aprof_trace.Event.Batch
 module Profile = Aprof_core.Profile
@@ -32,8 +28,7 @@ type t = {
   on_profile : profile:Profile.t -> events:int -> unit;
   mutable inst : instance option;  (* None until the trace's first batch *)
   mutable events : int;  (* events of the current (partial) trace *)
-  mutable salvaging : bool;  (* a drop was noted for the current trace *)
-  depth : (int, int) Hashtbl.t;  (* per-thread call depth *)
+  mutable orphans : Replay_driver.orphan_filter;  (* the current trace's *)
 }
 
 let fresh = function
@@ -47,48 +42,8 @@ let create ?(profiler = (`Drms : profiler)) ~on_profile () =
     on_profile;
     inst = None;
     events = 0;
-    salvaging = false;
-    depth = Hashtbl.create 8;
+    orphans = Replay_driver.orphan_filter ();
   }
-
-(* Track per-thread call depth; once salvaging, additionally compact
-   unmatched returns out of the batch (same filter as
-   {!Replay_driver}'s, applied in place per batch). *)
-let track_and_filter t b =
-  let tags = Batch.tags b and tids = Batch.tids b in
-  let args = Batch.args b and lens = Batch.lens b in
-  let kept = ref 0 in
-  let filtering = t.salvaging in
-  for i = 0 to Batch.length b - 1 do
-    let tag = Array.unsafe_get tags i in
-    let tid = Array.unsafe_get tids i in
-    let keep =
-      if tag = Batch.tag_call then begin
-        Hashtbl.replace t.depth tid
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.depth tid));
-        true
-      end
-      else if tag = Batch.tag_return then begin
-        match Hashtbl.find_opt t.depth tid with
-        | Some d when d > 0 ->
-          Hashtbl.replace t.depth tid (d - 1);
-          true
-        | _ -> not filtering  (* fatal downstream unless salvaging *)
-      end
-      else true
-    in
-    if keep && filtering then begin
-      let j = !kept in
-      if j < i then begin
-        Array.unsafe_set tags j tag;
-        Array.unsafe_set tids j tid;
-        Array.unsafe_set args j (Array.unsafe_get args i);
-        Array.unsafe_set lens j (Array.unsafe_get lens i)
-      end;
-      incr kept
-    end
-  done;
-  if filtering then Batch.unsafe_set_length b !kept
 
 let current t =
   match t.inst with
@@ -99,20 +54,19 @@ let current t =
     i
 
 let on_batch t b =
-  track_and_filter t b;
+  Replay_driver.filter_orphans t.orphans b;
   t.events <- t.events + Batch.length b;
   match current t with
   | Drms p -> Aprof_core.Drms_profiler.on_batch p b
   | Rms p -> Aprof_core.Rms_profiler.on_batch p b
   | Naive p -> Batch.iter_events (Aprof_core.Naive_drms.on_event p) b
 
-let note_drop t = t.salvaging <- true
+let note_drop t = Replay_driver.arm t.orphans
 
 let reset t =
   t.inst <- None;
   t.events <- 0;
-  t.salvaging <- false;
-  Hashtbl.reset t.depth
+  t.orphans <- Replay_driver.orphan_filter ()
 
 let trace_end t =
   let profile =
@@ -127,4 +81,4 @@ let trace_end t =
 
 let abort t = reset t
 let events t = t.events
-let salvaging t = t.salvaging
+let salvaging t = Replay_driver.armed t.orphans

@@ -62,46 +62,53 @@ let drain batches on_batch =
 (* A dropped chunk can swallow the [Call]s whose activations a later
    chunk closes; the orphaned [Return]s would then pop an empty shadow
    stack and abort every profiler.  Those returns belong to the regions
-   the drop report already advertises, so salvage filters them out of
-   the stream — compacting each batch in place, tracking per-thread
-   call depth across the whole file.  On an undamaged file every return
-   is matched and the stream passes through unchanged. *)
-let drop_unmatched_returns batches =
-  let depth = Hashtbl.create 8 in
-  fun () ->
-    match batches () with
-    | None -> None
-    | Some b ->
-      let tags = Batch.tags b and tids = Batch.tids b in
-      let args = Batch.args b and lens = Batch.lens b in
-      let kept = ref 0 in
-      for i = 0 to Batch.length b - 1 do
-        let tag = Array.unsafe_get tags i in
-        let tid = Array.unsafe_get tids i in
-        let keep =
-          if tag = Batch.tag_call then (
-            Hashtbl.replace depth tid
-              (1 + Option.value ~default:0 (Hashtbl.find_opt depth tid));
-            true)
-          else if tag = Batch.tag_return then (
-            match Hashtbl.find_opt depth tid with
-            | Some d when d > 0 ->
-              Hashtbl.replace depth tid (d - 1);
-              true
-            | _ -> false)
-          else true
-        in
-        if keep then (
-          let j = !kept in
-          if j < i then (
-            Array.unsafe_set tags j tag;
-            Array.unsafe_set tids j tid;
-            Array.unsafe_set args j (Array.unsafe_get args i);
-            Array.unsafe_set lens j (Array.unsafe_get lens i));
-          incr kept)
-      done;
-      Batch.unsafe_set_length b !kept;
-      Some b
+   the drop report already advertises, so salvage filters them out —
+   compacting each batch in place.  Per-thread call depth is tracked
+   from the first event (it must already be right when the first drop
+   happens); returns are removed only once a drop is reported, so an
+   undamaged stream passes through unchanged and an unmatched return it
+   carries still fails the profiler. *)
+type orphan_filter = { depth : (int, int) Hashtbl.t; mutable armed : bool }
+
+let orphan_filter () = { depth = Hashtbl.create 8; armed = false }
+let arm f = f.armed <- true
+let armed f = f.armed
+
+let filter_orphans f b =
+  let tags = Batch.tags b and tids = Batch.tids b in
+  let args = Batch.args b and lens = Batch.lens b in
+  let kept = ref 0 in
+  let filtering = f.armed in
+  for i = 0 to Batch.length b - 1 do
+    let tag = Array.unsafe_get tags i in
+    let tid = Array.unsafe_get tids i in
+    let keep =
+      if tag = Batch.tag_call then begin
+        Hashtbl.replace f.depth tid
+          (1 + Option.value ~default:0 (Hashtbl.find_opt f.depth tid));
+        true
+      end
+      else if tag = Batch.tag_return then begin
+        match Hashtbl.find_opt f.depth tid with
+        | Some d when d > 0 ->
+          Hashtbl.replace f.depth tid (d - 1);
+          true
+        | _ -> not filtering
+      end
+      else true
+    in
+    if keep && filtering then begin
+      let j = !kept in
+      if j < i then begin
+        Array.unsafe_set tags j tag;
+        Array.unsafe_set tids j tid;
+        Array.unsafe_set args j (Array.unsafe_get args i);
+        Array.unsafe_set lens j (Array.unsafe_get lens i)
+      end;
+      incr kept
+    end
+  done;
+  if filtering then Batch.unsafe_set_length b !kept
 
 (* Per-file source selection.  [drops] collects what salvage skipped;
    in [`Fail] mode it stays empty and the first malformation raises. *)
@@ -109,10 +116,24 @@ let open_batches ~keep_going ~drops path ic =
   match Codec.detect ic with
   | `Binary ->
     if keep_going then (
+      (* A drop is reported before the next surviving batch. *)
+      let orphans = orphan_filter () in
       let names, batches =
-        Codec.read ~path ~on_corrupt:(`Skip (fun d -> drops := d :: !drops)) ic
+        Codec.read ~path
+          ~on_corrupt:
+            (`Skip
+              (fun d ->
+                drops := d :: !drops;
+                arm orphans))
+          ic
       in
-      (names, drop_unmatched_returns batches))
+      ( names,
+        fun () ->
+          match batches () with
+          | Some b as batch ->
+            filter_orphans orphans b;
+            batch
+          | None -> None ))
     else Codec.read ~path ~on_corrupt:`Fail ic
   | `Text ->
     (Hashtbl.create 1, Stream.batches_of_events (Stream.of_text_channel ic))
@@ -258,7 +279,8 @@ let replay ?(jobs = 1) ?(profiler = (`Drms : profiler)) ?(with_tools = false)
           tool_runs = [];
         },
         Some (profile, names) )
-    | exception (Stream.Decode_error msg | Sys_error msg) ->
+    | exception (Stream.Decode_error msg | Sys_error msg | Invalid_argument msg)
+      ->
       ( {
           path;
           format;
@@ -292,7 +314,9 @@ let replay ?(jobs = 1) ?(profiler = (`Drms : profiler)) ?(with_tools = false)
           | Some _ -> (
             match run_tools ~now ~pool ~jobs ~keep_going report.path with
             | tool_runs -> ({ report with tool_runs }, payload)
-            | exception (Stream.Decode_error msg | Sys_error msg) ->
+            | exception
+                (Stream.Decode_error msg | Sys_error msg | Invalid_argument msg)
+              ->
               ({ report with error = Some msg; tool_runs = [] }, None)))
         results
   in

@@ -10,10 +10,12 @@
     output after the fact — in particular, nothing of a file that failed
     mid-replay is ever surfaced as if it were complete.
 
-    Failure isolation: a {!Aprof_trace.Trace_stream.Decode_error} or
-    [Sys_error] while replaying one file discards that file's partial
-    state and is recorded in its {!file_report}; every other file still
-    replays.  [keep_going] additionally salvages damaged binary files
+    Failure isolation: a {!Aprof_trace.Trace_stream.Decode_error}, a
+    [Sys_error], or an [Invalid_argument] from a profiler or tool
+    refusing the event stream (a return with no matching call) while
+    replaying one file discards that file's partial state and is
+    recorded in its {!file_report}; every other file still replays.
+    [keep_going] additionally salvages damaged binary files
     chunk-by-chunk ({!Aprof_trace.Trace_codec.read}), recording what was
     dropped instead of failing the file. *)
 
@@ -60,8 +62,9 @@ type t = {
     through the work-stealing engine ({!Tool.replay_parallel}) for
     every profiler — drms, rms and naive all have mergeable adapters.
     [keep_going] (default false) switches damaged binary files to chunk
-    salvage instead of failing them; salvage is a sequential read path,
-    so it also disables the sharded replay.
+    salvage instead of failing them, with the {!orphan_filter} armed by
+    the first drop; salvage is a sequential read path, so it also
+    disables the sharded replay.
     [now] supplies wall-clock timestamps (e.g. [Unix.gettimeofday]) —
     a parameter because this library does not link unix.
     @raise Invalid_argument when [jobs < 1]. *)
@@ -73,3 +76,28 @@ val replay :
   now:(unit -> float) ->
   string list ->
   t
+
+(** {1 Orphaned-return filter}
+
+    Shared by salvage replay and salvage ingest ({!Ingest_driver}).  A
+    dropped chunk can swallow the [Call]s whose activations a later
+    chunk closes, and the orphaned [Return]s would abort the profiler.
+    The filter tracks per-thread call depth from the first event it
+    sees; once {!arm}ed (a drop was reported) it compacts unmatched
+    returns out of each batch in place.  Unarmed, batches pass through
+    unchanged, so an unmatched return in an undamaged stream still
+    fails the profiler. *)
+
+type orphan_filter
+
+val orphan_filter : unit -> orphan_filter
+
+(** [arm f] records that the stream reported a drop. *)
+val arm : orphan_filter -> unit
+
+(** Whether [f] has been armed. *)
+val armed : orphan_filter -> bool
+
+(** [filter_orphans f b] tracks call depth over [b] and, once armed,
+    removes its unmatched returns (mutating [b]). *)
+val filter_orphans : orphan_filter -> Aprof_trace.Event.Batch.t -> unit

@@ -93,9 +93,20 @@
     The index version byte always equals the trace version.  The fixed
     trailer lets a reader find the footer from the end of the file; a
     file without the trailing magic is an index-less trace and still
-    reads normally (the footer is likewise skipped by the sequential
-    readers, so indexed files stay readable by old-style streaming
-    consumers of this module). *)
+    reads normally.  The sequential readers check the footer's layout
+    (and, on versions 2 and 3, cross-check it against the streamed
+    frames) but need nothing from it.
+
+    {2 Readers}
+
+    One decoder parses every byte stream: the sans-IO machine
+    {!Trace_net}, which decodes chunk payloads through the one chunk
+    cursor ({!Trace_chunk}).  The readers here are thin drivers of
+    it — {!batch_reader}, {!reader}, [read ~on_corrupt:`Fail] and
+    index-less salvage pull from the machine over a channel,
+    {!of_string} feeds it a string — except the seek paths
+    ({!chunk_session}, salvage over an index), which drive the chunk
+    cursor directly.  A file or string holds exactly one trace. *)
 
 val magic : string
 
@@ -143,13 +154,13 @@ val batch_writer :
 (** [batch_reader ic] validates the header and returns the routine-name
     table together with a batch source decoding up to [batch_size]
     events per pull into a recycled batch (valid until the next pull).
-    The table fills in as batches are pulled.  Both format versions are
-    accepted; on version 2 each chunk's checksum is verified before its
-    records are decoded, the streamed frame sequence is cross-checked
-    against the index footer when one is present (catching duplicated,
-    deleted, or reordered frames, which are individually
-    self-consistent), and [chunk_bytes] (the version-1 I/O buffer size)
-    is ignored because the frames delimit themselves.
+    The table fills in as batches are pulled.  It is the pull driver of
+    {!Trace_net}, refilled from [ic] in [chunk_bytes] slices (default
+    64 KiB).  Every format version is accepted; each chunk's checksum
+    is verified before its records are decoded, and the streamed frame
+    sequence is cross-checked against the index footer when one is
+    present (catching duplicated, deleted, or reordered frames, which
+    are individually self-consistent).
     @raise Trace_stream.Decode_error on a bad header; the source raises
     it on malformed records or a checksum mismatch. *)
 val batch_reader :
@@ -175,10 +186,11 @@ val writer :
   Trace_stream.sink
 
 (** [reader ic] validates the header and returns the routine-name table
-    together with the event stream.  The table fills in as the stream is
-    consumed (definitions decode in stream order); it is complete once
-    the stream returns [None].  Reads are buffered, so peak live memory
-    is bounded by the chunk, not the trace.
+    together with the event stream: {!batch_reader}, one event at a
+    time.  The table fills in as the stream is consumed (definitions
+    decode in stream order); it is complete once the stream returns
+    [None].  Reads are buffered, so peak live memory is bounded by the
+    chunk, not the trace.
     @raise Trace_stream.Decode_error on a bad header; the returned
     stream raises it on malformed records. *)
 val reader :
@@ -214,41 +226,17 @@ type shard = {
     [path] and the offending byte offset. *)
 val shards : ?path:string -> in_channel -> shard array option
 
-(** [sharded_reader ic shards ~select] is a batch source decoding, in
-    file order, exactly the chunks of [shards] that [select] accepts,
-    seeking over the rest.  On version-2 files each selected chunk's
-    checksum is verified before its bytes are decoded.  Because
-    routine-name definition records live in the chunk holding the
-    routine's first [Call], the returned name table only covers the
-    selected chunks — a parallel replay unions the tables of its
-    workers to recover the full one.
-    @raise Trace_stream.Decode_error (from the source) on malformed
-    chunk contents or a checksum mismatch, naming [path]. *)
-val sharded_reader :
-  ?path:string ->
-  ?batch_size:int ->
-  in_channel ->
-  shard array ->
-  select:(shard -> bool) ->
-  (int, string) Hashtbl.t * Trace_stream.batch_source
-
-(** [seek_chunk ic sh] is [sharded_reader] over the single chunk [sh]. *)
-val seek_chunk :
-  ?path:string ->
-  ?batch_size:int ->
-  in_channel ->
-  shard ->
-  (int, string) Hashtbl.t * Trace_stream.batch_source
-
-(** [chunk_session ic] is the repeated-seek variant of {!seek_chunk} for
-    callers that claim chunks dynamically (the work-stealing replay
-    engine): [read sh] seeks to, checksums, and decodes the single
-    chunk [sh], reusing one batch, one byte buffer, and one name table
-    across calls — so visiting a chunk costs no allocation beyond the
-    first, largest chunk.  The name table accumulates the definitions of
-    every chunk read so far.  A source returned by [read] must be
-    drained (or abandoned) before [read] is called again: it shares the
-    session's buffers.
+(** [chunk_session ic] is the seek path for callers that claim chunks
+    dynamically (the work-stealing replay engine, through
+    {!Aprof_tools.Tool.Shards}): [read sh] seeks to, checksums, and
+    decodes the single chunk [sh] with the chunk cursor, reusing one
+    batch, one byte buffer, and one name table across calls — so
+    visiting a chunk costs no allocation beyond the first, largest
+    chunk.  Because routine-name definitions live in the chunk holding
+    the routine's first [Call], the name table only covers the chunks
+    read so far; a parallel replay unions the tables of its workers.  A
+    source returned by [read] must be drained (or abandoned) before
+    [read] is called again: it shares the session's buffers.
 
     [keep tag tid] filters event records *inside* the decode loop: a
     record failing it is parsed (and covered by the chunk checksum) but
@@ -274,11 +262,13 @@ val chunk_session :
 (** One skipped region of a damaged trace.  [drop_chunk] is the chunk
     ordinal (0-based; [-1] when the damaged file offers no chunk
     structure to count by), [drop_offset] the file byte offset of the
-    dropped region ([-1] if unknown), [drop_bytes] its payload length
-    ([-1] if unknown), [drop_events] the event count according to the
-    shard index ([-1] when no index is available), and [drop_reason] a
-    human-readable cause. *)
-type drop = {
+    dropped region — a skipped chunk's payload, or where a terminal drop
+    begins ([-1] if unknown) — [drop_bytes] its payload length ([-1] if
+    unknown), [drop_events] the event count according to the shard
+    index ([-1] when no index is available), and [drop_reason] the bare
+    cause (the other fields carry the position).  Every salvage path
+    reports the same record for the same damage. *)
+type drop = Trace_chunk.drop = {
   drop_chunk : int;
   drop_offset : int;
   drop_bytes : int;
@@ -288,7 +278,10 @@ type drop = {
 
 (** [read ~on_corrupt ic] reads a binary trace from a seekable channel.
 
-    With [`Fail] this is exactly {!batch_reader}.
+    With [`Fail] this is exactly {!batch_reader}.  [`Skip] over an
+    index drives the chunk cursor, one indexed chunk at a time;
+    without an index it is the salvage-mode pull driver of
+    {!Trace_net}.
 
     With [`Skip report], damaged regions are skipped and [report] is
     called once per skipped region, in file order, as reading
@@ -298,8 +291,9 @@ type drop = {
     profile.  Re-synchronization uses, in order of preference: the ATRI
     shard index (exact boundaries, exact dropped-event counts — also the
     only way duplicated or reordered chunk frames are detected), the
-    version-2 frame lengths (the remainder of the file is dropped once
-    the framing itself is damaged), or — for an index-less version-1
+    version-2 frame lengths (the remainder of the file is dropped as
+    one terminal region once the framing itself, the footer, or the
+    end of the file is damaged), or — for an index-less version-1
     file, which has no boundaries to re-synchronize on — nothing: the
     first malformation drops the rest of the file as one terminal
     region.
@@ -330,33 +324,12 @@ val to_string :
 
 (** [of_string s] decodes a full binary trace of any version,
     returning the events and the embedded routine-name table (in
-    definition order).  All decode failures are reported as [Error]. *)
+    definition order).  It feeds the whole string to {!Trace_net} once
+    and then closes it, so it accepts and rejects exactly what
+    {!batch_reader} does.  All decode failures are reported as
+    [Error]. *)
 val of_string :
   string -> (Event.t Aprof_util.Vec.t * (int * string) list, string) result
-
-(** {1 Whole-chunk decoding}
-
-    The building block behind salvage, of files and of the socket-fed
-    reader ({!Trace_net} in salvage mode): decode one complete framed
-    chunk payload, all-or-nothing, into a batch. *)
-
-(** [chunk_decoder ~version ()] is a reusable decoder for the chunk
-    payloads of a version-[version] trace ([2] plain records, [>= 3]
-    packed).  [decode ~defs chunk n ~events_hint] decodes the payload
-    [chunk[0..n)] (already CRC-verified by the caller) into a batch that
-    stays valid until the next call; routine-name definitions are
-    prepended to [defs] (newest first) only when the whole chunk decodes
-    cleanly.  [events_hint] presizes the batch ([-1] when unknown).
-    @raise Trace_stream.Decode_error on any malformation — the caller
-    decides whether that fails the stream or drops the chunk. *)
-val chunk_decoder :
-  version:int ->
-  unit ->
-  defs:(int * string) list ref ->
-  bytes ->
-  int ->
-  events_hint:int ->
-  Event.Batch.t
 
 (** {1 Format sniffing} *)
 

@@ -1,8 +1,7 @@
-(* Container layer: the ATRC header and version negotiation, the ATRI
-   shard-index footer (writer side and seekable parse), and the streaming
-   cross-check of a framed stream against that footer.  Nothing here
-   looks inside a chunk payload — the frame, transform and event layers
-   own those bytes. *)
+(* Container layer: the ATRC header and version negotiation and the ATRI
+   shard-index footer (writer side and seekable parse; the streaming
+   check lives in {!Trace_net}).  Nothing here looks inside a chunk
+   payload — the frame, transform and event layers own those bytes. *)
 
 let bad = Trace_wire.bad
 let magic = "ATRC"
@@ -193,65 +192,3 @@ let shards ?(path = "trace") ic =
       Some out
     end
   end
-
-(* ----- streaming footer cross-check ------------------------------------ *)
-
-(* After the end marker of a framed stream: end of file, or an index
-   footer.  A duplicated, deleted or reordered frame is internally
-   self-consistent — its own checksum still matches — so the streamed
-   frame sequence is verified against the footer, the one record of what
-   the writer actually flushed.  [frames] is the (payload bytes, crc) of
-   every streamed frame, oldest first; [footer_off] is the byte offset
-   where the footer would start.  (The seekable paths re-validate the
-   footer themselves in {!shards}.) *)
-let check_streamed_footer ~trace_version ~input_byte ~footer_off ~frames =
-  match input_byte () with
-  | -1 -> ()
-  | c when c = Char.code index_magic.[0] ->
-    for i = 1 to 3 do
-      if input_byte () <> Char.code index_magic.[i] then
-        bad "trailing data after end-of-trace marker"
-    done;
-    let rb () =
-      match input_byte () with
-      | -1 -> bad "truncated shard index footer"
-      | b -> b
-    in
-    (match rb () with
-    | v when v = trace_version -> ()
-    | v ->
-      bad "shard index version %d does not match trace version %d" v
-        trace_version);
-    let streamed = Array.of_list frames in
-    let nchunks = Trace_wire.read_varint rb in
-    if nchunks <> Array.length streamed then
-      bad "shard index describes %d chunks, the stream carried %d" nchunks
-        (Array.length streamed);
-    for k = 0 to nchunks - 1 do
-      let bytes = Trace_wire.read_varint rb in
-      (* events and tag_mask steer seeking readers, not this one. *)
-      let _events = Trace_wire.read_varint rb in
-      let _tag_mask = Trace_wire.read_varint rb in
-      let crc = Trace_wire.read_varint rb in
-      let ntids = Trace_wire.read_varint rb in
-      if ntids < 0 || ntids > 0x10000 then bad "corrupt shard index entry %d" k;
-      for _ = 1 to ntids do
-        ignore (Trace_wire.read_varint rb)
-      done;
-      let sbytes, scrc = streamed.(k) in
-      if bytes <> sbytes || crc <> scrc then
-        bad "chunk %d does not match its shard index entry" k
-    done;
-    let off = ref 0 in
-    for i = 0 to 7 do
-      off := !off lor (rb () lsl (8 * i))
-    done;
-    if !off <> footer_off then
-      bad "shard index trailer points at byte %d, footer is at byte %d" !off
-        footer_off;
-    for i = 0 to 3 do
-      if rb () <> Char.code index_magic.[i] then
-        bad "bad shard index trailer magic"
-    done;
-    if input_byte () <> -1 then bad "trailing data after shard index"
-  | _ -> bad "trailing data after end-of-trace marker"

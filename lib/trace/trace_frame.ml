@@ -17,8 +17,6 @@ let default_chunk = 64 * 1024
    that is corruption, not a trace: cap what a reader will allocate. *)
 let max_chunk_payload = 1 lsl 30
 
-let frame_overhead paylen = Trace_wire.uvarint_size paylen + 4
-
 (* [output_frame oc payload] frames one chunk payload onto the channel,
    returning the CRC it stored (for the shard index). *)
 let output_frame oc payload =
@@ -36,46 +34,10 @@ let add_frame buf payload =
   Buffer.add_string buf payload
 
 (* [check_payload bytes ~pos ~len ~crc] verifies a chunk's checksum
-   before any decoding touches the bytes; [context] prefixes the error
-   message (typically "chunk N at byte B" or a file path). *)
-let check_payload ~context bytes ~pos ~len ~crc =
+   before any decoding touches the bytes.  The message is the bare
+   cause: a drop record carries the chunk and offset itself, and strict
+   readers prefix them. *)
+let check_payload bytes ~pos ~len ~crc =
   let computed = Crc32c.digest bytes ~pos ~len in
   if computed <> crc then
-    bad "%s: checksum mismatch (stored %08x, computed %08x)" (context ())
-      crc computed
-
-(* What one streaming [read_frame_header] step found. *)
-type header = End_marker | Frame of { paylen : int; crc : int }
-
-(* Read one frame header (or the end marker) through [input_byte]
-   ([-1] at end of file).  [frame_off] and [ordinal] feed the error
-   messages; truncation before any length byte is reported as a missing
-   end-of-trace marker, matching the record-layer contract that a
-   complete trace always carries the marker. *)
-let read_frame_header ~input_byte ~ordinal ~frame_off =
-  let before = ref true in
-  let first_byte () =
-    let b = input_byte () in
-    if b <> -1 then before := false;
-    b
-  in
-  let paylen =
-    try
-      Trace_wire.read_uvarint (fun () ->
-          if !before then first_byte () else input_byte ())
-    with Trace_stream.Decode_error _ when !before ->
-      bad "truncated trace (missing end-of-trace marker)"
-  in
-  if paylen = 0 then End_marker
-  else begin
-    if paylen > max_chunk_payload then
-      bad "chunk %d at byte %d: implausible length %d" ordinal frame_off
-        paylen;
-    let crc = ref 0 in
-    for i = 0 to 3 do
-      match input_byte () with
-      | -1 -> bad "chunk %d at byte %d: truncated header" ordinal frame_off
-      | c -> crc := !crc lor (c lsl (8 * i))
-    done;
-    Frame { paylen; crc = !crc }
-  end
+    bad "checksum mismatch (stored %08x, computed %08x)" crc computed

@@ -1,32 +1,40 @@
-(** Socket-fed ATRC decoding.
+(** The ATRC decoder, for sockets, files and strings.
 
-    An incremental, sans-IO state machine for the bytes of one
-    connection: {!feed} it arbitrary slices as they arrive and it
-    decodes complete items — framed chunks (versions 2/3), bare records
-    (version 1), end-of-trace markers, shard-index footers — driving the
-    callbacks as it goes.  The wire format is exactly the file format,
-    so a client can stream a recorded trace file verbatim, and several
-    traces may follow back-to-back on one connection (each delimited by
-    its own header and end marker).
+    An incremental, sans-IO state machine over the bytes of one input:
+    it is the only code that parses headers, framed chunks (versions
+    2/3), bare records (version 1), end-of-trace markers and shard-index
+    footers, and it decodes chunk payloads through the one chunk cursor
+    ({!Trace_chunk}).  It is used two ways:
 
-    Peak memory is one frame plus one batch (plus the feed slice):
-    bytes are held only until the item under the cursor is complete,
-    then decoded and released, and decoded events pass through one
-    recycled batch.  The machine never queues decoded work — callbacks
-    run inside {!feed} — so callers implement backpressure by not
-    feeding.
+    - {b push} ({!create}, {!feed}, {!close}): a connection hands over
+      each slice as it arrives and decoded items come back through the
+      callbacks, inside {!feed}.  Several traces may follow back-to-back
+      on one connection, each delimited by its own header and end
+      marker, so a client can stream recorded trace files verbatim.
+      Batches end when full, at each end-of-trace marker and at the end
+      of every {!feed}.
+    - {b pull} ({!source}): a file or string holds exactly one trace;
+      the machine asks its input for slices and hands out a batch
+      whenever one is full, plus the last part-filled one before the end
+      marker.  Anything after the trace but its footer — a second trace
+      included — is trailing data.
 
-    Decoding and corruption follow {!Trace_codec.read}.  In strict mode
-    (the default) each CRC-verified v2/v3 chunk is streamed through the
-    recycled batch as the file reader streams it, so a chunk that
-    decodes to many events arrives as several batches, and the first
-    malformation fails the connection.  With [~salvage:true] each chunk
-    is decoded whole before any of it is delivered, so a damaged v2/v3
-    chunk is dropped whole and reported (the frame length
-    re-synchronizes) while a good one arrives as one batch of any size;
-    damage to the framing itself, and any version-1 malformation,
-    remains fatal.  After a failure the machine is poisoned: every later
-    call re-raises. *)
+    Peak memory is one frame plus one batch (plus the input slice):
+    bytes are held only until the item under the cursor is complete, a
+    verified chunk streams through the recycled batch in place, and
+    decoded work is never queued — callers implement backpressure by
+    not feeding.
+
+    Corruption.  In strict mode (the default) the first malformation
+    raises {!Trace_stream.Decode_error}; the machine is then poisoned
+    and every later call re-raises.  With [~salvage:true] each v2/v3
+    chunk is decoded whole before any of it is delivered: a damaged
+    chunk is skipped and reported through [on_drop] (the frame length
+    re-synchronizes), and a good one arrives as one batch of any size.
+    Damage that no frame length bounds — broken framing, any version-1
+    malformation, a damaged footer, a truncated stream — is reported as
+    one terminal drop, after which the rest of the input is discarded
+    and {!close} is clean.  Only an unreadable header still raises. *)
 
 type callbacks = {
   on_batch : Event.Batch.t -> unit;
@@ -40,25 +48,24 @@ type callbacks = {
   on_trace_end : unit -> unit;
       (** The end-of-trace marker was consumed; every batch of that
           trace has been delivered. *)
-  on_drop : Trace_codec.drop -> unit;
-      (** Salvage mode only: a damaged chunk was skipped.  Offsets are
+  on_drop : Trace_chunk.drop -> unit;
+      (** Salvage mode only: a damaged region was skipped.  Offsets are
           relative to the current trace's first byte, so they line up
-          with file offsets when the client streams a file verbatim. *)
+          with file offsets when the client streams a file verbatim:
+          a skipped chunk reports its payload offset and length, a
+          terminal drop the offset where decoding stopped. *)
 }
 
 type t
 
-(** [create callbacks] is a fresh connection decoder.
-    @param salvage drop damaged v2/v3 chunks (reported through
-    [on_drop]) instead of failing the connection (default [false]).
+(** [create callbacks] is a fresh connection decoder (push use).
+    @param salvage skip damaged regions (reported through [on_drop])
+    instead of failing the connection (default [false]).
     @param max_frame_bytes largest acceptable chunk payload; a frame
-    announcing more is treated as framing damage and fails the
-    connection even under salvage (default 64 MiB).
+    announcing more is framing damage (default 64 MiB).
     @param batch_size capacity of the recycled batch every strict-mode
     event passes through, raised to 16 (the longest packed tag pattern)
-    if smaller (default {!Event.Batch.default_capacity}).  Batches are
-    delivered when full, at each end-of-trace marker and at the end of
-    every {!feed}. *)
+    if smaller (default {!Event.Batch.default_capacity}). *)
 val create : ?salvage:bool -> ?max_frame_bytes:int -> ?batch_size:int ->
   callbacks -> t
 
@@ -71,10 +78,11 @@ val create : ?salvage:bool -> ?max_frame_bytes:int -> ?batch_size:int ->
 val feed : t -> Bytes.t -> pos:int -> len:int -> unit
 
 (** [close t] signals end of stream.  Clean only between traces (or on
-    a connection that carried no bytes at all).
-    @raise Trace_stream.Decode_error when the stream ends mid-trace or
-    with undecodable bytes pending — the truncation report a file
-    reader would give. *)
+    a connection that carried no bytes at all); under salvage a stream
+    cut mid-trace ends with a terminal drop instead.
+    @raise Trace_stream.Decode_error when a strict stream ends mid-trace
+    or with undecodable bytes pending — the truncation report a file
+    reader gives. *)
 val close : t -> unit
 
 (** Bytes currently buffered awaiting a complete item — bounded by one
@@ -86,3 +94,25 @@ val traces_completed : t -> int
 
 (** The poisoning failure, if the machine has one. *)
 val failure : t -> string option
+
+(** [source ~salvage ~max_frame_bytes ~batch_size ~chunk_bytes
+    ~on_define ~on_drop input] is the pull use over a one-trace input:
+    [input buf pos len] stores up to [len] bytes at [buf.(pos)] and
+    returns how many, [0] at end of input (the contract of
+    [In_channel.input]).  Input is requested [chunk_bytes] at a time.
+    The header is read and validated before [source] returns; the
+    returned source then yields recycled batches (valid until the next
+    pull) and [None] once the input ended cleanly after the trace.
+    Definitions and drops go to the callbacks as they decode, each
+    before the batch it concerns.
+    @raise Trace_stream.Decode_error on a bad header; the source raises
+    it on malformed input, as {!feed} does. *)
+val source :
+  salvage:bool ->
+  max_frame_bytes:int ->
+  batch_size:int ->
+  chunk_bytes:int ->
+  on_define:(int -> string -> unit) ->
+  on_drop:(Trace_chunk.drop -> unit) ->
+  (Bytes.t -> int -> int -> int) ->
+  Trace_stream.batch_source

@@ -1,9 +1,9 @@
 (* Event layer, plain coding (format versions 1 and 2): one record per
    event, tag byte + zigzag-varint fields, with interleaved routine-name
    definition records.  This is the layer that fills {!Event.Batch}es —
-   including the bulk unsafe fast path and its keep-filtered twin — and
-   it is shared verbatim by the v1 sliding-window reader, the v2 framed
-   reader, and the seekable shard paths. *)
+   including the bulk unsafe fast path and its keep-filtered twin — for
+   the chunk cursor ({!Trace_chunk}) and the version-1 record path of
+   the stream machine ({!Trace_net}). *)
 
 module Batch = Event.Batch
 
@@ -40,50 +40,6 @@ let encoder buf ~routine_name =
       add_def buf arg (routine_name arg)
     end;
     add_record buf ~tag ~tid ~arg ~len
-
-(* Consume exactly one record through the generic byte source, pushing
-   event records into [b].  Returns [true] when the record was the
-   end-of-trace marker.  [read_string n] must return exactly [n] bytes.
-   Plain end of input is a truncation — a complete trace always carries
-   the marker, which is what lets truncation at a record boundary be
-   told apart from a genuine end. *)
-let step_record ~read_byte ~read_string ~define b =
-  match read_byte () with
-  | -1 -> bad "truncated trace (missing end-of-trace marker)"
-  | tag when tag = end_tag ->
-    (match read_byte () with
-    | -1 -> ()
-    | b when b = Char.code Trace_container.index_magic.[0] ->
-      (* A shard-index footer may follow the marker.  Sequential readers
-         check its magic and skip the rest; the seekable path
-         ({!Trace_container.shards}) is the one that validates and uses
-         it. *)
-      for i = 1 to 3 do
-        if read_byte () <> Char.code Trace_container.index_magic.[i] then
-          bad "trailing data after end-of-trace marker"
-      done;
-      while read_byte () <> -1 do
-        ()
-      done
-    | _ -> bad "trailing data after end-of-trace marker");
-    true
-  | tag when tag = def_tag ->
-    let id = Trace_wire.read_varint read_byte in
-    let len = Trace_wire.read_varint read_byte in
-    if len < 0 then bad "negative name length";
-    define id (read_string len);
-    false
-  | tag when tag >= 1 && tag <= Batch.max_tag ->
-    let tid = Trace_wire.read_varint read_byte in
-    let arg =
-      if Batch.tag_has_arg tag then Trace_wire.read_varint read_byte else 0
-    in
-    let len =
-      if Batch.tag_has_len tag then Trace_wire.read_varint read_byte else 0
-    in
-    Batch.unsafe_push b ~tag ~tid ~arg ~len;
-    false
-  | tag -> bad "unknown record tag %d" tag
 
 (* One record off a chunk's byte range.  A chunk never contains the
    end-of-trace marker, so tag 0 falls through to the error arm.  With
@@ -123,19 +79,11 @@ let validate_batch b =
   try Batch.validate b
   with Invalid_argument msg -> bad "%s" msg
 
-let fill_batch ~read_byte ~read_string ~define b =
-  let finished = ref false in
-  while (not !finished) && not (Batch.is_full b) do
-    finished := step_record ~read_byte ~read_string ~define b
-  done;
-  validate_batch b;
-  !finished
-
 (* Bulk fast path over a chunk: decode plain event records directly off
    the bytes while a whole record is guaranteed to fit below [limit],
    without going through the [read_byte] closure.  Stops — leaving [pos]
    on the offending tag — at definition records, the end marker, or any
-   malformed tag, which the generic [step_record] then handles. *)
+   malformed tag, which the caller then decodes one record at a time. *)
 let fill_batch_bytes b chunk pos limit =
   let tags = Batch.tags b and tids = Batch.tids b in
   let args = Batch.args b and lens = Batch.lens b in
@@ -228,9 +176,8 @@ let fill_batch_bytes_keep b chunk pos limit ~keep =
    batch is full or the payload is exhausted, returning [true] on
    exhaustion: the bulk fast path while a whole record fits, one
    [chunk_step] at definitions and near the end.  Resumable ([pos] is
-   the cursor), so every plain-chunk reader — sequential, seeking,
-   whole-chunk salvage, socket-fed — is this loop plus its own frame
-   walk.  [?keep] filters as in [chunk_step]. *)
+   the cursor): this is the plain half of {!Trace_chunk.fill}.  [?keep]
+   filters as in [chunk_step]. *)
 let fill_chunk ?keep ~define b chunk pos limit =
   let read_byte () =
     if !pos >= limit then -1

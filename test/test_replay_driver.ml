@@ -144,6 +144,50 @@ let keep_going_salvages () =
       Alcotest.(check bool) "tools still ran on the salvaged stream" true
         (r.tool_runs <> []))
 
+(* Salvage filters a return only when a drop could have swallowed its
+   call: an undamaged file whose stream carries an unmatched return
+   fails the same way with and without [~keep_going] — a clean per-file
+   error, never an exception out of the driver. *)
+let unmatched_return_without_drop () =
+  with_files 1 (fun files ->
+      let file = List.hd files in
+      let trace = mk_trace 20 in
+      Vec.push trace (Event.Return { tid = 0 });
+      write_trace trace file;
+      List.iter
+        (fun keep_going ->
+          let result = Driver.replay ~now ~keep_going [ file ] in
+          let r = report_for result file in
+          Alcotest.(check bool)
+            (Printf.sprintf "keep_going=%b: the file fails" keep_going)
+            true result.failed;
+          Alcotest.(check bool) "the error names the return" true
+            (match r.error with
+            | Some e -> Test_codec.contains ~sub:"return" e
+            | None -> false);
+          Alcotest.(check int) "nothing was dropped" 0 (List.length r.drops))
+        [ false; true ])
+
+(* A dropped chunk that held an activation's [Call] orphans the
+   [Return] a later chunk carries: salvage removes it, so the rest of
+   the file still replays. *)
+let keep_going_drops_orphaned_returns () =
+  with_files 1 (fun files ->
+      let file = List.hd files in
+      let trace = Vec.create () in
+      Vec.push trace (Event.Call { tid = 0; routine = 0 });
+      for i = 0 to 199 do
+        Vec.push trace (Event.Read { tid = 0; addr = 8 * i })
+      done;
+      Vec.push trace (Event.Return { tid = 0 });
+      Vec.iter (Vec.push trace) (mk_trace 20);
+      write_trace trace file;
+      ignore (corrupt_chunk file 0);
+      let result = Driver.replay ~now ~keep_going:true [ file ] in
+      let r = report_for result file in
+      Alcotest.(check (option string)) "salvage succeeds" None r.error;
+      Alcotest.(check int) "one drop" 1 (List.length r.drops))
+
 let suite =
   [
     Alcotest.test_case "two files, one corrupt: isolation" `Quick
@@ -152,4 +196,8 @@ let suite =
       corrupt_tail_buffers_summaries;
     Alcotest.test_case "--keep-going salvages with accurate drops" `Quick
       keep_going_salvages;
+    Alcotest.test_case "unmatched return without a drop fails either way"
+      `Quick unmatched_return_without_drop;
+    Alcotest.test_case "--keep-going removes returns orphaned by a drop"
+      `Quick keep_going_drops_orphaned_returns;
   ]

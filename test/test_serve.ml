@@ -89,7 +89,7 @@ let test_inbox_close_neuters () =
     (Inbox.pop ib)
 
 (* ---------------------------------------------------------------- *)
-(* Trace_net: the socket-fed decoder vs the whole-file reference *)
+(* Trace_net: the push driver vs the trace the writer was given *)
 
 let small_run =
   lazy
@@ -102,12 +102,13 @@ let small_run =
        ~scheduler:(Aprof_vm.Scheduler.Round_robin { slice = 64 })
        spec ~threads:3 ~scale:30 ~seed:11)
 
+let small_run_names () =
+  Aprof_trace.Routine_table.name (Lazy.force small_run).Aprof_vm.Interp.routines
+
 let trace_bytes ?entropy ~version () =
-  let result = Lazy.force small_run in
   Codec.to_string ~format_version:version ?entropy
-    ~routine_name:
-      (Aprof_trace.Routine_table.name result.Aprof_vm.Interp.routines)
-    result.Aprof_vm.Interp.trace
+    ~routine_name:(small_run_names ())
+    (Lazy.force small_run).Aprof_vm.Interp.trace
 
 (* One strided sweep per thread.  Delta coding turns each sweep into a
    v3 repeat region whose expansion runs far past any batch, so strict
@@ -180,9 +181,10 @@ let reference_lines s =
   | Error e -> Alcotest.failf "reference decode failed: %s" e
 
 (* Every version and slice size, at the default batch size and at 16,
-   against the whole-string reference.  The sweep traces make strict
-   chunks decode to many batches; no delivered batch may exceed the
-   batch size. *)
+   against the trace the writer was given (every string reader is this
+   same machine, so none of them can be the oracle).  The sweep traces
+   make strict chunks decode to many batches; no delivered batch may
+   exceed the batch size. *)
 let test_net_matches_reference () =
   let sweep = Lazy.force sweep_trace in
   let sweep_v2 = Codec.to_string sweep in
@@ -195,19 +197,26 @@ let test_net_matches_reference () =
   Alcotest.(check bool) "sweep v3 carries repeat regions" true
     (String.length sweep_v3 < Vec.length sweep);
   Alcotest.(check bool) "entropy coding applied" true (v3_entropy <> v3);
+  let small =
+    Test_decoders.writer_input ~routine_name:(small_run_names ())
+      (Lazy.force small_run).Aprof_vm.Interp.trace
+  in
+  let sweep_input =
+    Test_decoders.writer_input
+      ~routine_name:Aprof_trace.Trace_record.default_routine_name sweep
+  in
   let cases =
     [
-      ("v1", trace_bytes ~version:1 ());
-      ("v2", trace_bytes ~version:2 ());
-      ("v3", v3);
-      ("v3 entropy", v3_entropy);
-      ("sweep v2", sweep_v2);
-      ("sweep v3", sweep_v3);
+      ("v1", trace_bytes ~version:1 (), small);
+      ("v2", trace_bytes ~version:2 (), small);
+      ("v3", v3, small);
+      ("v3 entropy", v3_entropy, small);
+      ("sweep v2", sweep_v2, sweep_input);
+      ("sweep v3", sweep_v3, sweep_input);
     ]
   in
   List.iter
-    (fun (name, s) ->
-      let expected_lines, expected_names = reference_lines s in
+    (fun (name, s, (expected_lines, expected_names)) ->
       List.iter
         (fun batch_size ->
           List.iter
@@ -699,7 +708,7 @@ let suite =
       test_inbox_backpressure;
     Alcotest.test_case "inbox: close releases and neuters producers" `Quick
       test_inbox_close_neuters;
-    Alcotest.test_case "net: every version and slice size = file reference"
+    Alcotest.test_case "net: every version and slice size = writer input"
       `Quick test_net_matches_reference;
     Alcotest.test_case "net: back-to-back traces on one connection" `Quick
       test_net_back_to_back_traces;
