@@ -18,7 +18,7 @@ type frame = {
 }
 
 type thread_state = {
-  tid : int;
+  mutable tid : int; (* rewritten when {!reset} recycles the state *)
   ts_local : Shadow.t; (* ts_t[l]: latest access (read or write) by t *)
   stack : frame Vec.t;
   (* Executed basic blocks of this thread (the getCost() metric).  Held
@@ -48,14 +48,17 @@ type t = {
   wts_thread : Shadow.t;
   wts_kernel : Shadow.t;
   threads : (int, thread_state) Hashtbl.t;
+  (* Thread states {!reset} took out of [threads], zero-filled, for the
+     next trace's threads to reuse. *)
+  mutable spare : thread_state list;
   (* One-entry cache over [threads]: events arrive in scheduler slices of
      the same thread, so the per-event lookup is usually a repeat of the
      previous one.  [last_tid] starts at [min_int] — no real tid — so the
      [None] state is never consulted. *)
   mutable last_tid : int;
   mutable last_state : thread_state option;
-  profile : Profile.t;
-  contexts : (Cct.t * Profile.t) option;
+  mutable profile : Profile.t;
+  mutable contexts : (Cct.t * Profile.t) option;
   mutable renumberings : int;
   mutable finished : bool;
   (* Shard-owner predicate for parallel replay.  [None] (the default)
@@ -86,6 +89,7 @@ let create ?(overflow_limit = max_int - 1) ?(mode = `Both)
     wts_thread = Shadow.create ();
     wts_kernel = Shadow.create ();
     threads = Hashtbl.create 8;
+    spare = [];
     last_tid = min_int;
     last_state = None;
     profile = Profile.create ();
@@ -120,7 +124,13 @@ let thread_state_slow t tid =
     | st -> st
     | exception Not_found ->
       let st =
-        { tid; ts_local = Shadow.create (); stack = Vec.create (); cost = 0 }
+        match t.spare with
+        | st :: rest ->
+          t.spare <- rest;
+          st.tid <- tid;
+          st
+        | [] ->
+          { tid; ts_local = Shadow.create (); stack = Vec.create (); cost = 0 }
       in
       Hashtbl.add t.threads tid st;
       st
@@ -133,6 +143,42 @@ let thread_state t tid =
   if tid = t.last_tid then
     match t.last_state with Some st -> st | None -> assert false
   else thread_state_slow t tid
+
+(* A thread state as {!thread_state_slow} would create it, keeping its
+   storage.  Popped frames beyond the stack's length still name the
+   finished profile's cells and context nodes: point them at nothing, so
+   a pooled profiler keeps no finished profile reachable. *)
+let recycle_thread st =
+  Shadow.reset st.ts_local;
+  st.cost <- 0;
+  Vec.clear st.stack;
+  while Vec.has_spare st.stack do
+    let fr = Vec.spare st.stack in
+    fr.ops <- Profile.no_handle;
+    fr.context <- Cct.root;
+    Vec.extend st.stack
+  done;
+  Vec.clear st.stack
+
+let reset t =
+  Shadow.reset t.wts_max;
+  Shadow.reset t.wts_thread;
+  Shadow.reset t.wts_kernel;
+  Hashtbl.iter
+    (fun _ st ->
+      recycle_thread st;
+      t.spare <- st :: t.spare)
+    t.threads;
+  Hashtbl.clear t.threads;
+  t.last_tid <- min_int;
+  t.last_state <- None;
+  t.count <- 0;
+  t.renumberings <- 0;
+  t.finished <- false;
+  t.owner <- None;
+  t.profile <- Profile.create ();
+  t.contexts <-
+    Option.map (fun _ -> (Cct.create (), Profile.create ())) t.contexts
 
 (* --- Counter-overflow renumbering ------------------------------------
 
@@ -538,6 +584,7 @@ let space_words t =
       acc := !acc + Shadow.space_words st.ts_local
              + (frame_words * Vec.length st.stack))
     t.threads;
+  List.iter (fun st -> acc := !acc + Shadow.space_words st.ts_local) t.spare;
   !acc
 
 let current_drms t ~tid =

@@ -54,6 +54,15 @@ val create :
   unit ->
   t
 
+(** [reset t] returns [t] to the state {!create} gave it — same
+    options, no owner, counter at zero, an empty fresh profile — but
+    keeps its storage: every shadow is zero-filled rather than dropped,
+    and each thread state, with its shadow and frame stack, is kept for
+    the next fed thread to reuse.  Feeding a reset profiler gives
+    exactly what a fresh one gives; the profile {!finish} returned
+    before is no longer touched.  Costs O({!space_words}). *)
+val reset : t -> unit
+
 (** [set_owner t owns] puts [t] in shard mode for parallel replay:
     [owns tid] says whether this instance owns thread [tid].  The
     instance must then be fed the shard-filtered substream — every event
@@ -120,7 +129,8 @@ val merge_into : into:t -> t -> unit
 val renumber_count : t -> int
 
 (** [space_words t] estimates the words held by shadow memories and
-    shadow stacks, for the Table 1 space comparison. *)
+    shadow stacks, for the Table 1 space comparison — including the
+    thread states {!reset} keeps for reuse. *)
 val space_words : t -> int
 
 (** [current_drms t ~tid] is the drms of every pending activation of

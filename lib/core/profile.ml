@@ -177,6 +177,7 @@ let record_ops t ~tid ~routine ~plain ~induced_thread ~induced_external =
 type ops_handle = cell
 
 let ops_handle t ~tid ~routine = cell t ~tid ~routine
+let no_handle = fresh_cell ~tid:(-1) ~routine:(-1)
 let bump_plain c = c.plain <- c.plain + 1
 let bump_induced_thread c = c.ind_thread <- c.ind_thread + 1
 let bump_induced_external c = c.ind_external <- c.ind_external + 1

@@ -62,6 +62,13 @@ val record_ops :
 type ops_handle
 
 val ops_handle : t -> tid:int -> routine:int -> ops_handle
+
+(** A handle on no profile's counters: what a profiler's recycled
+    shadow-stack frame holds between traces, so that it keeps no
+    finished profile reachable.  It must never be bumped or recorded
+    into. *)
+val no_handle : ops_handle
+
 val bump_plain : ops_handle -> unit
 val bump_induced_thread : ops_handle -> unit
 val bump_induced_external : ops_handle -> unit

@@ -14,7 +14,7 @@ type frame = {
 }
 
 type thread_state = {
-  tid : int;
+  mutable tid : int; (* rewritten when {!reset} recycles the state *)
   ts_local : Shadow.t;
   stack : frame Vec.t;
   (* Executed basic blocks of this thread (the getCost() metric); lives
@@ -26,13 +26,16 @@ type thread_state = {
 type t = {
   mutable count : int;
   threads : (int, thread_state) Hashtbl.t;
+  (* Thread states {!reset} took out of [threads], zero-filled, for the
+     next trace's threads to reuse. *)
+  mutable spare : thread_state list;
   (* One-entry cache over [threads]: events arrive in scheduler slices of
      the same thread, so the per-event lookup is usually a repeat of the
      previous one.  [last_tid] starts at [min_int] — no real tid — so the
      [None] state is never consulted. *)
   mutable last_tid : int;
   mutable last_state : thread_state option;
-  profile : Profile.t;
+  mutable profile : Profile.t;
   mutable finished : bool;
 }
 
@@ -40,6 +43,7 @@ let create () =
   {
     count = 0;
     threads = Hashtbl.create 8;
+    spare = [];
     last_tid = min_int;
     last_state = None;
     profile = Profile.create ();
@@ -54,7 +58,13 @@ let thread_state_slow t tid =
     | st -> st
     | exception Not_found ->
       let st =
-        { tid; ts_local = Shadow.create (); stack = Vec.create (); cost = 0 }
+        match t.spare with
+        | st :: rest ->
+          t.spare <- rest;
+          st.tid <- tid;
+          st
+        | [] ->
+          { tid; ts_local = Shadow.create (); stack = Vec.create (); cost = 0 }
       in
       Hashtbl.add t.threads tid st;
       st
@@ -67,6 +77,31 @@ let thread_state t tid =
   if tid = t.last_tid then
     match t.last_state with Some st -> st | None -> assert false
   else thread_state_slow t tid
+
+(* As in {!Drms_profiler.reset}: zero-filled shadows, recycled thread
+   states whose popped frames name no finished profile's cells. *)
+let recycle_thread st =
+  Shadow.reset st.ts_local;
+  st.cost <- 0;
+  Vec.clear st.stack;
+  while Vec.has_spare st.stack do
+    (Vec.spare st.stack).ops <- Profile.no_handle;
+    Vec.extend st.stack
+  done;
+  Vec.clear st.stack
+
+let reset t =
+  Hashtbl.iter
+    (fun _ st ->
+      recycle_thread st;
+      t.spare <- st :: t.spare)
+    t.threads;
+  Hashtbl.clear t.threads;
+  t.last_tid <- min_int;
+  t.last_state <- None;
+  t.count <- 0;
+  t.finished <- false;
+  t.profile <- Profile.create ()
 
 let deepest_ancestor stack ts =
   let lo = ref 0 and hi = ref (Vec.length stack - 1) and best = ref (-1) in
@@ -247,4 +282,5 @@ let space_words t =
       acc := !acc + Shadow.space_words st.ts_local
              + (frame_words * Vec.length st.stack))
     t.threads;
+  List.iter (fun st -> acc := !acc + Shadow.space_words st.ts_local) t.spare;
   !acc

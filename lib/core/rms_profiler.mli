@@ -43,5 +43,11 @@ val profile : t -> Profile.t
     combined profile; neither profiler accepts further events. *)
 val merge_into : into:t -> t -> unit
 
-(** [space_words t] for the Table 1 space comparison. *)
+(** [reset t] returns [t] to the state {!create} gave it, keeping its
+    zero-filled shadows and thread states for reuse, as
+    {!Drms_profiler.reset} does. *)
+val reset : t -> unit
+
+(** [space_words t] for the Table 1 space comparison, including the
+    thread states {!reset} keeps for reuse. *)
 val space_words : t -> int

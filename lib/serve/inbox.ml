@@ -11,70 +11,68 @@
 
    Consumers never block here ([pop] is non-blocking): the server's
    scheduler wakes a worker when a connection becomes runnable, and the
-   worker drains whatever is queued.  Buffers are recycled through a
-   free list so steady-state ingest allocates no fresh slices. *)
+   worker drains whatever is queued.  Slices come from a [pool] and go
+   back to it: one per daemon, so a slice a finished connection gave
+   back serves the next connection's reader, and steady-state ingest
+   allocates no fresh slices. *)
 
 type item = Data of Bytes.t * int | Eof
 
+type pool = { buffer_bytes : int; idle : Bytes.t Aprof_util.Pool.t }
+
+let pool ~buffer_bytes ~max_idle =
+  if buffer_bytes < 1 || max_idle < 0 then invalid_arg "Inbox.pool";
+  { buffer_bytes; idle = Aprof_util.Pool.create ~max_idle }
+
+(* Wrong-sized slices (none today) are simply not kept. *)
+let give p b =
+  if Bytes.length b = p.buffer_bytes then Aprof_util.Pool.give p.idle b
+
+let take p =
+  match Aprof_util.Pool.take p.idle with
+  | Some b -> b
+  | None -> Bytes.create p.buffer_bytes
+
 type t = {
   capacity : int;  (* max queued payload bytes once non-empty *)
-  buffer_bytes : int;  (* size of the recycled read slices *)
+  pool : pool;
   q : item Queue.t;
-  free : Bytes.t Queue.t;
   m : Mutex.t;
   not_full : Condition.t;
   mutable bytes : int;
   mutable closed : bool;
 }
 
-let create ?(capacity = 256 * 1024) ?(buffer_bytes = 64 * 1024) () =
-  if capacity < 1 || buffer_bytes < 1 then invalid_arg "Inbox.create";
+let create ?(capacity = 256 * 1024) pool =
+  if capacity < 1 then invalid_arg "Inbox.create";
   {
     capacity;
-    buffer_bytes;
+    pool;
     q = Queue.create ();
-    free = Queue.create ();
     m = Mutex.create ();
     not_full = Condition.create ();
     bytes = 0;
     closed = false;
   }
 
-(* A buffer for the next [read]: recycled when the consumer returned
-   one, fresh otherwise.  Wrong-sized recycled buffers (none today) are
-   simply not handed out. *)
-let take_buffer t =
-  Mutex.lock t.m;
-  let b =
-    if Queue.is_empty t.free then Bytes.create t.buffer_bytes
-    else Queue.pop t.free
-  in
-  Mutex.unlock t.m;
-  b
+let take_buffer t = take t.pool
+let recycle t b = give t.pool b
 
-let recycle t b =
-  if Bytes.length b = t.buffer_bytes then begin
-    Mutex.lock t.m;
-    (* Cap the free list at the queue capacity's worth of slices; a
-       closed inbox keeps none. *)
-    if (not t.closed) && Queue.length t.free * t.buffer_bytes < t.capacity
-    then Queue.push b t.free;
-    Mutex.unlock t.m
-  end
-
-(* Blocks while the queue is non-empty and over capacity; drops the
-   slice once the consumer side has closed (the connection is dead —
-   nothing downstream will ever pop again). *)
+(* Blocks while the queue is non-empty and over capacity; gives the
+   slice back to the pool once the consumer side has closed (the
+   connection is dead — nothing downstream will ever pop again). *)
 let push t b n =
   Mutex.lock t.m;
   while (not t.closed) && t.bytes > 0 && t.bytes + n > t.capacity do
     Condition.wait t.not_full t.m
   done;
-  if not t.closed then begin
+  let closed = t.closed in
+  if not closed then begin
     Queue.push (Data (b, n)) t.q;
     t.bytes <- t.bytes + n
   end;
-  Mutex.unlock t.m
+  Mutex.unlock t.m;
+  if closed then give t.pool b
 
 let push_eof t =
   Mutex.lock t.m;
@@ -101,11 +99,12 @@ let pop t =
 let close t =
   Mutex.lock t.m;
   t.closed <- true;
+  let queued = Queue.fold (fun acc it -> it :: acc) [] t.q in
   Queue.clear t.q;
-  Queue.clear t.free;
   t.bytes <- 0;
   Condition.broadcast t.not_full;
-  Mutex.unlock t.m
+  Mutex.unlock t.m;
+  List.iter (function Data (b, _) -> give t.pool b | Eof -> ()) queued
 
 let queued_bytes t =
   Mutex.lock t.m;

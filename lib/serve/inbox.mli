@@ -11,27 +11,36 @@
 
     Consumers never block: {!pop} is non-blocking (the server's
     scheduler wakes a worker when a connection has queued bytes).
-    Buffers cycle through an internal free list via {!take_buffer} /
-    {!recycle}, so steady-state ingest allocates no fresh slices. *)
+    Slices come from a {!pool} via {!take_buffer} and go back to it via
+    {!recycle}; a daemon shares one pool among all its inboxes, so
+    steady-state ingest allocates no fresh slices. *)
 
 type item = Data of Bytes.t * int | Eof
 
+(** Idle read slices of one size, shared by any number of inboxes and
+    threads. *)
+type pool
+
+(** [pool ~buffer_bytes ~max_idle] is an empty pool of [buffer_bytes]
+    slices that keeps at most [max_idle] of them idle: it allocates only
+    when empty, and drops slices given back while full. *)
+val pool : buffer_bytes:int -> max_idle:int -> pool
+
 type t
 
-(** [create ()] builds an inbox.
-    @param capacity queued-payload bound in bytes (default 256 KiB)
-    @param buffer_bytes size of recycled read slices (default 64 KiB) *)
-val create : ?capacity:int -> ?buffer_bytes:int -> unit -> t
+(** [create pool] builds an inbox whose slices come from [pool].
+    @param capacity queued-payload bound in bytes (default 256 KiB) *)
+val create : ?capacity:int -> pool -> t
 
 (** A slice for the producer's next [read]: recycled if available. *)
 val take_buffer : t -> Bytes.t
 
-(** Return a popped slice to the free list. *)
+(** Return a slice to the inbox's pool — also after {!close}. *)
 val recycle : t -> Bytes.t -> unit
 
 (** [push t b n] queues the first [n] bytes of [b], blocking while the
-    queue is non-empty and over capacity.  After {!close}, slices are
-    silently dropped (the connection is dead). *)
+    queue is non-empty and over capacity.  After {!close}, slices go
+    straight back to the pool (the connection is dead). *)
 val push : t -> Bytes.t -> int -> unit
 
 (** Queue the end-of-stream marker. *)
@@ -40,9 +49,8 @@ val push_eof : t -> unit
 (** Non-blocking pop; [None] when nothing is queued. *)
 val pop : t -> item option
 
-(** Consumer side is gone: drop queued items and recycled slices,
-    unblock and neuter producers.  Later {!recycle}d slices are dropped
-    too, so a closed inbox holds no buffers. *)
+(** Consumer side is gone: give queued slices back to the pool,
+    unblock and neuter producers.  A closed inbox holds no buffers. *)
 val close : t -> unit
 
 val queued_bytes : t -> int

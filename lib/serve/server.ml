@@ -14,6 +14,14 @@
      completed trace folds the profile into the sharded accumulators;
    - one snapshot systhread polling the timer / SIGHUP-style requests.
 
+   Ownership: a worker owns one decode scratch ([Trace_net.scratch]),
+   created when it starts and lent to every feed it runs.  The daemon
+   owns one pool of read slices ([Inbox.pool]) and one of reset
+   profilers ([Ingest_driver.pool]), both filled only as connections
+   give back what they used.  A connection owns its parse state, its
+   queued slices, the slices of an unfinished item and, while a trace
+   is open, one profiler.
+
    Scheduling: a connection is in the run queue at most once
    (Idle/Queued/Running/Running_dirty), so exactly one worker ever
    touches a connection's decoder and driver — they need no locks of
@@ -97,6 +105,8 @@ type conn = {
 type t = {
   cfg : config;
   acc : Shard_acc.t;
+  slices : Inbox.pool;  (* every connection's read slices *)
+  profilers : Ingest_driver.pool;  (* reset profilers between traces *)
   started : float;
   (* Scheduler state, under sched_m. *)
   sched_m : Mutex.t;
@@ -121,6 +131,9 @@ type t = {
 (* See server.mli: a finished connection's counters and bookkeeping
    measure about 60 words. *)
 let finished_conn_words = 1024
+
+(* Idle read slices the daemon keeps for its next readers. *)
+let idle_slice_bytes = 4 * 1024 * 1024
 
 type stats = {
   s_live : int;
@@ -234,9 +247,7 @@ let make_conn t fd peer =
       c_id = id;
       c_fd = fd;
       c_peer = peer;
-      c_inbox =
-        Inbox.create ~capacity:t.cfg.inbox_bytes
-          ~buffer_bytes:t.cfg.read_bytes ();
+      c_inbox = Inbox.create ~capacity:t.cfg.inbox_bytes t.slices;
       c_state = Idle;
       c_net = None;
       c_driver = None;
@@ -253,8 +264,8 @@ let make_conn t fd peer =
     }
   in
   let driver =
-    Ingest_driver.create ~profiler:t.cfg.profiler
-      ~on_profile:(fun ~profile ~events ->
+    Ingest_driver.create ~profiler:t.cfg.profiler ~salvage:t.cfg.salvage
+      ~pool:t.profilers ~on_profile:(fun ~profile ~events ->
         Shard_acc.fold t.acc profile;
         Mutex.lock t.stats_m;
         c.c_traces <- c.c_traces + 1;
@@ -290,7 +301,8 @@ let make_conn t fd peer =
   c.c_net <-
     Some
       (Trace_net.create ~salvage:t.cfg.salvage
-         ~max_frame_bytes:t.cfg.max_frame_bytes cb);
+         ~max_frame_bytes:t.cfg.max_frame_bytes
+         ~release:(Inbox.recycle c.c_inbox) cb);
   Mutex.lock t.stats_m;
   t.conns <- c :: t.conns;
   Mutex.unlock t.stats_m;
@@ -303,18 +315,21 @@ let make_conn t fd peer =
 (* Ingest workers *)
 
 (* A finished connection keeps only the counters STATS and the fleet
-   CSV read: its decoder (frame buffer, batch) and its driver (partial
-   profiler) go — [finish] already emptied the inbox and its recycled
-   slices.  Worker-side only, like every use of the two. *)
+   CSV read: its decoder (parse state) and its driver go, a partial
+   trace's profiler back to the pool — [finish] already gave the queued
+   slices back.  Worker-side only, like every use of the two. *)
 let release c =
+  Option.iter Ingest_driver.abort c.c_driver;
   c.c_net <- None;
   c.c_driver <- None
 
-(* Feed everything queued to the connection's decoder.  Exactly one
-   worker runs this for a given connection at a time (scheduler
-   invariant), so the decoder and driver need no locking.  A connection
-   re-queued after its state was released has nothing left to do. *)
-let drain t c =
+(* Feed everything queued to the connection's decoder, on the worker's
+   scratch; the decoder gives each slice back to the pool once no
+   unfinished item needs it.  Exactly one worker runs this for a given
+   connection at a time (scheduler invariant), so the decoder and driver
+   need no locking.  A connection re-queued after its state was released
+   has nothing left to do. *)
+let drain t scratch c =
   match (c.c_net, c.c_driver) with
   | None, _ | _, None -> ()
   | Some net, Some driver ->
@@ -344,8 +359,8 @@ let drain t c =
           Mutex.lock t.stats_m;
           c.c_bytes <- c.c_bytes + n;
           Mutex.unlock t.stats_m;
-          match Trace_net.feed net b ~pos:0 ~len:n with
-          | () -> Inbox.recycle c.c_inbox b
+          match Trace_net.feed net scratch b ~pos:0 ~len:n with
+          | () -> ()
           | exception Trace_stream.Decode_error msg ->
             continue := false;
             Ingest_driver.abort driver;
@@ -359,6 +374,7 @@ let drain t c =
             Mutex.unlock t.stats_m;
             if reader_done then close_fd t c
         end
+        else Inbox.recycle c.c_inbox b
     done
 
 (* Every [finish] is followed by a drain of its connection: [drain]'s
@@ -373,6 +389,7 @@ let release_if_done t c =
   if finished then release c
 
 let worker_loop t () =
+  let scratch = Trace_net.scratch () in
   let rec next () =
     Mutex.lock t.sched_m;
     while Queue.is_empty t.runq && not t.workers_stop do
@@ -383,7 +400,7 @@ let worker_loop t () =
       let c = Queue.pop t.runq in
       c.c_state <- Running;
       Mutex.unlock t.sched_m;
-      (try drain t c
+      (try drain t scratch c
        with e ->
          finish t ~error:("internal error: " ^ Printexc.to_string e) c);
       release_if_done t c;
@@ -557,6 +574,7 @@ let reader_loop t c =
     let b = Inbox.take_buffer c.c_inbox in
     match Unix.read c.c_fd b 0 (Bytes.length b) with
     | 0 ->
+      Inbox.recycle c.c_inbox b;
       Inbox.push_eof c.c_inbox;
       mark_runnable t c
     | n ->
@@ -564,11 +582,13 @@ let reader_loop t c =
       mark_runnable t c;
       if conn_error t c = None then loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Inbox.recycle c.c_inbox b;
       finish t ~error:"idle timeout" c;
       mark_runnable t c
     | exception Unix.Unix_error (e, _, _) ->
       (* [shutdown] from [finish] lands here on some platforms; a real
          socket error is terminal either way. *)
+      Inbox.recycle c.c_inbox b;
       finish t ~error:("read: " ^ Unix.error_message e) c;
       mark_runnable t c
   in
@@ -719,6 +739,10 @@ let start cfg =
     {
       cfg;
       acc = Shard_acc.create ~shards:cfg.shards ();
+      slices =
+        Inbox.pool ~buffer_bytes:cfg.read_bytes
+          ~max_idle:(max 1 (idle_slice_bytes / cfg.read_bytes));
+      profilers = Ingest_driver.pool ();
       started = now ();
       sched_m = Mutex.create ();
       sched_c = Condition.create ();

@@ -12,13 +12,27 @@
 
     Guarantees:
 
-    - {b Bounded memory}: per-connection buffering is capped by
-      [inbox_bytes] plus one decoder frame and one batch; when a worker
-      falls behind, the reader stops reading and the socket/peer absorb
-      the pressure.  A finished connection keeps only the counters that
-      {!stats} and {!clients} report: its decoder, profiler and inbox
-      slices are released when it finishes, so it costs fewer than
-      {!finished_conn_words} live heap words for the daemon's lifetime.
+    - {b Bounded memory}: a live connection holds its queued slices
+      (at most [inbox_bytes] of queued payload; when a worker falls
+      behind, the reader stops reading and the socket/peer absorb the
+      pressure) and the one slice its reader is filling, plus the
+      slices of one unfinished item (a frame header and at most
+      [max_frame_bytes] of payload — 64 KiB more for a footer — in at
+      most two slices more than those bytes fill),
+      plus one profiler while a trace is open.  Everything else a
+      decode needs — the recycled batch, the chunk cursors, salvage's
+      stage, the area a straddling item is assembled in — belongs to
+      the worker that runs it, one set per worker however many
+      connections there are.  Slices and profilers come from two
+      daemon-wide pools that fill only as connections give back what
+      they used (nothing is allocated ahead at {!start}) and retain at
+      most 4 MiB of idle slices and 8 idle profilers of each kind, each
+      with at most 2{^18} words of shadow memory (a larger one is
+      released, not pooled).  A finished connection keeps only the
+      counters that {!stats} and {!clients} report: its decoder and
+      driver are dropped and its slices and profiler go back to the
+      pools, so it costs fewer than {!finished_conn_words} live heap
+      words for the daemon's lifetime.
     - {b Exact aggregation}: profiles are folded only at trace
       boundaries, and snapshots are trace-atomic (the fold/snapshot
       gate of {!Shard_acc}), so any snapshot equals the offline

@@ -195,6 +195,18 @@ let space_words t =
   + (t.mids * (t.mid_mask + 1))
   + (t.leaves * (t.leaf_mask + 1))
 
+(* The cached leaf stays valid: it is still the live leaf of its page. *)
+let reset t =
+  Array.iter
+    (function
+      | None -> ()
+      | Some mid ->
+        Array.iter
+          (function
+            | None -> () | Some leaf -> Array.fill leaf 0 (Array.length leaf) 0)
+          mid)
+    t.top
+
 let clear t =
   t.top <- Array.make 4 None;
   t.leaves <- 0;

@@ -57,3 +57,8 @@ val space_words : t -> int
 
 (** [clear t] resets every cell to [0] and releases all chunks. *)
 val clear : t -> unit
+
+(** [reset t] resets every cell to [0] but keeps every materialized
+    chunk, zero-filled, so refilling the same addresses allocates
+    nothing.  Costs O({!space_words}). *)
+val reset : t -> unit

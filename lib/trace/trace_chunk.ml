@@ -21,7 +21,9 @@ type drop = {
 }
 
 (* How far one chunk may expand when decoded whole: a bound on what a
-   corrupt repeat count can make salvage allocate. *)
+   corrupt repeat count can make salvage allocate.  A packed chunk's
+   own decoder rejects it at {!Trace_packed.max_chunk_events}, so its
+   stage never grows past twice that. *)
 let max_chunk_events = 1 lsl 27
 
 type t =

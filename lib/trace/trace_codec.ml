@@ -42,9 +42,9 @@ let file_version ic =
 (* A version-3 chunk also flushes on event count: repeat suppression can
    swallow millions of events into a few bytes, and an unbounded chunk
    would destroy the granularity the work-stealing replay shards by.
-   The decode side caps how far one chunk may expand
-   ({!Trace_chunk.max_chunk_events}). *)
-let v3_chunk_events = 1 lsl 16
+   Every reader rejects a chunk that decodes to more
+   ({!Trace_packed.max_chunk_events}). *)
+let v3_chunk_events = Trace_packed.max_chunk_events
 
 (* ----- streaming writer ----------------------------------------------- *)
 

@@ -8,12 +8,23 @@
      files        [source] pulls from a channel in [chunk_bytes] slices
      strings      [source] over the whole string at once
 
-   Memory is bounded by one frame plus one batch: bytes are buffered only
-   until the item under the cursor (frame header + payload, one v1
-   record, or the footer) is complete.  A verified strict chunk stays
-   open in [t] and streams through the recycled batch in place, so a
-   pull hands out full batches without copying events, and a push runs
-   the same loop until the pending bytes end mid-item.
+   State is split by lifetime.  A machine [t] holds one input's parse
+   state: where the cursor is, the version, the frames streamed so far.
+   A [scratch] holds what only a decode pass needs: the recycled batch
+   every streamed event passes through, the chunk cursors, salvage's
+   stage and the area where a straddling item is assembled.  A push
+   drains every chunk it opens before [feed] returns, so one scratch can
+   serve every connection a worker decodes; a pull source keeps a chunk
+   open between pulls and owns its scratch.
+
+   Bytes are read in place from a window ([buf], [start], [len]).  A
+   pull source's window is its own pending buffer, refilled from the
+   input.  A push decodes complete items straight out of the slice fed
+   to it; the bytes of an item that a slice ends inside stay in their
+   slices, held by the machine, until a later slice completes the item,
+   which is then assembled in the scratch and decoded from there.
+   Either way a verified strict chunk streams through the recycled
+   batch in place, and memory is bounded by one frame plus one batch.
 
    Corruption follows the salvage trichotomy.  Strict mode raises
    {!Trace_stream.Decode_error} at the first malformation and poisons the
@@ -51,15 +62,32 @@ type state =
 (* What one step of the machine produced. *)
 type step = Continue | Ready of Batch.t | Hungry
 
+type scratch = {
+  batch : Batch.t;  (* the recycled batch every streamed event passes through *)
+  mutable handed : bool;  (* [batch] went out: clear it before refilling *)
+  plain : Trace_chunk.t;  (* the version-2 chunk cursor *)
+  mutable packed : Trace_chunk.t option;  (* the version-3 one, on first use *)
+  mutable chunk_open : bool;  (* strict: a cursor holds an undrained chunk *)
+  stage : Batch.t ref;  (* salvage: the whole-chunk stage *)
+  mutable asm : Bytes.t;  (* push: where a straddling item is assembled *)
+}
+
+(* Bytes of an unfinished item, in a slice the machine holds. *)
+type held = { hb : Bytes.t; hpos : int; mutable hlen : int }
+
 type t = {
   cb : callbacks;
   salvage : bool;
   one_trace : bool;  (* files and strings: a second trace is trailing data *)
   max_frame_bytes : int;
-  mutable buf : Bytes.t;  (* pending undecoded bytes at [start..start+len) *)
+  release : Bytes.t -> unit;  (* push: a fed slice is no longer needed *)
+  mutable buf : Bytes.t;  (* the window: pending bytes at [start..start+len) *)
   mutable start : int;
   mutable len : int;
   mutable off : int;  (* input offset of [start] *)
+  mutable held : held list;  (* push, between feeds: newest first *)
+  mutable held_len : int;
+  mutable need : int;  (* least length the unfinished item can have *)
   mutable state : state;
   mutable failed : string option;
   mutable version : int;
@@ -67,11 +95,6 @@ type t = {
   mutable chunk_ord : int;
   mutable frames : (int * int) list;  (* streamed (paylen, crc), newest first *)
   mutable traces : int;
-  batch : Batch.t;  (* the recycled batch every streamed event passes through *)
-  mutable handed : bool;  (* [batch] went out: clear it before refilling *)
-  mutable cursor : Trace_chunk.t;
-  mutable chunk_open : bool;  (* strict: [cursor] holds an undrained chunk *)
-  stage : Batch.t ref;  (* salvage: the whole-chunk stage *)
 }
 
 (* Names travel inside records, so a corrupt length varint could demand
@@ -82,7 +105,41 @@ let max_name_bytes = 1 lsl 20
    incomplete frame (header + capped payload) or footer. *)
 let pending_slack = 64 * 1024
 
-let make ~one_trace ~salvage ~max_frame_bytes ~batch_size cb =
+(* A scratch keeps at most this much assembly area and salvage stage
+   between feeds; one oversized item does not pin its size for good.
+   The stage doubles until a chunk is drained, so a full packed chunk
+   ({!Trace_packed.max_chunk_events}) leaves it at twice that. *)
+let scratch_keep_bytes = 1 lsl 18
+let scratch_keep_events = 2 * Trace_packed.max_chunk_events
+
+let scratch ?(batch_size = Batch.default_capacity) () =
+  {
+    batch = Batch.create ~capacity:(max Trace_packed.pat_kmax batch_size) ();
+    handed = false;
+    plain = Trace_chunk.create ~version:2;
+    packed = None;
+    chunk_open = false;
+    stage = ref (Batch.create ~capacity:1 ());
+    asm = Bytes.empty;
+  }
+
+let cursor s version =
+  if version < 3 then s.plain
+  else
+    match s.packed with
+    | Some c -> c
+    | None ->
+      let c = Trace_chunk.create ~version in
+      s.packed <- Some c;
+      c
+
+(* Forget a pass that will not resume: its batch, and its open chunk. *)
+let discard s =
+  Batch.clear s.batch;
+  s.handed <- false;
+  s.chunk_open <- false
+
+let make ~one_trace ~salvage ~max_frame_bytes ~release cb =
   if max_frame_bytes < 1 || max_frame_bytes > 1 lsl 30 then
     invalid_arg "Trace_net.create: max_frame_bytes";
   {
@@ -90,10 +147,14 @@ let make ~one_trace ~salvage ~max_frame_bytes ~batch_size cb =
     salvage;
     one_trace;
     max_frame_bytes;
-    buf = Bytes.create 65536;
+    release;
+    buf = Bytes.empty;
     start = 0;
     len = 0;
     off = 0;
+    held = [];
+    held_len = 0;
+    need = 0;
     state = Header;
     failed = None;
     version = 0;
@@ -101,61 +162,52 @@ let make ~one_trace ~salvage ~max_frame_bytes ~batch_size cb =
     chunk_ord = 0;
     frames = [];
     traces = 0;
-    batch = Batch.create ~capacity:(max Trace_packed.pat_kmax batch_size) ();
-    handed = false;
-    cursor = Trace_chunk.create ~version:2;
-    chunk_open = false;
-    stage = ref (Batch.create ~capacity:(if salvage then 1024 else 1) ());
   }
 
-let create ?(salvage = false) ?(max_frame_bytes = 1 lsl 26)
-    ?(batch_size = Batch.default_capacity) cb =
-  make ~one_trace:false ~salvage ~max_frame_bytes ~batch_size cb
+let create ?(salvage = false) ?(max_frame_bytes = 1 lsl 26) ~release cb =
+  make ~one_trace:false ~salvage ~max_frame_bytes ~release cb
 
-let pending_bytes t = t.len
+let pending_bytes t = t.len + t.held_len
 let traces_completed t = t.traces
 let failure t = t.failed
 
-(* Make room for [n] more pending bytes.  Compaction moves the pending
-   bytes, so it only ever runs while no chunk is open. *)
-let reserve t n =
-  let cap = Bytes.length t.buf in
-  if t.start + t.len + n > cap then
-    if t.len + n <= cap then begin
-      Bytes.blit t.buf t.start t.buf 0 t.len;
-      t.start <- 0
-    end
-    else begin
-      let nb = Bytes.create (max (t.len + n) (2 * cap)) in
-      Bytes.blit t.buf t.start nb 0 t.len;
-      t.buf <- nb;
-      t.start <- 0
-    end
+let set_window t buf start len =
+  t.buf <- buf;
+  t.start <- start;
+  t.len <- len
+
+let clear_window t = set_window t Bytes.empty 0 0
 
 let commit t n =
   t.start <- t.start + n;
   t.len <- t.len - n;
   t.off <- t.off + n
 
+let hungry_for t n =
+  t.need <- n;
+  raise Need_more
+
 (* Read one pending byte at cursor [cur] (an offset past [start]);
    running out of pending bytes abandons the current item. *)
 let u8 t cur =
-  if !cur >= t.len then raise Need_more
+  if !cur >= t.len then hungry_for t (!cur + 1)
   else begin
     let b = Char.code (Bytes.unsafe_get t.buf (t.start + !cur)) in
     incr cur;
     b
   end
 
-let check_pending t =
-  if t.len > t.max_frame_bytes + pending_slack then
-    bad "connection buffered %d bytes without a decodable item" t.len
+(* Give back every held slice. *)
+let drop_held t =
+  List.iter (fun h -> t.release h.hb) t.held;
+  t.held <- [];
+  t.held_len <- 0
 
 (* Hand out the recycled batch; the next step clears it. *)
-let ready t =
-  Trace_record.validate_batch t.batch;
-  t.handed <- true;
-  Ready t.batch
+let ready s =
+  Trace_record.validate_batch s.batch;
+  s.handed <- true;
+  Ready s.batch
 
 (* A chunk-level failure.  A drop record carries the chunk and offset
    itself, so salvage keeps the bare cause; a strict read names them. *)
@@ -165,13 +217,11 @@ let chunk_error t ~ord ~off reason =
 
 (* Salvage: damage no frame length bounds ends the read with one drop
    of everything from the item under the cursor on.  A version-1 stream
-   has no chunk structure, and the batch under construction (discarded
-   with it) started at an unknown record, so both stay unknown there. *)
+   has no chunk structure, and the batch under construction (which the
+   caller discards) started at an unknown record, so both stay unknown
+   there. *)
 let lose t reason =
   let v1 = t.version < 2 in
-  Batch.clear t.batch;
-  t.handed <- false;
-  t.chunk_open <- false;
   t.cb.on_drop
     {
       Trace_chunk.drop_chunk = (if v1 then -1 else t.chunk_ord);
@@ -181,13 +231,16 @@ let lose t reason =
       drop_reason = reason;
     };
   commit t t.len;
+  drop_held t;
   t.state <- Lost
 
 let step_header t =
-  if t.len < 5 then Hungry
+  if t.len < 5 then begin
+    t.need <- 5;
+    Hungry
+  end
   else begin
     let v = Trace_container.parse_header (Bytes.sub_string t.buf t.start 5) in
-    if v <> t.version then t.cursor <- Trace_chunk.create ~version:v;
     t.version <- v;
     t.trace_off <- t.off;
     t.chunk_ord <- 0;
@@ -198,8 +251,8 @@ let step_header t =
   end
 
 (* The end marker, once every event before it went out. *)
-let end_trace t n =
-  if not (Batch.is_empty t.batch) then ready t
+let end_trace t s n =
+  if not (Batch.is_empty s.batch) then ready s
   else begin
     commit t n;
     t.traces <- t.traces + 1;
@@ -211,24 +264,24 @@ let end_trace t n =
 (* Version-1 records: the bulk fast path over the pending bytes, and
    one record at a time only at a definition, at the end marker and at
    the edge of the pending bytes, where a record may be incomplete. *)
-let step_records t =
+let step_records t s =
   let pos = ref t.start in
-  Trace_record.fill_batch_bytes t.batch t.buf pos (t.start + t.len);
+  Trace_record.fill_batch_bytes s.batch t.buf pos (t.start + t.len);
   commit t (!pos - t.start);
-  if Batch.is_full t.batch then ready t
+  if Batch.is_full s.batch then ready s
   else
     let cur = ref 0 in
     let varint () = Trace_wire.read_varint (fun () -> u8 t cur) in
     match u8 t cur with
     | exception Need_more -> Hungry
-    | tag when tag = Trace_record.end_tag -> end_trace t !cur
+    | tag when tag = Trace_record.end_tag -> end_trace t s !cur
     | tag when tag = Trace_record.def_tag -> (
       match
         let id = varint () in
         let nlen = varint () in
         if nlen < 0 || nlen > max_name_bytes then
           bad "implausible name length %d" nlen;
-        if !cur + nlen > t.len then raise Need_more;
+        if !cur + nlen > t.len then hungry_for t (!cur + nlen);
         (id, Bytes.sub_string t.buf (t.start + !cur) nlen)
       with
       | exception Need_more -> Hungry
@@ -246,25 +299,26 @@ let step_records t =
       | exception Need_more -> Hungry
       | tid, arg, len ->
         commit t !cur;
-        Batch.unsafe_push t.batch ~tag ~tid ~arg ~len;
+        Batch.unsafe_push s.batch ~tag ~tid ~arg ~len;
         Continue)
     | tag -> bad "unknown record tag %d" tag
 
 (* Salvage decodes a verified payload whole before delivering any of it,
    so a damaged chunk is dropped whole; its definitions are committed
    only once the chunk proves clean. *)
-let salvage_chunk t ~pos ~paylen ~crc ~ord ~rel_off =
+let salvage_chunk t s ~pos ~paylen ~crc ~ord ~rel_off =
   let defs = ref [] in
+  let c = cursor s t.version in
   match
     Trace_frame.check_payload t.buf ~pos ~len:paylen ~crc;
-    Trace_chunk.start t.cursor t.buf ~pos ~len:paylen;
-    Trace_chunk.drain t.cursor
+    Trace_chunk.start c t.buf ~pos ~len:paylen;
+    Trace_chunk.drain c
       ~define:(fun id name -> defs := (id, name) :: !defs)
-      t.stage
+      s.stage
   with
   | () ->
     List.iter (fun (id, name) -> t.cb.on_define id name) (List.rev !defs);
-    if Batch.is_empty !(t.stage) then Continue else Ready !(t.stage)
+    if Batch.is_empty !(s.stage) then Continue else Ready !(s.stage)
   | exception Trace_stream.Decode_error reason ->
     t.cb.on_drop
       {
@@ -279,8 +333,9 @@ let salvage_chunk t ~pos ~paylen ~crc ~ord ~rel_off =
 (* One framed chunk, or the end marker.  The frame is committed before
    it is checked, so it is consumed exactly once whatever its callbacks
    do; a strict chunk then opens in place (nothing overwrites the bytes
-   before the next refill, and refills wait until it is drained). *)
-let step_chunk t =
+   before the chunk is drained: a pull refills, and a push moves on to
+   another slice, only once it is). *)
+let step_chunk t s =
   let cur = ref 0 in
   match
     let paylen = Trace_wire.read_uvarint (fun () -> u8 t cur) in
@@ -293,12 +348,12 @@ let step_chunk t =
       for i = 0 to 3 do
         crc := !crc lor (u8 t cur lsl (8 * i))
       done;
-      if !cur + paylen > t.len then raise Need_more;
+      if !cur + paylen > t.len then hungry_for t (!cur + paylen);
       `Frame (paylen, !crc)
     end
   with
   | exception Need_more -> Hungry
-  | `End -> end_trace t !cur
+  | `End -> end_trace t s !cur
   | `Frame (paylen, crc) ->
     let pos = t.start + !cur in
     let rel_off = t.off + !cur - t.trace_off in
@@ -306,22 +361,23 @@ let step_chunk t =
     t.chunk_ord <- ord + 1;
     t.frames <- (paylen, crc) :: t.frames;
     commit t (!cur + paylen);
-    if t.salvage then salvage_chunk t ~pos ~paylen ~crc ~ord ~rel_off
+    if t.salvage then salvage_chunk t s ~pos ~paylen ~crc ~ord ~rel_off
     else begin
       (try Trace_frame.check_payload t.buf ~pos ~len:paylen ~crc
        with Trace_stream.Decode_error m -> chunk_error t ~ord ~off:rel_off m);
-      Trace_chunk.start t.cursor t.buf ~pos ~len:paylen;
-      t.chunk_open <- true;
+      Trace_chunk.start (cursor s t.version) t.buf ~pos ~len:paylen;
+      s.chunk_open <- true;
       Continue
     end
 
 (* Drain the open strict chunk into the recycled batch. *)
-let step_open_chunk t =
-  if Trace_chunk.fill t.cursor ~define:t.cb.on_define t.batch then begin
-    t.chunk_open <- false;
+let step_open_chunk t s =
+  if Trace_chunk.fill (cursor s t.version) ~define:t.cb.on_define s.batch
+  then begin
+    s.chunk_open <- false;
     Continue
   end
-  else ready t
+  else ready s
 
 (* The shard-index footer.  A strict framed stream is cross-checked
    against it: a duplicated, deleted or reordered frame is internally
@@ -385,7 +441,10 @@ let step_trailer t =
   in
   if t.len = 0 then Hungry
   else if Bytes.get t.buf t.start <> 'A' then trailing ()
-  else if t.len < 4 then Hungry
+  else if t.len < 4 then begin
+    t.need <- 4;
+    Hungry
+  end
   else
     match Bytes.sub_string t.buf t.start 4 with
     | m when m = Trace_container.magic && not t.one_trace ->
@@ -398,32 +457,33 @@ let step_trailer t =
 (* One step.  [partial] hands out a part-filled batch once the pending
    bytes run out (a push delivers what each slice completed).  Under
    salvage, a malformation that escapes a step is beyond its chunk. *)
-let step t ~partial =
-  if t.handed then begin
-    Batch.clear t.batch;
-    t.handed <- false
+let step t s ~partial =
+  if s.handed then begin
+    Batch.clear s.batch;
+    s.handed <- false
   end;
   try
     match
-      if t.chunk_open then step_open_chunk t
+      if s.chunk_open then step_open_chunk t s
       else
         match t.state with
         | Header -> step_header t
-        | Chunks -> step_chunk t
-        | Records -> step_records t
+        | Chunks -> step_chunk t s
+        | Records -> step_records t s
         | Trailer | Gap -> step_trailer t
         | Lost ->
           commit t t.len;
           Hungry
     with
-    | Hungry when partial && not (Batch.is_empty t.batch) -> ready t
+    | Hungry when partial && not (Batch.is_empty s.batch) -> ready s
     | r -> r
   with Trace_stream.Decode_error reason when t.salvage && t.state <> Header ->
+    discard s;
     lose t reason;
     Continue
 
-let rec pump t ~partial =
-  match step t ~partial with Continue -> pump t ~partial | r -> r
+let rec pump t s ~partial =
+  match step t s ~partial with Continue -> pump t s ~partial | r -> r
 
 let check_failed t =
   match t.failed with
@@ -435,13 +495,15 @@ let guard t f =
   try f ()
   with Trace_stream.Decode_error m as e ->
     t.failed <- Some m;
+    drop_held t;
     raise e
 
-let close t =
+(* End of input.  [discard] drops the batch a cut-off trace was filling. *)
+let close_input t ~discard =
   check_failed t;
   guard t (fun () ->
       let clean =
-        t.len = 0
+        pending_bytes t = 0
         &&
         match t.state with
         | Trailer | Gap | Lost -> true
@@ -450,40 +512,171 @@ let close t =
       in
       if not clean then begin
         let m = "truncated trace (missing end-of-trace marker)" in
-        if t.salvage && t.state <> Header then lose t m
+        if t.salvage && t.state <> Header then begin
+          discard ();
+          lose t m
+        end
         else bad "%s" m
       end)
 
-let feed t bytes ~pos ~len =
-  check_failed t;
+(* A push leaves no batch behind: each [feed] delivers what it decoded. *)
+let close t = close_input t ~discard:ignore
+
+(* ------------------------------------------------------------------ *)
+(* Push: slices in, items decoded where they lie *)
+
+(* Keep [bytes[p..p+l)], the start of an unfinished item or more of it.
+   New bytes first fill the room left in the newest held slice (the
+   machine owns it past its data), so every held slice but the oldest
+   and the newest is full: held memory is the item's bytes plus at most
+   two slices, however thinly a peer trickles them. *)
+let hold t bytes p l =
+  if t.held_len + l > t.max_frame_bytes + pending_slack then
+    bad "connection buffered %d bytes without a decodable item"
+      (t.held_len + l);
+  let copied =
+    match t.held with
+    | h :: _ ->
+      let n = min l (Bytes.length h.hb - (h.hpos + h.hlen)) in
+      Bytes.blit bytes p h.hb (h.hpos + h.hlen) n;
+      h.hlen <- h.hlen + n;
+      n
+    | [] -> 0
+  in
+  t.held_len <- t.held_len + l;
+  if copied = l then t.release bytes
+  else t.held <- { hb = bytes; hpos = p + copied; hlen = l - copied } :: t.held
+
+let rec deliver_all t s =
+  match pump t s ~partial:true with
+  | Ready b ->
+    t.cb.on_batch b;
+    deliver_all t s
+  | Continue | Hungry -> ()
+
+(* Decode complete items in place, then hold what an unfinished one
+   left (nothing is held when this runs). *)
+let decode_slice t s bytes pos len =
+  set_window t bytes pos len;
+  deliver_all t s;
+  let rest = t.start and left = t.len in
+  clear_window t;
+  if left = 0 then t.release bytes
+  else hold t bytes rest left
+
+(* Step through the assembly area until the item that began in the held
+   bytes is consumed ([true]), or the area runs out first. *)
+let rec pump_item t s ~held =
+  let r = step t s ~partial:false in
+  (match r with Ready b -> t.cb.on_batch b | Continue | Hungry -> ());
+  if t.start >= held then true
+  else match r with Hungry -> false | Ready _ | Continue -> pump_item t s ~held
+
+let reserve_asm s n ~keep =
+  if Bytes.length s.asm < n then begin
+    let a = Bytes.create (max n (2 * Bytes.length s.asm)) in
+    Bytes.blit s.asm 0 a 0 keep;
+    s.asm <- a
+  end
+
+(* The held bytes and the front of [bytes] complete an item: copy the
+   held bytes and as much of the slice as the item needs (geometrically
+   more while its length is unknown) to the assembly area, decode the
+   item from there, and go on in place in the slice. *)
+let assemble t s bytes pos len =
+  let held = t.held_len in
+  reserve_asm s held ~keep:0;
+  (* [t.held] is newest first: fill the area from its end. *)
+  ignore
+    (List.fold_left
+       (fun o h ->
+         Bytes.blit h.hb h.hpos s.asm (o - h.hlen) h.hlen;
+         o - h.hlen)
+       held t.held);
+  let rec attempt taken =
+    let want = min len (max (t.need - held) ((2 * taken) + 16)) in
+    reserve_asm s (held + want) ~keep:(held + taken);
+    Bytes.blit bytes (pos + taken) s.asm (held + taken) (want - taken);
+    set_window t s.asm 0 (held + want);
+    if pump_item t s ~held then begin
+      let used = t.start - held in
+      drop_held t;
+      decode_slice t s bytes (pos + used) (len - used)
+    end
+    else if want < len then attempt want
+    else begin
+      clear_window t;
+      hold t bytes pos len
+    end
+  in
+  attempt 0
+
+let trim s =
+  if Bytes.length s.asm > scratch_keep_bytes then s.asm <- Bytes.empty;
+  if Batch.capacity !(s.stage) > scratch_keep_events then
+    s.stage := Batch.create ~capacity:1 ()
+
+(* Every fed slice comes back through [release] exactly once: here, or
+   when the item it holds bytes of completes or the machine fails.  An
+   exception a callback raises poisons the machine too: the scratch it
+   interrupted serves other inputs, so the pass cannot resume. *)
+let feed t s bytes ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length bytes then
     invalid_arg "Trace_net.feed";
-  guard t (fun () ->
-      reserve t len;
-      Bytes.blit bytes pos t.buf (t.start + t.len) len;
-      t.len <- t.len + len;
-      let rec drain () =
-        match pump t ~partial:true with
-        | Ready b ->
-          t.cb.on_batch b;
-          drain ()
-        | Continue | Hungry -> ()
-      in
-      drain ();
-      check_pending t)
+  match
+    check_failed t;
+    guard t (fun () ->
+        if t.held = [] then decode_slice t s bytes pos len
+        else if t.held_len + len < t.need then hold t bytes pos len
+        else assemble t s bytes pos len)
+  with
+  | () -> trim s
+  | exception e ->
+    if t.failed = None then begin
+      t.failed <- Some ("decode interrupted: " ^ Printexc.to_string e);
+      drop_held t
+    end;
+    clear_window t;
+    discard s;
+    t.release bytes;
+    raise e
+
+(* ------------------------------------------------------------------ *)
+(* Pull: one trace from an input, a batch per pull *)
 
 let source ~salvage ~max_frame_bytes ~batch_size ~chunk_bytes ~on_define
     ~on_drop input =
   let cb =
     { on_batch = ignore; on_define; on_trace_end = ignore; on_drop }
   in
-  let t = make ~one_trace:true ~salvage ~max_frame_bytes ~batch_size cb in
+  let t =
+    make ~one_trace:true ~salvage ~max_frame_bytes ~release:ignore cb
+  in
+  let s = scratch ~batch_size () in
   let slice = max 1 chunk_bytes in
+  t.buf <- Bytes.create 65536;
+  (* Make room for [n] more pending bytes.  Compaction moves the pending
+     bytes, so it only ever runs while no chunk is open. *)
+  let reserve n =
+    let cap = Bytes.length t.buf in
+    if t.start + t.len + n > cap then
+      if t.len + n <= cap then begin
+        Bytes.blit t.buf t.start t.buf 0 t.len;
+        t.start <- 0
+      end
+      else begin
+        let nb = Bytes.create (max (t.len + n) (2 * cap)) in
+        Bytes.blit t.buf t.start nb 0 t.len;
+        t.buf <- nb;
+        t.start <- 0
+      end
+  in
   (* Read straight into the pending buffer: no chunk is open when the
      machine runs hungry. *)
   let refill () =
-    check_pending t;
-    reserve t slice;
+    if t.len > t.max_frame_bytes + pending_slack then
+      bad "connection buffered %d bytes without a decodable item" t.len;
+    reserve slice;
     let n = input t.buf (t.start + t.len) slice in
     t.len <- t.len + n;
     n > 0
@@ -496,12 +689,12 @@ let source ~salvage ~max_frame_bytes ~batch_size ~chunk_bytes ~on_define
       ignore (step_header t));
   let finished = ref false in
   let rec next () =
-    match pump t ~partial:false with
+    match pump t s ~partial:false with
     | Ready b -> Some b
     | Continue | Hungry ->
       if refill () then next ()
       else begin
-        close t;
+        close_input t ~discard:(fun () -> discard s);
         finished := true;
         None
       end

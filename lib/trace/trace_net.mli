@@ -19,11 +19,21 @@
       marker.  Anything after the trace but its footer — a second trace
       included — is trailing data.
 
-    Peak memory is one frame plus one batch (plus the input slice):
-    bytes are held only until the item under the cursor is complete, a
-    verified chunk streams through the recycled batch in place, and
-    decoded work is never queued — callers implement backpressure by
-    not feeding.
+    A push machine keeps only its connection's parse state.  What a
+    decode pass needs besides — the recycled batch, the chunk cursors,
+    salvage's stage, and room to assemble an item that straddles slices
+    — is a {!scratch} the caller lends to each {!feed}: {!feed} drains
+    every chunk it opens before it returns, so one scratch serves every
+    connection its owner decodes, one at a time.  Complete items are
+    decoded in place, from the slice they arrived in.  The bytes of an
+    unfinished item stay in their slices, which the machine holds until
+    the item completes; held bytes are bounded by one item (a frame
+    header plus at most [max_frame_bytes] of payload, or a footer of at
+    most 64 KiB more), in at most two slices more than those bytes
+    fill.  A pull source owns its scratch and reads
+    into its own buffer, so its peak memory is one frame plus one batch
+    (plus the input slice).  Decoded work is never queued — callers
+    implement backpressure by not feeding.
 
     Corruption.  In strict mode (the default) the first malformation
     raises {!Trace_stream.Decode_error}; the machine is then poisoned
@@ -34,14 +44,19 @@
     Damage that no frame length bounds — broken framing, any version-1
     malformation, a damaged footer, a truncated stream — is reported as
     one terminal drop, after which the rest of the input is discarded
-    and {!close} is clean.  Only an unreadable header still raises. *)
+    and {!close} is clean.  Only an unreadable header still raises.
+    A version-3 chunk that would decode to more than
+    {!Trace_packed.max_chunk_events} events is malformed: its writer
+    never flushes more, and a repeat count is checked against that
+    budget before it is expanded. *)
 
 type callbacks = {
   on_batch : Event.Batch.t -> unit;
-      (** Validated decoded events, in stream order: at most
-          [batch_size] of them, except that salvage mode delivers each
-          v2/v3 chunk whole.  The batch is recycled: it is valid only
-          until the callback returns. *)
+      (** Validated decoded events, in stream order: at most the
+          scratch's [batch_size] of them, except that salvage mode
+          delivers each v2/v3 chunk whole.  The batch belongs to the
+          scratch and is recycled: it is valid only until the callback
+          returns. *)
   on_define : int -> string -> unit;
       (** A routine-name definition, in stream order, always before the
           first delivered batch that could reference it. *)
@@ -58,24 +73,51 @@ type callbacks = {
 
 type t
 
-(** [create callbacks] is a fresh connection decoder (push use).
-    @param salvage skip damaged regions (reported through [on_drop])
-    instead of failing the connection (default [false]).
-    @param max_frame_bytes largest acceptable chunk payload; a frame
-    announcing more is framing damage (default 64 MiB).
+(** The decode scratch of a push: the recycled batch, one chunk cursor
+    per format version, salvage's whole-chunk stage and the assembly
+    area for straddling items.  Not thread-safe: one scratch serves one
+    {!feed} at a time.  Between feeds it keeps at most 256 KiB of
+    assembly area and a 131,072-event stage, besides its batch. *)
+type scratch
+
+(** [scratch ()] is a fresh, empty scratch; its parts are allocated or
+    grown on first use.
     @param batch_size capacity of the recycled batch every strict-mode
     event passes through, raised to 16 (the longest packed tag pattern)
     if smaller (default {!Event.Batch.default_capacity}). *)
-val create : ?salvage:bool -> ?max_frame_bytes:int -> ?batch_size:int ->
-  callbacks -> t
+val scratch : ?batch_size:int -> unit -> scratch
 
-(** [feed t bytes ~pos ~len] appends one received slice and decodes as
-    far as the accumulated bytes allow, running callbacks synchronously.
+(** [create ~release callbacks] is a fresh connection decoder (push
+    use).  It allocates no buffer: bytes are decoded where {!feed} finds
+    them.  [release] takes back each slice given to {!feed} once the
+    machine no longer reads it ([ignore] when the caller does not
+    recycle slices).
+    @param salvage skip damaged regions (reported through [on_drop])
+    instead of failing the connection (default [false]).
+    @param max_frame_bytes largest acceptable chunk payload; a frame
+    announcing more is framing damage (default 64 MiB). *)
+val create :
+  ?salvage:bool ->
+  ?max_frame_bytes:int ->
+  release:(Bytes.t -> unit) ->
+  callbacks ->
+  t
+
+(** [feed t scratch bytes ~pos ~len] hands over one received slice,
+    [bytes[pos..pos+len)], and decodes as far as the bytes received so
+    far allow, on [scratch], running callbacks synchronously.  [bytes]
+    then belongs to [t] until [t] passes it to [release]: during this
+    feed when no unfinished item needs it, otherwise once that item
+    completes or the machine fails — exactly once, unless [t] is
+    dropped while it still holds [bytes].  While
+    [t] holds [bytes] it may write past [pos + len], so a fed buffer
+    must not be shared with other data.
     @raise Trace_stream.Decode_error on malformed input (and on every
-    call after one), with the machine poisoned.
+    call after one), with the machine poisoned.  An exception a callback
+    raises escapes too, and poisons the machine as well.
     @raise Invalid_argument when [pos]/[len] do not delimit a valid
     range of [bytes]. *)
-val feed : t -> Bytes.t -> pos:int -> len:int -> unit
+val feed : t -> scratch -> Bytes.t -> pos:int -> len:int -> unit
 
 (** [close t] signals end of stream.  Clean only between traces (or on
     a connection that carried no bytes at all); under salvage a stream
@@ -85,7 +127,7 @@ val feed : t -> Bytes.t -> pos:int -> len:int -> unit
     reader gives. *)
 val close : t -> unit
 
-(** Bytes currently buffered awaiting a complete item — bounded by one
+(** Bytes currently held awaiting a complete item — bounded by one
     frame header + payload. *)
 val pending_bytes : t -> int
 

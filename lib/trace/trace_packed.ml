@@ -61,6 +61,12 @@ let hist_cap = 32 (* 2 * pat_kmax, power of two *)
 (* A region shorter than the repeat token itself is not worth a token. *)
 let min_region_bytes = 4
 
+(* The most events one chunk may decode to.  The writer flushes a chunk
+   once it holds this many ({!Trace_codec.v3_chunk_events}), so a chunk
+   that would expand past it — a corrupt or hostile repeat count — is
+   rejected before it is expanded. *)
+let max_chunk_events = 1 lsl 16
+
 let zigzag n = (n lsl 1) lxor (n asr (Sys.int_size - 1))
 
 (* ===== per-thread address history ======================================= *)
@@ -486,6 +492,7 @@ type decoder = {
   d_hist : history;  (* mirrors the encoder's *)
   mutable d_pats : int array array;
   mutable d_npats : int;
+  mutable left : int;  (* events the current chunk may still decode *)
   mutable rep_on : bool;
   mutable rep_rem : int;
   mutable rep_resume : int;
@@ -517,6 +524,7 @@ let create_decoder () =
     d_hist = create_history ();
     d_pats = Array.make 64 [||];
     d_npats = 0;
+    left = max_chunk_events;
     rep_on = false;
     rep_rem = 0;
     rep_resume = 0;
@@ -538,6 +546,7 @@ let start_chunk d src ~pos ~len =
   d.d_cur_tid <- 0;
   d.d_hist.cur_epoch <- d.d_hist.cur_epoch + 1;
   d.d_npats <- 0;
+  d.left <- max_chunk_events;
   d.rep_on <- false
 
 (* Decode the operand fields of one event.  [el] is the effective limit
@@ -654,12 +663,18 @@ let build_template d lo hi =
   done;
   d.t_end_tid <- !cur
 
+let too_many () =
+  bad "packed chunk decodes to more than %d events" max_chunk_events
+
 (* Fill [b] from the current chunk until the batch is full or the chunk
    is exhausted; returns [true] on exhaustion.  Resumable: repeat state
    and the stream cursor live in [d], so the caller just calls again
    with a fresh batch.  [b]'s capacity must be at least [pat_kmax].
    With [?keep], operands are always decoded (the registers must stay in
-   step) but events failing [keep tag tid] are not stored. *)
+   step) but events failing [keep tag tid] are not stored.  Every event
+   the chunk decodes, kept or not, is charged against [left]: literal
+   and pattern events as they are read, a repeat's whole expansion
+   before its first iteration. *)
 let fill d ?keep ~define b =
   let cap = Batch.capacity b in
   let tags_a = Batch.tags b and tids_a = Batch.tids b in
@@ -667,6 +682,7 @@ let fill d ?keep ~define b =
   let pos = d.pos in
   let h = d.d_hist in
   let n = ref (Batch.length b) in
+  let left = ref d.left in
   (* 0 = running, 1 = batch full (deliver), 2 = chunk exhausted. *)
   let state = ref 0 in
   while !state = 0 do
@@ -730,6 +746,8 @@ let fill d ?keep ~define b =
         incr pos;
         let fast = op_pos <= el - Trace_wire.max_record_bytes in
         if op >= 1 && op <= Batch.max_tag then begin
+          left := !left - 1;
+          if !left < 0 then too_many ();
           let tid = d.d_cur_tid in
           let arg =
             if (Batch.arg_mask lsr op) land 1 = 1 then
@@ -774,6 +792,8 @@ let fill d ?keep ~define b =
             state := 1
           end
           else begin
+            left := !left - k;
+            if !left < 0 then too_many ();
             let tid = d.d_cur_tid in
             for i = 0 to k - 1 do
               let tag = ptags.(i) in
@@ -831,6 +851,10 @@ let fill d ?keep ~define b =
             bad "packed chunk: implausible repeat count %d" count;
           d.rep_resume <- !pos;
           build_template d (op_pos - l) op_pos;
+          if d.t_n > 0 then begin
+            if count > !left / d.t_n then too_many ();
+            left := !left - (count * d.t_n)
+          end;
           (* An event-free region (only thread switches) is idempotent:
              one pass installs the end state, so replaying it [count]
              times would only spin. *)
@@ -864,5 +888,6 @@ let fill d ?keep ~define b =
       end
     end
   done;
+  d.left <- !left;
   Batch.unsafe_set_length b !n;
   !state = 2

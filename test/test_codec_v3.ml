@@ -22,10 +22,11 @@ let decode_exn = Test_codec.decode_exn
 let trace_equal = Test_codec.trace_equal
 let decode_source = Test_codec.decode_source
 
-let write_v3 ?(chunk_bytes = 256) ?(entropy = true) ?routine_name trace file =
+let write_v3 ?(chunk_bytes = 256) ?index ?(entropy = true) ?routine_name trace
+    file =
   Out_channel.with_open_bin file (fun oc ->
       let sink =
-        Codec.batch_writer ~chunk_bytes ~format_version:3 ~entropy
+        Codec.batch_writer ~chunk_bytes ?index ~format_version:3 ~entropy
           ?routine_name oc
       in
       let batches = Stream.batches_of_trace ~batch_size:16 trace in
@@ -400,7 +401,7 @@ let thread_history_rejects_bad_tid () =
       | Ok _ -> Alcotest.fail "out-of-range set_tid decoded"
       | Error _ -> ());
       let net =
-        Aprof_trace.Trace_net.create
+        Aprof_trace.Trace_net.create ~release:ignore
           {
             Aprof_trace.Trace_net.on_batch = ignore;
             on_define = (fun _ _ -> ());
@@ -409,12 +410,142 @@ let thread_history_rejects_bad_tid () =
           }
       in
       match
-        Aprof_trace.Trace_net.feed net (Bytes.of_string s) ~pos:0
-          ~len:(String.length s)
+        Aprof_trace.Trace_net.feed net
+          (Aprof_trace.Trace_net.scratch ())
+          (Bytes.of_string s) ~pos:0 ~len:(String.length s)
       with
       | () -> Alcotest.fail "out-of-range set_tid streamed"
       | exception Stream.Decode_error _ -> ())
     [ (* zigzag 65536 *) "\x80\x80\x08"; (* zigzag (-1) *) "\x01" ]
+
+(* A CRC-valid 24-byte trace whose one chunk claims 2^40 more passes
+   over two reads: every reader must refuse it as soon as the repeat
+   count exceeds the chunk's event budget, never expand it.  The stream
+   readers count what they deliver and give up past 2^17 events, so a
+   reader without the budget fails here rather than running for hours;
+   [of_string], which cannot be watched, runs only after they passed. *)
+let huge_repeat_rejected () =
+  (* raw packed payload: two reads (tag 3, zigzag delta 5), then the
+     repeat token over their 4 bytes, n = 2^40 (zigzag 2^41) *)
+  let stored = "\x01\x03\x0a\x03\x0a\x11\x08\x80\x80\x80\x80\x80\x40" in
+  let b = Buffer.create 32 in
+  Buffer.add_string b "ATRC\x03";
+  Aprof_trace.Trace_frame.add_frame b stored;
+  Buffer.add_char b '\x00';
+  let s = Buffer.contents b in
+  Alcotest.(check int) "trace size" 24 (String.length s);
+  let limit = 1 lsl 17 in
+  let delivered = ref 0 in
+  let count n =
+    delivered := !delivered + n;
+    if !delivered > limit then
+      Alcotest.failf "decoded %d events of an over-budget chunk" !delivered
+  in
+  let file = Filename.temp_file "aprof_huge_repeat" ".atrc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc s);
+      In_channel.with_open_bin file (fun ic ->
+          match
+            let _, src = Codec.batch_reader ic in
+            let rec loop () =
+              match src () with
+              | None -> ()
+              | Some b ->
+                count (Batch.length b);
+                loop ()
+            in
+            loop ()
+          with
+          | () -> Alcotest.fail "batch_reader accepted the chunk"
+          | exception Stream.Decode_error _ -> ()));
+  let module Net = Aprof_trace.Trace_net in
+  let net_feed ~salvage ~on_drop =
+    delivered := 0;
+    let net =
+      Net.create ~salvage ~release:ignore
+        {
+          Net.on_batch = (fun b -> count (Batch.length b));
+          on_define = (fun _ _ -> ());
+          on_trace_end = ignore;
+          on_drop;
+        }
+    in
+    Net.feed net (Net.scratch ()) (Bytes.of_string s) ~pos:0
+      ~len:(String.length s);
+    Net.close net
+  in
+  (match net_feed ~salvage:false ~on_drop:ignore with
+  | () -> Alcotest.fail "Trace_net accepted the chunk"
+  | exception Stream.Decode_error _ -> ());
+  (* Salvage's whole-chunk stage has the same bound: the chunk drops. *)
+  let drops = ref 0 in
+  net_feed ~salvage:true ~on_drop:(fun _ -> incr drops);
+  Alcotest.(check (pair int int)) "salvage drops the chunk, delivers nothing"
+    (1, 0) (!drops, !delivered);
+  match Codec.of_string s with
+  | Ok _ -> Alcotest.fail "of_string accepted the chunk"
+  | Error _ -> ()
+
+(* A repeat-heavy trace at the default chunk size fills every chunk
+   but the last on the writer's event count, so each holds exactly the
+   budget, {!Aprof_trace.Trace_packed.max_chunk_events}.  Every salvage
+   path must take such chunks whole: the indexed and index-less
+   [read ~on_corrupt:`Skip] and a salvaging push all deliver the strict
+   reader's events, with no drop. *)
+let full_chunks_salvage () =
+  let full = Aprof_trace.Trace_packed.max_chunk_events in
+  let tr = Vec.create () in
+  Vec.push tr (Event.Call { tid = 0; routine = 0 });
+  for _ = 1 to (2 * full) + 100 do
+    Vec.push tr (Event.Read { tid = 0; addr = 4096 })
+  done;
+  Vec.push tr (Event.Return { tid = 0 });
+  let module Net = Aprof_trace.Trace_net in
+  with_tmp (fun file ->
+      List.iter
+        (fun index ->
+          let label = if index then "indexed" else "index-less" in
+          write_v3 ~chunk_bytes:(64 * 1024) ~index ~entropy:false tr file;
+          let strict =
+            In_channel.with_open_bin file (fun ic ->
+                decode_source (snd (Codec.batch_reader ic)))
+          in
+          trace_equal (label ^ ": strict read = trace") strict tr;
+          if index then
+            In_channel.with_open_bin file (fun ic ->
+                let shs = Option.get (Codec.shards ~path:file ic) in
+                Alcotest.(check (list int))
+                  "chunk event counts"
+                  [ full; full; 102 ]
+                  (Array.to_list (Array.map (fun sh -> sh.Codec.events) shs)));
+          let drops = ref [] in
+          let on_drop (d : Codec.drop) = drops := d.drop_reason :: !drops in
+          let salvaged =
+            In_channel.with_open_bin file (fun ic ->
+                decode_source
+                  (snd (Codec.read ~on_corrupt:(`Skip on_drop) ic)))
+          in
+          Alcotest.(check (list string)) (label ^ ": read drops") [] !drops;
+          trace_equal (label ^ ": salvaging read = strict") salvaged strict;
+          let pushed = Vec.create () in
+          let net =
+            Net.create ~salvage:true ~release:ignore
+              {
+                Net.on_batch = Batch.iter_events (Vec.push pushed);
+                on_define = (fun _ _ -> ());
+                on_trace_end = ignore;
+                on_drop;
+              }
+          in
+          let s = In_channel.with_open_bin file In_channel.input_all in
+          Net.feed net (Net.scratch ()) (Bytes.of_string s) ~pos:0
+            ~len:(String.length s);
+          Net.close net;
+          Alcotest.(check (list string)) (label ^ ": push drops") [] !drops;
+          trace_equal (label ^ ": salvaging push = strict") pushed strict)
+        [ true; false ])
 
 (* --- compression smoke ------------------------------------------------ *)
 
@@ -457,6 +588,10 @@ let suite =
       thread_history_sized_on_demand;
     Alcotest.test_case "set_tid out of range is a decode error" `Quick
       thread_history_rejects_bad_tid;
+    Alcotest.test_case "over-budget repeat count is a decode error" `Quick
+      huge_repeat_rejected;
+    Alcotest.test_case "full-budget chunks salvage whole" `Quick
+      full_chunks_salvage;
     Alcotest.test_case "strided sweep compresses >= 5x" `Quick
       compression_smoke;
   ]

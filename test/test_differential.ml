@@ -97,6 +97,50 @@ let invariant2_holds trace =
     trace;
   !ok
 
+(* A profiler reset after one trace must behave exactly like a fresh
+   one on the next: no stamp, thread state or counter of the first trace
+   may leak into the second.  The first trace is sometimes the wider one
+   — more threads and addresses than the second, so zero-filled pages
+   and recycled thread states are both revisited — and sometimes drawn
+   like the second, which may then name threads the first never had.  A
+   64-tick overflow limit renumbers on both sides of the reset. *)
+let wide_params = { Gen_trace.default_params with max_threads = 6; max_addr = 40 }
+
+let reset_equals_fresh (a, b) =
+  let module D = Aprof_core.Drms_profiler in
+  let module R = Aprof_core.Rms_profiler in
+  let dump p = Aprof_core.Profile_io.to_string p in
+  List.iter
+    (fun mode ->
+      let p = D.create ~overflow_limit:64 ~mode () in
+      D.run p a;
+      ignore (D.finish p);
+      D.reset p;
+      D.run p b;
+      Alcotest.(check string) "reset drms = fresh drms"
+        (dump (run_drms ~overflow_limit:64 ~mode b))
+        (dump (D.finish p)))
+    [ `Both; `External_only; `Thread_only; `None ];
+  let p = R.create () in
+  R.run p a;
+  ignore (R.finish p);
+  R.reset p;
+  R.run p b;
+  Alcotest.(check string) "reset rms = fresh rms" (dump (run_rms b))
+    (dump (R.finish p));
+  true
+
+let reset_test =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"reset profiler = fresh profiler" ~count:150
+       ~print:(fun (a, b) ->
+         Gen_trace.print a ^ "\n--- reset ---\n" ^ Gen_trace.print b)
+       QCheck2.Gen.(
+         pair
+           (oneof [ Gen_trace.gen ~params:wide_params (); Gen_trace.gen () ])
+           (Gen_trace.gen ()))
+       reset_equals_fresh)
+
 let single_thread_params =
   { Gen_trace.default_params with max_threads = 1; with_kernel = false }
 
@@ -119,4 +163,5 @@ let suite =
     make_test "drms >= rms (Inequality 1)" inequality_holds;
     make_test "mode None degenerates to rms" mode_none_is_rms;
     make_test "Invariant 2 at prefixes" invariant2_holds;
+    reset_test;
   ]

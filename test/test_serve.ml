@@ -22,7 +22,9 @@ module Registry = Aprof_workloads.Registry
 (* Inbox *)
 
 let test_inbox_round_trip () =
-  let ib = Inbox.create ~capacity:1000 ~buffer_bytes:16 () in
+  let ib =
+    Inbox.create ~capacity:1000 (Inbox.pool ~buffer_bytes:16 ~max_idle:4)
+  in
   let b1 = Inbox.take_buffer ib in
   Bytes.fill b1 0 16 'a';
   Inbox.push ib b1 10;
@@ -44,13 +46,17 @@ let test_inbox_round_trip () =
   Alcotest.(check bool) "empty" true (Inbox.is_empty ib)
 
 let test_inbox_oversized_when_empty () =
-  let ib = Inbox.create ~capacity:10 ~buffer_bytes:64 () in
+  let ib =
+    Inbox.create ~capacity:10 (Inbox.pool ~buffer_bytes:64 ~max_idle:4)
+  in
   (* Must not block: an empty queue accepts one slice of any size. *)
   Inbox.push ib (Bytes.create 64) 64;
   Alcotest.(check int) "accepted" 64 (Inbox.queued_bytes ib)
 
 let test_inbox_backpressure () =
-  let ib = Inbox.create ~capacity:100 ~buffer_bytes:64 () in
+  let ib =
+    Inbox.create ~capacity:100 (Inbox.pool ~buffer_bytes:64 ~max_idle:4)
+  in
   Inbox.push ib (Bytes.create 64) 80;
   (* 80 queued; another 50 would exceed capacity, so the producer must
      block until the consumer pops. *)
@@ -73,7 +79,9 @@ let test_inbox_backpressure () =
   Alcotest.(check int) "second queued" 50 (Inbox.queued_bytes ib)
 
 let test_inbox_close_neuters () =
-  let ib = Inbox.create ~capacity:100 ~buffer_bytes:64 () in
+  let ib =
+    Inbox.create ~capacity:100 (Inbox.pool ~buffer_bytes:64 ~max_idle:4)
+  in
   Inbox.push ib (Bytes.create 64) 80;
   (* A producer blocked on capacity must be released by close... *)
   let blocked =
@@ -165,15 +173,20 @@ let collector () =
   in
   (c, cb)
 
-let feed_in_slices net s ~slice =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let pos = ref 0 in
+(* Feed [s] [slice] bytes at a time, each in a buffer of its own with
+   room to spare, as inbox slices arrive; returns the slices fed. *)
+let feed_in_slices ?(scratch = Trace_net.scratch ()) net s ~slice =
+  let n = String.length s in
+  let pos = ref 0 and fed = ref 0 in
   while !pos < n do
     let len = min slice (n - !pos) in
-    Trace_net.feed net b ~pos:!pos ~len;
-    pos := !pos + len
-  done
+    let b = Bytes.create (len + 64) in
+    Bytes.blit_string s !pos b 0 len;
+    Trace_net.feed net scratch b ~pos:0 ~len;
+    pos := !pos + len;
+    incr fed
+  done;
+  !fed
 
 let reference_lines s =
   match Codec.of_string s with
@@ -229,9 +242,15 @@ let test_net_matches_reference () =
                   slice
               in
               let c, cb = collector () in
-              let net = Trace_net.create ?batch_size cb in
-              feed_in_slices net s ~slice;
+              let released = ref 0 in
+              let net =
+                Trace_net.create ~release:(fun _ -> incr released) cb
+              in
+              let scratch = Trace_net.scratch ?batch_size () in
+              let fed = feed_in_slices ~scratch net s ~slice in
               Trace_net.close net;
+              Alcotest.(check int)
+                (label ^ " every slice released") fed !released;
               Alcotest.(check (list string))
                 (label ^ " events") expected_lines (List.rev c.lines);
               Alcotest.(check (list (pair int string)))
@@ -260,8 +279,8 @@ let test_net_back_to_back_traces () =
   let s = trace_bytes ~version:2 () in
   let expected_lines, _ = reference_lines s in
   let c, cb = collector () in
-  let net = Trace_net.create cb in
-  feed_in_slices net (s ^ s ^ s) ~slice:13;
+  let net = Trace_net.create ~release:ignore cb in
+  ignore (feed_in_slices net (s ^ s ^ s) ~slice:13);
   Trace_net.close net;
   Alcotest.(check int) "three traces" 3 (Trace_net.traces_completed net);
   Alcotest.(check int) "three ends" 3 c.ends;
@@ -271,48 +290,55 @@ let test_net_back_to_back_traces () =
 
 let test_net_with_footer () =
   (* batch_writer with the shard index exercises the footer path,
-     including the strict streamed-frames cross-check. *)
+     including the strict streamed-frames cross-check.  Two chunk sizes
+     give footers of different lengths, odd and even, so 1-byte slices
+     end a footer on either side of each assembly attempt. *)
   let result = Lazy.force small_run in
-  let file = Filename.temp_file "aprof_serve_footer" ".atrc" in
-  Out_channel.with_open_bin file (fun oc ->
-      let sink =
-        Codec.batch_writer ~chunk_bytes:256 ~index:true
-          ~routine_name:
-            (Aprof_trace.Routine_table.name result.Aprof_vm.Interp.routines)
-          oc
-      in
-      let batches = Stream.batches_of_trace result.Aprof_vm.Interp.trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
-      sink.Stream.close_batch ());
-  let s = In_channel.with_open_bin file In_channel.input_all in
-  Sys.remove file;
-  let expected_lines, _ = reference_lines s in
   List.iter
-    (fun slice ->
-      let c, cb = collector () in
-      let net = Trace_net.create cb in
-      feed_in_slices net s ~slice;
-      Trace_net.close net;
-      Alcotest.(check (list string))
-        (Printf.sprintf "footer slice=%d events" slice)
-        expected_lines
-        (List.rev c.lines))
-    [ 7; String.length s ]
+    (fun chunk_bytes ->
+      let file = Filename.temp_file "aprof_serve_footer" ".atrc" in
+      Out_channel.with_open_bin file (fun oc ->
+          let sink =
+            Codec.batch_writer ~chunk_bytes ~index:true
+              ~routine_name:
+                (Aprof_trace.Routine_table.name
+                   result.Aprof_vm.Interp.routines)
+              oc
+          in
+          let batches = Stream.batches_of_trace result.Aprof_vm.Interp.trace in
+          let rec loop () =
+            match batches () with
+            | None -> ()
+            | Some b ->
+              sink.Stream.emit_batch b;
+              loop ()
+          in
+          loop ();
+          sink.Stream.close_batch ());
+      let s = In_channel.with_open_bin file In_channel.input_all in
+      Sys.remove file;
+      let expected_lines, _ = reference_lines s in
+      List.iter
+        (fun slice ->
+          let c, cb = collector () in
+          let net = Trace_net.create ~release:ignore cb in
+          ignore (feed_in_slices net s ~slice);
+          Trace_net.close net;
+          Alcotest.(check (list string))
+            (Printf.sprintf "footer chunk_bytes=%d slice=%d events" chunk_bytes
+               slice)
+            expected_lines
+            (List.rev c.lines))
+        [ 1; 7; String.length s ])
+    [ 256; 300 ]
 
 let test_net_truncation_detected () =
   let s = trace_bytes ~version:2 () in
   let c, cb = collector () in
   ignore c;
-  let net = Trace_net.create cb in
+  let net = Trace_net.create ~release:ignore cb in
   let cut = String.sub s 0 (String.length s - 1) in
-  feed_in_slices net cut ~slice:64;
+  ignore (feed_in_slices net cut ~slice:64);
   (match Trace_net.close net with
   | () -> Alcotest.fail "truncated stream accepted"
   | exception Stream.Decode_error _ -> ());
@@ -324,13 +350,16 @@ let test_net_strict_fails_on_corruption () =
   (* Offset 40 is well inside the first chunk payload for this trace. *)
   Bytes.set b 40 (Char.chr (Char.code (Bytes.get b 40) lxor 0xff));
   let _, cb = collector () in
-  let net = Trace_net.create cb in
+  let net = Trace_net.create ~release:ignore cb in
   match feed_in_slices net (Bytes.to_string b) ~slice:64 with
-  | () -> Alcotest.fail "corrupt stream accepted"
+  | _ -> Alcotest.fail "corrupt stream accepted"
   | exception Stream.Decode_error _ ->
     Alcotest.(check bool) "poisoned" true (Trace_net.failure net <> None);
     (* Every later call re-raises. *)
-    (match Trace_net.feed net (Bytes.create 1) ~pos:0 ~len:1 with
+    (match
+       Trace_net.feed net (Trace_net.scratch ()) (Bytes.create 1) ~pos:0
+         ~len:1
+     with
     | () -> Alcotest.fail "poisoned machine accepted bytes"
     | exception Stream.Decode_error _ -> ())
 
@@ -340,8 +369,8 @@ let test_net_salvage_drops_chunk () =
   Bytes.set b 40 (Char.chr (Char.code (Bytes.get b 40) lxor 0xff));
   let expected_lines, _ = reference_lines s in
   let c, cb = collector () in
-  let net = Trace_net.create ~salvage:true cb in
-  feed_in_slices net (Bytes.to_string b) ~slice:64;
+  let net = Trace_net.create ~salvage:true ~release:ignore cb in
+  ignore (feed_in_slices net (Bytes.to_string b) ~slice:64);
   Trace_net.close net;
   Alcotest.(check int) "one drop" 1 c.drops;
   Alcotest.(check int) "trace still completes" 1
@@ -397,9 +426,9 @@ let test_net_strict_malformed_payload () =
       | Ok _ -> Alcotest.failf "%s: reference accepted the malformed chunk" name
       | Error _ -> ());
       let _, cb = collector () in
-      let net = Trace_net.create cb in
+      let net = Trace_net.create ~release:ignore cb in
       (match feed_in_slices net s ~slice:64 with
-      | () -> Alcotest.failf "%s: malformed chunk accepted" name
+      | _ -> Alcotest.failf "%s: malformed chunk accepted" name
       | exception Stream.Decode_error _ -> ());
       Alcotest.(check bool) (name ^ " poisoned") true
         (Trace_net.failure net <> None);
@@ -407,6 +436,74 @@ let test_net_strict_malformed_payload () =
       | () -> Alcotest.failf "%s: poisoned machine closed cleanly" name
       | exception Stream.Decode_error _ -> ())
     [ ("v2", malformed_v2 ()); ("v3", malformed_v3 ()) ]
+
+(* The daemon's per-stream path in one domain: one recorded trace
+   pushed stream after stream through one scratch, with read slices and
+   profilers from one pool each.  Once the first stream has filled the
+   pools, a stream allocates what it must keep — its profile and its
+   machine — and no shadow page, batch or slice: the major heap grows
+   by under [per_stream_words] per stream (about 800 measured), where
+   fresh state cost ~86K words per stream of this trace (the perfbench
+   [fleet] one). *)
+let per_stream_words = 8_192
+
+let test_net_recycled_ingest_allocation () =
+  let spec =
+    match Registry.find "bodytrack" with
+    | Some s -> s
+    | None -> Alcotest.fail "bodytrack missing"
+  in
+  let run = Workload.run_spec spec ~threads:4 ~scale:600 ~seed:1 in
+  let s =
+    Codec.to_string ~format_version:3
+      ~routine_name:(Aprof_trace.Routine_table.name run.Aprof_vm.Interp.routines)
+      run.Aprof_vm.Interp.trace
+  in
+  let slices = Inbox.pool ~buffer_bytes:(64 * 1024) ~max_idle:8 in
+  let reader = Inbox.create slices in
+  let profilers = Aprof_tools.Ingest_driver.pool () in
+  let scratch = Trace_net.scratch () in
+  let events = ref 0 in
+  let stream () =
+    let driver =
+      Aprof_tools.Ingest_driver.create ~pool:profilers
+        ~on_profile:(fun ~profile:_ ~events:n -> events := !events + n)
+        ()
+    in
+    let net =
+      Trace_net.create ~release:(Inbox.recycle reader)
+        {
+          Trace_net.on_batch = Aprof_tools.Ingest_driver.on_batch driver;
+          on_define = (fun _ _ -> ());
+          on_trace_end = (fun () -> Aprof_tools.Ingest_driver.trace_end driver);
+          on_drop = ignore;
+        }
+    in
+    let pos = ref 0 in
+    while !pos < String.length s do
+      let b = Inbox.take_buffer reader in
+      let len = min (Bytes.length b) (String.length s - !pos) in
+      Bytes.blit_string s !pos b 0 len;
+      Trace_net.feed net scratch b ~pos:0 ~len;
+      pos := !pos + len
+    done;
+    Trace_net.close net
+  in
+  stream ();
+  let streams = 8 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to streams do
+    stream ()
+  done;
+  let per =
+    int_of_float ((Gc.quick_stat ()).Gc.major_words -. before) / streams
+  in
+  Alcotest.(check int) "every stream profiled"
+    ((streams + 1) * Vec.length run.Aprof_vm.Interp.trace)
+    !events;
+  if per >= per_stream_words then
+    Alcotest.failf "%d major words per recycled stream (bound %d)" per
+      per_stream_words
 
 (* ---------------------------------------------------------------- *)
 (* Shard accumulators *)
@@ -601,6 +698,79 @@ let test_server_differential () =
     got;
   Alcotest.(check bool) "names arrived" true (Hashtbl.length names > 0)
 
+(* Clients of different workloads, formats and write sizes into a
+   daemon that reads small slices: a pooled profiler's next trace has
+   other threads and another footprint than its last, and frames
+   straddle many slices.  The snapshot must still equal the offline
+   merge. *)
+let test_server_mixed_workloads () =
+  let body =
+    match Registry.find "bodytrack" with
+    | Some spec -> Workload.run_spec spec ~threads:4 ~scale:200 ~seed:3
+    | None -> Alcotest.fail "bodytrack missing"
+  in
+  let small = Lazy.force small_run in
+  let sweep = Lazy.force sweep_trace in
+  let encode ?entropy ~version (r : Aprof_vm.Interp.result) =
+    ( Codec.to_string ~format_version:version ?entropy
+        ~routine_name:(Aprof_trace.Routine_table.name r.Aprof_vm.Interp.routines)
+        r.Aprof_vm.Interp.trace,
+      r.Aprof_vm.Interp.trace )
+  in
+  (* (bytes, trace, client write size) *)
+  let clients =
+    [
+      (encode ~version:2 small, 1);
+      (encode ~version:3 body, 7);
+      ((Codec.to_string ~format_version:3 sweep, sweep), 4096);
+      (encode ~entropy:true ~version:3 small, 333);
+      (encode ~version:1 body, max_int);
+      ((Codec.to_string sweep, sweep), 100);
+      (encode ~version:3 small, max_int);
+      (encode ~version:2 body, 1000);
+    ]
+  in
+  let sock = temp_sock () in
+  let srv =
+    Server.start
+      {
+        Server.default_config with
+        unix_path = Some sock;
+        jobs = 2;
+        shards = 4;
+        read_bytes = 1000;
+        inbox_bytes = 4096;
+      }
+  in
+  let push ((s, _), chunk) () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    let b = Bytes.of_string s in
+    let n = Bytes.length b in
+    let rec write o =
+      if o < n then write (o + Unix.write fd b o (min chunk (n - o)))
+    in
+    write 0;
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    let one = Bytes.create 1 in
+    (try while Unix.read fd one 0 1 > 0 do () done
+     with Unix.Unix_error _ -> ());
+    Unix.close fd
+  in
+  List.iter Thread.join
+    (List.map (fun c -> Thread.create (push c) ()) clients);
+  let stats = Server.stats srv in
+  let got, _ = Server.snapshot srv in
+  Server.stop srv;
+  Alcotest.(check int) "every trace folded" (List.length clients)
+    stats.Server.s_traces;
+  let expected = Profile.create () in
+  List.iter
+    (fun ((_, trace), _) ->
+      Profile.merge_into ~into:expected (Helpers.run_drms trace))
+    clients;
+  Helpers.check_profiles_equal "mixed live ingest = offline merge" expected got
+
 let test_server_corruption_isolation () =
   let s = trace_bytes ~version:2 () in
   let sock = temp_sock () in
@@ -666,6 +836,35 @@ let test_server_salvage_keeps_stream () =
   Alcotest.(check int) "both traces folded" 2 stats.Server.s_traces;
   Alcotest.(check int) "chunk dropped" 1 stats.Server.s_drops
 
+(* A stream that decodes cleanly but breaks its profiler (a return
+   with no call, early in a chunk longer than a batch) fails its
+   connection in the middle of a chunk.  The worker's scratch must come
+   out clean: the next connection it serves may not see the rest of
+   that chunk. *)
+let test_server_profiler_error_isolation () =
+  let bad = Vec.create () in
+  Vec.push bad (Event.Return { tid = 0 });
+  for i = 0 to 3_999 do
+    Vec.push bad (Event.Call { tid = 0; routine = 99 });
+    Vec.push bad (Event.Read { tid = 0; addr = i });
+    Vec.push bad (Event.Return { tid = 0 })
+  done;
+  let bad = Codec.to_string bad in
+  let good = trace_bytes ~version:2 () in
+  let sock = temp_sock () in
+  let srv =
+    Server.start
+      { Server.default_config with unix_path = Some sock; jobs = 1; shards = 2 }
+  in
+  push_bytes ~sock ~repeat:1 bad;
+  push_bytes ~sock ~repeat:1 good;
+  let stats = Server.stats srv in
+  let got, _ = Server.snapshot srv in
+  Server.stop srv;
+  Alcotest.(check int) "only the good trace folded" 1 stats.Server.s_traces;
+  Helpers.check_profiles_equal "the next stream is untouched"
+    (expected_merge ~copies:1) got
+
 (* A long-lived daemon must not accumulate per-stream state: once a
    connection finishes, only its STATS / fleet counters may stay
    reachable.  Sequential pushes (each returns once the server closed
@@ -722,6 +921,8 @@ let suite =
       test_net_salvage_drops_chunk;
     Alcotest.test_case "net: CRC-valid malformed payload poisons strict mode"
       `Quick test_net_strict_malformed_payload;
+    Alcotest.test_case "net: recycled ingest allocates little per stream"
+      `Quick test_net_recycled_ingest_allocation;
     Alcotest.test_case "shards: fold/snapshot = offline merge + partition"
       `Quick test_shard_fold_equals_merge;
     Alcotest.test_case "shards: concurrent folds against snapshots" `Quick
@@ -730,10 +931,14 @@ let suite =
       test_fleet_render;
     Alcotest.test_case "server: N live clients = offline merge" `Quick
       test_server_differential;
+    Alcotest.test_case "server: mixed workloads and slices = offline merge"
+      `Quick test_server_mixed_workloads;
     Alcotest.test_case "server: corrupt stream never perturbs others" `Quick
       test_server_corruption_isolation;
     Alcotest.test_case "server: malformed payload never folds" `Quick
       test_server_malformed_payload_isolation;
+    Alcotest.test_case "server: a profiler error leaves the scratch clean"
+      `Quick test_server_profiler_error_isolation;
     Alcotest.test_case "server: salvage keeps a damaged stream alive" `Quick
       test_server_salvage_keeps_stream;
     Alcotest.test_case "server: finished connections release their state"

@@ -3,6 +3,7 @@
 module Vec = Aprof_util.Vec
 module Stats = Aprof_util.Stats
 module Rng = Aprof_util.Rng
+module Pool = Aprof_util.Pool
 
 let test_vec_basics () =
   let v = Vec.create () in
@@ -149,6 +150,48 @@ let test_crc32c_matches_spec =
          Aprof_util.Crc32c.digest b ~pos ~len
          = Aprof_util.Crc32c.digest_bytewise b ~pos ~len))
 
+(* An idle pool hands back the most recent object first, keeps at most
+   [max_idle], and under concurrent users neither loses nor duplicates
+   what it keeps. *)
+let test_pool () =
+  let p = Pool.create ~max_idle:2 in
+  Alcotest.(check (option int)) "empty" None (Pool.take p);
+  List.iter (Pool.give p) [ 1; 2; 3 ];
+  Alcotest.(check bool) "full" true (Pool.full p);
+  let a = Pool.take p in
+  let b = Pool.take p in
+  let c = Pool.take p in
+  Alcotest.(check (list (option int)))
+    "newest first, third dropped"
+    [ Some 2; Some 1; None ]
+    [ a; b; c ];
+  Alcotest.(check bool) "not full" false (Pool.full p);
+  let p = Pool.create ~max_idle:64 in
+  for i = 0 to 63 do
+    Pool.give p i
+  done;
+  let rounds = 2_000 in
+  let seen = Array.make 4 [] in
+  Aprof_util.Par.run
+    (Aprof_util.Par.create ~jobs:4 ())
+    (Array.init 4 (fun k () ->
+         for _ = 1 to rounds do
+           match Pool.take p with
+           | Some x -> Pool.give p x
+           | None -> ()
+         done;
+         match Pool.take p with
+         | Some x -> seen.(k) <- [ x ]
+         | None -> ()));
+  let rec drain acc =
+    match Pool.take p with Some x -> drain (x :: acc) | None -> acc
+  in
+  let all = drain (List.concat (Array.to_list seen)) in
+  Alcotest.(check (list int))
+    "every object exactly once"
+    (List.init 64 Fun.id)
+    (List.sort compare all)
+
 let suite =
   [
     Alcotest.test_case "vec basics" `Quick test_vec_basics;
@@ -165,4 +208,6 @@ let suite =
     Alcotest.test_case "crc32c known vectors" `Quick test_crc32c_vectors;
     test_crc32c_incremental;
     test_crc32c_matches_spec;
+    Alcotest.test_case "idle pool: bounded, newest first, shared" `Quick
+      test_pool;
   ]
