@@ -15,7 +15,7 @@ let time_replay make trace =
   let runs = ref 0 in
   while Sys.time () -. t0 < 0.4 do
     let p = make () in
-    Drms.run p trace;
+    Aprof_trace.Trace.replay trace (Drms.on_batch p);
     incr runs
   done;
   (Sys.time () -. t0) /. float_of_int !runs
@@ -44,19 +44,19 @@ let run ppf =
   let t_lin = time_replay (fun () -> Drms.create ~ancestor_search:`Linear ()) deep in
   Format.fprintf ppf
     "  ancestor search on deep recursion (merge sort, %d events):@."
-    (Aprof_util.Vec.length deep);
+    (Aprof_trace.Trace.length deep);
   Format.fprintf ppf "    binary search: %.4f s/replay@." t_bin;
   Format.fprintf ppf "    linear walk:   %.4f s/replay (%.2fx)@." t_lin
     (t_lin /. t_bin);
 
   let mixed = mixed_trace () in
   Format.fprintf ppf "  renumbering threshold (dedup, %d events):@."
-    (Aprof_util.Vec.length mixed);
+    (Aprof_trace.Trace.length mixed);
   List.iter
     (fun limit ->
       let t = time_replay (fun () -> Drms.create ~overflow_limit:limit ()) mixed in
       let p = Drms.create ~overflow_limit:limit () in
-      Drms.run p mixed;
+      Aprof_trace.Trace.replay mixed (Drms.on_batch p);
       Format.fprintf ppf
         "    overflow_limit=%-9d %.4f s/replay (%d renumberings)@." limit t
         (Drms.renumber_count p))
@@ -68,7 +68,7 @@ let run ppf =
     let runs = ref 0 in
     while Sys.time () -. t0 < 0.4 do
       let p = Aprof_core.Rms_profiler.create () in
-      Aprof_core.Rms_profiler.run p mixed;
+      Aprof_trace.Trace.replay mixed (Aprof_core.Rms_profiler.on_batch p);
       incr runs
     done;
     (Sys.time () -. t0) /. float_of_int !runs

@@ -13,7 +13,6 @@ module Registry = Aprof_workloads.Registry
 module Trace = Aprof_trace.Trace
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
-module Vec = Aprof_util.Vec
 
 let time f =
   let t0 = Sys.time () in
@@ -37,14 +36,14 @@ let run ~quick ppf =
   (* Scale the workload until the trace is big enough. *)
   let rec grow scale =
     let result = Workload.run_spec spec ~threads:4 ~scale ~seed:42 in
-    let n = Vec.length result.Aprof_vm.Interp.trace in
+    let n = Aprof_trace.Trace.length result.Aprof_vm.Interp.trace in
     if n >= target || scale > 8_000_000 then (result, scale)
     else grow (scale * 2)
   in
   let result, scale = grow (target / 8) in
   let trace = result.Aprof_vm.Interp.trace in
   let routines = result.Aprof_vm.Interp.routines in
-  let n_events = Vec.length trace in
+  let n_events = Trace.length trace in
   Format.fprintf ppf "workload: %s, scale %d -> %d events@." "blackscholes"
     scale n_events;
   let routine_name = Aprof_trace.Routine_table.name routines in
@@ -58,9 +57,9 @@ let run ~quick ppf =
   let bin_enc_s, () =
     time (fun () ->
         Out_channel.with_open_bin bin_file (fun oc ->
-            let sink = Codec.writer ~routine_name oc in
-            Stream.iter sink.Stream.emit (Trace.to_stream trace);
-            sink.Stream.close ()))
+            let sink = Codec.batch_writer ~routine_name oc in
+            Trace.replay trace sink.Stream.emit_batch;
+            sink.Stream.close_batch ()))
   in
   let file_size f =
     Int64.to_int (In_channel.with_open_bin f In_channel.length)
@@ -72,7 +71,7 @@ let run ~quick ppf =
     time (fun () ->
         In_channel.with_open_bin text_file (fun ic ->
             match Trace.load ic with
-            | Ok t -> Vec.length t
+            | Ok t -> Trace.length t
             | Error e -> failwith e))
   in
   (* Streaming binary decode: count events, sampling live heap words to
@@ -83,14 +82,14 @@ let run ~quick ppf =
   let bin_dec_s, bin_n =
     time (fun () ->
         In_channel.with_open_bin bin_file (fun ic ->
-            let _names, stream = Codec.reader ic in
+            let _names, batches = Codec.batch_reader ic in
             let count = ref 0 in
-            Stream.iter
-              (fun _ ->
-                incr count;
-                if !count mod sample_every = 0 then
-                  peak_live := max !peak_live (live_words ()))
-              stream;
+            ignore
+              (Stream.drain batches (fun b ->
+                   let before = !count / sample_every in
+                   count := !count + Aprof_trace.Event.Batch.length b;
+                   if !count / sample_every > before then
+                     peak_live := max !peak_live (live_words ())));
             !count))
   in
   if text_n <> n_events || bin_n <> n_events then
@@ -148,13 +147,12 @@ let run ~quick ppf =
       let enc_s, () =
         time (fun () ->
             Out_channel.with_open_bin file (fun oc ->
-                let n =
-                  Stream.connect_batches
-                    (Stream.batches_of_trace trace)
-                    (Codec.batch_writer ~format_version ~entropy ~routine_name
-                       oc)
+                let sink =
+                  Codec.batch_writer ~format_version ~entropy ~routine_name oc
                 in
-                if n <> n_events then
+                Trace.replay trace sink.Stream.emit_batch;
+                sink.Stream.close_batch ();
+                if Trace.length trace <> n_events then
                   failwith "codec bench: format encode count mismatch"))
       in
       let bytes = file_size file in
@@ -163,15 +161,7 @@ let run ~quick ppf =
         time (fun () ->
             In_channel.with_open_bin file (fun ic ->
                 let _names, batches = Codec.batch_reader ic in
-                let count = ref 0 in
-                let rec loop () =
-                  match batches () with
-                  | None -> !count
-                  | Some b ->
-                    count := !count + Aprof_trace.Event.Batch.length b;
-                    loop ()
-                in
-                loop ()))
+                Stream.drain batches ignore))
       in
       if dec_n <> n_events then
         failwith "codec bench: format decode count mismatch";

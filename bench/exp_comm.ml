@@ -16,7 +16,7 @@ let run ppf =
     (fun name ->
       let r = Exp_common.run_named name in
       let c = Comm.create () in
-      Comm.run c r.Exp_common.result.Aprof_vm.Interp.trace;
+      Aprof_trace.Trace.replay r.Exp_common.result.Aprof_vm.Interp.trace (Comm.on_batch c);
       let report = Comm.report c in
       Format.fprintf ppf "  %-14s %10d %10d %11.0f%% %14d@." name
         report.Comm.total_values report.Comm.communicating_cells
@@ -33,7 +33,7 @@ let run ppf =
   (* the headline routine-level view on vips *)
   let vips = Exp_common.run_named ~scale:60 "vips" in
   let c = Comm.create () in
-  Comm.run c vips.Exp_common.result.Aprof_vm.Interp.trace;
+  Aprof_trace.Trace.replay vips.Exp_common.result.Aprof_vm.Interp.trace (Comm.on_batch c);
   let tbl = vips.Exp_common.result.Aprof_vm.Interp.routines in
   let report = Comm.report c in
   let top = List.filteri (fun i _ -> i < 8) report.Comm.routine_matrix in

@@ -28,7 +28,7 @@ let run_spec ?(threads = Registry.default_threads)
     ?(scheduler = default_scheduler) (spec : Workload.spec) =
   let result = Workload.run_spec ~scheduler spec ~threads ~scale ~seed in
   let p = Drms.create () in
-  Drms.run p result.Interp.trace;
+  Aprof_trace.Trace.replay result.Interp.trace (Drms.on_batch p);
   { result; profile = Drms.finish p; name = spec.Workload.name }
 
 let run_named ?threads ?scale ?seed ?scheduler name =

@@ -15,7 +15,6 @@ module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Crc32c = Aprof_util.Crc32c
 module Rng = Aprof_util.Rng
-module Vec = Aprof_util.Vec
 
 let time f =
   let t0 = Sys.time () in
@@ -26,15 +25,16 @@ let time f =
    rendering — materializing a million event strings per fault would
    dominate the sweep. *)
 let stream_digest src =
-  let count = ref 0 in
   let crc = ref 0 in
-  Stream.iter
-    (fun ev ->
-      incr count;
-      let line = Aprof_trace.Event.to_line ev in
-      crc := Crc32c.digest_string ~crc:!crc line ~pos:0 ~len:(String.length line))
-    src;
-  (!count, !crc)
+  let count =
+    Stream.drain src
+      (Aprof_trace.Event.Batch.iter_events (fun ev ->
+           let line = Aprof_trace.Event.to_line ev in
+           crc :=
+             Crc32c.digest_string ~crc:!crc line ~pos:0
+               ~len:(String.length line)))
+  in
+  (count, !crc)
 
 let record trace routines ~format_version file =
   Out_channel.with_open_bin file (fun oc ->
@@ -43,15 +43,7 @@ let record trace routines ~format_version file =
           ~routine_name:(Aprof_trace.Routine_table.name routines)
           oc
       in
-      let batches = Stream.batches_of_trace trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
+      Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
       sink.Stream.close_batch ())
 
 let run ~quick ppf =
@@ -64,7 +56,7 @@ let run ~quick ppf =
   in
   let rec grow scale =
     let result = Workload.run_spec spec ~threads:4 ~scale ~seed:42 in
-    if Vec.length result.Aprof_vm.Interp.trace >= target || scale > 8_000_000
+    if Aprof_trace.Trace.length result.Aprof_vm.Interp.trace >= target || scale > 8_000_000
     then result
     else grow (scale * 2)
   in
@@ -82,7 +74,7 @@ let run ~quick ppf =
   let pristine_v3 = In_channel.with_open_bin v3_file In_channel.input_all in
   let total = String.length pristine in
   Format.fprintf ppf "trace: %d events, %d bytes (v2), %d bytes (v3)@."
-    (Vec.length trace) total
+    (Aprof_trace.Trace.length trace) total
     (String.length pristine_v3);
 
   (* --- integrity cost: v1 vs v2 decode throughput -------------------
@@ -142,7 +134,7 @@ let run ~quick ppf =
   let ref_count, ref_crc =
     In_channel.with_open_bin v2_file (fun ic ->
         let _, src = Codec.batch_reader ic in
-        stream_digest (Stream.events_of_batches src))
+        stream_digest src)
   in
   assert (ref_count = v2_count);
   let rate n s = if s > 0. then float_of_int n /. s /. 1e6 else 0. in
@@ -200,7 +192,7 @@ let run ~quick ppf =
     (match
        In_channel.with_open_bin mutant (fun ic ->
            let _, src = Codec.batch_reader ic in
-           stream_digest (Stream.events_of_batches src))
+           stream_digest src)
      with
     | count, crc ->
       if count = ref_count && crc = ref_crc then incr strict_identical
@@ -219,7 +211,7 @@ let run ~quick ppf =
                   ~on_corrupt:(`Skip (fun _ -> incr drops))
                   ic
               in
-              let count, _ = stream_digest (Stream.events_of_batches src) in
+              let count, _ = stream_digest src in
               (count, !drops)))
     with
     | dt, (count, drops) ->

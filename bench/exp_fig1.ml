@@ -5,7 +5,7 @@ module Profile = Aprof_core.Profile
 
 let run_micro trace =
   let p = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run p trace;
+  Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch p);
   Aprof_core.Drms_profiler.finish p
 
 let values profile ~tid ~routine =

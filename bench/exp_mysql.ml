@@ -15,7 +15,7 @@ let run ppf =
       ~seed:3
   in
   let p = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+  Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
   let run_data =
     {
       Exp_common.name = "mysql";

@@ -52,7 +52,7 @@ let run ~quick ppf =
     let probe_scale = 10_000 in
     let probe = Workload.run_spec spec ~threads:4 ~scale:probe_scale ~seed:42 in
     let per_unit =
-      float_of_int (Vec.length probe.Aprof_vm.Interp.trace)
+      float_of_int (Aprof_trace.Trace.length probe.Aprof_vm.Interp.trace)
       /. float_of_int probe_scale
     in
     let scale =
@@ -63,7 +63,7 @@ let run ~quick ppf =
   let trace = result.Aprof_vm.Interp.trace in
   let routines = result.Aprof_vm.Interp.routines in
   let cores = Par.available_parallelism () in
-  Format.fprintf ppf "trace: %d events, %d cores available@." (Vec.length trace)
+  Format.fprintf ppf "trace: %d events, %d cores available@." (Aprof_trace.Trace.length trace)
     cores;
   (* On one core a speedup column would only ever show noise around
      1.0x and invite misreading as "parallelism is broken": warn loudly
@@ -82,15 +82,7 @@ let run ~quick ppf =
           ~routine_name:(Aprof_trace.Routine_table.name routines)
           oc
       in
-      let batches = Stream.batches_of_trace trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
+      Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
       sink.Stream.close_batch ());
   (* The v3 copy of the same trace is written here, next to the v2 one,
      so the trace vector is dead before any timed replay below — held
@@ -102,15 +94,7 @@ let run ~quick ppf =
           ~routine_name:(Aprof_trace.Routine_table.name routines)
           oc
       in
-      let batches = Stream.batches_of_trace trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
+      Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
       sink.Stream.close_batch ());
   let reps = if quick then 1 else 3 in
   let shards =

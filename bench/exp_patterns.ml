@@ -26,7 +26,7 @@ let run ppf =
       in
       let pc =
         let p = Aprof_core.Drms_profiler.create () in
-        Aprof_core.Drms_profiler.run p pc.Exp_common.result.Aprof_vm.Interp.trace;
+        Aprof_trace.Trace.replay pc.Exp_common.result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
         { pc with Exp_common.profile = Aprof_core.Drms_profiler.finish p }
       in
       let sr =
@@ -36,7 +36,7 @@ let run ppf =
             ~seed:7
         in
         let p = Aprof_core.Drms_profiler.create () in
-        Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+        Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
         {
           Exp_common.name = "stream_reader";
           result;

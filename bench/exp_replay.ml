@@ -1,14 +1,11 @@
-(* Replay-path benchmark: the packed batch hot path vs the per-event
-   path, per tool.
+(* Replay-path benchmark: the packed batch path, per tool.
 
    A PARSEC miniature is scaled until its trace crosses the target event
    count, recorded to a binary trace file, then replayed into every
-   standard tool twice from the same file: once through the per-event
-   pipeline (decode -> Event.t -> on_event) and once through the batch
-   pipeline (decode -> Event.Batch -> on_batch).  The figures of merit
-   are events/second and minor-words/event; the batch path exists to
-   push the latter to ~0 for tools that never unpack (nulgrind) and to
-   strip the variant+closure tax off the profilers. *)
+   standard tool from that file through the one event path (decode ->
+   Event.Batch -> on_batch).  The figures of merit are events/second and
+   minor-words/event: a tool that dispatches on the raw fields should
+   allocate close to nothing per event. *)
 
 module Workload = Aprof_workloads.Workload
 module Registry = Aprof_workloads.Registry
@@ -16,7 +13,6 @@ module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Tool = Aprof_tools.Tool
 module Harness = Aprof_tools.Harness
-module Vec = Aprof_util.Vec
 
 (* Wall clock, not [Sys.time]: the latter ticks at 10ms on Linux, the
    same order as one replay run, so it quantizes the very ratio this
@@ -28,7 +24,7 @@ let time f =
   (Unix.gettimeofday () -. t0, r)
 
 let run ~quick ppf =
-  Exp_common.section ppf "replay: batched vs per-event hot path";
+  Exp_common.section ppf "replay: batched hot path";
   let target = if quick then 150_000 else 2_400_000 in
   let spec =
     match Registry.find "blackscholes" with
@@ -37,32 +33,30 @@ let run ~quick ppf =
   in
   let rec grow scale =
     let result = Workload.run_spec spec ~threads:4 ~scale ~seed:42 in
-    let n = Vec.length result.Aprof_vm.Interp.trace in
+    let n = Aprof_trace.Trace.length result.Aprof_vm.Interp.trace in
     if n >= target || scale > 8_000_000 then (result, scale)
     else grow (scale * 2)
   in
   let result, scale = grow (target / 8) in
   let trace = result.Aprof_vm.Interp.trace in
   let routines = result.Aprof_vm.Interp.routines in
-  let n_events = Vec.length trace in
+  let n_events = Aprof_trace.Trace.length trace in
+  let cores = Aprof_util.Par.available_parallelism () in
   Format.fprintf ppf "workload: %s, scale %d -> %d events@." "blackscholes"
     scale n_events;
   let routine_name = Aprof_trace.Routine_table.name routines in
   let bin_file = Filename.temp_file "aprof_replay" ".atrc" in
-  let encoded =
-    Out_channel.with_open_bin bin_file (fun oc ->
-        Stream.connect_batches
-          (Stream.batches_of_trace trace)
-          (Codec.batch_writer ~routine_name oc))
-  in
-  if encoded <> n_events then failwith "replay bench: encode count mismatch";
+  Out_channel.with_open_bin bin_file (fun oc ->
+      let sink = Codec.batch_writer ~routine_name oc in
+      Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
+      sink.Stream.close_batch ());
   (* One throwaway decode so the file is in the page cache before the
      first timed run. *)
   In_channel.with_open_bin bin_file (fun ic ->
       let tool = Aprof_tools.Nulgrind.tool () in
       let _names, batches = Codec.batch_reader ic in
       ignore (Tool.replay_batches tool batches));
-  let measure_once factory mode =
+  let measure_once factory =
     let tool = factory.Tool.create () in
     (* Start every run from the same heap shape, or the garbage of one
        measurement is collected on a later one's clock. *)
@@ -71,63 +65,47 @@ let run ~quick ppf =
         let m0 = Gc.minor_words () in
         let seconds, n =
           time (fun () ->
-              match mode with
-              | `Batch ->
-                let _names, batches = Codec.batch_reader ic in
-                Tool.replay_batches tool batches
-              | `Event ->
-                let _names, stream = Codec.reader ic in
-                Tool.replay_stream tool stream;
-                n_events)
+              let _names, batches = Codec.batch_reader ic in
+              Tool.replay_batches tool batches)
         in
         if n <> n_events then failwith "replay bench: replay count mismatch";
         let words = Gc.minor_words () -. m0 in
         (seconds, words /. float_of_int n_events))
   in
   (* Runs are tens of milliseconds, so a stray timer tick or collection
-     skews a single sample: keep the fastest of several, and alternate
-     the two modes so machine-speed drift cannot land on just one.
-     Contention noise does not shrink with run length, so each tool gets
-     a fixed time budget of extra interleaved reps — fast tools (where a
-     few ms of noise moves the ratio most) collect many samples, slow
-     ones stop early. *)
-  let budget = 3.0 in
+     skews a single sample: keep the fastest of several.  Contention
+     noise does not shrink with run length, so each tool gets a fixed
+     time budget of extra reps — fast tools (where a few ms of noise
+     moves the rate most) collect many samples, slow ones stop early. *)
+  let budget = 1.5 in
   let max_reps = 8 in
-  let measure_pair factory =
-    let best_ev = ref (measure_once factory `Event) in
-    let best_b = ref (measure_once factory `Batch) in
-    let spent = ref (fst !best_ev +. fst !best_b) in
+  let measure_best factory =
+    let best = ref (measure_once factory) in
+    let spent = ref (fst !best) in
     let reps = ref 0 in
     while (not quick) && !spent < budget && !reps < max_reps do
       incr reps;
-      let (s, _) as r = measure_once factory `Event in
-      if s < fst !best_ev then best_ev := r;
-      let (s', _) as r' = measure_once factory `Batch in
-      if s' < fst !best_b then best_b := r';
-      spent := !spent +. s +. s'
+      let (s, _) as r = measure_once factory in
+      if s < fst !best then best := r;
+      spent := !spent +. s
     done;
-    (!best_ev, !best_b)
+    !best
   in
   let rate s = float_of_int n_events /. Float.max s 1e-9 /. 1e6 in
-  Format.fprintf ppf "  %-12s %28s   %28s   %s@." ""
-    "per-event (Mev/s, w/ev)" "batch (Mev/s, w/ev)" "speedup";
+  Format.fprintf ppf "  %-12s %12s %12s@." "" "Mev/s" "w/ev";
   List.iter
     (fun factory ->
-      let (ev_s, ev_w), (b_s, b_w) = measure_pair factory in
-      let speedup = ev_s /. Float.max b_s 1e-9 in
-      Format.fprintf ppf "  %-12s %15.1f %12.2f   %15.1f %12.2f   %.2fx@."
-        factory.Tool.tool_name (rate ev_s) ev_w (rate b_s) b_w speedup;
+      let b_s, b_w = measure_best factory in
+      Format.fprintf ppf "  %-12s %12.1f %12.2f@." factory.Tool.tool_name
+        (rate b_s) b_w;
       Exp_common.emit_row ~experiment:"replay"
         [
           ("tool", Exp_common.String factory.Tool.tool_name);
           ("events", Exp_common.Int n_events);
-          ("per_event_seconds", Exp_common.Float ev_s);
-          ("per_event_mev_per_s", Exp_common.Float (rate ev_s));
-          ("per_event_minor_words_per_event", Exp_common.Float ev_w);
+          ("cores", Exp_common.Int cores);
           ("batch_seconds", Exp_common.Float b_s);
           ("batch_mev_per_s", Exp_common.Float (rate b_s));
           ("batch_minor_words_per_event", Exp_common.Float b_w);
-          ("speedup", Exp_common.Float speedup);
         ])
     (List.filter
        (fun f -> Exp_common.keep_tool f.Tool.tool_name)
@@ -157,14 +135,12 @@ let run ~quick ppf =
     List.map
       (fun (label, format_version, entropy) ->
         let file = Filename.temp_file "aprof_replay_fmt" ".atrc" in
-        let encoded =
-          Out_channel.with_open_bin file (fun oc ->
-              Stream.connect_batches
-                (Stream.batches_of_trace trace)
-                (Codec.batch_writer ~format_version ~entropy ~routine_name oc))
-        in
-        if encoded <> n_events then
-          failwith "replay bench: format encode count mismatch";
+        Out_channel.with_open_bin file (fun oc ->
+            let sink =
+              Codec.batch_writer ~format_version ~entropy ~routine_name oc
+            in
+            Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
+            sink.Stream.close_batch ());
         (label, file))
       formats
   in
@@ -206,6 +182,7 @@ let run ~quick ppf =
                 ("tool", Exp_common.String tool_name);
                 ("format", Exp_common.String label);
                 ("events", Exp_common.Int n_events);
+                ("cores", Exp_common.Int cores);
                 ("bytes", Exp_common.Int bytes);
                 ("batch_seconds", Exp_common.Float !best);
                 ("batch_mev_per_s", Exp_common.Float (rate !best));

@@ -42,7 +42,7 @@ let record_trace ~target path =
      the scale geometrically instead, with one power-law refinement if
      the crossing run lands more than 2x past the target. *)
   let run scale = Workload.run_spec spec ~threads:4 ~scale ~seed:42 in
-  let events r = Vec.length r.Aprof_vm.Interp.trace in
+  let events r = Aprof_trace.Trace.length r.Aprof_vm.Interp.trace in
   let rec ramp prev scale =
     let r = run scale in
     let e = events r in
@@ -72,17 +72,9 @@ let record_trace ~target path =
           ~routine_name:(Aprof_trace.Routine_table.name routines)
           oc
       in
-      let batches = Stream.batches_of_trace result.Aprof_vm.Interp.trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
+      Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace sink.Stream.emit_batch;
       sink.Stream.close_batch ());
-  Vec.length result.Aprof_vm.Interp.trace
+  Aprof_trace.Trace.length result.Aprof_vm.Interp.trace
 
 (* One push client: stream the whole file over a fresh connection,
    [repeat] traces back-to-back, then close and wait for the server's

@@ -19,7 +19,7 @@ let run ppf =
             ~seed:5
         in
         let p = Aprof_core.Drms_profiler.create () in
-        Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+        Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
         let profile = Aprof_core.Drms_profiler.finish p in
         let run_data = { Exp_common.name = "sort"; result; profile } in
         let d = Exp_common.merged run_data "selection_sort" in

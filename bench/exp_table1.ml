@@ -10,7 +10,7 @@ module Workload = Aprof_workloads.Workload
 let rec sized_run ~threads ~scale ~min_events name =
   let r = Exp_common.run_named ~threads ~scale name in
   if
-    Aprof_util.Vec.length r.Exp_common.result.Aprof_vm.Interp.trace
+    Aprof_trace.Trace.length r.Exp_common.result.Aprof_vm.Interp.trace
     >= min_events
     || scale > 64 * min_events
   then r

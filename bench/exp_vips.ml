@@ -12,7 +12,7 @@ module Metrics = Aprof_core.Metrics
 
 let profile_with mode trace =
   let p = Aprof_core.Drms_profiler.create ~mode () in
-  Aprof_core.Drms_profiler.run p trace;
+  Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch p);
   Aprof_core.Drms_profiler.finish p
 
 let run ppf =

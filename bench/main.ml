@@ -20,7 +20,7 @@ let experiments quick :
     ("fig16", "overhead vs thread count (Figure 16)", Exp_scaling.run ~quick);
     ("sched", "scheduler sensitivity", Exp_sched.run);
     ("codec", "binary vs text trace pipeline", Exp_codec.run ~quick);
-    ("replay", "batched vs per-event replay hot path", Exp_replay.run ~quick);
+    ("replay", "batched replay hot path, per tool", Exp_replay.run ~quick);
     ("parallel", "sharded parallel replay scaling", Exp_parallel.run ~quick);
     ("serve", "concurrent ingest daemon throughput", Exp_serve.run ~quick);
     ("faults", "fault injection and salvage on a recorded trace", Exp_faults.run ~quick);

@@ -25,7 +25,7 @@ let mysql_trace () =
 
 let replay_with create trace () =
   let tool = create () in
-  Aprof_util.Vec.iter tool.Aprof_tools.Tool.on_event trace
+  Aprof_trace.Trace.replay trace tool.Aprof_tools.Tool.on_batch
 
 let tests () =
   let trace = prepared_trace () in
@@ -43,22 +43,22 @@ let tests () =
     Test.make ~name:"table1/aprof-rms"
       (Staged.stage (fun () ->
            let p = Aprof_core.Rms_profiler.create () in
-           Aprof_core.Rms_profiler.run p trace));
+           Aprof_trace.Trace.replay trace (Aprof_core.Rms_profiler.on_batch p)));
     Test.make ~name:"table1/aprof-drms"
       (Staged.stage (fun () ->
            let p = Aprof_core.Drms_profiler.create () in
-           Aprof_core.Drms_profiler.run p trace));
+           Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch p)));
     (* fig4-6: profiling the buffered-scan trace that generates the cost
        plots *)
     Test.make ~name:"fig4/drms-mysql-scan"
       (Staged.stage (fun () ->
            let p = Aprof_core.Drms_profiler.create () in
-           Aprof_core.Drms_profiler.run p mtrace));
+           Aprof_trace.Trace.replay mtrace (Aprof_core.Drms_profiler.on_batch p)));
     (* fig11-15: the metrics pass over a finished profile *)
     Test.make ~name:"fig11-15/metrics"
       (Staged.stage
          (let p = Aprof_core.Drms_profiler.create () in
-          Aprof_core.Drms_profiler.run p trace;
+          Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch p);
           let profile = Aprof_core.Drms_profiler.finish p in
           fun () ->
             ignore (Aprof_core.Metrics.richness_curve profile);

@@ -80,14 +80,26 @@ let find_spec name =
     Printf.eprintf "unknown workload %S; try `aprof list'\n" name;
     exit 2
 
+(* The single-pass commands stream the VM straight into their one
+   consumer; only [tools] and [overhead], which replay one run through
+   several consumers, materialize the (packed) trace. *)
 let execute name threads scale seed scheduler =
   let spec = find_spec name in
   Aprof_workloads.Workload.run_spec ~scheduler spec ~threads ~scale ~seed
 
-let profile_of result =
-  let p = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
-  Aprof_core.Drms_profiler.finish p
+let stream name threads scale seed scheduler on_batch =
+  let spec = find_spec name in
+  Aprof_workloads.Workload.run_spec_batched ~scheduler spec ~threads ~scale
+    ~seed ~tool:(fun _ -> on_batch)
+
+(* A drms profile of the run, with the run's routine table. *)
+let profile_run ?track_contexts name threads scale seed scheduler =
+  let p = Aprof_core.Drms_profiler.create ?track_contexts () in
+  let result =
+    stream name threads scale seed scheduler
+      (Aprof_core.Drms_profiler.on_batch p)
+  in
+  (p, Aprof_core.Drms_profiler.finish p, result.Aprof_vm.Interp.routines)
 
 let run_meta name threads scale seed scheduler =
   {
@@ -116,9 +128,7 @@ let list_cmd =
 
 let run_cmd =
   let run name threads scale seed scheduler output =
-    let result = execute name threads scale seed scheduler in
-    let profile = profile_of result in
-    let tbl = result.Aprof_vm.Interp.routines in
+    let _, profile, tbl = profile_run name threads scale seed scheduler in
     (match output with
     | Some path ->
       Out_channel.with_open_text path (fun oc ->
@@ -175,9 +185,7 @@ let report_cmd =
 
 let plot_cmd =
   let run name routine threads scale seed scheduler =
-    let result = execute name threads scale seed scheduler in
-    let profile = profile_of result in
-    let tbl = result.Aprof_vm.Interp.routines in
+    let _, profile, tbl = profile_run name threads scale seed scheduler in
     match Aprof_trace.Routine_table.find tbl routine with
     | None ->
       Printf.eprintf "routine %S not found; routines: " routine;
@@ -273,9 +281,8 @@ let fit_cmd =
           in
           (profile, routine_name, meta))
       | Some name, None ->
-        let result = execute name threads scale seed scheduler in
-        let tbl = result.Aprof_vm.Interp.routines in
-        ( profile_of result,
+        let _, profile, tbl = profile_run name threads scale seed scheduler in
+        ( profile,
           Aprof_trace.Routine_table.name tbl,
           Some (run_meta name threads scale seed scheduler) )
     in
@@ -457,14 +464,14 @@ let tools_cmd =
            print its full report (the golden test pins this rendering). *)
         if f.Aprof_tools.Tool.tool_name = "helgrind" then begin
           let h = Aprof_tools.Helgrind_lite.create () in
-          Aprof_util.Vec.iter
-            (Aprof_tools.Helgrind_lite.on_event h)
-            result.Aprof_vm.Interp.trace;
+          Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace
+            (Aprof_tools.Helgrind_lite.on_batch h);
           print_string (Aprof_tools.Helgrind_lite.render_report h)
         end
         else begin
           let tool = f.Aprof_tools.Tool.create () in
-          Aprof_tools.Tool.replay tool result.Aprof_vm.Interp.trace;
+          Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace
+            tool.Aprof_tools.Tool.on_batch;
           Printf.printf "%s\n" (tool.Aprof_tools.Tool.summary ())
         end)
       (Aprof_tools.Harness.standard_factories ())
@@ -500,9 +507,11 @@ let overhead_cmd =
 
 let comm_cmd =
   let run name threads scale seed scheduler =
-    let result = execute name threads scale seed scheduler in
     let c = Aprof_core.Comm_profiler.create () in
-    Aprof_core.Comm_profiler.run c result.Aprof_vm.Interp.trace;
+    let result =
+      stream name threads scale seed scheduler
+        (Aprof_core.Comm_profiler.on_batch c)
+    in
     let tbl = result.Aprof_vm.Interp.routines in
     Format.printf "%a@."
       (Aprof_core.Comm_profiler.pp
@@ -521,14 +530,12 @@ let comm_cmd =
 
 let contexts_cmd =
   let run name threads scale seed scheduler top =
-    let result = execute name threads scale seed scheduler in
-    let p = Aprof_core.Drms_profiler.create ~track_contexts:true () in
-    Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
-    ignore (Aprof_core.Drms_profiler.finish p);
+    let p, _, tbl =
+      profile_run ~track_contexts:true name threads scale seed scheduler
+    in
     match Aprof_core.Drms_profiler.context_results p with
     | None -> assert false
     | Some (tree, cprofile) ->
-      let tbl = result.Aprof_vm.Interp.routines in
       let rows =
         Aprof_core.Profile.merge_threads cprofile
         |> List.filter (fun (n, _) -> n <> Aprof_core.Cct.root)
@@ -589,39 +596,26 @@ let record_cmd =
         Out_channel.with_open_bin output (fun oc ->
           (* The sink is created once the interpreter hands us its routine
              table, so the binary writer can embed names as they are
-             interned; recorded traces never live in memory.  The binary
-             format goes through the packed hot path: the interpreter's
-             recycled batch is encoded directly, with no per-event
-             variant or closure. *)
+             interned; recorded traces never live in memory.  Both
+             formats take the interpreter's recycled batches: binary
+             encodes them directly, with no per-event variant or
+             closure; text unpacks each event into its line. *)
+          let sink = ref None in
           let result =
-            match format with
-            | `Binary ->
-              let sink = ref Stream.batch_null_sink in
-              let result =
-                Aprof_workloads.Workload.run_batched ~scheduler w ~seed
-                  ~tool:(fun routines ->
-                    let s =
-                      Codec.batch_writer ~format_version:trace_format ~entropy
-                        ~routine_name:(Aprof_trace.Routine_table.name routines)
-                        oc
-                    in
-                    sink := s;
-                    s.Stream.emit_batch)
-              in
-              (!sink).Stream.close_batch ();
-              result
-            | `Text ->
-              let sink = ref Stream.null_sink in
-              let result =
-                Aprof_workloads.Workload.run_instrumented ~scheduler w ~seed
-                  ~tool:(fun _ ->
-                    let s = Stream.text_sink oc in
-                    sink := s;
-                    s.Stream.emit)
-              in
-              (!sink).Stream.close ();
-              result
+            Aprof_workloads.Workload.run_batched ~scheduler w ~seed
+              ~tool:(fun routines ->
+                let s =
+                  match format with
+                  | `Binary ->
+                    Codec.batch_writer ~format_version:trace_format ~entropy
+                      ~routine_name:(Aprof_trace.Routine_table.name routines)
+                      oc
+                  | `Text -> Stream.text_sink oc
+                in
+                sink := Some s;
+                s.Stream.emit_batch)
           in
+          Option.iter (fun s -> s.Stream.close_batch ()) !sink;
           (result.Aprof_vm.Interp.events_emitted, Out_channel.pos oc))
       with Sys_error msg ->
         Printf.eprintf "cannot record to %s: %s\n" output msg;
@@ -1342,13 +1336,22 @@ let fleet_cmd =
 
 let trace_cmd =
   let run name threads scale seed scheduler limit =
-    let result = execute name threads scale seed scheduler in
-    let trace = result.Aprof_vm.Interp.trace in
-    let n = Aprof_util.Vec.length trace in
+    (* Print the first [limit] events as they are emitted; count the
+       rest. *)
+    let printed = ref 0 in
+    let print b =
+      let k = Batch.length b in
+      let take =
+        match limit with Some l -> min k (max 0 (l - !printed)) | None -> k
+      in
+      for i = 0 to take - 1 do
+        print_endline (Aprof_trace.Event.to_line (Batch.get b i))
+      done;
+      printed := !printed + take
+    in
+    let result = stream name threads scale seed scheduler print in
+    let n = result.Aprof_vm.Interp.events_emitted in
     let shown = match limit with Some l -> min l n | None -> n in
-    for i = 0 to shown - 1 do
-      print_endline (Aprof_trace.Event.to_line (Aprof_util.Vec.get trace i))
-    done;
     if shown < n then Printf.eprintf "... (%d more events)\n" (n - shown)
   in
   let limit_term =

@@ -8,9 +8,11 @@ module Fit = Aprof_core.Fit
 module Profile = Aprof_core.Profile
 
 let profile_point workload routine =
-  let result = Aprof_workloads.Workload.run workload ~seed:41 in
   let p = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+  let result =
+    Aprof_workloads.Workload.run_batched workload ~seed:41 ~tool:(fun _ ->
+        Aprof_core.Drms_profiler.on_batch p)
+  in
   let profile = Aprof_core.Drms_profiler.finish p in
   let rid =
     Option.get

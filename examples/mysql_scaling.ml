@@ -10,13 +10,13 @@ module Profile = Aprof_core.Profile
 
 let () =
   let row_counts = [ 100; 200; 400; 800; 1200; 1600 ] in
+  let p = Aprof_core.Drms_profiler.create () in
   let result =
-    Aprof_workloads.Workload.run
+    Aprof_workloads.Workload.run_batched
       (Aprof_workloads.Mysql_sim.select_sweep ~row_counts ~seed:23)
       ~seed:23
+      ~tool:(fun _ -> Aprof_core.Drms_profiler.on_batch p)
   in
-  let p = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
   let profile = Aprof_core.Drms_profiler.finish p in
   let rid =
     Option.get

@@ -7,13 +7,13 @@
 module Profile = Aprof_core.Profile
 
 let profile_consumer ~n =
+  let p = Aprof_core.Drms_profiler.create () in
   let result =
-    Aprof_workloads.Workload.run
+    Aprof_workloads.Workload.run_batched
       (Aprof_workloads.Patterns.producer_consumer ~n)
       ~seed:17
+      ~tool:(fun _ -> Aprof_core.Drms_profiler.on_batch p)
   in
-  let p = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
   let profile = Aprof_core.Drms_profiler.finish p in
   let rid =
     Option.get

@@ -40,17 +40,18 @@ let program ~n =
 
 let () =
   let n = 100 in
-  (* 1. execute the program, collecting the instrumentation trace *)
+  (* 1. execute the program, streaming its instrumentation events into
+     the drms profiler as the VM emits them *)
+  let profiler = Aprof_core.Drms_profiler.create () in
   let result =
-    Aprof_vm.Interp.run
+    Aprof_vm.Interp.run_batched
       { Aprof_vm.Interp.default_config with seed = 1 }
       [ program ~n ]
+      ~tool:(fun _ -> Aprof_core.Drms_profiler.on_batch profiler)
   in
-  Printf.printf "trace: %d events\n" (Aprof_util.Vec.length result.trace);
+  Printf.printf "trace: %d events\n" result.events_emitted;
 
-  (* 2. profile the trace *)
-  let profiler = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run profiler result.trace;
+  (* 2. collect the profile *)
   let profile = Aprof_core.Drms_profiler.finish profiler in
 
   (* 3. inspect the sum_array routine *)

@@ -39,11 +39,9 @@ let run_tools ~locked =
   in
   let hel = Aprof_tools.Helgrind_lite.create () in
   let mem = Aprof_tools.Memcheck_lite.create () in
-  Aprof_util.Vec.iter
-    (fun ev ->
-      Aprof_tools.Helgrind_lite.on_event hel ev;
-      Aprof_tools.Memcheck_lite.on_event mem ev)
-    result.Aprof_vm.Interp.trace;
+  Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (fun b ->
+      Aprof_tools.Helgrind_lite.on_batch hel b;
+      Aprof_tools.Memcheck_lite.on_batch mem b);
   (Aprof_tools.Helgrind_lite.races hel, Aprof_tools.Memcheck_lite.leaks mem)
 
 let () =

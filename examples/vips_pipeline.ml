@@ -20,7 +20,7 @@ let () =
   let wbuffer = Option.get (Aprof_trace.Routine_table.find tbl "wbuffer_write_thread") in
   let profile_with mode =
     let p = Aprof_core.Drms_profiler.create ~mode () in
-    Aprof_core.Drms_profiler.run p trace;
+    Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch p);
     List.assoc wbuffer
       (Profile.merge_threads (Aprof_core.Drms_profiler.finish p))
   in

@@ -95,42 +95,50 @@ let on_write t tid addr =
   Shadow.set t.wtid addr (encode_id tid);
   Shadow.set t.wrtn addr (encode_id rtn)
 
-let on_event t e =
-  if t.finished then invalid_arg "Comm_profiler: event after report";
-  match e with
-  | Event.Call { tid; routine } ->
+(* Dispatch on the packed fields; tag literals are {!Event.Batch}'s:
+   1 Call, 2 Return, 3 Read, 4 Write, 6 U2k, 7 K2u, 11 Free, 14
+   Switch_thread. *)
+let on_raw t ~tag ~tid ~arg ~len =
+  match tag with
+  | 1 ->
     t.count <- t.count + 1;
-    Vec.push (thread_state t tid).stack routine
-  | Event.Return { tid } ->
+    Vec.push (thread_state t tid).stack arg
+  | 2 ->
     let st = thread_state t tid in
     if Vec.is_empty st.stack then
       invalid_arg "Comm_profiler: return with empty stack";
     ignore (Vec.pop st.stack)
-  | Event.Read { tid; addr } -> on_read t tid addr
-  | Event.Write { tid; addr } -> on_write t tid addr
-  | Event.Switch_thread _ -> t.count <- t.count + 1
-  | Event.Kernel_to_user { addr; len; _ } ->
+  | 3 -> on_read t tid arg
+  | 4 -> on_write t tid arg
+  | 14 -> t.count <- t.count + 1
+  | 7 ->
     t.count <- t.count + 1;
-    Shadow.set_range t.wts ~addr ~len t.count;
-    Shadow.set_range t.wtid ~addr ~len (encode_id kernel_id);
-    Shadow.set_range t.wrtn ~addr ~len (encode_id kernel_id)
-  | Event.User_to_kernel { tid; addr; len } ->
-    for a = addr to addr + len - 1 do
+    Shadow.set_range t.wts ~addr:arg ~len t.count;
+    Shadow.set_range t.wtid ~addr:arg ~len (encode_id kernel_id);
+    Shadow.set_range t.wrtn ~addr:arg ~len (encode_id kernel_id)
+  | 6 ->
+    for a = arg to arg + len - 1 do
       on_read t tid a
     done
-  | Event.Free { addr; len; _ } ->
+  | 11 ->
     (* Mirror the drms profiler: recycled addresses start fresh. *)
-    Shadow.set_range t.wts ~addr ~len 0;
-    Shadow.set_range t.wtid ~addr ~len 0;
-    Shadow.set_range t.wrtn ~addr ~len 0;
-    Hashtbl.iter (fun _ st -> Shadow.set_range st.ts_local ~addr ~len 0) t.threads
-  | Event.Block _ | Event.Acquire _ | Event.Release _ | Event.Alloc _
-  | Event.Thread_start _ | Event.Thread_exit _ ->
-    ()
+    Shadow.set_range t.wts ~addr:arg ~len 0;
+    Shadow.set_range t.wtid ~addr:arg ~len 0;
+    Shadow.set_range t.wrtn ~addr:arg ~len 0;
+    Hashtbl.iter
+      (fun _ st -> Shadow.set_range st.ts_local ~addr:arg ~len 0)
+      t.threads
+  | _ -> ()
 
-let run t trace = Vec.iter (on_event t) trace
-
-let run_stream t s = Aprof_trace.Trace_stream.iter (on_event t) s
+let on_batch t b =
+  if t.finished then invalid_arg "Comm_profiler: event after report";
+  let module B = Event.Batch in
+  let tags = B.tags b and tids = B.tids b in
+  let args = B.args b and lens = B.lens b in
+  for i = 0 to B.length b - 1 do
+    on_raw t ~tag:(Array.unsafe_get tags i) ~tid:(Array.unsafe_get tids i)
+      ~arg:(Array.unsafe_get args i) ~len:(Array.unsafe_get lens i)
+  done
 
 let edges_of tbl =
   Hashtbl.fold

@@ -40,12 +40,10 @@ type report = {
 type t
 
 val create : unit -> t
-val on_event : t -> Aprof_trace.Event.t -> unit
-val run : t -> Aprof_trace.Trace.t -> unit
 
-(** [run_stream t s] feeds the events of [s] incrementally; the stream
-    is consumed (the whole trace is never materialized). *)
-val run_stream : t -> Aprof_trace.Trace_stream.t -> unit
+(** [on_batch t b] processes every packed event of [b] in order. *)
+val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
+
 val report : t -> report
 
 (** [pp ~thread_name ~routine_name ppf report] renders both matrices. *)

@@ -1,17 +1,8 @@
 module Event = Aprof_trace.Event
 
-let cost_increment = function
-  | Event.Block { units; _ } -> units
-  | Event.Read _ | Event.Write _ | Event.Call _ -> 1
-  | Event.Return _ | Event.User_to_kernel _ | Event.Kernel_to_user _
-  | Event.Acquire _ | Event.Release _ | Event.Alloc _ | Event.Free _
-  | Event.Thread_start _ | Event.Thread_exit _ | Event.Switch_thread _ ->
-    0
-
-(* The same metric from the packed fields (tags 1/3/4 = Call/Read/Write,
-   5 = Block whose [arg] is the unit count). *)
-let cost_increment_raw ~tag ~arg =
-  match tag with 1 | 3 | 4 -> 1 | 5 -> arg | _ -> 0
+(* Tags 1/3/4 = Call/Read/Write, 5 = Block whose [arg] is the unit
+   count ({!Event.Batch}'s numbering). *)
+let cost_increment ~tag ~arg = match tag with 1 | 3 | 4 -> 1 | 5 -> arg | _ -> 0
 
 module Counter = struct
   (* The counter table is consulted for every cost-bearing event, and
@@ -45,15 +36,8 @@ module Counter = struct
 
   let counter t tid = if tid = t.last_tid then t.last else counter_slow t tid
 
-  let on_event t e =
-    let inc = cost_increment e in
-    if inc > 0 then begin
-      let c = counter t (Event.tid e) in
-      c := !c + inc
-    end
-
   let on_raw t ~tag ~tid ~arg =
-    let inc = cost_increment_raw ~tag ~arg in
+    let inc = cost_increment ~tag ~arg in
     if inc > 0 then begin
       let c = counter t tid in
       c := !c + inc

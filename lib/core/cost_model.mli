@@ -11,15 +11,12 @@
     (timing measurements produce scattered plots; basic blocks produce
     clean ones). *)
 
-(** [cost_increment e] is the number of basic blocks implied by [e]:
-    [units] for a [Block] event, 1 for each memory access and each call
-    (address computation and call dispatch execute a block), 0 otherwise. *)
-val cost_increment : Aprof_trace.Event.t -> int
-
-(** [cost_increment_raw ~tag ~arg] is the same metric computed from a
-    packed event's raw fields ({!Aprof_trace.Event.Batch} tags; [arg] is
-    the [Block] unit count). *)
-val cost_increment_raw : tag:int -> arg:int -> int
+(** [cost_increment ~tag ~arg] is the number of basic blocks implied by
+    a packed event ({!Aprof_trace.Event.Batch} tag [tag], payload [arg]):
+    [arg] units for a [Block] event, 1 for each memory access and each
+    call (address computation and call dispatch execute a block), 0
+    otherwise. *)
+val cost_increment : tag:int -> arg:int -> int
 
 (** Per-thread executed-basic-block counters. *)
 module Counter : sig
@@ -27,11 +24,8 @@ module Counter : sig
 
   val create : unit -> t
 
-  (** [on_event c e] advances the issuing thread's counter. *)
-  val on_event : t -> Aprof_trace.Event.t -> unit
-
-  (** [on_raw c ~tag ~tid ~arg] is {!on_event} on packed fields; it does
-      not allocate. *)
+  (** [on_raw c ~tag ~tid ~arg] advances thread [tid]'s counter by
+      {!cost_increment}; it does not allocate. *)
   val on_raw : t -> tag:int -> tid:int -> arg:int -> unit
 
   (** [cost c tid] is the number of basic blocks executed so far by

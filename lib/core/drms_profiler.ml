@@ -413,60 +413,13 @@ let on_foreign_write t addr =
   if t.use_combined then Shadow.set t.wts_max addr (t.count lsl 1)
   else Shadow.set t.wts_thread addr t.count
 
-(* Cost bumps (the basic-block model of {!Cost_model}) happen at
-   dispatch, riding the thread-state lookup the handler needs anyway:
-   calls, reads and writes count 1, a [Block] counts its units. *)
-let on_event_own t e =
-  if t.finished then invalid_arg "Drms_profiler: event after finish";
-  match e with
-  | Event.Call { tid; routine } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + 1;
-    on_call t st routine
-  | Event.Return { tid } -> on_return t (thread_state t tid)
-  | Event.Read { tid; addr } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + 1;
-    on_read t st addr
-  | Event.Write { tid; addr } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + 1;
-    on_write t st addr
-  | Event.Block { tid; units } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + units
-  | Event.Switch_thread _ -> tick t
-  | Event.Kernel_to_user { addr; len; _ } -> on_kernel_to_user t addr len
-  | Event.User_to_kernel { tid; addr; len } ->
-    on_user_to_kernel t (thread_state t tid) addr len
-  | Event.Free { addr; len; _ } -> on_free t addr len
-  | Event.Acquire _ | Event.Release _ | Event.Alloc _ | Event.Thread_start _
-  | Event.Thread_exit _ ->
-    ()
-
-(* Foreign events carrying a global effect.  Kernel fills, frees and
-   thread switches run identically to the owned path; only calls
-   (tick-without-frame) and writes (stamp-without-[ts_local]) differ. *)
-let on_event_foreign t e =
-  if t.finished then invalid_arg "Drms_profiler: event after finish";
-  match e with
-  | Event.Call _ | Event.Switch_thread _ -> tick t
-  | Event.Write { addr; _ } -> on_foreign_write t addr
-  | Event.Kernel_to_user { addr; len; _ } -> on_kernel_to_user t addr len
-  | Event.Free { addr; len; _ } -> on_free t addr len
-  | _ -> ()
-
-let on_event t e =
-  match t.owner with
-  | None -> on_event_own t e
-  | Some owns ->
-    if owns (Event.tid e) then on_event_own t e else on_event_foreign t e
-
-(* The packed-field twin of [on_event]: dispatch on the int tag (an
-   OCaml integer match compiles to a jump table) and hand the raw fields
-   to the same helpers, constructing no variant.  Tag literals are
-   {!Event.Batch}'s: 1 Call, 2 Return, 3 Read, 4 Write, 6 U2k, 7 K2u,
-   5 Block, 11 Free, 14 Switch_thread. *)
+(* Dispatch on the int tag (an OCaml integer match compiles to a jump
+   table) and hand the raw fields to the handlers, constructing no
+   variant.  Tag literals are {!Event.Batch}'s: 1 Call, 2 Return, 3 Read,
+   4 Write, 6 U2k, 7 K2u, 5 Block, 11 Free, 14 Switch_thread.  Cost bumps
+   (the basic-block model of {!Cost_model}) happen here, riding the
+   thread-state lookup the handler needs anyway: calls, reads and writes
+   count 1, a [Block] counts its units. *)
 let on_raw t ~tag ~tid ~arg ~len =
   if t.finished then invalid_arg "Drms_profiler: event after finish";
   match tag with
@@ -492,10 +445,12 @@ let on_raw t ~tag ~tid ~arg ~len =
   | 14 -> tick t
   | _ -> ()
 
-(* {!on_raw} restricted to foreign events (sharded replay).  Tags 7, 11
-   and 14 take the same global path as the owned dispatch; foreign
-   reads, returns, blocks and syscall reads never reach a non-owner
-   (they are not broadcast), so they have no case here. *)
+(* {!on_raw} restricted to foreign events (sharded replay), the events
+   carrying a global effect.  Kernel fills (7), frees (11) and thread
+   switches (14) take the same path as the owned dispatch; only calls
+   (tick-without-frame) and writes (stamp-without-[ts_local]) differ.
+   Foreign reads, returns, blocks and syscall reads never reach a
+   non-owner (they are not broadcast), so they have no case here. *)
 let on_raw_foreign t ~tag ~arg ~len =
   if t.finished then invalid_arg "Drms_profiler: event after finish";
   match tag with
@@ -529,20 +484,6 @@ let on_batch t b =
         on_raw_foreign t ~tag:(Array.unsafe_get tags i)
           ~arg:(Array.unsafe_get args i) ~len:(Array.unsafe_get lens i)
     done
-
-let run t trace = Vec.iter (on_event t) trace
-
-let run_stream t s = Aprof_trace.Trace_stream.iter (on_event t) s
-
-let run_batches t (src : Aprof_trace.Trace_stream.batch_source) =
-  let rec loop () =
-    match src () with
-    | None -> ()
-    | Some b ->
-      on_batch t b;
-      loop ()
-  in
-  loop ()
 
 let profile t = t.profile
 

@@ -84,27 +84,10 @@ val set_owner : t -> (int -> bool) -> unit
     write-shadow-mutating events. *)
 val shard_broadcast : int
 
-(** [on_event t e] processes one trace event. *)
-val on_event : t -> Aprof_trace.Event.t -> unit
-
-(** [on_raw t ~tag ~tid ~arg ~len] is {!on_event} on the packed fields
-    of {!Aprof_trace.Event.Batch} — the zero-allocation hot entry: no
-    variant is constructed, and events whose kind carries no payload
-    ignore [arg]/[len]. *)
-val on_raw : t -> tag:int -> tid:int -> arg:int -> len:int -> unit
-
-(** [on_batch t b] feeds every packed event of [b] through {!on_raw}. *)
+(** [on_batch t b] processes every packed event of [b] in order — the
+    profiler's one event entry point.  It dispatches on the raw int
+    fields, so no [Event.t] is ever constructed. *)
 val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
-
-(** [run t trace] feeds a whole trace. *)
-val run : t -> Aprof_trace.Trace.t -> unit
-
-(** [run_stream t s] feeds the events of [s] incrementally; the stream
-    is consumed (the whole trace is never materialized). *)
-val run_stream : t -> Aprof_trace.Trace_stream.t -> unit
-
-(** [run_batches t src] drains a batch source through {!on_batch}. *)
-val run_batches : t -> Aprof_trace.Trace_stream.batch_source -> unit
 
 (** [finish t] collects every still-pending activation (as a profiler
     does at program exit) and returns the accumulated profile.  The

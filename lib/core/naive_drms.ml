@@ -140,9 +140,10 @@ let on_kernel_to_user t addr len =
     remove_from_others t ~writer:By_kernel a
   done
 
-let on_event t e =
-  if t.finished then invalid_arg "Naive_drms: event after finish";
-  Cost_model.Counter.on_event t.costs e;
+(* The oracle's private per-event core: it pattern-matches the unpacked
+   variant, so it stays a direct transcription of Figure 7.  Its speed
+   does not matter. *)
+let step t e =
   match e with
   | Event.Call { tid; routine } -> on_call t tid routine
   | Event.Return { tid } -> on_return t tid
@@ -170,9 +171,15 @@ let on_event t e =
   | Event.Thread_start _ | Event.Thread_exit _ | Event.Switch_thread _ ->
     ()
 
-let run t trace = Vec.iter (on_event t) trace
-
-let run_stream t s = Aprof_trace.Trace_stream.iter (on_event t) s
+let on_batch t b =
+  if t.finished then invalid_arg "Naive_drms: event after finish";
+  let module B = Event.Batch in
+  let tags = B.tags b and tids = B.tids b and args = B.args b in
+  for i = 0 to B.length b - 1 do
+    Cost_model.Counter.on_raw t.costs ~tag:tags.(i) ~tid:tids.(i)
+      ~arg:args.(i);
+    step t (B.get b i)
+  done
 
 let profile t = t.profile
 

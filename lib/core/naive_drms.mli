@@ -14,12 +14,10 @@
 type t
 
 val create : unit -> t
-val on_event : t -> Aprof_trace.Event.t -> unit
-val run : t -> Aprof_trace.Trace.t -> unit
 
-(** [run_stream t s] feeds the events of [s] incrementally; the stream
-    is consumed (the whole trace is never materialized). *)
-val run_stream : t -> Aprof_trace.Trace_stream.t -> unit
+(** [on_batch t b] processes every event of [b] in order.  Behind it the
+    oracle unpacks each event and runs its per-event core. *)
+val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
 
 (** [finish t] collects pending activations and returns the profile.
     Per-activation rms/drms/cost and per-routine first-read operation

@@ -173,37 +173,10 @@ let on_user_to_kernel t st addr len =
 let on_free t addr len =
   Hashtbl.iter (fun _ st -> Shadow.set_range st.ts_local ~addr ~len 0) t.threads
 
-(* Cost bumps (the basic-block model of {!Cost_model}) happen at
-   dispatch, riding the thread-state lookup the handler needs anyway:
-   calls, reads and writes count 1, a [Block] counts its units. *)
-let on_event t e =
-  if t.finished then invalid_arg "Rms_profiler: event after finish";
-  match e with
-  | Event.Call { tid; routine } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + 1;
-    on_call t st routine
-  | Event.Return { tid } -> on_return (thread_state t tid)
-  | Event.Read { tid; addr } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + 1;
-    on_read t st addr
-  | Event.Write { tid; addr } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + 1;
-    on_write t st addr
-  | Event.Block { tid; units } ->
-    let st = thread_state t tid in
-    st.cost <- st.cost + units
-  | Event.User_to_kernel { tid; addr; len } ->
-    on_user_to_kernel t (thread_state t tid) addr len
-  | Event.Switch_thread _ -> t.count <- t.count + 1
-  | Event.Free { addr; len; _ } -> on_free t addr len
-  | Event.Kernel_to_user _ | Event.Acquire _ | Event.Release _ | Event.Alloc _
-  | Event.Thread_start _ | Event.Thread_exit _ ->
-    ()
-
-(* Packed-field twin of [on_event]; tag literals are {!Event.Batch}'s. *)
+(* Dispatch on the packed fields; tag literals are {!Event.Batch}'s.
+   Cost bumps (the basic-block model of {!Cost_model}) happen here,
+   riding the thread-state lookup the handler needs anyway: calls, reads
+   and writes count 1, a [Block] counts its units. *)
 let on_raw t ~tag ~tid ~arg ~len =
   if t.finished then invalid_arg "Rms_profiler: event after finish";
   match tag with
@@ -238,20 +211,6 @@ let on_batch t b =
     on_raw t ~tag:(Array.unsafe_get tags i) ~tid:(Array.unsafe_get tids i)
       ~arg:(Array.unsafe_get args i) ~len:(Array.unsafe_get lens i)
   done
-
-let run t trace = Vec.iter (on_event t) trace
-
-let run_stream t s = Aprof_trace.Trace_stream.iter (on_event t) s
-
-let run_batches t (src : Aprof_trace.Trace_stream.batch_source) =
-  let rec loop () =
-    match src () with
-    | None -> ()
-    | Some b ->
-      on_batch t b;
-      loop ()
-  in
-  loop ()
 
 let profile t = t.profile
 

@@ -11,23 +11,10 @@
 type t
 
 val create : unit -> t
-val on_event : t -> Aprof_trace.Event.t -> unit
 
-(** [on_raw t ~tag ~tid ~arg ~len] is {!on_event} on the packed fields
-    of {!Aprof_trace.Event.Batch}; no variant is constructed. *)
-val on_raw : t -> tag:int -> tid:int -> arg:int -> len:int -> unit
-
-(** [on_batch t b] feeds every packed event of [b] through {!on_raw}. *)
+(** [on_batch t b] processes every packed event of [b] in order — the
+    profiler's one event entry point; no variant is constructed. *)
 val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
-
-val run : t -> Aprof_trace.Trace.t -> unit
-
-(** [run_stream t s] feeds the events of [s] incrementally; the stream
-    is consumed (the whole trace is never materialized). *)
-val run_stream : t -> Aprof_trace.Trace_stream.t -> unit
-
-(** [run_batches t src] drains a batch source through {!on_batch}. *)
-val run_batches : t -> Aprof_trace.Trace_stream.batch_source -> unit
 
 (** [finish t] collects pending activations and returns the profile.  In
     the resulting profile drms fields are copies of the rms values (this

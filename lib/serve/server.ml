@@ -122,6 +122,9 @@ type t = {
   (* Bookkeeping, under stats_m. *)
   stats_m : Mutex.t;
   mutable conns : conn list;  (* every ingest conn ever, newest first *)
+  fronts : (Unix.file_descr, unit) Hashtbl.t;
+      (* peers not routed yet or on a control line: not in [conns] *)
+  mutable fronts_shut : bool;  (* the stop sequence shut [fronts] down *)
   mutable next_id : int;
   mutable threads : Thread.t list;  (* accept + front/reader + snapshot *)
   mutable workers : Serve_backend.handle list;
@@ -621,8 +624,42 @@ let read_control_line fd first =
   in
   loop ()
 
+(* A peer's front thread owns its fd until it routes: registered at
+   accept, deregistered right before the front closes it or hands it to
+   an ingest connection, both under [stats_m] — so the stop sequence's
+   [shutdown_fronts] never touches a closed (possibly reused)
+   descriptor.  A front registered after the stop sequence started is
+   shut down at once. *)
+let front_open t fd =
+  Mutex.lock t.stats_m;
+  Hashtbl.replace t.fronts fd ();
+  if t.fronts_shut then
+    (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
+  Mutex.unlock t.stats_m
+
+let front_leave t fd =
+  Mutex.lock t.stats_m;
+  Hashtbl.remove t.fronts fd;
+  Mutex.unlock t.stats_m
+
+(* Shutting down the receive side ends a front's blocked read (EOF), so
+   a silent or half-line peer cannot hold the stop sequence's join; the
+   send side stays open, so a control reply already under way is still
+   delivered. *)
+let shutdown_fronts t =
+  Mutex.lock t.stats_m;
+  t.fronts_shut <- true;
+  Hashtbl.iter
+    (fun fd () ->
+      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    t.fronts;
+  Mutex.unlock t.stats_m
+
 let front t fd peer () =
-  let cleanup_plain () = try Unix.close fd with Unix.Unix_error _ -> () in
+  let cleanup_plain () =
+    front_leave t fd;
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
   match
     if t.cfg.idle_timeout > 0. then
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
@@ -637,6 +674,7 @@ let front t fd peer () =
     handle_control t fd line;
     cleanup_plain ()
   | `Ingest first4 ->
+    front_leave t fd;
     let c = make_conn t fd peer in
     Inbox.push c.c_inbox first4 4;
     mark_runnable t c;
@@ -674,9 +712,16 @@ let open_tcp_listener host port =
   in
   (fd, desc)
 
+(* How long [accept_loop] backs off when the process or system is out
+   of descriptors or memory; the pending peer waits in the backlog. *)
+let accept_backoff = 0.1
+
 (* Poll with a timeout instead of blocking in accept(2): closing an fd
    does not wake a blocked accept on Linux, and the stop sequence must
-   be able to join this thread. *)
+   be able to join this thread.  Running out of descriptors (or kernel
+   memory) is transient: back off and keep accepting, logging once per
+   episode, so control verbs can still reach the daemon once
+   connections close. *)
 let accept_loop t lfd () =
   Unix.set_nonblock lfd;
   let stopping () =
@@ -685,6 +730,7 @@ let accept_loop t lfd () =
     Mutex.unlock t.sched_m;
     s
   in
+  let starved = ref false in
   let rec loop () =
     if not (stopping ()) then begin
       match Unix.select [ lfd ] [] [] 0.2 with
@@ -692,8 +738,10 @@ let accept_loop t lfd () =
       | _ -> (
         match Unix.accept lfd with
         | fd, sa ->
+          starved := false;
           Unix.clear_nonblock fd;
           let peer = string_of_sockaddr sa in
+          front_open t fd;
           let th = Thread.create (front t fd peer) () in
           add_thread t th;
           loop ()
@@ -703,6 +751,18 @@ let accept_loop t lfd () =
                 | Unix.EWOULDBLOCK ),
                 _,
                 _ ) ->
+          loop ()
+        | exception
+            Unix.Unix_error
+              ( ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM) as e),
+                _,
+                _ ) ->
+          if not !starved then begin
+            starved := true;
+            t.cfg.log
+              (Printf.sprintf "accept: %s; backing off" (Unix.error_message e))
+          end;
+          Thread.delay accept_backoff;
           loop ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error _ -> ()  (* listener closed *)
@@ -756,6 +816,8 @@ let start cfg =
       snapshot_requested = false;
       stats_m = Mutex.create ();
       conns = [];
+      fronts = Hashtbl.create 16;
+      fronts_shut = false;
       next_id = 0;
       threads = [];
       workers = [];
@@ -814,10 +876,11 @@ let wait t =
   Mutex.unlock t.sched_m;
   if mine then begin
     (* ...then run the stop sequence on this thread. *)
-    (* 1. no new connections *)
+    (* 1. no new connections; peers not streaming a trace are cut off *)
     List.iter
       (fun (lfd, _) -> try Unix.close lfd with Unix.Unix_error _ -> ())
       t.listeners;
+    shutdown_fronts t;
     (* 2. let live streams drain; then force the stragglers *)
     if not (poll_drained t ~timeout:10.) then begin
       t.cfg.log "forcing open connections closed";

@@ -91,10 +91,18 @@ val tcp_port : t -> int option
 val request_stop : t -> unit
 
 (** [wait t] blocks until a stop is requested, then runs the shutdown
-    sequence: close listeners, drain live connections (bounded wait,
+    sequence: close listeners, shut down peers that have not routed yet
+    or are on a control line, drain live connections (bounded wait,
     then forced), stop workers, join every thread, write a final
     snapshot, unlink the Unix socket.  Returns when the server is fully
-    stopped; concurrent callers return together. *)
+    stopped; concurrent callers return together.
+
+    Stop bound: no peer can hold the sequence.  A peer that sent
+    nothing, or only part of a control line, is shut down at once;
+    ingest streams get 10 s to finish and are then forced closed, with
+    5 s more to settle.  So [wait] returns within 15 s of the request
+    plus the time to join the workers (each finishes the item it is
+    decoding) and to write the final snapshot. *)
 val wait : t -> unit
 
 (** {!request_stop} + {!wait}. *)

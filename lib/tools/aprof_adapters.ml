@@ -1,14 +1,15 @@
 let rms_tool p =
-  Tool.make ~name:"aprof"
-    ~on_event:(Aprof_core.Rms_profiler.on_event p)
-    ~on_batch:(Aprof_core.Rms_profiler.on_batch p)
-    ~space_words:(fun () -> Aprof_core.Rms_profiler.space_words p)
-    ~summary:(fun () ->
-      let profile = Aprof_core.Rms_profiler.finish p in
-      Printf.sprintf "aprof: %d activations over %d routines"
-        (Aprof_core.Profile.total_activations profile)
-        (List.length (Aprof_core.Profile.routines profile)))
-    ()
+  {
+    Tool.name = "aprof";
+    on_batch = Aprof_core.Rms_profiler.on_batch p;
+    space_words = (fun () -> Aprof_core.Rms_profiler.space_words p);
+    summary =
+      (fun () ->
+        let profile = Aprof_core.Rms_profiler.finish p in
+        Printf.sprintf "aprof: %d activations over %d routines"
+          (Aprof_core.Profile.total_activations profile)
+          (List.length (Aprof_core.Profile.routines profile)));
+  }
 
 let aprof_rms =
   {
@@ -35,16 +36,17 @@ module Rms_mergeable = struct
 end
 
 let drms_tool p =
-  Tool.make ~name:"aprof-drms"
-    ~on_event:(Aprof_core.Drms_profiler.on_event p)
-    ~on_batch:(Aprof_core.Drms_profiler.on_batch p)
-    ~space_words:(fun () -> Aprof_core.Drms_profiler.space_words p)
-    ~summary:(fun () ->
-      let profile = Aprof_core.Drms_profiler.finish p in
-      Printf.sprintf "aprof-drms: %d activations over %d routines"
-        (Aprof_core.Profile.total_activations profile)
-        (List.length (Aprof_core.Profile.routines profile)))
-    ()
+  {
+    Tool.name = "aprof-drms";
+    on_batch = Aprof_core.Drms_profiler.on_batch p;
+    space_words = (fun () -> Aprof_core.Drms_profiler.space_words p);
+    summary =
+      (fun () ->
+        let profile = Aprof_core.Drms_profiler.finish p in
+        Printf.sprintf "aprof-drms: %d activations over %d routines"
+          (Aprof_core.Profile.total_activations profile)
+          (List.length (Aprof_core.Profile.routines profile)));
+  }
 
 let aprof_drms =
   {
@@ -79,14 +81,16 @@ module Naive_mergeable = struct
   let create () = Aprof_core.Naive_drms.create ()
 
   let tool p =
-    Tool.make ~name:"naive-drms"
-      ~on_event:(Aprof_core.Naive_drms.on_event p)
-      ~space_words:(fun () -> 0)
-      ~summary:(fun () ->
-        let profile = Aprof_core.Naive_drms.finish p in
-        Printf.sprintf "naive-drms: %d activations"
-          (Aprof_core.Profile.total_activations profile))
-      ()
+    {
+      Tool.name = "naive-drms";
+      on_batch = Aprof_core.Naive_drms.on_batch p;
+      space_words = (fun () -> 0);
+      summary =
+        (fun () ->
+          let profile = Aprof_core.Naive_drms.finish p in
+          Printf.sprintf "naive-drms: %d activations"
+            (Aprof_core.Profile.total_activations profile));
+    }
 
   let merge = Aprof_core.Naive_drms.merge_into
 

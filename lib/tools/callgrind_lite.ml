@@ -69,46 +69,9 @@ let eacc t key =
     Hashtbl.add t.by_edge key e;
     e
 
-let on_event t e =
-  let cost = Aprof_core.Cost_model.cost_increment e in
-  (match e with
-  | Event.Call { tid; routine } ->
-    let s = stack t tid in
-    let caller = if Vec.is_empty s then -1 else (Vec.top s).rtn in
-    Vec.push s { rtn = routine; caller; own = 0; children = 0 };
-    (racc t routine).calls <- (racc t routine).calls + 1
-  | Event.Return { tid } ->
-    let s = stack t tid in
-    if Vec.is_empty s then invalid_arg "Callgrind_lite: return without call";
-    let fr = Vec.pop s in
-    let inclusive = fr.own + fr.children in
-    let r = racc t fr.rtn in
-    r.excl <- r.excl + fr.own;
-    r.incl <- r.incl + inclusive;
-    let edge = eacc t (fr.caller, fr.rtn) in
-    edge.cnt <- edge.cnt + 1;
-    edge.einc <- edge.einc + inclusive;
-    if not (Vec.is_empty s) then begin
-      let parent = Vec.top s in
-      parent.children <- parent.children + inclusive
-    end
-  | Event.Read { tid; _ }
-  | Event.Write { tid; _ }
-  | Event.Block { tid; _ } ->
-    charge t tid cost
-  | Event.User_to_kernel _ | Event.Kernel_to_user _ | Event.Acquire _
-  | Event.Release _ | Event.Alloc _ | Event.Free _ | Event.Thread_start _
-  | Event.Thread_exit _ | Event.Switch_thread _ ->
-    ());
-  (* The Call event's own dispatch cost belongs to the callee. *)
-  match e with
-  | Event.Call { tid; _ } -> charge t tid cost
-  | _ -> ()
-
-(* Packed-field twin of [on_event]; tag literals are {!Event.Batch}'s:
+(* Dispatch on the packed fields; tag literals are {!Event.Batch}'s:
    1 Call, 2 Return, 3 Read, 4 Write, 5 Block.  The Call arm charges the
-   dispatch cost after pushing, so it lands on the callee, exactly as
-   the two-step variant dispatch above does. *)
+   call's dispatch cost after pushing, so it lands on the callee. *)
 let on_raw t ~tag ~tid ~arg =
   match tag with
   | 1 ->
@@ -187,13 +150,16 @@ let merge ~into src =
     src.stacks
 
 let tool_of t =
-  Tool.make ~name:"callgrind" ~on_event:(on_event t) ~on_batch:(on_batch t)
-    ~space_words:(fun () -> space_words t)
-    ~summary:(fun () ->
-      Printf.sprintf "callgrind: %d routines, %d edges"
-        (Hashtbl.length t.by_routine)
-        (Hashtbl.length t.by_edge))
-    ()
+  {
+    Tool.name = "callgrind";
+    on_batch = on_batch t;
+    space_words = (fun () -> space_words t);
+    summary =
+      (fun () ->
+        Printf.sprintf "callgrind: %d routines, %d edges"
+          (Hashtbl.length t.by_routine)
+          (Hashtbl.length t.by_edge));
+  }
 
 let tool () = tool_of (create ())
 

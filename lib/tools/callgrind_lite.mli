@@ -19,9 +19,8 @@ type edge_costs = {
 type t
 
 val create : unit -> t
-val on_event : t -> Aprof_trace.Event.t -> unit
 
-(** [on_batch t b] is {!on_event} over the packed events of [b],
+(** [on_batch t b] processes every packed event of [b] in order,
     dispatching on raw tags without constructing variants. *)
 val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
 

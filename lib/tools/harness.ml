@@ -1,4 +1,5 @@
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
+module Batch = Aprof_trace.Event.Batch
 
 type measurement = {
   tool : string;
@@ -44,13 +45,24 @@ let time_of ~min_time f =
   done;
   elapsed () /. float_of_int !runs
 
-(* The measurement core, parameterized over how a tool consumes the
-   events: [replay] feeds one fresh tool instance the whole event
-   sequence, [native] enumerates it with an empty handler (our stand-in
-   for uninstrumented execution).  [measure] instantiates it with direct
-   vector iteration, [measure_stream] with incremental stream pulls. *)
-let measure_with ~min_time ~native ~replay ~program_words factories =
-  let native_time = time_of ~min_time native in
+(* A handler-free replay standing in for native execution: forces the
+   walk over every event's packed fields without analysis work.  The
+   accumulator escapes through [Sys.opaque_identity] so the loop cannot
+   be optimized away. *)
+let native_replay trace =
+  let acc = ref 0 in
+  Trace.replay trace (fun b ->
+      let tids = Batch.tids b in
+      for i = 0 to Batch.length b - 1 do
+        acc := !acc + Array.unsafe_get tids i
+      done);
+  ignore (Sys.opaque_identity !acc)
+
+(* [native] enumerates the trace with an empty handler (our stand-in
+   for uninstrumented execution); each tool replays the same trace. *)
+let measure ?(min_time = 0.05) ~trace ~program_words factories =
+  let replay (t : Tool.t) = Trace.replay trace t.Tool.on_batch in
+  let native_time = time_of ~min_time (fun () -> native_replay trace) in
   let nulgrind_time =
     time_of ~min_time (fun () -> replay (Nulgrind.tool ()))
   in
@@ -77,34 +89,6 @@ let measure_with ~min_time ~native ~replay ~program_words factories =
         summary = t.Tool.summary ();
       })
     factories
-
-(* A handler-free replay standing in for native execution: forces the
-   trace walk without analysis work.  The accumulator escapes through a
-   ref so the loop cannot be optimized away. *)
-let native_replay trace =
-  let acc = ref 0 in
-  Vec.iter (fun ev -> acc := !acc + Aprof_trace.Event.tid ev) trace;
-  ignore !acc
-
-let measure ?(min_time = 0.05) ~trace ~program_words factories =
-  measure_with ~min_time
-    ~native:(fun () -> native_replay trace)
-    ~replay:(fun t -> Tool.replay t trace)
-    ~program_words factories
-
-let native_replay_stream source =
-  let acc =
-    Aprof_trace.Trace_stream.fold
-      (fun acc ev -> acc + Aprof_trace.Event.tid ev)
-      0 source
-  in
-  ignore (Sys.opaque_identity acc)
-
-let measure_stream ?(min_time = 0.05) ~source ~program_words factories =
-  measure_with ~min_time
-    ~native:(fun () -> native_replay_stream (source ()))
-    ~replay:(fun t -> Tool.replay_stream t (source ()))
-    ~program_words factories
 
 let geometric_rows per_benchmark =
   match per_benchmark with

@@ -1,12 +1,13 @@
 (** The slowdown/space measurement harness behind Table 1 and Figure 16.
 
-    Every tool replays the *same* materialized trace; time is CPU seconds
-    over enough repetitions to dominate timer noise, and slowdown is
-    reported against two baselines:
+    Every tool replays the *same* packed trace through its [on_batch]
+    ({!Aprof_trace.Trace.replay}); time is CPU seconds over enough
+    repetitions to dominate timer noise, and slowdown is reported
+    against two baselines:
 
-    - [vs_native]: replaying the trace with an empty handler — our
-      equivalent of native execution (the program "runs" when its trace
-      is enumerated; tools add analysis work on top);
+    - [vs_native]: walking every event's packed fields with an empty
+      handler — our equivalent of native execution (the program "runs"
+      when its trace is enumerated; tools add analysis work on top);
     - [vs_nulgrind]: against the null tool, the paper's shared
       instrumentation baseline.
 
@@ -49,19 +50,6 @@ val global_factories : unit -> Tool.factory list
 val measure :
   ?min_time:float ->
   trace:Aprof_trace.Trace.t ->
-  program_words:int ->
-  Tool.factory list ->
-  measurement list
-
-(** [measure_stream ~source ~program_words factories] is {!measure} over
-    an incremental event source instead of a materialized trace.
-    [source] must produce a fresh stream per call (streams are
-    single-use); it is re-invoked for every timed repetition, so its own
-    cost — decoding a file, re-running a workload — is part of the
-    measured time. *)
-val measure_stream :
-  ?min_time:float ->
-  source:(unit -> Aprof_trace.Trace_stream.t) ->
   program_words:int ->
   Tool.factory list ->
   measurement list

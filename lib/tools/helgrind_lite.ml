@@ -324,24 +324,6 @@ let on_release t tid lock =
   t.epochs.(tid) <- (c lsl tid_bits) lor tid;
   th.held <- Lockset.remove t.locks th.held lock
 
-let on_event t = function
-  | Event.Read { tid; addr } -> on_read t tid addr
-  | Event.Write { tid; addr } -> on_write t tid addr
-  | Event.Kernel_to_user { tid; addr; len } ->
-    for a = addr to addr + len - 1 do
-      on_write t tid a
-    done
-  | Event.User_to_kernel { tid; addr; len } ->
-    for a = addr to addr + len - 1 do
-      on_read t tid a
-    done
-  | Event.Acquire { tid; lock } -> on_acquire t tid lock
-  | Event.Release { tid; lock } -> on_release t tid lock
-  | Event.Thread_start { tid } -> ignore (thread t tid)
-  | Event.Call _ | Event.Return _ | Event.Block _ | Event.Alloc _
-  | Event.Free _ | Event.Thread_exit _ | Event.Switch_thread _ ->
-    ()
-
 (* Packed-field dispatch for the batch pipeline; tag literals are
    {!Event.Batch}'s. *)
 let on_raw t ~tag ~tid ~arg ~len =
@@ -402,9 +384,11 @@ let render_report t =
 
 let tool () =
   let t = create () in
-  Tool.make ~name:"helgrind" ~on_event:(on_event t) ~on_batch:(on_batch t)
-    ~space_words:(fun () -> space_words t)
-    ~summary:(fun () -> summary t)
-    ()
+  {
+    Tool.name = "helgrind";
+    on_batch = on_batch t;
+    space_words = (fun () -> space_words t);
+    summary = (fun () -> summary t);
+  }
 
 let factory = { Tool.tool_name = "helgrind"; create = tool }

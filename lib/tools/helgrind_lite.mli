@@ -34,12 +34,9 @@ val pp_race : Format.formatter -> race -> unit
 type t
 
 val create : unit -> t
-val on_event : t -> Aprof_trace.Event.t -> unit
 
-(** Packed-field dispatch used by the batch pipeline; [tag] is an
-    {!Aprof_trace.Event.Batch} wire tag. *)
-val on_raw : t -> tag:int -> tid:int -> arg:int -> len:int -> unit
-
+(** [on_batch t b] processes every packed event of [b] in order,
+    dispatching on raw tags without constructing variants. *)
 val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
 
 (** [races t] in detection order, deduplicated per (address, kind). *)

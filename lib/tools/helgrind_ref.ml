@@ -121,7 +121,8 @@ let on_read t tid addr =
     report t addr `Write_read c.wtid tid;
   Vclock.set c.reads tid (Vclock.get clk tid)
 
-let on_event t = function
+(* The oracle's private per-event core; its speed does not matter. *)
+let step t = function
   | Event.Read { tid; addr } -> on_read t tid addr
   | Event.Write { tid; addr } -> on_write t tid addr
   | Event.Kernel_to_user { tid; addr; len } ->
@@ -146,5 +147,7 @@ let on_event t = function
   | Event.Call _ | Event.Return _ | Event.Block _ | Event.Alloc _
   | Event.Free _ | Event.Thread_exit _ | Event.Switch_thread _ ->
     ()
+
+let on_batch t b = Event.Batch.iter_events (step t) b
 
 let races t = List.rev t.race_list

@@ -17,7 +17,10 @@ type race = {
 type t
 
 val create : unit -> t
-val on_event : t -> Aprof_trace.Event.t -> unit
+
+(** [on_batch t b] processes every event of [b] in order.  Behind it the
+    oracle unpacks each event and runs its per-event core. *)
+val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
 
 (** [races t] in detection order, deduplicated per (address, kind). *)
 val races : t -> race list

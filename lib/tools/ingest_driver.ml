@@ -110,7 +110,7 @@ let on_batch t b =
   match current t with
   | Drms p -> Drms.on_batch p b
   | Rms p -> Rms.on_batch p b
-  | Naive p -> Batch.iter_events (Aprof_core.Naive_drms.on_event p) b
+  | Naive p -> Aprof_core.Naive_drms.on_batch p b
 
 let note_drop t =
   match t.orphans with

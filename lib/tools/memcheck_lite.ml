@@ -67,32 +67,41 @@ let check_write t tid addr =
     else Shadow.set t.shadow addr s_defined
   end
 
-let on_event t = function
-  | Event.Read { tid; addr } -> check_read t tid addr
-  | Event.Write { tid; addr } -> check_write t tid addr
-  | Event.Alloc { addr; len; _ } ->
-    Hashtbl.replace t.blocks addr len;
-    Shadow.set_range t.shadow ~addr ~len s_alloc
-  | Event.Free { tid; addr; len = _ } -> (
-    match Hashtbl.find_opt t.blocks addr with
-    | None -> report t (Invalid_free { tid; addr })
-    | Some len ->
-      Hashtbl.remove t.blocks addr;
-      Shadow.set_range t.shadow ~addr ~len s_untracked)
-  | Event.Kernel_to_user { addr; len; _ } ->
+(* Dispatch on the packed fields; tag literals are {!Event.Batch}'s:
+   3 Read, 4 Write, 6 U2k, 7 K2u, 10 Alloc, 11 Free. *)
+let on_raw t ~tag ~tid ~arg ~len =
+  match tag with
+  | 3 -> check_read t tid arg
+  | 4 -> check_write t tid arg
+  | 10 ->
+    Hashtbl.replace t.blocks arg len;
+    Shadow.set_range t.shadow ~addr:arg ~len s_alloc
+  | 11 -> (
+    match Hashtbl.find t.blocks arg with
+    | exception Not_found -> report t (Invalid_free { tid; addr = arg })
+    | len ->
+      Hashtbl.remove t.blocks arg;
+      Shadow.set_range t.shadow ~addr:arg ~len s_untracked)
+  | 7 ->
     (* The kernel defined the buffer; flag writes landing outside live
        allocations like ordinary stores. *)
-    for a = addr to addr + len - 1 do
+    for a = arg to arg + len - 1 do
       check_write t 0 a
     done
-  | Event.User_to_kernel { tid; addr; len } ->
-    for a = addr to addr + len - 1 do
+  | 6 ->
+    for a = arg to arg + len - 1 do
       check_read t tid a
     done
-  | Event.Call _ | Event.Return _ | Event.Block _ | Event.Acquire _
-  | Event.Release _ | Event.Thread_start _ | Event.Thread_exit _
-  | Event.Switch_thread _ ->
-    ()
+  | _ -> ()
+
+let on_batch t b =
+  let module B = Event.Batch in
+  let tags = B.tags b and tids = B.tids b in
+  let args = B.args b and lens = B.lens b in
+  for i = 0 to B.length b - 1 do
+    on_raw t ~tag:(Array.unsafe_get tags i) ~tid:(Array.unsafe_get tids i)
+      ~arg:(Array.unsafe_get args i) ~len:(Array.unsafe_get lens i)
+  done
 
 let errors t = List.rev t.errs
 
@@ -103,14 +112,17 @@ let leaks t =
 let merge ~into src = List.iter (report into) (errors src)
 
 let tool_of t =
-  Tool.make ~name:"memcheck" ~on_event:(on_event t)
-    ~space_words:(fun () ->
-      Shadow.space_words t.shadow + (2 * Hashtbl.length t.blocks))
-    ~summary:(fun () ->
-      Printf.sprintf "memcheck: %d errors, %d leaked blocks"
-        (List.length (errors t))
-        (List.length (leaks t)))
-    ()
+  {
+    Tool.name = "memcheck";
+    on_batch = on_batch t;
+    space_words =
+      (fun () -> Shadow.space_words t.shadow + (2 * Hashtbl.length t.blocks));
+    summary =
+      (fun () ->
+        Printf.sprintf "memcheck: %d errors, %d leaked blocks"
+          (List.length (errors t))
+          (List.length (leaks t)));
+  }
 
 let tool () = tool_of (create ())
 

@@ -27,7 +27,8 @@ val pp_error : Format.formatter -> error -> unit
     (default 0x1000, the VM allocator's base). *)
 val create : ?heap_base:int -> unit -> t
 
-val on_event : t -> Aprof_trace.Event.t -> unit
+(** [on_batch t b] checks every packed event of [b] in order. *)
+val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
 
 (** [errors t] in detection order, deduplicated per (kind, address). *)
 val errors : t -> error list

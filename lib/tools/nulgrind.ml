@@ -2,8 +2,6 @@ type t = { mutable events : int }
 
 let create () = { events = 0 }
 
-let on_event t _ = t.events <- t.events + 1
-
 let on_batch t b = t.events <- t.events + Aprof_trace.Event.Batch.length b
 
 let events t = t.events
@@ -11,10 +9,13 @@ let events t = t.events
 let merge ~into src = into.events <- into.events + src.events
 
 let tool_of t =
-  Tool.make ~name:"nulgrind" ~on_event:(on_event t) ~on_batch:(on_batch t)
-    ~space_words:(fun () -> 1)
-    ~summary:(fun () -> Printf.sprintf "nulgrind: %d events replayed" t.events)
-    ()
+  {
+    Tool.name = "nulgrind";
+    on_batch = on_batch t;
+    space_words = (fun () -> 1);
+    summary =
+      (fun () -> Printf.sprintf "nulgrind: %d events replayed" t.events);
+  }
 
 let tool () = tool_of (create ())
 

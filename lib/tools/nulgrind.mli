@@ -5,7 +5,6 @@
 type t
 
 val create : unit -> t
-val on_event : t -> Aprof_trace.Event.t -> unit
 
 (** [on_batch t b] counts a whole batch in O(1). *)
 val on_batch : t -> Aprof_trace.Event.Batch.t -> unit

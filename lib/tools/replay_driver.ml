@@ -49,16 +49,6 @@ let union_names tables =
   List.iter (Hashtbl.iter (fun k v -> Hashtbl.replace out k v)) tables;
   out
 
-let drain batches on_batch =
-  let rec loop n =
-    match batches () with
-    | None -> n
-    | Some b ->
-      on_batch b;
-      loop (n + Batch.length b)
-  in
-  loop 0
-
 (* A dropped chunk can swallow the [Call]s whose activations a later
    chunk closes; the orphaned [Return]s would then pop an empty shadow
    stack and abort every profiler.  Those returns belong to the regions
@@ -136,34 +126,31 @@ let open_batches ~keep_going ~drops path ic =
           | None -> None ))
     else Codec.read ~path ~on_corrupt:`Fail ic
   | `Text ->
-    (Hashtbl.create 1, Stream.batches_of_events (Stream.of_text_channel ic))
+    (Hashtbl.create 1, Stream.of_text_channel ic)
+
+(* A fresh profiler of the chosen kind: its batch entry and its
+   finisher. *)
+let profiler_instance = function
+  | `Drms ->
+    let module P = Aprof_core.Drms_profiler in
+    let p = P.create () in
+    (P.on_batch p, fun () -> P.finish p)
+  | `Rms ->
+    let module P = Aprof_core.Rms_profiler in
+    let p = P.create () in
+    (P.on_batch p, fun () -> P.finish p)
+  | `Naive ->
+    let module P = Aprof_core.Naive_drms in
+    let p = P.create () in
+    (P.on_batch p, fun () -> P.finish p)
 
 (* One trace file through one fresh profiler instance, sequentially. *)
 let sequential_profile ~keep_going ~profiler ~drops path =
   In_channel.with_open_bin path (fun ic ->
       let names, batches = open_batches ~keep_going ~drops path ic in
-      let n, profile =
-        match profiler with
-        | `Drms ->
-          let p = Aprof_core.Drms_profiler.create () in
-          let n = drain batches (Aprof_core.Drms_profiler.on_batch p) in
-          (n, Aprof_core.Drms_profiler.finish p)
-        | `Rms ->
-          let p = Aprof_core.Rms_profiler.create () in
-          let n = drain batches (Aprof_core.Rms_profiler.on_batch p) in
-          (n, Aprof_core.Rms_profiler.finish p)
-        | `Naive ->
-          let p = Aprof_core.Naive_drms.create () in
-          let n = ref 0 in
-          Aprof_core.Naive_drms.run_stream p
-            (Stream.map
-               (fun ev ->
-                 incr n;
-                 ev)
-               (Stream.events_of_batches batches));
-          (!n, Aprof_core.Naive_drms.finish p)
-      in
-      (n, profile, names))
+      let on_batch, finish = profiler_instance profiler in
+      let n = Stream.drain batches on_batch in
+      (n, finish (), names))
 
 (* One trace file through the work-stealing engine (see
    {!Tool.replay_parallel}); all three profilers have mergeable

@@ -3,7 +3,6 @@ module Stream = Aprof_trace.Trace_stream
 
 type t = {
   name : string;
-  on_event : Event.t -> unit;
   on_batch : Event.Batch.t -> unit;
   space_words : unit -> int;
   summary : unit -> string;
@@ -11,31 +10,7 @@ type t = {
 
 type factory = { tool_name : string; create : unit -> t }
 
-let make ?on_batch ~name ~on_event ~space_words ~summary () =
-  let on_batch =
-    match on_batch with
-    | Some f -> f
-    | None -> fun b -> Event.Batch.iter_events on_event b
-  in
-  { name; on_event; on_batch; space_words; summary }
-
-let replay tool trace = Aprof_util.Vec.iter tool.on_event trace
-
-let replay_stream tool source = Stream.iter tool.on_event source
-
-let replay_batches tool (src : Stream.batch_source) =
-  let rec loop n =
-    match src () with
-    | None -> n
-    | Some b ->
-      tool.on_batch b;
-      loop (n + Event.Batch.length b)
-  in
-  loop 0
-
-let sink tool = Stream.sink_of_fun tool.on_event
-
-let batch_sink tool = Stream.batch_sink_of_fun tool.on_batch
+let replay_batches tool src = Stream.drain src tool.on_batch
 
 (* ----- mergeable tools ------------------------------------------------- *)
 
@@ -60,7 +35,6 @@ let shard_keep ~owns ~broadcast =
 
 module Shards = struct
   module Codec = Aprof_trace.Trace_codec
-  module Vec = Aprof_util.Vec
 
   type chunk = { events : int; tag_mask : int; tids : int array }
 
@@ -108,7 +82,8 @@ module Shards = struct
 
   let of_trace ?(chunk_events = 4096) trace =
     if chunk_events < 1 then invalid_arg "Shards.of_trace: chunk_events < 1";
-    let n = Vec.length trace in
+    let module Trace = Aprof_trace.Trace in
+    let n = Trace.length trace in
     let nchunks = (n + chunk_events - 1) / chunk_events in
     let bounds i = (i * chunk_events, min n ((i + 1) * chunk_events)) in
     let chunks =
@@ -116,11 +91,9 @@ module Shards = struct
           let lo, hi = bounds i in
           let mask = ref 0 in
           let tids = Hashtbl.create 8 in
-          for j = lo to hi - 1 do
-            let ev = Vec.get trace j in
-            mask := !mask lor (1 lsl Event.Batch.tag_of_event ev);
-            Hashtbl.replace tids (Event.tid ev) ()
-          done;
+          Trace.iter_raw trace ~pos:lo ~len:(hi - lo) (fun tag tid _ _ ->
+              mask := !mask lor (1 lsl tag);
+              Hashtbl.replace tids tid ());
           let tids = Hashtbl.fold (fun tid () acc -> tid :: acc) tids [] in
           let tids = Array.of_list tids in
           Array.sort compare tids;
@@ -129,20 +102,19 @@ module Shards = struct
     let names : (int, string) Hashtbl.t = Hashtbl.create 1 in
     let open_session ?keep () =
       let keep = match keep with None -> fun _ _ -> true | Some k -> k in
-      let b = Event.Batch.create () in
+      let b = Event.Batch.create ~capacity:chunk_events () in
       let read i =
         let lo, hi = bounds i in
-        let pos = ref lo in
+        let pending = ref true in
         fun () ->
-          if !pos >= hi then None
+          if not !pending then None
           else begin
+            pending := false;
             Event.Batch.clear b;
-            while !pos < hi && not (Event.Batch.is_full b) do
-              let ev = Vec.get trace !pos in
-              incr pos;
-              if keep (Event.Batch.tag_of_event ev) (Event.tid ev) then
-                Event.Batch.push b ev
-            done;
+            Trace.iter_raw trace ~pos:lo ~len:(hi - lo)
+              (fun tag tid arg len ->
+                if keep tag tid then
+                  Event.Batch.unsafe_push b ~tag ~tid ~arg ~len);
             Some b
           end
       in

@@ -3,19 +3,18 @@
     tool consumes the same event stream and exposes its memory footprint
     for the space-overhead comparison.
 
-    Tools have two entry points: the per-event [on_event] and the packed
-    [on_batch].  The two must be observationally equivalent —
-    [on_batch b] behaves exactly like [on_event] over the unpacked
-    events of [b] — which the qcheck batch/per-event differential suite
-    checks for every standard tool.  Replaying through [on_batch] is the
-    hot path: tools with a native batch implementation process raw int
-    fields without constructing variants. *)
+    A tool has one event entry point, [on_batch], over packed
+    {!Aprof_trace.Event.Batch.t}s: the tools dispatch on the raw int
+    fields and never construct an [Event.t].  Every producer feeds it —
+    a live VM run ({!Aprof_vm.Interp.run_batched}), an in-memory trace
+    ({!Aprof_trace.Trace.replay}), a decoded file or socket
+    ({!replay_batches}). *)
 
 type t = {
   name : string;
-  on_event : Aprof_trace.Event.t -> unit;
   on_batch : Aprof_trace.Event.Batch.t -> unit;
-      (** must not retain the batch: the producer recycles it *)
+      (** must neither retain nor modify the batch: the producer owns
+          and may recycle it *)
   space_words : unit -> int;
       (** current footprint of the tool's own data structures, in words *)
   summary : unit -> string;  (** one-paragraph human-readable result *)
@@ -24,36 +23,9 @@ type t = {
 (** A tool factory: fresh state per run. *)
 type factory = { tool_name : string; create : unit -> t }
 
-(** [make ~name ~on_event ~space_words ~summary ()] builds a tool.  When
-    [?on_batch] is omitted it defaults to unpacking the batch through
-    [on_event] — correct for every tool, so a native batch
-    implementation is purely an optimization. *)
-val make :
-  ?on_batch:(Aprof_trace.Event.Batch.t -> unit) ->
-  name:string ->
-  on_event:(Aprof_trace.Event.t -> unit) ->
-  space_words:(unit -> int) ->
-  summary:(unit -> string) ->
-  unit ->
-  t
-
-(** [replay tool trace] feeds every event. *)
-val replay : t -> Aprof_trace.Trace.t -> unit
-
-(** [replay_stream tool source] feeds every event of [source]
-    incrementally, never materializing the trace. *)
-val replay_stream : t -> Aprof_trace.Trace_stream.t -> unit
-
 (** [replay_batches tool src] drains [src] through [on_batch] and
     returns the number of events replayed. *)
 val replay_batches : t -> Aprof_trace.Trace_stream.batch_source -> int
-
-(** [sink tool] views the tool as an event sink (close is a no-op). *)
-val sink : t -> Aprof_trace.Trace_stream.sink
-
-(** [batch_sink tool] views the tool as a batch sink (close is a
-    no-op). *)
-val batch_sink : t -> Aprof_trace.Trace_stream.batch_sink
 
 (** {1 Mergeable tools}
 
@@ -144,7 +116,8 @@ module Shards : sig
 
   (** [of_trace trace] slices an in-memory trace into synthetic chunks
       of [chunk_events] events (default 4096) — the test harness's way
-      to drive the parallel engine without a file. *)
+      to drive the parallel engine without a file.  Sessions copy the
+      raw fields of a chunk's kept events into one recycled batch. *)
   val of_trace : ?chunk_events:int -> Aprof_trace.Trace.t -> t
 end
 

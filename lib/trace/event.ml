@@ -362,13 +362,6 @@ module Batch = struct
     check b i;
     unpack b i
 
-  let set b i ev =
-    check b i;
-    let saved = b.len in
-    b.len <- i;
-    push b ev;
-    b.len <- saved
-
   let iter f b =
     for i = 0 to b.len - 1 do
       f
@@ -381,11 +374,6 @@ module Batch = struct
   let iter_events f b =
     for i = 0 to b.len - 1 do
       f (unpack b i)
-    done
-
-  let map_in_place f b =
-    for i = 0 to b.len - 1 do
-      set b i (f (unpack b i))
     done
 
   let filter_in_place p b =
@@ -404,35 +392,15 @@ module Batch = struct
     done;
     b.len <- !w
 
-  (* Raw twin of [filter_in_place] for the parallel replay path: the
-     predicate sees the packed tag/tid fields, so filtering a batch down
-     to one shard's threads unpacks nothing. *)
-  let keep_in_place p b =
-    let w = ref 0 in
-    for i = 0 to b.len - 1 do
-      let tag = Array.unsafe_get b.tags i in
-      let tid = Array.unsafe_get b.tids i in
-      if p tag tid then begin
-        let j = !w in
-        if j <> i then begin
-          Array.unsafe_set b.tags j tag;
-          Array.unsafe_set b.tids j tid;
-          Array.unsafe_set b.args j (Array.unsafe_get b.args i);
-          Array.unsafe_set b.lens j (Array.unsafe_get b.lens i)
-        end;
-        incr w
-      end
-    done;
-    b.len <- !w
-
-  let of_trace (tr : event Aprof_util.Vec.t) =
-    let n = Aprof_util.Vec.length tr in
-    let b = create ~capacity:(max n 1) () in
-    Aprof_util.Vec.iter (push b) tr;
-    b
-
-  let to_trace b =
-    let tr = Aprof_util.Vec.create () in
-    iter_events (Aprof_util.Vec.push tr) b;
-    tr
+  (* Bulk copy for the packed trace: four blits, nothing unpacked. *)
+  let append dst src ~pos ~len =
+    if pos < 0 || len < 0 || pos + len > src.len then
+      invalid_arg "Event.Batch.append: source range out of bounds";
+    if dst.len + len > Array.length dst.tags then
+      invalid_arg "Event.Batch.append: no room in the destination";
+    Array.blit src.tags pos dst.tags dst.len len;
+    Array.blit src.tids pos dst.tids dst.len len;
+    Array.blit src.args pos dst.args dst.len len;
+    Array.blit src.lens pos dst.lens dst.len len;
+    dst.len <- dst.len + len
 end

@@ -78,7 +78,8 @@ val equal : t -> t -> bool
     (profilers, tools, the encoder) dispatch on the int tag and read the
     arrays directly, so no [Event.t] variant is ever constructed on the
     hot path.  {!pack}ing/unpacking to [Event.t] happens only at the
-    edges ({!push}, {!get}, {!iter_events}). *)
+    edges ({!push}, {!get}, {!iter_events}).  A whole trace is a
+    sequence of batches ({!Trace.t}). *)
 module Batch : sig
   type event = t
 
@@ -184,28 +185,16 @@ module Batch : sig
   (** [get b i] unpacks the [i]-th event (constructs a variant). *)
   val get : t -> int -> event
 
-  (** [set b i ev] overwrites the [i]-th event in place. *)
-  val set : t -> int -> event -> unit
-
   (** [iter_events f b] unpacks each event in order. *)
   val iter_events : (event -> unit) -> t -> unit
 
-  (** [map_in_place f b] / [filter_in_place p b]: the per-event
-      transformers lifted onto the packed representation; the batch is
-      rewritten (and compacted) in place. *)
-  val map_in_place : (event -> event) -> t -> unit
-
+  (** [filter_in_place p b] keeps the events satisfying [p], in order;
+      the batch is compacted in place. *)
   val filter_in_place : (event -> bool) -> t -> unit
 
-  (** [keep_in_place p b] compacts [b] to the events whose packed
-      [tag]/[tid] fields satisfy [p tag tid], preserving order.  The raw
-      twin of {!filter_in_place}: nothing is unpacked, so sharding a
-      batch by thread stays allocation-free. *)
-  val keep_in_place : (int -> int -> bool) -> t -> unit
-
-  (** [of_trace tr] packs a whole trace into one batch sized to fit;
-      [to_trace] unpacks back. *)
-  val of_trace : event Aprof_util.Vec.t -> t
-
-  val to_trace : t -> event Aprof_util.Vec.t
+  (** [append dst src ~pos ~len] copies events [pos .. pos + len - 1] of
+      [src] onto the end of [dst], field array by field array.
+      @raise Invalid_argument when the range exceeds [src] or [dst]
+      lacks room for it. *)
+  val append : t -> t -> pos:int -> len:int -> unit
 end

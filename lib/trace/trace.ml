@@ -1,16 +1,109 @@
 module Vec = Aprof_util.Vec
 module Rng = Aprof_util.Rng
+module Batch = Event.Batch
 
-(* Incremental sources/sinks and the binary codec live in their own
-   modules; re-exported here so consumers can say [Trace.Stream] and
-   [Trace.Codec]. *)
-module Stream = Trace_stream
-module Codec = Trace_codec
+(* Every sealed batch holds exactly [chunk] events, so event [i] is row
+   [i mod chunk] of batch [i / chunk] (the tail when that batch is not
+   sealed yet).  The tail starts small and grows to [chunk] by doubling,
+   so a short trace does not pay for a whole batch. *)
+let chunk = Batch.default_capacity
 
-type t = Event.t Vec.t
+type t = {
+  sealed : Batch.t Vec.t;
+  mutable tail : Batch.t;
+  mutable length : int;
+}
 
-let to_stream = Trace_stream.of_trace
-let of_stream = Trace_stream.to_trace
+let create () =
+  { sealed = Vec.create (); tail = Batch.create ~capacity:64 (); length = 0 }
+
+let length t = t.length
+
+(* Room for at least one more event in the tail: seal a full [chunk]
+   tail, or regrow a smaller one towards [want] more events. *)
+let make_room t ~want =
+  let tail = t.tail in
+  if Batch.is_full tail then begin
+    let cap = Batch.capacity tail in
+    if cap >= chunk then begin
+      Vec.push t.sealed tail;
+      t.tail <- Batch.create ~capacity:chunk ()
+    end
+    else begin
+      let bigger =
+        Batch.create ~capacity:(min chunk (max (2 * cap) (cap + want))) ()
+      in
+      Batch.append bigger tail ~pos:0 ~len:cap;
+      t.tail <- bigger
+    end
+  end
+
+let push t ev =
+  make_room t ~want:1;
+  Batch.push t.tail ev;
+  t.length <- t.length + 1
+
+let add_batch t b =
+  let n = Batch.length b in
+  let pos = ref 0 in
+  while !pos < n do
+    make_room t ~want:(n - !pos);
+    let tail = t.tail in
+    let k = min (n - !pos) (Batch.capacity tail - Batch.length tail) in
+    Batch.append tail b ~pos:!pos ~len:k;
+    pos := !pos + k
+  done;
+  t.length <- t.length + n
+
+let replay t f =
+  Vec.iter f t.sealed;
+  if not (Batch.is_empty t.tail) then f t.tail
+
+let batch_of t k =
+  if k < Vec.length t.sealed then Vec.get t.sealed k else t.tail
+
+let iter_raw t ~pos ~len f =
+  if pos < 0 || len < 0 || pos + len > t.length then
+    invalid_arg "Trace.iter_raw: range out of bounds";
+  let stop = pos + len in
+  let i = ref pos in
+  while !i < stop do
+    let k = !i / chunk in
+    let b = batch_of t k in
+    let base = k * chunk in
+    let tags = Batch.tags b and tids = Batch.tids b in
+    let args = Batch.args b and lens = Batch.lens b in
+    for j = !i - base to min stop (base + Batch.length b) - base - 1 do
+      f tags.(j) tids.(j) args.(j) lens.(j)
+    done;
+    i := min stop (base + Batch.length b)
+  done
+
+let get t i =
+  if i < 0 || i >= t.length then
+    invalid_arg
+      (Printf.sprintf "Trace.get: index %d out of bounds [0,%d)" i t.length);
+  Batch.get (batch_of t (i / chunk)) (i mod chunk)
+
+let iter f t = replay t (Batch.iter_events f)
+
+let iteri f t =
+  let i = ref 0 in
+  iter
+    (fun ev ->
+      f !i ev;
+      incr i)
+    t
+
+let of_list events =
+  let t = create () in
+  List.iter (push t) events;
+  t
+
+let to_list t =
+  let acc = ref [] in
+  iter (fun ev -> acc := ev :: !acc) t;
+  List.rev !acc
 
 type timestamped = { ts : int; ev : Event.t }
 
@@ -39,7 +132,7 @@ let merge ~tie_break threads =
   List.iter (fun (tid, tr) -> validate_thread_trace tid tr) threads;
   let cursors = Array.of_list (List.map (fun (tid, tr) -> (tid, tr, ref 0)) threads) in
   let n_threads = Array.length cursors in
-  let out : t = Vec.create () in
+  let out = create () in
   let current_tid = ref (-1) in
   let candidates = Array.make (max n_threads 1) 0 in
   let rec loop () =
@@ -72,10 +165,10 @@ let merge ~tie_break threads =
       let { ev; _ } = Vec.get tr !pos in
       incr pos;
       if tid <> !current_tid then begin
-        Vec.push out (Event.Switch_thread { tid });
+        push out (Event.Switch_thread { tid });
         current_tid := tid
       end;
-      Vec.push out ev;
+      push out ev;
       loop ()
     end
   in
@@ -85,7 +178,7 @@ let merge ~tie_break threads =
 let split (t : t) =
   let tbl : (int, thread_trace) Hashtbl.t = Hashtbl.create 8 in
   let order = Vec.create () in
-  Vec.iteri
+  iteri
     (fun pos ev ->
       if not (Event.is_switch ev) then begin
         let tid = Event.tid ev in
@@ -116,7 +209,7 @@ let well_formed (t : t) =
       Hashtbl.add depth tid d;
       d
   in
-  Vec.iteri
+  iteri
     (fun pos ev ->
       let tid = Event.tid ev in
       if Hashtbl.mem exited tid && not (Event.is_switch ev) then
@@ -176,7 +269,7 @@ let stats (t : t) =
   let depth = Hashtbl.create 8 in
   let max_depth = ref 0 in
   let touch_addr a = if not (Hashtbl.mem addresses a) then Hashtbl.add addresses a () in
-  Vec.iter
+  iter
     (fun ev ->
       if not (Event.is_switch ev) then Hashtbl.replace threads (Event.tid ev) ();
       match ev with
@@ -213,7 +306,7 @@ let stats (t : t) =
         ())
     t;
   {
-    events = Vec.length t;
+    events = t.length;
     calls = !calls;
     reads = !reads;
     writes = !writes;
@@ -236,14 +329,14 @@ let pp_stats ppf s =
     s.kernel_to_user s.switches s.threads s.max_call_depth s.distinct_addresses
 
 let save oc (t : t) =
-  Vec.iter
+  iter
     (fun ev ->
       output_string oc (Event.to_line ev);
       output_char oc '\n')
     t
 
 let load ic =
-  let out = Vec.create () in
+  let out = create () in
   let rec loop lineno =
     match In_channel.input_line ic with
     | None -> Ok out
@@ -251,7 +344,7 @@ let load ic =
     | Some line -> (
       match Event.of_line line with
       | Ok ev ->
-        Vec.push out ev;
+        push out ev;
         loop (lineno + 1)
       | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
   in

@@ -3,21 +3,51 @@
     A [Trace.t] is the totally ordered sequence of events the profilers
     consume: per-thread traces are merged on their timestamps (ties broken
     arbitrarily, Section 3) and [Switch_thread] events are inserted between
-    any two operations performed by different threads. *)
+    any two operations performed by different threads.
 
-(** Incremental event streams ({!Trace_stream}) and the binary codec
-    ({!Trace_codec}), re-exported for convenience. *)
-module Stream = Trace_stream
+    The trace is packed: a sequence of sealed, full {!Event.Batch.t}s of
+    {!Event.Batch.default_capacity} events each, plus one open tail.
+    {!Aprof_vm.Interp.run} appends the interpreter's emission batches
+    field array by field array, and {!replay} hands each stored batch to
+    a consumer's [on_batch] without copying or unpacking anything.  The
+    event view ({!get}, {!iter}, {!to_list}, {!of_list}, {!push}) packs
+    and unpacks at the edge, for tests, text I/O and printing. *)
 
-module Codec = Trace_codec
+type t
 
-type t = Event.t Aprof_util.Vec.t
+(** [create ()] is an empty trace. *)
+val create : unit -> t
 
-(** [to_stream t] is a single-use stream over [t]'s events. *)
-val to_stream : t -> Stream.t
+val length : t -> int
 
-(** [of_stream s] materializes the remainder of [s]. *)
-val of_stream : Stream.t -> t
+(** [push t ev] packs one event onto the end of [t]. *)
+val push : t -> Event.t -> unit
+
+(** [add_batch t b] appends the events of [b] (copied; [b] stays the
+    caller's). *)
+val add_batch : t -> Event.Batch.t -> unit
+
+(** [replay t f] calls [f] on each stored batch, in order: the one path
+    from a trace to a consumer.  The batches are the trace's own storage,
+    so [f] must neither retain nor modify them. *)
+val replay : t -> (Event.Batch.t -> unit) -> unit
+
+(** [iter_raw t ~pos ~len f] calls [f tag tid arg len] on events [pos ..
+    pos + len - 1] in the packed layout, unpacking nothing.
+    @raise Invalid_argument when the range exceeds the trace. *)
+val iter_raw :
+  t -> pos:int -> len:int -> (int -> int -> int -> int -> unit) -> unit
+
+(** {1 Event view} *)
+
+(** [get t i] unpacks the [i]-th event.
+    @raise Invalid_argument when [i] is out of bounds. *)
+val get : t -> int -> Event.t
+
+val iter : (Event.t -> unit) -> t -> unit
+val iteri : (int -> Event.t -> unit) -> t -> unit
+val of_list : Event.t list -> t
+val to_list : t -> Event.t list
 
 (** An event stamped with the logical time at which its thread issued it.
     Within one thread trace, timestamps must be non-decreasing. *)

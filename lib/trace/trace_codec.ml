@@ -216,11 +216,6 @@ let batch_writer ?(chunk_bytes = default_chunk) ?(index = true)
     { Trace_stream.emit_batch; close_batch }
   end
 
-let writer ?chunk_bytes ?index ?format_version ?entropy ?routine_name oc =
-  Trace_stream.sink_of_batches
-    (batch_writer ?chunk_bytes ?index ?format_version ?entropy ?routine_name
-       oc)
-
 (* ----- streaming reader: a pull driver of the stream machine -------- *)
 
 (* A file holds one trace.  Its frames are capped at
@@ -235,10 +230,6 @@ let pull ~salvage ~chunk_bytes ~batch_size ~on_drop ic =
 let batch_reader ?(chunk_bytes = default_chunk)
     ?(batch_size = Batch.default_capacity) ic =
   pull ~salvage:false ~chunk_bytes ~batch_size ~on_drop:ignore ic
-
-let reader ?chunk_bytes ic =
-  let names, batches = batch_reader ?chunk_bytes ic in
-  (names, Trace_stream.events_of_batches batches)
 
 (* ----- shard index ----------------------------------------------------- *)
 
@@ -394,10 +385,10 @@ let read ?(chunk_bytes = default_chunk) ?(batch_size = Batch.default_capacity)
 (* ----- whole-trace convenience ---------------------------------------- *)
 
 let to_string ?(format_version = version) ?(entropy = false)
-    ?(routine_name = default_routine_name) (tr : Event.t Vec.t) =
+    ?(routine_name = default_routine_name) (tr : Trace.t) =
   Trace_container.check_format_version format_version;
   if format_version >= 3 then begin
-    let out = Buffer.create (16 + (4 * Vec.length tr)) in
+    let out = Buffer.create (16 + (4 * Trace.length tr)) in
     Buffer.add_string out magic;
     Buffer.add_char out (Char.chr 3);
     let enc = Trace_packed.create_encoder () in
@@ -411,33 +402,24 @@ let to_string ?(format_version = version) ?(entropy = false)
         events := 0
       end
     in
-    let batches = Trace_stream.batches_of_trace tr in
-    let rec loop () =
-      match batches () with
-      | None -> ()
-      | Some b ->
-        Batch.iter
-          (fun tag tid arg len ->
-            if tag = Batch.tag_call && not (Hashtbl.mem defined arg) then begin
-              Hashtbl.add defined arg ();
-              Trace_packed.add_def enc arg (routine_name arg)
-            end;
-            Trace_packed.add_event enc ~tag ~tid ~arg ~len;
-            incr events;
-            if
-              Trace_packed.chunk_length enc >= default_chunk
-              || !events >= v3_chunk_events
-            then flush_frame ())
-          b;
-        loop ()
-    in
-    loop ();
+    Trace.replay tr
+      (Batch.iter (fun tag tid arg len ->
+           if tag = Batch.tag_call && not (Hashtbl.mem defined arg) then begin
+             Hashtbl.add defined arg ();
+             Trace_packed.add_def enc arg (routine_name arg)
+           end;
+           Trace_packed.add_event enc ~tag ~tid ~arg ~len;
+           incr events;
+           if
+             Trace_packed.chunk_length enc >= default_chunk
+             || !events >= v3_chunk_events
+           then flush_frame ()));
     flush_frame ();
     Buffer.add_char out (Char.chr end_tag);
     Buffer.contents out
   end
   else begin
-    let out = Buffer.create (16 + (4 * Vec.length tr)) in
+    let out = Buffer.create (16 + (4 * Trace.length tr)) in
     Buffer.add_string out magic;
     Buffer.add_char out (Char.chr format_version);
     let buf = Buffer.create 4096 in
@@ -449,19 +431,10 @@ let to_string ?(format_version = version) ?(entropy = false)
         Buffer.clear buf
       end
     in
-    let batches = Trace_stream.batches_of_trace tr in
-    let rec loop () =
-      match batches () with
-      | None -> ()
-      | Some b ->
-        Batch.iter
-          (fun tag tid arg len ->
-            encode tag tid arg len;
-            if Buffer.length buf >= default_chunk then flush_frame ())
-          b;
-        loop ()
-    in
-    loop ();
+    Trace.replay tr
+      (Batch.iter (fun tag tid arg len ->
+           encode tag tid arg len;
+           if Buffer.length buf >= default_chunk then flush_frame ()));
     if format_version >= 2 then flush_frame () else Buffer.add_buffer out buf;
     Buffer.add_char out (Char.chr end_tag);
     Buffer.contents out
@@ -470,7 +443,7 @@ let to_string ?(format_version = version) ?(entropy = false)
 (* The string is one slice: the machine gets it whole, then closes. *)
 let of_string s =
   let names = ref [] in
-  let out = Vec.create () in
+  let out = Trace.create () in
   let fed = ref false in
   let input buf pos _ =
     if !fed then 0
@@ -487,11 +460,7 @@ let of_string s =
         ~on_define:(fun id name -> names := (id, name) :: !names)
         ~on_drop:ignore input
     in
-    Trace_stream.connect_batches batches
-      {
-        Trace_stream.emit_batch = Batch.iter_events (Vec.push out);
-        close_batch = ignore;
-      }
+    Trace_stream.drain batches (Trace.add_batch out)
   with
   | _ -> Ok (out, List.rev !names)
   | exception Trace_stream.Decode_error msg -> Error msg

@@ -102,7 +102,7 @@
     One decoder parses every byte stream: the sans-IO machine
     {!Trace_net}, which decodes chunk payloads through the one chunk
     cursor ({!Trace_chunk}).  The readers here are thin drivers of
-    it — {!batch_reader}, {!reader}, [read ~on_corrupt:`Fail] and
+    it — {!batch_reader}, [read ~on_corrupt:`Fail] and
     index-less salvage pull from the machine over a channel,
     {!of_string} feeds it a string — except the seek paths
     ({!chunk_session}, salvage over an index), which drive the chunk
@@ -123,15 +123,18 @@ val file_version : in_channel -> int
 
 (** {1 Streaming}
 
-    The batch entry points are the primitive ones — they encode/decode a
-    whole {!Event.Batch.t} of raw int fields at a time into a reused
-    buffer/chunk, never constructing an [Event.t].  The per-event
-    {!writer}/{!reader} are thin layers over them
-    ({!Trace_stream.sink_of_batches} / {!Trace_stream.events_of_batches})
-    kept for glue and tests. *)
+    The writer and readers move whole {!Event.Batch.t}s of raw int
+    fields at a time through a reused buffer/chunk, never constructing
+    an [Event.t]. *)
 
 (** [batch_writer oc] is a batch sink encoding packed events into [oc].
-    Same format, buffering, and close contract as {!writer}.
+    Output is buffered; the sink's [close_batch] writes the end-of-trace
+    marker (and the index footer) and flushes the buffer, but leaves the
+    channel open — a trace without the marker is rejected as truncated.
+    The header is written immediately.
+    @param routine_name names embedded in definition records (default
+    [fun id -> "routine_<id>"]).
+    @param chunk_bytes flush threshold in bytes (default 64 KiB).
     @param index write the shard-index footer on close (default [true];
     pass [false] for an old-style index-less trace).
     @param format_version wire format to emit, [1]..[3] (default
@@ -168,35 +171,6 @@ val batch_reader :
   ?batch_size:int ->
   in_channel ->
   (int, string) Hashtbl.t * Trace_stream.batch_source
-
-(** [writer oc] is a sink encoding events into [oc].  Output is
-    buffered; the sink's [close] writes the end-of-trace marker and
-    flushes the buffer (but leaves the channel open) — a trace without
-    it is rejected as truncated.  The header is written immediately.
-    @param routine_name names embedded in definition records (default
-    [fun id -> "routine_<id>"]).
-    @param chunk_bytes flush threshold in bytes (default 64 KiB). *)
-val writer :
-  ?chunk_bytes:int ->
-  ?index:bool ->
-  ?format_version:int ->
-  ?entropy:bool ->
-  ?routine_name:(int -> string) ->
-  out_channel ->
-  Trace_stream.sink
-
-(** [reader ic] validates the header and returns the routine-name table
-    together with the event stream: {!batch_reader}, one event at a
-    time.  The table fills in as the stream is consumed (definitions
-    decode in stream order); it is complete once the stream returns
-    [None].  Reads are buffered, so peak live memory is bounded by the
-    chunk, not the trace.
-    @raise Trace_stream.Decode_error on a bad header; the returned
-    stream raises it on malformed records. *)
-val reader :
-  ?chunk_bytes:int ->
-  in_channel ->
-  (int, string) Hashtbl.t * Trace_stream.t
 
 (** {1 Shard index} *)
 
@@ -319,7 +293,7 @@ val to_string :
   ?format_version:int ->
   ?entropy:bool ->
   ?routine_name:(int -> string) ->
-  Event.t Aprof_util.Vec.t ->
+  Trace.t ->
   string
 
 (** [of_string s] decodes a full binary trace of any version,
@@ -328,8 +302,7 @@ val to_string :
     and then closes it, so it accepts and rejects exactly what
     {!batch_reader} does.  All decode failures are reported as
     [Error]. *)
-val of_string :
-  string -> (Event.t Aprof_util.Vec.t * (int * string) list, string) result
+val of_string : string -> (Trace.t * (int * string) list, string) result
 
 (** {1 Format sniffing} *)
 

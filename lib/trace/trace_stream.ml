@@ -1,136 +1,6 @@
-module Vec = Aprof_util.Vec
-
-type t = unit -> Event.t option
+module Batch = Event.Batch
 
 exception Decode_error of string
-
-let empty : t = fun () -> None
-
-let of_trace (tr : Event.t Vec.t) : t =
-  let pos = ref 0 in
-  fun () ->
-    if !pos >= Vec.length tr then None
-    else begin
-      let ev = Vec.get tr !pos in
-      incr pos;
-      Some ev
-    end
-
-let of_list events : t =
-  let rest = ref events in
-  fun () ->
-    match !rest with
-    | [] -> None
-    | ev :: tl ->
-      rest := tl;
-      Some ev
-
-let of_fun f : t = f
-
-let of_text_channel ic : t =
-  let lineno = ref 0 in
-  let rec next () =
-    match In_channel.input_line ic with
-    | None -> None
-    | Some line ->
-      incr lineno;
-      if String.trim line = "" then next ()
-      else
-        (match Event.of_line line with
-        | Ok ev -> Some ev
-        | Error msg ->
-          raise (Decode_error (Printf.sprintf "line %d: %s" !lineno msg)))
-  in
-  next
-
-let map f (s : t) : t =
- fun () ->
-  match s () with
-  | None -> None
-  | Some ev -> Some (f ev)
-
-let filter p (s : t) : t =
-  let rec next () =
-    match s () with
-    | None -> None
-    | Some ev when p ev -> Some ev
-    | Some _ -> next ()
-  in
-  next
-
-let take n (s : t) : t =
-  let left = ref n in
-  fun () ->
-    if !left <= 0 then None
-    else begin
-      decr left;
-      s ()
-    end
-
-let rec iter f (s : t) =
-  match s () with
-  | None -> ()
-  | Some ev ->
-    f ev;
-    iter f s
-
-let rec fold f acc (s : t) =
-  match s () with
-  | None -> acc
-  | Some ev -> fold f (f acc ev) s
-
-let to_trace s =
-  let tr = Vec.create () in
-  iter (Vec.push tr) s;
-  tr
-
-let to_list s = List.rev (fold (fun acc ev -> ev :: acc) [] s)
-
-let length s = fold (fun n _ -> n + 1) 0 s
-
-type sink = { emit : Event.t -> unit; close : unit -> unit }
-
-let null_sink = { emit = ignore; close = ignore }
-
-let sink_of_fun f = { emit = f; close = ignore }
-
-let sink_to_trace tr = { emit = Vec.push tr; close = ignore }
-
-let text_sink oc =
-  {
-    emit =
-      (fun ev ->
-        output_string oc (Event.to_line ev);
-        output_char oc '\n');
-    close = ignore;
-  }
-
-let tee a b =
-  {
-    emit =
-      (fun ev ->
-        a.emit ev;
-        b.emit ev);
-    close =
-      (fun () ->
-        a.close ();
-        b.close ());
-  }
-
-let connect src dst =
-  Fun.protect ~finally:dst.close (fun () ->
-      fold
-        (fun n ev ->
-          dst.emit ev;
-          n + 1)
-        0 src)
-
-(* Batched streams.  The same pull/push duality as above, but the unit of
-   transfer is a recycled {!Event.Batch.t}: each pull refills and returns
-   the same buffer, so steady-state transport allocates nothing per
-   event. *)
-
-module Batch = Event.Batch
 
 type batch_source = unit -> Batch.t option
 
@@ -139,139 +9,45 @@ type batch_sink = {
   close_batch : unit -> unit;
 }
 
-let batches_of_trace ?(batch_size = Batch.default_capacity) (tr : Event.t Vec.t)
-    : batch_source =
-  let b = Batch.create ~capacity:batch_size () in
-  let pos = ref 0 in
-  let n = Vec.length tr in
-  fun () ->
-    if !pos >= n then None
-    else begin
-      Batch.clear b;
-      while (not (Batch.is_full b)) && !pos < n do
-        Batch.push b (Vec.get tr !pos);
-        incr pos
-      done;
-      Some b
-    end
-
-let batches_of_events ?(batch_size = Batch.default_capacity) (s : t) :
-    batch_source =
-  let b = Batch.create ~capacity:batch_size () in
+let of_text_channel ic : batch_source =
+  let b = Batch.create () in
+  let lineno = ref 0 in
   let finished = ref false in
+  let rec fill () =
+    if not (Batch.is_full b) then
+      match In_channel.input_line ic with
+      | None -> finished := true
+      | Some line ->
+        incr lineno;
+        if String.trim line <> "" then begin
+          match Event.of_line line with
+          | Ok ev -> Batch.push b ev
+          | Error msg ->
+            raise (Decode_error (Printf.sprintf "line %d: %s" !lineno msg))
+        end;
+        fill ()
+  in
   fun () ->
-    if !finished then None
-    else begin
-      Batch.clear b;
-      let continue = ref true in
-      while !continue do
-        match s () with
-        | None ->
-          finished := true;
-          continue := false
-        | Some ev ->
-          Batch.push b ev;
-          if Batch.is_full b then continue := false
-      done;
-      if Batch.is_empty b then None else Some b
-    end
+    Batch.clear b;
+    if not !finished then fill ();
+    if Batch.is_empty b then None else Some b
 
-let events_of_batches (bs : batch_source) : t =
-  let current = ref None in
-  let pos = ref 0 in
-  let rec next () =
-    match !current with
-    | Some b when !pos < Batch.length b ->
-      let ev = Batch.get b !pos in
-      incr pos;
-      Some ev
-    | _ -> (
-      match bs () with
-      | None ->
-        current := None;
-        None
-      | Some b ->
-        current := Some b;
-        pos := 0;
-        next ())
-  in
-  next
-
-let map_batches f (bs : batch_source) : batch_source =
- fun () ->
-  match bs () with
-  | None -> None
-  | Some b ->
-    Batch.map_in_place f b;
-    Some b
-
-let filter_batches p (bs : batch_source) : batch_source =
-  let rec next () =
-    match bs () with
-    | None -> None
-    | Some b ->
-      Batch.filter_in_place p b;
-      if Batch.is_empty b then next () else Some b
-  in
-  next
-
-let batch_null_sink = { emit_batch = ignore; close_batch = ignore }
-
-let batch_sink_of_fun f = { emit_batch = f; close_batch = ignore }
-
-let batch_sink_to_trace tr =
+let text_sink oc =
   {
-    emit_batch = (fun b -> Batch.iter_events (Vec.push tr) b);
+    emit_batch =
+      Batch.iter_events (fun ev ->
+          output_string oc (Event.to_line ev);
+          output_char oc '\n');
     close_batch = ignore;
   }
 
-let batch_sink_of_sink (s : sink) =
-  {
-    emit_batch = (fun b -> Batch.iter_events s.emit b);
-    close_batch = s.close;
-  }
-
-let sink_of_batches ?(batch_size = Batch.default_capacity) (bs : batch_sink) :
-    sink =
-  let b = Batch.create ~capacity:batch_size () in
-  let flush () =
-    if not (Batch.is_empty b) then begin
-      bs.emit_batch b;
-      Batch.clear b
-    end
+let drain (src : batch_source) f =
+  let rec loop n =
+    match src () with
+    | None -> n
+    | Some b ->
+      let n = n + Batch.length b in
+      f b;
+      loop n
   in
-  {
-    emit =
-      (fun ev ->
-        Batch.push b ev;
-        if Batch.is_full b then flush ());
-    close =
-      (fun () ->
-        flush ();
-        bs.close_batch ());
-  }
-
-let tee_batches a b =
-  {
-    emit_batch =
-      (fun batch ->
-        a.emit_batch batch;
-        b.emit_batch batch);
-    close_batch =
-      (fun () ->
-        a.close_batch ();
-        b.close_batch ());
-  }
-
-let connect_batches (src : batch_source) (dst : batch_sink) =
-  Fun.protect ~finally:dst.close_batch (fun () ->
-      let n = ref 0 in
-      let rec loop () =
-        match src () with
-        | None -> !n
-        | Some b ->
-          n := !n + Batch.length b;
-          dst.emit_batch b;
-          loop ()
-      in
-      loop ())
+  loop 0

@@ -1,103 +1,24 @@
-(** Incremental event streams.
+(** Incremental batch streams.
 
-    A {!t} is a pull-based source of events: calling it yields the next
-    event, or [None] when the stream is exhausted.  Streams let the
-    profilers and tools consume traces of unbounded length — from a live
-    VM run, a trace file, or an in-memory {!Trace.t} — without ever
-    materializing the whole event sequence, mirroring how the paper's
-    Valgrind tool observes billions of events online.
+    A {!batch_source} is a pull-based source of packed
+    {!Event.Batch.t}s: calling it yields the next batch, or [None] when
+    the stream is exhausted.  Sources let the profilers and tools consume
+    traces of unbounded length — a trace file, a socket, a text trace —
+    without ever materializing the whole event sequence, mirroring how
+    the paper's Valgrind tool observes billions of events online.  An
+    in-memory trace replays through {!Trace.replay} instead, and a live
+    VM run pushes its batches through
+    {!Aprof_vm.Interp.run_batched}'s callback.
 
-    Streams are single-use: once exhausted (or partially consumed) they
-    cannot be rewound.  Re-create the source to replay again.
+    A source recycles its buffer: the returned batch is only valid until
+    the next pull, so consumers must finish with (or copy) a batch before
+    pulling again.  Sources are single-use.
 
-    The dual {!sink} is a push-based consumer; {!connect} drains a source
-    into a sink. *)
-
-type t = unit -> Event.t option
+    The dual {!batch_sink} is a push-based consumer. *)
 
 (** Raised by decoding sources ({!of_text_channel},
-    {!Trace_codec.reader}) on malformed input. *)
+    {!Trace_codec.batch_reader}) on malformed input. *)
 exception Decode_error of string
-
-(** {1 Sources} *)
-
-val empty : t
-
-(** [of_trace tr] yields the events of an in-memory trace in order. *)
-val of_trace : Event.t Aprof_util.Vec.t -> t
-
-val of_list : Event.t list -> t
-
-(** [of_fun f] is [f] itself; documents intent at call sites. *)
-val of_fun : (unit -> Event.t option) -> t
-
-(** [of_text_channel ic] streams the one-event-per-line text format
-    ({!Event.of_line}), skipping blank lines.  The channel is read
-    lazily; the caller keeps ownership.
-    @raise Decode_error on the first malformed line. *)
-val of_text_channel : in_channel -> t
-
-(** {1 Transformers} *)
-
-val map : (Event.t -> Event.t) -> t -> t
-val filter : (Event.t -> bool) -> t -> t
-
-(** [take n s] yields at most the first [n] events of [s]. *)
-val take : int -> t -> t
-
-(** {1 Consumers} *)
-
-val iter : (Event.t -> unit) -> t -> unit
-val fold : ('acc -> Event.t -> 'acc) -> 'acc -> t -> 'acc
-
-(** [to_trace s] materializes the remainder of [s]. *)
-val to_trace : t -> Event.t Aprof_util.Vec.t
-
-val to_list : t -> Event.t list
-
-(** [length s] consumes [s] and returns how many events it yielded. *)
-val length : t -> int
-
-(** {1 Sinks} *)
-
-type sink = {
-  emit : Event.t -> unit;
-  close : unit -> unit;
-      (** flush buffered output; must be called exactly once, after the
-          last [emit].  Never closes an underlying channel — the channel's
-          owner does. *)
-}
-
-(** [null_sink] discards events. *)
-val null_sink : sink
-
-(** [sink_of_fun f] emits through [f]; [close] is a no-op. *)
-val sink_of_fun : (Event.t -> unit) -> sink
-
-(** [sink_to_trace tr] pushes events onto [tr]. *)
-val sink_to_trace : Event.t Aprof_util.Vec.t -> sink
-
-(** [text_sink oc] writes the one-event-per-line text format. *)
-val text_sink : out_channel -> sink
-
-(** [tee a b] duplicates every event (and the close) to both sinks. *)
-val tee : sink -> sink -> sink
-
-(** [connect src dst] drains [src] into [dst], closes [dst], and returns
-    the number of events transferred.  [dst] is closed (exactly once)
-    even when the source or an interposed stage raises, so buffered
-    output — e.g. a binary trace's end marker — is flushed before the
-    exception propagates. *)
-val connect : t -> sink -> int
-
-(** {1 Batched streams}
-
-    The allocation-free transport: the unit of transfer is a packed
-    {!Event.Batch.t} rather than a boxed event.  A {!batch_source}
-    recycles its buffer — the returned batch is only valid until the
-    next pull, so consumers must finish with (or copy) a batch before
-    pulling again.  Use the batch API on hot paths (replay, codec,
-    profiler dispatch); use the per-event API for glue and tests. *)
 
 type batch_source = unit -> Event.Batch.t option
 
@@ -107,46 +28,21 @@ type batch_sink = {
           be recycled after the call returns. *)
   close_batch : unit -> unit;
       (** Flush buffered output; called exactly once, after the last
-          [emit_batch]. *)
+          [emit_batch].  Never closes an underlying channel — the
+          channel's owner does. *)
 }
 
-(** [batches_of_trace ?batch_size tr] packs an in-memory trace into a
-    recycled batch, [batch_size] events per pull. *)
-val batches_of_trace : ?batch_size:int -> Event.t Aprof_util.Vec.t -> batch_source
+(** [of_text_channel ic] decodes the one-event-per-line text format
+    ({!Event.of_line}), skipping blank lines, into a recycled batch of
+    {!Event.Batch.default_capacity} events per pull.  The channel is
+    read lazily; the caller keeps ownership.
+    @raise Decode_error on the first malformed line. *)
+val of_text_channel : in_channel -> batch_source
 
-(** [batches_of_events ?batch_size s] groups a per-event stream into
-    recycled batches (the last batch may be partial). *)
-val batches_of_events : ?batch_size:int -> t -> batch_source
+(** [text_sink oc] writes each event of each batch in the text format,
+    one line per event. *)
+val text_sink : out_channel -> batch_sink
 
-(** [events_of_batches bs] is the per-event view of a batch source:
-    each pull unpacks one event (this edge allocates). *)
-val events_of_batches : batch_source -> t
-
-(** {!map}/{!filter} lifted onto batches; the transformation is applied
-    in place on the recycled buffer.  [filter_batches] never yields an
-    empty batch. *)
-val map_batches : (Event.t -> Event.t) -> batch_source -> batch_source
-
-val filter_batches : (Event.t -> bool) -> batch_source -> batch_source
-
-val batch_null_sink : batch_sink
-val batch_sink_of_fun : (Event.Batch.t -> unit) -> batch_sink
-val batch_sink_to_trace : Event.t Aprof_util.Vec.t -> batch_sink
-
-(** [batch_sink_of_sink s] unpacks each batch into the per-event sink
-    [s]; closing closes [s]. *)
-val batch_sink_of_sink : sink -> batch_sink
-
-(** [sink_of_batches ?batch_size bs] is a per-event sink that packs
-    events into a recycled batch and hands full batches (and, on close,
-    the final partial batch) to [bs]; closing closes [bs]. *)
-val sink_of_batches : ?batch_size:int -> batch_sink -> sink
-
-(** [tee_batches a b] duplicates every batch (and the close) to both
-    sinks. *)
-val tee_batches : batch_sink -> batch_sink -> batch_sink
-
-(** [connect_batches src dst] drains [src] into [dst], closes [dst]
-    (exactly once, even on raise, as {!connect}), and returns the number
-    of events transferred. *)
-val connect_batches : batch_source -> batch_sink -> int
+(** [drain src f] calls [f] on every batch of [src] and returns the
+    number of events it carried. *)
+val drain : batch_source -> (Event.Batch.t -> unit) -> int

@@ -437,7 +437,7 @@ let setup config flush =
    before the first event fires, so an online tool can resolve routine
    ids to names while the workload executes: the interpreter interns a
    name before emitting the corresponding [Call]. *)
-let run_internal config threads make_flush =
+let run_internal config threads ~trace make_flush =
   if threads = [] then invalid_arg "Interp.run: no threads";
   let flush = ref (fun (_ : Batch.t) -> ()) in
   let st = setup config (fun b -> !flush b) in
@@ -445,23 +445,13 @@ let run_internal config threads make_flush =
   List.iter (fun body -> ignore (new_thread st (Program.to_prog body))) threads;
   run_loop st;
   emit_flush st;
-  { trace = Vec.create (); routines = st.routines;
+  { trace; routines = st.routines;
     threads_spawned = Vec.length st.threads;
     memory_high_water = st.high_water; events_emitted = st.events }
 
-let run_batched config threads ~tool = run_internal config threads tool
+let run_batched config threads ~tool =
+  run_internal config threads ~trace:(Trace.create ()) tool
 
 let run config threads =
-  let trace = Vec.create () in
-  let result =
-    run_internal config threads (fun _ b -> Batch.iter_events (Vec.push trace) b)
-  in
-  { result with trace }
-
-let run_to_sink config threads ~sink =
-  run_internal config threads (fun _ b -> Batch.iter_events sink b)
-
-let run_instrumented config threads ~tool =
-  run_internal config threads (fun routines ->
-      let f = tool routines in
-      fun b -> Batch.iter_events f b)
+  let trace = Trace.create () in
+  run_internal config threads ~trace (fun _ -> Trace.add_batch trace)

@@ -35,36 +35,24 @@ type result = {
 exception Run_error of string
 
 (** [run config threads] executes the initial [threads] (thread ids 0, 1,
-    ... in list order) to completion and returns the recorded trace.
+    ... in list order) to completion and returns the recorded trace:
+    {!run_batched} with each emission batch appended to a packed
+    {!Aprof_trace.Trace.t}, so no [Event.t] is built here either.
     @raise Run_error as described above. *)
 val run : config -> unit Program.t list -> result
 
-(** [run_to_sink config threads ~sink] is [run] streaming each event to
-    [sink] instead of materializing the trace; returns the same metadata
-    with an empty trace. *)
-val run_to_sink :
-  config -> unit Program.t list -> sink:(Aprof_trace.Event.t -> unit) -> result
-
-(** [run_instrumented config threads ~tool] is the online-profiling mode:
-    [tool] receives the run's routine intern table *before* the first
-    event and returns the event callback, so an analysis (a profiler, a
-    trace encoder) can observe the workload while it executes and resolve
-    routine ids to names as they are interned — the interpreter interns a
-    routine's name before emitting its [Call] event.  No trace is
-    materialized. *)
-val run_instrumented :
-  config ->
-  unit Program.t list ->
-  tool:(Aprof_trace.Routine_table.t -> Aprof_trace.Event.t -> unit) ->
-  result
-
-(** [run_batched config threads ~tool] is the hot-path variant of
-    {!run_instrumented}: the interpreter packs events straight into a
+(** [run_batched config threads ~tool] is the streaming run, the one
+    online-profiling mode: [tool] receives the run's routine intern
+    table {e before} the first event and returns the batch callback, so
+    an analysis (a profiler, a trace encoder) observes the workload
+    while it executes and can resolve routine ids to names as they are
+    interned — the interpreter interns a routine's name before emitting
+    its [Call] event.  The interpreter packs events straight into a
     recycled {!Aprof_trace.Event.Batch.t} — no [Event.t] is ever
-    constructed — and hands it to the callback when full, plus once more
-    (partially filled) at the end of the run.  The callback must not
-    retain the batch: it is cleared and reused after each call.  The
-    per-event entry points above are thin wrappers over this one. *)
+    constructed — and hands it to the callback when full, plus once
+    more (partially filled) at the end of the run.  The callback must
+    not retain the batch: it is cleared and reused after each call.  No
+    trace is materialized: the result's [trace] stays empty. *)
 val run_batched :
   config ->
   unit Program.t list ->

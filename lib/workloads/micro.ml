@@ -1,17 +1,17 @@
 module Event = Aprof_trace.Event
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
 
 let build events =
-  let trace = Vec.create () in
+  let trace = Trace.create () in
   let current = ref (-1) in
   List.iter
     (fun ev ->
       let tid = Event.tid ev in
       if tid <> !current then begin
-        Vec.push trace (Event.Switch_thread { tid });
+        Trace.push trace (Event.Switch_thread { tid });
         current := tid
       end;
-      Vec.push trace ev)
+      Trace.push trace ev)
     events;
   trace
 

@@ -35,16 +35,6 @@ let run ?scheduler ?max_events w ~seed =
 let run_spec ?scheduler ?max_events spec ~threads ~scale ~seed =
   run ?scheduler ?max_events (spec.make ~threads ~scale ~seed) ~seed
 
-let run_instrumented ?scheduler ?max_events w ~seed ~tool =
-  Aprof_vm.Interp.run_instrumented
-    (config_of ?scheduler ?max_events w ~seed)
-    w.programs ~tool
-
-let run_spec_instrumented ?scheduler ?max_events spec ~threads ~scale ~seed
-    ~tool =
-  run_instrumented ?scheduler ?max_events (spec.make ~threads ~scale ~seed)
-    ~seed ~tool
-
 let run_batched ?scheduler ?max_events w ~seed ~tool =
   Aprof_vm.Interp.run_batched
     (config_of ?scheduler ?max_events w ~seed)

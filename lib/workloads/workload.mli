@@ -41,34 +41,10 @@ val run_spec :
   seed:int ->
   Aprof_vm.Interp.result
 
-(** [run_instrumented w ~seed ~tool] executes the workload in the
-    interpreter's online mode ({!Aprof_vm.Interp.run_instrumented}): no
+(** [run_batched w ~seed ~tool] executes the workload in the
+    interpreter's streaming mode ({!Aprof_vm.Interp.run_batched}): no
     trace is materialized; [tool] gets the routine table and sees every
-    event as it is emitted. *)
-val run_instrumented :
-  ?scheduler:Aprof_vm.Scheduler.policy ->
-  ?max_events:int ->
-  t ->
-  seed:int ->
-  tool:
-    (Aprof_trace.Routine_table.t -> Aprof_trace.Event.t -> unit) ->
-  Aprof_vm.Interp.result
-
-(** [run_spec_instrumented] builds and runs online in one step. *)
-val run_spec_instrumented :
-  ?scheduler:Aprof_vm.Scheduler.policy ->
-  ?max_events:int ->
-  spec ->
-  threads:int ->
-  scale:int ->
-  seed:int ->
-  tool:
-    (Aprof_trace.Routine_table.t -> Aprof_trace.Event.t -> unit) ->
-  Aprof_vm.Interp.result
-
-(** [run_batched w ~seed ~tool] is {!run_instrumented} through the
-    interpreter's packed hot path ({!Aprof_vm.Interp.run_batched}): the
-    tool callback receives recycled event batches instead of events. *)
+    emission batch as it fills. *)
 val run_batched :
   ?scheduler:Aprof_vm.Scheduler.policy ->
   ?max_events:int ->

@@ -30,17 +30,17 @@ module Vec = Aprof_util.Vec
    several threads, routines (so definition records appear), and every
    field shape (args, lens, locks). *)
 let reference_trace =
-  let v = Vec.create () in
+  let v = Aprof_trace.Trace.create () in
   for i = 0 to 499 do
     let tid = i mod 3 in
     match i mod 7 with
-    | 0 -> Vec.push v (Event.Call { tid; routine = i mod 5 })
-    | 1 -> Vec.push v (Event.Read { tid; addr = i * 17 })
-    | 2 -> Vec.push v (Event.Write { tid; addr = (i * 13) + 1 })
-    | 3 -> Vec.push v (Event.Acquire { tid; lock = i mod 11 })
-    | 4 -> Vec.push v (Event.Release { tid; lock = i mod 11 })
-    | 5 -> Vec.push v (Event.Alloc { tid; addr = i * 29; len = 8 + (i mod 9) })
-    | _ -> Vec.push v (Event.Return { tid })
+    | 0 -> Aprof_trace.Trace.push v (Event.Call { tid; routine = i mod 5 })
+    | 1 -> Aprof_trace.Trace.push v (Event.Read { tid; addr = i * 17 })
+    | 2 -> Aprof_trace.Trace.push v (Event.Write { tid; addr = (i * 13) + 1 })
+    | 3 -> Aprof_trace.Trace.push v (Event.Acquire { tid; lock = i mod 11 })
+    | 4 -> Aprof_trace.Trace.push v (Event.Release { tid; lock = i mod 11 })
+    | 5 -> Aprof_trace.Trace.push v (Event.Alloc { tid; addr = i * 29; len = 8 + (i mod 9) })
+    | _ -> Aprof_trace.Trace.push v (Event.Return { tid })
   done;
   v
 
@@ -52,7 +52,7 @@ let write_trace ?index ?format_version ?entropy file =
         Codec.batch_writer ~chunk_bytes:128 ?index ?format_version ?entropy
           ~routine_name oc
       in
-      let batches = Stream.batches_of_trace ~batch_size:16 reference_trace in
+      let batches = Helpers.batches_of_trace ~batch_size:16 reference_trace in
       let rec loop () =
         match batches () with
         | None -> ()
@@ -66,7 +66,7 @@ let write_trace ?index ?format_version ?entropy file =
 let read_all file = In_channel.with_open_bin file In_channel.input_all
 let write_all file s = Out_channel.with_open_bin file (fun oc -> output_string oc s)
 
-let lines_of tr = List.map Event.to_line (Vec.to_list tr)
+let lines_of tr = List.map Event.to_line (Aprof_trace.Trace.to_list tr)
 
 let sorted_names tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
@@ -79,7 +79,7 @@ let ref_names =
        (function
          | Event.Call { routine; _ } -> Some (routine, routine_name routine)
          | _ -> None)
-       (Vec.to_list reference_trace))
+       (Aprof_trace.Trace.to_list reference_trace))
 
 (* [xs] is a subsequence of [ys]: every delivered event is a real event,
    in the original order — the "never a wrong profile" core. *)
@@ -103,7 +103,7 @@ let strict_outcome ~fault file =
   match
     In_channel.with_open_bin file (fun ic ->
         let names, src = Codec.batch_reader ic in
-        let tr = Stream.to_trace (Stream.events_of_batches src) in
+        let tr = Helpers.trace_of_batches src in
         (lines_of tr, sorted_names names))
   with
   | lines, names -> `Decoded (lines, names)
@@ -121,7 +121,7 @@ let salvage_outcome ~fault file =
             ~on_corrupt:(`Skip (fun d -> drops := d :: !drops))
             ic
         in
-        let tr = Stream.to_trace (Stream.events_of_batches src) in
+        let tr = Helpers.trace_of_batches src in
         (lines_of tr, List.rev !drops))
   with
   | lines, drops -> `Salvaged (lines, drops)

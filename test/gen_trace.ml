@@ -70,7 +70,7 @@ let gen_trace_with st p =
   let streams =
     Array.init n_threads (fun tid -> ref (gen_thread_stream st p tid n_routines))
   in
-  let trace = Vec.create () in
+  let trace = Aprof_trace.Trace.create () in
   let current = ref (-1) in
   let remaining = ref n_threads in
   while !remaining > 0 do
@@ -90,10 +90,10 @@ let gen_trace_with st p =
         | [] -> ()
         | e :: rest ->
           if i <> !current then begin
-            Vec.push trace (Event.Switch_thread { tid = i });
+            Aprof_trace.Trace.push trace (Event.Switch_thread { tid = i });
             current := i
           end;
-          Vec.push trace e;
+          Aprof_trace.Trace.push trace e;
           s := rest;
           if rest = [] then decr remaining
       done
@@ -106,4 +106,4 @@ let gen ?(params = default_params) () : Aprof_trace.Trace.t QCheck2.Gen.t =
     ~shrink:(fun _ -> Seq.empty)
 
 let print trace =
-  Vec.to_list trace |> List.map Event.to_string |> String.concat "\n"
+  Aprof_trace.Trace.to_list trace |> List.map Event.to_string |> String.concat "\n"

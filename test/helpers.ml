@@ -7,18 +7,53 @@ module Profile = Aprof_core.Profile
 
 let run_drms ?overflow_limit ?mode trace =
   let p = Aprof_core.Drms_profiler.create ?overflow_limit ?mode () in
-  Aprof_core.Drms_profiler.run p trace;
+  Trace.replay trace (Aprof_core.Drms_profiler.on_batch p);
   Aprof_core.Drms_profiler.finish p
 
 let run_naive trace =
   let p = Aprof_core.Naive_drms.create () in
-  Aprof_core.Naive_drms.run p trace;
+  Trace.replay trace (Aprof_core.Naive_drms.on_batch p);
   Aprof_core.Naive_drms.finish p
 
 let run_rms trace =
   let p = Aprof_core.Rms_profiler.create () in
-  Aprof_core.Rms_profiler.run p trace;
+  Trace.replay trace (Aprof_core.Rms_profiler.on_batch p);
   Aprof_core.Rms_profiler.finish p
+
+(* [batches_of_trace ~batch_size tr] re-chunks [tr] into a recycled
+   batch of [batch_size] events per pull, so a test can put batch
+   boundaries anywhere; [trace_of_batches] materializes a source. *)
+let batches_of_trace ?(batch_size = Event.Batch.default_capacity) tr :
+    Aprof_trace.Trace_stream.batch_source =
+  let b = Event.Batch.create ~capacity:batch_size () in
+  let pos = ref 0 in
+  fun () ->
+    let len = min batch_size (Trace.length tr - !pos) in
+    if len <= 0 then None
+    else begin
+      Event.Batch.clear b;
+      Trace.iter_raw tr ~pos:!pos ~len (fun tag tid arg len ->
+          Event.Batch.unsafe_push b ~tag ~tid ~arg ~len);
+      pos := !pos + len;
+      Some b
+    end
+
+(* [feed on_batch events] hands [events] to a batch entry point as one
+   packed batch. *)
+let feed on_batch events =
+  let b = Event.Batch.create ~capacity:(max 1 (List.length events)) () in
+  List.iter (Event.Batch.push b) events;
+  on_batch b
+
+(* [write_batches src sink] drains [src] into [sink], then closes it. *)
+let write_batches src (sink : Aprof_trace.Trace_stream.batch_sink) =
+  ignore (Aprof_trace.Trace_stream.drain src sink.emit_batch);
+  sink.close_batch ()
+
+let trace_of_batches src =
+  let tr = Trace.create () in
+  ignore (Aprof_trace.Trace_stream.drain src (Trace.add_batch tr));
+  tr
 
 (* Sum of input sizes over all activations of [routine] in [profile]:
    with one activation per distinct input this pins exact values. *)

@@ -229,7 +229,7 @@ let test_plateau_screen_workloads () =
         Aprof_workloads.Workload.run_spec spec ~threads:3 ~scale ~seed:13
       in
       let p = Aprof_core.Drms_profiler.create () in
-      Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+      Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
       let rng = Aprof_util.Rng.create 17 in
       List.iter
         (fun (rid, d) ->
@@ -610,7 +610,7 @@ let test_workload_self_diff_clean () =
       Aprof_workloads.Workload.run_spec spec ~threads:3 ~scale:30 ~seed:42
     in
     let p = Aprof_core.Drms_profiler.create () in
-    Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+    Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
     let profile = Aprof_core.Drms_profiler.finish p in
     let routine_name =
       Aprof_trace.Routine_table.name result.Aprof_vm.Interp.routines

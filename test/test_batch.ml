@@ -1,6 +1,6 @@
-(* The batch hot path: packed {!Event.Batch} containers, the
-   batch ≡ per-event equivalence contract of {!Tool.t}, and the
-   allocation budget of batched replay (the reason the path exists). *)
+(* The batch hot path: packed {!Event.Batch} containers and traces,
+   batch-boundary independence of every {!Tool.t}, and the allocation
+   budget of batched replay (the reason the path exists). *)
 
 module Event = Aprof_trace.Event
 module Batch = Aprof_trace.Event.Batch
@@ -8,7 +8,7 @@ module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Tool = Aprof_tools.Tool
 module Harness = Aprof_tools.Harness
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
 
 let event = Alcotest.testable Event.pp Event.equal
 
@@ -39,21 +39,23 @@ let test_push_get_roundtrip () =
     (fun i e -> Alcotest.check event "round-trip" e (Batch.get b i))
     sample_events
 
+(* A packed trace replays as batches of raw fields and unpacks back. *)
 let test_of_trace_to_trace () =
-  let tr = Vec.of_list sample_events in
-  let b = Batch.of_trace tr in
-  let tr' = Batch.to_trace b in
+  let tr = Trace.of_list sample_events in
+  let back = Trace.create () in
+  Trace.replay tr (Trace.add_batch back);
   Alcotest.(check (list event)) "of_trace/to_trace" sample_events
-    (Vec.to_list tr')
+    (Trace.to_list back)
 
 let test_filter_in_place () =
-  let b = Batch.of_trace (Vec.of_list sample_events) in
+  let b = Batch.create ~capacity:(List.length sample_events) () in
+  List.iter (Batch.push b) sample_events;
   let keep = function Event.Read _ | Event.Write _ -> true | _ -> false in
   Batch.filter_in_place keep b;
   Alcotest.(check (list event))
     "only reads and writes"
     (List.filter keep sample_events)
-    (Vec.to_list (Batch.to_trace b))
+    (List.init (Batch.length b) (Batch.get b))
 
 let test_clear_reuse () =
   let b = Batch.create ~capacity:4 () in
@@ -65,11 +67,12 @@ let test_clear_reuse () =
   List.iter (Batch.push b) [ Event.Return { tid = 9 } ];
   Alcotest.check event "fresh content" (Event.Return { tid = 9 }) (Batch.get b 0)
 
-(* --- batch ≡ per-event, for every standard tool ----------------------
+(* --- batch = per-event, for every standard tool ----------------------
 
-   [Tool.on_batch] must be observationally equivalent to [on_event] over
-   the unpacked events.  A tiny batch size forces many boundaries, so
-   state carried across batches is exercised too. *)
+   A tool must not care where batch boundaries fall: feeding it one
+   event per batch (the per-event granularity) must match a replay of
+   the trace's own full batches.  Tiny batches force many boundaries,
+   so state carried across batches is exercised too. *)
 
 let equivalence_test (factory : Tool.factory) =
   QCheck_alcotest.to_alcotest
@@ -78,15 +81,15 @@ let equivalence_test (factory : Tool.factory) =
        ~print:Gen_trace.print (Gen_trace.gen ())
        (fun trace ->
          let per_event = factory.Tool.create () in
-         Tool.replay per_event trace;
-         let batched = factory.Tool.create () in
          let n =
-           Tool.replay_batches batched
-             (Stream.batches_of_trace ~batch_size:7 trace)
+           Tool.replay_batches per_event
+             (Helpers.batches_of_trace ~batch_size:1 trace)
          in
-         if n <> Vec.length trace then
+         if n <> Trace.length trace then
            QCheck2.Test.fail_reportf "replayed %d of %d events" n
-             (Vec.length trace);
+             (Trace.length trace);
+         let batched = factory.Tool.create () in
+         Trace.replay trace batched.Tool.on_batch;
          let s1 = per_event.Tool.summary () in
          let s2 = batched.Tool.summary () in
          if s1 <> s2 then
@@ -106,19 +109,19 @@ let equivalence_tests () = List.map equivalence_test (Harness.standard_factories
    this trace size). *)
 
 let synth_trace n =
-  let tr = Vec.create () in
+  let tr = Trace.create () in
   let i = ref 0 in
   let tid = ref 0 in
-  while Vec.length tr < n do
+  while Trace.length tr < n do
     tid := (!tid + 1) land 1;
-    Vec.push tr (Event.Switch_thread { tid = !tid });
-    Vec.push tr (Event.Call { tid = !tid; routine = !i mod 7 });
+    Trace.push tr (Event.Switch_thread { tid = !tid });
+    Trace.push tr (Event.Call { tid = !tid; routine = !i mod 7 });
     for k = 0 to 7 do
       let addr = ((!i * 17) + (k * 3)) land 1023 in
-      if k land 1 = 0 then Vec.push tr (Event.Read { tid = !tid; addr })
-      else Vec.push tr (Event.Write { tid = !tid; addr })
+      if k land 1 = 0 then Trace.push tr (Event.Read { tid = !tid; addr })
+      else Trace.push tr (Event.Write { tid = !tid; addr })
     done;
-    Vec.push tr (Event.Return { tid = !tid });
+    Trace.push tr (Event.Return { tid = !tid });
     incr i
   done;
   tr
@@ -128,9 +131,10 @@ let batched_minor_words_per_event (factory : Tool.factory) trace =
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   let n =
     Out_channel.with_open_bin file (fun oc ->
-        Stream.connect_batches
-          (Stream.batches_of_trace trace)
-          (Codec.batch_writer oc))
+        let sink = Codec.batch_writer oc in
+        Trace.replay trace sink.Stream.emit_batch;
+        sink.Stream.close_batch ();
+        Trace.length trace)
   in
   In_channel.with_open_bin file (fun ic ->
       let tool = factory.Tool.create () in

@@ -36,7 +36,7 @@ let test_context_separation () =
     Aprof_vm.Interp.run Aprof_vm.Interp.default_config [ program ]
   in
   let p = Aprof_core.Drms_profiler.create ~track_contexts:true () in
-  Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+  Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
   let flat = Aprof_core.Drms_profiler.finish p in
   let tbl = result.Aprof_vm.Interp.routines in
   let copy_buf = Option.get (Aprof_trace.Routine_table.find tbl "copy_buf") in
@@ -84,7 +84,7 @@ let test_recursion_contexts () =
     Aprof_vm.Interp.run Aprof_vm.Interp.default_config [ down 3 ]
   in
   let p = Aprof_core.Drms_profiler.create ~track_contexts:true () in
-  Aprof_core.Drms_profiler.run p result.Aprof_vm.Interp.trace;
+  Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
   ignore (Aprof_core.Drms_profiler.finish p);
   match Aprof_core.Drms_profiler.context_results p with
   | None -> Alcotest.fail "expected context results"
@@ -103,8 +103,8 @@ let test_flat_profile_unchanged () =
   in
   let with_ctx = Aprof_core.Drms_profiler.create ~track_contexts:true () in
   let without = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run with_ctx result.Aprof_vm.Interp.trace;
-  Aprof_core.Drms_profiler.run without result.Aprof_vm.Interp.trace;
+  Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch with_ctx);
+  Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch without);
   Helpers.check_profiles_equal "flat profiles equal"
     (Aprof_core.Drms_profiler.finish with_ctx)
     (Aprof_core.Drms_profiler.finish without)

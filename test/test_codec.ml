@@ -8,7 +8,6 @@ module Event = Aprof_trace.Event
 module Trace = Aprof_trace.Trace
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
-module Vec = Aprof_util.Vec
 
 let gen_payload =
   QCheck2.Gen.(
@@ -65,14 +64,14 @@ let event_round_trip =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"decode (encode e) = e, every variant"
        ~count:2000 ~print:Event.to_string gen_event (fun ev ->
-         let tr, _ = decode_exn (Codec.to_string (Vec.of_list [ ev ])) in
-         Vec.length tr = 1 && Event.equal (Vec.get tr 0) ev))
+         let tr, _ = decode_exn (Codec.to_string (Trace.of_list [ ev ])) in
+         Trace.length tr = 1 && Event.equal (Trace.get tr 0) ev))
 
 let trace_equal name a b =
   Alcotest.(check (list string))
     name
-    (List.map Event.to_line (Vec.to_list a))
-    (List.map Event.to_line (Vec.to_list b))
+    (List.map Event.to_line (Trace.to_list a))
+    (List.map Event.to_line (Trace.to_list b))
 
 let whole_trace_round_trip =
   QCheck_alcotest.to_alcotest
@@ -81,14 +80,13 @@ let whole_trace_round_trip =
          let from_binary, _ = decode_exn (Codec.to_string trace) in
          (* Same trace through the text format. *)
          let from_text =
-           Stream.to_trace
-             (Stream.of_list
-                (List.map
-                   (fun ev ->
-                     match Event.of_line (Event.to_line ev) with
-                     | Ok e -> e
-                     | Error m -> Alcotest.failf "text decode: %s" m)
-                   (Vec.to_list trace)))
+           Trace.of_list
+             (List.map
+                (fun ev ->
+                  match Event.of_line (Event.to_line ev) with
+                  | Ok e -> e
+                  | Error m -> Alcotest.failf "text decode: %s" m)
+                (Trace.to_list trace))
          in
          trace_equal "binary round trip" from_binary trace;
          trace_equal "binary = text" from_binary from_text;
@@ -97,7 +95,7 @@ let whole_trace_round_trip =
 let names_round_trip () =
   let names = [| ""; "h\xc3\xa9llo \xe2\x86\x92 \xe4\xb8\x96\xe7\x95\x8c"; "plain name with spaces" |] in
   let trace =
-    Vec.of_list
+    Trace.of_list
       [
         Event.Call { tid = 0; routine = 2 };
         Event.Return { tid = 0 };
@@ -125,22 +123,22 @@ let channel_round_trip () =
   let file = Filename.temp_file "aprof_test" ".atrc" in
   Out_channel.with_open_bin file (fun oc ->
       (* A tiny chunk forces many flushes. *)
-      let sink = Codec.writer ~chunk_bytes:64 oc in
-      Stream.iter sink.Stream.emit (Trace.to_stream trace);
-      sink.Stream.close ());
+      let sink = Codec.batch_writer ~chunk_bytes:64 oc in
+      Trace.replay trace sink.Stream.emit_batch;
+      sink.Stream.close_batch ());
   let decoded, names =
     In_channel.with_open_bin file (fun ic ->
         match Codec.detect ic with
         | `Text -> Alcotest.fail "binary file detected as text"
         | `Binary ->
-          let names, stream = Codec.reader ~chunk_bytes:64 ic in
-          let tr = Stream.to_trace stream in
+          let names, src = Codec.batch_reader ~chunk_bytes:64 ic in
+          let tr = Helpers.trace_of_batches src in
           (tr, names))
   in
   Sys.remove file;
   trace_equal "channel round trip" decoded trace;
   (* Every routine referenced by a Call must have been defined. *)
-  Vec.iter
+  Trace.iter
     (function
       | Event.Call { routine; _ } ->
         if not (Hashtbl.mem names routine) then
@@ -158,7 +156,7 @@ let rejects_garbage () =
   check_error "bad magic" "NOPE\x01";
   check_error "bad version" "ATRC\x63";
   check_error "truncated header" "ATR";
-  let valid = Codec.to_string (Vec.of_list [ Event.Read { tid = 1; addr = 2 } ]) in
+  let valid = Codec.to_string (Trace.of_list [ Event.Read { tid = 1; addr = 2 } ]) in
   (* [valid] ends with the end-of-trace marker byte. *)
   let unterminated = String.sub valid 0 (String.length valid - 1) in
   check_error "truncated mid-record" (String.sub valid 0 (String.length valid - 2));
@@ -178,7 +176,7 @@ let rejects_garbage () =
 let rejects_negative_addrs () =
   List.iter
     (fun (name, ev) ->
-      let s = Codec.to_string (Vec.of_list [ ev ]) in
+      let s = Codec.to_string (Trace.of_list [ ev ]) in
       (match Codec.of_string s with
       | Ok _ -> Alcotest.failf "%s: negative address was accepted" name
       | Error msg ->
@@ -216,10 +214,10 @@ let rejects_negative_addrs () =
     [ "L 0 -1"; "S 0 -9"; "U 0 -2 3"; "K 0 -2 3"; "M 0 -4 1"; "F 0 -4 1" ];
   (* Negative payloads that are not addresses still round trip. *)
   let ev = Event.Block { tid = 0; units = -5 } in
-  match Codec.of_string (Codec.to_string (Vec.of_list [ ev ])) with
+  match Codec.of_string (Codec.to_string (Trace.of_list [ ev ])) with
   | Ok (tr, _) ->
     Alcotest.(check bool) "negative non-address payload survives" true
-      (Vec.length tr = 1 && Event.equal (Vec.get tr 0) ev)
+      (Trace.length tr = 1 && Event.equal (Trace.get tr 0) ev)
   | Error msg -> Alcotest.failf "negative units rejected: %s" msg
 
 (* Out-of-range thread and lock ids die at the same edge: tools keep
@@ -230,7 +228,7 @@ let rejects_negative_addrs () =
 let rejects_bad_ids () =
   List.iter
     (fun (name, sub, ev) ->
-      match Codec.of_string (Codec.to_string (Vec.of_list [ ev ])) with
+      match Codec.of_string (Codec.to_string (Trace.of_list [ ev ])) with
       | Ok _ -> Alcotest.failf "%s: out-of-range id was accepted" name
       | Error msg ->
         Alcotest.(check bool)
@@ -262,10 +260,10 @@ let rejects_bad_ids () =
     ];
   (* The bounds themselves are admissible. *)
   let ev = Event.Acquire { tid = Event.max_tid; lock = Event.max_lock } in
-  match Codec.of_string (Codec.to_string (Vec.of_list [ ev ])) with
+  match Codec.of_string (Codec.to_string (Trace.of_list [ ev ])) with
   | Ok (tr, _) ->
     Alcotest.(check bool) "boundary ids survive" true
-      (Vec.length tr = 1 && Event.equal (Vec.get tr 0) ev)
+      (Trace.length tr = 1 && Event.equal (Trace.get tr 0) ev)
   | Error msg -> Alcotest.failf "boundary ids rejected: %s" msg
 
 (* --- shard index ------------------------------------------------------ *)
@@ -278,7 +276,7 @@ let sample_trace seed =
 let write_binary ?(index = true) ?format_version trace file =
   Out_channel.with_open_bin file (fun oc ->
       let sink = Codec.batch_writer ~chunk_bytes:128 ~index ?format_version oc in
-      let batches = Stream.batches_of_trace ~batch_size:16 trace in
+      let batches = Helpers.batches_of_trace ~batch_size:16 trace in
       let rec loop () =
         match batches () with
         | None -> ()
@@ -289,14 +287,14 @@ let write_binary ?(index = true) ?format_version trace file =
       loop ();
       sink.Stream.close_batch ())
 
-let decode_source src = Stream.to_trace (Stream.events_of_batches src)
+let decode_source src = Helpers.trace_of_batches src
 
 (* Every chunk of [shs], in file order, through one chunk session — the
    seek path the parallel replay engine uses. *)
 let session_read ?keep ic shs =
   let names, read = Codec.chunk_session ?keep ic in
-  let parts = Array.map (fun sh -> Vec.to_list (decode_source (read sh))) shs in
-  (Vec.of_list (List.concat (Array.to_list parts)), names)
+  let parts = Array.map (fun sh -> Trace.to_list (decode_source (read sh))) shs in
+  (Trace.of_list (List.concat (Array.to_list parts)), names)
 
 let rec uvarint_size v = if v < 0x80 then 1 else 1 + uvarint_size (v lsr 7)
 
@@ -322,13 +320,13 @@ let shard_index_round_trip () =
               (sh.Codec.crc >= 0);
             off := sh.Codec.offset + sh.Codec.bytes)
           shs;
-        Alcotest.(check int) "every event accounted for" (Vec.length trace)
+        Alcotest.(check int) "every event accounted for" (Trace.length trace)
           (Array.fold_left (fun acc sh -> acc + sh.Codec.events) 0 shs);
         (* Reading every chunk reproduces the whole trace, and the name
            table then covers every Call. *)
         let decoded, names = session_read ic shs in
         trace_equal "session read = original" decoded trace;
-        Vec.iter
+        Trace.iter
           (function
             | Event.Call { routine; _ } ->
               if not (Hashtbl.mem names routine) then
@@ -350,17 +348,17 @@ let session_reads_one_chunk () =
           let src = read sh in
           let part = decode_source src in
           Alcotest.(check int) "chunk event count" sh.Codec.events
-            (Vec.length part);
+            (Trace.length part);
           (* The index's tid set really describes the chunk. *)
-          Vec.iter
+          Trace.iter
             (fun ev ->
               let tid = Event.tid ev in
               if not (Array.exists (( = ) tid) sh.Codec.tids) then
                 Alcotest.failf "tid %d missing from the chunk's tid set" tid)
             part;
-          parts := Vec.to_list part :: !parts)
+          parts := Trace.to_list part :: !parts)
         shs;
-      let glued = Vec.of_list (List.concat (List.rev !parts)) in
+      let glued = Trace.of_list (List.concat (List.rev !parts)) in
       trace_equal "chunks glue back into the trace" glued trace);
   Sys.remove file
 
@@ -381,8 +379,8 @@ let index_compat () =
       let _, src = Codec.batch_reader ic in
       trace_equal "streaming read of an indexed file" (decode_source src) trace);
   In_channel.with_open_bin file (fun ic ->
-      let _, stream = Codec.reader ic in
-      trace_equal "per-event read of an indexed file" (Stream.to_trace stream)
+      let _, src = Codec.batch_reader ~batch_size:1 ic in
+      trace_equal "per-event read of an indexed file" (decode_source src)
         trace);
   Sys.remove file
 
@@ -430,7 +428,7 @@ let corrupt_footer_is_named () =
    hand-assembled golden vector. *)
 let v1_golden_bytes () =
   let trace =
-    Vec.of_list [ Event.Call { tid = 0; routine = 0 }; Event.Return { tid = 0 } ]
+    Trace.of_list [ Event.Call { tid = 0; routine = 0 }; Event.Return { tid = 0 } ]
   in
   let s =
     Codec.to_string ~format_version:1 ~routine_name:(fun _ -> "f") trace
@@ -533,12 +531,12 @@ let rejects_noncanonical_varints () =
   List.iter
     (fun v ->
       let ev = Event.Block { tid = 0; units = v } in
-      match Codec.of_string (Codec.to_string (Vec.of_list [ ev ])) with
+      match Codec.of_string (Codec.to_string (Trace.of_list [ ev ])) with
       | Ok (tr, _) ->
         Alcotest.(check bool)
           (Printf.sprintf "boundary value %d survives" v)
           true
-          (Vec.length tr = 1 && Event.equal (Vec.get tr 0) ev)
+          (Trace.length tr = 1 && Event.equal (Trace.get tr 0) ev)
       | Error msg -> Alcotest.failf "boundary value %d rejected: %s" v msg)
     [ max_int; min_int; max_int asr 1; min_int asr 1; 1 lsl 55; -(1 lsl 55) ]
 
@@ -604,7 +602,7 @@ let checksum_mismatch_detected () =
   Alcotest.(check int) "salvage recovers the other chunks"
     (Array.fold_left (fun acc (s : Codec.shard) -> acc + s.Codec.events) 0 shs
     - sh.Codec.events)
-    (Vec.length src);
+    (Trace.length src);
   Sys.remove file
 
 let suite =

@@ -12,7 +12,7 @@ module Event = Aprof_trace.Event
 module Batch = Event.Batch
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
 module Workload = Aprof_workloads.Workload
 module Registry = Aprof_workloads.Registry
 module Interp = Aprof_vm.Interp
@@ -29,7 +29,7 @@ let write_v3 ?(chunk_bytes = 256) ?index ?(entropy = true) ?routine_name trace
         Codec.batch_writer ~chunk_bytes ?index ~format_version:3 ~entropy
           ?routine_name oc
       in
-      let batches = Stream.batches_of_trace ~batch_size:16 trace in
+      let batches = Helpers.batches_of_trace ~batch_size:16 trace in
       let rec loop () =
         match batches () with
         | None -> ()
@@ -93,7 +93,7 @@ let check_file ~label ?routine_name trace =
                 in
                 Alcotest.(check int)
                   (label ^ ": index event total")
-                  (Vec.length trace) total;
+                  (Trace.length trace) total;
                 trace_equal
                   (label ^ ": v3 session read = trace")
                   (fst (Test_codec.session_read ic shs))
@@ -116,9 +116,9 @@ let single_events_round_trip =
     (QCheck2.Test.make ~name:"v3 round-trips every event variant"
        ~count:1000 ~print:Event.to_string Test_codec.gen_event (fun ev ->
          let tr, _ =
-           decode_exn (Codec.to_string ~format_version:3 (Vec.of_list [ ev ]))
+           decode_exn (Codec.to_string ~format_version:3 (Trace.of_list [ ev ]))
          in
-         Vec.length tr = 1 && Event.equal (Vec.get tr 0) ev))
+         Trace.length tr = 1 && Event.equal (Trace.get tr 0) ev))
 
 (* --- workload registry ------------------------------------------------ *)
 
@@ -185,7 +185,7 @@ let keep_filter_session () =
   let trace = result.Interp.trace in
   let keep tag tid = tid mod 2 = 0 || tag = Batch.tag_call in
   let expected = ref [] in
-  let batches = Stream.batches_of_trace trace in
+  let batches = Helpers.batches_of_trace trace in
   let rec loop () =
     match batches () with
     | None -> ()
@@ -253,7 +253,7 @@ let parallel_v3_files () =
           | Some shards ->
             Test_parallel_differential.check_shards
               ~label:(name ^ " (v3 file)")
-              ~trace_events:(Vec.length trace) shards))
+              ~trace_events:(Trace.length trace) shards))
     [ "mysqlslap"; "dedup" ]
 
 (* --- byte pin --------------------------------------------------------- *)
@@ -266,7 +266,7 @@ let parallel_v3_files () =
    frame is the v2 layout over those stored bytes. *)
 let v3_golden_bytes () =
   let trace =
-    Vec.of_list [ Event.Call { tid = 0; routine = 0 }; Event.Return { tid = 0 } ]
+    Trace.of_list [ Event.Call { tid = 0; routine = 0 }; Event.Return { tid = 0 } ]
   in
   let stored = "\x01\x0f\x00\x02f\x01\x00\x02" in
   let crc =
@@ -293,14 +293,14 @@ let v3_golden_bytes () =
 let edge_tids = [ 0; 63; 64; 4097; 65535 ]
 
 let edge_tid_trace () =
-  let tr = Vec.create () in
+  let tr = Trace.create () in
   List.iteri
-    (fun r tid -> Vec.push tr (Event.Call { tid; routine = r }))
+    (fun r tid -> Trace.push tr (Event.Call { tid; routine = r }))
     edge_tids;
   for i = 0 to 19 do
     List.iter
       (fun tid ->
-        Vec.push tr (Event.Read { tid; addr = (1000 * tid) + (8 * i) }))
+        Trace.push tr (Event.Read { tid; addr = (1000 * tid) + (8 * i) }))
       edge_tids
   done;
   (* A pseudo-random interleaving: enough skewed literal bytes for the
@@ -309,17 +309,17 @@ let edge_tid_trace () =
   for _ = 1 to 2000 do
     x := ((!x * 1103515245) + 12345) land 0x3fffffff;
     let tid = List.nth edge_tids ((!x lsr 16) mod 5) in
-    Vec.push tr (Event.Read { tid; addr = 8 * (!x land 0xff) })
+    Trace.push tr (Event.Read { tid; addr = 8 * (!x land 0xff) })
   done;
   for i = 0 to 199 do
-    Vec.push tr (Event.Write { tid = 65535; addr = 64 * i })
+    Trace.push tr (Event.Write { tid = 65535; addr = 64 * i })
   done;
   for i = 0 to 199 do
-    Vec.push tr (Event.Write { tid = 65535; addr = 64 * i });
-    Vec.push tr (Event.Read { tid = 4097; addr = 128 * i })
+    Trace.push tr (Event.Write { tid = 65535; addr = 64 * i });
+    Trace.push tr (Event.Read { tid = 4097; addr = 128 * i })
   done;
   List.iter
-    (fun tid -> Vec.push tr (Event.Return { tid }))
+    (fun tid -> Trace.push tr (Event.Return { tid }))
     (List.rev edge_tids);
   tr
 
@@ -496,12 +496,12 @@ let huge_repeat_rejected () =
    reader's events, with no drop. *)
 let full_chunks_salvage () =
   let full = Aprof_trace.Trace_packed.max_chunk_events in
-  let tr = Vec.create () in
-  Vec.push tr (Event.Call { tid = 0; routine = 0 });
+  let tr = Trace.create () in
+  Trace.push tr (Event.Call { tid = 0; routine = 0 });
   for _ = 1 to (2 * full) + 100 do
-    Vec.push tr (Event.Read { tid = 0; addr = 4096 })
+    Trace.push tr (Event.Read { tid = 0; addr = 4096 })
   done;
-  Vec.push tr (Event.Return { tid = 0 });
+  Trace.push tr (Event.Return { tid = 0 });
   let module Net = Aprof_trace.Trace_net in
   with_tmp (fun file ->
       List.iter
@@ -529,11 +529,11 @@ let full_chunks_salvage () =
           in
           Alcotest.(check (list string)) (label ^ ": read drops") [] !drops;
           trace_equal (label ^ ": salvaging read = strict") salvaged strict;
-          let pushed = Vec.create () in
+          let pushed = Trace.create () in
           let net =
             Net.create ~salvage:true ~release:ignore
               {
-                Net.on_batch = Batch.iter_events (Vec.push pushed);
+                Net.on_batch = Batch.iter_events (Trace.push pushed);
                 on_define = (fun _ _ -> ());
                 on_trace_end = ignore;
                 on_drop;
@@ -553,13 +553,13 @@ let full_chunks_salvage () =
    must compress hard; the CI gate enforces the real workload ratio, this
    pins the mechanism itself. *)
 let compression_smoke () =
-  let tr = Vec.create () in
-  Vec.push tr (Event.Call { tid = 0; routine = 0 });
+  let tr = Trace.create () in
+  Trace.push tr (Event.Call { tid = 0; routine = 0 });
   for i = 0 to 49_999 do
-    Vec.push tr (Event.Read { tid = 0; addr = 4096 + (8 * i) });
-    Vec.push tr (Event.Write { tid = 0; addr = 1_048_576 + (8 * i) })
+    Trace.push tr (Event.Read { tid = 0; addr = 4096 + (8 * i) });
+    Trace.push tr (Event.Write { tid = 0; addr = 1_048_576 + (8 * i) })
   done;
-  Vec.push tr (Event.Return { tid = 0 });
+  Trace.push tr (Event.Return { tid = 0 });
   let v2 = String.length (Codec.to_string tr) in
   let v3 = String.length (Codec.to_string ~format_version:3 tr) in
   if v3 * 5 > v2 then

@@ -8,7 +8,7 @@ module Vec = Aprof_util.Vec
 
 let run_trace trace =
   let c = Comm.create () in
-  Comm.run c trace;
+  Aprof_trace.Trace.replay trace (Comm.on_batch c);
   Comm.report c
 
 let test_fig1a_matrix () =
@@ -85,9 +85,9 @@ let test_multi_pair_cell () =
    traces whose every read happens under some routine. *)
 let totals_agree trace =
   let c = Comm.create () in
-  Comm.run c trace;
+  Aprof_trace.Trace.replay trace (Comm.on_batch c);
   let drms = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run drms trace;
+  Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch drms);
   let profile = Aprof_core.Drms_profiler.finish drms in
   let induced =
     List.fold_left

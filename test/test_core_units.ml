@@ -101,20 +101,22 @@ let test_curves_shape () =
 (* --- cost model -------------------------------------------------------- *)
 
 let test_cost_increments () =
+  let module B = Event.Batch in
   Alcotest.(check int) "block" 7
-    (Cost_model.cost_increment (Event.Block { tid = 0; units = 7 }));
+    (Cost_model.cost_increment ~tag:B.tag_block ~arg:7);
   Alcotest.(check int) "read" 1
-    (Cost_model.cost_increment (Event.Read { tid = 0; addr = 0 }));
+    (Cost_model.cost_increment ~tag:B.tag_read ~arg:0);
   Alcotest.(check int) "call" 1
-    (Cost_model.cost_increment (Event.Call { tid = 0; routine = 0 }));
+    (Cost_model.cost_increment ~tag:B.tag_call ~arg:0);
   Alcotest.(check int) "return free" 0
-    (Cost_model.cost_increment (Event.Return { tid = 0 }))
+    (Cost_model.cost_increment ~tag:B.tag_return ~arg:0)
 
 let test_cost_counter () =
+  let module B = Event.Batch in
   let c = Cost_model.Counter.create () in
-  Cost_model.Counter.on_event c (Event.Block { tid = 0; units = 5 });
-  Cost_model.Counter.on_event c (Event.Read { tid = 1; addr = 0 });
-  Cost_model.Counter.on_event c (Event.Write { tid = 0; addr = 0 });
+  Cost_model.Counter.on_raw c ~tag:B.tag_block ~tid:0 ~arg:5;
+  Cost_model.Counter.on_raw c ~tag:B.tag_read ~tid:1 ~arg:0;
+  Cost_model.Counter.on_raw c ~tag:B.tag_write ~tid:0 ~arg:0;
   Alcotest.(check int) "thread 0" 6 (Cost_model.Counter.cost c 0);
   Alcotest.(check int) "thread 1" 1 (Cost_model.Counter.cost c 1);
   Alcotest.(check int) "unknown thread" 0 (Cost_model.Counter.cost c 9);

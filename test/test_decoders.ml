@@ -11,7 +11,7 @@ module Batch = Event.Batch
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Trace_net = Aprof_trace.Trace_net
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
 
 (* A driver's result: event lines, and definitions as the driver
    reports them (a name table has no order, so it is sorted). *)
@@ -98,7 +98,7 @@ let push ~slice s =
 let of_string s =
   outcome_of ~driver:"of_string" (fun () ->
       match Codec.of_string s with
-      | Ok (tr, defs) -> (List.map Event.to_line (Vec.to_list tr), defs)
+      | Ok (tr, defs) -> (List.map Event.to_line (Trace.to_list tr), defs)
       | Error m -> raise (Stream.Decode_error m))
 
 (* Every chunk of the shard index through one chunk session.  [None]
@@ -145,14 +145,14 @@ let routine_name id = Printf.sprintf "routine %d, \xe2\x86\x92 %d" id (id * 7)
 let writer_input ?(routine_name = routine_name) trace =
   let seen = Hashtbl.create 16 in
   let defs = ref [] in
-  Vec.iter
+  Trace.iter
     (function
       | Event.Call { routine; _ } when not (Hashtbl.mem seen routine) ->
         Hashtbl.add seen routine ();
         defs := (routine, routine_name routine) :: !defs
       | _ -> ())
     trace;
-  (List.map Event.to_line (Vec.to_list trace), List.rev !defs)
+  (List.map Event.to_line (Trace.to_list trace), List.rev !defs)
 
 let encode ?(index = true) ?(chunk_bytes = 128) ~format_version ~entropy trace
     =
@@ -161,11 +161,10 @@ let encode ?(index = true) ?(chunk_bytes = 128) ~format_version ~entropy trace
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Out_channel.with_open_bin file (fun oc ->
-          ignore
-            (Stream.connect_batches
-               (Stream.batches_of_trace ~batch_size:16 trace)
-               (Codec.batch_writer ~chunk_bytes ~index ~format_version ~entropy
-                  ~routine_name oc)));
+          Helpers.write_batches
+            (Helpers.batches_of_trace ~batch_size:16 trace)
+            (Codec.batch_writer ~chunk_bytes ~index ~format_version ~entropy
+               ~routine_name oc));
       In_channel.with_open_bin file In_channel.input_all)
 
 (* (format version, entropy): every encoding the writers produce. *)
@@ -299,14 +298,13 @@ let recorded name ~format_version =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Out_channel.with_open_bin file (fun oc ->
-          ignore
-            (Stream.connect_batches
-               (Stream.batches_of_trace trace)
-               (Codec.batch_writer ~chunk_bytes:512 ~format_version
-                  ~routine_name:
-                    (Aprof_trace.Routine_table.name
-                       result.Aprof_vm.Interp.routines)
-                  oc)));
+          Helpers.write_batches
+            (Helpers.batches_of_trace trace)
+            (Codec.batch_writer ~chunk_bytes:512 ~format_version
+               ~routine_name:
+                 (Aprof_trace.Routine_table.name
+                    result.Aprof_vm.Interp.routines)
+               oc));
       In_channel.with_open_bin file In_channel.input_all)
 
 let footer_offset s =
@@ -481,7 +479,7 @@ let drop_records_agree () =
           true
           (String.starts_with ~prefix d);
         Alcotest.(check int) "every other chunk survives"
-          (Vec.length trace - sh.Codec.events)
+          (Trace.length trace - sh.Codec.events)
           events
       | ds, _ -> Alcotest.failf "indexed salvage: %d drops" (List.length ds));
       index_less "checksum damage" (damage bare) expected;

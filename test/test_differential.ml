@@ -83,10 +83,10 @@ let invariant2_holds trace =
   let step = 7 in
   let i = ref 0 in
   let ok = ref true in
-  Aprof_util.Vec.iter
+  Trace.iter
     (fun ev ->
-      Aprof_core.Drms_profiler.on_event p1 ev;
-      Aprof_core.Naive_drms.on_event p2 ev;
+      feed (Aprof_core.Drms_profiler.on_batch p1) [ ev ];
+      feed (Aprof_core.Naive_drms.on_batch p2) [ ev ];
       incr i;
       if !i mod step = 0 then
         for tid = 0 to 3 do
@@ -113,19 +113,19 @@ let reset_equals_fresh (a, b) =
   List.iter
     (fun mode ->
       let p = D.create ~overflow_limit:64 ~mode () in
-      D.run p a;
+      Trace.replay a (D.on_batch p);
       ignore (D.finish p);
       D.reset p;
-      D.run p b;
+      Trace.replay b (D.on_batch p);
       Alcotest.(check string) "reset drms = fresh drms"
         (dump (run_drms ~overflow_limit:64 ~mode b))
         (dump (D.finish p)))
     [ `Both; `External_only; `Thread_only; `None ];
   let p = R.create () in
-  R.run p a;
+  Trace.replay a (R.on_batch p);
   ignore (R.finish p);
   R.reset p;
-  R.run p b;
+  Trace.replay b (R.on_batch p);
   Alcotest.(check string) "reset rms = fresh rms" (dump (run_rms b))
     (dump (R.finish p));
   true

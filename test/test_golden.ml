@@ -92,9 +92,7 @@ let helgrind_case ~workload ~threads ~scale () =
   in
   let result = Workload.run_spec spec ~threads ~scale ~seed:42 in
   let h = Aprof_tools.Helgrind_lite.create () in
-  Aprof_util.Vec.iter
-    (Aprof_tools.Helgrind_lite.on_event h)
-    result.Interp.trace;
+  Aprof_trace.Trace.replay result.Interp.trace (Aprof_tools.Helgrind_lite.on_batch h);
   check_golden (workload ^ ".helgrind.txt")
     (Aprof_tools.Helgrind_lite.render_report h)
 

@@ -19,18 +19,18 @@
 open Aprof_vm.Program
 module Interp = Aprof_vm.Interp
 module Workload = Aprof_workloads.Workload
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
 module Hl = Aprof_tools.Helgrind_lite
 module Href = Aprof_tools.Helgrind_ref
 
 let epoch_races trace =
   let t = Hl.create () in
-  Vec.iter (Hl.on_event t) trace;
+  Trace.replay trace (Hl.on_batch t);
   List.map (fun (r : Hl.race) -> (r.addr, r.kind, r.tid)) (Hl.races t)
 
 let ref_races trace =
   let t = Href.create () in
-  Vec.iter (Href.on_event t) trace;
+  Trace.replay trace (Href.on_batch t);
   List.map (fun (r : Href.race) -> (r.addr, r.kind, r.tid)) (Href.races t)
 
 let kind_name = function

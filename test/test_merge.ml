@@ -11,7 +11,6 @@ module Profile = Aprof_core.Profile
 module Stream = Aprof_trace.Trace_stream
 module Tool = Aprof_tools.Tool
 module Par = Aprof_util.Par
-module Vec = Aprof_util.Vec
 module Workload = Aprof_workloads.Workload
 module Registry = Aprof_workloads.Registry
 module Interp = Aprof_vm.Interp
@@ -99,7 +98,7 @@ let test_parallel_nulgrind () =
         (name ^ ": merged count = sequential count")
         (Aprof_tools.Nulgrind.events st1)
         (Aprof_tools.Nulgrind.events st3);
-      Alcotest.(check int) (name ^ ": whole trace") (Vec.length trace)
+      Alcotest.(check int) (name ^ ": whole trace") (Trace.length trace)
         (Aprof_tools.Nulgrind.events st3))
     workloads
 
@@ -197,7 +196,7 @@ let test_parallel_drms () =
       in
       Alcotest.(check int)
         (name ^ ": unique events = trace length")
-        (Vec.length trace) n3;
+        (Trace.length trace) n3;
       let p3 = Aprof_core.Drms_profiler.finish st3 in
       let p1 = run_drms trace in
       check_profiles_equal (name ^ ": drms parallel = sequential") p1 p3;
@@ -228,11 +227,11 @@ module Event = Aprof_trace.Event
 let drms_shard ?overflow_limit owns trace =
   let p = Drms.create ?overflow_limit () in
   Drms.set_owner p owns;
-  Vec.iter
+  Trace.iter
     (fun ev ->
       let tag = Event.Batch.tag_of_event ev in
       if (Drms.shard_broadcast lsr tag) land 1 = 1 || owns (Event.tid ev) then
-        Drms.on_event p ev)
+        feed (Drms.on_batch p) [ ev ])
     trace;
   p
 

@@ -6,7 +6,7 @@ module Profile = Aprof_core.Profile
 
 let sums mode trace =
   let p = Aprof_core.Drms_profiler.create ~mode () in
-  Aprof_core.Drms_profiler.run p trace;
+  Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch p);
   let profile = Aprof_core.Drms_profiler.finish p in
   Profile.keys profile
   |> List.filter_map (fun k ->

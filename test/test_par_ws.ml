@@ -148,7 +148,7 @@ let skewed_trace () =
   let streams =
     Array.init 4 (fun tid -> ref (stream tid (if tid = 0 then 6000 else 80)))
   in
-  let trace = Vec.create () in
+  let trace = Trace.create () in
   let current = ref (-1) in
   let nonempty () =
     Array.to_list streams
@@ -166,10 +166,10 @@ let skewed_trace () =
         | [] -> ()
         | e :: rest ->
           if i <> !current then begin
-            Vec.push trace (Event.Switch_thread { tid = i });
+            Trace.push trace (Event.Switch_thread { tid = i });
             current := i
           end;
-          Vec.push trace e;
+          Trace.push trace e;
           s := rest
       done;
       go ()
@@ -184,7 +184,7 @@ let engine_drms_equal ?(chunk_events = 64) name trace jobs =
     Tool.replay_parallel ~pool ~jobs ~shards
       (module Aprof_tools.Aprof_adapters.Drms_mergeable)
   in
-  Alcotest.(check int) (name ^ ": unique events") (Vec.length trace) n;
+  Alcotest.(check int) (name ^ ": unique events") (Trace.length trace) n;
   check_profiles_equal
     (name ^ ": parallel = sequential")
     (run_drms trace)
@@ -201,9 +201,9 @@ let test_engine_hot_thread () =
     Tool.replay_parallel ~pool ~jobs:4 ~shards
       (module Aprof_tools.Nulgrind.Mergeable)
   in
-  Alcotest.(check int) "nulgrind count" (Vec.length trace) n;
+  Alcotest.(check int) "nulgrind count" (Trace.length trace) n;
   Alcotest.(check int)
-    "nulgrind state" (Vec.length trace)
+    "nulgrind state" (Trace.length trace)
     (Aprof_tools.Nulgrind.events st)
 
 let test_engine_single_chunk () =
@@ -212,7 +212,7 @@ let test_engine_single_chunk () =
 
 let test_engine_more_jobs_than_chunks () =
   let trace = skewed_trace () in
-  let chunk_events = 1 + (Vec.length trace / 2) in
+  let chunk_events = 1 + (Trace.length trace / 2) in
   engine_drms_equal ~chunk_events "2 chunks, -j8" trace 8
 
 let test_engine_more_jobs_than_threads () =
@@ -247,7 +247,7 @@ let test_engine_more_jobs_than_threads () =
   engine_drms_equal ~chunk_events:4 "2 threads, -j6" r.Interp.trace 6
 
 let test_engine_empty_trace () =
-  let trace = Vec.create () in
+  let trace = Trace.create () in
   engine_drms_equal "empty trace, -j4" trace 4
 
 let suite =

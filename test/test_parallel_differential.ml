@@ -70,7 +70,7 @@ let check_program ~sched_name ~scheduler seed =
      deques to migrate work. *)
   check_shards
     ~label:(Printf.sprintf "seed %d (%s)" seed sched_name)
-    ~trace_events:(Vec.length trace)
+    ~trace_events:(Aprof_trace.Trace.length trace)
     (Tool.Shards.of_trace ~chunk_events:64 trace)
 
 let program_tests =
@@ -112,7 +112,7 @@ let test_file_roundtrip () =
                     (Aprof_trace.Routine_table.name result.Interp.routines)
                   oc
               in
-              let batches = Stream.batches_of_trace trace in
+              let batches = Helpers.batches_of_trace trace in
               let rec loop () =
                 match batches () with
                 | None -> ()
@@ -126,7 +126,7 @@ let test_file_roundtrip () =
           | None -> Alcotest.failf "%s: recorded file has no chunk index" name
           | Some shards ->
             check_shards ~label:(name ^ " (file)")
-              ~trace_events:(Vec.length trace) shards))
+              ~trace_events:(Aprof_trace.Trace.length trace) shards))
     [ "mysqlslap"; "dedup" ]
 
 let suite =

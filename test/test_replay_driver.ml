@@ -11,27 +11,27 @@ module Event = Aprof_trace.Event
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Driver = Aprof_tools.Replay_driver
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
 
 let now = Sys.time
 
 (* A well-formed trace: balanced activations over two threads, with
    reads so the profile has input sizes. *)
 let mk_trace n =
-  let v = Vec.create () in
+  let v = Trace.create () in
   for i = 0 to n - 1 do
     let tid = i mod 2 in
-    Vec.push v (Event.Call { tid; routine = i mod 4 });
-    Vec.push v (Event.Read { tid; addr = i * 7 });
-    Vec.push v (Event.Write { tid; addr = (i * 7) + 1 });
-    Vec.push v (Event.Return { tid })
+    Trace.push v (Event.Call { tid; routine = i mod 4 });
+    Trace.push v (Event.Read { tid; addr = i * 7 });
+    Trace.push v (Event.Write { tid; addr = (i * 7) + 1 });
+    Trace.push v (Event.Return { tid })
   done;
   v
 
 let write_trace trace file =
   Out_channel.with_open_bin file (fun oc ->
       let sink = Codec.batch_writer ~chunk_bytes:128 oc in
-      let batches = Stream.batches_of_trace ~batch_size:16 trace in
+      let batches = Helpers.batches_of_trace ~batch_size:16 trace in
       let rec loop () =
         match batches () with
         | None -> ()
@@ -82,7 +82,7 @@ let two_files_one_corrupt () =
         (match rb.error with Some _ -> true | None -> false);
       Alcotest.(check int) "corrupt file contributed nothing" 0 rb.events;
       Alcotest.(check (option string)) "good file has no error" None rg.error;
-      Alcotest.(check int) "good file fully replayed" (Vec.length trace)
+      Alcotest.(check int) "good file fully replayed" (Trace.length trace)
         rg.events;
       (* The merged profile is exactly the good file's. *)
       let solo = Driver.replay ~now [ good ] in
@@ -140,7 +140,7 @@ let keep_going_salvages () =
           d.Codec.drop_events
       | ds -> Alcotest.failf "expected one drop, got %d" (List.length ds));
       Alcotest.(check int) "salvaged events + dropped events = total"
-        (Vec.length trace) (r.events + dropped);
+        (Trace.length trace) (r.events + dropped);
       Alcotest.(check bool) "tools still ran on the salvaged stream" true
         (r.tool_runs <> []))
 
@@ -152,7 +152,7 @@ let unmatched_return_without_drop () =
   with_files 1 (fun files ->
       let file = List.hd files in
       let trace = mk_trace 20 in
-      Vec.push trace (Event.Return { tid = 0 });
+      Trace.push trace (Event.Return { tid = 0 });
       write_trace trace file;
       List.iter
         (fun keep_going ->
@@ -174,13 +174,13 @@ let unmatched_return_without_drop () =
 let keep_going_drops_orphaned_returns () =
   with_files 1 (fun files ->
       let file = List.hd files in
-      let trace = Vec.create () in
-      Vec.push trace (Event.Call { tid = 0; routine = 0 });
+      let trace = Trace.create () in
+      Trace.push trace (Event.Call { tid = 0; routine = 0 });
       for i = 0 to 199 do
-        Vec.push trace (Event.Read { tid = 0; addr = 8 * i })
+        Trace.push trace (Event.Read { tid = 0; addr = 8 * i })
       done;
-      Vec.push trace (Event.Return { tid = 0 });
-      Vec.iter (Vec.push trace) (mk_trace 20);
+      Trace.push trace (Event.Return { tid = 0 });
+      Trace.iter (Trace.push trace) (mk_trace 20);
       write_trace trace file;
       ignore (corrupt_chunk file 0);
       let result = Driver.replay ~now ~keep_going:true [ file ] in

@@ -35,7 +35,7 @@ let test_recycled_block_is_fresh () =
   | [ a; b ] -> Alcotest.(check int) "block recycled" a b
   | _ -> Alcotest.fail "expected two allocations");
   let p = Aprof_core.Drms_profiler.create () in
-  Aprof_core.Drms_profiler.run p result.Interp.trace;
+  Aprof_trace.Trace.replay result.Interp.trace (Aprof_core.Drms_profiler.on_batch p);
   let profile = Aprof_core.Drms_profiler.finish p in
   let rid =
     Option.get

@@ -14,7 +14,7 @@ module Shard_acc = Aprof_serve.Shard_acc
 module Fleet = Aprof_serve.Fleet
 module Server = Aprof_serve.Server
 module Profile = Aprof_core.Profile
-module Vec = Aprof_util.Vec
+module Trace = Aprof_trace.Trace
 module Workload = Aprof_workloads.Workload
 module Registry = Aprof_workloads.Registry
 
@@ -124,14 +124,14 @@ let trace_bytes ?entropy ~version () =
    sweeps fill several chunks near 64 KiB. *)
 let sweep_trace =
   lazy
-    (let tr = Vec.create () in
+    (let tr = Trace.create () in
      for tid = 0 to 2 do
-       Vec.push tr (Event.Call { tid; routine = tid });
+       Trace.push tr (Event.Call { tid; routine = tid });
        for i = 0 to 7_999 do
-         Vec.push tr (Event.Read { tid; addr = 4096 + (8 * i) });
-         Vec.push tr (Event.Write { tid; addr = 1_048_576 + (8 * i) })
+         Trace.push tr (Event.Read { tid; addr = 4096 + (8 * i) });
+         Trace.push tr (Event.Write { tid; addr = 1_048_576 + (8 * i) })
        done;
-       Vec.push tr (Event.Return { tid })
+       Trace.push tr (Event.Return { tid })
      done;
      tr)
 
@@ -190,7 +190,7 @@ let feed_in_slices ?(scratch = Trace_net.scratch ()) net s ~slice =
 
 let reference_lines s =
   match Codec.of_string s with
-  | Ok (tr, names) -> (List.map Event.to_line (Vec.to_list tr), names)
+  | Ok (tr, names) -> (List.map Event.to_line (Trace.to_list tr), names)
   | Error e -> Alcotest.failf "reference decode failed: %s" e
 
 (* Every version and slice size, at the default batch size and at 16,
@@ -208,7 +208,7 @@ let test_net_matches_reference () =
   Alcotest.(check bool) "sweep v2 spans several 64 KiB chunks" true
     (String.length sweep_v2 > 3 * 64 * 1024);
   Alcotest.(check bool) "sweep v3 carries repeat regions" true
-    (String.length sweep_v3 < Vec.length sweep);
+    (String.length sweep_v3 < Trace.length sweep);
   Alcotest.(check bool) "entropy coding applied" true (v3_entropy <> v3);
   let small =
     Test_decoders.writer_input ~routine_name:(small_run_names ())
@@ -305,7 +305,7 @@ let test_net_with_footer () =
                    result.Aprof_vm.Interp.routines)
               oc
           in
-          let batches = Stream.batches_of_trace result.Aprof_vm.Interp.trace in
+          let batches = Helpers.batches_of_trace result.Aprof_vm.Interp.trace in
           let rec loop () =
             match batches () with
             | None -> ()
@@ -499,7 +499,7 @@ let test_net_recycled_ingest_allocation () =
     int_of_float ((Gc.quick_stat ()).Gc.major_words -. before) / streams
   in
   Alcotest.(check int) "every stream profiled"
-    ((streams + 1) * Vec.length run.Aprof_vm.Interp.trace)
+    ((streams + 1) * Trace.length run.Aprof_vm.Interp.trace)
     !events;
   if per >= per_stream_words then
     Alcotest.failf "%d major words per recycled stream (bound %d)" per
@@ -842,12 +842,12 @@ let test_server_salvage_keeps_stream () =
    out clean: the next connection it serves may not see the rest of
    that chunk. *)
 let test_server_profiler_error_isolation () =
-  let bad = Vec.create () in
-  Vec.push bad (Event.Return { tid = 0 });
+  let bad = Trace.create () in
+  Trace.push bad (Event.Return { tid = 0 });
   for i = 0 to 3_999 do
-    Vec.push bad (Event.Call { tid = 0; routine = 99 });
-    Vec.push bad (Event.Read { tid = 0; addr = i });
-    Vec.push bad (Event.Return { tid = 0 })
+    Trace.push bad (Event.Call { tid = 0; routine = 99 });
+    Trace.push bad (Event.Read { tid = 0; addr = i });
+    Trace.push bad (Event.Return { tid = 0 })
   done;
   let bad = Codec.to_string bad in
   let good = trace_bytes ~version:2 () in
@@ -897,6 +897,243 @@ let test_server_finished_conns_bounded () =
     Alcotest.failf "%d live words per finished connection (bound %d)"
       per_conn Server.finished_conn_words
 
+(* --- the control edge and the daemon's bounds --------------------- *)
+
+(* One control exchange: send [payload], close the sending side (so a
+   line without a newline still ends), and read until EOF.  [None] when
+   nothing arrived within [timeout] seconds — the daemon never
+   answered. *)
+let control_request ?(timeout = 3.) sock payload =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+      Unix.connect fd (Unix.ADDR_UNIX sock);
+      let b = Bytes.of_string payload in
+      let rec write o =
+        if o < Bytes.length b then
+          write (o + Unix.write fd b o (Bytes.length b - o))
+      in
+      (try
+         write 0;
+         Unix.shutdown fd Unix.SHUTDOWN_SEND
+       with Unix.Unix_error _ -> ());
+      let out = Buffer.create 64 in
+      let chunk = Bytes.create 256 in
+      let rec read () =
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> Some (Buffer.contents out)
+        | n ->
+          Buffer.add_subbytes out chunk 0 n;
+          read ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
+          ->
+          None
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) ->
+          Some (Buffer.contents out)
+      in
+      read ())
+
+let connect_unix sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* Out of descriptors, [accept] fails with EMFILE.  The daemon must back
+   off and keep accepting once descriptors free up: [STATS] answers and
+   [STOP] stops it.  The process is held at its descriptor limit by
+   duplicating one socket until [dup] fails, while a peer connects into
+   the backlog; then every duplicate is closed. *)
+let test_server_fd_exhaustion () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock = temp_sock () in
+  let logged = Atomic.make 0 in
+  let srv =
+    Server.start
+      {
+        Server.default_config with
+        unix_path = Some sock;
+        jobs = 1;
+        shards = 1;
+        log = (fun _ -> Atomic.incr logged);
+      }
+  in
+  let stopped = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !stopped then Server.stop srv)
+    (fun () ->
+      let queued = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let held = ref [] in
+      (try
+         while true do
+           held := Unix.dup queued :: !held
+         done
+       with Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> ());
+      let logs_before = Atomic.get logged in
+      Unix.connect queued (Unix.ADDR_UNIX sock);
+      Thread.delay 0.5;
+      List.iter Unix.close !held;
+      (match control_request sock "STATS\n" with
+      | Some reply ->
+        Alcotest.(check bool)
+          ("STATS answers after exhaustion: " ^ reply)
+          true
+          (starts_with ~prefix:"OK live=" reply)
+      | None -> Alcotest.fail "STATS timed out after descriptor exhaustion");
+      (match control_request sock "STOP\n" with
+      | Some reply -> Alcotest.(check string) "STOP answers" "OK\n" reply
+      | None -> Alcotest.fail "STOP timed out after descriptor exhaustion");
+      Alcotest.(check bool) "descriptor exhaustion logged" true
+        (Atomic.get logged > logs_before);
+      Unix.close queued;
+      Server.wait srv;
+      stopped := true)
+
+(* A peer that never routes (sent nothing) and one stalled mid control
+   line must not hold the stop sequence: [Server.stop] returns within
+   the bound [server.mli] states. *)
+let stop_bound = 15.
+
+let test_server_stop_with_silent_peers () =
+  let sock = temp_sock () in
+  let srv = start_test_server sock in
+  let silent = connect_unix sock in
+  let half = connect_unix sock in
+  ignore (Unix.write_substring half "PIN" 0 3);
+  Thread.delay 0.2;
+  let done_ = Atomic.make false in
+  let t0 = Unix.gettimeofday () in
+  let stopper =
+    Thread.create
+      (fun () ->
+        Server.stop srv;
+        Atomic.set done_ true)
+      ()
+  in
+  while (not (Atomic.get done_)) && Unix.gettimeofday () -. t0 < stop_bound do
+    Thread.delay 0.02
+  done;
+  let returned = Atomic.get done_ in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  (* Release the peers either way, so a stop held by them can finish. *)
+  Unix.close silent;
+  Unix.close half;
+  Thread.join stopper;
+  if not returned then
+    Alcotest.failf "Server.stop held past %.0f s by silent peers" stop_bound;
+  Alcotest.(check bool)
+    (Printf.sprintf "stop took %.2f s" elapsed)
+    true (elapsed < stop_bound)
+
+(* The control-line fuzzer: random first bytes and lines, case and
+   whitespace variants of the verbs, NUL bytes, near-miss [ATRC]
+   prefixes and lines past the 256-byte cap.  Every connection gets
+   exactly one reply line, no exception escapes a daemon thread, and
+   [PING] still answers afterwards. *)
+let control_payload_gen =
+  let open QCheck2.Gen in
+  let bytes_of len = string_size ~gen:char (return len) in
+  let nl = oneofl [ ""; "\n"; "\r\n" ] in
+  let random_bytes =
+    let* len = oneof [ int_range 4 64; int_range 250 300 ] in
+    let* body = bytes_of len in
+    let* tail = nl in
+    return (body ^ tail)
+  in
+  let verb =
+    let* v = oneofl [ "PING"; "STATS"; "SNAPSHOT" ] in
+    let* cased =
+      map
+        (fun flips ->
+          String.mapi
+            (fun i c ->
+              if List.nth flips (i mod List.length flips) then
+                Char.lowercase_ascii c
+              else c)
+            v)
+        (list_size (return 8) bool)
+    in
+    let* pre = oneofl [ ""; " "; "\t"; "  " ] in
+    let* post = oneofl [ ""; " "; "\t"; " \r" ] in
+    let* tail = nl in
+    return (pre ^ cased ^ post ^ tail)
+  in
+  let with_nul =
+    let* v = oneofl [ "PING"; "STATS"; "SNAPSHOT"; "ATRC" ] in
+    let* at = int_range 0 (String.length v) in
+    let* tail = nl in
+    return
+      (String.sub v 0 at ^ "\000" ^ String.sub v at (String.length v - at)
+     ^ tail)
+  in
+  let near_atrc =
+    let* c = char in
+    let c = if c = 'C' then 'c' else c in
+    let* rest = string_size ~gen:char (int_range 0 40) in
+    let* tail = nl in
+    return ("ATR" ^ String.make 1 c ^ rest ^ tail)
+  in
+  let* p = oneof [ random_bytes; verb; with_nul; near_atrc ] in
+  (* A peer must send four bytes to be routed at all, and an [ATRC]
+     start routes to ingest, not control. *)
+  let p = if String.length p < 4 then p ^ String.make (4 - String.length p) ' ' else p in
+  return (if starts_with ~prefix:"ATRC" p then "ATRc" ^ String.sub p 4 (String.length p - 4) else p)
+
+(* The line the daemon sees: up to the first newline, at most 257
+   bytes, trimmed. *)
+let is_stop payload =
+  let cut = min (String.length payload) 257 in
+  let line =
+    match String.index_opt payload '\n' with
+    | Some i when i < cut -> String.sub payload 0 (i + 1)
+    | _ -> String.sub payload 0 cut
+  in
+  String.uppercase_ascii (String.trim line) = "STOP"
+
+let one_reply_line r =
+  String.length r > 0
+  && r.[String.length r - 1] = '\n'
+  && String.index r '\n' = String.length r - 1
+  && (r = "PONG\n" || starts_with ~prefix:"OK " r || starts_with ~prefix:"ERR " r)
+
+let test_server_control_fuzz () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let sock = temp_sock () in
+  let srv = start_test_server sock in
+  let escaped = Atomic.make 0 in
+  let previous = Thread.default_uncaught_exception_handler in
+  Thread.set_uncaught_exception_handler (fun e ->
+      Atomic.incr escaped;
+      previous e);
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.set_uncaught_exception_handler previous;
+      Server.stop srv)
+    (fun () ->
+      let test =
+        QCheck2.Test.make ~count:300 ~name:"control-line fuzz"
+          ~print:String.escaped control_payload_gen (fun payload ->
+            if is_stop payload then true
+            else
+              match control_request sock payload with
+              | Some r when one_reply_line r -> true
+              | Some r ->
+                QCheck2.Test.fail_reportf "reply %S to %S" r payload
+              | None -> QCheck2.Test.fail_reportf "no reply to %S" payload)
+      in
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 0xc0ffee |]) test;
+      Alcotest.(check (option string)) "PING still answers" (Some "PONG\n")
+        (control_request sock "PING\n");
+      Alcotest.(check int) "no exception escaped a daemon thread" 0
+        (Atomic.get escaped);
+      Alcotest.(check (option string)) "STOP, once, at the end" (Some "OK\n")
+        (control_request sock "STOP\n"))
+
 let suite =
   [
     Alcotest.test_case "inbox: round trip and recycling" `Quick
@@ -943,4 +1180,10 @@ let suite =
       test_server_salvage_keeps_stream;
     Alcotest.test_case "server: finished connections release their state"
       `Quick test_server_finished_conns_bounded;
+    Alcotest.test_case "server: accepting survives descriptor exhaustion"
+      `Quick test_server_fd_exhaustion;
+    Alcotest.test_case "server: silent peers cannot hold the stop" `Quick
+      test_server_stop_with_silent_peers;
+    Alcotest.test_case "server: control-line fuzz" `Quick
+      test_server_control_fuzz;
   ]

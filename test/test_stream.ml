@@ -1,7 +1,7 @@
-(* The stream pipeline: combinator sanity, text-channel sources, and the
+(* The stream pipeline: batch-source sanity, the text edge, and the
    load-bearing equivalence — streaming consumption (live VM callbacks,
-   binary or text decode) must produce bit-identical profiles to
-   materialized replay, on every registered workload. *)
+   binary decode) must produce bit-identical profiles to materialized
+   replay, on every registered workload. *)
 
 open Helpers
 module Stream = Aprof_trace.Trace_stream
@@ -11,7 +11,7 @@ module Registry = Aprof_workloads.Registry
 module Interp = Aprof_vm.Interp
 
 let ev_list = Alcotest.(list string)
-let lines tr = List.map Event.to_line (Vec.to_list tr)
+let lines tr = List.map Event.to_line (Trace.to_list tr)
 
 let combinators () =
   let events =
@@ -23,43 +23,16 @@ let combinators () =
       Event.Return { tid = 0 };
     ]
   in
-  let tr = Vec.of_list events in
-  Alcotest.check ev_list "of_trace/to_trace identity" (lines tr)
-    (lines (Stream.to_trace (Trace.to_stream tr)));
-  Alcotest.(check int) "length" 5 (Stream.length (Stream.of_list events));
-  Alcotest.(check int) "take" 2 (Stream.length (Stream.take 2 (Stream.of_list events)));
-  let reads =
-    Stream.to_list
-      (Stream.filter
-         (function Event.Read _ -> true | _ -> false)
-         (Stream.of_list events))
-  in
-  Alcotest.(check int) "filter" 1 (List.length reads);
-  let bumped =
-    Stream.to_list
-      (Stream.map
-         (function
-           | Event.Read { tid; addr } -> Event.Read { tid; addr = addr + 1 }
-           | ev -> ev)
-         (Stream.of_list events))
-  in
-  (match List.nth bumped 2 with
-  | Event.Read { addr; _ } -> Alcotest.(check int) "map" 4 addr
-  | _ -> Alcotest.fail "map changed the shape");
-  (* tee duplicates, connect counts and closes. *)
-  let a = Vec.create () and b = Vec.create () in
-  let closed = ref 0 in
-  let counting base =
-    { base with Stream.close = (fun () -> incr closed) }
-  in
-  let n =
-    Stream.connect (Stream.of_list events)
-      (Stream.tee (counting (Stream.sink_to_trace a)) (counting (Stream.sink_to_trace b)))
-  in
-  Alcotest.(check int) "connect count" 5 n;
-  Alcotest.(check int) "both closed" 2 !closed;
-  Alcotest.check ev_list "tee left" (lines tr) (lines a);
-  Alcotest.check ev_list "tee right" (lines tr) (lines b)
+  let tr = Trace.of_list events in
+  let replayed = Trace.create () in
+  Trace.replay tr (Trace.add_batch replayed);
+  Alcotest.check ev_list "replay identity" (lines tr) (lines replayed);
+  Alcotest.(check int) "length" 5 (Trace.length tr);
+  (* drain delivers every batch in order. *)
+  let a = Trace.create () in
+  Alcotest.(check int) "drain count" 5
+    (Stream.drain (batches_of_trace ~batch_size:2 tr) (Trace.add_batch a));
+  Alcotest.check ev_list "drain delivers in order" (lines tr) (lines a)
 
 let text_channel_source () =
   let tr =
@@ -67,61 +40,24 @@ let text_channel_source () =
   in
   let file = Filename.temp_file "aprof_test" ".trace" in
   Out_channel.with_open_bin file (fun oc ->
-      Stream.connect (Trace.to_stream tr) (Stream.text_sink oc) |> ignore);
+      let sink = Stream.text_sink oc in
+      Trace.replay tr sink.Stream.emit_batch;
+      sink.Stream.close_batch ());
   let decoded =
     In_channel.with_open_bin file (fun ic ->
-        Stream.to_trace (Stream.of_text_channel ic))
+        trace_of_batches (Stream.of_text_channel ic))
   in
   Sys.remove file;
   Alcotest.check ev_list "text channel round trip" (lines tr) (lines decoded);
   Out_channel.with_open_bin file (fun oc -> output_string oc "C 1\nnot an event\n");
   let raises =
     In_channel.with_open_bin file (fun ic ->
-        match Stream.to_trace (Stream.of_text_channel ic) with
+        match trace_of_batches (Stream.of_text_channel ic) with
         | _ -> false
         | exception Stream.Decode_error _ -> true)
   in
   Sys.remove file;
   Alcotest.(check bool) "malformed line raises Decode_error" true raises
-
-(* [connect]/[connect_batches] guarantee the sink is closed exactly once
-   even when the source raises mid-stream — a binary writer's end marker
-   must be flushed before the exception propagates. *)
-let connect_closes_on_raise () =
-  let exception Boom in
-  let raising_source () =
-    let n = ref 0 in
-    fun () ->
-      incr n;
-      if !n > 2 then raise Boom else Some (Event.Switch_thread { tid = 0 })
-  in
-  let closed = ref 0 in
-  let sink =
-    { Stream.emit = ignore; close = (fun () -> incr closed) }
-  in
-  (match Stream.connect (raising_source ()) sink with
-  | _ -> Alcotest.fail "expected the source's exception to propagate"
-  | exception Boom -> ());
-  Alcotest.(check int) "event sink closed exactly once" 1 !closed;
-  let raising_batches () =
-    let n = ref 0 in
-    let b = Event.Batch.create ~capacity:1 () in
-    Event.Batch.push b (Event.Switch_thread { tid = 0 });
-    fun () ->
-      incr n;
-      if !n > 2 then raise Boom else Some b
-  in
-  let closed_b = ref 0 in
-  let bsink =
-    {
-      Stream.emit_batch = (fun (_ : Event.Batch.t) -> ());
-      close_batch = (fun () -> incr closed_b);
-    }
-  in
-  (match Stream.connect_batches (raising_batches ()) bsink with
-  | _ -> Alcotest.fail "expected the source's exception to propagate"
-  | exception Boom -> ());
-  Alcotest.(check int) "batch sink closed exactly once" 1 !closed_b
 
 (* --- streaming = materialized, on every registered workload ----------- *)
 
@@ -139,15 +75,15 @@ let streaming_equals_materialized spec () =
   (* Live: profile while the VM executes, no trace anywhere. *)
   let live = Aprof_core.Drms_profiler.create () in
   let live_result =
-    Workload.run_spec_instrumented ~scheduler spec ~threads ~scale ~seed
-      ~tool:(fun _routines -> Aprof_core.Drms_profiler.on_event live)
+    Workload.run_spec_batched ~scheduler spec ~threads ~scale ~seed
+      ~tool:(fun _routines -> Aprof_core.Drms_profiler.on_batch live)
   in
   Alcotest.(check int)
-    "same event count" (Vec.length result.Interp.trace)
+    "same event count" (Trace.length result.Interp.trace)
     live_result.Interp.events_emitted;
   Alcotest.(check int)
     "streamed run materializes nothing" 0
-    (Vec.length live_result.Interp.trace);
+    (Trace.length live_result.Interp.trace);
   check_profiles_equal "live streaming = materialized" p_mat
     (Aprof_core.Drms_profiler.finish live);
   (* Through the binary codec: encode, stream-decode, profile. *)
@@ -164,8 +100,6 @@ let streaming_equals_materialized spec () =
 let suite =
   Alcotest.test_case "stream combinators" `Quick combinators
   :: Alcotest.test_case "text channel source" `Quick text_channel_source
-  :: Alcotest.test_case "connect closes sink on raise" `Quick
-       connect_closes_on_raise
   :: List.map
        (fun spec ->
          Alcotest.test_case

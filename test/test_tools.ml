@@ -5,7 +5,6 @@ open Aprof_vm.Program
 module Interp = Aprof_vm.Interp
 module Scheduler = Aprof_vm.Scheduler
 module Event = Aprof_trace.Event
-module Vec = Aprof_util.Vec
 
 let run ?(scheduler = Scheduler.Random_preemptive { min_slice = 1; max_slice = 8 })
     ?(seed = 3) ?(devices = []) threads =
@@ -16,7 +15,7 @@ let run ?(scheduler = Scheduler.Random_preemptive { min_slice = 1; max_slice = 8
 
 let races_of trace =
   let t = Aprof_tools.Helgrind_lite.create () in
-  Vec.iter (Aprof_tools.Helgrind_lite.on_event t) trace;
+  Aprof_trace.Trace.replay trace (Aprof_tools.Helgrind_lite.on_batch t);
   Aprof_tools.Helgrind_lite.races t
 
 let test_helgrind_clean_producer_consumer () =
@@ -72,8 +71,8 @@ let test_helgrind_rejects_bad_tid () =
   let t = Aprof_tools.Helgrind_lite.create () in
   (* Leave the cell with both a write epoch and a read epoch so the bad
      tid reaches each same-epoch guard rather than an empty-state path. *)
-  Aprof_tools.Helgrind_lite.on_event t (Event.Write { tid = 0; addr = 5 });
-  Aprof_tools.Helgrind_lite.on_event t (Event.Read { tid = 0; addr = 5 });
+  Helpers.feed (Aprof_tools.Helgrind_lite.on_batch t) [ (Event.Write { tid = 0; addr = 5 }) ];
+  Helpers.feed (Aprof_tools.Helgrind_lite.on_batch t) [ (Event.Read { tid = 0; addr = 5 }) ];
   List.iter
     (fun tid ->
       List.iter
@@ -82,7 +81,7 @@ let test_helgrind_rejects_bad_tid () =
             (Printf.sprintf "tid %d rejected" tid)
             (Invalid_argument
                (Printf.sprintf "Helgrind_lite: thread id %d out of range" tid))
-            (fun () -> Aprof_tools.Helgrind_lite.on_event t ev))
+            (fun () -> Helpers.feed (Aprof_tools.Helgrind_lite.on_batch t) [ ev ]))
         [ Event.Read { tid; addr = 5 }; Event.Write { tid; addr = 5 } ])
     [ -1; min_int; Event.max_tid + 1 ]
 
@@ -109,7 +108,7 @@ let test_helgrind_lock_prevents_race () =
 
 let memcheck_on trace =
   let t = Aprof_tools.Memcheck_lite.create () in
-  Vec.iter (Aprof_tools.Memcheck_lite.on_event t) trace;
+  Aprof_trace.Trace.replay trace (Aprof_tools.Memcheck_lite.on_batch t);
   t
 
 let has_error pred t =
@@ -186,7 +185,7 @@ let test_callgrind_inclusive_exclusive () =
       ~seed:3
   in
   let t = Aprof_tools.Callgrind_lite.create () in
-  Vec.iter (Aprof_tools.Callgrind_lite.on_event t) r.Interp.trace;
+  Aprof_trace.Trace.replay r.Interp.trace (Aprof_tools.Callgrind_lite.on_batch t);
   let costs = Aprof_tools.Callgrind_lite.routine_costs t in
   (* inclusive >= exclusive everywhere *)
   List.iter
@@ -195,9 +194,11 @@ let test_callgrind_inclusive_exclusive () =
     costs;
   (* the root routine's inclusive cost equals the whole trace cost *)
   let total =
-    Vec.fold_left
-      (fun acc ev -> acc + Aprof_core.Cost_model.cost_increment ev)
-      0 r.Interp.trace
+    let acc = ref 0 in
+    Aprof_trace.Trace.replay r.Interp.trace
+      (Event.Batch.iter (fun tag _ arg _ ->
+           acc := !acc + Aprof_core.Cost_model.cost_increment ~tag ~arg));
+    !acc
   in
   let root =
     List.find
@@ -221,7 +222,7 @@ let test_callgrind_edges () =
       ~seed:3
   in
   let t = Aprof_tools.Callgrind_lite.create () in
-  Vec.iter (Aprof_tools.Callgrind_lite.on_event t) r.Interp.trace;
+  Aprof_trace.Trace.replay r.Interp.trace (Aprof_tools.Callgrind_lite.on_batch t);
   let edges = Aprof_tools.Callgrind_lite.edges t in
   let tbl = r.Interp.routines in
   let id n = Option.get (Aprof_trace.Routine_table.find tbl n) in
@@ -242,8 +243,8 @@ let test_nulgrind_counts () =
       ~seed:3
   in
   let t = Aprof_tools.Nulgrind.create () in
-  Vec.iter (Aprof_tools.Nulgrind.on_event t) r.Interp.trace;
-  Alcotest.(check int) "event count" (Vec.length r.Interp.trace)
+  Aprof_trace.Trace.replay r.Interp.trace (Aprof_tools.Nulgrind.on_batch t);
+  Alcotest.(check int) "event count" (Aprof_trace.Trace.length r.Interp.trace)
     (Aprof_tools.Nulgrind.events t)
 
 let test_harness_measures () =

@@ -59,7 +59,7 @@ let test_merge_order () =
   in
   let t1 = thread_trace 1 [ (1, Event.Write { tid = 1; addr = 1 }) ] in
   let merged = Trace.merge ~tie_break:`Lowest_tid [ t0; t1 ] in
-  let kinds = Vec.to_list merged |> List.map Event.to_line in
+  let kinds = Trace.to_list merged |> List.map Event.to_line in
   Alcotest.(check (list string)) "interleaving with switches"
     [ "W 0"; "L 0 1"; "W 1"; "S 1 1"; "W 0"; "L 0 2" ]
     kinds
@@ -106,12 +106,8 @@ let subsequence_preserved triples =
   List.for_all
     (fun (tid, _, evs) ->
       let seen =
-        Vec.fold_left
-          (fun acc ev ->
-            if (not (Event.is_switch ev)) && Event.tid ev = tid then ev :: acc
-            else acc)
-          [] merged
-        |> List.rev
+        Trace.to_list merged
+        |> List.filter (fun ev -> (not (Event.is_switch ev)) && Event.tid ev = tid)
       in
       seen = evs)
     triples
@@ -125,7 +121,7 @@ let split_merge_identity trace =
   let split = Trace.split trace in
   let merged = Trace.merge ~tie_break:`Lowest_tid split in
   let strip t =
-    Vec.to_list t |> List.filter (fun e -> not (Event.is_switch e))
+    Trace.to_list t |> List.filter (fun e -> not (Event.is_switch e))
   in
   strip merged = strip trace
 
@@ -135,13 +131,13 @@ let split_merge =
        ~print:Gen_trace.print (Gen_trace.gen ()) split_merge_identity)
 
 let test_well_formed_negatives () =
-  let t = Vec.create () in
-  Vec.push t (Event.Return { tid = 0 });
+  let t = Trace.create () in
+  Trace.push t (Event.Return { tid = 0 });
   Alcotest.(check bool) "return without call flagged" true
     (Trace.well_formed t <> []);
-  let t2 = Vec.create () in
-  Vec.push t2 (Event.Thread_exit { tid = 0 });
-  Vec.push t2 (Event.Read { tid = 0; addr = 1 });
+  let t2 = Trace.create () in
+  Trace.push t2 (Event.Thread_exit { tid = 0 });
+  Trace.push t2 (Event.Read { tid = 0; addr = 1 });
   Alcotest.(check bool) "act after exit flagged" true (Trace.well_formed t2 <> [])
 
 let save_load_roundtrip trace =
@@ -152,7 +148,7 @@ let save_load_roundtrip trace =
         match Trace.load ic with Ok t -> t | Error e -> failwith e)
   in
   Sys.remove tmp;
-  Vec.to_list back = Vec.to_list trace
+  Trace.to_list back = Trace.to_list trace
 
 let save_load =
   QCheck_alcotest.to_alcotest

@@ -17,7 +17,7 @@ let run ?scheduler ?seed ?devices ?max_events threads =
   Interp.run (config ?scheduler ?seed ?devices ?max_events ()) threads
 
 let lines result =
-  Vec.to_list result.Interp.trace |> List.map Event.to_line
+  Aprof_trace.Trace.to_list result.Interp.trace |> List.map Event.to_line
 
 let test_determinism () =
   let mk () =

@@ -136,7 +136,7 @@ let check_program ~sched_name ~scheduler seed =
   (match Sys.getenv_opt "APROF_DEBUG_SIZES" with
   | Some _ ->
     Printf.eprintf "seed %d (%s): %d events, %d threads, %d routines\n" seed
-      sched_name (Vec.length trace) result.Interp.threads_spawned
+      sched_name (Trace.length trace) result.Interp.threads_spawned
       (Aprof_trace.Routine_table.size result.Interp.routines)
   | None -> ());
   (match Trace.well_formed trace with
@@ -156,13 +156,13 @@ let check_program ~sched_name ~scheduler seed =
   List.iter
     (fun f ->
       let materialized = f.Tool.create () in
-      Tool.replay materialized trace;
+      Trace.replay trace materialized.Tool.on_batch;
       let streamed = f.Tool.create () in
       let live =
-        Workload.run_instrumented ~scheduler w ~seed ~tool:(fun _ ->
-            streamed.Tool.on_event)
+        Workload.run_batched ~scheduler w ~seed ~tool:(fun _ ->
+            streamed.Tool.on_batch)
       in
-      if live.Interp.events_emitted <> Vec.length trace then
+      if live.Interp.events_emitted <> Trace.length trace then
         Alcotest.failf "seed %d (%s): %s: event counts differ" seed sched_name
           f.Tool.tool_name;
       let sw, ssum = tool_state streamed and mw, msum = tool_state materialized in

@@ -45,7 +45,7 @@ let test_well_formed_and_differential spec () =
 let test_race_free spec () =
   let result = run_one spec in
   let t = Aprof_tools.Helgrind_lite.create () in
-  Aprof_util.Vec.iter (Aprof_tools.Helgrind_lite.on_event t) result.Aprof_vm.Interp.trace;
+  Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_tools.Helgrind_lite.on_batch t);
   Alcotest.(check (list string)) "race-free" []
     (List.map
        (fun r -> Format.asprintf "%a" Aprof_tools.Helgrind_lite.pp_race r)

@@ -84,7 +84,7 @@ let test_vips_wbuffer () =
   (* And the external-only variant sits strictly in between (Figure 6b). *)
   let p_ext =
     let pr = Aprof_core.Drms_profiler.create ~mode:`External_only () in
-    Aprof_core.Drms_profiler.run pr result.Aprof_vm.Interp.trace;
+    Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (Aprof_core.Drms_profiler.on_batch pr);
     Aprof_core.Drms_profiler.finish pr
   in
   let d_ext = merged_data p_ext (routine_id tbl "wbuffer_write_thread") in
