@@ -1,5 +1,5 @@
 (* Parallel replay scaling: aggregate events/second of the
-   work-stealing replay engine at 1..4 workers, per mergeable tool.
+   work-stealing replay engine at 1..4 workers, per shardable tool.
 
    A canneal trace is recorded once (binary, with the shard index) —
    canneal because its event mix exercises what the profilers actually
@@ -151,26 +151,25 @@ let run ~quick ppf =
         else [ ("speedup_vs_j1", Exp_common.Float speedup) ])
     done
   in
+  (* Every tool that shards within a trace; helgrind ([Global]) would
+     only replay in order at every job count. *)
   List.iter
-    (fun (Harness.Mergeable (module M)) ->
-      scaling_rows ~label:M.name ~shards (module M))
-    (Harness.standard_mergeable ());
+    (fun (module M : Tool.S) ->
+      match M.sharding with
+      | Tool.Global -> ()
+      | Tool.By_chunk _ | Tool.By_thread _ ->
+        scaling_rows ~label:M.name ~shards (module M))
+    Harness.tools;
   (* The same trace as a v3 (packed) file through the drms profiler:
      work-stealing claims whole chunks, and a v3 chunk decodes through
      the transform layer inside each worker's session — the row labels
      carry a "-v3" suffix so per-format curves stay distinguishable. *)
-  (match
-     List.find_opt
-       (fun (Harness.Mergeable (module M)) -> M.name = "aprof-drms")
-       (Harness.standard_mergeable ())
-   with
-  | Some (Harness.Mergeable (module M)) ->
-    let shards_v3 =
-      match Tool.Shards.of_file path_v3 with
-      | Some shards -> shards
-      | None -> failwith "v3 trace has no chunk index"
-    in
-    scaling_rows ~label:(M.name ^ "-v3") ~shards:shards_v3 (module M)
-  | None -> failwith "aprof-drms mergeable missing");
+  let module Drms = Aprof_tools.Aprof_adapters.Drms in
+  let shards_v3 =
+    match Tool.Shards.of_file path_v3 with
+    | Some shards -> shards
+    | None -> failwith "v3 trace has no chunk index"
+  in
+  scaling_rows ~label:(Drms.name ^ "-v3") ~shards:shards_v3 (module Drms);
   Sys.remove path_v3;
   Sys.remove path

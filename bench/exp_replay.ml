@@ -53,11 +53,11 @@ let run ~quick ppf =
   (* One throwaway decode so the file is in the page cache before the
      first timed run. *)
   In_channel.with_open_bin bin_file (fun ic ->
-      let tool = Aprof_tools.Nulgrind.tool () in
+      let st = Aprof_tools.Nulgrind.create () in
       let _names, batches = Codec.batch_reader ic in
-      ignore (Tool.replay_batches tool batches));
-  let measure_once factory =
-    let tool = factory.Tool.create () in
+      ignore (Stream.drain batches (Aprof_tools.Nulgrind.on_batch st)));
+  let measure_once (module M : Tool.S) =
+    let st = M.create () in
     (* Start every run from the same heap shape, or the garbage of one
        measurement is collected on a later one's clock. *)
     Gc.compact ();
@@ -66,7 +66,7 @@ let run ~quick ppf =
         let seconds, n =
           time (fun () ->
               let _names, batches = Codec.batch_reader ic in
-              Tool.replay_batches tool batches)
+              Stream.drain batches (M.on_batch st))
         in
         if n <> n_events then failwith "replay bench: replay count mismatch";
         let words = Gc.minor_words () -. m0 in
@@ -79,13 +79,13 @@ let run ~quick ppf =
      moves the rate most) collect many samples, slow ones stop early. *)
   let budget = 1.5 in
   let max_reps = 8 in
-  let measure_best factory =
-    let best = ref (measure_once factory) in
+  let measure_best tool =
+    let best = ref (measure_once tool) in
     let spent = ref (fst !best) in
     let reps = ref 0 in
     while (not quick) && !spent < budget && !reps < max_reps do
       incr reps;
-      let (s, _) as r = measure_once factory in
+      let (s, _) as r = measure_once tool in
       if s < fst !best then best := r;
       spent := !spent +. s
     done;
@@ -94,13 +94,12 @@ let run ~quick ppf =
   let rate s = float_of_int n_events /. Float.max s 1e-9 /. 1e6 in
   Format.fprintf ppf "  %-12s %12s %12s@." "" "Mev/s" "w/ev";
   List.iter
-    (fun factory ->
-      let b_s, b_w = measure_best factory in
-      Format.fprintf ppf "  %-12s %12.1f %12.2f@." factory.Tool.tool_name
-        (rate b_s) b_w;
+    (fun (module M : Tool.S) ->
+      let b_s, b_w = measure_best (module M : Tool.S) in
+      Format.fprintf ppf "  %-12s %12.1f %12.2f@." M.name (rate b_s) b_w;
       Exp_common.emit_row ~experiment:"replay"
         [
-          ("tool", Exp_common.String factory.Tool.tool_name);
+          ("tool", Exp_common.String M.name);
           ("events", Exp_common.Int n_events);
           ("cores", Exp_common.Int cores);
           ("batch_seconds", Exp_common.Float b_s);
@@ -108,8 +107,8 @@ let run ~quick ppf =
           ("batch_minor_words_per_event", Exp_common.Float b_w);
         ])
     (List.filter
-       (fun f -> Exp_common.keep_tool f.Tool.tool_name)
-       (Harness.standard_factories ()));
+       (fun (module M : Tool.S) -> Exp_common.keep_tool M.name)
+       Harness.tools);
   (* --- trace-format sweep: batch replay per container version --------
 
      The same trace replayed off a v2 and a v3 file through the batch
@@ -144,14 +143,14 @@ let run ~quick ppf =
         (label, file))
       formats
   in
-  let replay_file factory file =
-    let tool = factory.Tool.create () in
+  let replay_file (module M : Tool.S) file =
+    let st = M.create () in
     Gc.compact ();
     In_channel.with_open_bin file (fun ic ->
         let seconds, n =
           time (fun () ->
               let _names, batches = Codec.batch_reader ic in
-              Tool.replay_batches tool batches)
+              Stream.drain batches (M.on_batch st))
         in
         if n <> n_events then failwith "replay bench: format replay mismatch";
         seconds)
@@ -160,16 +159,16 @@ let run ~quick ppf =
     (fun tool_name ->
       match
         List.find_opt
-          (fun f -> f.Tool.tool_name = tool_name)
-          (Harness.standard_factories ())
+          (fun (module M : Tool.S) -> M.name = tool_name)
+          Harness.tools
       with
-      | Some factory when Exp_common.keep_tool tool_name ->
+      | Some tool when Exp_common.keep_tool tool_name ->
         List.iter
           (fun (label, file) ->
-            let best = ref (replay_file factory file) in
+            let best = ref (replay_file tool file) in
             let reps = if quick then 1 else 5 in
             for _ = 2 to reps do
-              let s = replay_file factory file in
+              let s = replay_file tool file in
               if s < !best then best := s
             done;
             let bytes =

@@ -25,7 +25,7 @@ let run ?(quick = false) ppf =
                    ~trace:r.Exp_common.result.Aprof_vm.Interp.trace
                    ~program_words:
                      r.Exp_common.result.Aprof_vm.Interp.memory_high_water
-                   (Harness.standard_factories ()))
+                   Harness.tools)
                names)
         in
         (threads, rows))

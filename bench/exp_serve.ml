@@ -112,7 +112,8 @@ let run ~quick ppf =
   (* Baseline: sequential single-file replay through the same profiler. *)
   let baseline =
     let r =
-      Aprof_tools.Replay_driver.replay ~jobs:1 ~profiler:`Drms
+      Aprof_tools.Replay_driver.replay ~jobs:1
+        ~profiler:(module Aprof_tools.Aprof_adapters.Drms)
         ~with_tools:false ~keep_going:false ~now [ path ]
     in
     if r.Aprof_tools.Replay_driver.failed then failwith "baseline replay failed";

@@ -23,7 +23,7 @@ let measure_suite ?(threads = 4) ?(scale = 300) ?(min_events = 40_000) names =
       Harness.measure
         ~trace:r.Exp_common.result.Aprof_vm.Interp.trace
         ~program_words:r.Exp_common.result.Aprof_vm.Interp.memory_high_water
-        (Harness.standard_factories ()))
+        Harness.tools)
     names
 
 let print_rows ppf suite rows =

@@ -23,9 +23,9 @@ let mysql_trace () =
   in
   r.Aprof_vm.Interp.trace
 
-let replay_with create trace () =
-  let tool = create () in
-  Aprof_trace.Trace.replay trace tool.Aprof_tools.Tool.on_batch
+let replay_with (module M : Aprof_tools.Tool.S) trace () =
+  let st = M.create () in
+  Aprof_trace.Trace.replay trace (M.on_batch st)
 
 let tests () =
   let trace = prepared_trace () in
@@ -33,13 +33,13 @@ let tests () =
   [
     (* table1: each tool's replay cost on one pipeline trace *)
     Test.make ~name:"table1/nulgrind"
-      (Staged.stage (replay_with Aprof_tools.Nulgrind.tool trace));
+      (Staged.stage (replay_with (module Aprof_tools.Nulgrind) trace));
     Test.make ~name:"table1/memcheck"
-      (Staged.stage (replay_with Aprof_tools.Memcheck_lite.tool trace));
+      (Staged.stage (replay_with (module Aprof_tools.Memcheck_lite) trace));
     Test.make ~name:"table1/callgrind"
-      (Staged.stage (replay_with Aprof_tools.Callgrind_lite.tool trace));
+      (Staged.stage (replay_with (module Aprof_tools.Callgrind_lite) trace));
     Test.make ~name:"table1/helgrind"
-      (Staged.stage (replay_with Aprof_tools.Helgrind_lite.tool trace));
+      (Staged.stage (replay_with (module Aprof_tools.Helgrind_lite) trace));
     Test.make ~name:"table1/aprof-rms"
       (Staged.stage (fun () ->
            let p = Aprof_core.Rms_profiler.create () in

@@ -459,22 +459,21 @@ let tools_cmd =
   let run name threads scale seed scheduler =
     let result = execute name threads scale seed scheduler in
     List.iter
-      (fun f ->
+      (fun (module M : Aprof_tools.Tool.S) ->
         (* The race detector reports per-race lines, not just a summary:
            print its full report (the golden test pins this rendering). *)
-        if f.Aprof_tools.Tool.tool_name = "helgrind" then begin
+        if M.name = Aprof_tools.Helgrind_lite.name then begin
           let h = Aprof_tools.Helgrind_lite.create () in
           Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace
             (Aprof_tools.Helgrind_lite.on_batch h);
           print_string (Aprof_tools.Helgrind_lite.render_report h)
         end
         else begin
-          let tool = f.Aprof_tools.Tool.create () in
-          Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace
-            tool.Aprof_tools.Tool.on_batch;
-          Printf.printf "%s\n" (tool.Aprof_tools.Tool.summary ())
+          let st = M.create () in
+          Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace (M.on_batch st);
+          Printf.printf "%s\n" (M.summary st)
         end)
-      (Aprof_tools.Harness.standard_factories ())
+      Aprof_tools.Harness.tools
   in
   Cmd.v
     (Cmd.info "tools" ~doc:"Run every analysis tool over one workload's trace")
@@ -490,7 +489,7 @@ let overhead_cmd =
     let measurements =
       Aprof_tools.Harness.measure ~trace:result.Aprof_vm.Interp.trace
         ~program_words:result.Aprof_vm.Interp.memory_high_water
-        (Aprof_tools.Harness.standard_factories ())
+        Aprof_tools.Harness.tools
     in
     List.iter
       (fun m -> Format.printf "%a@." Aprof_tools.Harness.pp_measurement m)
@@ -580,6 +579,18 @@ let rate_line verb events seconds =
   in
   Printf.eprintf "%s %d events in %.2f s (%.2fM events/s)\n" verb events
     seconds rate
+
+(* [--profiler] of [replay] and [serve]: a name of
+   {!Aprof_tools.Harness.profilers}, whose first entry (drms) is the
+   default. *)
+let profiler_term doc =
+  let names = List.map fst Aprof_tools.Harness.profilers in
+  Term.(
+    const (fun name -> List.assoc name Aprof_tools.Harness.profilers)
+    $ Arg.(
+        value
+        & opt (enum (List.map (fun n -> (n, n)) names)) (List.hd names)
+        & info [ "profiler" ] ~docv:"P" ~doc))
 
 (* Wall clock, not [Sys.time]: parallel replay spreads the work over
    domains, where process CPU time overstates elapsed time — and a rate
@@ -819,15 +830,6 @@ let replay_cmd =
              through its own profiler instance in parallel and the profiles \
              are merged.")
   in
-  let profiler_term =
-    let doc =
-      "Profiler to replay into: $(b,drms), $(b,rms) or $(b,naive)."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("drms", `Drms); ("rms", `Rms); ("naive", `Naive) ]) `Drms
-      & info [ "profiler" ] ~docv:"P" ~doc)
-  in
   let tools_term =
     let doc = "Additionally replay the trace through every standard tool." in
     Arg.(value & flag & info [ "tools" ] ~doc)
@@ -869,7 +871,10 @@ let replay_cmd =
     (Cmd.info "replay"
        ~doc:"Stream recorded trace file(s) through a profiler (and tools)")
     Term.(
-      const run $ paths_arg $ profiler_term $ tools_term $ jobs_term
+      const run $ paths_arg
+      $ profiler_term
+          "Profiler to replay into: $(b,drms), $(b,rms) or $(b,naive)."
+      $ tools_term $ jobs_term
       $ keep_going_term $ json_term)
 
 (* ----- merge ----------------------------------------------------------- *)
@@ -1076,13 +1081,6 @@ let serve_cmd =
                port 0 picks one)." in
     Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
   in
-  let profiler_term =
-    let doc = "Profiler run over each stream: $(b,drms), $(b,rms) or $(b,naive)." in
-    Arg.(
-      value
-      & opt (enum [ ("drms", `Drms); ("rms", `Rms); ("naive", `Naive) ]) `Drms
-      & info [ "profiler" ] ~docv:"P" ~doc)
-  in
   let shards_term =
     let doc = "Profile accumulator shards (more shards, less fold contention)." in
     Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc)
@@ -1125,7 +1123,10 @@ let serve_cmd =
          "Run the always-on ingest daemon: accept concurrent ATRC streams, \
           aggregate live, snapshot on demand")
     Term.(
-      const run $ unix_term $ tcp_term $ profiler_term $ shards_term
+      const run $ unix_term $ tcp_term
+      $ profiler_term
+          "Profiler run over each stream: $(b,drms), $(b,rms) or $(b,naive)."
+      $ shards_term
       $ jobs_term $ every_term $ out_term $ fleet_term $ idle_term
       $ salvage_term $ quiet_term)
 

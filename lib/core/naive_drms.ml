@@ -24,8 +24,8 @@ type thread_state = {
 type t = {
   threads : (int, thread_state) Hashtbl.t;
   last_writer : (int, writer) Hashtbl.t;
-  costs : Cost_model.Counter.t;
-  profile : Profile.t;
+  mutable costs : Cost_model.Counter.t;
+  mutable profile : Profile.t;
   mutable finished : bool;
 }
 
@@ -197,6 +197,13 @@ let finish t =
       t.threads
   end;
   t.profile
+
+let reset t =
+  Hashtbl.reset t.threads;
+  Hashtbl.reset t.last_writer;
+  t.costs <- Cost_model.Counter.create ();
+  t.profile <- Profile.create ();
+  t.finished <- false
 
 let merge_into ~into src = Profile.merge_into ~into:(finish into) (finish src)
 

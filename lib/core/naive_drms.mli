@@ -31,6 +31,11 @@ val profile : t -> Profile.t
     {!Drms_profiler.merge_into} applies. *)
 val merge_into : into:t -> t -> unit
 
+(** [reset t] returns [t] to the state {!create} gave it: every table
+    is dropped and an empty fresh profile started.  The profile {!finish}
+    returned before belongs to its receiver and is no longer touched. *)
+val reset : t -> unit
+
 (** [current_drms t ~tid] mirrors {!Drms_profiler.current_drms}: the drms
     of each pending activation of [tid], bottom first. *)
 val current_drms : t -> tid:int -> int list

@@ -47,7 +47,7 @@ let now () = Unix.gettimeofday ()
 type config = {
   unix_path : string option;  (* Unix-domain listener path *)
   tcp : (string * int) option;  (* TCP listener (host, port; 0 = any) *)
-  profiler : Aprof_tools.Replay_driver.profiler;
+  profiler : (module Aprof_tools.Tool.Profiler);
   shards : int;  (* profile accumulator shards *)
   jobs : int;  (* ingest workers *)
   snapshot_every : float;  (* seconds; 0 = only on request *)
@@ -65,7 +65,7 @@ let default_config =
   {
     unix_path = None;
     tcp = None;
-    profiler = `Drms;
+    profiler = (module Aprof_tools.Aprof_adapters.Drms);
     shards = 8;
     jobs = max 1 (Serve_backend.cpu_count () - 1);
     snapshot_every = 0.;
@@ -267,8 +267,8 @@ let make_conn t fd peer =
     }
   in
   let driver =
-    Ingest_driver.create ~profiler:t.cfg.profiler ~salvage:t.cfg.salvage
-      ~pool:t.profilers ~on_profile:(fun ~profile ~events ->
+    Ingest_driver.create ~salvage:t.cfg.salvage ~pool:t.profilers
+      ~on_profile:(fun ~profile ~events ->
         Shard_acc.fold t.acc profile;
         Mutex.lock t.stats_m;
         c.c_traces <- c.c_traces + 1;
@@ -802,7 +802,7 @@ let start cfg =
       slices =
         Inbox.pool ~buffer_bytes:cfg.read_bytes
           ~max_idle:(max 1 (idle_slice_bytes / cfg.read_bytes));
-      profilers = Ingest_driver.pool ();
+      profilers = Ingest_driver.pool cfg.profiler;
       started = now ();
       sched_m = Mutex.create ();
       sched_c = Condition.create ();

@@ -26,9 +26,10 @@
       connections there are.  Slices and profilers come from two
       daemon-wide pools that fill only as connections give back what
       they used (nothing is allocated ahead at {!start}) and retain at
-      most 4 MiB of idle slices and 8 idle profilers of each kind, each
-      with at most 2{^18} words of shadow memory (a larger one is
-      released, not pooled).  A finished connection keeps only the
+      most 4 MiB of idle slices and 8 idle profilers of the daemon's one
+      kind, each with at most 2{^18} words of shadow memory (a larger
+      one is released, not pooled) — at most 8 × 2{^18} words (16 MiB)
+      of idle shadow memory.  A finished connection keeps only the
       counters that {!stats} and {!clients} report: its decoder and
       driver are dropped and its slices and profiler go back to the
       pools, so it costs fewer than {!finished_conn_words} live heap
@@ -48,7 +49,8 @@ module Profile = Aprof_core.Profile
 type config = {
   unix_path : string option;  (** Unix-domain listener path *)
   tcp : (string * int) option;  (** TCP listener (host, port; 0 = any) *)
-  profiler : Aprof_tools.Replay_driver.profiler;
+  profiler : (module Aprof_tools.Tool.Profiler);
+      (** run over each trace; one of {!Aprof_tools.Harness.profilers} *)
   shards : int;  (** profile accumulator shards *)
   jobs : int;  (** ingest workers (domains on OCaml 5) *)
   snapshot_every : float;  (** seconds; 0 = snapshot only on request *)

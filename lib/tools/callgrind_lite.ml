@@ -31,6 +31,10 @@ type t = {
   by_edge : (int * int, eacc) Hashtbl.t;
 }
 
+type state = t
+
+let name = "callgrind"
+
 let create () =
   {
     stacks = Hashtbl.create 8;
@@ -149,33 +153,12 @@ let merge ~into src =
         | _ -> Hashtbl.replace into.stacks tid s)
     src.stacks
 
-let tool_of t =
-  {
-    Tool.name = "callgrind";
-    on_batch = on_batch t;
-    space_words = (fun () -> space_words t);
-    summary =
-      (fun () ->
-        Printf.sprintf "callgrind: %d routines, %d edges"
-          (Hashtbl.length t.by_routine)
-          (Hashtbl.length t.by_edge));
-  }
+let summary t =
+  Printf.sprintf "callgrind: %d routines, %d edges"
+    (Hashtbl.length t.by_routine)
+    (Hashtbl.length t.by_edge)
 
-let tool () = tool_of (create ())
-
-let factory = { Tool.tool_name = "callgrind"; create = tool }
-
-module Mergeable = struct
-  type state = t
-
-  let name = "callgrind"
-  let create = create
-  let tool = tool_of
-  let merge = merge
-
-  (* Calls, returns and cost charges are all keyed by the event's own
-     thread; nothing crosses threads. *)
-  let broadcast = 0
-  let sharding = `By_thread
-  let set_owner _ _ = ()
-end
+(* Calls, returns and cost charges are all keyed by the event's own
+   thread; nothing crosses threads, so nothing is broadcast. *)
+let sharding =
+  Tool.By_thread { broadcast = 0; set_owner = (fun _ _ -> ()); merge }

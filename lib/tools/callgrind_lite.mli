@@ -1,6 +1,8 @@
 (** A callgrind-style call-graph profiler: exclusive and inclusive
     basic-block costs per routine and per call-graph edge, from the same
-    event stream as the other tools.  Costs follow {!Aprof_core.Cost_model}. *)
+    event stream as the other tools.  Costs follow {!Aprof_core.Cost_model}.
+    [on_batch] processes every packed event of a batch in order,
+    dispatching on raw tags without constructing variants. *)
 
 type routine_costs = {
   routine : int;
@@ -18,11 +20,7 @@ type edge_costs = {
 
 type t
 
-val create : unit -> t
-
-(** [on_batch t b] processes every packed event of [b] in order,
-    dispatching on raw tags without constructing variants. *)
-val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
+include Tool.S with type state = t
 
 (** [routine_costs t] sorted by decreasing inclusive cost.  Pending
     activations contribute on [Return] only; call once the trace ended. *)
@@ -36,11 +34,3 @@ val edges : t -> edge_costs list
     [into] has not seen — merging halves of one thread's stack is
     rejected, as thread-sharded replays never produce that. *)
 val merge : into:t -> t -> unit
-
-(** [tool_of t] wraps existing state; [tool ()] makes a fresh one. *)
-val tool_of : t -> Tool.t
-
-val tool : unit -> Tool.t
-val factory : Tool.factory
-
-module Mergeable : Tool.S with type state = t

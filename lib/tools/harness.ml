@@ -11,28 +11,22 @@ type measurement = {
   summary : string;
 }
 
-let standard_factories () =
+let tools : (module Tool.S) list =
   [
-    Nulgrind.factory;
-    Memcheck_lite.factory;
-    Callgrind_lite.factory;
-    Helgrind_lite.factory;
-    Aprof_adapters.aprof_rms;
-    Aprof_adapters.aprof_drms;
+    (module Nulgrind);
+    (module Memcheck_lite);
+    (module Callgrind_lite);
+    (module Helgrind_lite);
+    (module Aprof_adapters.Rms);
+    (module Aprof_adapters.Drms);
   ]
 
-type mergeable = Mergeable : (module Tool.S with type state = 'a) -> mergeable
-
-let standard_mergeable () =
+let profilers : (string * (module Tool.Profiler)) list =
   [
-    Mergeable (module Nulgrind.Mergeable);
-    Mergeable (module Memcheck_lite.Mergeable);
-    Mergeable (module Callgrind_lite.Mergeable);
-    Mergeable (module Aprof_adapters.Rms_mergeable);
-    Mergeable (module Aprof_adapters.Drms_mergeable);
+    ("drms", (module Aprof_adapters.Drms));
+    ("rms", (module Aprof_adapters.Rms));
+    ("naive", (module Aprof_adapters.Naive));
   ]
-
-let global_factories () = [ Helgrind_lite.factory ]
 
 (* Mean CPU seconds of [f] per call, repeating until [min_time] total. *)
 let time_of ~min_time f =
@@ -60,25 +54,27 @@ let native_replay trace =
 
 (* [native] enumerates the trace with an empty handler (our stand-in
    for uninstrumented execution); each tool replays the same trace. *)
-let measure ?(min_time = 0.05) ~trace ~program_words factories =
-  let replay (t : Tool.t) = Trace.replay trace t.Tool.on_batch in
+let measure ?(min_time = 0.05) ~trace ~program_words tools =
+  (* A fresh instance of [M], fed the whole trace. *)
+  let replay (type a) (module M : Tool.S with type state = a) =
+    let st = M.create () in
+    Trace.replay trace (M.on_batch st);
+    st
+  in
   let native_time = time_of ~min_time (fun () -> native_replay trace) in
   let nulgrind_time =
-    time_of ~min_time (fun () -> replay (Nulgrind.tool ()))
+    time_of ~min_time (fun () -> ignore (replay (module Nulgrind)))
   in
   let program_words = max program_words 1 in
   List.map
-    (fun f ->
+    (fun (module M : Tool.S) ->
       (* Time fresh instances end to end... *)
-      let time_s =
-        time_of ~min_time (fun () -> replay (f.Tool.create ()))
-      in
+      let time_s = time_of ~min_time (fun () -> ignore (replay (module M))) in
       (* ...and keep one instance for space and summary. *)
-      let t = f.Tool.create () in
-      replay t;
-      let space_words = t.Tool.space_words () in
+      let st = replay (module M) in
+      let space_words = M.space_words st in
       {
-        tool = t.Tool.name;
+        tool = M.name;
         time_s;
         slowdown_native = time_s /. Float.max native_time 1e-9;
         slowdown_nulgrind = time_s /. Float.max nulgrind_time 1e-9;
@@ -86,9 +82,9 @@ let measure ?(min_time = 0.05) ~trace ~program_words factories =
         space_overhead =
           float_of_int (program_words + space_words)
           /. float_of_int program_words;
-        summary = t.Tool.summary ();
+        summary = M.summary st;
       })
-    factories
+    tools
 
 let geometric_rows per_benchmark =
   match per_benchmark with

@@ -26,32 +26,29 @@ type measurement = {
   summary : string;
 }
 
-(** [standard_factories ()] is the Table 1 tool set, in column order:
-    nulgrind, memcheck, callgrind, helgrind, aprof, aprof-drms. *)
-val standard_factories : unit -> Tool.factory list
+(** The tool registry: the Table 1 tool set, in column order —
+    nulgrind, memcheck, callgrind, helgrind, aprof, aprof-drms.  Every
+    tool consumer takes its tools from here: [aprof tools], [overhead]
+    and [replay --tools], {!measure}, the bench drivers.  Each tool's
+    {!Tool.sharding} says how replay may split it: nulgrind by chunk,
+    helgrind not at all ([Global]), the rest by thread. *)
+val tools : (module Tool.S) list
 
-(** A packed mergeable tool, for heterogeneous lists. *)
-type mergeable = Mergeable : (module Tool.S with type state = 'a) -> mergeable
+(** The profiler registry behind [--profiler], in its documented order:
+    [drms] (the default), [rms] and [naive], mapped to
+    {!Aprof_adapters.Drms}, {!Aprof_adapters.Rms} and
+    {!Aprof_adapters.Naive}. *)
+val profilers : (string * (module Tool.Profiler)) list
 
-(** [standard_mergeable ()] is the subset of the standard tools that
-    shard within a trace (see {!Tool.S}): nulgrind (by chunk), memcheck,
-    callgrind, aprof and aprof-drms (by thread).  {!global_factories}
-    is the rest — helgrind alone, whose lockset intersections depend on
-    the interleaved global event order and replay sequentially
-    (parallelize it across tools and traces instead). *)
-val standard_mergeable : unit -> mergeable list
-
-val global_factories : unit -> Tool.factory list
-
-(** [measure ~trace ~program_words factories] replays [trace] through a
-    fresh instance of each factory.
+(** [measure ~trace ~program_words tools] replays [trace] through a
+    fresh instance of each tool.
     @param min_time keep repeating until this much CPU time was sampled
     per tool (default 0.05 s). *)
 val measure :
   ?min_time:float ->
   trace:Aprof_trace.Trace.t ->
   program_words:int ->
-  Tool.factory list ->
+  (module Tool.S) list ->
   measurement list
 
 (** [geometric_rows per_benchmark] aggregates measurements of the same

@@ -95,6 +95,10 @@ type t = {
   seen : (int, unit) Hashtbl.t; (* (addr lsl 2) lor kind-code *)
 }
 
+type state = t
+
+let name = "helgrind"
+
 let create () =
   {
     shadow = Shadow.create ();
@@ -382,13 +386,7 @@ let render_report t =
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let tool () =
-  let t = create () in
-  {
-    Tool.name = "helgrind";
-    on_batch = on_batch t;
-    space_words = (fun () -> space_words t);
-    summary = (fun () -> summary t);
-  }
-
-let factory = { Tool.tool_name = "helgrind"; create = tool }
+(* Lockset and epoch inference consume the global interleaving itself —
+   which accesses fall between which acquire/release pairs — so the
+   detector never shards within a trace. *)
+let sharding = Tool.Global

@@ -20,7 +20,12 @@
     reports a false race on these traces.
 
     Kernel transfers are attributed to the issuing thread, as Valgrind
-    does for syscall buffers. *)
+    does for syscall buffers.
+
+    [on_batch] processes every packed event of a batch in order,
+    dispatching on raw tags without constructing variants.  The
+    detector consumes the global interleaving, so its sharding is
+    [Global]: it replays in order and never merges. *)
 
 type race = {
   addr : int;
@@ -33,11 +38,7 @@ val pp_race : Format.formatter -> race -> unit
 
 type t
 
-val create : unit -> t
-
-(** [on_batch t b] processes every packed event of [b] in order,
-    dispatching on raw tags without constructing variants. *)
-val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
+include Tool.S with type state = t
 
 (** [races t] in detection order, deduplicated per (address, kind). *)
 val races : t -> race list
@@ -45,6 +46,3 @@ val races : t -> race list
 (** [render_report t] is the races, one per line, followed by the
     summary — what `aprof tools` prints and the golden test pins. *)
 val render_report : t -> string
-
-val tool : unit -> Tool.t
-val factory : Tool.factory

@@ -9,11 +9,11 @@
    decode error) discards the partial state without surfacing anything,
    the same all-or-nothing contract the replay driver keeps per file.
 
-   Profilers come from a {!pool}, shared by every driver of a daemon: a
-   drms or rms profiler given back is reset in place and kept for the
-   next trace of any driver sharing the pool, so a stream costs its
-   decode and profile work rather than a fresh set of shadow pages.  The
-   naive oracle is never pooled.
+   Profilers come from a {!pool}, built for the daemon's one profiler
+   and shared by every driver of the daemon: a profiler given back is
+   reset in place and kept for the next trace of any driver sharing the
+   pool, so a stream costs its decode and profile work rather than a
+   fresh set of shadow pages.
 
    Salvaged streams go through the same orphaned-return filter as
    salvaged files ({!Replay_driver.filter_orphans}), one per trace,
@@ -22,124 +22,102 @@
 
 module Batch = Aprof_trace.Event.Batch
 module Profile = Aprof_core.Profile
-module Drms = Aprof_core.Drms_profiler
-module Rms = Aprof_core.Rms_profiler
 module Pool = Aprof_util.Pool
 
-type profiler = Replay_driver.profiler
+(* The pool's profiler and its idle instances. *)
+type 'a pooled = {
+  profiler : (module Tool.Profiler with type state = 'a);
+  idle : 'a Pool.t;
+}
 
-type instance = Drms of Drms.t | Rms of Rms.t | Naive of Aprof_core.Naive_drms.t
+type pool = Pooled : 'a pooled -> pool
 
-type pool = { drms : Drms.t Pool.t; rms : Rms.t Pool.t }
-
-(* What a pool may retain: [pool_idle] idle profilers per kind, each
-   with at most [pool_words] words of shadow memory (256 leaves of 1,024
-   words, 2 MiB).  A profiler a larger trace grew is released instead,
-   so one huge trace makes neither the pool nor every later reset
-   expensive. *)
+(* What a pool may retain: [pool_idle] idle profilers, each with at most
+   [pool_words] words of shadow memory (256 leaves of 1,024 words,
+   2 MiB).  A profiler a larger trace grew is released instead, so one
+   huge trace makes neither the pool nor every later reset expensive. *)
 let pool_idle = 8
 let pool_words = 1 lsl 18
 
-let pool () =
-  {
-    drms = Pool.create ~max_idle:pool_idle;
-    rms = Pool.create ~max_idle:pool_idle;
-  }
+let pool (module P : Tool.Profiler) =
+  Pooled { profiler = (module P); idle = Pool.create ~max_idle:pool_idle }
 
-type t = {
-  kind : profiler;
-  pool : pool;
+type 'a driver = {
+  pool : 'a pooled;
   salvage : bool;
   on_profile : profile:Profile.t -> events:int -> unit;
-  mutable inst : instance option;  (* None until the trace's first batch *)
+  mutable inst : 'a option;  (* None until the trace's first batch *)
   mutable events : int;  (* events of the current (partial) trace *)
   mutable orphans : Replay_driver.orphan_filter option;  (* salvage only *)
 }
 
+type t = Driver : 'a driver -> t
+
 let orphans_for salvage =
   if salvage then Some (Replay_driver.orphan_filter ()) else None
 
-let create ?(profiler = (`Drms : profiler)) ?(salvage = false) ~pool
-    ~on_profile () =
-  {
-    kind = profiler;
-    pool;
-    salvage;
-    on_profile;
-    inst = None;
-    events = 0;
-    orphans = orphans_for salvage;
-  }
+let create ?(salvage = false) ~pool:(Pooled pool) ~on_profile () =
+  Driver
+    {
+      pool;
+      salvage;
+      on_profile;
+      inst = None;
+      events = 0;
+      orphans = orphans_for salvage;
+    }
 
-let take t =
-  match t.kind with
-  | `Drms -> (
-    match Pool.take t.pool.drms with
-    | Some x -> Drms x
-    | None -> Drms (Drms.create ()))
-  | `Rms -> (
-    match Pool.take t.pool.rms with
-    | Some x -> Rms x
-    | None -> Rms (Rms.create ()))
-  | `Naive -> Naive (Aprof_core.Naive_drms.create ())
+let give_back (type a) (d : a driver) (p : a) =
+  let (module P) = d.pool.profiler in
+  let idle = d.pool.idle in
+  if (not (Pool.full idle)) && P.space_words p <= pool_words then begin
+    P.reset p;
+    Pool.give idle p
+  end
 
-let give_back t inst =
-  let p = t.pool in
-  match inst with
-  | Drms x when (not (Pool.full p.drms)) && Drms.space_words x <= pool_words ->
-    Drms.reset x;
-    Pool.give p.drms x
-  | Rms x when (not (Pool.full p.rms)) && Rms.space_words x <= pool_words ->
-    Rms.reset x;
-    Pool.give p.rms x
-  | Drms _ | Rms _ | Naive _ -> ()
-
-let current t =
-  match t.inst with
-  | Some i -> i
+let current (type a) (d : a driver) : a =
+  match d.inst with
+  | Some p -> p
   | None ->
-    let i = take t in
-    t.inst <- Some i;
-    i
+    let (module P) = d.pool.profiler in
+    let p =
+      match Pool.take d.pool.idle with Some p -> p | None -> P.create ()
+    in
+    d.inst <- Some p;
+    p
 
-let on_batch t b =
-  (match t.orphans with
+let on_batch (Driver d) b =
+  (match d.orphans with
   | Some f -> Replay_driver.filter_orphans f b
   | None -> ());
-  t.events <- t.events + Batch.length b;
-  match current t with
-  | Drms p -> Drms.on_batch p b
-  | Rms p -> Rms.on_batch p b
-  | Naive p -> Aprof_core.Naive_drms.on_batch p b
+  d.events <- d.events + Batch.length b;
+  let (module P) = d.pool.profiler in
+  P.on_batch (current d) b
 
-let note_drop t =
-  match t.orphans with
+let note_drop (Driver d) =
+  match d.orphans with
   | Some f -> Replay_driver.arm f
   | None -> invalid_arg "Ingest_driver.note_drop: driver is not salvaging"
 
-let reset t =
-  t.inst <- None;
-  t.events <- 0;
-  t.orphans <- orphans_for t.salvage
+let reset d =
+  d.inst <- None;
+  d.events <- 0;
+  d.orphans <- orphans_for d.salvage
 
-let trace_end t =
-  let inst = current t in
-  let profile =
-    match inst with
-    | Drms p -> Drms.finish p
-    | Rms p -> Rms.finish p
-    | Naive p -> Aprof_core.Naive_drms.finish p
-  in
-  let events = t.events in
-  reset t;
-  t.on_profile ~profile ~events;
-  give_back t inst
+let trace_end (Driver d) =
+  let p = current d in
+  let (module P) = d.pool.profiler in
+  let profile = P.finish p in
+  let events = d.events in
+  reset d;
+  d.on_profile ~profile ~events;
+  give_back d p
 
-let abort t =
-  Option.iter (give_back t) t.inst;
-  reset t
+let abort (Driver d) =
+  Option.iter (give_back d) d.inst;
+  reset d
 
-let events t = t.events
+let events (Driver d) = d.events
 
-let salvaging t =
-  match t.orphans with Some f -> Replay_driver.armed f | None -> false
+let salvaging (Driver d) =
+  match d.orphans with Some f -> Replay_driver.armed f | None -> false

@@ -19,36 +19,34 @@
     Like the rest of [lib/tools], this module is sans-IO: it never
     touches a socket or a clock. *)
 
-type profiler = Replay_driver.profiler
-
-(** Reset profilers, shared by every driver created with it — a
-    daemon's connections — and safe to use from several domains at
-    once.  A drms or rms profiler is given back after {!trace_end} has
-    reported its profile, or on {!abort}, reset in place
-    ({!Aprof_core.Drms_profiler.reset}) and kept for the next trace that
-    needs one.  The pool keeps at most 8 idle profilers of each kind,
-    and only ones whose shadow memory is at most 2{^18} words
-    ({!Aprof_core.Drms_profiler.space_words}); a larger one is released.
-    So a pool retains at most 16 × 2{^18} words (32 MiB) of shadow
-    memory, and a pooled profiler's reset costs at most 2{^18} words of
-    zero-fill.  Naive profilers are never pooled. *)
+(** Reset profilers of one kind — the daemon's [--profiler] — shared by
+    every driver created with the pool (a daemon's connections), and
+    safe to use from several domains at once.  A profiler is given back
+    after {!trace_end} has reported its profile, or on {!abort}, reset
+    in place ({!Tool.Profiler.reset}) and kept for the next trace that
+    needs one.  The pool keeps at most 8 idle profilers, and only ones
+    whose footprint is at most 2{^18} words
+    ({!Tool.Profiler.space_words}); a larger one is released.  So a
+    pool retains at most 8 × 2{^18} words (16 MiB) of shadow memory, and
+    a pooled profiler's reset costs at most 2{^18} words of zero-fill.
+    The naive oracle reports no footprint, but its reset drops every
+    table, so an idle one holds next to nothing. *)
 type pool
 
-(** [pool ()] is an empty pool; it fills as traces end. *)
-val pool : unit -> pool
+(** [pool (module P)] is an empty pool of [P]s, one of
+    {!Harness.profilers}; it fills as traces end. *)
+val pool : (module Tool.Profiler) -> pool
 
 type t
 
-(** [create ~on_profile ()] builds a driver.  [on_profile] receives each
-    completed trace's finished profile and its event count, synchronously
-    from inside {!trace_end}; the profile stays the receiver's.
-    @param profiler which profiler backs each trace (default [`Drms]).
+(** [create ~pool ~on_profile ()] builds a driver whose traces run
+    through the pool's profiler.  [on_profile] receives each completed
+    trace's finished profile and its event count, synchronously from
+    inside {!trace_end}; the profile stays the receiver's.
     @param salvage the stream may report drops ({!note_drop}), so track
     call depth for the orphaned-return filter (default [false]: a strict
-    stream never drops, and pays nothing for the filter).
-    @param pool where profilers come from and go back to. *)
+    stream never drops, and pays nothing for the filter). *)
 val create :
-  ?profiler:profiler ->
   ?salvage:bool ->
   pool:pool ->
   on_profile:(profile:Aprof_core.Profile.t -> events:int -> unit) ->

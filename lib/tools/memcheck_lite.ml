@@ -27,16 +27,18 @@ let s_alloc = 1
 let s_defined = 2
 
 type t = {
-  heap_base : int;
   shadow : Shadow.t;
   blocks : (int, int) Hashtbl.t; (* base -> length of live allocations *)
   mutable errs : error list;
   seen : (error, unit) Hashtbl.t; (* dedup identical reports *)
 }
 
-let create ?(heap_base = 0x1000) () =
+type state = t
+
+let name = "memcheck"
+
+let create () =
   {
-    heap_base;
     shadow = Shadow.create ();
     blocks = Hashtbl.create 64;
     errs = [];
@@ -49,11 +51,13 @@ let report t err =
     t.errs <- err :: t.errs
   end
 
-(* Below the heap base, memory is considered static and pre-initialized. *)
-let is_static t addr = addr < t.heap_base
+(* Tracked allocations start at the VM allocator's base; below it,
+   memory is considered static and pre-initialized. *)
+let heap_base = 0x1000
+let is_static addr = addr < heap_base
 
 let check_read t tid addr =
-  if not (is_static t addr) then begin
+  if not (is_static addr) then begin
     match Shadow.get t.shadow addr with
     | s when s = s_defined -> ()
     | s when s = s_alloc -> report t (Uninitialized_read { tid; addr })
@@ -61,7 +65,7 @@ let check_read t tid addr =
   end
 
 let check_write t tid addr =
-  if not (is_static t addr) then begin
+  if not (is_static addr) then begin
     if Shadow.get t.shadow addr = s_untracked then
       report t (Invalid_write { tid; addr })
     else Shadow.set t.shadow addr s_defined
@@ -111,41 +115,25 @@ let leaks t =
 
 let merge ~into src = List.iter (report into) (errors src)
 
-let tool_of t =
-  {
-    Tool.name = "memcheck";
-    on_batch = on_batch t;
-    space_words =
-      (fun () -> Shadow.space_words t.shadow + (2 * Hashtbl.length t.blocks));
-    summary =
-      (fun () ->
-        Printf.sprintf "memcheck: %d errors, %d leaked blocks"
-          (List.length (errors t))
-          (List.length (leaks t)));
-  }
+let space_words t = Shadow.space_words t.shadow + (2 * Hashtbl.length t.blocks)
 
-let tool () = tool_of (create ())
+let summary t =
+  Printf.sprintf "memcheck: %d errors, %d leaked blocks"
+    (List.length (errors t))
+    (List.length (leaks t))
 
-let factory = { Tool.tool_name = "memcheck"; create = tool }
-
-module Mergeable = struct
-  type state = t
-
-  let name = "memcheck"
-  let create () = create ()
-  let tool = tool_of
-  let merge = merge
-
-  (* Writes, allocations, frees and kernel fills all mutate the global
-     addressability/definedness state that any thread's next access is
-     checked against, so every worker replays them; with those
-     broadcast, each worker holds the full shadow and block table, and
-     merging reduces to deduplicating the error reports. *)
-  let broadcast =
-    let module B = Aprof_trace.Event.Batch in
-    (1 lsl B.tag_write) lor (1 lsl B.tag_alloc) lor (1 lsl B.tag_free)
-    lor (1 lsl B.tag_kernel_to_user)
-
-  let sharding = `By_thread
-  let set_owner _ _ = ()
-end
+(* Writes, allocations, frees and kernel fills all mutate the global
+   addressability/definedness state that any thread's next access is
+   checked against, so every worker replays them; with those broadcast,
+   each worker holds the full shadow and block table, and merging
+   reduces to deduplicating the error reports. *)
+let sharding =
+  let module B = Aprof_trace.Event.Batch in
+  Tool.By_thread
+    {
+      broadcast =
+        (1 lsl B.tag_write) lor (1 lsl B.tag_alloc) lor (1 lsl B.tag_free)
+        lor (1 lsl B.tag_kernel_to_user);
+      set_owner = (fun _ _ -> ());
+      merge;
+    }

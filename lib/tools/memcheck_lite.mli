@@ -8,11 +8,15 @@
     - invalid free / double free;
     - leaked blocks still live when [report] is taken.
 
-    Cells below the heap base that were never allocated are treated as
-    statically addressable and defined (globals/stack), so hand-built
-    traces with absolute addresses do not drown the report. *)
+    Cells below the heap base (0x1000, where the VM allocator starts)
+    that were never allocated are treated as statically addressable and
+    defined (globals/stack), so hand-built traces with absolute
+    addresses do not drown the report.  [on_batch] checks every packed
+    event of a batch in order. *)
 
 type t
+
+include Tool.S with type state = t
 
 type error =
   | Invalid_read of { tid : int; addr : int }
@@ -23,13 +27,6 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [create ()] — [heap_base] marks where tracked allocations start
-    (default 0x1000, the VM allocator's base). *)
-val create : ?heap_base:int -> unit -> t
-
-(** [on_batch t b] checks every packed event of [b] in order. *)
-val on_batch : t -> Aprof_trace.Event.Batch.t -> unit
-
 (** [errors t] in detection order, deduplicated per (kind, address). *)
 val errors : t -> error list
 
@@ -39,14 +36,7 @@ val leaks : t -> error list
 (** [merge ~into src] folds [src]'s error reports into [into],
     deduplicating identical ones; [into]'s shadow and block tables are
     kept.  Meaningful for thread-sharded replays of {e one} trace
-    (where {!Mergeable.broadcast} makes every worker's shadow state
-    identical), not for combining runs over different traces. *)
+    (where the broadcast of every shadow-mutating event makes every
+    worker's shadow state identical), not for combining runs over
+    different traces. *)
 val merge : into:t -> t -> unit
-
-(** [tool_of t] wraps existing state; [tool ()] makes a fresh one. *)
-val tool_of : t -> Tool.t
-
-val tool : unit -> Tool.t
-val factory : Tool.factory
-
-module Mergeable : Tool.S with type state = t

@@ -3,8 +3,6 @@ module Codec = Aprof_trace.Trace_codec
 module Batch = Aprof_trace.Event.Batch
 module Profile = Aprof_core.Profile
 
-type profiler = [ `Drms | `Rms | `Naive ]
-
 type tool_run = {
   tool_name : string;
   summary : string;
@@ -128,54 +126,6 @@ let open_batches ~keep_going ~drops path ic =
   | `Text ->
     (Hashtbl.create 1, Stream.of_text_channel ic)
 
-(* A fresh profiler of the chosen kind: its batch entry and its
-   finisher. *)
-let profiler_instance = function
-  | `Drms ->
-    let module P = Aprof_core.Drms_profiler in
-    let p = P.create () in
-    (P.on_batch p, fun () -> P.finish p)
-  | `Rms ->
-    let module P = Aprof_core.Rms_profiler in
-    let p = P.create () in
-    (P.on_batch p, fun () -> P.finish p)
-  | `Naive ->
-    let module P = Aprof_core.Naive_drms in
-    let p = P.create () in
-    (P.on_batch p, fun () -> P.finish p)
-
-(* One trace file through one fresh profiler instance, sequentially. *)
-let sequential_profile ~keep_going ~profiler ~drops path =
-  In_channel.with_open_bin path (fun ic ->
-      let names, batches = open_batches ~keep_going ~drops path ic in
-      let on_batch, finish = profiler_instance profiler in
-      let n = Stream.drain batches on_batch in
-      (n, finish (), names))
-
-(* One trace file through the work-stealing engine (see
-   {!Tool.replay_parallel}); all three profilers have mergeable
-   adapters, so any [--profiler] choice shards within the file. *)
-let parallel_profile ~pool ~jobs ~profiler shards =
-  match profiler with
-  | `Drms ->
-    let p, n, names =
-      Tool.replay_parallel ~pool ~jobs ~shards
-        (module Aprof_adapters.Drms_mergeable)
-    in
-    (n, Aprof_core.Drms_profiler.finish p, names)
-  | `Rms ->
-    let p, n, names =
-      Tool.replay_parallel ~pool ~jobs ~shards
-        (module Aprof_adapters.Rms_mergeable)
-    in
-    (n, Aprof_core.Rms_profiler.finish p, names)
-  | `Naive ->
-    let p, n, names =
-      Tool.replay_parallel ~pool ~jobs ~shards
-        (module Aprof_adapters.Naive_mergeable)
-    in
-    (n, Aprof_core.Naive_drms.finish p, names)
-
 (* Sharding needs the chunk index: binary traces with an ATRI footer
    only, and never under salvage ([--keep-going] replays the salvaged
    sequential stream).  Text traces and index-less files return [None]
@@ -183,59 +133,49 @@ let parallel_profile ~pool ~jobs ~profiler shards =
 let shards_of ~jobs ~keep_going path =
   if jobs > 1 && not keep_going then Tool.Shards.of_file path else None
 
+(* One trace file through [M]: sharded over the chunk index when
+   [shards] is given ({!Tool.replay_parallel}), else one fresh instance
+   fed the file's (possibly salvaged) stream.  Returns the instance and
+   the events it was fed. *)
+let replay_file (type a) ~pool ~jobs ~keep_going ~drops ~shards path
+    (module M : Tool.S with type state = a) =
+  match shards with
+  | Some shards -> Tool.replay_parallel ~pool ~jobs ~shards (module M)
+  | None ->
+    In_channel.with_open_bin path (fun ic ->
+        let names, batches = open_batches ~keep_going ~drops path ic in
+        let st = M.create () in
+        let n = Stream.drain batches (M.on_batch st) in
+        (st, n, names))
+
 (* Everything a tool prints is buffered here and only surfaced once the
    file has replayed completely: a decode error halfway through must not
    leave a half-report on stdout that looks like a full one. *)
 let run_tools ~now ~pool ~jobs ~keep_going path =
-  let mergeables = Harness.standard_mergeable () in
-  let find_mergeable name =
-    List.find_opt
-      (fun (Harness.Mergeable (module M)) -> M.name = name)
-      mergeables
-  in
-  (* The chunk index is probed once per file; every mergeable tool
-     reuses it (each opens its own read sessions). *)
+  (* The chunk index is probed once per file; every tool reuses it (each
+     opens its own read sessions). *)
   let shards = shards_of ~jobs ~keep_going path in
   List.map
-    (fun f ->
-      let tool_name = f.Tool.tool_name in
-      match
-        match shards with
-        | Some _ -> find_mergeable tool_name
-        | None -> None
-      with
-      | Some (Harness.Mergeable (module M)) ->
-        let shards = Option.get shards in
-        let t0 = now () in
-        let st, n, _names = Tool.replay_parallel ~pool ~jobs ~shards (module M) in
-        let dt = now () -. t0 in
-        let tool = M.tool st in
-        {
-          tool_name;
-          summary = tool.Tool.summary ();
-          tool_events = n;
-          tool_seconds = dt;
-        }
-      | None ->
-        In_channel.with_open_bin path (fun ic ->
-            (* Drops were already reported by the profile pass over the
-               same bytes; discard the duplicates. *)
-            let tool_drops = ref [] in
-            let _, batches = open_batches ~keep_going ~drops:tool_drops path ic in
-            let tool = f.Tool.create () in
-            let t0 = now () in
-            let n = Tool.replay_batches tool batches in
-            let dt = now () -. t0 in
-            {
-              tool_name;
-              summary = tool.Tool.summary ();
-              tool_events = n;
-              tool_seconds = dt;
-            }))
-    (Harness.standard_factories ())
+    (fun (module M : Tool.S) ->
+      (* Drops were already reported by the profile pass over the same
+         bytes; discard the duplicates. *)
+      let t0 = now () in
+      let st, n, _names =
+        replay_file ~pool ~jobs ~keep_going ~drops:(ref []) ~shards path
+          (module M)
+      in
+      {
+        tool_name = M.name;
+        summary = M.summary st;
+        tool_events = n;
+        tool_seconds = now () -. t0;
+      })
+    Harness.tools
 
-let replay ?(jobs = 1) ?(profiler = (`Drms : profiler)) ?(with_tools = false)
-    ?(keep_going = false) ~now paths =
+let replay ?(jobs = 1)
+    ?(profiler = (module Aprof_adapters.Drms : Tool.Profiler))
+    ?(with_tools = false) ?(keep_going = false) ~now paths =
+  let (module P) = profiler in
   if jobs < 1 then invalid_arg "Replay_driver.replay: jobs < 1";
   let pool = Aprof_util.Par.create ~jobs () in
   let t0 = now () in
@@ -247,13 +187,15 @@ let replay ?(jobs = 1) ?(profiler = (`Drms : profiler)) ?(with_tools = false)
     let format = trace_format path in
     let drops = ref [] in
     match
-      match
-        if jobs > 1 && List.compare_length_with paths 1 = 0 then
+      let shards =
+        if List.compare_length_with paths 1 = 0 then
           shards_of ~jobs ~keep_going path
         else None
-      with
-      | Some shards -> parallel_profile ~pool ~jobs ~profiler shards
-      | None -> sequential_profile ~keep_going ~profiler ~drops path
+      in
+      let p, n, names =
+        replay_file ~pool ~jobs ~keep_going ~drops ~shards path (module P)
+      in
+      (n, P.finish p, names)
     with
     | n, profile, names ->
       ( {

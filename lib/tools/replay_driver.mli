@@ -19,8 +19,6 @@
     chunk-by-chunk ({!Aprof_trace.Trace_codec.read}), recording what was
     dropped instead of failing the file. *)
 
-type profiler = [ `Drms | `Naive | `Rms ]
-
 (** One tool's buffered result on one file. *)
 type tool_run = {
   tool_name : string;
@@ -54,13 +52,18 @@ type t = {
   failed : bool;  (** some file has [error = Some _] *)
 }
 
-(** [replay ~now paths] replays every file in [paths].
+(** [replay ~now paths] replays every file in [paths] through
+    [profiler] (default {!Aprof_adapters.Drms}; any of
+    {!Harness.profilers}) and, with [with_tools], through every tool of
+    {!Harness.tools}.
 
     [jobs] (default 1) bounds parallelism: several files replay
     concurrently (one profiler instance per file, profiles merged), and
     a single binary file with a chunk index shards across workers
-    through the work-stealing engine ({!Tool.replay_parallel}) for
-    every profiler — drms, rms and naive all have mergeable adapters.
+    through the work-stealing engine ({!Tool.replay_parallel}) as the
+    profiler's {!Tool.sharding} allows — every registry profiler shards
+    by thread.  The tools take the same path per file: helgrind, whose
+    sharding is [Global], replays the chunks in order.
     [keep_going] (default false) switches damaged binary files to chunk
     salvage instead of failing them, with the {!orphan_filter} armed by
     the first drop; salvage is a sequential read path, so it also
@@ -70,7 +73,7 @@ type t = {
     @raise Invalid_argument when [jobs < 1]. *)
 val replay :
   ?jobs:int ->
-  ?profiler:profiler ->
+  ?profiler:(module Tool.Profiler) ->
   ?with_tools:bool ->
   ?keep_going:bool ->
   now:(unit -> float) ->

@@ -1,31 +1,31 @@
 module Event = Aprof_trace.Event
 module Stream = Aprof_trace.Trace_stream
 
-type t = {
-  name : string;
-  on_batch : Event.Batch.t -> unit;
-  space_words : unit -> int;
-  summary : unit -> string;
-}
-
-type factory = { tool_name : string; create : unit -> t }
-
-let replay_batches tool src = Stream.drain src tool.on_batch
-
-(* ----- mergeable tools ------------------------------------------------- *)
-
-type sharding = [ `By_chunk | `By_thread ]
+type 'state sharding =
+  | By_chunk of { merge : into:'state -> 'state -> unit }
+  | By_thread of {
+      broadcast : int;
+      set_owner : 'state -> (int -> bool) -> unit;
+      merge : into:'state -> 'state -> unit;
+    }
+  | Global
 
 module type S = sig
   type state
 
   val name : string
   val create : unit -> state
-  val tool : state -> t
-  val merge : into:state -> state -> unit
-  val broadcast : int
-  val sharding : sharding
-  val set_owner : state -> (int -> bool) -> unit
+  val on_batch : state -> Event.Batch.t -> unit
+  val space_words : state -> int
+  val summary : state -> string
+  val sharding : state sharding
+end
+
+module type Profiler = sig
+  include S
+
+  val finish : state -> Aprof_core.Profile.t
+  val reset : state -> unit
 end
 
 let shard_keep ~owns ~broadcast =
@@ -129,32 +129,30 @@ module Par = Aprof_util.Par
 
 let union_into ~into tbl = Hashtbl.iter (Hashtbl.replace into) tbl
 
-(* Sequential replay over the chunk source — the [jobs = 1] path, and
-   byte-for-byte what a plain [replay_batches] over the file performs,
+(* Sequential replay over the chunk source — the [jobs = 1] and [Global]
+   path, and byte-for-byte what a plain drain of the file performs,
    which is what lets the differential suite pin [-j N ≡ -j 1]. *)
 let replay_chunks_sequential (type a) ~shards
     (module M : S with type state = a) =
   let st = M.create () in
-  let tool = M.tool st in
   let s = shards.Shards.open_session () in
   Fun.protect
     ~finally:(fun () -> s.Shards.close ())
     (fun () ->
       let count = ref 0 in
       for i = 0 to Array.length shards.Shards.chunks - 1 do
-        count := !count + replay_batches tool (s.Shards.read i)
+        count := !count + Stream.drain (s.Shards.read i) (M.on_batch st)
       done;
       (st, !count, s.Shards.names))
 
 (* Order-independent tools: any worker may replay any chunk, so the
    deque items are bare chunk ordinals, seeded in contiguous runs (for
    seek locality) and rebalanced purely by stealing. *)
-let replay_by_chunk (type a) ~pool ~jobs ~shards
+let replay_by_chunk (type a) ~pool ~jobs ~shards ~merge
     (module M : S with type state = a) =
   let chunks = shards.Shards.chunks in
   let n = Array.length chunks in
   let states = Array.init jobs (fun _ -> M.create ()) in
-  let tools = Array.map M.tool states in
   let sessions = Array.make jobs None in
   let counts = Array.make jobs 0 in
   let session w =
@@ -172,7 +170,8 @@ let replay_by_chunk (type a) ~pool ~jobs ~shards
   let step ~worker i =
     let s = session worker in
     counts.(worker) <-
-      counts.(worker) + replay_batches tools.(worker) (s.Shards.read i);
+      counts.(worker)
+      + Stream.drain (s.Shards.read i) (M.on_batch states.(worker));
     None
   in
   Fun.protect
@@ -184,7 +183,7 @@ let replay_by_chunk (type a) ~pool ~jobs ~shards
     (Option.iter (fun s -> union_into ~into:names s.Shards.names))
     sessions;
   for w = 1 to jobs - 1 do
-    M.merge ~into:states.(0) states.(w)
+    merge ~into:states.(0) states.(w)
   done;
   (states.(0), Array.fold_left ( + ) 0 counts, names)
 
@@ -196,7 +195,7 @@ let replay_by_chunk (type a) ~pool ~jobs ~shards
    deque item is the shard itself; it returns to a deque after every
    chunk, so an idle worker steals the remainder of a lagging shard at
    chunk granularity. *)
-let replay_by_thread (type a) ~pool ~jobs ~shards
+let replay_by_thread (type a) ~pool ~jobs ~shards ~broadcast ~set_owner ~merge
     (module M : S with type state = a) =
   let chunks = shards.Shards.chunks in
   let tid_max =
@@ -239,15 +238,14 @@ let replay_by_thread (type a) ~pool ~jobs ~shards
       for i = Array.length chunks - 1 downto 0 do
         let c = chunks.(i) in
         if
-          c.Shards.tag_mask land M.broadcast <> 0
+          c.Shards.tag_mask land broadcast <> 0
           || Array.exists (fun tid -> owner.(tid) = s) c.Shards.tids
         then out := i :: !out
       done;
       Array.of_list !out
     in
     let states = Array.init n_shards (fun _ -> M.create ()) in
-    Array.iteri (fun s st -> M.set_owner st (owns s)) states;
-    let tools = Array.map M.tool states in
+    Array.iteri (fun s st -> set_owner st (owns s)) states;
     let lists = Array.init n_shards chunk_list in
     let cursors = Array.make n_shards 0 in
     let sessions = Array.make n_shards None in
@@ -260,7 +258,6 @@ let replay_by_thread (type a) ~pool ~jobs ~shards
     let keeps =
       Array.init n_shards (fun s ->
           let owns = owns s in
-          let broadcast = M.broadcast in
           fun tag tid ->
             if owns tid then begin
               counts.(s) <- counts.(s) + 1;
@@ -282,16 +279,8 @@ let replay_by_thread (type a) ~pool ~jobs ~shards
             sessions.(s) <- Some sess;
             sess
         in
-        let src = sess.Shards.read list.(cur) in
-        let tool = tools.(s) in
-        let rec drain () =
-          match src () with
-          | None -> ()
-          | Some b ->
-            tool.on_batch b;
-            drain ()
-        in
-        drain ();
+        ignore
+          (Stream.drain (sess.Shards.read list.(cur)) (M.on_batch states.(s)));
         if cursors.(s) >= Array.length list then None else Some s
       end
     in
@@ -311,16 +300,16 @@ let replay_by_thread (type a) ~pool ~jobs ~shards
       (Option.iter (fun s -> union_into ~into:names s.Shards.names))
       sessions;
     for s = 1 to n_shards - 1 do
-      M.merge ~into:states.(0) states.(s)
+      merge ~into:states.(0) states.(s)
     done;
     (states.(0), Array.fold_left ( + ) 0 counts, names)
   end
 
-(* Every event is counted exactly once: in [`By_chunk] mode each chunk
-   is claimed by one worker, and in [`By_thread] mode each worker counts
+(* Every event is counted exactly once: in [By_chunk] mode each chunk
+   is claimed by one worker, and in [By_thread] mode each worker counts
    only the events of threads it owns — broadcast copies replayed for
    their side effects are excluded, so the total equals the sequential
-   event count whatever [jobs] is. *)
+   event count whatever [jobs] is.  A [Global] tool is never split. *)
 let replay_parallel (type a) ~pool ~jobs ~shards
     (module M : S with type state = a) =
   if jobs < 1 then invalid_arg "Tool.replay_parallel: jobs < 1";
@@ -328,5 +317,9 @@ let replay_parallel (type a) ~pool ~jobs ~shards
     replay_chunks_sequential ~shards (module M)
   else
     match M.sharding with
-    | `By_chunk -> replay_by_chunk ~pool ~jobs ~shards (module M)
-    | `By_thread -> replay_by_thread ~pool ~jobs ~shards (module M)
+    | By_chunk { merge } ->
+      replay_by_chunk ~pool ~jobs ~shards ~merge (module M)
+    | By_thread { broadcast; set_owner; merge } ->
+      replay_by_thread ~pool ~jobs ~shards ~broadcast ~set_owner ~merge
+        (module M)
+    | Global -> replay_chunks_sequential ~shards (module M)

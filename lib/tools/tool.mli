@@ -1,78 +1,85 @@
 (** The common face of every trace-analysis tool, mirroring how the
-    Valgrind tools of Table 1 share one instrumentation substrate: each
-    tool consumes the same event stream and exposes its memory footprint
-    for the space-overhead comparison.
+    Valgrind tools of Table 1 register once with one instrumentation
+    substrate: each tool is one module of signature {!S}, consuming the
+    same event stream and exposing its memory footprint for the
+    space-overhead comparison.  {!Harness.tools} lists them in Table 1
+    order, and every consumer — [aprof tools]/[overhead], sequential and
+    sharded replay, the bench drivers — takes its tools from that list.
 
     A tool has one event entry point, [on_batch], over packed
     {!Aprof_trace.Event.Batch.t}s: the tools dispatch on the raw int
     fields and never construct an [Event.t].  Every producer feeds it —
     a live VM run ({!Aprof_vm.Interp.run_batched}), an in-memory trace
-    ({!Aprof_trace.Trace.replay}), a decoded file or socket
-    ({!replay_batches}). *)
+    ({!Aprof_trace.Trace.replay}), a decoded file or socket. *)
 
-type t = {
-  name : string;
-  on_batch : Aprof_trace.Event.Batch.t -> unit;
-      (** must neither retain nor modify the batch: the producer owns
-          and may recycle it *)
-  space_words : unit -> int;
-      (** current footprint of the tool's own data structures, in words *)
-  summary : unit -> string;  (** one-paragraph human-readable result *)
-}
+(** How the parallel engine ({!replay_parallel}) may split one trace's
+    replay over several instances of a tool:
 
-(** A tool factory: fresh state per run. *)
-type factory = { tool_name : string; create : unit -> t }
-
-(** [replay_batches tool src] drains [src] through [on_batch] and
-    returns the number of events replayed. *)
-val replay_batches : t -> Aprof_trace.Trace_stream.batch_source -> int
-
-(** {1 Mergeable tools}
-
-    A mergeable tool exposes its state so that several instances can
-    each replay a *part* of a trace and be combined afterwards.  How the
-    trace is split is the tool's {!sharding} mode:
-
-    - [`By_chunk]: any instance may replay any chunk of the trace, in
-      any order — only valid for order-independent analyses (nulgrind's
-      event count).  [broadcast] must be 0.
-    - [`By_thread]: threads are partitioned over the instances; each
+    - [By_chunk]: any instance may replay any chunk of the trace, in any
+      order — only valid for order-independent analyses (nulgrind's
+      event count).
+    - [By_thread]: threads are partitioned over the instances; each
       instance replays its own threads' events, in trace order, plus
       every event whose tag is in [broadcast] — the events carrying
       cross-thread effects (e.g. [Free] for the rms profiler, the
       counter-ticking and write-stamping tags for the drms profiler).
-      {!set_owner} tells a state which threads it owns before replay
+      [set_owner] tells an instance which threads it owns before replay
       begins; tools whose handlers never need to distinguish foreign
       events (they are either harmless or intended globally) implement
       it as a no-op.
+    - [Global]: the analysis needs the whole interleaving (helgrind's
+      lockset and epoch inference); the engine replays the trace in
+      order through one instance and never merges.
 
     [merge] must be associative, with a fresh [create ()] as identity,
     over states produced from such complementary part-streams. *)
+type 'state sharding =
+  | By_chunk of { merge : into:'state -> 'state -> unit }
+  | By_thread of {
+      broadcast : int;  (** tag mask of events every instance must see *)
+      set_owner : 'state -> (int -> bool) -> unit;
+      merge : into:'state -> 'state -> unit;
+    }
+  | Global
+
+(** A tool: fresh state per run, fed through [on_batch]. *)
 module type S = sig
   type state
 
   val name : string
   val create : unit -> state
 
-  (** [tool st] views the state as a plain {!t} feeding [st]. *)
-  val tool : state -> t
+  (** [on_batch st b] must neither retain nor modify [b]: the producer
+      owns and may recycle it. *)
+  val on_batch : state -> Aprof_trace.Event.Batch.t -> unit
 
-  val merge : into:state -> state -> unit
+  (** Current footprint of the tool's own data structures, in words. *)
+  val space_words : state -> int
 
-  (** Tag mask of events every worker must see ([`By_thread] only). *)
-  val broadcast : int
+  (** One-paragraph human-readable result. *)
+  val summary : state -> string
 
-  val sharding : [ `By_chunk | `By_thread ]
-
-  (** [set_owner st owns] tells [st] which threads it owns, before any
-      event is fed.  A no-op for tools that need no distinction. *)
-  val set_owner : state -> (int -> bool) -> unit
+  val sharding : state sharding
 end
 
-type sharding = [ `By_chunk | `By_thread ]
+(** An input-sensitive profiler: a tool whose result is a profile.
+    Replay ({!Replay_driver}) and the daemon ({!Ingest_driver}) run any
+    of {!Harness.profilers}. *)
+module type Profiler = sig
+  include S
+
+  (** [finish st] collects every still-pending activation and returns
+      the profile; [st] takes no further events until {!reset}. *)
+  val finish : state -> Aprof_core.Profile.t
+
+  (** [reset st] returns [st] to its [create] state, keeping whatever
+      storage it can reuse; the profile [finish] returned before is no
+      longer touched. *)
+  val reset : state -> unit
+end
 
 (** [shard_keep ~owns ~broadcast] is the per-event filter of a
-    [`By_thread] shard: keep events of the owned threads plus broadcast
+    [By_thread] shard: keep events of the owned threads plus broadcast
     ones. *)
 val shard_keep : owns:(int -> bool) -> broadcast:int -> int -> int -> bool
 
@@ -100,7 +107,7 @@ module Shards : sig
 
   (** [open_session ?keep ()] opens an independent reader.  [keep tag
       tid] is applied inside the decode loop: events failing it are
-      parsed but never surface in a batch — the [`By_thread] engine
+      parsed but never surface in a batch — the [By_thread] engine
       passes {!shard_keep} here so a shard's foreign, non-broadcast
       events are parse-only rather than filtered after the fact. *)
   type t = {
@@ -124,15 +131,16 @@ end
 (** [replay_parallel ~pool ~jobs ~shards (module M)] replays the trace
     behind [shards] through up to [jobs] instances of [M], scheduled by
     work stealing at chunk granularity ({!Aprof_util.Par.Ws}): an idle
-    worker steals queued chunks ([`By_chunk]) or the remainder of
-    another shard ([`By_thread]) instead of waiting behind a skewed
+    worker steals queued chunks ([By_chunk]) or the remainder of
+    another shard ([By_thread]) instead of waiting behind a skewed
     thread.  Partial states merge into the first; partial name tables
-    union.  Returns [(state, events, names)] where [events] counts each
+    union.  A [Global] tool replays every chunk in order through one
+    instance.  Returns [(state, events, names)] where [events] counts each
     trace event exactly once — broadcast copies replayed for their side
     effects are not counted — so the total is independent of [jobs].
     With [jobs = 1] (or an empty chunk list) this is exactly a
-    sequential {!replay_batches} over the chunks in file order: no
-    filtering, no reordering — the [-j N ≡ -j 1] differential suite
+    sequential drain of the chunks, in file order, through one
+    instance: no filtering, no reordering — the [-j N ≡ -j 1] differential suite
     relies on it. *)
 val replay_parallel :
   pool:Aprof_util.Par.t ->

@@ -1,5 +1,5 @@
 (* The batch hot path: packed {!Event.Batch} containers and traces,
-   batch-boundary independence of every {!Tool.t}, and the allocation
+   batch-boundary independence of every registry tool, and the allocation
    budget of batched replay (the reason the path exists). *)
 
 module Event = Aprof_trace.Event
@@ -74,30 +74,31 @@ let test_clear_reuse () =
    the trace's own full batches.  Tiny batches force many boundaries,
    so state carried across batches is exercised too. *)
 
-let equivalence_test (factory : Tool.factory) =
+let equivalence_test (module M : Tool.S) =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:30
-       ~name:("batch = per-event: " ^ factory.Tool.tool_name)
+       ~name:("batch = per-event: " ^ M.name)
        ~print:Gen_trace.print (Gen_trace.gen ())
        (fun trace ->
-         let per_event = factory.Tool.create () in
+         let per_event = M.create () in
          let n =
-           Tool.replay_batches per_event
+           Stream.drain
              (Helpers.batches_of_trace ~batch_size:1 trace)
+             (M.on_batch per_event)
          in
          if n <> Trace.length trace then
            QCheck2.Test.fail_reportf "replayed %d of %d events" n
              (Trace.length trace);
-         let batched = factory.Tool.create () in
-         Trace.replay trace batched.Tool.on_batch;
-         let s1 = per_event.Tool.summary () in
-         let s2 = batched.Tool.summary () in
+         let batched = M.create () in
+         Trace.replay trace (M.on_batch batched);
+         let s1 = M.summary per_event in
+         let s2 = M.summary batched in
          if s1 <> s2 then
            QCheck2.Test.fail_reportf "summaries differ:@.%s@.-- vs --@.%s" s1
              s2;
-         per_event.Tool.space_words () = batched.Tool.space_words ()))
+         M.space_words per_event = M.space_words batched))
 
-let equivalence_tests () = List.map equivalence_test (Harness.standard_factories ())
+let equivalence_tests () = List.map equivalence_test Harness.tools
 
 (* --- allocation regression -------------------------------------------
 
@@ -126,7 +127,7 @@ let synth_trace n =
   done;
   tr
 
-let batched_minor_words_per_event (factory : Tool.factory) trace =
+let batched_minor_words_per_event (module M : Tool.S) trace =
   let file = Filename.temp_file "aprof_batch_alloc" ".atrc" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   let n =
@@ -137,28 +138,26 @@ let batched_minor_words_per_event (factory : Tool.factory) trace =
         Trace.length trace)
   in
   In_channel.with_open_bin file (fun ic ->
-      let tool = factory.Tool.create () in
+      let st = M.create () in
       let _names, batches = Codec.batch_reader ic in
       Gc.full_major ();
       let m0 = Gc.minor_words () in
-      let n' = Tool.replay_batches tool batches in
+      let n' = Stream.drain batches (M.on_batch st) in
       let words = Gc.minor_words () -. m0 in
       Alcotest.(check int) "replay count" n n';
       words /. float_of_int n)
 
-let factory_named name =
-  List.find
-    (fun (f : Tool.factory) -> f.Tool.tool_name = name)
-    (Harness.standard_factories ())
+let tool_named name =
+  List.find (fun (module M : Tool.S) -> M.name = name) Harness.tools
 
 let test_nulgrind_allocation_free () =
-  let w = batched_minor_words_per_event (factory_named "nulgrind") (synth_trace 100_000) in
+  let w = batched_minor_words_per_event (tool_named "nulgrind") (synth_trace 100_000) in
   if w >= 1.0 then
     Alcotest.failf "batched nulgrind replay allocates %.2f minor words/event" w
 
 let test_drms_allocation_budget () =
   let w =
-    batched_minor_words_per_event (factory_named "aprof-drms") (synth_trace 100_000)
+    batched_minor_words_per_event (tool_named "aprof-drms") (synth_trace 100_000)
   in
   if w >= 3.0 then
     Alcotest.failf "batched drms replay allocates %.2f minor words/event" w

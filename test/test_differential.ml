@@ -108,7 +108,6 @@ let wide_params = { Gen_trace.default_params with max_threads = 6; max_addr = 40
 
 let reset_equals_fresh (a, b) =
   let module D = Aprof_core.Drms_profiler in
-  let module R = Aprof_core.Rms_profiler in
   let dump p = Aprof_core.Profile_io.to_string p in
   List.iter
     (fun mode ->
@@ -121,13 +120,29 @@ let reset_equals_fresh (a, b) =
         (dump (run_drms ~overflow_limit:64 ~mode b))
         (dump (D.finish p)))
     [ `Both; `External_only; `Thread_only; `None ];
-  let p = R.create () in
-  Trace.replay a (R.on_batch p);
-  ignore (R.finish p);
-  R.reset p;
-  Trace.replay b (R.on_batch p);
-  Alcotest.(check string) "reset rms = fresh rms" (dump (run_rms b))
-    (dump (R.finish p));
+  (* Every registry profiler, as the daemon's pool recycles it: the
+     profile finished before the reset stays its receiver's. *)
+  List.iter
+    (fun (name, (module P : Aprof_tools.Tool.Profiler)) ->
+      let fresh t =
+        let p = P.create () in
+        Trace.replay t (P.on_batch p);
+        dump (P.finish p)
+      in
+      let p = P.create () in
+      Trace.replay a (P.on_batch p);
+      let first = P.finish p in
+      let first_dump = dump first in
+      P.reset p;
+      Trace.replay b (P.on_batch p);
+      Alcotest.(check string)
+        ("reset " ^ name ^ " = fresh " ^ name)
+        (fresh b)
+        (dump (P.finish p));
+      Alcotest.(check string)
+        (name ^ ": finished profile untouched by reset")
+        first_dump (dump first))
+    Aprof_tools.Harness.profilers;
   true
 
 let reset_test =

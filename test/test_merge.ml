@@ -89,7 +89,7 @@ let test_parallel_nulgrind () =
   List.iter
     (fun name ->
       let trace = registry_trace name in
-      let module M = Aprof_tools.Nulgrind.Mergeable in
+      let module M = Aprof_tools.Nulgrind in
       let st1, n1 = replay_jobs (module M) trace 1 in
       let st3, n3 = replay_jobs (module M) trace 3 in
       (* No broadcast events: each event reaches exactly one worker. *)
@@ -107,8 +107,8 @@ let test_parallel_callgrind () =
     (fun name ->
       let trace = registry_trace name in
       let module C = Aprof_tools.Callgrind_lite in
-      let st1, _ = replay_jobs (module C.Mergeable) trace 1 in
-      let st3, _ = replay_jobs (module C.Mergeable) trace 3 in
+      let st1, _ = replay_jobs (module C) trace 1 in
+      let st3, _ = replay_jobs (module C) trace 3 in
       (* Hashtable fold order is not deterministic: compare sorted. *)
       let costs t = List.sort compare (C.routine_costs t) in
       let edges t = List.sort compare (C.edges t) in
@@ -159,8 +159,8 @@ let test_parallel_memcheck () =
   let module M = Aprof_tools.Memcheck_lite in
   List.iter
     (fun (name, trace) ->
-      let st1, _ = replay_jobs (module M.Mergeable) trace 1 in
-      let st3, _ = replay_jobs (module M.Mergeable) trace 3 in
+      let st1, _ = replay_jobs (module M) trace 1 in
+      let st3, _ = replay_jobs (module M) trace 3 in
       let errs t =
         List.sort compare
           (List.map (Format.asprintf "%a" M.pp_error) (M.errors t))
@@ -179,7 +179,7 @@ let test_parallel_rms () =
     (fun name ->
       let trace = registry_trace name in
       let st3, _ =
-        replay_jobs (module Aprof_tools.Aprof_adapters.Rms_mergeable) trace 3
+        replay_jobs (module Aprof_tools.Aprof_adapters.Rms) trace 3
       in
       let p3 = Aprof_core.Rms_profiler.finish st3 in
       let p1 = run_rms trace in
@@ -192,7 +192,7 @@ let test_parallel_drms () =
     (fun name ->
       let trace = registry_trace name in
       let st3, n3 =
-        replay_jobs (module Aprof_tools.Aprof_adapters.Drms_mergeable) trace 3
+        replay_jobs (module Aprof_tools.Aprof_adapters.Drms) trace 3
       in
       Alcotest.(check int)
         (name ^ ": unique events = trace length")
@@ -208,7 +208,7 @@ let test_parallel_naive () =
     (fun name ->
       let trace = registry_trace name in
       let st3, _ =
-        replay_jobs (module Aprof_tools.Aprof_adapters.Naive_mergeable) trace 3
+        replay_jobs (module Aprof_tools.Aprof_adapters.Naive) trace 3
       in
       let p3 = Aprof_core.Naive_drms.finish st3 in
       let p1 = run_naive trace in
@@ -314,7 +314,7 @@ let test_renumbering_preserves_distinction () =
   let trace = result.Interp.trace in
   let tbl = result.Interp.routines in
   let module M = struct
-    include Aprof_tools.Aprof_adapters.Drms_mergeable
+    include Aprof_tools.Aprof_adapters.Drms
 
     let create () = Drms.create ~overflow_limit:32 ()
   end in

@@ -182,7 +182,7 @@ let engine_drms_equal ?(chunk_events = 64) name trace jobs =
   let shards = Tool.Shards.of_trace ~chunk_events trace in
   let st, n, _names =
     Tool.replay_parallel ~pool ~jobs ~shards
-      (module Aprof_tools.Aprof_adapters.Drms_mergeable)
+      (module Aprof_tools.Aprof_adapters.Drms)
   in
   Alcotest.(check int) (name ^ ": unique events") (Trace.length trace) n;
   check_profiles_equal
@@ -199,7 +199,7 @@ let test_engine_hot_thread () =
   let shards = Tool.Shards.of_trace ~chunk_events:64 trace in
   let st, n, _ =
     Tool.replay_parallel ~pool ~jobs:4 ~shards
-      (module Aprof_tools.Nulgrind.Mergeable)
+      (module Aprof_tools.Nulgrind)
   in
   Alcotest.(check int) "nulgrind count" (Trace.length trace) n;
   Alcotest.(check int)

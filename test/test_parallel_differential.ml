@@ -24,11 +24,11 @@ let check_shards ~label ~trace_events shards =
     let pool = Par.create ~jobs:1 () in
     let d, _, _ =
       Tool.replay_parallel ~pool ~jobs:1 ~shards
-        (module Aprof_tools.Aprof_adapters.Drms_mergeable)
+        (module Aprof_tools.Aprof_adapters.Drms)
     in
     let n, _, _ =
       Tool.replay_parallel ~pool ~jobs:1 ~shards
-        (module Aprof_tools.Aprof_adapters.Naive_mergeable)
+        (module Aprof_tools.Aprof_adapters.Naive)
     in
     (Drms.finish d, Naive.finish n)
   in
@@ -37,7 +37,7 @@ let check_shards ~label ~trace_events shards =
       let pool = Par.create ~jobs () in
       let st, n, _ =
         Tool.replay_parallel ~pool ~jobs ~shards
-          (module Aprof_tools.Aprof_adapters.Drms_mergeable)
+          (module Aprof_tools.Aprof_adapters.Drms)
       in
       Alcotest.(check int)
         (Printf.sprintf "%s -j%d: unique events" label jobs)
@@ -51,7 +51,7 @@ let check_shards ~label ~trace_events shards =
         drms1 p;
       let st, _, _ =
         Tool.replay_parallel ~pool ~jobs ~shards
-          (module Aprof_tools.Aprof_adapters.Naive_mergeable)
+          (module Aprof_tools.Aprof_adapters.Naive)
       in
       check_profiles_equal
         (Printf.sprintf "%s -j%d: naive = -j1" label jobs)

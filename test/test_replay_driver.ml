@@ -12,6 +12,7 @@ module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Driver = Aprof_tools.Replay_driver
 module Trace = Aprof_trace.Trace
+module Profile_io = Aprof_core.Profile_io
 
 let now = Sys.time
 
@@ -188,6 +189,42 @@ let keep_going_drops_orphaned_returns () =
       Alcotest.(check (option string)) "salvage succeeds" None r.error;
       Alcotest.(check int) "one drop" 1 (List.length r.drops))
 
+(* Every registry profiler through the driver, sequentially and sharded
+   over the chunk index: the replayed profile must dump exactly as the
+   profiler's own, fed the trace directly.  The trace is a small
+   three-thread mysqlslap run, so kernel fills, frees and cross-thread
+   reads all reach the shards' broadcast paths. *)
+let every_profiler_matches_direct () =
+  let spec =
+    match Aprof_workloads.Registry.find "mysqlslap" with
+    | Some s -> s
+    | None -> Alcotest.fail "mysqlslap missing"
+  in
+  let trace =
+    (Aprof_workloads.Workload.run_spec spec ~threads:3 ~scale:30 ~seed:11)
+      .Aprof_vm.Interp.trace
+  in
+  with_files 1 (fun files ->
+      let file = List.hd files in
+      write_trace trace file;
+      List.iter
+        (fun (name, (module P : Aprof_tools.Tool.Profiler)) ->
+          let p = P.create () in
+          Trace.replay trace (P.on_batch p);
+          let direct = Profile_io.to_string (P.finish p) in
+          List.iter
+            (fun jobs ->
+              let r = Driver.replay ~jobs ~profiler:(module P) ~now [ file ] in
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s -j %d: no error" name jobs)
+                None (report_for r file).error;
+              Alcotest.(check string)
+                (Printf.sprintf "%s -j %d = direct" name jobs)
+                direct
+                (Profile_io.to_string r.profile))
+            [ 1; 2 ])
+        Aprof_tools.Harness.profilers)
+
 let suite =
   [
     Alcotest.test_case "two files, one corrupt: isolation" `Quick
@@ -200,4 +237,6 @@ let suite =
       `Quick unmatched_return_without_drop;
     Alcotest.test_case "--keep-going removes returns orphaned by a drop"
       `Quick keep_going_drops_orphaned_returns;
+    Alcotest.test_case "every profiler at -j 1 and -j 2 = direct profile"
+      `Quick every_profiler_matches_direct;
   ]

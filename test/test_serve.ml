@@ -461,7 +461,9 @@ let test_net_recycled_ingest_allocation () =
   in
   let slices = Inbox.pool ~buffer_bytes:(64 * 1024) ~max_idle:8 in
   let reader = Inbox.create slices in
-  let profilers = Aprof_tools.Ingest_driver.pool () in
+  let profilers =
+    Aprof_tools.Ingest_driver.pool (module Aprof_tools.Aprof_adapters.Drms)
+  in
   let scratch = Trace_net.scratch () in
   let events = ref 0 in
   let stream () =
@@ -697,6 +699,44 @@ let test_server_differential () =
     (expected_merge ~copies:(List.fold_left ( + ) 0 repeats))
     got;
   Alcotest.(check bool) "names arrived" true (Hashtbl.length names > 0)
+
+(* Every registry profiler behind the daemon: one connection streams
+   the trace twice, so the second trace runs on the profiler the first
+   gave back to the pool, reset.  The snapshot must dump exactly as two
+   merged copies of the profiler's own profile of the trace. *)
+let test_server_every_profiler () =
+  let s = trace_bytes ~version:2 () in
+  let trace = (Lazy.force small_run).Aprof_vm.Interp.trace in
+  List.iter
+    (fun (name, (module P : Aprof_tools.Tool.Profiler)) ->
+      let expected = Profile.create () in
+      for _ = 1 to 2 do
+        let p = P.create () in
+        Trace.replay trace (P.on_batch p);
+        Profile.merge_into ~into:expected (P.finish p)
+      done;
+      let sock = temp_sock () in
+      let srv =
+        Server.start
+          {
+            Server.default_config with
+            unix_path = Some sock;
+            profiler = (module P);
+            jobs = 2;
+            shards = 4;
+          }
+      in
+      push_bytes ~sock ~repeat:2 s;
+      let stats = Server.stats srv in
+      let got, _ = Server.snapshot srv in
+      Server.stop srv;
+      Alcotest.(check int) (name ^ ": both traces folded") 2
+        stats.Server.s_traces;
+      Alcotest.(check string)
+        (name ^ ": live = direct")
+        (Aprof_core.Profile_io.to_string expected)
+        (Aprof_core.Profile_io.to_string got))
+    Aprof_tools.Harness.profilers
 
 (* Clients of different workloads, formats and write sizes into a
    daemon that reads small slices: a pooled profiler's next trace has
@@ -1168,6 +1208,8 @@ let suite =
       test_fleet_render;
     Alcotest.test_case "server: N live clients = offline merge" `Quick
       test_server_differential;
+    Alcotest.test_case "server: every profiler = direct profile" `Quick
+      test_server_every_profiler;
     Alcotest.test_case "server: mixed workloads and slices = offline merge"
       `Quick test_server_mixed_workloads;
     Alcotest.test_case "server: corrupt stream never perturbs others" `Quick

@@ -256,7 +256,7 @@ let test_harness_measures () =
   let ms =
     Aprof_tools.Harness.measure ~min_time:0.01 ~trace:r.Interp.trace
       ~program_words:r.Interp.memory_high_water
-      (Aprof_tools.Harness.standard_factories ())
+      Aprof_tools.Harness.tools
   in
   Alcotest.(check int) "six tools" 6 (List.length ms);
   List.iter

@@ -126,8 +126,6 @@ let schedulers =
 
 let n_programs = 50
 
-let tool_state t =
-  (t.Tool.space_words (), t.Tool.summary ())
 
 let check_program ~sched_name ~scheduler seed =
   let w = { Workload.programs = gen_program seed; devices = gen_devices () } in
@@ -154,24 +152,25 @@ let check_program ~sched_name ~scheduler seed =
     p1 p2;
   (* (b) streaming = materialized for every standard tool *)
   List.iter
-    (fun f ->
-      let materialized = f.Tool.create () in
-      Trace.replay trace materialized.Tool.on_batch;
-      let streamed = f.Tool.create () in
+    (fun (module M : Tool.S) ->
+      let materialized = M.create () in
+      Trace.replay trace (M.on_batch materialized);
+      let streamed = M.create () in
       let live =
         Workload.run_batched ~scheduler w ~seed ~tool:(fun _ ->
-            streamed.Tool.on_batch)
+            M.on_batch streamed)
       in
       if live.Interp.events_emitted <> Trace.length trace then
         Alcotest.failf "seed %d (%s): %s: event counts differ" seed sched_name
-          f.Tool.tool_name;
+          M.name;
+      let tool_state st = (M.space_words st, M.summary st) in
       let sw, ssum = tool_state streamed and mw, msum = tool_state materialized in
       if (sw, ssum) <> (mw, msum) then
         Alcotest.failf
           "seed %d (%s): tool %s diverges between streaming and \
            materialized replay:\n%s\nvs\n%s"
-          seed sched_name f.Tool.tool_name ssum msum)
-    (Aprof_tools.Harness.standard_factories ())
+          seed sched_name M.name ssum msum)
+    Aprof_tools.Harness.tools
 
 let suite =
   List.map
