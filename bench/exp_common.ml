@@ -46,20 +46,18 @@ let merged run rname =
   | Some d -> d
   | None -> failwith (Printf.sprintf "no profile for %s in %s" rname run.name)
 
-let cost_points ~metric d =
-  Aprof_core.Fit.points_of_profile ~metric ~cost:`Max d
-  |> List.map (fun (n, c) -> (float_of_int n, c))
-
 let section ppf title =
   Format.fprintf ppf "@.=== %s ===@." title
 
+(* The penalized class of a cost curve, with its bootstrap confidence. *)
 let fit_note ppf ~label points =
-  let int_points = List.map (fun (x, y) -> (int_of_float x, y)) points in
-  match Aprof_core.Fit.best_fit int_points with
-  | Some { Aprof_core.Fit.model; r_squared; _ } ->
-    Format.fprintf ppf "  best fit for %s: %s (R^2 = %.4f)@." label
-      (Aprof_core.Fit.model_name model)
-      r_squared
+  let module Select = Aprof_analysis.Fit_select in
+  match Select.select points with
+  | Some { Select.best; confidence; _ } ->
+    Format.fprintf ppf "  best fit for %s: %s (confidence %.2f, R^2 = %.4f)@."
+      label
+      (Aprof_analysis.Fit_basis.name best.Aprof_analysis.Fit_solve.cls)
+      confidence best.Aprof_analysis.Fit_solve.r2
   | None -> Format.fprintf ppf "  best fit for %s: (not enough points)@." label
 
 let curve_table ppf ~title curves =

@@ -14,8 +14,20 @@
    profile richness drms exists to raise. *)
 
 module Basis = Aprof_analysis.Fit_basis
+module Solve = Aprof_analysis.Fit_solve
 module Select = Aprof_analysis.Fit_select
 module Rng = Aprof_util.Rng
+
+(* The raw-r^2 pick this battery measures the penalized one against —
+   no verdict uses it: the top of the admissible fits by descending r^2,
+   exact ties (noiseless data) to the simpler class. *)
+let r2_top (sel : Select.selection) =
+  List.map fst sel.Select.ranking
+  |> List.sort (fun (f1 : Solve.fit) (f2 : Solve.fit) ->
+         match compare f2.Solve.r2 f1.Solve.r2 with
+         | 0 -> compare (Basis.order f1.Solve.cls) (Basis.order f2.Solve.cls)
+         | c -> c)
+  |> List.hd
 
 let classes : (Basis.cls * float array) list =
   [
@@ -114,21 +126,17 @@ let run ~quick ppf =
                 incr n;
                 incr total;
                 conf_sum := !conf_sum +. sel.Select.confidence;
-                if sel.Select.best.Aprof_analysis.Fit_solve.cls = cls then begin
+                if sel.Select.best.Solve.cls = cls then begin
                   incr ok;
                   incr correct
                 end;
-                (match sel.Select.by_r2 with
-                | top :: _ ->
-                  if top.Aprof_analysis.Fit_solve.cls = cls then begin
-                    incr r2_ok;
-                    incr r2_correct
-                  end
-                  else if
-                    Basis.order top.Aprof_analysis.Fit_solve.cls
-                    > Basis.order cls
-                  then incr r2_overfit
-                | [] -> ())
+                let top = r2_top sel in
+                if top.Solve.cls = cls then begin
+                  incr r2_ok;
+                  incr r2_correct
+                end
+                else if Basis.order top.Solve.cls > Basis.order cls then
+                  incr r2_overfit
             done)
           noises;
         (cls, !n, !ok, !r2_ok, !conf_sum))

@@ -24,15 +24,16 @@ let run ppf =
     }
   in
   let d = Exp_common.merged run_data "mysql_select" in
-  let rms_points = Exp_common.cost_points ~metric:`Rms d in
-  let drms_points = Exp_common.cost_points ~metric:`Drms d in
+  let rms_points = Aprof_core.Profile.cost_points ~metric:`Rms ~cost:`Max d in
+  let drms_points = Aprof_core.Profile.cost_points ~metric:`Drms ~cost:`Max d in
   let plot metric points =
     let chart =
       Plot.create
         ~title:(Printf.sprintf "Cost plot (mysql_select) vs %s" metric)
         ~x_label:metric ~y_label:"cost (executed BB)" ()
     in
-    Plot.add_series chart ~name:"worst-case cost" ~marker:'*' points;
+    Plot.add_series chart ~name:"worst-case cost" ~marker:'*'
+      (List.map (fun (n, c) -> (float_of_int n, c)) points);
     Format.fprintf ppf "%s@." (Plot.render_string chart)
   in
   plot "RMS" rms_points;
@@ -40,9 +41,9 @@ let run ppf =
   Exp_common.fit_note ppf ~label:"cost vs drms" drms_points;
   let spread pts =
     let xs = List.map fst pts in
-    List.fold_left Float.max neg_infinity xs -. List.fold_left Float.min infinity xs
+    List.fold_left max min_int xs - List.fold_left min max_int xs
   in
   Format.fprintf ppf
-    "  input-size spread: rms %.0f vs drms %.0f (paper: rms stays near the \
+    "  input-size spread: rms %d vs drms %d (paper: rms stays near the \
      buffer size; drms tracks the table)@."
     (spread rms_points) (spread drms_points)

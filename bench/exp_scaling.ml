@@ -22,10 +22,9 @@ let run ?(quick = false) ppf =
                      ~min_events:(if quick then 10_000 else 20_000) name
                  in
                  Harness.measure
-                   ~trace:r.Exp_common.result.Aprof_vm.Interp.trace
                    ~program_words:
                      r.Exp_common.result.Aprof_vm.Interp.memory_high_water
-                   Harness.tools)
+                   r.Exp_common.result.Aprof_vm.Interp.trace)
                names)
         in
         (threads, rows))

@@ -18,7 +18,9 @@
 module Scheduler = Aprof_vm.Scheduler
 module Metrics = Aprof_core.Metrics
 module Profile = Aprof_core.Profile
-module Fit = Aprof_core.Fit
+module Basis = Aprof_analysis.Fit_basis
+module Solve = Aprof_analysis.Fit_solve
+module Select = Aprof_analysis.Fit_select
 module Stats = Aprof_util.Stats
 
 let schedulers =
@@ -103,7 +105,7 @@ let external_variant_routines named_runs routines =
    everywhere, take the one richest in its poorest run. *)
 let drms_inputs named r =
   match List.assoc_opt r named with
-  | Some d -> List.map fst (Fit.points_of_profile ~metric:`Drms ~cost:`Max d)
+  | Some d -> List.map fst (Profile.cost_points ~metric:`Drms ~cost:`Max d)
   | None -> []
 
 let class_routine named_runs routines =
@@ -132,11 +134,14 @@ let class_routine named_runs routines =
       | _ -> best)
     None routines
 
+(* The anchor's penalized class in one run, with its bootstrap
+   confidence. *)
 let class_of named routine =
   match List.assoc_opt routine named with
   | Some d -> (
-    match Fit.best_fit (Fit.points_of_profile ~metric:`Drms ~cost:`Max d) with
-    | Some { Fit.model; _ } -> Some (Fit.model_name model)
+    match Select.select (Profile.cost_points ~metric:`Drms ~cost:`Max d) with
+    | Some sel ->
+      Some (Basis.name sel.Select.best.Solve.cls, sel.Select.confidence)
     | None -> None)
   | None -> None
 
@@ -145,8 +150,9 @@ let run ppf =
     "sched: thread/external input stability across scheduler configurations";
   Format.fprintf ppf "  %d schedulers x %d benchmarks@." (List.length schedulers)
     (List.length benchmarks);
-  Format.fprintf ppf "  %-14s %8s %8s %8s %10s %8s %14s %8s@." "benchmark"
-    "thread%" "fluct" "cv-mean" "cv-max" "ext-var" "ext ops" "class";
+  Format.fprintf ppf "  %-14s %8s %8s %8s %10s %8s %14s %8s %5s@." "benchmark"
+    "thread%" "fluct" "cv-mean" "cv-max" "ext-var" "ext ops" "class" "conf";
+  let cores = Aprof_util.Par.available_parallelism () in
   List.iter
     (fun name ->
       let runs =
@@ -183,17 +189,24 @@ let run ppf =
         | None -> List.map (fun _ -> None) named_runs
         | Some (r, _) -> List.map (fun named -> class_of named r) named_runs
       in
-      let class_name, class_stable =
+      (* The benchmark's confidence is its least confident run's. *)
+      let class_name, class_stable, class_confidence =
         match List.filter_map Fun.id cell_classes with
-        | [] -> ("n/a", true)
-        | c0 :: rest -> (c0, List.for_all (( = ) c0) rest)
+        | [] -> ("n/a", true, None)
+        | (c0, _) :: rest as cells ->
+          ( c0,
+            List.for_all (fun (c, _) -> c = c0) rest,
+            Some (List.fold_left (fun m (_, p) -> Float.min m p) 1. cells) )
       in
-      Format.fprintf ppf "  %-14s %7.1f%% %8s %8.3f %10.3f %8d %6d/%-6d %8s%s@."
-        name mean
+      Format.fprintf ppf
+        "  %-14s %7.1f%% %8s %8.3f %10.3f %8d %6d/%-6d %8s %5s%s@." name mean
         (match fluct with Some f -> Printf.sprintf "%.1f%%" f | None -> "n/a")
         cv_mean cv_max
         (List.length ext_variant)
         ext_min ext_max class_name
+        (match class_confidence with
+        | Some p -> Printf.sprintf "%.2f" p
+        | None -> "-")
         (if class_stable then "" else " (UNSTABLE)");
       (* One row per (benchmark, scheduler) so the gate can count the
          matrix and check invariance without re-deriving aggregates. *)
@@ -206,14 +219,15 @@ let run ppf =
                ("thread_pct", Exp_common.Float (thread_share r));
                ("external_ops", Exp_common.Int (external_ops named));
              ]
-            @
-            match (fit_routine, List.nth cell_classes i) with
-            | Some (routine, _), Some c ->
-              [
-                ("fit_routine", Exp_common.String routine);
-                ("cost_class", Exp_common.String c);
-              ]
-            | _ -> []))
+            @ (match (fit_routine, List.nth cell_classes i) with
+              | Some (routine, _), Some (c, p) ->
+                [
+                  ("fit_routine", Exp_common.String routine);
+                  ("cost_class", Exp_common.String c);
+                  ("cost_class_confidence", Exp_common.Float p);
+                ]
+              | _ -> [])
+            @ [ ("cores", Exp_common.Int cores) ]))
         (List.combine runs named_runs);
       Exp_common.emit_row ~experiment:"sched"
         ([
@@ -239,7 +253,11 @@ let run ppf =
             ("external_ops_max", Exp_common.Int ext_max);
             ("cost_class", Exp_common.String class_name);
             ("cost_class_stable", Exp_common.Int (if class_stable then 1 else 0));
-          ]))
+          ]
+        @ (match class_confidence with
+          | Some p -> [ ("cost_class_confidence", Exp_common.Float p) ]
+          | None -> [])
+        @ [ ("cores", Exp_common.Int cores) ]))
     benchmarks;
   Format.fprintf ppf
     "  (paper: external input is stable across runs; thread input fluctuates \

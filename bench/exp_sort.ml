@@ -30,7 +30,7 @@ let run ppf =
             Aprof_core.Cost_model.simulated_time_ns rng ~ns_per_block:2.5
               ~jitter:0.18 bb
           in
-          (float_of_int pt.Profile.input, float_of_int bb, ns)
+          (pt.Profile.input, float_of_int bb, ns)
         | _ -> failwith "expected one selection_sort activation")
       sizes
   in
@@ -39,27 +39,27 @@ let run ppf =
       ~x_label:"read memory size" ~y_label:"cost (executed BB)" ()
   in
   Plot.add_series bb_chart ~name:"BB" ~marker:'*'
-    (List.map (fun (n, bb, _) -> (n, bb)) points);
+    (List.map (fun (n, bb, _) -> (float_of_int n, bb)) points);
   Format.fprintf ppf "%s@." (Plot.render_string bb_chart);
   let ns_chart =
     Plot.create ~title:"Cost plot (selection_sort), simulated nanoseconds"
       ~x_label:"read memory size" ~y_label:"cost (ns)" ()
   in
   Plot.add_series ns_chart ~name:"ns" ~marker:'o'
-    (List.map (fun (n, _, ns) -> (n, ns)) points);
+    (List.map (fun (n, _, ns) -> (float_of_int n, ns)) points);
   Format.fprintf ppf "%s@." (Plot.render_string ns_chart);
   Exp_common.fit_note ppf ~label:"BB cost vs input"
     (List.map (fun (n, bb, _) -> (n, bb)) points);
   (match
-     Aprof_core.Fit.power_law
-       (List.map (fun (n, bb, _) -> (int_of_float n, bb)) points)
+     Aprof_analysis.Fit_solve.power_law
+       (List.map (fun (n, bb, _) -> (n, bb)) points)
    with
   | Some (_, k, r2) ->
     Format.fprintf ppf "  power-law exponent on BB: %.2f (R^2 = %.4f, paper trend: 2)@." k r2
   | None -> ());
   match
-    Aprof_core.Fit.power_law
-      (List.map (fun (n, _, ns) -> (int_of_float n, ns)) points)
+    Aprof_analysis.Fit_solve.power_law
+      (List.map (fun (n, _, ns) -> (n, ns)) points)
   with
   | Some (_, k, r2) ->
     Format.fprintf ppf "  power-law exponent on noisy ns: %.2f (R^2 = %.4f)@." k r2

@@ -21,9 +21,8 @@ let measure_suite ?(threads = 4) ?(scale = 300) ?(min_events = 40_000) names =
     (fun name ->
       let r = sized_run ~threads ~scale ~min_events name in
       Harness.measure
-        ~trace:r.Exp_common.result.Aprof_vm.Interp.trace
         ~program_words:r.Exp_common.result.Aprof_vm.Interp.memory_high_water
-        Harness.tools)
+        r.Exp_common.result.Aprof_vm.Interp.trace)
     names
 
 let print_rows ppf suite rows =

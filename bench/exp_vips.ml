@@ -28,6 +28,11 @@ let run ppf =
     { Exp_common.name = "vips"; result; profile = profile_with `Both trace }
   in
   let d = Exp_common.merged run_data "im_generate" in
+  let worst_case metric d =
+    List.map
+      (fun (n, c) -> (float_of_int n, c))
+      (Aprof_core.Profile.cost_points ~metric ~cost:`Max d)
+  in
   let plot title metric points =
     let chart =
       Plot.create ~title ~x_label:metric ~y_label:"cost (executed BB)" ()
@@ -35,12 +40,10 @@ let run ppf =
     Plot.add_series chart ~name:"worst-case cost" ~marker:'*' points;
     Format.fprintf ppf "%s@." (Plot.render_string chart)
   in
-  plot "Cost plot (im_generate) vs RMS" "RMS"
-    (Exp_common.cost_points ~metric:`Rms d);
-  plot "Cost plot (im_generate) vs DRMS" "DRMS"
-    (Exp_common.cost_points ~metric:`Drms d);
+  plot "Cost plot (im_generate) vs RMS" "RMS" (worst_case `Rms d);
+  plot "Cost plot (im_generate) vs DRMS" "DRMS" (worst_case `Drms d);
   Exp_common.fit_note ppf ~label:"im_generate cost vs drms"
-    (Exp_common.cost_points ~metric:`Drms d);
+    (Aprof_core.Profile.cost_points ~metric:`Drms ~cost:`Max d);
 
   Exp_common.section ppf "fig6: wbuffer_write_thread input-size separation";
   let count mode metric =
@@ -68,5 +71,5 @@ let run ppf =
       ~x_label:"DRMS" ~y_label:"cost (executed BB)" ()
   in
   Plot.add_series chart ~name:"worst-case cost" ~marker:'*'
-    (Exp_common.cost_points ~metric:`Drms d_full);
+    (worst_case `Drms d_full);
   Format.fprintf ppf "%s@." (Plot.render_string chart)

@@ -103,7 +103,7 @@ let profile_run ?track_contexts name threads scale seed scheduler =
 
 let run_meta name threads scale seed scheduler =
   {
-    Aprof_analysis.Run_meta.workload = name;
+    Aprof_core.Run_meta.workload = name;
     seed;
     scale;
     threads;
@@ -209,8 +209,8 @@ let plot_cmd =
             (List.map (fun (n, c) -> (float_of_int n, c)) pts);
           print_string (Aprof_plot.Ascii_plot.render_string chart)
         in
-        plot "RMS" (Aprof_core.Fit.points_of_profile ~metric:`Rms ~cost:`Max d);
-        plot "DRMS" (Aprof_core.Fit.points_of_profile ~metric:`Drms ~cost:`Max d))
+        plot "RMS" (Aprof_core.Profile.cost_points ~metric:`Rms ~cost:`Max d);
+        plot "DRMS" (Aprof_core.Profile.cost_points ~metric:`Drms ~cost:`Max d))
   in
   Cmd.v
     (Cmd.info "plot" ~doc:"Draw rms and drms cost plots for one routine")
@@ -225,15 +225,14 @@ let fit_cmd =
   let module Solve = Aprof_analysis.Fit_solve in
   let module Basis = Aprof_analysis.Fit_basis in
   let module Store = Aprof_analysis.Model_store in
-  (* Detailed view of one routine: the legacy r^2 table next to the
-     penalized ranking, so the two selectors can be compared by eye. *)
+  (* Detailed view of one routine: the whole penalized ranking. *)
   let print_routine ~bootstrap ~seed routine d =
-    let points = Aprof_core.Fit.points_of_profile ~metric:`Drms ~cost:`Max d in
+    let points = Aprof_core.Profile.cost_points ~metric:`Drms ~cost:`Max d in
     Printf.printf "%s: %d performance points (drms, worst-case cost)\n" routine
       (List.length points);
-    (match Select.select ~bootstrap ~seed points with
+    match Select.select ~bootstrap ~seed points with
     | None -> Printf.printf "  not enough distinct input sizes to fit\n"
-    | Some sel ->
+    | Some sel -> (
       Printf.printf "  penalized selection (AICc), bootstrap confidence %.2f:\n"
         sel.Select.confidence;
       List.iter
@@ -245,18 +244,7 @@ let fit_cmd =
       match sel.Select.exponent with
       | Some (k, lo, hi) ->
         Printf.printf "  power-law exponent: %.2f (95%% CI %.2f..%.2f)\n" k lo hi
-      | None -> ());
-    Printf.printf "  legacy r^2 ranking (a + b * g(n)):\n";
-    List.iter
-      (fun r ->
-        Printf.printf "    %-12s R^2 = %.4f  (cost ~ %.3g + %.3g * g(n))\n"
-          (Aprof_core.Fit.model_name r.Aprof_core.Fit.model)
-          r.Aprof_core.Fit.r_squared r.Aprof_core.Fit.a r.Aprof_core.Fit.b)
-      (Aprof_core.Fit.fit_models points);
-    match Aprof_core.Fit.power_law points with
-    | Some (c, k, r2) ->
-      Printf.printf "    power law: cost ~ %.3g * n^%.2f (R^2 = %.4f)\n" c k r2
-    | None -> ()
+      | None -> ())
   in
   let run name routine threads scale seed scheduler profile_path store_path
       bootstrap =
@@ -286,7 +274,7 @@ let fit_cmd =
           Aprof_trace.Routine_table.name tbl,
           Some (run_meta name threads scale seed scheduler) )
     in
-    let entries = Aprof_core.Fit.analyze ~bootstrap ~seed ~routine_name profile in
+    let entries = Store.analyze ~bootstrap ~seed ~routine_name profile in
     (match routine with
     | Some routine -> (
       match
@@ -487,9 +475,9 @@ let overhead_cmd =
   let run name threads scale seed scheduler =
     let result = execute name threads scale seed scheduler in
     let measurements =
-      Aprof_tools.Harness.measure ~trace:result.Aprof_vm.Interp.trace
+      Aprof_tools.Harness.measure
         ~program_words:result.Aprof_vm.Interp.memory_high_water
-        Aprof_tools.Harness.tools
+        result.Aprof_vm.Interp.trace
     in
     List.iter
       (fun m -> Format.printf "%a@." Aprof_tools.Harness.pp_measurement m)

@@ -1,11 +1,12 @@
 (* Estimating empirical cost functions of classic algorithms: run each
    sorting/searching kernel over a size sweep, collect its performance
-   points, and let the fitting module name the asymptotic class.
+   points, and let the penalized selection name the asymptotic class,
+   with its bootstrap confidence.
 
      dune exec examples/cost_fitting.exe *)
 
-module Fit = Aprof_core.Fit
 module Profile = Aprof_core.Profile
+module Select = Aprof_analysis.Fit_select
 
 let profile_point workload routine =
   let p = Aprof_core.Drms_profiler.create () in
@@ -19,22 +20,32 @@ let profile_point workload routine =
       (Aprof_trace.Routine_table.find result.Aprof_vm.Interp.routines routine)
   in
   let d = List.assoc rid (Profile.merge_threads profile) in
-  match Fit.points_of_profile ~metric:`Drms ~cost:`Max d with
+  match Profile.cost_points ~metric:`Drms ~cost:`Max d with
   | [ (n, c) ] -> (n, c)
   | points ->
     (* several activations: take the largest input *)
     List.fold_left (fun (bn, bc) (n, c) -> if n > bn then (n, c) else (bn, bc))
       (0, 0.) points
 
-let sizes = [ 32; 64; 128; 256; 512 ]
+(* Powers of two: AICc admits a 3-parameter class only from 5 sizes on,
+   and prices it steeply at exactly 5, so the sweep needs more sizes
+   than that.  Other spacings make binary_search's drms (cells examined)
+   wobble between neighbouring sizes. *)
+let sizes = [ 16; 32; 64; 128; 256; 512; 1024 ]
+
+let class_name (sel : Select.selection) =
+  Aprof_analysis.Fit_basis.name sel.Select.best.Aprof_analysis.Fit_solve.cls
 
 let sweep name make routine =
   let points = List.map (fun n -> profile_point (make ~n) routine) sizes in
-  match (Fit.best_fit points, Fit.power_law points) with
-  | Some r, Some (_, k, _) ->
-    Printf.printf "%-16s %-12s (R^2 = %.4f, empirical exponent %.2f)\n" name
-      (Fit.model_name r.Fit.model) r.Fit.r_squared k
-  | _ -> Printf.printf "%-16s (not enough points)\n" name
+  match Select.select points with
+  | Some sel ->
+    Printf.printf "%-16s %-12s (confidence %.2f%s)\n" name (class_name sel)
+      sel.Select.confidence
+      (match sel.Select.exponent with
+      | Some (k, _, _) -> Printf.sprintf ", empirical exponent %.2f" k
+      | None -> "")
+  | None -> Printf.printf "%-16s (not enough points)\n" name
 
 let () =
   print_endline "estimated empirical cost functions (drms vs worst-case cost):";
@@ -64,13 +75,14 @@ let () =
       sizes
   in
   (match
-     ( Fit.best_fit (List.map (fun (_, d, c) -> (d, c)) bs_points),
-       Fit.best_fit (List.map (fun (n, _, c) -> (n, c)) bs_points) )
+     ( Select.select (List.map (fun (_, d, c) -> (d, c)) bs_points),
+       Select.select (List.map (fun (n, _, c) -> (n, c)) bs_points) )
    with
   | Some vs_drms, Some vs_n ->
-    Printf.printf "%-16s %-12s in its drms (cells examined)\n" "binary_search"
-      (Fit.model_name vs_drms.Fit.model);
-    Printf.printf "%-16s %-12s in the array size\n" "" (Fit.model_name vs_n.Fit.model)
+    Printf.printf "%-16s %-12s in its drms (cells examined), confidence %.2f\n"
+      "binary_search" (class_name vs_drms) vs_drms.Select.confidence;
+    Printf.printf "%-16s %-12s in the array size, confidence %.2f\n" ""
+      (class_name vs_n) vs_n.Select.confidence
   | _ -> ());
   print_endline
     "\n(the drms of binary_search is itself logarithmic: the metric counts the";

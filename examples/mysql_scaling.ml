@@ -1,12 +1,12 @@
 (* The MySQL case study (Section 2.1): scan queries over tables of
-   increasing size through a small buffer pool, then let the fitting
-   module estimate the empirical cost function of mysql_select from each
-   metric's performance points.
+   increasing size through a small buffer pool, then let the penalized
+   selection estimate the empirical cost function of mysql_select from
+   each metric's performance points.
 
      dune exec examples/mysql_scaling.exe *)
 
-module Fit = Aprof_core.Fit
 module Profile = Aprof_core.Profile
+module Select = Aprof_analysis.Fit_select
 
 let () =
   let row_counts = [ 100; 200; 400; 800; 1200; 1600 ] in
@@ -37,18 +37,18 @@ let () =
        d.Profile.rms_points)
     d.Profile.drms_points;
 
-  let report label points =
-    match Fit.best_fit points with
-    | Some r ->
-      Printf.printf "%s: best model %s (R^2 = %.4f)\n" label
-        (Fit.model_name r.Fit.model) r.Fit.r_squared
+  let report label metric =
+    match Select.select (Profile.cost_points ~metric ~cost:`Max d) with
+    | Some sel ->
+      let best = sel.Select.best in
+      Printf.printf "%s: best model %s (confidence %.2f, R^2 = %.4f)\n" label
+        (Aprof_analysis.Fit_basis.name best.Aprof_analysis.Fit_solve.cls)
+        sel.Select.confidence best.Aprof_analysis.Fit_solve.r2
     | None -> Printf.printf "%s: not enough distinct points to fit\n" label
   in
   print_newline ();
-  report "cost vs rms "
-    (Fit.points_of_profile ~metric:`Rms ~cost:`Max d);
-  report "cost vs drms"
-    (Fit.points_of_profile ~metric:`Drms ~cost:`Max d);
+  report "cost vs rms " `Rms;
+  report "cost vs drms" `Drms;
   print_endline
     "\nThe rms points pile up at the buffer-pool size, so no meaningful cost";
   print_endline

@@ -133,7 +133,7 @@ let diff ?(min_confidence = 0.7) ?(slope_ratio = 2.0) ?(require_meta = true)
     (old_store : Model_store.t) (new_store : Model_store.t) =
   let meta_check =
     match (old_store.Model_store.meta, new_store.Model_store.meta) with
-    | Some o, Some n -> Run_meta.compatible ~old_run:o ~new_run:n
+    | Some o, Some n -> Aprof_core.Run_meta.compatible ~old_run:o ~new_run:n
     | None, _ | _, None ->
       if require_meta then Error "a store carries no run metadata" else Ok ()
   in

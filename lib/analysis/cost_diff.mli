@@ -22,9 +22,10 @@
       for.  A routine becoming divergent (or ceasing to be) between the
       runs is reported, confidence-gated like class changes.
 
-    Stores carrying {!Run_meta} are refused ([Error]) when the metadata
-    is incomparable ({!Run_meta.compatible}); a store without metadata is
-    refused unless [require_meta] is [false]. *)
+    Stores carrying {!Aprof_core.Run_meta} are refused ([Error]) when
+    the metadata is incomparable ({!Aprof_core.Run_meta.compatible}); a
+    store without metadata is refused unless [require_meta] is
+    [false]. *)
 
 type severity = Regression | Improvement | Info
 

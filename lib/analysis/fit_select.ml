@@ -1,30 +1,29 @@
-type criterion = [ `Aicc | `Bic ]
-
 type selection = {
   best : Fit_solve.fit;
-  score : float;
   ranking : (Fit_solve.fit * float) list;
-  by_r2 : Fit_solve.fit list;
   n_points : int;
   confidence : float;
   exponent : (float * float * float) option;
 }
 
-let score ~criterion ~n_points ~params ~rss ~scale =
+(* AICc of a fit with [params] coefficients (k = params + 1, counting
+   the noise variance) and relative-weighted residual sum [rss]. *)
+let score ~n_points ~params ~rss =
   let m = float_of_int n_points in
   (* An exact fit has RSS = 0 and an unbounded log-likelihood; floor the
-     per-point residual at a tiny fraction of the observation scale so
-     exact fits compare by parameter count instead of -infinity. *)
-  let floor_ = Float.max (1e-12 *. (scale +. 1.)) 1e-300 in
-  let base = m *. log (Float.max (rss /. m) floor_) in
+     mean squared relative residual at 2e-12 so exact fits compare by
+     parameter count instead of -infinity. *)
+  let base = m *. log (Float.max (rss /. m) 2e-12) in
   let k = float_of_int (params + 1) in
-  match criterion with
-  | `Bic -> base +. (k *. log m)
-  | `Aicc ->
-    (* Clamp the small-sample denominator: admissibility already demands
-       n_points >= params + 2, but resampled bootstrap sets can shrink. *)
-    let denom = Float.max 0.5 (m -. k -. 1.) in
-    base +. (2. *. k) +. (2. *. k *. (k +. 1.) /. denom)
+  (* The small-sample term 2k(k+1)/(m-k-1) divides by zero at the
+     admissibility edge: a class is admitted at n_points = params + 2,
+     where m - k - 1 = 0.  The clamp to 0.5 charges such a class
+     4k(k+1) there (80 for a 3-parameter class at m = 5), so on a sweep
+     of few sizes the richer classes are priced out and a simpler one
+     wins at low confidence.  Bootstrap resamples keep the sample's
+     point count, so they meet this edge exactly when the sample does. *)
+  let denom = Float.max 0.5 (m -. k -. 1.) in
+  base +. (2. *. k) +. (2. *. k *. (k +. 1.) /. denom)
 
 (* Relative-error weighting.  Empirical cost measurements carry noise
    roughly proportional to their magnitude, so an unweighted RSS is
@@ -33,7 +32,7 @@ let score ~criterion ~n_points ~params ~rss ~scale =
    itself by chasing the top point.  Weighting each residual by 1/y^2
    makes the per-point contributions commensurate and the information
    criteria honest.  The weighted RSS is dimensionless (a mean squared
-   relative error), hence [~scale:1.] below. *)
+   relative error), which is what [score]'s floor assumes. *)
 let relative_weights points =
   let median_abs =
     match List.map (fun (_, y) -> Float.abs y) points with
@@ -53,7 +52,7 @@ let relative_weights points =
          1. /. (d *. d))
        points)
 
-let admissible_fits ~criterion points sample =
+let admissible_fits points sample =
   let n_points = List.length points in
   let weights = relative_weights points in
   List.filter_map
@@ -73,17 +72,17 @@ let admissible_fits ~criterion points sample =
           if not plausible then None
           else
             let s =
-              score ~criterion ~n_points ~params:fit.Fit_solve.params
-                ~rss:fit.Fit_solve.rss ~scale:1.
+              score ~n_points ~params:fit.Fit_solve.params
+                ~rss:fit.Fit_solve.rss
             in
             if Float.is_finite s then Some (fit, s) else None)
     Fit_basis.all
 
-let select_core ~criterion points =
+let select_core points =
   let sample = Fit_solve.sample points in
   if Fit_solve.sample_distinct sample < 3 then None
   else
-    match admissible_fits ~criterion points sample with
+    match admissible_fits points sample with
     | [] -> None
     | fits ->
       let ranking =
@@ -94,27 +93,13 @@ let select_core ~criterion points =
               (s2, f2.Fit_solve.params, Fit_basis.order f2.Fit_solve.cls))
           fits
       in
-      (* Descending r^2; exact ties (noiseless data) to the simpler
-         class, which is the charitable reading of the legacy ranking. *)
-      let by_r2 =
-        List.sort
-          (fun f1 f2 ->
-            match compare f2.Fit_solve.r2 f1.Fit_solve.r2 with
-            | 0 ->
-              compare
-                (Fit_basis.order f1.Fit_solve.cls)
-                (Fit_basis.order f2.Fit_solve.cls)
-            | c -> c)
-          (List.map fst fits)
-      in
-      let best, best_score = List.hd ranking in
-      Some (best, best_score, ranking, by_r2)
+      Some (fst (List.hd ranking), ranking)
 
-let select ?(criterion = `Aicc) ?(bootstrap = 120) ?(seed = 1) points =
+let select ?(bootstrap = 120) ?(seed = 1) points =
   let points = List.filter (fun (_, y) -> Float.is_finite y) points in
-  match select_core ~criterion points with
+  match select_core points with
   | None -> None
-  | Some (best, best_score, ranking, by_r2) ->
+  | Some (best, ranking) ->
     let n_points = List.length points in
     let exponent_estimate = Fit_solve.power_law points in
     let confidence, exponent =
@@ -131,8 +116,8 @@ let select ?(criterion = `Aicc) ?(bootstrap = 120) ?(seed = 1) points =
             List.init n_points (fun _ ->
                 arr.(Aprof_util.Rng.int rng n_points))
           in
-          (match select_core ~criterion sample with
-          | Some (b, _, _, _) ->
+          (match select_core sample with
+          | Some (b, _) ->
             incr resolved;
             if b.Fit_solve.cls = best.Fit_solve.cls then incr agree
           | None -> ());
@@ -156,13 +141,4 @@ let select ?(criterion = `Aicc) ?(bootstrap = 120) ?(seed = 1) points =
         (confidence, exponent)
       end
     in
-    Some
-      {
-        best;
-        score = best_score;
-        ranking;
-        by_r2;
-        n_points;
-        confidence;
-        exponent;
-      }
+    Some { best; ranking; n_points; confidence; exponent }

@@ -110,7 +110,7 @@ let fit_terms ?weights ~terms points =
         else begin
           (* RSS and r^2 under the same weighting as the fit itself; with
              unit weights this reduces exactly to the unweighted
-             residuals of the legacy estimator. *)
+             residuals. *)
           let wsum = Array.fold_left ( +. ) 0. w in
           let mean =
             let s = ref 0. in
@@ -149,8 +149,6 @@ type fit = {
   r2 : float;
   params : int;
 }
-
-let predict fit n = Fit_basis.eval fit.cls ~coefs:fit.coefs n
 
 let distinct_inputs points =
   List.sort_uniq compare (List.map fst points) |> List.length

@@ -6,22 +6,12 @@
     coefficients — a NaN produced here would otherwise silently poison
     every selection and diff built on top. *)
 
-(** [r_squared ~ys ~predicted] is the coefficient of determination,
-    clamped to [0, 1]; a constant series is 1 when reproduced exactly
-    and 0 otherwise (same convention as the original estimator). *)
-val r_squared : ys:float list -> predicted:float list -> float
-
-(** [linreg points] is [(intercept, slope)] of the ordinary
-    least-squares line through [(x, y)] pairs, or [None] when the xs are
-    (numerically) all equal. *)
-val linreg : (float * float) list -> (float * float) option
-
 (** [fit_terms ?weights ~terms points] solves the weighted least-squares
     problem over an arbitrary design: minimize
     [sum_i w_i * (y_i - sum_j c_j * term_j x_i)^2].  Returns
     [(coefs, rss, r2)]; both [rss] and [r2] are computed under the same
-    weights as the fit (with unit weights they coincide with the
-    unweighted residuals of the legacy estimator).  [None] when the
+    weights as the fit (with unit weights, the plain unweighted
+    residuals).  [None] when the
     normal equations are singular — collinear or all-zero columns, fewer
     points than terms.  Weights default to 1 and must be positive.
 
@@ -40,9 +30,6 @@ type fit = {
   r2 : float;  (** under the fit's weights *)
   params : int;  (** {!Fit_basis.param_count} *)
 }
-
-(** [predict fit n] evaluates the fitted curve at input size [n]. *)
-val predict : fit -> float -> float
 
 (** A point set prepared for fitting: its inputs are sorted once, and
     the order is shared by the distinct-input guard and the plateau

@@ -18,7 +18,7 @@ type entry = {
   exponent : (float * float * float) option;
 }
 
-type t = { meta : Run_meta.t option; entries : entry list }
+type t = { meta : Aprof_core.Run_meta.t option; entries : entry list }
 
 let format_version = 1
 
@@ -29,6 +29,28 @@ let sort_entries entries =
     entries
 
 let create ?meta entries = { meta; entries = sort_entries entries }
+
+let analyze ?bootstrap ?seed ~routine_name profile =
+  Aprof_core.Profile.merge_threads profile
+  |> List.concat_map (fun (rid, data) ->
+         List.filter_map
+           (fun metric ->
+             let points =
+               Aprof_core.Profile.cost_points ~metric ~cost:`Max data
+             in
+             Fit_select.select ?bootstrap ?seed points
+             |> Option.map (fun (sel : Fit_select.selection) ->
+                    {
+                      routine = routine_name rid;
+                      metric;
+                      cls = sel.best.Fit_solve.cls;
+                      coefs = sel.best.Fit_solve.coefs;
+                      n_points = sel.n_points;
+                      r2 = sel.best.Fit_solve.r2;
+                      confidence = sel.confidence;
+                      exponent = sel.exponent;
+                    }))
+           [ `Drms; `Rms ])
 
 let find t ~routine ~metric =
   List.find_opt (fun e -> e.routine = routine && e.metric = metric) t.entries
@@ -45,7 +67,8 @@ let to_string t =
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   add "costmodel,%d" format_version;
   (match t.meta with
-  | Some m -> add "meta,%s" (String.concat "," (Run_meta.to_fields m))
+  | Some m ->
+    add "meta,%s" (String.concat "," (Aprof_core.Run_meta.to_fields m))
   | None -> ());
   List.iter
     (fun e ->
@@ -135,7 +158,7 @@ let of_string s =
       | _ when not seen_header ->
         fail lineno "not a cost-model store (missing costmodel,<version> header)"
       | "meta" :: fields -> (
-        match Run_meta.of_fields fields with
+        match Aprof_core.Run_meta.of_fields fields with
         | Ok m -> go (lineno + 1) ~seen_header (Some m) entries rest
         | Error e -> fail lineno "%s" e)
       | "model" :: fields -> (

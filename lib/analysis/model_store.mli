@@ -2,9 +2,10 @@
 
     A store holds, per (routine, metric) pair, the penalized-selection
     result of one profiling run — chosen class, coefficients, bootstrap
-    confidence, power-law exponent interval — plus the {!Run_meta}
-    identity of the run, so that two stores can be compared by
-    {!Cost_diff} (and refused when they describe incomparable runs).
+    confidence, power-law exponent interval — plus the
+    {!Aprof_core.Run_meta} identity of the run, so that two stores can be
+    compared by {!Cost_diff} (and refused when they describe incomparable
+    runs).
 
     The format is line-oriented CSV opened by a [costmodel,<version>]
     header, in the spirit of {!Profile_io}: versions newer than
@@ -27,12 +28,25 @@ type entry = {
   exponent : (float * float * float) option;  (** (k, lo, hi) *)
 }
 
-type t = { meta : Run_meta.t option; entries : entry list }
+type t = { meta : Aprof_core.Run_meta.t option; entries : entry list }
 
 (** The version written by {!save}; loading rejects anything newer. *)
 val format_version : int
 
-val create : ?meta:Run_meta.t -> entry list -> t
+val create : ?meta:Aprof_core.Run_meta.t -> entry list -> t
+
+(** [analyze ?bootstrap ?seed ~routine_name profile] fits every
+    routine of [profile] after folding its thread dimension away
+    ({!Aprof_core.Profile.merge_threads}): {!Fit_select.select} on the
+    worst-case drms and rms curves, one entry per (routine, metric)
+    whose curve supports a fit (at least 3 distinct input sizes).
+    [bootstrap] and [seed] pass through to the selection. *)
+val analyze :
+  ?bootstrap:int ->
+  ?seed:int ->
+  routine_name:(int -> string) ->
+  Aprof_core.Profile.t ->
+  entry list
 
 (** [find t ~routine ~metric] — the stored model, if any. *)
 val find : t -> routine:string -> metric:metric -> entry option

@@ -297,6 +297,20 @@ let merge_threads t =
   Hashtbl.fold (fun r c acc -> (r, data_of_cell c) :: acc) merged []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let cost_points ~metric ~cost d =
+  let points =
+    match metric with `Drms -> d.drms_points | `Rms -> d.rms_points
+  in
+  List.map
+    (fun p ->
+      let c =
+        match cost with
+        | `Max -> float_of_int p.max_cost
+        | `Mean -> p.sum_cost /. float_of_int p.calls
+      in
+      (p.input, c))
+    points
+
 let total_activations t =
   Hashtbl.fold (fun _ c acc -> acc + c.acts) t.cells 0
 

@@ -115,6 +115,16 @@ val merge : t -> t -> t
     (max of maxes, sum of calls, ...). *)
 val merge_threads : t -> (int * routine_data) list
 
+(** [cost_points ~metric ~cost d] is [d]'s performance points as
+    (input size, cost) pairs, keyed by drms or rms, with the worst-case
+    ([`Max], the paper's cost plots) or mean ([`Mean]) cost per input
+    size. *)
+val cost_points :
+  metric:[ `Drms | `Rms ] ->
+  cost:[ `Max | `Mean ] ->
+  routine_data ->
+  (int * float) list
+
 (** [total_activations t] over all keys. *)
 val total_activations : t -> int
 

@@ -8,7 +8,7 @@ let metric_name = function `Drms -> "drms" | `Rms -> "rms"
        runs) can reject formats they do not understand instead of
        misparsing them.
    3 — adds an optional [meta,<run metadata>] line (workload, seed,
-       scale, threads, scheduler — see {!Aprof_analysis.Run_meta}) so a
+       scale, threads, scheduler — see {!Run_meta}) so a
        dump records the run that produced it and the regression watch
        can refuse to compare apples to oranges. *)
 let format_version = 3
@@ -20,7 +20,7 @@ let save_buf buf ?routine_name ?meta (t : Profile.t) =
   | None -> ()
   | Some m ->
     add "meta,%s"
-      (String.concat "," (Aprof_analysis.Run_meta.to_fields m)));
+      (String.concat "," (Run_meta.to_fields m)));
   let keys =
     Profile.keys t
     |> List.sort (fun a b ->
@@ -86,7 +86,7 @@ let parse_line lineno profile names meta line =
         format_version
     | None -> fail "bad format version %S" v)
   | "meta" :: fields -> (
-    match Aprof_analysis.Run_meta.of_fields fields with
+    match Run_meta.of_fields fields with
     | Ok m ->
       meta := Some m;
       Ok ()

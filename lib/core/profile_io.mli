@@ -13,7 +13,7 @@
     A [routine,<id>,<name>] line per interned routine makes dumps
     self-describing, and (since format 3) an optional
     [meta,<workload>,<seed>,<scale>,<threads>,<scheduler>] line records
-    the run that produced the dump ({!Aprof_analysis.Run_meta}) — the
+    the run that produced the dump ({!Run_meta}) — the
     regression watch uses it to refuse comparisons across different
     setups.  Loading rebuilds an equivalent {!Profile.t} (point
     aggregates are reconstructed exactly; per-activation history is not
@@ -30,7 +30,7 @@ val format_version : int
 val save :
   out_channel ->
   ?routine_name:(int -> string) ->
-  ?meta:Aprof_analysis.Run_meta.t ->
+  ?meta:Run_meta.t ->
   Profile.t ->
   unit
 
@@ -44,7 +44,7 @@ val load :
     carries a [meta] line. *)
 val load_meta :
   in_channel ->
-  ( Profile.t * (int * string) list * Aprof_analysis.Run_meta.t option,
+  ( Profile.t * (int * string) list * Run_meta.t option,
     string )
   result
 
@@ -52,7 +52,7 @@ val load_meta :
     (for tests). *)
 val to_string :
   ?routine_name:(int -> string) ->
-  ?meta:Aprof_analysis.Run_meta.t ->
+  ?meta:Run_meta.t ->
   Profile.t ->
   string
 
@@ -60,7 +60,7 @@ val of_string : string -> (Profile.t * (int * string) list, string) result
 
 val of_string_meta :
   string ->
-  ( Profile.t * (int * string) list * Aprof_analysis.Run_meta.t option,
+  ( Profile.t * (int * string) list * Run_meta.t option,
     string )
   result
 

@@ -53,8 +53,9 @@ let native_replay trace =
   ignore (Sys.opaque_identity !acc)
 
 (* [native] enumerates the trace with an empty handler (our stand-in
-   for uninstrumented execution); each tool replays the same trace. *)
-let measure ?(min_time = 0.05) ~trace ~program_words tools =
+   for uninstrumented execution); each registry tool replays the same
+   trace, and nulgrind's own row is the instrumentation baseline. *)
+let measure ?(min_time = 0.05) ~program_words trace =
   (* A fresh instance of [M], fed the whole trace. *)
   let replay (type a) (module M : Tool.S with type state = a) =
     let st = M.create () in
@@ -62,29 +63,35 @@ let measure ?(min_time = 0.05) ~trace ~program_words tools =
     st
   in
   let native_time = time_of ~min_time (fun () -> native_replay trace) in
-  let nulgrind_time =
-    time_of ~min_time (fun () -> ignore (replay (module Nulgrind)))
-  in
   let program_words = max program_words 1 in
+  let rows =
+    List.map
+      (fun (module M : Tool.S) ->
+        (* Time fresh instances end to end... *)
+        let time_s = time_of ~min_time (fun () -> ignore (replay (module M))) in
+        (* ...and keep one instance for space and summary. *)
+        let st = replay (module M) in
+        let space_words = M.space_words st in
+        {
+          tool = M.name;
+          time_s;
+          slowdown_native = time_s /. Float.max native_time 1e-9;
+          slowdown_nulgrind = nan;
+          space_words;
+          space_overhead =
+            float_of_int (program_words + space_words)
+            /. float_of_int program_words;
+          summary = M.summary st;
+        })
+      tools
+  in
+  let nulgrind_time =
+    (List.find (fun m -> m.tool = Nulgrind.name) rows).time_s
+  in
   List.map
-    (fun (module M : Tool.S) ->
-      (* Time fresh instances end to end... *)
-      let time_s = time_of ~min_time (fun () -> ignore (replay (module M))) in
-      (* ...and keep one instance for space and summary. *)
-      let st = replay (module M) in
-      let space_words = M.space_words st in
-      {
-        tool = M.name;
-        time_s;
-        slowdown_native = time_s /. Float.max native_time 1e-9;
-        slowdown_nulgrind = time_s /. Float.max nulgrind_time 1e-9;
-        space_words;
-        space_overhead =
-          float_of_int (program_words + space_words)
-          /. float_of_int program_words;
-        summary = M.summary st;
-      })
-    tools
+    (fun m ->
+      { m with slowdown_nulgrind = m.time_s /. Float.max nulgrind_time 1e-9 })
+    rows
 
 let geometric_rows per_benchmark =
   match per_benchmark with

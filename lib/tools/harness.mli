@@ -9,7 +9,8 @@
       handler — our equivalent of native execution (the program "runs"
       when its trace is enumerated; tools add analysis work on top);
     - [vs_nulgrind]: against the null tool, the paper's shared
-      instrumentation baseline.
+      instrumentation baseline — its own measured row, so nulgrind
+      reads exactly 1.0x.
 
     Space overhead is (program footprint + tool footprint) / program
     footprint, with the program footprint given by the simulated memory
@@ -40,15 +41,14 @@ val tools : (module Tool.S) list
     {!Aprof_adapters.Naive}. *)
 val profilers : (string * (module Tool.Profiler)) list
 
-(** [measure ~trace ~program_words tools] replays [trace] through a
-    fresh instance of each tool.
+(** [measure ~program_words trace] replays [trace] through a fresh
+    instance of each tool in {!tools}, one row per tool in that order.
     @param min_time keep repeating until this much CPU time was sampled
     per tool (default 0.05 s). *)
 val measure :
   ?min_time:float ->
-  trace:Aprof_trace.Trace.t ->
   program_words:int ->
-  (module Tool.S) list ->
+  Aprof_trace.Trace.t ->
   measurement list
 
 (** [geometric_rows per_benchmark] aggregates measurements of the same

@@ -4,7 +4,16 @@ type state = t
 let name = "nulgrind"
 let create () = { events = 0 }
 
-let on_batch t b = t.events <- t.events + Aprof_trace.Event.Batch.length b
+(* Look at every event's tag and do nothing with it: the per-event walk
+   each tool's dispatch starts from, with no analysis behind it.  Tags
+   are never negative, so the count is the batch length. *)
+let on_batch t b =
+  let tags = Aprof_trace.Event.Batch.tags b in
+  let n = ref 0 in
+  for i = 0 to Aprof_trace.Event.Batch.length b - 1 do
+    if Array.unsafe_get tags i >= 0 then incr n
+  done;
+  t.events <- t.events + !n
 
 let events t = t.events
 

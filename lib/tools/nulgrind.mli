@@ -1,8 +1,8 @@
-(** The null tool: consumes events, collecting nothing useful — the
+(** The null tool: sees every event and does nothing with it — the
     instrumentation-only baseline all slowdowns are normalized against,
-    exactly the role [nulgrind] plays in Table 1.  Its [on_batch] counts
-    a whole batch in O(1); counting is order-independent, so it shards
-    by chunk. *)
+    exactly the role [nulgrind] plays in Table 1.  Its [on_batch] walks
+    each event's tag, allocation-free, and keeps only an event count;
+    counting is order-independent, so it shards by chunk. *)
 
 type t
 

@@ -28,9 +28,6 @@ module type Profiler = sig
   val reset : state -> unit
 end
 
-let shard_keep ~owns ~broadcast =
- fun tag tid -> (broadcast lsr tag) land 1 = 1 || owns tid
-
 (* ----- chunked trace sources ------------------------------------------- *)
 
 module Shards = struct
@@ -250,9 +247,9 @@ let replay_by_thread (type a) ~pool ~jobs ~shards ~broadcast ~set_owner ~merge
     let cursors = Array.make n_shards 0 in
     let sessions = Array.make n_shards None in
     let counts = Array.make n_shards 0 in
-    (* [shard_keep], pushed down into the session's decode loop so a
-       foreign non-broadcast event is parse-only, with the owned-event
-       count fused in.  A shard is held by one worker at a time (it
+    (* The shard's filter — owned threads plus broadcast tags — pushed
+       down into the session's decode loop so a foreign non-broadcast
+       event is parse-only, with the owned-event count fused in.  A shard is held by one worker at a time (it
        lives in exactly one deque slot), so the bare [counts.(s)]
        update is single-writer; the deque lock orders the handoffs. *)
     let keeps =

@@ -78,11 +78,6 @@ module type Profiler = sig
   val reset : state -> unit
 end
 
-(** [shard_keep ~owns ~broadcast] is the per-event filter of a
-    [By_thread] shard: keep events of the owned threads plus broadcast
-    ones. *)
-val shard_keep : owns:(int -> bool) -> broadcast:int -> int -> int -> bool
-
 (** {1 Chunked trace sources}
 
     The parallel engine schedules work in chunks — the unit of recorded
@@ -108,8 +103,10 @@ module Shards : sig
   (** [open_session ?keep ()] opens an independent reader.  [keep tag
       tid] is applied inside the decode loop: events failing it are
       parsed but never surface in a batch — the [By_thread] engine
-      passes {!shard_keep} here so a shard's foreign, non-broadcast
-      events are parse-only rather than filtered after the fact. *)
+      passes a filter keeping the shard's own threads and the
+      broadcast tags (counting the owned events as it goes), so a
+      foreign, non-broadcast event is parse-only rather than filtered
+      after the fact. *)
   type t = {
     chunks : chunk array;
     open_session : ?keep:(int -> int -> bool) -> unit -> session;

@@ -3,7 +3,9 @@
 
 module Profile = Aprof_core.Profile
 module Metrics = Aprof_core.Metrics
-module Fit = Aprof_core.Fit
+module Basis = Aprof_analysis.Fit_basis
+module Solve = Aprof_analysis.Fit_solve
+module Select = Aprof_analysis.Fit_select
 module Cost_model = Aprof_core.Cost_model
 module Event = Aprof_trace.Event
 
@@ -129,11 +131,16 @@ let test_simulated_time () =
 
 (* --- fit ---------------------------------------------------------------- *)
 
-let planted model ~a ~b ~noise ~seed ns =
+(* [a + b * g(n)]: the class's intercept and leading term alone. *)
+let planted cls ~a ~b ~noise ~seed ns =
+  let last = Basis.param_count cls - 1 in
+  let coefs =
+    Array.init (last + 1) (fun i -> if i = 0 then a else if i = last then b else 0.)
+  in
   let rng = Aprof_util.Rng.create seed in
   List.map
     (fun n ->
-      let y = Fit.eval_model model ~a ~b (float_of_int n) in
+      let y = Basis.eval cls ~coefs (float_of_int n) in
       (n, y *. Aprof_util.Rng.gaussian rng ~mu:1.0 ~sigma:noise))
     ns
 
@@ -141,32 +148,34 @@ let sizes = [ 10; 20; 40; 80; 160; 320; 640 ]
 
 let test_fit_recovers_planted () =
   List.iter
-    (fun model ->
-      let points = planted model ~a:50. ~b:3. ~noise:0.01 ~seed:5 sizes in
-      match Fit.best_fit points with
-      | Some r ->
+    (fun cls ->
+      let points = planted cls ~a:50. ~b:3. ~noise:0.01 ~seed:5 sizes in
+      match Select.select ~bootstrap:0 points with
+      | Some sel ->
         Alcotest.(check string)
-          ("recovers " ^ Fit.model_name model)
-          (Fit.model_name model)
-          (Fit.model_name r.Fit.model)
+          ("recovers " ^ Basis.name cls)
+          (Basis.name cls)
+          (Basis.name sel.Select.best.Solve.cls)
       | None -> Alcotest.fail "no fit")
-    [ Fit.Linear; Fit.Linearithmic; Fit.Quadratic; Fit.Cubic ]
+    [ Basis.Linear; Basis.Linearithmic; Basis.Quadratic; Basis.Cubic ]
 
 let test_fit_constant () =
   let points = List.map (fun n -> (n, 42.)) sizes in
-  match Fit.best_fit points with
-  | Some r ->
-    Alcotest.(check string) "constant" "O(1)" (Fit.model_name r.Fit.model);
-    Alcotest.(check (float 1e-6)) "intercept" 42. r.Fit.a
+  match Select.select ~bootstrap:0 points with
+  | Some sel ->
+    Alcotest.(check string) "constant" "O(1)"
+      (Basis.name sel.Select.best.Solve.cls);
+    Alcotest.(check (float 1e-6)) "intercept" 42.
+      sel.Select.best.Solve.coefs.(0)
   | None -> Alcotest.fail "no fit"
 
 let test_fit_too_few_points () =
   Alcotest.(check bool) "fewer than 3 distinct inputs" true
-    (Fit.fit_models [ (1, 1.); (1, 2.); (2, 3.) ] = [])
+    (Select.select [ (1, 1.); (1, 2.); (2, 3.) ] = None)
 
 let test_power_law () =
   let points = List.map (fun n -> (n, 2. *. (float_of_int n ** 1.5))) sizes in
-  match Fit.power_law points with
+  match Solve.power_law points with
   | Some (c, k, r2) ->
     Alcotest.(check (float 0.01)) "coefficient" 2. c;
     Alcotest.(check (float 0.01)) "exponent" 1.5 k;
@@ -178,7 +187,7 @@ let test_power_law () =
    like non-positive inputs. *)
 let test_power_law_zero_cost () =
   let points = List.map (fun n -> (n, 2. *. (float_of_int n ** 1.5))) sizes in
-  (match Fit.power_law ((5, 0.) :: (7, nan) :: points) with
+  (match Solve.power_law ((5, 0.) :: (7, nan) :: points) with
   | Some (c, k, r2) ->
     Alcotest.(check bool) "coefficient finite" true (Float.is_finite c);
     Alcotest.(check bool) "exponent finite" true (Float.is_finite k);
@@ -188,7 +197,7 @@ let test_power_law_zero_cost () =
   | None -> Alcotest.fail "clean subset should still fit");
   (* All points degenerate: no fit rather than NaN. *)
   Alcotest.(check bool) "all-zero costs" true
-    (Fit.power_law (List.map (fun n -> (n, 0.)) sizes) = None)
+    (Solve.power_law (List.map (fun n -> (n, 0.)) sizes) = None)
 
 let test_points_of_profile_cost_kinds () =
   let p = Profile.create () in
@@ -199,19 +208,19 @@ let test_points_of_profile_cost_kinds () =
   Alcotest.(check (list (pair int (float 1e-9))))
     "drms worst-case"
     [ (10, 100.); (20, 300.) ]
-    (Fit.points_of_profile ~metric:`Drms ~cost:`Max d);
+    (Profile.cost_points ~metric:`Drms ~cost:`Max d);
   Alcotest.(check (list (pair int (float 1e-9))))
     "drms mean"
     [ (10, 75.); (20, 300.) ]
-    (Fit.points_of_profile ~metric:`Drms ~cost:`Mean d);
+    (Profile.cost_points ~metric:`Drms ~cost:`Mean d);
   Alcotest.(check (list (pair int (float 1e-9))))
     "rms worst-case"
     [ (3, 100.); (4, 300.) ]
-    (Fit.points_of_profile ~metric:`Rms ~cost:`Max d);
+    (Profile.cost_points ~metric:`Rms ~cost:`Max d);
   Alcotest.(check (list (pair int (float 1e-9))))
     "rms mean"
     [ (3, 75.); (4, 300.) ]
-    (Fit.points_of_profile ~metric:`Rms ~cost:`Mean d)
+    (Profile.cost_points ~metric:`Rms ~cost:`Mean d)
 
 let fit_prop =
   QCheck_alcotest.to_alcotest
@@ -219,9 +228,12 @@ let fit_prop =
        QCheck2.Gen.(
          list_size (int_range 4 20) (pair (int_range 1 1000) (float_range 1. 1e6)))
        (fun points ->
-         List.for_all
-           (fun r -> r.Fit.r_squared >= 0. && r.Fit.r_squared <= 1.)
-           (Fit.fit_models points)))
+         match Select.select ~bootstrap:0 points with
+         | None -> true
+         | Some sel ->
+           List.for_all
+             (fun ((f : Solve.fit), _) -> f.Solve.r2 >= 0. && f.Solve.r2 <= 1.)
+             sel.Select.ranking))
 
 let suite =
   [

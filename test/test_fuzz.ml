@@ -9,7 +9,7 @@ module Store = Aprof_analysis.Model_store
 
 let meta =
   {
-    Aprof_analysis.Run_meta.workload = "mysqlslap";
+    Aprof_core.Run_meta.workload = "mysqlslap";
     seed = 2;
     scale = 80;
     threads = 3;
@@ -30,7 +30,7 @@ let dumps =
      let profile = Helpers.run_drms result.Aprof_vm.Interp.trace in
      let store =
        Store.create ~meta
-         (Aprof_core.Fit.analyze ~bootstrap:8 ~seed:1 ~routine_name profile)
+         (Store.analyze ~bootstrap:8 ~seed:1 ~routine_name profile)
      in
      (Profile_io.to_string ~routine_name ~meta profile, Store.to_string store))
 

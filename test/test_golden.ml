@@ -106,7 +106,7 @@ let diff_case () =
   let module Diff = Aprof_analysis.Cost_diff in
   let meta seed =
     {
-      Aprof_analysis.Run_meta.workload = "mysqlslap";
+      Aprof_core.Run_meta.workload = "mysqlslap";
       seed;
       scale = 40;
       threads = 4;
@@ -156,6 +156,28 @@ let diff_case () =
     check_golden "cost_diff.report.txt" (Diff.render report);
     check_golden "cost_diff.report.json" (Diff.to_json report ^ "\n")
 
+(* The model store fitted from the pinned mysqlslap profile, as [aprof
+   fit --profile golden/mysqlslap.profile.csv --seed 1 --bootstrap 40
+   --store] writes it.  [aprof diff] reads these files, so a fitting
+   change that moves a single digit shows here. *)
+let store_case () =
+  let module Store = Aprof_analysis.Model_store in
+  let csv =
+    In_channel.with_open_bin (golden_path "mysqlslap.profile.csv")
+      In_channel.input_all
+  in
+  match Profile_io.of_string_meta csv with
+  | Error e -> Alcotest.failf "golden profile does not load: %s" e
+  | Ok (profile, names, meta) ->
+    let routine_name id =
+      match List.assoc_opt id names with
+      | Some n -> n
+      | None -> Printf.sprintf "routine_%d" id
+    in
+    let entries = Store.analyze ~bootstrap:40 ~seed:1 ~routine_name profile in
+    check_golden "mysqlslap.model"
+      (Store.to_string (Store.create ?meta entries))
+
 let suite =
   [
     Alcotest.test_case "producer_consumer report" `Quick
@@ -165,4 +187,5 @@ let suite =
       (run_case ~workload:"mysqlslap" ~threads:4 ~scale:40);
     Alcotest.test_case "producer_consumer helgrind report" `Quick
       (helgrind_case ~workload:"producer_consumer" ~threads:4 ~scale:60);
+    Alcotest.test_case "mysqlslap fitted store" `Quick store_case;
   ]

@@ -84,7 +84,7 @@ let test_meta_roundtrip () =
   let profile = run_drms result.Aprof_vm.Interp.trace in
   let meta =
     {
-      Aprof_analysis.Run_meta.workload = "producer_consumer";
+      Aprof_core.Run_meta.workload = "producer_consumer";
       seed = 7;
       scale = 5;
       threads = 2;
@@ -96,12 +96,12 @@ let test_meta_roundtrip () =
   | Ok (p, _, Some m) ->
     check_profiles_equal "profile survives with meta" profile p;
     Alcotest.(check string) "workload" "producer_consumer"
-      m.Aprof_analysis.Run_meta.workload;
-    Alcotest.(check int) "seed" 7 m.Aprof_analysis.Run_meta.seed;
-    Alcotest.(check int) "scale" 5 m.Aprof_analysis.Run_meta.scale;
-    Alcotest.(check int) "threads" 2 m.Aprof_analysis.Run_meta.threads;
+      m.Aprof_core.Run_meta.workload;
+    Alcotest.(check int) "seed" 7 m.Aprof_core.Run_meta.seed;
+    Alcotest.(check int) "scale" 5 m.Aprof_core.Run_meta.scale;
+    Alcotest.(check int) "threads" 2 m.Aprof_core.Run_meta.threads;
     Alcotest.(check string) "scheduler" "round-robin(64)"
-      m.Aprof_analysis.Run_meta.scheduler
+      m.Aprof_core.Run_meta.scheduler
   | Ok (_, _, None) -> Alcotest.fail "meta line lost"
   | Error e -> Alcotest.failf "load failed: %s" e);
   (* A dump without the meta line loads with [None], and the plain

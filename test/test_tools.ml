@@ -254,9 +254,8 @@ let test_harness_measures () =
       ~seed:3
   in
   let ms =
-    Aprof_tools.Harness.measure ~min_time:0.01 ~trace:r.Interp.trace
-      ~program_words:r.Interp.memory_high_water
-      Aprof_tools.Harness.tools
+    Aprof_tools.Harness.measure ~min_time:0.01
+      ~program_words:r.Interp.memory_high_water r.Interp.trace
   in
   Alcotest.(check int) "six tools" 6 (List.length ms);
   List.iter

@@ -34,15 +34,17 @@ let test_mysql_select_sweep () =
   Alcotest.(check bool) "drms spread dominates rms spread" true
     (spread drms_inputs > 4 * max 1 (spread rms_inputs));
   (* Fitting worst-case cost against drms must come out linear. *)
+  let module Basis = Aprof_analysis.Fit_basis in
+  let module Solve = Aprof_analysis.Fit_solve in
+  let module Select = Aprof_analysis.Fit_select in
   match
-    Aprof_core.Fit.best_fit
-      (Aprof_core.Fit.points_of_profile ~metric:`Drms ~cost:`Max d)
+    Select.select ~bootstrap:0 (Profile.cost_points ~metric:`Drms ~cost:`Max d)
   with
-  | Some { model = Aprof_core.Fit.Linear; r_squared; _ } ->
-    Alcotest.(check bool) "good linear fit" true (r_squared > 0.98)
-  | Some { model; _ } ->
+  | Some { Select.best = { Solve.cls = Basis.Linear; r2; _ }; _ } ->
+    Alcotest.(check bool) "good linear fit" true (r2 > 0.98)
+  | Some { Select.best; _ } ->
     Alcotest.failf "expected linear drms fit, got %s"
-      (Aprof_core.Fit.model_name model)
+      (Basis.name best.Solve.cls)
   | None -> Alcotest.fail "no fit"
 
 (* Figure 5: im_generate's drms tracks the image while its rms stays near
