@@ -52,7 +52,10 @@ let run ~quick ppf =
   (* --- encode --- *)
   let text_enc_s, () =
     time (fun () ->
-        Out_channel.with_open_bin text_file (fun oc -> Trace.save oc trace))
+        Out_channel.with_open_bin text_file (fun oc ->
+            let sink = Stream.text_sink oc in
+            Trace.replay trace sink.Stream.emit_batch;
+            sink.Stream.close_batch ()))
   in
   let bin_enc_s, () =
     time (fun () ->
@@ -70,9 +73,7 @@ let run ~quick ppf =
   let text_dec_s, text_n =
     time (fun () ->
         In_channel.with_open_bin text_file (fun ic ->
-            match Trace.load ic with
-            | Ok t -> Trace.length t
-            | Error e -> failwith e))
+            Stream.drain (Stream.of_text_channel ic) ignore))
   in
   (* Streaming binary decode: count events, sampling live heap words to
      show the decode never holds the trace. *)

@@ -274,7 +274,10 @@ let fit_cmd =
           Aprof_trace.Routine_table.name tbl,
           Some (run_meta name threads scale seed scheduler) )
     in
-    let entries = Store.analyze ~bootstrap ~seed ~routine_name profile in
+    (* Only the table and [--store] need every routine fitted. *)
+    let entries =
+      lazy (Store.analyze ~bootstrap ~seed ~routine_name profile)
+    in
     (match routine with
     | Some routine -> (
       match
@@ -297,10 +300,11 @@ let fit_cmd =
             (match e.Store.exponent with
             | Some (k, _, _) -> Printf.sprintf "n^%.2f" k
             | None -> "-"))
-        entries);
+        (Lazy.force entries));
     match store_path with
     | None -> ()
     | Some path ->
+      let entries = Lazy.force entries in
       let store = Store.create ?meta entries in
       Out_channel.with_open_text path (fun oc -> Store.save oc store);
       Printf.printf "%d fitted models written to %s\n" (List.length entries)

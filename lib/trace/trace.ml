@@ -327,25 +327,3 @@ let pp_stats ppf s =
      max call depth: %d@ distinct addresses: %d@]"
     s.events s.calls s.reads s.writes s.blocks s.block_units s.user_to_kernel
     s.kernel_to_user s.switches s.threads s.max_call_depth s.distinct_addresses
-
-let save oc (t : t) =
-  iter
-    (fun ev ->
-      output_string oc (Event.to_line ev);
-      output_char oc '\n')
-    t
-
-let load ic =
-  let out = create () in
-  let rec loop lineno =
-    match In_channel.input_line ic with
-    | None -> Ok out
-    | Some line when String.trim line = "" -> loop (lineno + 1)
-    | Some line -> (
-      match Event.of_line line with
-      | Ok ev ->
-        push out ev;
-        loop (lineno + 1)
-      | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
-  in
-  loop 1

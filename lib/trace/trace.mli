@@ -11,7 +11,7 @@
     field array by field array, and {!replay} hands each stored batch to
     a consumer's [on_batch] without copying or unpacking anything.  The
     event view ({!get}, {!iter}, {!to_list}, {!of_list}, {!push}) packs
-    and unpacks at the edge, for tests, text I/O and printing. *)
+    and unpacks at the edge, for tests and printing. *)
 
 type t
 
@@ -98,9 +98,3 @@ type stats = {
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
-
-(** [save oc t] / [load ic] (de)serialize a trace, one event per line.
-    [load] fails with [Error] on the first malformed line. *)
-val save : out_channel -> t -> unit
-
-val load : in_channel -> (t, string) result

@@ -1,4 +1,5 @@
-(* Facade over the layered trace codec.  The layers, bottom up:
+(* The one ATRC writer, over the layered trace codec.  The layers,
+   bottom up:
 
      {!Trace_wire}       varints, little-endian fields, [Decode_error]
      {!Trace_frame}      length + CRC32C framing of chunk payloads
@@ -10,16 +11,16 @@
      {!Trace_net}        the one stream decoder: headers, frames, v1
                          records, end markers, footers, salvage
 
-   This module owns the writers and the policies that cut across layers
-   (when chunks flush), and wires the readers as thin drivers: channels
-   and strings pull from {!Trace_net}, and the seek paths (chunk
-   sessions, indexed salvage) drive the chunk cursor directly.  Formats
-   1 and 2 are byte-for-byte what the pre-split codec produced (pinned
-   by the golden tests); format 3 reuses the v2 framing and index around
-   transformed payloads. *)
+   This module owns the writer — one encode loop for every version, into
+   a channel or a string — and wires the readers as thin drivers:
+   channels and strings pull from {!Trace_net}, and the seek paths
+   (chunk sessions, indexed salvage) drive the chunk cursor directly.
+   The version difference lives in one place on each side: the chunk
+   encoder below and the chunk cursor.  Formats 1 and 2 are
+   byte-for-byte what the pre-split codec produced (pinned by the golden
+   tests); format 3 reuses the v2 framing and index around transformed
+   payloads. *)
 
-module Vec = Aprof_util.Vec
-module Crc32c = Aprof_util.Crc32c
 module Batch = Event.Batch
 
 let magic = Trace_container.magic
@@ -27,10 +28,7 @@ let version = Trace_container.version
 let max_version = Trace_container.max_version
 let default_chunk = Trace_frame.default_chunk
 let max_chunk_payload = Trace_frame.max_chunk_payload
-let index_magic = Trace_container.index_magic
-let index_trailer_bytes = Trace_container.index_trailer_bytes
 let bad = Trace_wire.bad
-let uvarint_size = Trace_wire.uvarint_size
 let end_tag = Trace_record.end_tag
 let validate_batch = Trace_record.validate_batch
 let input_header = Trace_container.input_header
@@ -39,182 +37,136 @@ let file_version ic =
   In_channel.seek ic 0L;
   input_header ic
 
-(* A version-3 chunk also flushes on event count: repeat suppression can
-   swallow millions of events into a few bytes, and an unbounded chunk
-   would destroy the granularity the work-stealing replay shards by.
-   Every reader rejects a chunk that decodes to more
-   ({!Trace_packed.max_chunk_events}). *)
-let v3_chunk_events = Trace_packed.max_chunk_events
+(* ----- the writer ------------------------------------------------------ *)
 
-(* ----- streaming writer ----------------------------------------------- *)
+(* The chunk encoder, the write-side twin of the chunk cursor
+   ({!Trace_chunk}): plain records for versions 1 and 2, packed events
+   sealed by the transform layer for version 3.  [add] encodes one event,
+   interning routine names (a definition precedes each routine's first
+   [Call]), and returns the open chunk's size so far; [take] returns the
+   chunk's stored payload and opens the next. *)
+type chunk_encoder = {
+  add : int -> int -> int -> int -> int;
+  take : unit -> string;
+}
 
-(* Version 3: events flow through the packed encoder; each flushed chunk
-   is sealed by the transform layer and framed exactly like a version-2
-   chunk, so the index entries describe the *stored* payload. *)
-let batch_writer_v3 ~chunk_bytes ~index ~entropy ~routine_name oc =
-  output_string oc magic;
-  output_char oc (Char.chr 3);
-  let enc = Trace_packed.create_encoder () in
-  let defined = Hashtbl.create 64 in
-  let chunks = ref [] in
+let chunk_encoder ~format_version ~entropy ~routine_name =
+  if format_version < 3 then begin
+    let buf = Buffer.create 4096 in
+    {
+      add = Trace_record.encoder buf ~routine_name;
+      take =
+        (fun () ->
+          let payload = Buffer.contents buf in
+          Buffer.clear buf;
+          payload);
+    }
+  end
+  else begin
+    let enc = Trace_packed.create_encoder () in
+    let defined = Hashtbl.create 64 in
+    {
+      add =
+        (fun tag tid arg len ->
+          if tag = Batch.tag_call && not (Hashtbl.mem defined arg) then begin
+            Hashtbl.add defined arg ();
+            Trace_packed.add_def enc arg (routine_name arg)
+          end;
+          Trace_packed.add_event enc ~tag ~tid ~arg ~len;
+          Trace_packed.chunk_length enc);
+      take =
+        (fun () ->
+          Bytes.unsafe_to_string
+            (Trace_transform.seal ~entropy (Trace_packed.take_chunk enc)));
+    }
+  end
+
+(* The one encode loop.  It writes the trace into [out] and calls [drain
+   out] after the header, after every chunk and at close, so a channel
+   writer empties [out] each time while [to_string] keeps it whole.  It
+   owns what is the same for every version: each chunk's index entry
+   (events, tag mask, tid set, file offset), the flush rule, the framing
+   (none for version 1), the end marker and the footer. *)
+let writer ~chunk_bytes ~index ~format_version ~entropy ~routine_name ~drain
+    out =
+  Trace_container.check_format_version format_version;
+  Buffer.add_string out magic;
+  Buffer.add_char out (Char.chr format_version);
+  drain out;
+  let { add; take } = chunk_encoder ~format_version ~entropy ~routine_name in
+  (* A version-3 chunk also flushes on event count: repeat suppression
+     can swallow millions of events into a few bytes, and an unbounded
+     chunk would destroy the granularity the work-stealing replay shards
+     by.  Every reader rejects a chunk that decodes to more. *)
+  let max_events =
+    if format_version >= 3 then Trace_packed.max_chunk_events else max_int
+  in
+  let shards = ref [] in
+  let off = ref 5 (* file offset of the next frame *) in
   let events = ref 0 in
   let tag_mask = ref 0 in
+  (* The last-tid cache keeps the table lookup off the hot path:
+     consecutive events of one thread are the overwhelmingly common
+     case. *)
   let tid_set : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let last_tid = ref min_int in
-  let flush_chunk () =
+  let flush () =
     if !events > 0 then begin
+      let payload = take () in
+      let bytes = String.length payload in
+      let offset, crc =
+        if format_version >= 2 then
+          let crc = Trace_frame.add_frame out payload in
+          (!off + Trace_wire.uvarint_size bytes + 4, crc)
+        else begin
+          Buffer.add_string out payload;
+          (!off, -1)
+        end
+      in
       let tids =
         Hashtbl.fold (fun tid () acc -> tid :: acc) tid_set []
         |> List.sort compare |> Array.of_list
       in
-      let packed = Trace_packed.take_chunk enc in
-      let stored = Trace_transform.seal ~entropy packed in
-      let crc = Trace_frame.output_frame oc stored in
-      chunks :=
-        {
-          Trace_container.c_bytes = Bytes.length stored;
-          c_events = !events;
-          c_tag_mask = !tag_mask;
-          c_crc = crc;
-          c_tids = tids;
-        }
-        :: !chunks;
+      shards :=
+        { Trace_container.offset; bytes; events = !events; tag_mask = !tag_mask;
+          crc; tids }
+        :: !shards;
+      off := offset + bytes;
       events := 0;
       tag_mask := 0;
       Hashtbl.reset tid_set;
-      last_tid := min_int
+      last_tid := min_int;
+      drain out
     end
   in
-  let emit_batch b =
-    Batch.iter
-      (fun tag tid arg len ->
-        if tag = Batch.tag_call && not (Hashtbl.mem defined arg) then begin
-          Hashtbl.add defined arg ();
-          Trace_packed.add_def enc arg (routine_name arg)
-        end;
-        Trace_packed.add_event enc ~tag ~tid ~arg ~len;
-        incr events;
-        tag_mask := !tag_mask lor (1 lsl tag);
-        if tid <> !last_tid then begin
-          last_tid := tid;
-          Hashtbl.replace tid_set tid ()
-        end;
-        if
-          Trace_packed.chunk_length enc >= chunk_bytes
-          || !events >= v3_chunk_events
-        then flush_chunk ())
-      b
+  let on_event tag tid arg len =
+    let length = add tag tid arg len in
+    incr events;
+    tag_mask := !tag_mask lor (1 lsl tag);
+    if tid <> !last_tid then begin
+      last_tid := tid;
+      Hashtbl.replace tid_set tid ()
+    end;
+    if length >= chunk_bytes || !events >= max_events then flush ()
   in
   let close_batch () =
-    flush_chunk ();
-    let frame_bytes (c : Trace_container.chunk_entry) =
-      uvarint_size c.c_bytes + 4 + c.c_bytes
-    in
-    let marker_off =
-      5 + List.fold_left (fun a c -> a + frame_bytes c) 0 !chunks
-    in
-    output_char oc (Char.chr end_tag);
-    if index then begin
-      let footer_off = marker_off + 1 in
-      let buf = Buffer.create 512 in
-      Trace_container.add_footer buf ~format_version:3 (List.rev !chunks);
-      Trace_wire.add_le64 buf footer_off;
-      Buffer.add_string buf index_magic;
-      Buffer.output_buffer oc buf
-    end
+    flush ();
+    Buffer.add_char out (Char.chr end_tag);
+    if index then
+      Trace_container.add_footer out ~format_version ~footer_off:(!off + 1)
+        (List.rev !shards);
+    drain out
   in
-  { Trace_stream.emit_batch; close_batch }
+  { Trace_stream.emit_batch = Batch.iter on_event; close_batch }
 
 let batch_writer ?(chunk_bytes = default_chunk) ?(index = true)
     ?(format_version = version) ?(entropy = false)
     ?(routine_name = default_routine_name) oc =
-  Trace_container.check_format_version format_version;
-  if format_version >= 3 then
-    batch_writer_v3 ~chunk_bytes ~index ~entropy ~routine_name oc
-  else begin
-    (* The header goes straight to the channel so that the buffer — and
-       therefore each recorded chunk length — holds record bytes only. *)
-    output_string oc magic;
-    output_char oc (Char.chr format_version);
-    let buf = Buffer.create (chunk_bytes + 256) in
-    let encode = Trace_record.encoder buf ~routine_name in
-    (* Per-chunk stats for the index.  The last-tid cache keeps the table
-       lookup off the hot path: consecutive events of one thread are the
-       overwhelmingly common case. *)
-    let chunks = ref [] in
-    let events = ref 0 in
-    let tag_mask = ref 0 in
-    let tid_set : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-    let last_tid = ref min_int in
-    let flush_chunk () =
-      if Buffer.length buf > 0 then begin
-        let tids =
-          Hashtbl.fold (fun tid () acc -> tid :: acc) tid_set []
-          |> List.sort compare |> Array.of_list
-        in
-        let payload = Buffer.to_bytes buf in
-        let nbytes = Bytes.length payload in
-        let crc =
-          if format_version >= 2 then Crc32c.digest payload ~pos:0 ~len:nbytes
-          else -1
-        in
-        chunks :=
-          {
-            Trace_container.c_bytes = nbytes;
-            c_events = !events;
-            c_tag_mask = !tag_mask;
-            c_crc = crc;
-            c_tids = tids;
-          }
-          :: !chunks;
-        events := 0;
-        tag_mask := 0;
-        Hashtbl.reset tid_set;
-        last_tid := min_int;
-        if format_version >= 2 then begin
-          Trace_wire.output_uvarint oc nbytes;
-          Trace_wire.output_le32 oc crc
-        end;
-        output_bytes oc payload;
-        Buffer.clear buf
-      end
-    in
-    let emit_batch b =
-      Batch.iter
-        (fun tag tid arg len ->
-          encode tag tid arg len;
-          incr events;
-          tag_mask := !tag_mask lor (1 lsl tag);
-          if tid <> !last_tid then begin
-            last_tid := tid;
-            Hashtbl.replace tid_set tid ()
-          end;
-          if Buffer.length buf >= chunk_bytes then flush_chunk ())
-        b
-    in
-    let close_batch () =
-      flush_chunk ();
-      (* Chunk [i]'s payload starts at [5 + earlier frames]; a version-2
-         frame adds a length varint and a 4-byte CRC before the payload. *)
-      let frame_bytes (c : Trace_container.chunk_entry) =
-        if format_version >= 2 then uvarint_size c.c_bytes + 4 + c.c_bytes
-        else c.c_bytes
-      in
-      let marker_off =
-        5 + List.fold_left (fun a c -> a + frame_bytes c) 0 !chunks
-      in
-      output_char oc (Char.chr end_tag);
-      if index then begin
-        let footer_off = marker_off + 1 in
-        Trace_container.add_footer buf ~format_version (List.rev !chunks);
-        Trace_wire.add_le64 buf footer_off;
-        Buffer.add_string buf index_magic;
-        Buffer.output_buffer oc buf;
-        Buffer.clear buf
-      end
-    in
-    { Trace_stream.emit_batch; close_batch }
-  end
+  writer ~chunk_bytes ~index ~format_version ~entropy ~routine_name
+    ~drain:(fun out ->
+      Buffer.output_buffer oc out;
+      Buffer.clear out)
+    (Buffer.create 4096)
 
 (* ----- streaming reader: a pull driver of the stream machine -------- *)
 
@@ -253,15 +205,42 @@ let read_payload ic buf (sh : shard) =
   In_channel.seek ic (Int64.of_int sh.offset);
   really_input ic !buf 0 sh.bytes
 
+(* A session's entry before its first chunk. *)
+let no_shard =
+  { offset = 0; bytes = 0; events = 0; tag_mask = 0; crc = -1; tids = [||] }
+
 (* The batch, byte buffer, cursor and name table are reused across
    chunks: the work-stealing engine claims chunks one at a time, and
-   visiting one must not allocate beyond the first, largest chunk. *)
+   visiting one must not allocate beyond the first, largest chunk.
+
+   A filtered session serves a sharded replay, which chose its chunks
+   from the index's [tag_mask] and [tids] alone; no checksum covers
+   those, so each record is held to its chunk's entry before [keep]
+   sees it.  [member] marks the open entry's tids. *)
 let chunk_session ?(batch_size = Batch.default_capacity) ?keep ic =
   let cursor = Trace_chunk.create ~version:(file_version ic) in
   let names = Hashtbl.create 64 in
   let define id name = Hashtbl.replace names id name in
   let b = Batch.create ~capacity:(max batch_size Trace_packed.pat_kmax) () in
   let buf = ref Bytes.empty in
+  let entry = ref no_shard in
+  let member =
+    if Option.is_some keep then Bytes.make (Event.max_tid + 1) '\000'
+    else Bytes.empty
+  in
+  let keep =
+    Option.map
+      (fun keep tag tid ->
+        let sh = !entry in
+        if (sh.tag_mask lsr tag) land 1 = 0 then
+          bad "chunk at byte %d: record tag %d is not in its index entry"
+            sh.offset tag;
+        if tid < 0 || tid > Event.max_tid || Bytes.get member tid = '\000' then
+          bad "chunk at byte %d: thread %d is not in its index entry" sh.offset
+            tid;
+        keep tag tid)
+      keep
+  in
   let read (sh : shard) =
     (match read_payload ic buf sh with
     | exception End_of_file -> bad "chunk at byte %d truncated" sh.offset
@@ -272,6 +251,11 @@ let chunk_session ?(batch_size = Batch.default_capacity) ?keep ic =
         with Trace_stream.Decode_error m ->
           bad "chunk at byte %d: %s" sh.offset m));
     Trace_chunk.start cursor !buf ~pos:0 ~len:sh.bytes;
+    if Option.is_some keep then begin
+      Array.iter (fun tid -> Bytes.set member tid '\000') !entry.tids;
+      Array.iter (fun tid -> Bytes.set member tid '\001') sh.tids;
+      entry := sh
+    end;
     let finished = ref false in
     fun () ->
       if !finished then None
@@ -357,88 +341,28 @@ let read ?(chunk_bytes = default_chunk) ?(batch_size = Batch.default_capacity)
   | `Fail -> batch_reader ~chunk_bytes ~batch_size ic
   | `Skip report -> (
     let version = input_header ic in
-    let total = Int64.to_int (In_channel.length ic) in
-    let has_trailer =
-      total >= 5 + 1 + 6 + index_trailer_bytes
-      && begin
-           In_channel.seek ic (Int64.of_int (total - 4));
-           match really_input_string ic 4 with
-           | s -> s = index_magic
-           | exception End_of_file -> false
-         end
-    in
-    if has_trailer then
-      (* The trailer promises an index; it is the authority on chunk
-         boundaries, so an unreadable footer is fatal even in salvage
-         mode — without trusted boundaries a skip could deliver
-         re-framed garbage as events. *)
-      match shards ?path ic with
-      | Some shs -> salvage_indexed ~report ~version ic shs
-      | None ->
-        bad "cannot salvage %s: trailer present but index unreadable"
-          (Option.value path ~default:"trace")
-    else begin
+    (* A trailer promises an index; it is the authority on chunk
+       boundaries, so an unreadable footer is fatal even in salvage mode
+       — without trusted boundaries a skip could deliver re-framed
+       garbage as events. *)
+    match shards ?path ic with
+    | Some shs -> salvage_indexed ~report ~version ic shs
+    | None ->
       In_channel.seek ic 0L;
-      pull ~salvage:true ~chunk_bytes ~batch_size ~on_drop:report ic
-    end)
+      pull ~salvage:true ~chunk_bytes ~batch_size ~on_drop:report ic)
 
 (* ----- whole-trace convenience ---------------------------------------- *)
 
 let to_string ?(format_version = version) ?(entropy = false)
     ?(routine_name = default_routine_name) (tr : Trace.t) =
-  Trace_container.check_format_version format_version;
-  if format_version >= 3 then begin
-    let out = Buffer.create (16 + (4 * Trace.length tr)) in
-    Buffer.add_string out magic;
-    Buffer.add_char out (Char.chr 3);
-    let enc = Trace_packed.create_encoder () in
-    let defined = Hashtbl.create 64 in
-    let events = ref 0 in
-    let flush_frame () =
-      if !events > 0 then begin
-        let packed = Trace_packed.take_chunk enc in
-        let stored = Trace_transform.seal ~entropy packed in
-        Trace_frame.add_frame out (Bytes.unsafe_to_string stored);
-        events := 0
-      end
-    in
-    Trace.replay tr
-      (Batch.iter (fun tag tid arg len ->
-           if tag = Batch.tag_call && not (Hashtbl.mem defined arg) then begin
-             Hashtbl.add defined arg ();
-             Trace_packed.add_def enc arg (routine_name arg)
-           end;
-           Trace_packed.add_event enc ~tag ~tid ~arg ~len;
-           incr events;
-           if
-             Trace_packed.chunk_length enc >= default_chunk
-             || !events >= v3_chunk_events
-           then flush_frame ()));
-    flush_frame ();
-    Buffer.add_char out (Char.chr end_tag);
-    Buffer.contents out
-  end
-  else begin
-    let out = Buffer.create (16 + (4 * Trace.length tr)) in
-    Buffer.add_string out magic;
-    Buffer.add_char out (Char.chr format_version);
-    let buf = Buffer.create 4096 in
-    let encode = Trace_record.encoder buf ~routine_name in
-    let flush_frame () =
-      if format_version >= 2 && Buffer.length buf > 0 then begin
-        let payload = Buffer.contents buf in
-        Trace_frame.add_frame out payload;
-        Buffer.clear buf
-      end
-    in
-    Trace.replay tr
-      (Batch.iter (fun tag tid arg len ->
-           encode tag tid arg len;
-           if Buffer.length buf >= default_chunk then flush_frame ()));
-    if format_version >= 2 then flush_frame () else Buffer.add_buffer out buf;
-    Buffer.add_char out (Char.chr end_tag);
-    Buffer.contents out
-  end
+  let out = Buffer.create (16 + (4 * Trace.length tr)) in
+  let sink =
+    writer ~chunk_bytes:default_chunk ~index:false ~format_version ~entropy
+      ~routine_name ~drain:ignore out
+  in
+  Trace.replay tr sink.Trace_stream.emit_batch;
+  sink.Trace_stream.close_batch ();
+  Buffer.contents out
 
 (* The string is one slice: the machine gets it whole, then closes. *)
 let of_string s =

@@ -93,9 +93,28 @@
     The index version byte always equals the trace version.  The fixed
     trailer lets a reader find the footer from the end of the file; a
     file without the trailing magic is an index-less trace and still
-    reads normally.  The sequential readers check the footer's layout
-    (and, on versions 2 and 3, cross-check it against the streamed
-    frames) but need nothing from it.
+    reads normally.
+
+    Every reader parses an entry with one parser, which requires the
+    tids to be ascending within [0, Event.max_tid] and an entry with
+    events to name a thread.  Each reader then checks what it relies
+    on: the sequential readers match [bytes] and [crc] against the
+    streamed frames (versions 2 and 3); {!shards} checks that the chunks
+    cover every byte up to the footer; {!chunk_session} checks each
+    chunk's [crc] and, when filtered, each record's tag and thread
+    against [tag_mask] and [tids], which a sharded replay picks chunks
+    by; indexed salvage checks the decoded event count against
+    [events].
+
+    {2 Writer}
+
+    One encode loop writes every version: {!batch_writer} into a
+    channel and {!to_string} into a string.  [to_string tr] is exactly
+    what [batch_writer ~index:false] writes for [tr].  The loop owns
+    each chunk's index entry, the flush rule, the framing and the
+    footer.  The version difference is one chunk encoder, the write-side
+    twin of the readers' chunk cursor: plain records for versions 1
+    and 2, packed events sealed by the transform layer for version 3.
 
     {2 Readers}
 
@@ -219,7 +238,10 @@ val shards : ?path:string -> in_channel -> shard array option
     replay engine uses this to make a shard's foreign, non-broadcast
     events parse-only.  Note that a filtered event also bypasses batch
     validation — the strict sequential path still validates every
-    event. *)
+    event.  Because the engine chose the chunk by its index entry, a
+    filtered read raises {!Trace_stream.Decode_error}, naming the
+    chunk's offset, on a record whose tag is not in the entry's
+    [tag_mask] or whose thread is not in its [tids]. *)
 val chunk_session :
   ?batch_size:int ->
   ?keep:(int -> int -> bool) ->
@@ -287,8 +309,8 @@ val read :
 
 (** {1 Whole-trace convenience} *)
 
-(** [to_string ?routine_name tr] encodes an in-memory trace (without a
-    shard index). *)
+(** [to_string tr] encodes an in-memory trace: the bytes
+    [batch_writer ~index:false] writes for [tr], without a shard index. *)
 val to_string :
   ?format_version:int ->
   ?entropy:bool ->

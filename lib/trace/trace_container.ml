@@ -1,7 +1,8 @@
 (* Container layer: the ATRC header and version negotiation and the ATRI
-   shard-index footer (writer side and seekable parse; the streaming
-   check lives in {!Trace_net}).  Nothing here looks inside a chunk
-   payload — the frame, transform and event layers own those bytes. *)
+   shard-index footer: its writer, the one entry parser, and the
+   seekable parse (the streaming check lives in {!Trace_net}).  Nothing
+   here looks inside a chunk payload — the frame, transform and event
+   layers own those bytes. *)
 
 let bad = Trace_wire.bad
 let magic = "ATRC"
@@ -40,49 +41,13 @@ let input_header ic =
   | hdr -> parse_header hdr
   | exception End_of_file -> bad "truncated header"
 
-(* ----- writer side ----------------------------------------------------- *)
+(* ----- shard index ------------------------------------------------------ *)
 
-(* What the writer remembers about one flushed chunk, to be serialized
-   into the footer on close.  [c_crc] is -1 for version-1 output.  For
-   version 3, [c_bytes]/[c_crc] describe the *stored* (transformed)
-   payload — the thing a seeking reader fetches and checksums — while
-   [c_events] still counts decoded events. *)
-type chunk_entry = {
-  c_bytes : int;
-  c_events : int;
-  c_tag_mask : int;
-  c_crc : int;
-  c_tids : int array; (* distinct, ascending *)
-}
-
-let add_footer buf ~format_version chunks =
-  Buffer.add_string buf index_magic;
-  Buffer.add_char buf (Char.chr format_version);
-  Trace_wire.add_varint buf (List.length chunks);
-  List.iter
-    (fun c ->
-      Trace_wire.add_varint buf c.c_bytes;
-      Trace_wire.add_varint buf c.c_events;
-      Trace_wire.add_varint buf c.c_tag_mask;
-      if format_version >= 2 then Trace_wire.add_varint buf c.c_crc;
-      Trace_wire.add_varint buf (Array.length c.c_tids);
-      (* Ascending tids delta-encode into one byte each in practice. *)
-      let prev = ref 0 in
-      Array.iter
-        (fun tid ->
-          Trace_wire.add_varint buf (tid - !prev);
-          prev := tid)
-        c.c_tids)
-    chunks
-
-let check_format_version v =
-  if v < 1 || v > max_version then
-    invalid_arg
-      (Printf.sprintf "Trace_codec: cannot write format version %d (1..%d)" v
-         max_version)
-
-(* ----- seekable shard index -------------------------------------------- *)
-
+(* One chunk as the index describes it.  [offset] and [bytes] delimit
+   its stored payload in the file — for version 3 the transformed bytes
+   a seeking reader fetches and checksums — while [events] counts
+   decoded events.  [crc] is -1 in version 1; [tids] are distinct and
+   ascending. *)
 type shard = {
   offset : int;
   bytes : int;
@@ -92,9 +57,72 @@ type shard = {
   tids : int array;
 }
 
+(* The footer, at file offset [footer_off], and its trailer.  An
+   entry's offset is implied by the chunks before it. *)
+let add_footer buf ~format_version ~footer_off shards =
+  Buffer.add_string buf index_magic;
+  Buffer.add_char buf (Char.chr format_version);
+  Trace_wire.add_varint buf (List.length shards);
+  List.iter
+    (fun sh ->
+      Trace_wire.add_varint buf sh.bytes;
+      Trace_wire.add_varint buf sh.events;
+      Trace_wire.add_varint buf sh.tag_mask;
+      if format_version >= 2 then Trace_wire.add_varint buf sh.crc;
+      Trace_wire.add_varint buf (Array.length sh.tids);
+      (* Ascending tids delta-encode into one byte each in practice. *)
+      let prev = ref 0 in
+      Array.iter
+        (fun tid ->
+          Trace_wire.add_varint buf (tid - !prev);
+          prev := tid)
+        sh.tids)
+    shards;
+  Trace_wire.add_le64 buf footer_off;
+  Buffer.add_string buf index_magic
+
+let check_format_version v =
+  if v < 1 || v > max_version then
+    invalid_arg
+      (Printf.sprintf "Trace_codec: cannot write format version %d (1..%d)" v
+         max_version)
+
+(* One footer entry, parsed the same way by both index readers: the
+   seekable [shards] below and the stream machine ({!Trace_net}).  The
+   result's [offset] is 0; where the chunk sits follows from the entries
+   before it.  A sharded replay chooses each chunk's readers from [tids]
+   and [tag_mask] alone, so an entry with events must name their
+   threads, in range and ascending.  Messages are bare causes: each
+   reader adds where it was. *)
+let read_entry ~version read_byte =
+  let bytes = Trace_wire.read_varint read_byte in
+  let events = Trace_wire.read_varint read_byte in
+  let tag_mask = Trace_wire.read_varint read_byte in
+  let crc = if version >= 2 then Trace_wire.read_varint read_byte else -1 in
+  let ntids = Trace_wire.read_varint read_byte in
+  if
+    bytes < 0 || events < 0 || ntids < 0
+    || ntids > Event.max_tid + 1
+    || (version >= 2 && (crc < 0 || crc > 0xFFFFFFFF))
+  then bad "corrupt chunk entry";
+  if events > 0 && ntids = 0 then
+    bad "chunk entry names no thread for its %d events" events;
+  let tids = Array.make ntids 0 in
+  let prev = ref 0 in
+  for i = 0 to ntids - 1 do
+    let delta = Trace_wire.read_varint read_byte in
+    if delta < (if i = 0 then 0 else 1) || delta > Event.max_tid - !prev then
+      bad "chunk entry thread ids are not ascending in 0..%d" Event.max_tid;
+    prev := !prev + delta;
+    tids.(i) <- !prev
+  done;
+  { offset = 0; bytes; events; tag_mask; crc; tids }
+
+(* ----- seekable shard index -------------------------------------------- *)
+
 let shards ?(path = "trace") ic =
   In_channel.seek ic 0L;
-  let trace_version = input_header ic in
+  let version = input_header ic in
   let total = Int64.to_int (In_channel.length ic) in
   (* Smallest indexed trace: header, marker, footer magic+version+count,
      trailer.  Anything shorter is an old index-less (or text) file. *)
@@ -104,11 +132,7 @@ let shards ?(path = "trace") ic =
     let trailer = really_input_string ic index_trailer_bytes in
     if String.sub trailer 8 4 <> index_magic then None
     else begin
-      let footer_off = ref 0 in
-      for i = 7 downto 0 do
-        footer_off := (!footer_off lsl 8) lor Char.code trailer.[i]
-      done;
-      let footer_off = !footer_off in
+      let footer_off = Int64.to_int (String.get_int64_le trailer 0) in
       let footer_len = total - index_trailer_bytes - footer_off in
       if footer_off < 5 + 1 || footer_len < 6 then
         bad "cannot read shard index of %s: bad footer offset %d" path
@@ -117,78 +141,51 @@ let shards ?(path = "trace") ic =
       let footer = really_input_string ic footer_len in
       let pos = ref 0 in
       let read_byte () =
-        if !pos >= footer_len then
-          bad "cannot read shard index of %s: truncated at byte %d" path
-            (footer_off + !pos)
+        if !pos >= footer_len then bad "truncated"
         else begin
           let b = Char.code (String.unsafe_get footer !pos) in
           incr pos;
           b
         end
       in
-      String.iter
-        (fun c ->
-          if read_byte () <> Char.code c then
-            bad "cannot read shard index of %s: bad footer magic at byte %d"
-              path
-              (footer_off + !pos - 1))
-        index_magic;
-      (match read_byte () with
-      | v when v = trace_version -> ()
-      | v ->
-        bad
-          "cannot read shard index of %s: index version %d does not match \
-           trace version %d"
-          path v trace_version);
-      let nchunks = Trace_wire.read_varint read_byte in
-      if nchunks < 0 || nchunks > footer_len then
-        bad "cannot read shard index of %s: implausible chunk count %d" path
-          nchunks;
-      let off = ref 5 in
-      (* Explicit loops: the parse order must match the byte order. *)
-      let out = ref [] in
-      for _ = 1 to nchunks do
-        let bytes = Trace_wire.read_varint read_byte in
-        let events = Trace_wire.read_varint read_byte in
-        let tag_mask = Trace_wire.read_varint read_byte in
-        let crc =
-          if trace_version >= 2 then Trace_wire.read_varint read_byte else -1
+      match
+        String.iter
+          (fun c -> if read_byte () <> Char.code c then bad "bad footer magic")
+          index_magic;
+        (match read_byte () with
+        | v when v = version -> ()
+        | v ->
+          bad "index version %d does not match trace version %d" v version);
+        let nchunks = Trace_wire.read_varint read_byte in
+        if nchunks < 0 || nchunks > footer_len then
+          bad "implausible chunk count %d" nchunks;
+        (* Chunk [i]'s payload follows the earlier frames and, from
+           version 2 on, its own length varint and CRC. *)
+        let covered = ref 5 in
+        let shards =
+          Array.init nchunks (fun _ ->
+              let sh = read_entry ~version read_byte in
+              let offset =
+                if version >= 2 then
+                  !covered + Trace_wire.uvarint_size sh.bytes + 4
+                else !covered
+              in
+              covered := offset + sh.bytes;
+              { sh with offset })
         in
-        let ntids = Trace_wire.read_varint read_byte in
-        if
-          bytes < 0 || events < 0 || ntids < 0 || ntids > footer_len
-          || (trace_version >= 2 && (crc < 0 || crc > 0xFFFFFFFF))
-        then
-          bad "cannot read shard index of %s: corrupt chunk entry at byte %d"
-            path
-            (footer_off + !pos);
-        let tids = Array.make ntids 0 in
-        let prev = ref 0 in
-        for i = 0 to ntids - 1 do
-          prev := !prev + Trace_wire.read_varint read_byte;
-          tids.(i) <- !prev
-        done;
-        (* [offset]/[bytes] delimit the stored payload; a version >= 2
-           frame puts a length varint and 4 CRC bytes in front of it. *)
-        let payload_off =
-          if trace_version >= 2 then
-            !off + Trace_wire.uvarint_size bytes + 4
-          else !off
-        in
-        out :=
-          { offset = payload_off; bytes; events; tag_mask; crc; tids } :: !out;
-        off := payload_off + bytes
-      done;
-      let out = Array.of_list (List.rev !out) in
-      if !pos <> footer_len then
-        bad "cannot read shard index of %s: %d trailing bytes at byte %d" path
-          (footer_len - !pos)
-          (footer_off + !pos);
-      (* The chunks plus the end-of-trace marker must account for every
-         byte up to the footer. *)
-      if !off + 1 <> footer_off then
-        bad "cannot read shard index of %s: chunks cover %d bytes, footer at %d"
-          path !off footer_off;
-      Some out
+        if !pos <> footer_len then bad "%d trailing bytes" (footer_len - !pos);
+        (shards, !covered)
+      with
+      | exception Trace_stream.Decode_error m ->
+        bad "cannot read shard index of %s: %s at byte %d" path m
+          (footer_off + !pos)
+      | shards, covered ->
+        (* The chunks plus the end-of-trace marker must account for every
+           byte up to the footer. *)
+        if covered + 1 <> footer_off then
+          bad "cannot read shard index of %s: chunks cover %d bytes, footer \
+               at %d"
+            path covered footer_off;
+        Some shards
     end
   end

@@ -17,21 +17,15 @@ let default_chunk = 64 * 1024
    that is corruption, not a trace: cap what a reader will allocate. *)
 let max_chunk_payload = 1 lsl 30
 
-(* [output_frame oc payload] frames one chunk payload onto the channel,
+(* [add_frame buf payload] frames one chunk payload onto [buf],
    returning the CRC it stored (for the shard index). *)
-let output_frame oc payload =
-  let n = Bytes.length payload in
-  let crc = Crc32c.digest payload ~pos:0 ~len:n in
-  Trace_wire.output_uvarint oc n;
-  Trace_wire.output_le32 oc crc;
-  output_bytes oc payload;
-  crc
-
 let add_frame buf payload =
   let n = String.length payload in
+  let crc = Crc32c.digest_string payload ~pos:0 ~len:n in
   Trace_wire.add_uvarint buf n;
-  Trace_wire.add_le32 buf (Crc32c.digest_string payload ~pos:0 ~len:n);
-  Buffer.add_string buf payload
+  Trace_wire.add_le32 buf crc;
+  Buffer.add_string buf payload;
+  crc
 
 (* [check_payload bytes ~pos ~len ~crc] verifies a chunk's checksum
    before any decoding touches the bytes.  The message is the bare

@@ -383,9 +383,10 @@ let step_open_chunk t s =
    against it: a duplicated, deleted or reordered frame is internally
    self-consistent, and the footer is the one record of what the writer
    flushed.  Under salvage (skipped frames make the cross-check
-   meaningless) and for version 1 (no frames) only the layout is
-   checked.  The trailer offset is trace-relative, so a client
-   streaming a file verbatim matches. *)
+   meaningless) and for version 1 (no frames) only the layout and the
+   entries ({!Trace_container.read_entry}) are checked.  The trailer
+   offset is trace-relative, so a client streaming a file verbatim
+   matches. *)
 let step_footer t =
   let cur = ref 4 (* the "ATRI" magic, matched by the caller *) in
   let rb () = u8 t cur in
@@ -403,18 +404,13 @@ let step_footer t =
     bad "shard index describes %d chunks, the stream carried %d" nchunks
       (Array.length frames);
   for k = 0 to nchunks - 1 do
-    let bytes = Trace_wire.read_varint rb in
-    let _events = Trace_wire.read_varint rb in
-    let _tag_mask = Trace_wire.read_varint rb in
-    let crc = if t.version >= 2 then Trace_wire.read_varint rb else -1 in
-    let ntids = Trace_wire.read_varint rb in
-    if ntids < 0 || ntids > 0x10000 then bad "corrupt shard index entry %d" k;
-    for _ = 1 to ntids do
-      ignore (Trace_wire.read_varint rb)
-    done;
+    let sh =
+      try Trace_container.read_entry ~version:t.version rb
+      with Trace_stream.Decode_error m -> bad "shard index entry %d: %s" k m
+    in
     if strict then begin
       let sbytes, scrc = frames.(k) in
-      if bytes <> sbytes || crc <> scrc then
+      if sh.bytes <> sbytes || sh.crc <> scrc then
         bad "chunk %d does not match its shard index entry" k
     end
   done;

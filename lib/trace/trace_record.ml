@@ -15,8 +15,8 @@ let default_routine_name id = Printf.sprintf "routine_%d" id
 (* Event record tags are exactly {!Event.Batch}'s tags (1–14), so both
    encode and decode work on the raw packed fields: tid always, then the
    primary payload when the kind has one, then the length when it has
-   one.  This is the single plain encoder; every v1/v2 writer entry
-   point funnels into it. *)
+   one.  This is the single plain encoder: the writer's v1/v2 chunks
+   funnel into it. *)
 let add_record buf ~tag ~tid ~arg ~len =
   Buffer.add_char buf (Char.unsafe_chr tag);
   Trace_wire.add_varint buf tid;
@@ -31,7 +31,8 @@ let add_def buf id name =
 
 (* [encoder buf ~routine_name] is the raw per-record encoder, interning
    routine names: the first [Call] of each routine is preceded by its
-   definition record.  Matches {!Event.Batch.iter}'s field order. *)
+   definition record.  Matches {!Event.Batch.iter}'s field order, and
+   returns the buffer's length, which the writer's flush rule reads. *)
 let encoder buf ~routine_name =
   let defined = Hashtbl.create 64 in
   fun tag tid arg len ->
@@ -39,7 +40,8 @@ let encoder buf ~routine_name =
       Hashtbl.add defined arg ();
       add_def buf arg (routine_name arg)
     end;
-    add_record buf ~tag ~tid ~arg ~len
+    add_record buf ~tag ~tid ~arg ~len;
+    Buffer.length buf
 
 (* One record off a chunk's byte range.  A chunk never contains the
    end-of-trace marker, so tag 0 falls through to the error arm.  With

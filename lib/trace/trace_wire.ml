@@ -138,13 +138,6 @@ let rec add_uvarint buf v =
     add_uvarint buf (v lsr 7)
   end
 
-let rec output_uvarint oc v =
-  if v < 0x80 then output_char oc (Char.unsafe_chr v)
-  else begin
-    output_char oc (Char.unsafe_chr (v land 0x7f lor 0x80));
-    output_uvarint oc (v lsr 7)
-  end
-
 let rec uvarint_size v = if v < 0x80 then 1 else 1 + uvarint_size (v lsr 7)
 
 (* [read_byte] convention as above; canonical, like the record varints. *)
@@ -167,11 +160,6 @@ let read_uvarint read_byte =
 let add_le32 buf n =
   for i = 0 to 3 do
     Buffer.add_char buf (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
-  done
-
-let output_le32 oc n =
-  for i = 0 to 3 do
-    output_char oc (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
   done
 
 let add_le64 buf n =

@@ -42,12 +42,10 @@ val max_record_bytes : int
 (** {1 Plain varints (frame lengths)} *)
 
 val add_uvarint : Buffer.t -> int -> unit
-val output_uvarint : out_channel -> int -> unit
 val uvarint_size : int -> int
 val read_uvarint : (unit -> int) -> int
 
 (** {1 Little-endian fixed-width fields} *)
 
 val add_le32 : Buffer.t -> int -> unit
-val output_le32 : out_channel -> int -> unit
 val add_le64 : Buffer.t -> int -> unit

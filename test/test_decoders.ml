@@ -533,8 +533,8 @@ let dropped_chunk_defines_nothing () =
   in
   let b = Buffer.create 128 in
   Buffer.add_string b "ATRC\x02";
-  Aprof_trace.Trace_frame.add_frame b good;
-  Aprof_trace.Trace_frame.add_frame b bad;
+  ignore (Aprof_trace.Trace_frame.add_frame b good);
+  ignore (Aprof_trace.Trace_frame.add_frame b bad);
   Buffer.add_char b '\x00';
   let s = Buffer.contents b in
   let file_names, file_events, file_drops =

@@ -34,7 +34,15 @@ let normalize s =
   |> String.concat "\n"
   |> String.trim
 
-let golden_path file = Filename.concat "golden" file
+(* The goldens sit beside this file.  [dune test] runs the suite in the
+   build copy of test/, where they are dependencies; [dune exec
+   test/test_main.exe] runs it from the repository root, where
+   [__FILE__] is test/test_golden.ml. *)
+let golden_dir =
+  let beside_source = Filename.concat (Filename.dirname __FILE__) "golden" in
+  if Sys.file_exists beside_source then beside_source else "golden"
+
+let golden_path file = Filename.concat golden_dir file
 
 let check_golden file actual =
   match Sys.getenv_opt "APROF_WRITE_GOLDEN" with
@@ -178,6 +186,119 @@ let store_case () =
     check_golden "mysqlslap.model"
       (Store.to_string (Store.create ?meta entries))
 
+(* ----- aprof record's bytes --------------------------------------------- *)
+
+(* What [aprof record] writes, pinned over the whole registry: one line
+   per workload × format × chunk size, the MD5 of the indexed
+   [batch_writer] files of ten runs (the five scheduler policies of
+   [--scheduler], each at seeds 1 and 2, four threads), in that order.
+   One VM run feeds every writer at once: a writer's bytes do not depend
+   on how its events arrive in batches.  blackscholes at scale 20000
+   also fills version-3 chunks up to their 65,536-event cap.  The same
+   runs check that [to_string] writes the file's bytes up to its shard
+   index footer. *)
+let record_policies =
+  let open Aprof_vm.Scheduler in
+  [
+    Round_robin { slice = 64 };
+    Serialized;
+    Random_preemptive { min_slice = 8; max_slice = 96 };
+    Work_stealing { workers = 4; slice = 64 };
+    Async_io { slice = 64; io_delay = 16 };
+  ]
+
+let record_writers =
+  List.concat_map
+    (fun fmt -> List.map (fun chunk -> (fmt, chunk)) [ None; Some 512 ])
+    [ ("v1", 1, false); ("v2", 2, false); ("v3", 3, false); ("v3e", 3, true) ]
+
+(* An indexed file's bytes before its footer, located by the trailer. *)
+let before_footer file =
+  let total = String.length file in
+  let off = ref 0 in
+  for i = 7 downto 0 do
+    off := (!off lsl 8) lor Char.code file.[total - 12 + i]
+  done;
+  String.sub file 0 !off
+
+let record_rows (spec : Workload.spec) ~scale =
+  let module Codec = Aprof_trace.Trace_codec in
+  let files =
+    List.map (fun _ -> Filename.temp_file "aprof_record" ".atrc") record_writers
+  in
+  let outputs = List.map (fun _ -> Buffer.create 4096) record_writers in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove files)
+    (fun () ->
+      List.iter
+        (fun scheduler ->
+          List.iter
+            (fun seed ->
+              let ocs = List.map Out_channel.open_bin files in
+              let trace = Aprof_trace.Trace.create () in
+              let sinks = ref [] in
+              let result =
+                Workload.run_batched ~scheduler
+                  (spec.Workload.make ~threads:4 ~scale ~seed)
+                  ~seed
+                  ~tool:(fun routines ->
+                    let routine_name =
+                      Aprof_trace.Routine_table.name routines
+                    in
+                    sinks :=
+                      List.map2
+                        (fun ((_, format_version, entropy), chunk_bytes) oc ->
+                          Codec.batch_writer ?chunk_bytes ~format_version
+                            ~entropy ~routine_name oc)
+                        record_writers ocs;
+                    fun b ->
+                      Aprof_trace.Trace.add_batch trace b;
+                      List.iter
+                        (fun s -> s.Aprof_trace.Trace_stream.emit_batch b)
+                        !sinks)
+              in
+              List.iter
+                (fun s -> s.Aprof_trace.Trace_stream.close_batch ())
+                !sinks;
+              List.iter Out_channel.close ocs;
+              let routine_name =
+                Aprof_trace.Routine_table.name result.Interp.routines
+              in
+              List.iter2
+                (fun (((label, format_version, entropy), chunk_bytes), file)
+                     out ->
+                  let bytes =
+                    In_channel.with_open_bin file In_channel.input_all
+                  in
+                  Buffer.add_string out bytes;
+                  if chunk_bytes = None then
+                    Alcotest.(check bool)
+                      (Printf.sprintf
+                         "%s %s seed %d: to_string is the file up to its \
+                          footer"
+                         spec.Workload.name label seed)
+                      true
+                      (Codec.to_string ~format_version ~entropy ~routine_name
+                         trace
+                      = before_footer bytes))
+                (List.combine record_writers files)
+                outputs)
+            [ 1; 2 ])
+        record_policies);
+  List.map2
+    (fun ((label, _, _), chunk_bytes) out ->
+      Printf.sprintf "%s %d %s %s %s" spec.Workload.name scale label
+        (match chunk_bytes with None -> "default" | Some n -> string_of_int n)
+        (Digest.to_hex (Digest.string (Buffer.contents out))))
+    record_writers outputs
+
+let record_case () =
+  let rows =
+    List.concat_map (fun spec -> record_rows spec ~scale:40) Registry.all
+    @ record_rows (Option.get (Registry.find "blackscholes")) ~scale:20000
+  in
+  check_golden "record_digests.txt" (String.concat "\n" rows ^ "\n")
+
 let suite =
   [
     Alcotest.test_case "producer_consumer report" `Quick
@@ -188,4 +309,5 @@ let suite =
     Alcotest.test_case "producer_consumer helgrind report" `Quick
       (helgrind_case ~workload:"producer_consumer" ~threads:4 ~scale:60);
     Alcotest.test_case "mysqlslap fitted store" `Quick store_case;
+    Alcotest.test_case "aprof record bytes" `Quick record_case;
   ]

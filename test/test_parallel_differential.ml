@@ -129,7 +129,94 @@ let test_file_roundtrip () =
               ~trace_events:(Aprof_trace.Trace.length trace) shards))
     [ "mysqlslap"; "dedup" ]
 
+(* A sharded replay picks each shard's chunks from the index's [tag_mask]
+   and [tids] alone, so a footer that misstates them must be refused,
+   never trusted into skipping events.  Every bit of every footer byte
+   (trailer included) of a multi-chunk, four-thread v2 and v3 trace is
+   flipped in turn: [-j 5] with rms, drms and memcheck over the damaged
+   file must print what the pristine file replays to sequentially, or
+   raise [Decode_error]; the failure lists every other outcome. *)
+let footer_flips_never_mislead () =
+  let spec = Option.get (Registry.find "swaptions") in
+  let result = Workload.run_spec spec ~threads:4 ~scale:30 ~seed:1 in
+  let trace = result.Interp.trace in
+  let routine_name = Aprof_trace.Routine_table.name result.Interp.routines in
+  (* Five shards on two domains: the shards' filters are under test,
+     and five domains on a small host would only spin. *)
+  let pool = Par.create ~jobs:2 () in
+  let profiled (module P : Tool.Profiler) ~jobs shards =
+    let st, n, _ =
+      Tool.replay_parallel ~pool ~jobs ~shards
+        (module P : Tool.S with type state = P.state)
+    in
+    (n, Aprof_core.Profile_io.to_string (P.finish st))
+  in
+  let outcomes ~jobs shards =
+    let memcheck =
+      let module M = Aprof_tools.Memcheck_lite in
+      let st, n, _ = Tool.replay_parallel ~pool ~jobs ~shards (module M) in
+      (n, M.summary st)
+    in
+    [
+      profiled (module Aprof_tools.Aprof_adapters.Rms) ~jobs shards;
+      profiled (module Aprof_tools.Aprof_adapters.Drms) ~jobs shards;
+      memcheck;
+    ]
+  in
+  let path = Filename.temp_file "aprof_footer_flip" ".atrc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun (format_version, chunk_bytes) ->
+          Out_channel.with_open_bin path (fun oc ->
+              let sink =
+                Codec.batch_writer ~chunk_bytes ~format_version ~routine_name oc
+              in
+              Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
+              sink.Stream.close_batch ());
+          let pristine = In_channel.with_open_bin path In_channel.input_all in
+          let shards = Option.get (Tool.Shards.of_file path) in
+          Alcotest.(check bool)
+            (Printf.sprintf "v%d: several chunks" format_version)
+            true
+            (Array.length shards.Tool.Shards.chunks >= 4);
+          let expected = outcomes ~jobs:1 shards in
+          let total = String.length pristine in
+          let footer_off =
+            let v = ref 0 in
+            for i = 7 downto 0 do
+              v := (!v lsl 8) lor Char.code pristine.[total - 12 + i]
+            done;
+            !v
+          in
+          let misled = ref [] in
+          for pos = footer_off to total - 1 do
+            for bit = 0 to 7 do
+              let b = Bytes.of_string pristine in
+              Bytes.set b pos
+                (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+              Out_channel.with_open_bin path (fun oc -> output_bytes oc b);
+              match Tool.Shards.of_file path with
+              | exception Stream.Decode_error _ -> ()
+              | None -> ()
+              | Some shards -> (
+                match outcomes ~jobs:5 shards with
+                | exception Stream.Decode_error _ -> ()
+                | exception _ -> misled := (pos, bit) :: !misled
+                | got ->
+                  if got <> expected then misled := (pos, bit) :: !misled)
+            done
+          done;
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "v%d: footer flips that changed -j 5's result"
+               format_version)
+            [] (List.rev !misled))
+        [ (2, 1024); (3, 256) ])
+
 let suite =
   program_tests
   @ [ Alcotest.test_case "workload files via the chunk index" `Quick
-        test_file_roundtrip ]
+        test_file_roundtrip;
+      Alcotest.test_case "footer bit flips never mislead -j 5" `Quick
+        footer_flips_never_mislead ]

@@ -407,7 +407,9 @@ let malform_last_chunk s ~junk =
   | Some (start, payload, paylen) ->
     let b = Buffer.create (String.length s + 16) in
     Buffer.add_string b (String.sub s 0 start);
-    Aprof_trace.Trace_frame.add_frame b (String.sub s payload paylen ^ junk);
+    ignore
+      (Aprof_trace.Trace_frame.add_frame b
+         (String.sub s payload paylen ^ junk));
     Buffer.add_string b
       (String.sub s (payload + paylen) (String.length s - payload - paylen));
     Buffer.contents b

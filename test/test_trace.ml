@@ -140,13 +140,18 @@ let test_well_formed_negatives () =
   Trace.push t2 (Event.Read { tid = 0; addr = 1 });
   Alcotest.(check bool) "act after exit flagged" true (Trace.well_formed t2 <> [])
 
+(* The text format, through the sink [aprof record --format text]
+   writes with and the source [aprof replay] reads with. *)
 let save_load_roundtrip trace =
+  let module Stream = Aprof_trace.Trace_stream in
   let tmp = Filename.temp_file "aprof" ".trace" in
-  Out_channel.with_open_text tmp (fun oc -> Trace.save oc trace);
-  let back =
-    In_channel.with_open_text tmp (fun ic ->
-        match Trace.load ic with Ok t -> t | Error e -> failwith e)
-  in
+  Out_channel.with_open_text tmp (fun oc ->
+      let sink = Stream.text_sink oc in
+      Trace.replay trace sink.Stream.emit_batch;
+      sink.Stream.close_batch ());
+  let back = Trace.create () in
+  In_channel.with_open_text tmp (fun ic ->
+      ignore (Stream.drain (Stream.of_text_channel ic) (Trace.add_batch back)));
   Sys.remove tmp;
   Trace.to_list back = Trace.to_list trace
 
