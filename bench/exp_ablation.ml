@@ -5,8 +5,10 @@
       recursive workload where it matters;
    2. the periodic timestamp renumbering: handler cost as the overflow
       threshold shrinks (the paper's mitigation must stay affordable);
-   3. the two extra global-shadow accesses the drms pays over the rms
-      (the ~29%-class overhead Table 1 quantifies end to end). *)
+   3. the write-timestamp shadow the drms pays over the rms: one
+      profiler with its induced-read machinery on ([`Both]) and off
+      ([`None], plain aprof) — the ~29%-class overhead Table 1
+      quantifies end to end. *)
 
 module Drms = Aprof_core.Drms_profiler
 
@@ -63,16 +65,7 @@ let run ppf =
     [ max_int - 1; 100_000; 10_000; 1_000 ];
 
   let t_full = time_replay (fun () -> Drms.create ()) mixed in
-  let t_rms =
-    let t0 = Sys.time () in
-    let runs = ref 0 in
-    while Sys.time () -. t0 < 0.4 do
-      let p = Aprof_core.Rms_profiler.create () in
-      Aprof_trace.Trace.replay mixed (Aprof_core.Rms_profiler.on_batch p);
-      incr runs
-    done;
-    (Sys.time () -. t0) /. float_of_int !runs
-  in
+  let t_rms = time_replay (fun () -> Drms.create ~mode:`None ()) mixed in
   Format.fprintf ppf
     "  recognizing induced first-reads (aprof-drms vs plain aprof) on dedup:@.";
   Format.fprintf ppf "    aprof-drms: %.4f s/replay@." t_full;

@@ -103,8 +103,7 @@ let run ~quick ppf =
     | None -> failwith "recorded trace has no chunk index"
   in
   let scaling_rows ~label ~shards (module M : Tool.S) =
-    let replay_at jobs =
-      let pool = Par.create ~jobs () in
+    let replay_at ~pool jobs =
       let one () =
         let seconds, (_, events, _) =
           wall (fun () -> Tool.replay_parallel ~pool ~jobs ~shards (module M))
@@ -121,7 +120,10 @@ let run ~quick ppf =
     in
     let base = ref 0. in
     for jobs = 1 to max_jobs do
-      let seconds, events = replay_at jobs in
+      (* As [aprof replay -j] builds it: [jobs] shards over at most one
+         domain per core. *)
+      let pool = Par.create ~jobs:(min jobs cores) () in
+      let seconds, events = replay_at ~pool jobs in
       if jobs = 1 then base := seconds;
       let mev = float_of_int events /. seconds /. 1e6 in
       let speedup = !base /. seconds in
@@ -139,9 +141,10 @@ let run ~quick ppf =
            ("jobs", Exp_common.Int jobs);
            ("cores", Exp_common.Int cores);
            ( "domains",
-             (* Domains the pool actually runs on: the 4.14 backend has
-                no Domain module and executes every task on the caller. *)
-             Exp_common.Int (if Par.parallel_backend then jobs else 1) );
+             (* Domains the pool actually runs on: at most one per core,
+                and the 4.14 backend has no Domain module and executes
+                every task on the caller. *)
+             Exp_common.Int (if Par.parallel_backend then Par.jobs pool else 1) );
            ("events", Exp_common.Int events);
            ("seconds", Exp_common.Float seconds);
            ("mev_per_s", Exp_common.Float mev);

@@ -42,8 +42,8 @@ let tests () =
       (Staged.stage (replay_with (module Aprof_tools.Helgrind_lite) trace));
     Test.make ~name:"table1/aprof-rms"
       (Staged.stage (fun () ->
-           let p = Aprof_core.Rms_profiler.create () in
-           Aprof_trace.Trace.replay trace (Aprof_core.Rms_profiler.on_batch p)));
+           let p = Aprof_core.Drms_profiler.create ~mode:`None () in
+           Aprof_trace.Trace.replay trace (Aprof_core.Drms_profiler.on_batch p)));
     Test.make ~name:"table1/aprof-drms"
       (Staged.stage (fun () ->
            let p = Aprof_core.Drms_profiler.create () in

@@ -33,17 +33,17 @@ type t = {
   mode : induction_mode;
   ancestor_search : [ `Binary | `Linear ];
   mutable count : int;
-  (* Write timestamps.  In the default [`Both] mode ([use_combined]) a
-     single shadow [wts_max] is kept, as in the paper: write stamps are
-     non-decreasing, so the latest writer holds the largest stamp, and
-     the cell packs [(stamp lsl 1) lor kernel_bit] so the induced-read
-     attribution (kernel vs thread writer) survives in the same word —
-     one shadow lookup per read instead of two.  The restricted
-     induction modes (Figure 6b) must test against kernel-only or
-     thread-only stamps, which the latest-writer shadow cannot recover,
-     so they split the stamps by writer kind into [wts_thread] and
-     [wts_kernel]; each mode maintains only its own shadow(s). *)
-  use_combined : bool;
+  (* Write timestamps.  [`Both] keeps a single shadow [wts_max], as in
+     the paper: write stamps are non-decreasing, so the latest writer
+     holds the largest stamp, and the cell packs [(stamp lsl 1) lor
+     kernel_bit] so the induced-read attribution (kernel vs thread
+     writer) survives in the same word — one shadow lookup per read.
+     The restricted induction modes (Figure 6b) must test against
+     kernel-only or thread-only stamps, which the latest-writer shadow
+     cannot recover, so they split the stamps by writer kind into
+     [wts_thread] and [wts_kernel].  [`None] (plain aprof) stamps
+     nothing: no read is ever induced, so every read follows aprof's
+     latest-access rule and the drms equals the rms. *)
   wts_max : Shadow.t;
   wts_thread : Shadow.t;
   wts_kernel : Shadow.t;
@@ -84,7 +84,6 @@ let create ?(overflow_limit = max_int - 1) ?(mode = `Both)
     mode;
     ancestor_search;
     count = 0;
-    use_combined = (mode = `Both);
     wts_max = Shadow.create ();
     wts_thread = Shadow.create ();
     wts_kernel = Shadow.create ();
@@ -304,25 +303,45 @@ let on_return t st =
     parent.rms <- parent.rms + fr.rms
   end
 
+(* Plain aprof's read ([`None]): the first-access scheme of aprof
+   (lines 4-10 of Figure 8) alone.  With no write stamps no read is
+   induced, so the drms partials move with the rms ones. *)
+let latest_access_read t st ts_l =
+  let top = Vec.top st.stack in
+  if ts_l < top.ts then begin
+    top.rms <- top.rms + 1;
+    top.drms <- top.drms + 1;
+    Profile.bump_plain top.ops;
+    if ts_l <> 0 then begin
+      let i = deepest_ancestor t.ancestor_search st.stack ts_l in
+      if i >= 0 then begin
+        let anc = Vec.get st.stack i in
+        anc.rms <- anc.rms - 1;
+        anc.drms <- anc.drms - 1
+      end
+    end
+  end
+
 let on_read t st addr =
   (* One chunk resolution covers both halves of the first-access scheme:
      read the old thread-local stamp, store the new one. *)
   let ts_l = Shadow.exchange st.ts_local addr t.count in
-  if not (Vec.is_empty st.stack) then begin
+  if Vec.is_empty st.stack then ()
+  else if t.mode = `None then latest_access_read t st ts_l
+  else begin
     (* The write timestamp the current mode tests against (line 1 of
        Figure 8), packed as [(stamp lsl 1) lor kernel_bit].  Full mode
        reads it straight from [wts_max]; the restricted modes rebuild
        the same packing from the split shadows. *)
     let c =
-      if t.use_combined then Shadow.get t.wts_max addr
+      if t.mode = `Both then Shadow.get t.wts_max addr
       else begin
         let wt = Shadow.get t.wts_thread addr in
         let wk = Shadow.get t.wts_kernel addr in
         let kbit = if wk > wt then 1 else 0 in
         match t.mode with
         | `External_only -> (wk lsl 1) lor kbit
-        | `Thread_only -> (wt lsl 1) lor kbit
-        | _ -> 0 (* `None; `Both uses [wts_max] *)
+        | _ -> (wt lsl 1) lor kbit (* `Thread_only *)
       end
     in
     let w = c lsr 1 in
@@ -374,18 +393,29 @@ let on_read t st addr =
     end
   end
 
+(* Stamp a thread's write into [wts].  This is all a write by a thread
+   the instance does not own does (sharded replay): that thread's
+   [ts_local] feeds only its own reads, which its owning shard
+   replays. *)
+let[@inline] stamp_write t addr =
+  match t.mode with
+  | `Both -> Shadow.set t.wts_max addr (t.count lsl 1)
+  | `External_only | `Thread_only -> Shadow.set t.wts_thread addr t.count
+  | `None -> ()
+
 let on_write t st addr =
   Shadow.set st.ts_local addr t.count;
-  if t.use_combined then Shadow.set t.wts_max addr (t.count lsl 1)
-  else Shadow.set t.wts_thread addr t.count
+  stamp_write t addr
 
 let on_kernel_to_user t addr len =
   (* Figure 9: bump the counter once, then stamp the buffer with a global
      write timestamp larger than any thread-local one. *)
   tick t;
-  if t.use_combined then
-    Shadow.set_range t.wts_max ~addr ~len ((t.count lsl 1) lor 1)
-  else Shadow.set_range t.wts_kernel ~addr ~len t.count
+  match t.mode with
+  | `Both -> Shadow.set_range t.wts_max ~addr ~len ((t.count lsl 1) lor 1)
+  | `External_only | `Thread_only ->
+    Shadow.set_range t.wts_kernel ~addr ~len t.count
+  | `None -> ()
 
 let on_user_to_kernel t st addr len =
   (* The kernel reads the buffer on the thread's behalf: treat each
@@ -398,20 +428,13 @@ let on_user_to_kernel t st addr len =
    reads of a later allocation at the same addresses are plain
    first-reads again, not stale re-reads. *)
 let on_free t addr len =
-  if t.use_combined then Shadow.set_range t.wts_max ~addr ~len 0
-  else begin
+  (match t.mode with
+  | `Both -> Shadow.set_range t.wts_max ~addr ~len 0
+  | `External_only | `Thread_only ->
     Shadow.set_range t.wts_thread ~addr ~len 0;
     Shadow.set_range t.wts_kernel ~addr ~len 0
-  end;
+  | `None -> ());
   Hashtbl.iter (fun _ st -> Shadow.set_range st.ts_local ~addr ~len 0) t.threads
-
-(* A write by a thread this instance does not own: stamp [wts] exactly
-   as {!on_write} would, but touch no thread-local state — the foreign
-   thread's [ts_local] only feeds that thread's own reads, which its
-   owning shard replays. *)
-let on_foreign_write t addr =
-  if t.use_combined then Shadow.set t.wts_max addr (t.count lsl 1)
-  else Shadow.set t.wts_thread addr t.count
 
 (* Dispatch on the int tag (an OCaml integer match compiles to a jump
    table) and hand the raw fields to the handlers, constructing no
@@ -455,7 +478,7 @@ let on_raw_foreign t ~tag ~arg ~len =
   if t.finished then invalid_arg "Drms_profiler: event after finish";
   match tag with
   | 1 | 14 -> tick t
-  | 4 -> on_foreign_write t arg
+  | 4 -> stamp_write t arg
   | 7 -> on_kernel_to_user t arg len
   | 11 -> on_free t arg len
   | _ -> ()

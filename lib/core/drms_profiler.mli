@@ -30,8 +30,10 @@ type t
 
 (** Which dynamic input sources the profiler recognizes.  [`Both] is the
     full drms; the restricted modes reproduce Figure 6b (external input
-    only) and allow ablations.  With [`None] the drms degenerates to the
-    rms. *)
+    only) and allow ablations.  [`None] is plain aprof (Coppa et al.,
+    PLDI 2012; the Table 1 [aprof] column): rms only, recorded as both
+    metrics, with no write-timestamp shadow — writes and kernel fills
+    stamp nothing, and a read applies the latest-access rule alone. *)
 type induction_mode = [ `Both | `External_only | `Thread_only | `None ]
 
 (** [create ()] is a fresh profiler.

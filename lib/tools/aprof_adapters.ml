@@ -7,23 +7,22 @@ let activations_over_routines name profile =
     (List.length (Profile.routines profile))
 
 module Rms = struct
-  module P = Aprof_core.Rms_profiler
+  module P = Aprof_core.Drms_profiler
 
   type state = P.t
 
   let name = "aprof"
-  let create () = P.create ()
+  let create () = P.create ~mode:`None ()
   let on_batch = P.on_batch
   let space_words = P.space_words
   let summary p = activations_over_routines name (P.finish p)
   let finish = P.finish
   let reset = P.reset
 
-  (* A free clears every thread's shadow stamps (see
-     {!Aprof_core.Rms_profiler}), so every worker must see it; all
-     other rms state is per-thread, and the global activation counter
-     only feeds order comparisons between one thread's own stamps,
-     which dropping foreign events preserves. *)
+  (* A free clears every thread's shadow stamps, so every worker must
+     see it; with no write stamps all other rms state is per-thread,
+     and the global counter only feeds order comparisons between one
+     thread's own stamps, which dropping foreign events preserves. *)
   let sharding =
     Tool.By_thread
       {

@@ -3,9 +3,12 @@
     and run under replay, sharded replay and the daemon alike.  All
     three shard by thread. *)
 
-(** The rms-only baseline profiler (the paper's [aprof] column).
-    Broadcast is [Free] only, the one cross-thread rms effect. *)
-module Rms : Tool.Profiler with type state = Aprof_core.Rms_profiler.t
+(** The rms-only baseline profiler (the paper's [aprof] column): the
+    drms profiler in mode [`None], which keeps no write-timestamp
+    shadow.  Broadcast is [Free] only, the one cross-thread rms
+    effect; [set_owner] is a no-op, since each shard is then an
+    ordinary profiler of its own threads. *)
+module Rms : Tool.Profiler with type state = Aprof_core.Drms_profiler.t
 
 (** The full drms profiler (the paper's [aprof-drms] column).  The
     global write-timestamp order is preserved by broadcasting every

@@ -177,7 +177,14 @@ let replay ?(jobs = 1)
     ?(with_tools = false) ?(keep_going = false) ~now paths =
   let (module P) = profiler in
   if jobs < 1 then invalid_arg "Replay_driver.replay: jobs < 1";
-  let pool = Aprof_util.Par.create ~jobs () in
+  (* [jobs] sets the shard count; the pool never runs more domains than
+     the host has cores, so surplus work-stealing workers find nothing
+     left and exit instead of spinning against the busy ones. *)
+  let pool =
+    Aprof_util.Par.create
+      ~jobs:(min jobs (Aprof_util.Par.available_parallelism ()))
+      ()
+  in
   let t0 = now () in
   (* Phase 1: one profiler instance per file.  Failures are contained to
      the file that raised: its partial state is discarded, every other

@@ -59,10 +59,13 @@ type t = {
 
     [jobs] (default 1) bounds parallelism: several files replay
     concurrently (one profiler instance per file, profiles merged), and
-    a single binary file with a chunk index shards across workers
-    through the work-stealing engine ({!Tool.replay_parallel}) as the
-    profiler's {!Tool.sharding} allows — every registry profiler shards
-    by thread.  The tools take the same path per file: helgrind, whose
+    a single binary file with a chunk index shards across [jobs]
+    workers through the work-stealing engine ({!Tool.replay_parallel})
+    as the profiler's {!Tool.sharding} allows — every registry profiler
+    shards by thread.  The pool behind both runs at most
+    {!Aprof_util.Par.available_parallelism} domains, so [jobs] beyond
+    the core count changes the shard count but never oversubscribes
+    the host.  The tools take the same path per file: helgrind, whose
     sharding is [Global], replays the chunks in order.
     [keep_going] (default false) switches damaged binary files to chunk
     salvage instead of failing them, with the {!orphan_filter} armed by

@@ -15,10 +15,8 @@ let run_naive trace =
   Trace.replay trace (Aprof_core.Naive_drms.on_batch p);
   Aprof_core.Naive_drms.finish p
 
-let run_rms trace =
-  let p = Aprof_core.Rms_profiler.create () in
-  Trace.replay trace (Aprof_core.Rms_profiler.on_batch p);
-  Aprof_core.Rms_profiler.finish p
+(* Plain aprof: the drms profiler with induced first-reads off. *)
+let run_rms trace = run_drms ~mode:`None trace
 
 (* [batches_of_trace ~batch_size tr] re-chunks [tr] into a recycled
    batch of [batch_size] events per pull, so a test can put batch

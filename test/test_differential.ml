@@ -34,8 +34,8 @@ let renumbering_invariant trace =
   true
 
 let rms_profiler_agrees trace =
-  (* The standalone aprof must agree with the rms side of both the naive
-     oracle and the combined profiler. *)
+  (* Plain aprof (mode [`None], which never consults a write stamp) must
+     agree with the rms the full profiler computes beside the drms. *)
   let p_rms = run_rms trace in
   let p_drms = run_drms trace in
   let rms_sig p =

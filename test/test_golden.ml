@@ -299,6 +299,57 @@ let record_case () =
   in
   check_golden "record_digests.txt" (String.concat "\n" rows ^ "\n")
 
+(* ----- the profilers' profiles ------------------------------------------ *)
+
+(* What the registry's [drms] and [rms] profilers compute, pinned over
+   the whole registry: one line per workload × scheduler policy × seed ×
+   profiler, the MD5 of the [Profile_io.to_string] dump (routine names
+   included) of one live run at four threads.  Both profilers take the
+   same batches of one VM run. *)
+let profile_rows (spec : Workload.spec) ~scale =
+  let profilers =
+    List.filter
+      (fun (name, _) -> name = "drms" || name = "rms")
+      Aprof_tools.Harness.profilers
+  in
+  List.concat_map
+    (fun scheduler ->
+      List.concat_map
+        (fun seed ->
+          let runs =
+            List.map
+              (fun (name, (module P : Aprof_tools.Tool.Profiler)) ->
+                let p = P.create () in
+                (name, P.on_batch p, fun () -> P.finish p))
+              profilers
+          in
+          let result =
+            Workload.run_batched ~scheduler
+              (spec.Workload.make ~threads:4 ~scale ~seed)
+              ~seed
+              ~tool:(fun _ b -> List.iter (fun (_, feed, _) -> feed b) runs)
+          in
+          let routine_name =
+            Aprof_trace.Routine_table.name result.Interp.routines
+          in
+          List.map
+            (fun (name, _, finish) ->
+              Printf.sprintf "%s %d %s %d %s %s" spec.Workload.name scale
+                (Aprof_vm.Scheduler.policy_name scheduler)
+                seed name
+                (Digest.to_hex
+                   (Digest.string
+                      (Profile_io.to_string ~routine_name (finish ())))))
+            runs)
+        [ 1; 2 ])
+    record_policies
+
+let profile_case () =
+  let rows =
+    List.concat_map (fun spec -> profile_rows spec ~scale:40) Registry.all
+  in
+  check_golden "profile_digests.txt" (String.concat "\n" rows ^ "\n")
+
 let suite =
   [
     Alcotest.test_case "producer_consumer report" `Quick
@@ -310,4 +361,5 @@ let suite =
       (helgrind_case ~workload:"producer_consumer" ~threads:4 ~scale:60);
     Alcotest.test_case "mysqlslap fitted store" `Quick store_case;
     Alcotest.test_case "aprof record bytes" `Quick record_case;
+    Alcotest.test_case "profiler profiles" `Quick profile_case;
   ]

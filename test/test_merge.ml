@@ -181,7 +181,7 @@ let test_parallel_rms () =
       let st3, _ =
         replay_jobs (module Aprof_tools.Aprof_adapters.Rms) trace 3
       in
-      let p3 = Aprof_core.Rms_profiler.finish st3 in
+      let p3 = Aprof_core.Drms_profiler.finish st3 in
       let p1 = run_rms trace in
       check_profiles_equal (name ^ ": rms parallel = sequential") p1 p3;
       check_ops_equal (name ^ ": op counters agree") p1 p3)

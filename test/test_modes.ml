@@ -47,8 +47,39 @@ let test_pure_sources () =
   Alcotest.(check bool) "producer-consumer: ext-only = rms" true
     (sums `External_only pc_trace = sums `None pc_trace)
 
+(* Plain aprof ([`None]) keeps no write-timestamp shadow.  After a
+   run with writes and kernel fills its footprint is below the full
+   mode's, whose shadow holds those stamps; and an instance owning no
+   thread, to which every write, kernel fill and free is foreign, ends
+   the run holding exactly the words it was created with. *)
+let test_none_stamps_nothing () =
+  let module D = Aprof_core.Drms_profiler in
+  List.iter
+    (fun name ->
+      let trace =
+        (Aprof_workloads.Workload.run_spec
+           (Option.get (Aprof_workloads.Registry.find name))
+           ~threads:4 ~scale:300 ~seed:1)
+          .Aprof_vm.Interp.trace
+      in
+      let words ?owns mode =
+        let p = D.create ~mode () in
+        Option.iter (D.set_owner p) owns;
+        let fresh = D.space_words p in
+        Aprof_trace.Trace.replay trace (D.on_batch p);
+        (fresh, D.space_words p)
+      in
+      let _, both = words `Both and _, none = words `None in
+      if none >= both then
+        Alcotest.failf "%s: `None holds %d words, `Both %d" name none both;
+      let fresh, after = words ~owns:(fun _ -> false) `None in
+      Alcotest.(check int) (name ^ ": unowned `None stamps nothing") fresh after)
+    [ "dedup"; "mysqlslap"; "blackscholes" ]
+
 let suite =
   [
     modes_prop;
     Alcotest.test_case "pure-source workloads" `Quick test_pure_sources;
+    Alcotest.test_case "mode None stamps no write shadow" `Quick
+      test_none_stamps_nothing;
   ]
