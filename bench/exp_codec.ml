@@ -14,11 +14,6 @@ module Trace = Aprof_trace.Trace
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 
-let time f =
-  let t0 = Sys.time () in
-  let r = f () in
-  (Sys.time () -. t0, r)
-
 let mib bytes = float_of_int bytes /. (1024. *. 1024.)
 
 let live_words () =
@@ -51,14 +46,14 @@ let run ~quick ppf =
   let text_file = tmp ".trace" and bin_file = tmp ".atrc" in
   (* --- encode --- *)
   let text_enc_s, () =
-    time (fun () ->
+    Exp_common.time (fun () ->
         Out_channel.with_open_bin text_file (fun oc ->
             let sink = Stream.text_sink oc in
             Trace.replay trace sink.Stream.emit_batch;
             sink.Stream.close_batch ()))
   in
   let bin_enc_s, () =
-    time (fun () ->
+    Exp_common.time (fun () ->
         Out_channel.with_open_bin bin_file (fun oc ->
             let sink = Codec.batch_writer ~routine_name oc in
             Trace.replay trace sink.Stream.emit_batch;
@@ -71,7 +66,7 @@ let run ~quick ppf =
   let bin_bytes = file_size bin_file in
   (* --- decode --- *)
   let text_dec_s, text_n =
-    time (fun () ->
+    Exp_common.time (fun () ->
         In_channel.with_open_bin text_file (fun ic ->
             Stream.drain (Stream.of_text_channel ic) ignore))
   in
@@ -81,7 +76,7 @@ let run ~quick ppf =
   let peak_live = ref 0 in
   let sample_every = max 1 (n_events / 8) in
   let bin_dec_s, bin_n =
-    time (fun () ->
+    Exp_common.time (fun () ->
         In_channel.with_open_bin bin_file (fun ic ->
             let _names, batches = Codec.batch_reader ic in
             let count = ref 0 in
@@ -146,7 +141,7 @@ let run ~quick ppf =
     (fun (label, format_version, entropy) ->
       let file = tmp ".atrc" in
       let enc_s, () =
-        time (fun () ->
+        Exp_common.time (fun () ->
             Out_channel.with_open_bin file (fun oc ->
                 let sink =
                   Codec.batch_writer ~format_version ~entropy ~routine_name oc
@@ -159,7 +154,7 @@ let run ~quick ppf =
       let bytes = file_size file in
       if label = "v2" then v2_bytes := bytes;
       let dec_s, dec_n =
-        time (fun () ->
+        Exp_common.time (fun () ->
             In_channel.with_open_bin file (fun ic ->
                 let _names, batches = Codec.batch_reader ic in
                 Stream.drain batches ignore))

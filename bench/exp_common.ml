@@ -49,6 +49,17 @@ let merged run rname =
 let section ppf title =
   Format.fprintf ppf "@.=== %s ===@." title
 
+(* [time f] is [f]'s wall-clock seconds and result.  Wall clock, not
+   [Sys.time]: the latter ticks at 10ms on Linux, the same order as one
+   replay run, so it quantizes the very ratios the experiments exist to
+   measure; it would also erase the parallelism [-e parallel] measures.
+   Contention noise is handled by the callers, with best-of or median
+   over interleaved runs. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (Unix.gettimeofday () -. t0, r)
+
 (* The penalized class of a cost curve, with its bootstrap confidence. *)
 let fit_note ppf ~label points =
   let module Select = Aprof_analysis.Fit_select in

@@ -16,11 +16,6 @@ module Codec = Aprof_trace.Trace_codec
 module Crc32c = Aprof_util.Crc32c
 module Rng = Aprof_util.Rng
 
-let time f =
-  let t0 = Sys.time () in
-  let r = f () in
-  (Sys.time () -. t0, r)
-
 (* Events are compared by count plus a running checksum of their text
    rendering — materializing a million event strings per fault would
    dominate the sweep. *)
@@ -104,7 +99,7 @@ let run ~quick ppf =
   let iters = if quick then 50 else 20 in
   let sample file =
     let dt, n =
-      time (fun () ->
+      Exp_common.time (fun () ->
           let n = ref 0 in
           for _ = 1 to iters do
             n := decode_raw file
@@ -139,7 +134,7 @@ let run ~quick ppf =
   assert (ref_count = v2_count);
   let rate n s = if s > 0. then float_of_int n /. s /. 1e6 else 0. in
   let crc_s, _ =
-    time (fun () ->
+    Exp_common.time (fun () ->
         let acc = ref 0 in
         for _ = 1 to reps do
           acc := Crc32c.digest_string pristine ~pos:0 ~len:total
@@ -203,7 +198,7 @@ let run ~quick ppf =
       Format.fprintf ppf "FAILURE: strict decode leaked %s@."
         (Printexc.to_string e));
     match
-      time (fun () ->
+      Exp_common.time (fun () ->
           In_channel.with_open_bin mutant (fun ic ->
               let drops = ref 0 in
               let _, src =

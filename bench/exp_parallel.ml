@@ -1,5 +1,5 @@
-(* Parallel replay scaling: aggregate events/second of the
-   work-stealing replay engine at 1..4 workers, per shardable tool.
+(* Parallel replay scaling: aggregate events/second of the sharded
+   replay engine at 1..4 shards, per shardable tool.
 
    A canneal trace is recorded once (binary, with the shard index) —
    canneal because its event mix exercises what the profilers actually
@@ -7,10 +7,10 @@
    unlike e.g. blackscholes whose trace has no calls at all and
    degenerates into a pure decode benchmark) — then each shardable
    tool replays it through
-   [Tool.replay_parallel] at increasing job counts; shards claim chunks
-   from per-worker steal-half deques, each worker reading through its
-   own seekable session.  Wall-clock time is the denominator — CPU time
-   would erase the parallelism being measured.  [events] counts each
+   [Tool.replay_parallel] at increasing job counts; each shard is one
+   task reading its chunks through its own seekable session.
+   Wall-clock time is the denominator — CPU time would erase the
+   parallelism being measured.  [events] counts each
    trace event once (broadcast copies excluded), so the column is
    comparable across tools and job counts.  Every row records the
    host's core count and the number of domains actually backing the
@@ -27,11 +27,6 @@ module Tool = Aprof_tools.Tool
 module Harness = Aprof_tools.Harness
 module Par = Aprof_util.Par
 module Vec = Aprof_util.Vec
-
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
 
 let max_jobs = 4
 
@@ -106,7 +101,8 @@ let run ~quick ppf =
     let replay_at ~pool jobs =
       let one () =
         let seconds, (_, events, _) =
-          wall (fun () -> Tool.replay_parallel ~pool ~jobs ~shards (module M))
+          Exp_common.time (fun () ->
+              Tool.replay_parallel ~pool ~jobs ~shards (module M))
         in
         (seconds, events)
       in
@@ -164,8 +160,8 @@ let run ~quick ppf =
         scaling_rows ~label:M.name ~shards (module M))
     Harness.tools;
   (* The same trace as a v3 (packed) file through the drms profiler:
-     work-stealing claims whole chunks, and a v3 chunk decodes through
-     the transform layer inside each worker's session — the row labels
+     a shard reads whole chunks, and a v3 chunk decodes through the
+     transform layer inside each shard's session — the row labels
      carry a "-v3" suffix so per-format curves stay distinguishable. *)
   let module Drms = Aprof_tools.Aprof_adapters.Drms in
   let shards_v3 =

@@ -14,15 +14,6 @@ module Codec = Aprof_trace.Trace_codec
 module Tool = Aprof_tools.Tool
 module Harness = Aprof_tools.Harness
 
-(* Wall clock, not [Sys.time]: the latter ticks at 10ms on Linux, the
-   same order as one replay run, so it quantizes the very ratio this
-   experiment exists to measure.  Contention noise is handled by taking
-   the best of several interleaved runs instead. *)
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
 let run ~quick ppf =
   Exp_common.section ppf "replay: batched hot path";
   let target = if quick then 150_000 else 2_400_000 in
@@ -64,7 +55,7 @@ let run ~quick ppf =
     In_channel.with_open_bin bin_file (fun ic ->
         let m0 = Gc.minor_words () in
         let seconds, n =
-          time (fun () ->
+          Exp_common.time (fun () ->
               let _names, batches = Codec.batch_reader ic in
               Stream.drain batches (M.on_batch st))
         in
@@ -148,7 +139,7 @@ let run ~quick ppf =
     Gc.compact ();
     In_channel.with_open_bin file (fun ic ->
         let seconds, n =
-          time (fun () ->
+          Exp_common.time (fun () ->
               let _names, batches = Codec.batch_reader ic in
               Stream.drain batches (M.on_batch st))
         in

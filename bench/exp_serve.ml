@@ -127,7 +127,6 @@ let run ~quick ppf =
         ("mode", Exp_common.String "replay-j1");
         ("clients", Exp_common.Int 0);
         ("jobs", Exp_common.Int 1);
-        ("shards", Exp_common.Int 1);
         ("cores", Exp_common.Int cores);
         ("events", Exp_common.Int events);
         ("seconds", Exp_common.Float seconds);
@@ -142,15 +141,8 @@ let run ~quick ppf =
     let sock = Filename.temp_file "aprof_serve" ".sock" in
     Sys.remove sock;
     let jobs = max 1 (min 8 cores) in
-    let shards = 8 in
     let srv =
-      Server.start
-        {
-          Server.default_config with
-          unix_path = Some sock;
-          jobs;
-          shards;
-        }
+      Server.start { Server.default_config with unix_path = Some sock; jobs }
     in
     let t0 = now () in
     let threads =
@@ -181,7 +173,6 @@ let run ~quick ppf =
         ("mode", Exp_common.String "serve");
         ("clients", Exp_common.Int clients);
         ("jobs", Exp_common.Int jobs);
-        ("shards", Exp_common.Int shards);
         ("cores", Exp_common.Int cores);
         ("events", Exp_common.Int events);
         ("seconds", Exp_common.Float seconds);

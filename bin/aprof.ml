@@ -736,16 +736,17 @@ let replay_cmd =
        allocation-free path; the text format goes through the per-event
        decoder lifted into batches.
 
-       With [-j N], a single binary trace replays through the
-       work-stealing engine ({!Aprof_tools.Tool.replay_parallel}): the
-       chunk index partitions the trace's threads over up to N shards,
-       workers claim chunks from per-worker steal-half deques, and the
-       shard states merge at the join.  Every profiler — drms, rms and
-       naive — shards this way; of the tools only helgrind keeps a
-       sequential replay (its lockset analysis needs the interleaved
-       global order).  Several trace files parallelize across files
-       instead, merging the resulting profiles.  Text traces and
-       index-less files also fall back to sequential replay.
+       With [-j N], a single binary trace replays through the sharded
+       engine ({!Aprof_tools.Tool.replay_parallel}): the chunk index
+       partitions the trace's threads over up to N shards, each shard
+       replays its chunks in file order as one task on at most
+       min(N, cores) domains, and the shard states merge at the join.
+       Every profiler — drms, rms and naive — shards this way; of the
+       tools only helgrind keeps a sequential replay (its lockset
+       analysis needs the interleaved global order).  Several trace
+       files parallelize across files instead, merging the resulting
+       profiles.  Text traces and index-less files also fall back to
+       sequential replay.
 
        The actual replay lives in {!Aprof_tools.Replay_driver}; this
        command only routes its buffered output: profile report and tool
@@ -828,11 +829,13 @@ let replay_cmd =
   in
   let jobs_term =
     let doc =
-      "Replay with $(docv) parallel workers.  A binary trace's chunk \
-       index partitions its threads over the workers, which rebalance by \
-       stealing chunks; every profiler (drms, rms, naive) and every \
-       standard tool except helgrind shards this way, with results \
-       identical to $(b,-j 1).  Text traces replay sequentially."
+      "Replay in $(docv) shards.  A binary trace's chunk index \
+       partitions its threads over $(docv) shards, each replayed as one \
+       task on at most as many domains as the host has cores; every \
+       profiler (drms, rms, naive) and every standard tool except \
+       helgrind shards this way, with results identical to $(b,-j 1).  \
+       Several traces replay as one task each instead.  Text traces \
+       replay sequentially."
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
@@ -999,7 +1002,7 @@ let connect_to addr_s =
 
 let serve_cmd =
   let module Server = Aprof_serve.Server in
-  let run unix_path tcp profiler shards jobs snapshot_every out fleet_csv
+  let run unix_path tcp profiler jobs snapshot_every out fleet_csv
       idle_timeout salvage quiet =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let tcp =
@@ -1032,7 +1035,6 @@ let serve_cmd =
         unix_path;
         tcp;
         profiler;
-        shards;
         jobs =
           (if jobs = 0 then Server.default_config.Server.jobs else jobs);
         snapshot_every;
@@ -1072,10 +1074,6 @@ let serve_cmd =
     let doc = "Additionally (or instead) listen on $(docv) (HOST:PORT; \
                port 0 picks one)." in
     Arg.(value & opt (some string) None & info [ "tcp" ] ~docv:"HOST:PORT" ~doc)
-  in
-  let shards_term =
-    let doc = "Profile accumulator shards (more shards, less fold contention)." in
-    Arg.(value & opt int 8 & info [ "shards" ] ~docv:"N" ~doc)
   in
   let jobs_term =
     let doc = "Ingest workers (0 = one per available core)." in
@@ -1118,7 +1116,6 @@ let serve_cmd =
       const run $ unix_term $ tcp_term
       $ profiler_term
           "Profiler run over each stream: $(b,drms), $(b,rms) or $(b,naive)."
-      $ shards_term
       $ jobs_term $ every_term $ out_term $ fleet_term $ idle_term
       $ salvage_term $ quiet_term)
 

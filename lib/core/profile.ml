@@ -262,16 +262,9 @@ let merge_accs target src =
    produced had it seen both event sets.  The destination's one-entry
    caches stay valid — [merge_accs] mutates live table entries in
    place and never replaces them. *)
-let merge_into ?keep ~into src =
+let merge_into ~into src =
   Hashtbl.iter
-    (fun _ s ->
-      let wanted =
-        match keep with
-        | None -> true
-        | Some f -> f { tid = s.k_tid; routine = s.k_routine }
-      in
-      if wanted then
-        merge_accs (cell into ~tid:s.k_tid ~routine:s.k_routine) s)
+    (fun _ s -> merge_accs (cell into ~tid:s.k_tid ~routine:s.k_routine) s)
     src.cells
 
 let merge a b =

@@ -101,11 +101,8 @@ val routines : t -> int list
     only up to rounding, as in any summation order change.) *)
 
 (** [merge_into ~into src] folds every cell of [src] into [into];
-    [src] is not modified.  With [?keep], only the cells whose key
-    satisfies it are folded — the sharded accumulators of the ingest
-    daemon use this to split one partial profile across key-hashed
-    shards without materializing intermediate profiles. *)
-val merge_into : ?keep:(key -> bool) -> into:t -> t -> unit
+    [src] is not modified. *)
+val merge_into : into:t -> t -> unit
 
 (** [merge a b] is a fresh profile holding the combined data. *)
 val merge : t -> t -> t

@@ -11,7 +11,7 @@
    - a pool of ingest workers (domains on OCaml 5, systhreads on 4.x
      via [Serve_backend]): each claims a runnable connection, drains
      its inbox through [Trace_net.feed] -> [Ingest_driver], and at each
-     completed trace folds the profile into the sharded accumulators;
+     completed trace folds the profile into the one accumulator;
    - one snapshot systhread polling the timer / SIGHUP-style requests.
 
    Ownership: a worker owns one decode scratch ([Trace_net.scratch]),
@@ -48,7 +48,6 @@ type config = {
   unix_path : string option;  (* Unix-domain listener path *)
   tcp : (string * int) option;  (* TCP listener (host, port; 0 = any) *)
   profiler : (module Aprof_tools.Tool.Profiler);
-  shards : int;  (* profile accumulator shards *)
   jobs : int;  (* ingest workers *)
   snapshot_every : float;  (* seconds; 0 = only on request *)
   snapshot_profile : string option;  (* profile CSV written per snapshot *)
@@ -66,7 +65,6 @@ let default_config =
     unix_path = None;
     tcp = None;
     profiler = (module Aprof_tools.Aprof_adapters.Drms);
-    shards = 8;
     jobs = max 1 (Serve_backend.cpu_count () - 1);
     snapshot_every = 0.;
     snapshot_profile = None;
@@ -794,11 +792,11 @@ let tcp_port t =
 let start cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Server.start: no listener configured";
-  if cfg.jobs < 1 || cfg.shards < 1 then invalid_arg "Server.start";
+  if cfg.jobs < 1 then invalid_arg "Server.start";
   let t =
     {
       cfg;
-      acc = Shard_acc.create ~shards:cfg.shards ();
+      acc = Shard_acc.create ();
       slices =
         Inbox.pool ~buffer_bytes:cfg.read_bytes
           ~max_idle:(max 1 (idle_slice_bytes / cfg.read_bytes));
@@ -841,9 +839,9 @@ let start cfg =
     List.init cfg.jobs (fun _ -> Serve_backend.spawn (worker_loop t));
   add_thread t (Thread.create (snapshot_loop t) ());
   t.cfg.log
-    (Printf.sprintf "serving on %s (%d workers, %d shards%s)"
+    (Printf.sprintf "serving on %s (%d workers%s)"
        (String.concat ", " (addresses t))
-       cfg.jobs cfg.shards
+       cfg.jobs
        (if Serve_backend.parallel then "" else ", no parallelism"));
   t
 

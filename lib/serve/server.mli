@@ -6,8 +6,8 @@
     the trace file format (several traces may follow back-to-back), a
     per-connection reader thread feeds a bounded inbox, and a pool of
     ingest workers (domains on OCaml 5) decodes and profiles the bytes,
-    folding each completed trace's profile into key-hashed shard
-    accumulators.  Any other first bytes start a one-line text control
+    folding each completed trace's profile into one locked accumulator
+    ({!Shard_acc}).  Any other first bytes start a one-line text control
     exchange: [PING], [STATS], [SNAPSHOT], [STOP].
 
     Guarantees:
@@ -35,8 +35,8 @@
       pools, so it costs fewer than {!finished_conn_words} live heap
       words for the daemon's lifetime.
     - {b Exact aggregation}: profiles are folded only at trace
-      boundaries, and snapshots are trace-atomic (the fold/snapshot
-      gate of {!Shard_acc}), so any snapshot equals the offline
+      boundaries, and a fold and a snapshot each hold the
+      accumulator's one lock, so any snapshot equals the offline
       [aprof merge] of the traces completed so far.
     - {b Corruption isolation}: a malformed stream poisons only its own
       connection; its partial trace is aborted, never folded.  With
@@ -51,7 +51,6 @@ type config = {
   tcp : (string * int) option;  (** TCP listener (host, port; 0 = any) *)
   profiler : (module Aprof_tools.Tool.Profiler);
       (** run over each trace; one of {!Aprof_tools.Harness.profilers} *)
-  shards : int;  (** profile accumulator shards *)
   jobs : int;  (** ingest workers (domains on OCaml 5) *)
   snapshot_every : float;  (** seconds; 0 = snapshot only on request *)
   snapshot_profile : string option;  (** profile CSV written per snapshot *)
@@ -74,7 +73,7 @@ type stats = {
   s_traces : int;  (** completed traces folded *)
   s_events : int;  (** events of completed traces *)
   s_drops : int;  (** regions salvage dropped *)
-  s_folds : int;  (** shard-accumulator folds *)
+  s_folds : int;  (** accumulator folds *)
 }
 
 (** [start cfg] opens the listeners and spawns the accept threads,

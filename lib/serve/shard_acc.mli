@@ -1,15 +1,10 @@
-(** Sharded profile accumulators for concurrent ingest.
+(** The daemon's profile accumulator for concurrent ingest: one
+    {!Aprof_core.Profile.t} and one routine-name table behind one
+    mutex.  Connections {!fold} the profile of each *completed* trace
+    into it; {!snapshot} copies it.
 
-    [N] partial {!Aprof_core.Profile.t}s, each behind its own mutex,
-    partitioned by routine hash.  Connections {!fold} the profile of
-    each *completed* trace across the shards; {!snapshot} merges all
-    shards into one consistent profile.
-
-    Consistency model: folds and snapshots are the two sides of a
-    readers-writer gate.  Folds run concurrently with each other
-    (contending only on per-shard mutexes, and only when two
-    connections' routines hash alike); a snapshot waits for in-flight
-    folds to finish and blocks new ones, so it observes every folded
+    Consistency model: a fold merges one whole trace under the mutex
+    and a snapshot copies under it, so a snapshot observes every folded
     trace either entirely or not at all — never half a trace.  Since
     profiles form a commutative monoid and folding happens only at
     trace boundaries, any snapshot equals the offline merge of the
@@ -19,33 +14,18 @@ module Profile = Aprof_core.Profile
 
 type t
 
-(** [create ~shards ()] builds an accumulator with [shards] (default 8)
-    independently-locked partial profiles. *)
-val create : ?shards:int -> unit -> t
-
-val shard_count : t -> int
-
-(** The shard index a routine's cells land on. *)
-val shard_of : t -> int -> int
+val create : unit -> t
 
 (** Record a routine-name definition (last definition wins, as in
     sequential replay). *)
 val define : t -> int -> string -> unit
 
-(** [defines t pairs] records many definitions under one lock hold. *)
-val defines : t -> (int * string) list -> unit
-
-(** [fold t src] splits [src] — one completed trace's profile — across
-    the shards.  Blocks while a snapshot is in progress.  [src] is not
-    modified. *)
+(** [fold t src] merges [src] — one completed trace's profile — into
+    the accumulator.  [src] is not modified. *)
 val fold : t -> Profile.t -> unit
 
-(** [snapshot t] waits for in-flight folds, blocks new ones, and merges
-    every shard (plus a copy of the name table) into a fresh profile. *)
+(** [snapshot t] copies the accumulated profile and name table. *)
 val snapshot : t -> Profile.t * (int, string) Hashtbl.t
 
 (** Total completed folds so far. *)
 val folds : t -> int
-
-(** Test hook: the keys currently stored on shard [i]. *)
-val shard_keys : t -> int -> Profile.key list

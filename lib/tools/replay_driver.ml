@@ -178,8 +178,8 @@ let replay ?(jobs = 1)
   let (module P) = profiler in
   if jobs < 1 then invalid_arg "Replay_driver.replay: jobs < 1";
   (* [jobs] sets the shard count; the pool never runs more domains than
-     the host has cores, so surplus work-stealing workers find nothing
-     left and exit instead of spinning against the busy ones. *)
+     the host has cores, so surplus shards queue behind the running
+     ones instead of oversubscribing the host. *)
   let pool =
     Aprof_util.Par.create
       ~jobs:(min jobs (Aprof_util.Par.available_parallelism ()))

@@ -59,9 +59,9 @@ type t = {
 
     [jobs] (default 1) bounds parallelism: several files replay
     concurrently (one profiler instance per file, profiles merged), and
-    a single binary file with a chunk index shards across [jobs]
-    workers through the work-stealing engine ({!Tool.replay_parallel})
-    as the profiler's {!Tool.sharding} allows — every registry profiler
+    a single binary file with a chunk index splits into [jobs] shards,
+    one task each ({!Tool.replay_parallel}), as the profiler's
+    {!Tool.sharding} allows — every registry profiler
     shards by thread.  The pool behind both runs at most
     {!Aprof_util.Par.available_parallelism} domains, so [jobs] beyond
     the core count changes the shard count but never oversubscribes

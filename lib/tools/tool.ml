@@ -120,90 +120,52 @@ module Shards = struct
     { chunks; open_session }
 end
 
-(* ----- work-stealing parallel replay ----------------------------------- *)
+(* ----- sharded replay -------------------------------------------------- *)
 
 module Par = Aprof_util.Par
 
-let union_into ~into tbl = Hashtbl.iter (Hashtbl.replace into) tbl
+(* The run loop every shard shares: one read session, decoding through
+   [keep], drains the chunk ordinals [next] hands out into [on_batch]
+   until [next] returns a negative one.  Returns the events drained and
+   the session's name table. *)
+let drain_chunks ~shards ?keep ~on_batch next =
+  let s = shards.Shards.open_session ?keep () in
+  Fun.protect ~finally:s.Shards.close (fun () ->
+      let drained = ref 0 in
+      let rec go () =
+        let i = next () in
+        if i >= 0 then begin
+          drained := !drained + Stream.drain (s.Shards.read i) on_batch;
+          go ()
+        end
+      in
+      go ();
+      (!drained, s.Shards.names))
 
-(* Sequential replay over the chunk source — the [jobs = 1] and [Global]
-   path, and byte-for-byte what a plain drain of the file performs,
-   which is what lets the differential suite pin [-j N ≡ -j 1]. *)
-let replay_chunks_sequential (type a) ~shards
-    (module M : S with type state = a) =
-  let st = M.create () in
-  let s = shards.Shards.open_session () in
-  Fun.protect
-    ~finally:(fun () -> s.Shards.close ())
-    (fun () ->
-      let count = ref 0 in
-      for i = 0 to Array.length shards.Shards.chunks - 1 do
-        count := !count + Stream.drain (s.Shards.read i) (M.on_batch st)
-      done;
-      (st, !count, s.Shards.names))
+(* The ordinals of [list], in order, then [-1]. *)
+let in_order list =
+  let k = ref 0 in
+  fun () ->
+    if !k >= Array.length list then -1
+    else begin
+      incr k;
+      list.(!k - 1)
+    end
 
-(* Order-independent tools: any worker may replay any chunk, so the
-   deque items are bare chunk ordinals, seeded in contiguous runs (for
-   seek locality) and rebalanced purely by stealing. *)
-let replay_by_chunk (type a) ~pool ~jobs ~shards ~merge
-    (module M : S with type state = a) =
-  let chunks = shards.Shards.chunks in
-  let n = Array.length chunks in
-  let states = Array.init jobs (fun _ -> M.create ()) in
-  let sessions = Array.make jobs None in
-  let counts = Array.make jobs 0 in
-  let session w =
-    match sessions.(w) with
-    | Some s -> s
-    | None ->
-      let s = shards.Shards.open_session () in
-      sessions.(w) <- Some s;
-      s
-  in
-  let ws = Par.Ws.create ~workers:jobs in
-  for i = 0 to n - 1 do
-    Par.Ws.seed ws ~worker:(i * jobs / n) i
-  done;
-  let step ~worker i =
-    let s = session worker in
-    counts.(worker) <-
-      counts.(worker)
-      + Stream.drain (s.Shards.read i) (M.on_batch states.(worker));
-    None
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (Option.iter (fun s -> s.Shards.close ())) sessions)
-    (fun () -> Par.Ws.run pool ws ~step);
-  let names = Hashtbl.create 64 in
-  Array.iter
-    (Option.iter (fun s -> union_into ~into:names s.Shards.names))
-    sessions;
-  for w = 1 to jobs - 1 do
-    merge ~into:states.(0) states.(w)
-  done;
-  (states.(0), Array.fold_left ( + ) 0 counts, names)
-
-(* Thread-sharded tools: threads are partitioned into at most [jobs]
-   shards (longest-processing-time first on estimated event counts, so
-   a hot thread gets a shard to itself), and each shard replays its
-   selected chunks *in file order* through one tool instance — order
-   within a thread is what the tools' state machines depend on.  The
-   deque item is the shard itself; it returns to a deque after every
-   chunk, so an idle worker steals the remainder of a lagging shard at
-   chunk granularity. *)
-let replay_by_thread (type a) ~pool ~jobs ~shards ~broadcast ~set_owner ~merge
-    (module M : S with type state = a) =
-  let chunks = shards.Shards.chunks in
+(* Longest-processing-time partition of the trace's threads into at
+   most [jobs] shards on estimated event counts, so a hot thread gets a
+   shard to itself: [owner.(tid)] is the shard owning [tid], [-1] for a
+   thread no chunk names.  [None] when no chunk names a thread. *)
+let partition_threads ~jobs (chunks : Shards.chunk array) =
   let tid_max =
     Array.fold_left
       (fun acc (c : Shards.chunk) -> Array.fold_left max acc c.tids)
       (-1) chunks
   in
-  if tid_max < 0 then replay_chunks_sequential ~shards (module M)
+  if tid_max < 0 then None
   else begin
-    (* Estimated events per thread: chunks do not record per-tid counts,
-       so spread each chunk's events evenly over its threads. *)
+    (* Chunks do not record per-tid counts, so spread each chunk's
+       events evenly over its threads. *)
     let est = Array.make (tid_max + 1) 0 in
     Array.iter
       (fun (c : Shards.chunk) ->
@@ -219,7 +181,7 @@ let replay_by_thread (type a) ~pool ~jobs ~shards ~broadcast ~set_owner ~merge
     in
     let n_shards = min jobs (List.length tids) in
     let owner = Array.make (tid_max + 1) (-1) in
-    let loads = Array.make (max n_shards 1) 0 in
+    let loads = Array.make n_shards 0 in
     List.iter
       (fun tid ->
         let s = ref 0 in
@@ -229,94 +191,97 @@ let replay_by_thread (type a) ~pool ~jobs ~shards ~broadcast ~set_owner ~merge
         owner.(tid) <- !s;
         loads.(!s) <- loads.(!s) + est.(tid))
       tids;
-    let owns s tid = tid >= 0 && tid <= tid_max && owner.(tid) = s in
-    let chunk_list s =
-      let out = ref [] in
-      for i = Array.length chunks - 1 downto 0 do
-        let c = chunks.(i) in
-        if
-          c.Shards.tag_mask land broadcast <> 0
-          || Array.exists (fun tid -> owner.(tid) = s) c.Shards.tids
-        then out := i :: !out
-      done;
-      Array.of_list !out
-    in
-    let states = Array.init n_shards (fun _ -> M.create ()) in
-    Array.iteri (fun s st -> set_owner st (owns s)) states;
-    let lists = Array.init n_shards chunk_list in
-    let cursors = Array.make n_shards 0 in
-    let sessions = Array.make n_shards None in
-    let counts = Array.make n_shards 0 in
-    (* The shard's filter — owned threads plus broadcast tags — pushed
-       down into the session's decode loop so a foreign non-broadcast
-       event is parse-only, with the owned-event count fused in.  A shard is held by one worker at a time (it
-       lives in exactly one deque slot), so the bare [counts.(s)]
-       update is single-writer; the deque lock orders the handoffs. *)
-    let keeps =
-      Array.init n_shards (fun s ->
-          let owns = owns s in
-          fun tag tid ->
-            if owns tid then begin
-              counts.(s) <- counts.(s) + 1;
-              true
-            end
-            else (broadcast lsr tag) land 1 = 1)
-    in
-    let step ~worker:_ s =
-      let list = lists.(s) in
-      let cur = cursors.(s) in
-      if cur >= Array.length list then None
-      else begin
-        cursors.(s) <- cur + 1;
-        let sess =
-          match sessions.(s) with
-          | Some sess -> sess
-          | None ->
-            let sess = shards.Shards.open_session ~keep:keeps.(s) () in
-            sessions.(s) <- Some sess;
-            sess
-        in
-        ignore
-          (Stream.drain (sess.Shards.read list.(cur)) (M.on_batch states.(s)));
-        if cursors.(s) >= Array.length list then None else Some s
-      end
-    in
-    let ws = Par.Ws.create ~workers:jobs in
-    for s = 0 to n_shards - 1 do
-      Par.Ws.seed ws ~worker:s s
-    done;
-    (* Sessions are closed — and their name tables unioned — back on the
-       calling domain after the join: workers only open and read them,
-       so no shared table is ever mutated concurrently. *)
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter (Option.iter (fun s -> s.Shards.close ())) sessions)
-      (fun () -> Par.Ws.run pool ws ~step);
-    let names = Hashtbl.create 64 in
-    Array.iter
-      (Option.iter (fun s -> union_into ~into:names s.Shards.names))
-      sessions;
-    for s = 1 to n_shards - 1 do
-      merge ~into:states.(0) states.(s)
-    done;
-    (states.(0), Array.fold_left ( + ) 0 counts, names)
+    Some (n_shards, owner)
   end
 
-(* Every event is counted exactly once: in [By_chunk] mode each chunk
-   is claimed by one worker, and in [By_thread] mode each worker counts
-   only the events of threads it owns — broadcast copies replayed for
-   their side effects are excluded, so the total equals the sequential
-   event count whatever [jobs] is.  A [Global] tool is never split. *)
+(* Plan the shards, then run one [Par.run] task per shard.  Planning
+   creates every shard's instance on the calling domain: instances that
+   a spawned domain allocates outlive it, and left later replays in the
+   same process slower ([bench -e parallel]'s [-j 1] rows after a
+   [-j 4] run).  Every event is counted exactly once: a [By_chunk] chunk
+   is claimed by one task, and a [By_thread] shard counts only the
+   events of threads it owns — broadcast copies replayed for their side
+   effects are excluded — so the total equals the sequential event
+   count whatever [jobs] is. *)
 let replay_parallel (type a) ~pool ~jobs ~shards
     (module M : S with type state = a) =
   if jobs < 1 then invalid_arg "Tool.replay_parallel: jobs < 1";
-  if jobs = 1 || Array.length shards.Shards.chunks = 0 then
-    replay_chunks_sequential ~shards (module M)
-  else
+  let chunks = shards.Shards.chunks in
+  let n = Array.length chunks in
+  let unfiltered next =
+    let st = M.create () in
+    fun () ->
+      let events, names =
+        drain_chunks ~shards ~on_batch:(M.on_batch st) next
+      in
+      (st, events, names)
+  in
+  let whole () = unfiltered (in_order (Array.init n Fun.id)) in
+  let no_merge ~into:_ _ = () in
+  let tasks, merge =
     match M.sharding with
+    | _ when jobs = 1 || n = 0 -> ([| whole () |], no_merge)
+    | Global -> ([| whole () |], no_merge)
     | By_chunk { merge } ->
-      replay_by_chunk ~pool ~jobs ~shards ~merge (module M)
-    | By_thread { broadcast; set_owner; merge } ->
-      replay_by_thread ~pool ~jobs ~shards ~broadcast ~set_owner ~merge
-        (module M)
-    | Global -> replay_chunks_sequential ~shards (module M)
+      (* Order-independent: every task takes chunks from one shared
+         counter, so a task that drew short chunks draws more. *)
+      let claimed = Atomic.make 0 in
+      let next () =
+        let i = Atomic.fetch_and_add claimed 1 in
+        if i < n then i else -1
+      in
+      (Array.init (min jobs n) (fun _ -> unfiltered next), merge)
+    | By_thread { broadcast; set_owner; merge } -> (
+      match partition_threads ~jobs chunks with
+      | None -> ([| whole () |], no_merge)
+      | Some (n_shards, owner) ->
+        (* A shard replays, in file order, the chunks holding one of its
+           threads or a broadcast tag: order within a thread is what the
+           tools' state machines depend on. *)
+        let shard s =
+          let owns tid =
+            tid >= 0 && tid < Array.length owner && owner.(tid) = s
+          in
+          let list =
+            List.filter
+              (fun i ->
+                let c = chunks.(i) in
+                c.Shards.tag_mask land broadcast <> 0
+                || Array.exists (fun tid -> owner.(tid) = s) c.Shards.tids)
+              (List.init n Fun.id)
+          in
+          let st = M.create () in
+          set_owner st owns;
+          fun () ->
+            let owned = ref 0 in
+            let keep tag tid =
+              if owns tid then begin
+                incr owned;
+                true
+              end
+              else (broadcast lsr tag) land 1 = 1
+            in
+            let _, names =
+              drain_chunks ~shards ~keep ~on_batch:(M.on_batch st)
+                (in_order (Array.of_list list))
+            in
+            (st, !owned, names)
+        in
+        (Array.init n_shards shard, merge))
+  in
+  let results = Array.make (Array.length tasks) None in
+  Par.run pool
+    (Array.mapi (fun k task () -> results.(k) <- Some (task ())) tasks);
+  match Array.map Option.get results with
+  | [| result |] -> result
+  | results ->
+    let st, _, _ = results.(0) in
+    let names = Hashtbl.create 64 in
+    let events = ref 0 in
+    Array.iteri
+      (fun k (st', n, names') ->
+        if k > 0 then merge ~into:st st';
+        Hashtbl.iter (Hashtbl.replace names) names';
+        events := !events + n)
+      results;
+    (st, !events, names)

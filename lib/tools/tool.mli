@@ -17,7 +17,8 @@
 
     - [By_chunk]: any instance may replay any chunk of the trace, in any
       order — only valid for order-independent analyses (nulgrind's
-      event count).
+      event count).  [jobs] instances take chunks from one shared
+      counter.
     - [By_thread]: threads are partitioned over the instances; each
       instance replays its own threads' events, in trace order, plus
       every event whose tag is in [broadcast] — the events carrying
@@ -80,7 +81,7 @@ end
 
 (** {1 Chunked trace sources}
 
-    The parallel engine schedules work in chunks — the unit of recorded
+    The parallel engine plans shards in chunks — the unit of recorded
     I/O (and of the ATRI shard index) for trace files, a fixed event
     count for in-memory traces.  A {!Shards.t} describes the chunks
     (event count, tag mask, thread set — enough to plan a shard) and
@@ -92,8 +93,8 @@ module Shards : sig
       batch source draining chunk [i] alone; it must be exhausted before
       the next [read] on the same session (sessions recycle one buffer).
       [names] accumulates the routine-name definitions seen by this
-      session's reads.  Sessions are single-domain; open one per
-      worker. *)
+      session's reads.  Sessions are single-domain; the engine opens
+      one per shard. *)
   type session = {
     names : (int, string) Hashtbl.t;
     read : int -> Aprof_trace.Trace_stream.batch_source;
@@ -126,19 +127,20 @@ module Shards : sig
 end
 
 (** [replay_parallel ~pool ~jobs ~shards (module M)] replays the trace
-    behind [shards] through up to [jobs] instances of [M], scheduled by
-    work stealing at chunk granularity ({!Aprof_util.Par.Ws}): an idle
-    worker steals queued chunks ([By_chunk]) or the remainder of
-    another shard ([By_thread]) instead of waiting behind a skewed
-    thread.  Partial states merge into the first; partial name tables
-    union.  A [Global] tool replays every chunk in order through one
-    instance.  Returns [(state, events, names)] where [events] counts each
-    trace event exactly once — broadcast copies replayed for their side
-    effects are not counted — so the total is independent of [jobs].
-    With [jobs = 1] (or an empty chunk list) this is exactly a
-    sequential drain of the chunks, in file order, through one
-    instance: no filtering, no reordering — the [-j N ≡ -j 1] differential suite
-    relies on it. *)
+    behind [shards] through up to [jobs] instances of [M], one
+    {!Aprof_util.Par.run} task each on [pool]: a [By_thread] shard
+    replays the chunks holding its threads or a broadcast tag, in file
+    order, through one instance and one read session; [By_chunk] tasks
+    take chunks from one shared counter.  Partial states merge into the
+    first; partial name tables union.  A [Global] tool, [jobs = 1] and
+    an empty chunk list are one task that drains every chunk in file
+    order through one instance, with no filter and no reordering — the
+    [-j N ≡ -j 1] differential suite relies on it.  Returns [(state,
+    events, names)] where [events] counts each trace event exactly once
+    — broadcast copies replayed for their side effects are not counted
+    — so the total is independent of [jobs].  A shard that raises does
+    not stop the others: every task finishes, then the lowest-indexed
+    shard's exception is re-raised. *)
 val replay_parallel :
   pool:Aprof_util.Par.t ->
   jobs:int ->

@@ -1,5 +1,4 @@
 module Vec = Aprof_util.Vec
-module Rng = Aprof_util.Rng
 module Batch = Event.Batch
 
 (* Every sealed batch holds exactly [chunk] events, so event [i] is row
@@ -104,97 +103,6 @@ let to_list t =
   let acc = ref [] in
   iter (fun ev -> acc := ev :: !acc) t;
   List.rev !acc
-
-type timestamped = { ts : int; ev : Event.t }
-
-type thread_trace = timestamped Vec.t
-
-type tie_break = [ `Lowest_tid | `Rng of Rng.t ]
-
-let validate_thread_trace tid (tr : thread_trace) =
-  let prev = ref min_int in
-  Vec.iter
-    (fun { ts; ev } ->
-      if ts < !prev then
-        invalid_arg
-          (Printf.sprintf "Trace.merge: decreasing timestamps in thread %d" tid);
-      prev := ts;
-      if Event.tid ev <> tid then
-        invalid_arg
-          (Printf.sprintf "Trace.merge: thread %d trace contains event of thread %d"
-             tid (Event.tid ev)))
-    tr
-
-(* k-way merge on timestamps.  Cursors track the next unconsumed event of
-   each thread; at each step we pick, among cursors with the minimal
-   timestamp, either the lowest thread id or a uniformly random one. *)
-let merge ~tie_break threads =
-  List.iter (fun (tid, tr) -> validate_thread_trace tid tr) threads;
-  let cursors = Array.of_list (List.map (fun (tid, tr) -> (tid, tr, ref 0)) threads) in
-  let n_threads = Array.length cursors in
-  let out = create () in
-  let current_tid = ref (-1) in
-  let candidates = Array.make (max n_threads 1) 0 in
-  let rec loop () =
-    (* Find minimal head timestamp. *)
-    let min_ts = ref max_int in
-    let n_cand = ref 0 in
-    for i = 0 to n_threads - 1 do
-      let _, tr, pos = cursors.(i) in
-      if !pos < Vec.length tr then begin
-        let ts = (Vec.get tr !pos).ts in
-        if ts < !min_ts then begin
-          min_ts := ts;
-          n_cand := 0;
-          candidates.(!n_cand) <- i;
-          incr n_cand
-        end
-        else if ts = !min_ts then begin
-          candidates.(!n_cand) <- i;
-          incr n_cand
-        end
-      end
-    done;
-    if !n_cand > 0 then begin
-      let pick =
-        match tie_break with
-        | `Lowest_tid -> candidates.(0)
-        | `Rng rng -> candidates.(Rng.int rng !n_cand)
-      in
-      let tid, tr, pos = cursors.(pick) in
-      let { ev; _ } = Vec.get tr !pos in
-      incr pos;
-      if tid <> !current_tid then begin
-        push out (Event.Switch_thread { tid });
-        current_tid := tid
-      end;
-      push out ev;
-      loop ()
-    end
-  in
-  loop ();
-  out
-
-let split (t : t) =
-  let tbl : (int, thread_trace) Hashtbl.t = Hashtbl.create 8 in
-  let order = Vec.create () in
-  iteri
-    (fun pos ev ->
-      if not (Event.is_switch ev) then begin
-        let tid = Event.tid ev in
-        let tr =
-          match Hashtbl.find_opt tbl tid with
-          | Some tr -> tr
-          | None ->
-            let tr = Vec.create () in
-            Hashtbl.add tbl tid tr;
-            Vec.push order tid;
-            tr
-        in
-        Vec.push tr { ts = pos; ev }
-      end)
-    t;
-  List.map (fun tid -> (tid, Hashtbl.find tbl tid)) (Vec.to_list order)
 
 let well_formed (t : t) =
   let errors = ref [] in

@@ -1,9 +1,9 @@
 (** Execution traces.
 
     A [Trace.t] is the totally ordered sequence of events the profilers
-    consume: per-thread traces are merged on their timestamps (ties broken
-    arbitrarily, Section 3) and [Switch_thread] events are inserted between
-    any two operations performed by different threads.
+    consume: the threads' operations interleaved (ties between threads
+    broken arbitrarily, Section 3), with [Switch_thread] events inserted
+    between any two operations performed by different threads.
 
     The trace is packed: a sequence of sealed, full {!Event.Batch.t}s of
     {!Event.Batch.default_capacity} events each, plus one open tail.
@@ -48,31 +48,6 @@ val iter : (Event.t -> unit) -> t -> unit
 val iteri : (int -> Event.t -> unit) -> t -> unit
 val of_list : Event.t list -> t
 val to_list : t -> Event.t list
-
-(** An event stamped with the logical time at which its thread issued it.
-    Within one thread trace, timestamps must be non-decreasing. *)
-type timestamped = { ts : int; ev : Event.t }
-
-type thread_trace = timestamped Aprof_util.Vec.t
-
-(** Tie-breaking policy for events of different threads bearing the same
-    timestamp.  [`Lowest_tid] is deterministic; [`Rng] picks uniformly
-    among the tied threads, modelling the "no assumption can be made"
-    clause of Section 3. *)
-type tie_break = [ `Lowest_tid | `Rng of Aprof_util.Rng.t ]
-
-(** [merge ~tie_break threads] merges per-thread traces into a single
-    totally ordered trace, preserving each thread's internal order and
-    inserting [Switch_thread] events between events of different threads
-    (including one before the very first event).
-    @raise Invalid_argument if a thread trace has decreasing timestamps or
-    contains an event whose [Event.tid] differs from the declared thread. *)
-val merge : tie_break:tie_break -> (Event.tid * thread_trace) list -> t
-
-(** [split t] recovers per-thread traces from a merged trace, stamping each
-    event with its position in [t]; [Switch_thread] events are dropped.
-    [merge] of the result rebuilds [t] up to switch placement. *)
-val split : t -> (Event.tid * thread_trace) list
 
 (** [well_formed t] checks structural sanity — balanced call/return per
     thread, non-negative addresses, positive lengths, no events from a

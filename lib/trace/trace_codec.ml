@@ -96,8 +96,7 @@ let writer ~chunk_bytes ~index ~format_version ~entropy ~routine_name ~drain
   let { add; take } = chunk_encoder ~format_version ~entropy ~routine_name in
   (* A version-3 chunk also flushes on event count: repeat suppression
      can swallow millions of events into a few bytes, and an unbounded
-     chunk would destroy the granularity the work-stealing replay shards
-     by.  Every reader rejects a chunk that decodes to more. *)
+     chunk would destroy the granularity sharded replay plans by.  Every reader rejects a chunk that decodes to more. *)
   let max_events =
     if format_version >= 3 then Trace_packed.max_chunk_events else max_int
   in
@@ -210,8 +209,8 @@ let no_shard =
   { offset = 0; bytes = 0; events = 0; tag_mask = 0; crc = -1; tids = [||] }
 
 (* The batch, byte buffer, cursor and name table are reused across
-   chunks: the work-stealing engine claims chunks one at a time, and
-   visiting one must not allocate beyond the first, largest chunk.
+   chunks: a sharded replay's session visits its chunks one at a time,
+   and visiting one must not allocate beyond the first, largest chunk.
 
    A filtered session serves a sharded replay, which chose its chunks
    from the index's [tag_mask] and [tids] alone; no checksum covers

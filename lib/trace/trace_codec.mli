@@ -219,8 +219,8 @@ type shard = {
     [path] and the offending byte offset. *)
 val shards : ?path:string -> in_channel -> shard array option
 
-(** [chunk_session ic] is the seek path for callers that claim chunks
-    dynamically (the work-stealing replay engine, through
+(** [chunk_session ic] is the seek path for callers that pick their
+    chunks from the index (the sharded replay engine, through
     {!Aprof_tools.Tool.Shards}): [read sh] seeks to, checksums, and
     decodes the single chunk [sh] with the chunk cursor, reusing one
     batch, one byte buffer, and one name table across calls — so

@@ -16,168 +16,4 @@ let run t tasks =
   | None -> ()
   | Some e -> raise e
 
-let map t f xs =
-  let n = Array.length xs in
-  let out = Array.make n None in
-  run t (Array.init n (fun i () -> out.(i) <- Some (f xs.(i))));
-  Array.map
-    (function Some v -> v | None -> assert false (* run re-raises *))
-    out
-
 let parallel_backend = Par_backend.is_parallel
-
-(* ----- work stealing --------------------------------------------------- *)
-
-module Ws = struct
-  type pool = t
-
-  module Deque = struct
-    (* A lock-protected ring buffer rather than a lock-free Chase-Lev
-       deque: items here are whole trace chunks (tens of microseconds to
-       milliseconds each), so the deque is touched orders of magnitude
-       less often than the work it schedules and an uncontended spinlock
-       acquisition is noise.  The lock is an [Atomic.t] bool, which both
-       backends have (the sequential one never contends). *)
-    type 'a t = {
-      mutable buf : 'a option array;
-      mutable head : int; (* index of the oldest item *)
-      mutable len : int;
-      lock : bool Atomic.t;
-    }
-
-    let create () =
-      { buf = Array.make 8 None; head = 0; len = 0; lock = Atomic.make false }
-
-    let acquire t =
-      while not (Atomic.compare_and_set t.lock false true) do
-        Par_backend.relax ()
-      done
-
-    let release t = Atomic.set t.lock false
-
-    let grow t =
-      let cap = Array.length t.buf in
-      let buf = Array.make (cap * 2) None in
-      for i = 0 to t.len - 1 do
-        buf.(i) <- t.buf.((t.head + i) mod cap)
-      done;
-      t.buf <- buf;
-      t.head <- 0
-
-    (* Owner side: push and pop at the newest end (LIFO), so a stolen
-       continuation resumes where the thief left it while fresh seeds
-       age toward the steal end. *)
-    let push t x =
-      acquire t;
-      if t.len = Array.length t.buf then grow t;
-      t.buf.((t.head + t.len) mod Array.length t.buf) <- Some x;
-      t.len <- t.len + 1;
-      release t
-
-    let pop t =
-      acquire t;
-      let r =
-        if t.len = 0 then None
-        else begin
-          let i = (t.head + t.len - 1) mod Array.length t.buf in
-          let x = t.buf.(i) in
-          t.buf.(i) <- None;
-          t.len <- t.len - 1;
-          x
-        end
-      in
-      release t;
-      r
-
-    (* Thief side: take the oldest ceil(len/2) items (manticore's
-       steal-half policy), returned oldest first.  The caller pushes
-       them into its own deque after releasing this lock — two deques
-       are never locked at once, so lock order cannot cycle. *)
-    let steal_half t =
-      acquire t;
-      let k = (t.len + 1) / 2 in
-      let out = ref [] in
-      for i = k - 1 downto 0 do
-        let j = (t.head + i) mod Array.length t.buf in
-        (match t.buf.(j) with
-        | Some x -> out := x :: !out
-        | None -> assert false);
-        t.buf.(j) <- None
-      done;
-      t.head <- (t.head + k) mod Array.length t.buf;
-      t.len <- t.len - k;
-      release t;
-      !out
-
-    let length t =
-      acquire t;
-      let n = t.len in
-      release t;
-      n
-  end
-
-  type 'a t = {
-    deques : 'a Deque.t array;
-    live : int Atomic.t; (* items seeded and not yet completed *)
-  }
-
-  let create ~workers =
-    if workers < 1 then invalid_arg "Par.Ws.create: workers < 1";
-    {
-      deques = Array.init workers (fun _ -> Deque.create ());
-      live = Atomic.make 0;
-    }
-
-  let seed t ~worker x =
-    Atomic.incr t.live;
-    Deque.push t.deques.(worker) x
-
-  (* Each pool task runs one worker loop: pop own work, step it, and
-     either re-push the continuation (making it stealable between
-     steps — that is the chunk-granularity migration) or retire it.
-     An empty deque turns the worker into a thief; when every item has
-     retired the loop exits.  A step that raises aborts the whole run:
-     the first failure by worker index is re-raised after all workers
-     have stopped, so errors are deterministic under any schedule. *)
-  let run pool t ~step =
-    let workers = Array.length t.deques in
-    let abort = Atomic.make false in
-    let failed = Array.make workers None in
-    let worker w () =
-      let own = t.deques.(w) in
-      let try_steal () =
-        let stolen = ref [] in
-        let i = ref 1 in
-        while !stolen = [] && !i < workers do
-          (match Deque.steal_half t.deques.((w + !i) mod workers) with
-          | [] -> ()
-          | xs -> stolen := xs);
-          incr i
-        done;
-        !stolen
-      in
-      let rec loop () =
-        if not (Atomic.get abort) then
-          match Deque.pop own with
-          | Some item ->
-            (match step ~worker:w item with
-            | Some item' -> Deque.push own item'
-            | None -> Atomic.decr t.live
-            | exception e ->
-              failed.(w) <- Some e;
-              Atomic.decr t.live;
-              Atomic.set abort true);
-            loop ()
-          | None ->
-            if Atomic.get t.live > 0 then begin
-              (match try_steal () with
-              | [] -> Par_backend.relax ()
-              | xs -> List.iter (Deque.push own) xs);
-              loop ()
-            end
-      in
-      loop ()
-    in
-    run pool (Array.init workers worker);
-    Array.iter (function Some e -> raise e | None -> ()) failed
-end

@@ -1,9 +1,12 @@
-(** A minimal fork/join job pool.
+(** A minimal fork/join job pool: the one task runner of parallel
+    replay, its sharded engine included.
 
-    On OCaml 5 tasks run on [Domain]s (one per job, spawned per {!run});
-    on 4.x the build selects a sequential backend with identical
-    semantics, so callers never need to know which they got — the
-    parallel replay engine degrades to ordinary sequential replay.
+    On OCaml 5 a {!run} of [n] tasks spawns [min jobs n - 1] [Domain]s
+    and works beside them on the calling one; each takes the next task
+    index from a shared atomic counter until none is left.  On 4.x the build
+    selects a sequential backend with identical semantics, so callers
+    never need to know which they got — the parallel replay engine
+    degrades to ordinary sequential replay.
 
     Tasks of one {!run} must be independent: they may run in any order,
     concurrently, and must not share mutable state unless that state is
@@ -23,67 +26,13 @@ val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
-(** [run t tasks] executes every task and waits for all of them.  If any
-    task raised, the exception of the lowest-indexed failing task is
-    re-raised after all tasks finished — deterministic regardless of
-    scheduling. *)
+(** [run t tasks] executes every task and waits for all of them.  A task
+    that raises stops no other task; once all have finished, the
+    exception of the lowest-indexed failing task is re-raised —
+    deterministic regardless of scheduling. *)
 val run : t -> (unit -> unit) array -> unit
-
-(** [map t f xs] is [Array.map f xs] with the applications of [f] run as
-    one task each.  Same exception contract as {!run}. *)
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 (** Whether {!run} can actually overlap tasks: [true] on the OCaml 5
     Domain backend, [false] on the 4.x sequential backend.  Benchmarks
     record it so a flat scaling curve is attributable. *)
 val parallel_backend : bool
-
-(** Work-stealing scheduler: per-worker deques with manticore-style
-    steal-half, built for chunk-granularity trace replay.  Work items
-    are stepped one unit at a time; between steps an item sits in a
-    deque and may be stolen, so a skewed workload (one item far larger
-    than the rest) migrates to idle workers instead of serializing
-    behind its initial owner. *)
-module Ws : sig
-  (** The job pool the worker loops run on. *)
-  type pool = t
-
-  (** The per-worker deque, exposed for the invariant unit tests.
-      Owner pushes and pops at the newest end; thieves take the oldest
-      half.  All operations are linearizable (internally locked) and
-      safe from any domain. *)
-  module Deque : sig
-    type 'a t
-
-    val create : unit -> 'a t
-    val push : 'a t -> 'a -> unit
-
-    (** [pop t] removes the newest item, [None] when empty. *)
-    val pop : 'a t -> 'a option
-
-    (** [steal_half t] removes the oldest [ceil (length t / 2)] items
-        and returns them oldest first ([[]] when empty). *)
-    val steal_half : 'a t -> 'a list
-
-    val length : 'a t -> int
-  end
-
-  type 'a t
-
-  (** [create ~workers] makes one deque per worker.
-      @raise Invalid_argument when [workers < 1]. *)
-  val create : workers:int -> 'a t
-
-  (** [seed t ~worker x] enqueues an initial work item on [worker]'s
-      deque.  Only valid before {!run}. *)
-  val seed : 'a t -> worker:int -> 'a -> unit
-
-  (** [run pool t ~step] runs worker loops on [pool] until every seeded
-      item has completed.  [step ~worker item] performs one unit of the
-      item's work and returns [Some continuation] to requeue it (on the
-      stepping worker's deque, where it can be stolen) or [None] when
-      the item is finished.  An exception from [step] aborts the run and
-      is re-raised — when several workers fail, the lowest worker index
-      wins, deterministically.  A [t] must not be reused after [run]. *)
-  val run : pool -> 'a t -> step:(worker:int -> 'a -> 'a option) -> unit
-end

@@ -1,6 +1,60 @@
 module Rng = Aprof_util.Rng
 module Vec = Aprof_util.Vec
-module Deque = Aprof_util.Par.Ws.Deque
+
+(* The [Work_stealing] policy's per-core deque: a ring buffer, owner
+   LIFO at the newest end, thieves taking the oldest half.  The VM is
+   single-threaded, so it needs no lock. *)
+module Deque = struct
+  type 'a t = {
+    mutable buf : 'a option array;
+    mutable head : int; (* index of the oldest item *)
+    mutable len : int;
+  }
+
+  let create () = { buf = Array.make 8 None; head = 0; len = 0 }
+
+  let grow t =
+    let cap = Array.length t.buf in
+    let buf = Array.make (cap * 2) None in
+    for i = 0 to t.len - 1 do
+      buf.(i) <- t.buf.((t.head + i) mod cap)
+    done;
+    t.buf <- buf;
+    t.head <- 0
+
+  let push t x =
+    if t.len = Array.length t.buf then grow t;
+    t.buf.((t.head + t.len) mod Array.length t.buf) <- Some x;
+    t.len <- t.len + 1
+
+  let pop t =
+    if t.len = 0 then None
+    else begin
+      let i = (t.head + t.len - 1) mod Array.length t.buf in
+      let x = t.buf.(i) in
+      t.buf.(i) <- None;
+      t.len <- t.len - 1;
+      x
+    end
+
+  (* Manticore's steal-half: the oldest ceil(len/2) items, oldest
+     first. *)
+  let steal_half t =
+    let k = (t.len + 1) / 2 in
+    let out = ref [] in
+    for i = k - 1 downto 0 do
+      let j = (t.head + i) mod Array.length t.buf in
+      (match t.buf.(j) with
+      | Some x -> out := x :: !out
+      | None -> assert false);
+      t.buf.(j) <- None
+    done;
+    t.head <- (t.head + k) mod Array.length t.buf;
+    t.len <- t.len - k;
+    !out
+
+  let length t = t.len
+end
 
 type policy =
   | Round_robin of { slice : int }

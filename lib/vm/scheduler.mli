@@ -22,7 +22,7 @@
       its home deque ([tid mod workers]), a preempted thread goes back
       to the core that ran it, and a core whose deque is empty steals
       the oldest half of a seeded-random victim's deque (manticore's
-      local-deque discipline, same invariants as [Aprof_util.Par.Ws]).
+      local-deque discipline, {!Deque}).
       Requires [workers >= 2] — with a single deque the owner-LIFO pop
       could starve older threads, since there is no thief to drain the
       old end.
@@ -89,3 +89,22 @@ val note_io : t -> int -> unit
 val must_yield : t -> bool
 
 val policy_name : policy -> string
+
+(** The [Work_stealing] policy's per-core deque.  The owner pushes and
+    pops at the newest end; thieves take the oldest half.  Not
+    thread-safe: the VM steps every virtual core on one thread. *)
+module Deque : sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val push : 'a t -> 'a -> unit
+
+  (** [pop t] removes the newest item, [None] when empty. *)
+  val pop : 'a t -> 'a option
+
+  (** [steal_half t] removes the oldest [ceil (length t / 2)] items
+      and returns them oldest first ([[]] when empty). *)
+  val steal_half : 'a t -> 'a list
+
+  val length : 'a t -> int
+end

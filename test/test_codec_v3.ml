@@ -175,7 +175,7 @@ let program_differential () =
 
 (* --- keep-filtered session reads -------------------------------------- *)
 
-(* The work-stealing engine pushes its shard filter into the decoder;
+(* The sharded replay engine pushes its shard filter into the decoder;
    on v3 the filter must skip events without desynchronizing the delta
    registers.  Events kept through [chunk_session ~keep] must equal the
    plain filter over the decoded trace. *)

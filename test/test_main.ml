@@ -24,7 +24,7 @@ let () =
       ("comm", Test_comm.suite);
       ("reuse", Test_reuse.suite);
       ("merge", Test_merge.suite);
-      ("work-stealing", Test_par_ws.suite);
+      ("work-stealing", Test_work_stealing.suite);
       ("parallel-differential", Test_parallel_differential.suite);
       ("profile-io", Test_profile_io.suite);
       ("analysis", Test_analysis.suite);

@@ -343,26 +343,36 @@ let test_par_map () =
     (fun jobs ->
       let pool = Par.create ~jobs () in
       Alcotest.(check int) "jobs" jobs (Par.jobs pool);
+      (* A map is one task per element, each writing its own slot. *)
       let xs = Array.init 37 (fun i -> i) in
+      let out = Array.make 37 0 in
+      Par.run pool (Array.map (fun x () -> out.(x) <- x * x) xs);
       Alcotest.(check (array int))
         (Printf.sprintf "map at %d jobs" jobs)
         (Array.map (fun x -> x * x) xs)
-        (Par.map pool (fun x -> x * x) xs))
+        out)
     [ 1; 2; 3 ]
 
 let test_par_exceptions () =
-  let pool = Par.create ~jobs:2 () in
-  (match
-     Par.run pool
-       [|
-         (fun () -> ());
-         (fun () -> failwith "b");
-         (fun () -> failwith "c");
-       |]
-   with
-  | () -> Alcotest.fail "expected an exception"
-  | exception Failure m ->
-    Alcotest.(check string) "lowest-index failure wins" "b" m);
+  List.iter
+    (fun jobs ->
+      let pool = Par.create ~jobs () in
+      let last_ran = Atomic.make false in
+      (match
+         Par.run pool
+           [|
+             (fun () -> ());
+             (fun () -> failwith "b");
+             (fun () -> failwith "c");
+             (fun () -> Atomic.set last_ran true);
+           |]
+       with
+      | () -> Alcotest.fail "expected an exception"
+      | exception Failure m ->
+        Alcotest.(check string) "lowest-index failure wins" "b" m);
+      Alcotest.(check bool) "a failure stops no other task" true
+        (Atomic.get last_ran))
+    [ 1; 2 ];
   match Par.create ~jobs:0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "jobs = 0 accepted"

@@ -1,5 +1,5 @@
 (* The differential that licenses [aprof replay --profiler {drms,naive}
-   -j N]: parallel replay through the work-stealing engine must produce
+   -j N]: parallel replay through the sharded engine must produce
    exactly the sequential profile — same points, same activation
    counts, same attribution counters — for 50 random VM programs under
    every scheduler policy at N ∈ {2, 3, 4}, and for real workload

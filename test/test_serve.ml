@@ -525,7 +525,7 @@ let synthetic_profile ~routines ~tids =
   p
 
 let test_shard_fold_equals_merge () =
-  let acc = Shard_acc.create ~shards:4 () in
+  let acc = Shard_acc.create () in
   let parts =
     List.init 6 (fun i ->
         synthetic_profile
@@ -538,23 +538,20 @@ let test_shard_fold_equals_merge () =
   let expected = Profile.create () in
   List.iter (fun p -> Profile.merge_into ~into:expected p) parts;
   let got, names = Shard_acc.snapshot acc in
-  Helpers.check_profiles_equal "sharded fold = offline merge" expected got;
+  Helpers.check_profiles_equal "fold = offline merge" expected got;
   Alcotest.(check (option string)) "names copied" (Some "one")
     (Hashtbl.find_opt names 1);
   Alcotest.(check int) "folds counted" 6 (Shard_acc.folds acc);
-  (* Every key sits on the shard its routine hashes to. *)
-  for i = 0 to Shard_acc.shard_count acc - 1 do
-    List.iter
-      (fun (k : Profile.key) ->
-        Alcotest.(check int)
-          (Printf.sprintf "key routine %d on shard %d" k.Profile.routine i)
-          i
-          (Shard_acc.shard_of acc k.Profile.routine))
-      (Shard_acc.shard_keys acc i)
-  done
+  (* A snapshot is a copy: later folds and definitions leave it alone. *)
+  Shard_acc.fold acc (synthetic_profile ~routines:[ 0 ] ~tids:[ 0 ]);
+  Shard_acc.define acc 1 "uno";
+  Helpers.check_profiles_equal "snapshot unchanged by a later fold" expected
+    got;
+  Alcotest.(check (option string)) "names unchanged" (Some "one")
+    (Hashtbl.find_opt names 1)
 
 let test_shard_concurrent_folds () =
-  let acc = Shard_acc.create ~shards:4 () in
+  let acc = Shard_acc.create () in
   let parts =
     List.init 16 (fun i ->
         synthetic_profile ~routines:[ i mod 5; 7; i ] ~tids:[ 0; i mod 4 ])
@@ -562,10 +559,14 @@ let test_shard_concurrent_folds () =
   let folders =
     List.map (fun p -> Thread.create (fun () -> Shard_acc.fold acc p) ()) parts
   in
-  (* Snapshots racing the folds must each be internally consistent;
-     the final one must equal the offline merge. *)
+  (* Snapshots racing the folds see whole traces only (each part
+     records 6 activations); the final one must equal the offline
+     merge. *)
   for _ = 1 to 5 do
-    ignore (Shard_acc.snapshot acc)
+    let snap, _ = Shard_acc.snapshot acc in
+    Alcotest.(check int)
+      "whole traces only" 0
+      (Profile.total_activations snap mod 6)
   done;
   List.iter Thread.join folders;
   let expected = Profile.create () in
@@ -674,7 +675,6 @@ let start_test_server ?(salvage = false) sock =
       Server.default_config with
       unix_path = Some sock;
       jobs = 2;
-      shards = 4;
       salvage;
     }
 
@@ -725,7 +725,6 @@ let test_server_every_profiler () =
             unix_path = Some sock;
             profiler = (module P);
             jobs = 2;
-            shards = 4;
           }
       in
       push_bytes ~sock ~repeat:2 s;
@@ -779,7 +778,6 @@ let test_server_mixed_workloads () =
         Server.default_config with
         unix_path = Some sock;
         jobs = 2;
-        shards = 4;
         read_bytes = 1000;
         inbox_bytes = 4096;
       }
@@ -896,7 +894,7 @@ let test_server_profiler_error_isolation () =
   let sock = temp_sock () in
   let srv =
     Server.start
-      { Server.default_config with unix_path = Some sock; jobs = 1; shards = 2 }
+      { Server.default_config with unix_path = Some sock; jobs = 1 }
   in
   push_bytes ~sock ~repeat:1 bad;
   push_bytes ~sock ~repeat:1 good;
@@ -1001,7 +999,6 @@ let test_server_fd_exhaustion () =
         Server.default_config with
         unix_path = Some sock;
         jobs = 1;
-        shards = 1;
         log = (fun _ -> Atomic.incr logged);
       }
   in
@@ -1202,7 +1199,7 @@ let suite =
       `Quick test_net_strict_malformed_payload;
     Alcotest.test_case "net: recycled ingest allocates little per stream"
       `Quick test_net_recycled_ingest_allocation;
-    Alcotest.test_case "shards: fold/snapshot = offline merge + partition"
+    Alcotest.test_case "shards: fold/snapshot = offline merge"
       `Quick test_shard_fold_equals_merge;
     Alcotest.test_case "shards: concurrent folds against snapshots" `Quick
       test_shard_concurrent_folds;

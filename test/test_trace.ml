@@ -1,10 +1,9 @@
-(* Trace layer: event serialization, the timestamp merge of Section 3,
-   the well-formedness checker, and the routine table. *)
+(* Trace layer: event serialization, the well-formedness checker, the
+   text round trip, and the routine table. *)
 
 module Event = Aprof_trace.Event
 module Trace = Aprof_trace.Trace
 module Routine_table = Aprof_trace.Routine_table
-module Vec = Aprof_util.Vec
 
 let gen_event =
   let open QCheck2.Gen in
@@ -44,91 +43,6 @@ let test_of_line_errors () =
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected parse failure on %S" line)
     [ ""; "Z 1"; "C 1"; "C x 2"; "L 1 2 3"; "K 1 2" ]
-
-(* Build simple per-thread traces: each thread gets increasing even or
-   odd timestamps so the merged order is fully determined. *)
-let thread_trace tid events =
-  let tr = Vec.create () in
-  List.iter (fun (ts, ev) -> Vec.push tr { Trace.ts; ev }) events;
-  (tid, tr)
-
-let test_merge_order () =
-  let t0 =
-    thread_trace 0
-      [ (0, Event.Read { tid = 0; addr = 1 }); (2, Event.Read { tid = 0; addr = 2 }) ]
-  in
-  let t1 = thread_trace 1 [ (1, Event.Write { tid = 1; addr = 1 }) ] in
-  let merged = Trace.merge ~tie_break:`Lowest_tid [ t0; t1 ] in
-  let kinds = Trace.to_list merged |> List.map Event.to_line in
-  Alcotest.(check (list string)) "interleaving with switches"
-    [ "W 0"; "L 0 1"; "W 1"; "S 1 1"; "W 0"; "L 0 2" ]
-    kinds
-
-let test_merge_validation () =
-  let bad = thread_trace 0 [ (5, Event.Read { tid = 0; addr = 1 }); (3, Event.Read { tid = 0; addr = 2 }) ] in
-  Alcotest.check_raises "decreasing timestamps"
-    (Invalid_argument "Trace.merge: decreasing timestamps in thread 0")
-    (fun () -> ignore (Trace.merge ~tie_break:`Lowest_tid [ bad ]));
-  let wrong = thread_trace 2 [ (0, Event.Read { tid = 1; addr = 1 }) ] in
-  Alcotest.check_raises "foreign tid"
-    (Invalid_argument "Trace.merge: thread 2 trace contains event of thread 1")
-    (fun () -> ignore (Trace.merge ~tie_break:`Lowest_tid [ wrong ]))
-
-(* Property: merging preserves each thread's subsequence, regardless of
-   tie-breaking. *)
-let gen_threads =
-  let open QCheck2.Gen in
-  let thread tid =
-    let* n = int_range 0 40 in
-    let* tss = list_repeat n (int_range 0 20) in
-    let tss = List.sort compare tss in
-    let* evs =
-      list_repeat n (map (fun addr -> Event.Read { tid; addr }) (int_range 0 50))
-    in
-    return (tid, tss, evs)
-  in
-  let* t0 = thread 0 in
-  let* t1 = thread 1 in
-  let* t2 = thread 2 in
-  return [ t0; t1; t2 ]
-
-let subsequence_preserved triples =
-  let inputs =
-    List.map
-      (fun (tid, tss, evs) ->
-        let tr = Vec.create () in
-        List.iter2 (fun ts ev -> Vec.push tr { Trace.ts; ev }) tss evs;
-        (tid, tr))
-      triples
-  in
-  let rng = Aprof_util.Rng.create 11 in
-  let merged = Trace.merge ~tie_break:(`Rng rng) inputs in
-  List.for_all
-    (fun (tid, _, evs) ->
-      let seen =
-        Trace.to_list merged
-        |> List.filter (fun ev -> (not (Event.is_switch ev)) && Event.tid ev = tid)
-      in
-      seen = evs)
-    triples
-
-let merge_subsequences =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"merge preserves per-thread order" ~count:200
-       gen_threads subsequence_preserved)
-
-let split_merge_identity trace =
-  let split = Trace.split trace in
-  let merged = Trace.merge ~tie_break:`Lowest_tid split in
-  let strip t =
-    Trace.to_list t |> List.filter (fun e -> not (Event.is_switch e))
-  in
-  strip merged = strip trace
-
-let split_merge =
-  QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~name:"split then merge preserves events" ~count:100
-       ~print:Gen_trace.print (Gen_trace.gen ()) split_merge_identity)
 
 let test_well_formed_negatives () =
   let t = Trace.create () in
@@ -189,10 +103,6 @@ let suite =
   [
     line_roundtrip;
     Alcotest.test_case "of_line errors" `Quick test_of_line_errors;
-    Alcotest.test_case "merge order" `Quick test_merge_order;
-    Alcotest.test_case "merge validation" `Quick test_merge_validation;
-    merge_subsequences;
-    split_merge;
     Alcotest.test_case "well-formed negatives" `Quick test_well_formed_negatives;
     save_load;
     Alcotest.test_case "stats" `Quick test_stats;
