@@ -10,7 +10,11 @@
    [Tool.replay_parallel] at increasing job counts; each shard is one
    task reading its chunks through its own seekable session.
    Wall-clock time is the denominator — CPU time would erase the
-   parallelism being measured.  [events] counts each
+   parallelism being measured.  A tool's rows come from interleaved
+   rounds, each replaying once at every job count, so host drift lands
+   on every column alike; a row reports the median rate over the rounds
+   with its quartiles, and [speedup_vs_j1] divides medians.  [events]
+   counts each
    trace event once (broadcast copies excluded), so the column is
    comparable across tools and job counts.  Every row records the
    host's core count and the number of domains actually backing the
@@ -91,64 +95,69 @@ let run ~quick ppf =
       in
       Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
       sink.Stream.close_batch ());
-  let reps = if quick then 1 else 3 in
+  let rounds = if quick then 3 else 11 in
   let shards =
     match Tool.Shards.of_file path with
     | Some shards -> shards
     | None -> failwith "recorded trace has no chunk index"
   in
   let scaling_rows ~label ~shards (module M : Tool.S) =
-    let replay_at ~pool jobs =
-      let one () =
-        let seconds, (_, events, _) =
-          Exp_common.time (fun () ->
-              Tool.replay_parallel ~pool ~jobs ~shards (module M))
-        in
-        (seconds, events)
-      in
-      (* Best of [reps]: replay times are short enough to jitter. *)
-      let best = ref (one ()) in
-      for _ = 2 to reps do
-        let r = one () in
-        if fst r < fst !best then best := r
-      done;
-      !best
+    (* As [aprof replay -j] builds it: [jobs] shards over at most one
+       domain per core. *)
+    let pools =
+      Array.init max_jobs (fun k -> Par.create ~jobs:(min (k + 1) cores) ())
     in
-    let base = ref 0. in
-    for jobs = 1 to max_jobs do
-      (* As [aprof replay -j] builds it: [jobs] shards over at most one
-         domain per core. *)
-      let pool = Par.create ~jobs:(min jobs cores) () in
-      let seconds, events = replay_at ~pool jobs in
-      if jobs = 1 then base := seconds;
-      let mev = float_of_int events /. seconds /. 1e6 in
-      let speedup = !base /. seconds in
-      if single_core then
+    let seconds = Array.make max_jobs [] in
+    let events = Array.make max_jobs 0 in
+    for _ = 1 to rounds do
+      Array.iteri
+        (fun k pool ->
+          let t, (_, n, _) =
+            Exp_common.time (fun () ->
+                Tool.replay_parallel ~pool ~jobs:(k + 1) ~shards (module M))
+          in
+          seconds.(k) <- t :: seconds.(k);
+          events.(k) <- n)
+        pools
+    done;
+    let rate k p =
+      Aprof_util.Stats.percentile p
+        (List.map (fun t -> float_of_int events.(k) /. t /. 1e6) seconds.(k))
+    in
+    let base = rate 0 50. in
+    Array.iteri
+      (fun k pool ->
+        let jobs = k + 1 in
+        let mev = rate k 50. and q1 = rate k 25. and q3 = rate k 75. in
+        let seconds = Aprof_util.Stats.percentile 50. seconds.(k) in
+        let speedup = mev /. base in
         Format.fprintf ppf
-          "  %-13s jobs=%d  %8d events  %.3fs  %6.2fM ev/s@." label jobs
-          events seconds mev
-      else
-        Format.fprintf ppf
-          "  %-13s jobs=%d  %8d events  %.3fs  %6.2fM ev/s  speedup %.2fx@."
-          label jobs events seconds mev speedup;
-      Exp_common.emit_row ~experiment:"parallel"
-        ([
-           ("tool", Exp_common.String label);
-           ("jobs", Exp_common.Int jobs);
-           ("cores", Exp_common.Int cores);
-           ( "domains",
-             (* Domains the pool actually runs on: at most one per core,
-                and the 4.14 backend has no Domain module and executes
-                every task on the caller. *)
-             Exp_common.Int (if Par.parallel_backend then Par.jobs pool else 1) );
-           ("events", Exp_common.Int events);
-           ("seconds", Exp_common.Float seconds);
-           ("mev_per_s", Exp_common.Float mev);
-         ]
-        @
-        if single_core then []
-        else [ ("speedup_vs_j1", Exp_common.Float speedup) ])
-    done
+          "  %-13s jobs=%d  %8d events  %.3fs  %6.2fM ev/s (q1-q3 %.2f-%.2f)%s@."
+          label jobs events.(k) seconds mev q1 q3
+          (if single_core then ""
+           else Printf.sprintf "  speedup %.2fx" speedup);
+        Exp_common.emit_row ~experiment:"parallel"
+          ([
+             ("tool", Exp_common.String label);
+             ("jobs", Exp_common.Int jobs);
+             ("cores", Exp_common.Int cores);
+             ( "domains",
+               (* Domains the pool actually runs on: at most one per
+                  core, and the 4.14 backend has no Domain module and
+                  executes every task on the caller. *)
+               Exp_common.Int
+                 (if Par.parallel_backend then Par.jobs pool else 1) );
+             ("events", Exp_common.Int events.(k));
+             ("rounds", Exp_common.Int rounds);
+             ("seconds", Exp_common.Float seconds);
+             ("mev_per_s", Exp_common.Float mev);
+             ("mev_per_s_p25", Exp_common.Float q1);
+             ("mev_per_s_p75", Exp_common.Float q3);
+           ]
+          @
+          if single_core then []
+          else [ ("speedup_vs_j1", Exp_common.Float speedup) ]))
+      pools
   in
   (* Every tool that shards within a trace; helgrind ([Global]) would
      only replay in order at every job count. *)

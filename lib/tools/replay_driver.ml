@@ -63,14 +63,9 @@ let arm f = f.armed <- true
 let armed f = f.armed
 
 let filter_orphans f b =
-  let tags = Batch.tags b and tids = Batch.tids b in
-  let args = Batch.args b and lens = Batch.lens b in
-  let kept = ref 0 in
   let filtering = f.armed in
-  for i = 0 to Batch.length b - 1 do
-    let tag = Array.unsafe_get tags i in
-    let tid = Array.unsafe_get tids i in
-    let keep =
+  Batch.filter_in_place
+    (fun tag tid ->
       if tag = Batch.tag_call then begin
         Hashtbl.replace f.depth tid
           (1 + Option.value ~default:0 (Hashtbl.find_opt f.depth tid));
@@ -83,20 +78,8 @@ let filter_orphans f b =
           true
         | _ -> not filtering
       end
-      else true
-    in
-    if keep && filtering then begin
-      let j = !kept in
-      if j < i then begin
-        Array.unsafe_set tags j tag;
-        Array.unsafe_set tids j tid;
-        Array.unsafe_set args j (Array.unsafe_get args i);
-        Array.unsafe_set lens j (Array.unsafe_get lens i)
-      end;
-      incr kept
-    end
-  done;
-  if filtering then Batch.unsafe_set_length b !kept
+      else true)
+    b
 
 (* Per-file source selection.  [drops] collects what salvage skipped;
    in [`Fail] mode it stays empty and the first malformation raises. *)

@@ -30,117 +30,43 @@ end
 
 (* ----- chunked trace sources ------------------------------------------- *)
 
+module Codec = Aprof_trace.Trace_codec
+
 module Shards = struct
-  module Codec = Aprof_trace.Trace_codec
-
-  type chunk = { events : int; tag_mask : int; tids : int array }
-
-  type session = {
-    names : (int, string) Hashtbl.t;
-    read : int -> Stream.batch_source;
-    close : unit -> unit;
-  }
-
-  type nonrec t = {
-    chunks : chunk array;
-    open_session : ?keep:(int -> int -> bool) -> unit -> session;
-  }
+  type t = { path : string; chunks : Codec.shard array }
 
   let of_file path =
-    let probe =
-      In_channel.with_open_bin path (fun ic ->
-          match Codec.detect ic with
-          | `Text -> None
-          | `Binary -> Codec.shards ~path ic)
-    in
-    match probe with
-    | None -> None
-    | Some shs ->
-      let chunks =
-        Array.map
-          (fun (sh : Codec.shard) ->
-            {
-              events = sh.Codec.events;
-              tag_mask = sh.Codec.tag_mask;
-              tids = sh.Codec.tids;
-            })
-          shs
-      in
-      let open_session ?keep () =
-        let ic = In_channel.open_bin path in
-        let names, read = Codec.chunk_session ?keep ic in
-        {
-          names;
-          read = (fun i -> read shs.(i));
-          close = (fun () -> In_channel.close ic);
-        }
-      in
-      Some { chunks; open_session }
-
-  let of_trace ?(chunk_events = 4096) trace =
-    if chunk_events < 1 then invalid_arg "Shards.of_trace: chunk_events < 1";
-    let module Trace = Aprof_trace.Trace in
-    let n = Trace.length trace in
-    let nchunks = (n + chunk_events - 1) / chunk_events in
-    let bounds i = (i * chunk_events, min n ((i + 1) * chunk_events)) in
-    let chunks =
-      Array.init nchunks (fun i ->
-          let lo, hi = bounds i in
-          let mask = ref 0 in
-          let tids = Hashtbl.create 8 in
-          Trace.iter_raw trace ~pos:lo ~len:(hi - lo) (fun tag tid _ _ ->
-              mask := !mask lor (1 lsl tag);
-              Hashtbl.replace tids tid ());
-          let tids = Hashtbl.fold (fun tid () acc -> tid :: acc) tids [] in
-          let tids = Array.of_list tids in
-          Array.sort compare tids;
-          { events = hi - lo; tag_mask = !mask; tids })
-    in
-    let names : (int, string) Hashtbl.t = Hashtbl.create 1 in
-    let open_session ?keep () =
-      let keep = match keep with None -> fun _ _ -> true | Some k -> k in
-      let b = Event.Batch.create ~capacity:chunk_events () in
-      let read i =
-        let lo, hi = bounds i in
-        let pending = ref true in
-        fun () ->
-          if not !pending then None
-          else begin
-            pending := false;
-            Event.Batch.clear b;
-            Trace.iter_raw trace ~pos:lo ~len:(hi - lo)
-              (fun tag tid arg len ->
-                if keep tag tid then
-                  Event.Batch.unsafe_push b ~tag ~tid ~arg ~len);
-            Some b
-          end
-      in
-      { names; read; close = (fun () -> ()) }
-    in
-    { chunks; open_session }
+    In_channel.with_open_bin path (fun ic ->
+        match Codec.detect ic with
+        | `Text -> None
+        | `Binary -> Codec.shards ~path ic)
+    |> Option.map (fun chunks -> { path; chunks })
 end
 
 (* ----- sharded replay -------------------------------------------------- *)
 
 module Par = Aprof_util.Par
 
-(* The run loop every shard shares: one read session, decoding through
-   [keep], drains the chunk ordinals [next] hands out into [on_batch]
-   until [next] returns a negative one.  Returns the events drained and
+let bad = Aprof_trace.Trace_wire.bad
+
+(* The run loop every shard shares: one read session drains the chunk
+   ordinals [next] hands out until it returns a negative one, feeding
+   chunk [i]'s batches to [on_chunk i].  Returns the events drained and
    the session's name table. *)
-let drain_chunks ~shards ?keep ~on_batch next =
-  let s = shards.Shards.open_session ?keep () in
-  Fun.protect ~finally:s.Shards.close (fun () ->
+let drain_chunks ~shards ~on_chunk next =
+  In_channel.with_open_bin shards.Shards.path (fun ic ->
+      let names, read = Codec.chunk_session ic in
       let drained = ref 0 in
       let rec go () =
         let i = next () in
         if i >= 0 then begin
-          drained := !drained + Stream.drain (s.Shards.read i) on_batch;
+          let src = read shards.Shards.chunks.(i) in
+          drained := !drained + Stream.drain src (on_chunk i);
           go ()
         end
       in
       go ();
-      (!drained, s.Shards.names))
+      (!drained, names))
 
 (* The ordinals of [list], in order, then [-1]. *)
 let in_order list =
@@ -156,10 +82,10 @@ let in_order list =
    most [jobs] shards on estimated event counts, so a hot thread gets a
    shard to itself: [owner.(tid)] is the shard owning [tid], [-1] for a
    thread no chunk names.  [None] when no chunk names a thread. *)
-let partition_threads ~jobs (chunks : Shards.chunk array) =
+let partition_threads ~jobs (chunks : Codec.shard array) =
   let tid_max =
     Array.fold_left
-      (fun acc (c : Shards.chunk) -> Array.fold_left max acc c.tids)
+      (fun acc (c : Codec.shard) -> Array.fold_left max acc c.tids)
       (-1) chunks
   in
   if tid_max < 0 then None
@@ -168,7 +94,7 @@ let partition_threads ~jobs (chunks : Shards.chunk array) =
        events evenly over its threads. *)
     let est = Array.make (tid_max + 1) 0 in
     Array.iter
-      (fun (c : Shards.chunk) ->
+      (fun (c : Codec.shard) ->
         if Array.length c.tids > 0 then begin
           let share = max 1 (c.events / Array.length c.tids) in
           Array.iter (fun tid -> est.(tid) <- est.(tid) + share) c.tids
@@ -212,7 +138,7 @@ let replay_parallel (type a) ~pool ~jobs ~shards
     let st = M.create () in
     fun () ->
       let events, names =
-        drain_chunks ~shards ~on_batch:(M.on_batch st) next
+        drain_chunks ~shards ~on_chunk:(fun _ -> M.on_batch st) next
       in
       (st, events, names)
   in
@@ -235,35 +161,53 @@ let replay_parallel (type a) ~pool ~jobs ~shards
       match partition_threads ~jobs chunks with
       | None -> ([| whole () |], no_merge)
       | Some (n_shards, owner) ->
+        let tid_max = Array.length owner - 1 in
         (* A shard replays, in file order, the chunks holding one of its
            threads or a broadcast tag: order within a thread is what the
            tools' state machines depend on. *)
         let shard s =
-          let owns tid =
-            tid >= 0 && tid < Array.length owner && owner.(tid) = s
-          in
+          let owns tid = tid >= 0 && tid <= tid_max && owner.(tid) = s in
           let list =
             List.filter
               (fun i ->
                 let c = chunks.(i) in
-                c.Shards.tag_mask land broadcast <> 0
-                || Array.exists (fun tid -> owner.(tid) = s) c.Shards.tids)
+                c.Codec.tag_mask land broadcast <> 0
+                || Array.exists (fun tid -> owner.(tid) = s) c.Codec.tids)
               (List.init n Fun.id)
           in
           let st = M.create () in
           set_owner st owns;
           fun () ->
+            (* One pass over each decoded batch holds every record to
+               the index entry its chunk was chosen by (no checksum
+               covers the index), counts the owned events and compacts
+               the batch to owned plus broadcast events.  [named.(tid)]
+               is the ordinal of the last chunk whose entry names
+               [tid]. *)
             let owned = ref 0 in
-            let keep tag tid =
-              if owns tid then begin
-                incr owned;
-                true
-              end
-              else (broadcast lsr tag) land 1 = 1
+            let named = Array.make (tid_max + 1) (-1) in
+            let on_chunk i =
+              let sh = chunks.(i) in
+              Array.iter (fun tid -> named.(tid) <- i) sh.Codec.tids;
+              let keep tag tid =
+                if (sh.Codec.tag_mask lsr tag) land 1 = 0 then
+                  bad "chunk at byte %d: record tag %d is not in its index entry"
+                    sh.Codec.offset tag;
+                if tid > tid_max || named.(tid) <> i then
+                  bad "chunk at byte %d: thread %d is not in its index entry"
+                    sh.Codec.offset tid;
+                if owner.(tid) = s then begin
+                  incr owned;
+                  true
+                end
+                else (broadcast lsr tag) land 1 = 1
+              in
+              fun b ->
+                Event.Batch.filter_in_place keep b;
+                if not (Event.Batch.is_empty b) then M.on_batch st b
             in
             let _, names =
-              drain_chunks ~shards ~keep ~on_batch:(M.on_batch st)
-                (in_order (Array.of_list list))
+              drain_chunks ~shards ~on_chunk (in_order (Array.of_list list))
             in
             (st, !owned, names)
         in

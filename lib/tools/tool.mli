@@ -81,59 +81,34 @@ end
 
 (** {1 Chunked trace sources}
 
-    The parallel engine plans shards in chunks — the unit of recorded
-    I/O (and of the ATRI shard index) for trace files, a fixed event
-    count for in-memory traces.  A {!Shards.t} describes the chunks
-    (event count, tag mask, thread set — enough to plan a shard) and
-    opens independent read sessions over them. *)
+    The parallel engine plans shards in chunks, the unit of recorded
+    I/O and of the ATRI shard index. *)
 module Shards : sig
-  type chunk = { events : int; tag_mask : int; tids : int array }
+  (** An indexed binary trace: its path and its index entries (event
+      count, tag mask, thread set — enough to plan a shard). *)
+  type t = { path : string; chunks : Aprof_trace.Trace_codec.shard array }
 
-  (** One independent reader over the chunk source.  [read i] returns a
-      batch source draining chunk [i] alone; it must be exhausted before
-      the next [read] on the same session (sessions recycle one buffer).
-      [names] accumulates the routine-name definitions seen by this
-      session's reads.  Sessions are single-domain; the engine opens
-      one per shard. *)
-  type session = {
-    names : (int, string) Hashtbl.t;
-    read : int -> Aprof_trace.Trace_stream.batch_source;
-    close : unit -> unit;
-  }
-
-  (** [open_session ?keep ()] opens an independent reader.  [keep tag
-      tid] is applied inside the decode loop: events failing it are
-      parsed but never surface in a batch — the [By_thread] engine
-      passes a filter keeping the shard's own threads and the
-      broadcast tags (counting the owned events as it goes), so a
-      foreign, non-broadcast event is parse-only rather than filtered
-      after the fact. *)
-  type t = {
-    chunks : chunk array;
-    open_session : ?keep:(int -> int -> bool) -> unit -> session;
-  }
-
-  (** [of_file path] describes an indexed binary trace via its ATRI
-      footer; sessions seek ({!Aprof_trace.Trace_codec.chunk_session}).
-      [None] for text or index-less traces — callers fall back to
-      sequential replay. *)
+  (** [of_file path] reads [path]'s ATRI footer.  [None] for text or
+      index-less traces — callers fall back to sequential replay.
+      @raise Aprof_trace.Trace_stream.Decode_error on a corrupt index. *)
   val of_file : string -> t option
-
-  (** [of_trace trace] slices an in-memory trace into synthetic chunks
-      of [chunk_events] events (default 4096) — the test harness's way
-      to drive the parallel engine without a file.  Sessions copy the
-      raw fields of a chunk's kept events into one recycled batch. *)
-  val of_trace : ?chunk_events:int -> Aprof_trace.Trace.t -> t
 end
 
 (** [replay_parallel ~pool ~jobs ~shards (module M)] replays the trace
     behind [shards] through up to [jobs] instances of [M], one
-    {!Aprof_util.Par.run} task each on [pool]: a [By_thread] shard
-    replays the chunks holding its threads or a broadcast tag, in file
-    order, through one instance and one read session; [By_chunk] tasks
-    take chunks from one shared counter.  Partial states merge into the
-    first; partial name tables union.  A [Global] tool, [jobs = 1] and
-    an empty chunk list are one task that drains every chunk in file
+    {!Aprof_util.Par.run} task each on [pool], each task reading its
+    chunks through its own {!Aprof_trace.Trace_codec.chunk_session}: a
+    [By_thread] shard replays the chunks holding its threads or a
+    broadcast tag, in file order, through one instance, and delivers
+    each decoded batch compacted to its owned and broadcast events
+    (an emptied batch is not delivered); [By_chunk] tasks take chunks
+    from one shared counter.  A [By_thread] shard holds every record
+    of its chunks to the index entry it chose the chunk by, and raises
+    {!Aprof_trace.Trace_stream.Decode_error}, naming the chunk's
+    offset, on a tag outside the entry's [tag_mask] or a thread outside
+    its [tids].  Partial states merge into the first; partial name
+    tables union.  A [Global] tool, [jobs = 1] and an empty chunk list
+    are one task that drains every chunk in file
     order through one instance, with no filter and no reordering — the
     [-j N ≡ -j 1] differential suite relies on it.  Returns [(state,
     events, names)] where [events] counts each trace event exactly once

@@ -377,17 +377,19 @@ module Batch = struct
     done
 
   let filter_in_place p b =
+    let tags = b.tags and tids = b.tids in
     let w = ref 0 in
     for i = 0 to b.len - 1 do
-      if p (unpack b i) then begin
+      let tag = Array.unsafe_get tags i and tid = Array.unsafe_get tids i in
+      if p tag tid then begin
         let j = !w in
         if j <> i then begin
-          Array.unsafe_set b.tags j (Array.unsafe_get b.tags i);
-          Array.unsafe_set b.tids j (Array.unsafe_get b.tids i);
+          Array.unsafe_set tags j tag;
+          Array.unsafe_set tids j tid;
           Array.unsafe_set b.args j (Array.unsafe_get b.args i);
           Array.unsafe_set b.lens j (Array.unsafe_get b.lens i)
         end;
-        incr w
+        w := j + 1
       end
     done;
     b.len <- !w

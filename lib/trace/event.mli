@@ -176,6 +176,11 @@ module Batch : sig
   (** [iter f b] — [f tag tid arg len] per event, allocation-free. *)
   val iter : (int -> int -> int -> int -> unit) -> t -> unit
 
+  (** [filter_in_place p b] keeps the events for which [p tag tid]
+      holds, in order, compacting the batch in place.  [p] sees every
+      event exactly once, in order, so it may keep state. *)
+  val filter_in_place : (int -> int -> bool) -> t -> unit
+
   (** {2 Pack/unpack edges} *)
 
   (** [push b ev] packs one event.
@@ -187,10 +192,6 @@ module Batch : sig
 
   (** [iter_events f b] unpacks each event in order. *)
   val iter_events : (event -> unit) -> t -> unit
-
-  (** [filter_in_place p b] keeps the events satisfying [p], in order;
-      the batch is compacted in place. *)
-  val filter_in_place : (event -> bool) -> t -> unit
 
   (** [append dst src ~pos ~len] copies events [pos .. pos + len - 1] of
       [src] onto the end of [dst], field array by field array.

@@ -204,63 +204,29 @@ let read_payload ic buf (sh : shard) =
   In_channel.seek ic (Int64.of_int sh.offset);
   really_input ic !buf 0 sh.bytes
 
-(* A session's entry before its first chunk. *)
-let no_shard =
-  { offset = 0; bytes = 0; events = 0; tag_mask = 0; crc = -1; tids = [||] }
-
 (* The batch, byte buffer, cursor and name table are reused across
    chunks: a sharded replay's session visits its chunks one at a time,
-   and visiting one must not allocate beyond the first, largest chunk.
-
-   A filtered session serves a sharded replay, which chose its chunks
-   from the index's [tag_mask] and [tids] alone; no checksum covers
-   those, so each record is held to its chunk's entry before [keep]
-   sees it.  [member] marks the open entry's tids. *)
-let chunk_session ?(batch_size = Batch.default_capacity) ?keep ic =
+   and visiting one must not allocate beyond the first, largest chunk. *)
+let chunk_session ?(batch_size = Batch.default_capacity) ic =
   let cursor = Trace_chunk.create ~version:(file_version ic) in
   let names = Hashtbl.create 64 in
   let define id name = Hashtbl.replace names id name in
   let b = Batch.create ~capacity:(max batch_size Trace_packed.pat_kmax) () in
   let buf = ref Bytes.empty in
-  let entry = ref no_shard in
-  let member =
-    if Option.is_some keep then Bytes.make (Event.max_tid + 1) '\000'
-    else Bytes.empty
-  in
-  let keep =
-    Option.map
-      (fun keep tag tid ->
-        let sh = !entry in
-        if (sh.tag_mask lsr tag) land 1 = 0 then
-          bad "chunk at byte %d: record tag %d is not in its index entry"
-            sh.offset tag;
-        if tid < 0 || tid > Event.max_tid || Bytes.get member tid = '\000' then
-          bad "chunk at byte %d: thread %d is not in its index entry" sh.offset
-            tid;
-        keep tag tid)
-      keep
-  in
   let read (sh : shard) =
     (match read_payload ic buf sh with
     | exception End_of_file -> bad "chunk at byte %d truncated" sh.offset
     | () -> (
-      (* Verify before decoding: the fast paths trust these bytes. *)
-      if sh.crc >= 0 then
-        try Trace_frame.check_payload !buf ~pos:0 ~len:sh.bytes ~crc:sh.crc
-        with Trace_stream.Decode_error m ->
-          bad "chunk at byte %d: %s" sh.offset m));
-    Trace_chunk.start cursor !buf ~pos:0 ~len:sh.bytes;
-    if Option.is_some keep then begin
-      Array.iter (fun tid -> Bytes.set member tid '\000') !entry.tids;
-      Array.iter (fun tid -> Bytes.set member tid '\001') sh.tids;
-      entry := sh
-    end;
+      try
+        Trace_chunk.start_verified cursor !buf ~pos:0 ~len:sh.bytes ~crc:sh.crc
+      with Trace_stream.Decode_error m ->
+        bad "chunk at byte %d: %s" sh.offset m));
     let finished = ref false in
     fun () ->
       if !finished then None
       else begin
         Batch.clear b;
-        finished := Trace_chunk.fill cursor ?keep ~define b;
+        finished := Trace_chunk.fill cursor ~define b;
         validate_batch b;
         if Batch.is_empty b then None else Some b
       end
@@ -281,8 +247,8 @@ type drop = Trace_chunk.drop = {
    corrupt chunk is skipped exactly and the next one re-synchronizes the
    stream.  The footer's own CRC (version >= 2) is authoritative; on
    version-1 files detection falls back to decode errors and the
-   index's event count.  Each chunk is decoded whole into the stage and
-   its definitions committed only once it proves clean. *)
+   index's event count.  Each chunk is decoded whole into the stage
+   ({!Trace_chunk.salvage}). *)
 let salvage_indexed ~report ~version ic shs =
   let cursor = Trace_chunk.create ~version in
   let stage = ref (Batch.create ~capacity:1024 ()) in
@@ -306,30 +272,14 @@ let salvage_indexed ~report ~version ic shs =
           };
         next ()
       in
-      let defs = ref [] in
       match
         read_payload ic buf sh;
-        if sh.crc >= 0 then
-          Trace_frame.check_payload !buf ~pos:0 ~len:sh.bytes ~crc:sh.crc;
-        Trace_chunk.start cursor !buf ~pos:0 ~len:sh.bytes;
-        Trace_chunk.drain cursor
-          ~define:(fun id name -> defs := (id, name) :: !defs)
-          stage
+        Trace_chunk.salvage cursor !buf ~pos:0 ~len:sh.bytes ~crc:sh.crc
+          ~events:sh.events ~define:(Hashtbl.replace names) stage
       with
       | exception End_of_file -> drop "chunk truncated"
       | exception Trace_stream.Decode_error msg -> drop msg
-      | () ->
-        let b = !stage in
-        if Batch.length b <> sh.events then
-          drop
-            (Printf.sprintf "decoded %d events where the index says %d"
-               (Batch.length b) sh.events)
-        else begin
-          List.iter
-            (fun (id, name) -> Hashtbl.replace names id name)
-            (List.rev !defs);
-          Some b
-        end
+      | () -> Some !stage
     end
   in
   (names, next)

@@ -101,10 +101,10 @@
     on: the sequential readers match [bytes] and [crc] against the
     streamed frames (versions 2 and 3); {!shards} checks that the chunks
     cover every byte up to the footer; {!chunk_session} checks each
-    chunk's [crc] and, when filtered, each record's tag and thread
-    against [tag_mask] and [tids], which a sharded replay picks chunks
-    by; indexed salvage checks the decoded event count against
-    [events].
+    chunk's [crc]; indexed salvage checks the decoded event count
+    against [events].  A sharded replay picks chunks by [tag_mask] and
+    [tids], so its shards hold each decoded record's tag and thread to
+    them ({!Aprof_tools.Tool.replay_parallel}).
 
     {2 Writer}
 
@@ -229,22 +229,10 @@ val shards : ?path:string -> in_channel -> shard array option
     the routine's first [Call], the name table only covers the chunks
     read so far; a parallel replay unions the tables of its workers.  A
     source returned by [read] must be drained (or abandoned) before
-    [read] is called again: it shares the session's buffers.
-
-    [keep tag tid] filters event records *inside* the decode loop: a
-    record failing it is parsed (and covered by the chunk checksum) but
-    never stored into a batch, so skipped events cost only their varint
-    decode.  Definition records are always processed.  The parallel
-    replay engine uses this to make a shard's foreign, non-broadcast
-    events parse-only.  Note that a filtered event also bypasses batch
-    validation — the strict sequential path still validates every
-    event.  Because the engine chose the chunk by its index entry, a
-    filtered read raises {!Trace_stream.Decode_error}, naming the
-    chunk's offset, on a record whose tag is not in the entry's
-    [tag_mask] or whose thread is not in its [tids]. *)
+    [read] is called again: it shares the session's buffers.  Every
+    batch is validated like the sequential readers' batches. *)
 val chunk_session :
   ?batch_size:int ->
-  ?keep:(int -> int -> bool) ->
   in_channel ->
   (int, string) Hashtbl.t * (shard -> Trace_stream.batch_source)
 

@@ -29,7 +29,7 @@
    Corruption follows the salvage trichotomy.  Strict mode raises
    {!Trace_stream.Decode_error} at the first malformation and poisons the
    machine.  With [~salvage:true] each chunk is decoded whole first
-   ({!Trace_chunk.drain}), so a damaged v2/v3 chunk is dropped whole —
+   ({!Trace_chunk.salvage}), so a damaged v2/v3 chunk is dropped whole —
    the frame length re-synchronizes the stream — while damage that no
    frame length bounds (broken framing, any v1 malformation, a bad
    footer, truncation) is reported as one terminal drop, after which the
@@ -303,22 +303,14 @@ let step_records t s =
         Continue)
     | tag -> bad "unknown record tag %d" tag
 
-(* Salvage decodes a verified payload whole before delivering any of it,
-   so a damaged chunk is dropped whole; its definitions are committed
-   only once the chunk proves clean. *)
+(* Salvage decodes a payload whole before delivering any of it, so a
+   damaged chunk is dropped whole ({!Trace_chunk.salvage}). *)
 let salvage_chunk t s ~pos ~paylen ~crc ~ord ~rel_off =
-  let defs = ref [] in
-  let c = cursor s t.version in
   match
-    Trace_frame.check_payload t.buf ~pos ~len:paylen ~crc;
-    Trace_chunk.start c t.buf ~pos ~len:paylen;
-    Trace_chunk.drain c
-      ~define:(fun id name -> defs := (id, name) :: !defs)
-      s.stage
+    Trace_chunk.salvage (cursor s t.version) t.buf ~pos ~len:paylen ~crc
+      ~define:t.cb.on_define s.stage
   with
-  | () ->
-    List.iter (fun (id, name) -> t.cb.on_define id name) (List.rev !defs);
-    if Batch.is_empty !(s.stage) then Continue else Ready !(s.stage)
+  | () -> if Batch.is_empty !(s.stage) then Continue else Ready !(s.stage)
   | exception Trace_stream.Decode_error reason ->
     t.cb.on_drop
       {
@@ -363,9 +355,10 @@ let step_chunk t s =
     commit t (!cur + paylen);
     if t.salvage then salvage_chunk t s ~pos ~paylen ~crc ~ord ~rel_off
     else begin
-      (try Trace_frame.check_payload t.buf ~pos ~len:paylen ~crc
+      (try
+         Trace_chunk.start_verified (cursor s t.version) t.buf ~pos
+           ~len:paylen ~crc
        with Trace_stream.Decode_error m -> chunk_error t ~ord ~off:rel_off m);
-      Trace_chunk.start (cursor s t.version) t.buf ~pos ~len:paylen;
       s.chunk_open <- true;
       Continue
     end

@@ -670,12 +670,10 @@ let too_many () =
    is exhausted; returns [true] on exhaustion.  Resumable: repeat state
    and the stream cursor live in [d], so the caller just calls again
    with a fresh batch.  [b]'s capacity must be at least [pat_kmax].
-   With [?keep], operands are always decoded (the registers must stay in
-   step) but events failing [keep tag tid] are not stored.  Every event
-   the chunk decodes, kept or not, is charged against [left]: literal
-   and pattern events as they are read, a repeat's whole expansion
-   before its first iteration. *)
-let fill d ?keep ~define b =
+   Every event the chunk decodes is charged against [left]: literal and
+   pattern events as they are read, a repeat's whole expansion before
+   its first iteration. *)
+let fill d ~define b =
   let cap = Batch.capacity b in
   let tags_a = Batch.tags b and tids_a = Batch.tids b in
   let args_a = Batch.args b and lens_a = Batch.lens b in
@@ -720,17 +718,12 @@ let fill d ?keep ~define b =
             end
             else v
           in
-          let store =
-            match keep with None -> true | Some keep -> keep tag tid
-          in
-          if store then begin
-            let j = !n in
-            Array.unsafe_set tags_a j tag;
-            Array.unsafe_set tids_a j tid;
-            Array.unsafe_set args_a j arg;
-            Array.unsafe_set lens_a j (Array.unsafe_get t_lens !i);
-            n := j + 1
-          end;
+          let j = !n in
+          Array.unsafe_set tags_a j tag;
+          Array.unsafe_set tids_a j tid;
+          Array.unsafe_set args_a j arg;
+          Array.unsafe_set lens_a j (Array.unsafe_get t_lens !i);
+          n := j + 1;
           incr i
         end
       done;
@@ -763,17 +756,12 @@ let fill d ?keep ~define b =
             if (Batch.len_mask lsr op) land 1 = 1 then read_field d el fast
             else 0
           in
-          let store =
-            match keep with None -> true | Some keep -> keep op tid
-          in
-          if store then begin
-            let j = !n in
-            Array.unsafe_set tags_a j op;
-            Array.unsafe_set tids_a j tid;
-            Array.unsafe_set args_a j arg;
-            Array.unsafe_set lens_a j len;
-            n := j + 1
-          end
+          let j = !n in
+          Array.unsafe_set tags_a j op;
+          Array.unsafe_set tids_a j tid;
+          Array.unsafe_set args_a j arg;
+          Array.unsafe_set lens_a j len;
+          n := j + 1
         end
         else if op >= first_short_usepat || op = op_usepat then begin
           let id =
@@ -813,17 +801,12 @@ let fill d ?keep ~define b =
                   read_field d el fast
                 else 0
               in
-              let store =
-                match keep with None -> true | Some keep -> keep tag tid
-              in
-              if store then begin
-                let j = !n in
-                Array.unsafe_set tags_a j tag;
-                Array.unsafe_set tids_a j tid;
-                Array.unsafe_set args_a j arg;
-                Array.unsafe_set lens_a j len;
-                n := j + 1
-              end
+              let j = !n in
+              Array.unsafe_set tags_a j tag;
+              Array.unsafe_set tids_a j tid;
+              Array.unsafe_set args_a j arg;
+              Array.unsafe_set lens_a j len;
+              n := j + 1
             done
           end
         end

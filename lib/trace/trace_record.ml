@@ -1,9 +1,9 @@
 (* Event layer, plain coding (format versions 1 and 2): one record per
    event, tag byte + zigzag-varint fields, with interleaved routine-name
    definition records.  This is the layer that fills {!Event.Batch}es —
-   including the bulk unsafe fast path and its keep-filtered twin — for
-   the chunk cursor ({!Trace_chunk}) and the version-1 record path of
-   the stream machine ({!Trace_net}). *)
+   including the bulk unsafe fast path — for the chunk cursor
+   ({!Trace_chunk}) and the version-1 record path of the stream machine
+   ({!Trace_net}). *)
 
 module Batch = Event.Batch
 
@@ -44,11 +44,8 @@ let encoder buf ~routine_name =
     Buffer.length buf
 
 (* One record off a chunk's byte range.  A chunk never contains the
-   end-of-trace marker, so tag 0 falls through to the error arm.  With
-   [?keep], event records failing [keep tag tid] are parsed (the cursor
-   always advances past them) but not stored; definitions are always
-   processed. *)
-let chunk_step ?keep ~read_byte ~read_string ~define b =
+   end-of-trace marker, so tag 0 falls through to the error arm. *)
+let chunk_step ~read_byte ~read_string ~define b =
   match read_byte () with
   | -1 -> true (* chunk exhausted at a record boundary *)
   | tag when tag = def_tag ->
@@ -65,10 +62,7 @@ let chunk_step ?keep ~read_byte ~read_string ~define b =
     let len =
       if Batch.tag_has_len tag then Trace_wire.read_varint read_byte else 0
     in
-    (match keep with
-    | None -> Batch.unsafe_push b ~tag ~tid ~arg ~len
-    | Some keep ->
-      if keep tag tid then Batch.unsafe_push b ~tag ~tid ~arg ~len);
+    Batch.unsafe_push b ~tag ~tid ~arg ~len;
     false
   | tag -> bad "unknown record tag %d in chunk" tag
 
@@ -123,64 +117,12 @@ let fill_batch_bytes b chunk pos limit =
   Batch.unsafe_set_length b !i;
   pos := !p
 
-(* Keep-filtered twin of [fill_batch_bytes]: every record is parsed at
-   full speed, but only those satisfying [keep tag tid] are stored into
-   the batch.  The parallel replay engine pushes its per-shard filter
-   down here so that a foreign, non-broadcast event costs only its
-   varint decode — it is never materialized, validated, or re-filtered
-   from the batch afterwards. *)
-let fill_batch_bytes_keep b chunk pos limit ~keep =
-  let tags = Batch.tags b and tids = Batch.tids b in
-  let args = Batch.args b and lens = Batch.lens b in
-  let cap = Array.length tags in
-  let arg_mask = Batch.arg_mask and len_mask = Batch.len_mask in
-  let last_start = limit - Trace_wire.max_record_bytes in
-  let i = ref (Batch.length b) in
-  let p = ref !pos in
-  let stop = ref false in
-  while (not !stop) && !i < cap && !p <= last_start do
-    let tag = Char.code (Bytes.unsafe_get chunk !p) in
-    if tag >= 1 && tag <= Batch.max_tag then begin
-      incr p;
-      let tid = Trace_wire.read_varint_bytes_fast chunk p in
-      if keep tag tid then begin
-        let arg =
-          if (arg_mask lsr tag) land 1 = 1 then
-            Trace_wire.read_varint_bytes_fast chunk p
-          else 0
-        in
-        let len =
-          if (len_mask lsr tag) land 1 = 1 then
-            Trace_wire.read_varint_bytes_fast chunk p
-          else 0
-        in
-        let j = !i in
-        Array.unsafe_set tags j tag;
-        Array.unsafe_set tids j tid;
-        Array.unsafe_set args j arg;
-        Array.unsafe_set lens j len;
-        i := j + 1
-      end
-      else begin
-        (* Discarded: step over the remaining fields without decoding. *)
-        if (arg_mask lsr tag) land 1 = 1 then
-          Trace_wire.skip_varint_bytes chunk p;
-        if (len_mask lsr tag) land 1 = 1 then
-          Trace_wire.skip_varint_bytes chunk p
-      end
-    end
-    else stop := true
-  done;
-  Batch.unsafe_set_length b !i;
-  pos := !p
-
 (* Fill [b] from the plain chunk payload [chunk[!pos..limit)] until the
    batch is full or the payload is exhausted, returning [true] on
    exhaustion: the bulk fast path while a whole record fits, one
    [chunk_step] at definitions and near the end.  Resumable ([pos] is
-   the cursor): this is the plain half of {!Trace_chunk.fill}.  [?keep]
-   filters as in [chunk_step]. *)
-let fill_chunk ?keep ~define b chunk pos limit =
+   the cursor): this is the plain half of {!Trace_chunk.fill}. *)
+let fill_chunk ~define b chunk pos limit =
   let read_byte () =
     if !pos >= limit then -1
     else begin
@@ -196,10 +138,8 @@ let fill_chunk ?keep ~define b chunk pos limit =
     s
   in
   while !pos < limit && not (Batch.is_full b) do
-    (match keep with
-    | None -> fill_batch_bytes b chunk pos limit
-    | Some keep -> fill_batch_bytes_keep b chunk pos limit ~keep);
+    fill_batch_bytes b chunk pos limit;
     if !pos < limit && not (Batch.is_full b) then
-      ignore (chunk_step ?keep ~read_byte ~read_string ~define b)
+      ignore (chunk_step ~read_byte ~read_string ~define b)
   done;
   !pos >= limit

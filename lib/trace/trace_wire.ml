@@ -106,23 +106,6 @@ let read_varint_bytes_checked chunk pos limit =
   let v = go 0 0 in
   (v lsr 1) lxor (- (v land 1))
 
-(* Advance past one varint without assembling its value — the fields of
-   events the keep filter discards.  Bounded like the strict reader (a
-   canonical 63-bit varint is at most 9 bytes); canonicality itself is
-   not checked, which is covered by the chunk checksum and by the
-   sequential path validating every event. *)
-let[@inline always] skip_varint_bytes chunk pos =
-  if Char.code (Bytes.unsafe_get chunk !pos) < 0x80 then incr pos
-  else begin
-    let stop = !pos + 10 in
-    incr pos;
-    while Char.code (Bytes.unsafe_get chunk !pos) >= 0x80 do
-      incr pos;
-      if !pos >= stop then bad "varint too long"
-    done;
-    incr pos
-  end
-
 (* A record is at most 1 tag byte + 3 varints of at most 10 bytes (a
    canonical varint of a 63-bit int is 9 bytes; 10 is a safe margin). *)
 let max_record_bytes = 34

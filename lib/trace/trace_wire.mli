@@ -30,10 +30,6 @@ val read_varint_bytes_fast : Bytes.t -> int ref -> int
     where the margin no longer holds; never reads at or past [limit]. *)
 val read_varint_bytes_checked : Bytes.t -> int ref -> int -> int
 
-(** Advance past one varint without assembling its value (bounded at ten
-    bytes); canonicality is not checked. *)
-val skip_varint_bytes : Bytes.t -> int ref -> unit
-
 (** Upper bound on one encoded record: 1 tag byte + 3 varints with
     margin.  The bulk decode loops use [limit - max_record_bytes] as the
     last safe start offset for unchecked reads. *)

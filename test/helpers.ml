@@ -48,6 +48,27 @@ let write_batches src (sink : Aprof_trace.Trace_stream.batch_sink) =
   ignore (Aprof_trace.Trace_stream.drain src sink.emit_batch);
   sink.close_batch ()
 
+(* [with_shards ~chunk_bytes trace f] records [trace] through
+   {!Aprof_trace.Trace_codec.batch_writer} into a temporary indexed file
+   of [chunk_bytes]-byte chunks in [format_version] (default 2), hands
+   [f] the file's {!Aprof_tools.Tool.Shards.t}, and removes the file
+   afterwards: the sharded replay engine reads its chunks from a file. *)
+let with_shards ?(format_version = 2) ~chunk_bytes trace f =
+  let path = Filename.temp_file "aprof_shards" ".atrc" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          let sink =
+            Aprof_trace.Trace_codec.batch_writer ~chunk_bytes ~format_version
+              oc
+          in
+          Trace.replay trace sink.emit_batch;
+          sink.close_batch ());
+      match Aprof_tools.Tool.Shards.of_file path with
+      | Some shards -> f shards
+      | None -> Alcotest.fail "recorded trace has no shard index")
+
 let trace_of_batches src =
   let tr = Trace.create () in
   ignore (Aprof_trace.Trace_stream.drain src (Trace.add_batch tr));

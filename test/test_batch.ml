@@ -47,14 +47,28 @@ let test_of_trace_to_trace () =
   Alcotest.(check (list event)) "of_trace/to_trace" sample_events
     (Trace.to_list back)
 
+(* The predicate sees raw fields, every event once and in order. *)
 let test_filter_in_place () =
   let b = Batch.create ~capacity:(List.length sample_events) () in
   List.iter (Batch.push b) sample_events;
-  let keep = function Event.Read _ | Event.Write _ -> true | _ -> false in
-  Batch.filter_in_place keep b;
+  let keep tag tid =
+    (tag = Batch.tag_read || tag = Batch.tag_write) && tid <> 1
+  in
+  let seen = ref [] in
+  Batch.filter_in_place
+    (fun tag tid ->
+      seen := (tag, tid) :: !seen;
+      keep tag tid)
+    b;
+  Alcotest.(check (list (pair int int)))
+    "every event, in order"
+    (List.map (fun e -> (Batch.tag_of_event e, Event.tid e)) sample_events)
+    (List.rev !seen);
   Alcotest.(check (list event))
-    "only reads and writes"
-    (List.filter keep sample_events)
+    "reads and writes off thread 1"
+    (List.filter
+       (fun e -> keep (Batch.tag_of_event e) (Event.tid e))
+       sample_events)
     (List.init (Batch.length b) (Batch.get b))
 
 let test_clear_reuse () =

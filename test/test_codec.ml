@@ -291,8 +291,8 @@ let decode_source src = Helpers.trace_of_batches src
 
 (* Every chunk of [shs], in file order, through one chunk session — the
    seek path the parallel replay engine uses. *)
-let session_read ?keep ic shs =
-  let names, read = Codec.chunk_session ?keep ic in
+let session_read ic shs =
+  let names, read = Codec.chunk_session ic in
   let parts = Array.map (fun sh -> Trace.to_list (decode_source (read sh))) shs in
   (Trace.of_list (List.concat (Array.to_list parts)), names)
 

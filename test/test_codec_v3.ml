@@ -173,62 +173,6 @@ let program_differential () =
     check_file ~label:(Printf.sprintf "program %d" seed) result.Interp.trace
   done
 
-(* --- keep-filtered session reads -------------------------------------- *)
-
-(* The sharded replay engine pushes its shard filter into the decoder;
-   on v3 the filter must skip events without desynchronizing the delta
-   registers.  Events kept through [chunk_session ~keep] must equal the
-   plain filter over the decoded trace. *)
-let keep_filter_session () =
-  let spec = Option.get (Registry.find "dedup") in
-  let result = Workload.run_spec spec ~threads:3 ~scale:80 ~seed:9 in
-  let trace = result.Interp.trace in
-  let keep tag tid = tid mod 2 = 0 || tag = Batch.tag_call in
-  let expected = ref [] in
-  let batches = Helpers.batches_of_trace trace in
-  let rec loop () =
-    match batches () with
-    | None -> ()
-    | Some b ->
-      Batch.iter
-        (fun tag tid arg len ->
-          if keep tag tid then expected := (tag, tid, arg, len) :: !expected)
-        b;
-      loop ()
-  in
-  loop ();
-  let expected = List.rev !expected in
-  with_tmp (fun file ->
-      write_v3 trace file;
-      In_channel.with_open_bin file (fun ic ->
-          let shs =
-            match Codec.shards ~path:file ic with
-            | Some shs -> shs
-            | None -> Alcotest.fail "no shard index"
-          in
-          let _, read = Codec.chunk_session ~keep ic in
-          let got = ref [] in
-          Array.iter
-            (fun sh ->
-              let src = read sh in
-              let rec drain () =
-                match src () with
-                | None -> ()
-                | Some b ->
-                  Batch.iter
-                    (fun tag tid arg len ->
-                      got := (tag, tid, arg, len) :: !got)
-                    b;
-                  drain ()
-              in
-              drain ())
-            shs;
-          let got = List.rev !got in
-          Alcotest.(check int)
-            "kept event count" (List.length expected) (List.length got);
-          if got <> expected then
-            Alcotest.fail "keep-filtered v3 session diverges from plain filter"))
-
 (* --- parallel replay on v3 files -------------------------------------- *)
 
 let parallel_v3_files () =
@@ -577,8 +521,6 @@ let suite =
     Alcotest.test_case "v3 file paths on workload traces" `Slow registry_files;
     Alcotest.test_case "v3 = v2 = memory on 50 random programs" `Slow
       program_differential;
-    Alcotest.test_case "keep-filtered v3 session = plain filter" `Quick
-      keep_filter_session;
     Alcotest.test_case "parallel replay of v3 files, -j {2,3,4}" `Slow
       parallel_v3_files;
     Alcotest.test_case "v3 byte stream is pinned" `Quick v3_golden_bytes;

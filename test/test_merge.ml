@@ -75,15 +75,16 @@ let registry_trace name =
   in
   r.Interp.trace
 
-(* Synthetic chunking over the in-memory trace (small chunks, so every
-   trace spans many chunks and the deques actually migrate work); the
+(* The trace recorded in small chunks, so it spans many of them; the
    engine's shard filter does the partitioning. *)
-let replay_jobs (type a) ?(chunk_events = 256)
+let replay_jobs (type a) ?(chunk_bytes = 1024)
     (module M : Tool.S with type state = a) trace jobs : a * int =
   let pool = Par.create ~jobs () in
-  let shards = Tool.Shards.of_trace ~chunk_events trace in
-  let st, n, _names = Tool.replay_parallel ~pool ~jobs ~shards (module M) in
-  (st, n)
+  with_shards ~chunk_bytes trace (fun shards ->
+      let st, n, _names =
+        Tool.replay_parallel ~pool ~jobs ~shards (module M)
+      in
+      (st, n))
 
 let test_parallel_nulgrind () =
   List.iter
@@ -318,7 +319,7 @@ let test_renumbering_preserves_distinction () =
 
     let create () = Drms.create ~overflow_limit:32 ()
   end in
-  let st, _ = replay_jobs ~chunk_events:64 (module M) trace 3 in
+  let st, _ = replay_jobs ~chunk_bytes:256 (module M) trace 3 in
   Alcotest.(check bool) "shard renumbered at least once" true
     (Drms.renumber_count st > 0);
   let profile = Drms.finish st in

@@ -66,12 +66,11 @@ let check_program ~sched_name ~scheduler seed =
   in
   let result = Workload.run ~scheduler w ~seed in
   let trace = result.Interp.trace in
-  (* Small chunks, so even these short traces span enough chunks for the
-     deques to migrate work. *)
-  check_shards
-    ~label:(Printf.sprintf "seed %d (%s)" seed sched_name)
-    ~trace_events:(Aprof_trace.Trace.length trace)
-    (Tool.Shards.of_trace ~chunk_events:64 trace)
+  (* Small chunks, so even these short traces span several. *)
+  with_shards ~chunk_bytes:256 trace
+    (check_shards
+       ~label:(Printf.sprintf "seed %d (%s)" seed sched_name)
+       ~trace_events:(Aprof_trace.Trace.length trace))
 
 let program_tests =
   List.map
@@ -214,9 +213,59 @@ let footer_flips_never_mislead () =
             [] (List.rev !misled))
         [ (2, 1024); (3, 256) ])
 
+(* The index check on its own: chunk 1's entry misstates the chunk —
+   one present tag cleared from its [tag_mask], or its first thread
+   dropped from its [tids] — so a thread-sharded replay, which reads
+   that chunk in every shard, must refuse it and name the check, in v2
+   and v3 alike. *)
+let misstated_entry_is_refused () =
+  let spec = Option.get (Registry.find "swaptions") in
+  let result = Workload.run_spec spec ~threads:4 ~scale:30 ~seed:1 in
+  let pool = Par.create ~jobs:2 () in
+  List.iter
+    (fun format_version ->
+      with_shards ~format_version ~chunk_bytes:1024 result.Interp.trace
+        (fun shards ->
+          let chunks = shards.Tool.Shards.chunks in
+          Alcotest.(check bool) "several chunks" true
+            (Array.length chunks >= 2);
+          let refused what (entry : Codec.shard) =
+            let chunks =
+              Array.mapi (fun i c -> if i = 1 then entry else c) chunks
+            in
+            match
+              Tool.replay_parallel ~pool ~jobs:2
+                ~shards:{ shards with Tool.Shards.chunks }
+                (module Aprof_tools.Aprof_adapters.Rms)
+            with
+            | _ -> Alcotest.failf "v%d, %s: replayed" format_version what
+            | exception Stream.Decode_error m ->
+              if not (Test_codec.contains ~sub:"is not in its index entry" m)
+              then
+                Alcotest.failf "v%d, %s: refused for another reason: %s"
+                  format_version what m
+          in
+          let sh = chunks.(1) in
+          let tag =
+            List.find
+              (fun t -> (sh.Codec.tag_mask lsr t) land 1 = 1)
+              (List.init 15 Fun.id)
+          in
+          refused "tag cleared"
+            { sh with
+              Codec.tag_mask = sh.Codec.tag_mask land lnot (1 lsl tag) };
+          refused "thread dropped"
+            { sh with
+              Codec.tids =
+                Array.sub sh.Codec.tids 1 (Array.length sh.Codec.tids - 1)
+            }))
+    [ 2; 3 ]
+
 let suite =
   program_tests
   @ [ Alcotest.test_case "workload files via the chunk index" `Quick
         test_file_roundtrip;
       Alcotest.test_case "footer bit flips never mislead -j 5" `Quick
-        footer_flips_never_mislead ]
+        footer_flips_never_mislead;
+      Alcotest.test_case "a misstated index entry is refused" `Quick
+        misstated_entry_is_refused ]

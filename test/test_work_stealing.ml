@@ -104,18 +104,25 @@ let skewed_trace () =
   go ();
   trace
 
-let engine_drms_equal ?(chunk_events = 64) name trace jobs =
-  let pool = Par.create ~jobs () in
-  let shards = Tool.Shards.of_trace ~chunk_events trace in
-  let st, n, _names =
-    Tool.replay_parallel ~pool ~jobs ~shards
-      (module Aprof_tools.Aprof_adapters.Drms)
-  in
-  Alcotest.(check int) (name ^ ": unique events") (Trace.length trace) n;
-  check_profiles_equal
-    (name ^ ": parallel = sequential")
-    (run_drms trace)
-    (Aprof_core.Drms_profiler.finish st)
+(* [chunks], when given, pins the recorded file's chunk count: the
+   shape the case is about. *)
+let engine_drms_equal ?(chunk_bytes = 256) ?chunks name trace jobs =
+  with_shards ~chunk_bytes trace (fun shards ->
+      Option.iter
+        (fun k ->
+          Alcotest.(check int) (name ^ ": chunks") k
+            (Array.length shards.Tool.Shards.chunks))
+        chunks;
+      let pool = Par.create ~jobs () in
+      let st, n, _names =
+        Tool.replay_parallel ~pool ~jobs ~shards
+          (module Aprof_tools.Aprof_adapters.Drms)
+      in
+      Alcotest.(check int) (name ^ ": unique events") (Trace.length trace) n;
+      check_profiles_equal
+        (name ^ ": parallel = sequential")
+        (run_drms trace)
+        (Aprof_core.Drms_profiler.finish st))
 
 let test_engine_hot_thread () =
   let trace = skewed_trace () in
@@ -123,10 +130,10 @@ let test_engine_hot_thread () =
   (* And the order-independent mode on the same skew: every chunk is
      claimed exactly once, so the count is the trace length. *)
   let pool = Par.create ~jobs:4 () in
-  let shards = Tool.Shards.of_trace ~chunk_events:64 trace in
   let st, n, _ =
-    Tool.replay_parallel ~pool ~jobs:4 ~shards
-      (module Aprof_tools.Nulgrind)
+    with_shards ~chunk_bytes:256 trace (fun shards ->
+        Tool.replay_parallel ~pool ~jobs:4 ~shards
+          (module Aprof_tools.Nulgrind))
   in
   Alcotest.(check int) "nulgrind count" (Trace.length trace) n;
   Alcotest.(check int)
@@ -135,12 +142,17 @@ let test_engine_hot_thread () =
 
 let test_engine_single_chunk () =
   let trace = skewed_trace () in
-  engine_drms_equal ~chunk_events:10_000_000 "single chunk, -j4" trace 4
+  engine_drms_equal ~chunk_bytes:max_int ~chunks:1 "single chunk, -j4" trace 4
 
 let test_engine_more_jobs_than_chunks () =
   let trace = skewed_trace () in
-  let chunk_events = 1 + (Trace.length trace / 2) in
-  engine_drms_equal ~chunk_events "2 chunks, -j8" trace 8
+  (* The trace's payload bytes, off a one-chunk recording. *)
+  let bytes =
+    with_shards ~chunk_bytes:max_int trace (fun shards ->
+        shards.Tool.Shards.chunks.(0).Aprof_trace.Trace_codec.bytes)
+  in
+  engine_drms_equal ~chunk_bytes:(1 + (bytes / 2)) ~chunks:2 "2 chunks, -j8"
+    trace 8
 
 let test_engine_more_jobs_than_threads () =
   (* Two threads, six jobs: only two thread shards exist. *)
@@ -170,11 +182,11 @@ let test_engine_more_jobs_than_threads () =
       }
       [ prog ]
   in
-  engine_drms_equal ~chunk_events:4 "2 threads, -j6" r.Interp.trace 6
+  engine_drms_equal ~chunk_bytes:8 "2 threads, -j6" r.Interp.trace 6
 
 let test_engine_empty_trace () =
   let trace = Trace.create () in
-  engine_drms_equal "empty trace, -j4" trace 4
+  engine_drms_equal ~chunks:0 "empty trace, -j4" trace 4
 
 let suite =
   [
