@@ -12,37 +12,11 @@
 
 module Drms = Aprof_core.Drms_profiler
 
-(* Replays per variant.  Every replay is one timed run of a fresh
-   instance, so a variant's figure is a median, and a comparison
-   alternates its two variants so host drift lands on both sides of
-   every pairwise ratio. *)
-let runs = 21
-
-let replay_seconds make trace =
-  fst
-    (Exp_common.time (fun () ->
-         let p = make () in
-         Aprof_trace.Trace.replay trace (Drms.on_batch p)))
-
-let median xs = Aprof_util.Stats.percentile 50. xs
-
-let median_replay make trace =
-  median (List.init runs (fun _ -> replay_seconds make trace))
-
-(* [compare_replays a b trace] is the median seconds of [a] and of [b],
-   and the 25th, 50th and 75th percentiles of the ratio [a / b] over
-   [runs] alternated pairs. *)
-let compare_replays a b trace =
-  let pairs =
-    List.init runs (fun _ ->
-        let ta = replay_seconds a trace in
-        (ta, replay_seconds b trace))
-  in
-  let ratios = List.map (fun (ta, tb) -> ta /. tb) pairs in
-  let q p = Aprof_util.Stats.percentile p ratios in
-  ( median (List.map fst pairs),
-    median (List.map snd pairs),
-    (q 25., q 50., q 75.) )
+(* A cell: one replay of [trace] into a fresh instance from [make]. *)
+let replay make trace time =
+  time (fun () ->
+      let p = make () in
+      Aprof_trace.Trace.replay trace (Drms.on_batch p))
 
 let deep_trace () =
   (* merge sort has Theta(log n) live ancestors per access *)
@@ -61,50 +35,60 @@ let mixed_trace () =
   in
   r.Aprof_vm.Interp.trace
 
-let run ppf =
+let limits = [ max_int - 1; 100_000; 10_000; 1_000 ]
+
+(* Every variant is a cell of one sampler run, so a comparison's two
+   variants alternate within each round and its ratio is per round. *)
+let run ~quick ppf =
   Exp_common.section ppf "ablation: drms design choices";
-  let deep = deep_trace () in
-  let t_lin, t_bin, (lo, mid, hi) =
-    compare_replays
-      (fun () -> Drms.create ~ancestor_search:`Linear ())
-      (fun () -> Drms.create ())
-      deep
+  let deep = deep_trace () and mixed = mixed_trace () in
+  let rounds = Exp_common.rounds ~quick in
+  let samples =
+    Exp_common.sample ~rounds
+      ([
+         replay (fun () -> Drms.create ~ancestor_search:`Linear ()) deep;
+         replay (fun () -> Drms.create ()) deep;
+         replay (fun () -> Drms.create ~mode:`None ()) mixed;
+       ]
+      @ List.map
+          (fun limit ->
+            replay (fun () -> Drms.create ~overflow_limit:limit ()) mixed)
+          limits)
   in
+  let median s = (Exp_common.Stats.summary s).median in
+  let t_lin, t_bin, t_rms, by_limit =
+    match samples with
+    | t_lin :: t_bin :: t_rms :: by_limit -> (t_lin, t_bin, t_rms, by_limit)
+    | _ -> assert false
+  in
+  let r = Exp_common.Stats.ratio t_lin t_bin in
   Format.fprintf ppf
     "  ancestor search on deep recursion (merge sort, %d events):@."
     (Aprof_trace.Trace.length deep);
-  Format.fprintf ppf "    binary search: %.4f s/replay@." t_bin;
+  Format.fprintf ppf "    binary search: %.4f s/replay@." (median t_bin);
   Format.fprintf ppf
     "    linear walk:   %.4f s/replay (%.2fx; quartiles %.2f-%.2fx over %d \
-     alternated pairs)@."
-    t_lin mid lo hi runs;
-
-  let mixed = mixed_trace () in
+     rounds)@."
+    (median t_lin) r.median r.p25 r.p75 rounds;
   Format.fprintf ppf "  renumbering threshold (dedup, %d events):@."
     (Aprof_trace.Trace.length mixed);
-  List.iter
-    (fun limit ->
-      let make () = Drms.create ~overflow_limit:limit () in
-      let t = median_replay make mixed in
-      let p = make () in
+  List.iter2
+    (fun limit t ->
+      let p = Drms.create ~overflow_limit:limit () in
       Aprof_trace.Trace.replay mixed (Drms.on_batch p);
       Format.fprintf ppf
-        "    overflow_limit=%-9d %.4f s/replay (%d renumberings)@." limit t
-        (Drms.renumber_count p))
-    [ max_int - 1; 100_000; 10_000; 1_000 ];
-
-  let t_full, t_rms, (lo, mid, hi) =
-    compare_replays
-      (fun () -> Drms.create ())
-      (fun () -> Drms.create ~mode:`None ())
-      mixed
-  in
+        "    overflow_limit=%-9d %.4f s/replay (%d renumberings)@." limit
+        (median t) (Drms.renumber_count p))
+    limits by_limit;
+  (* The first limit is the default, so its cell is the full drms's. *)
+  let t_full = List.hd by_limit in
+  let r = Exp_common.Stats.ratio t_full t_rms in
   let pct r = 100. *. (r -. 1.) in
   Format.fprintf ppf
     "  recognizing induced first-reads (aprof-drms vs plain aprof) on dedup:@.";
-  Format.fprintf ppf "    aprof-drms: %.4f s/replay@." t_full;
-  Format.fprintf ppf "    aprof:      %.4f s/replay@." t_rms;
+  Format.fprintf ppf "    aprof-drms: %.4f s/replay@." (median t_full);
+  Format.fprintf ppf "    aprof:      %.4f s/replay@." (median t_rms);
   Format.fprintf ppf
-    "    drms costs %.0f%% more (quartiles %.0f%% to %.0f%% over %d \
-     alternated pairs; paper: ~29%%)@."
-    (pct mid) (pct lo) (pct hi) runs
+    "    drms costs %.0f%% more (quartiles %.0f%% to %.0f%% over %d rounds; \
+     paper: ~29%%)@."
+    (pct r.median) (pct r.p25) (pct r.p75) rounds

@@ -8,6 +8,7 @@ module Metrics = Aprof_core.Metrics
 module Drms = Aprof_core.Drms_profiler
 module Interp = Aprof_vm.Interp
 module Plot = Aprof_plot.Ascii_plot
+module Stats = Aprof_util.Stats
 
 type run = {
   result : Interp.result;
@@ -49,16 +50,109 @@ let merged run rname =
 let section ppf title =
   Format.fprintf ppf "@.=== %s ===@." title
 
-(* [time f] is [f]'s wall-clock seconds and result.  Wall clock, not
-   [Sys.time]: the latter ticks at 10ms on Linux, the same order as one
-   replay run, so it quantizes the very ratios the experiments exist to
-   measure; it would also erase the parallelism [-e parallel] measures.
-   Contention noise is handled by the callers, with best-of or median
-   over interleaved runs. *)
+(* [time f] is [f]'s wall-clock seconds and result, for by-product
+   rates that are not samples (e.g. [-e faults]' salvage rate).  Every
+   timed row comes from [sample]. *)
 let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (Unix.gettimeofday () -. t0, r)
+
+(* --- the bench instrument -----------------------------------------------
+
+   Every timed number comes from one sampler ([Stats.sample]: each round
+   runs every cell of an experiment once, in order, on the wall clock),
+   every bench input trace from one sizing rule ([sized]) and one
+   recorder ([record]), and every timed row has one shape ([emit_row]
+   with [metric] fields).  EXPERIMENTS.md "How a bench row is measured"
+   gives the rules. *)
+
+(* The round count of every timed experiment; one with fewer says why
+   and what a round costs. *)
+let rounds ~quick = if quick then 3 else 11
+
+let sample ~rounds cells = Stats.sample ~now:Unix.gettimeofday ~rounds cells
+
+(* [rate events samples] is the Mev/s of each sample, summarized: the
+   quartiles of a rate are those of its per-sample rates. *)
+let rate events samples =
+  Stats.summary (Array.map (fun s -> float_of_int events /. s /. 1e6) samples)
+
+let cores = Aprof_util.Par.available_parallelism ()
+
+(* The stated bound of the sizing rule: a sized run has at least
+   [target] events and at most [overshoot] times that. *)
+let overshoot = 1.5
+
+(* [sized ?scheduler ~threads ~target name] is the run of workload
+   [name] (seed 42) with between [target] and [overshoot * target]
+   events, searched for from scale 100.  Near any one scale, trace
+   length is a power of the scale (about linear for most workloads,
+   about quadratic for mysqlslap), so each step fits that power through
+   the last two runs (assuming 1 after the first) and aims at the
+   middle of the window; a step moves the scale by at most 4x after the
+   first run and 16x after that. *)
+let sized ?scheduler ?(threads = 4) ~target name =
+  let spec =
+    match Registry.find name with
+    | Some spec -> spec
+    | None -> failwith (Printf.sprintf "unknown workload %s" name)
+  in
+  let clamp limit x = Float.min limit (Float.max (1. /. limit) x) in
+  let target = float_of_int target in
+  let aim = target *. sqrt overshoot in
+  let rec go tries prev scale =
+    let r = Workload.run_spec ?scheduler spec ~threads ~scale ~seed:42 in
+    let e = float_of_int (Aprof_trace.Trace.length r.Interp.trace) in
+    if e >= target && e <= overshoot *. target then r
+    else if tries = 0 then
+      failwith
+        (Printf.sprintf "%s: no scale found for %.0f events (scale %d: %.0f)"
+           name target scale e)
+    else
+      let step =
+        match prev with
+        | Some (s0, e0) when e0 > 0. && e <> e0 ->
+          let power =
+            clamp 4.
+              (log (e /. e0) /. log (float_of_int scale /. float_of_int s0))
+          in
+          clamp 16. ((aim /. e) ** (1. /. power))
+        | _ -> clamp 4. (aim /. Float.max e 1.)
+      in
+      let next =
+        match int_of_float (Float.round (float_of_int scale *. step)) with
+        | next when next <> scale -> max 1 next
+        | _ -> if e < target then scale + 1 else scale - 1
+      in
+      go (tries - 1) (Some (scale, e)) next
+  in
+  go 12 None 100
+
+(* [record ~target name formats] writes the [sized] run of [name] once
+   per (format version, entropy) of [formats], each to a fresh temporary
+   file, and returns those paths in order with the event count.  The
+   trace never leaves this function, so no trace vector is live while a
+   caller times a replay of the files. *)
+let record ~target name formats =
+  let r = sized ~target name in
+  let routine_name = Aprof_trace.Routine_table.name r.Interp.routines in
+  let paths =
+    List.map
+      (fun (format_version, entropy) ->
+        let path = Filename.temp_file "aprof_bench" ".atrc" in
+        Out_channel.with_open_bin path (fun oc ->
+            let sink =
+              Aprof_trace.Trace_codec.batch_writer ~format_version ~entropy
+                ~routine_name oc
+            in
+            Aprof_trace.Trace.replay r.Interp.trace
+              sink.Aprof_trace.Trace_stream.emit_batch;
+            sink.Aprof_trace.Trace_stream.close_batch ());
+        path)
+      formats
+  in
+  (paths, Aprof_trace.Trace.length r.Interp.trace)
 
 (* The penalized class of a cost curve, with its bootstrap confidence. *)
 let fit_note ppf ~label points =
@@ -94,28 +188,27 @@ type json_value = Int of int | Float of float | String of string
 
 let json_rows : (string * (string * json_value) list) list ref = ref []
 
-let emit_row ~experiment fields =
-  json_rows := (experiment, fields) :: !json_rows
+(* A timed metric's fields: its median, then its quartiles. *)
+let metric name (s : Stats.summary) =
+  [
+    (name, Float s.Stats.median);
+    (name ^ "_p25", Float s.Stats.p25);
+    (name ^ "_p75", Float s.Stats.p75);
+  ]
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* Every row ends with the host's [cores]; a timed row ([~rounds]) also
+   says how many rounds its metrics come from. *)
+let emit_row ~experiment ?rounds fields =
+  let rounds =
+    match rounds with Some n -> [ ("rounds", Int n) ] | None -> []
+  in
+  json_rows :=
+    (experiment, fields @ rounds @ [ ("cores", Int cores) ]) :: !json_rows
 
 let json_value_to_string = function
   | Int i -> string_of_int i
-  | Float f ->
-    if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-  | String s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Float f -> Aprof_util.Json.number f
+  | String s -> Printf.sprintf "\"%s\"" (Aprof_util.Json.escape s)
 
 let write_json path =
   let rows = List.rev !json_rows in
@@ -125,11 +218,13 @@ let write_json path =
     (fun i (experiment, fields) ->
       if i > 0 then Buffer.add_string buf ",\n";
       Buffer.add_string buf
-        (Printf.sprintf "  {\"experiment\": \"%s\"" (json_escape experiment));
+        (Printf.sprintf "  {\"experiment\": %s"
+           (json_value_to_string (String experiment)));
       List.iter
         (fun (k, v) ->
           Buffer.add_string buf
-            (Printf.sprintf ", \"%s\": %s" (json_escape k)
+            (Printf.sprintf ", %s: %s"
+               (json_value_to_string (String k))
                (json_value_to_string v)))
         fields;
       Buffer.add_char buf '}')

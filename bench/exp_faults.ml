@@ -9,8 +9,6 @@
    (checksummed) decode throughput against v1, and salvage throughput
    on damaged inputs. *)
 
-module Workload = Aprof_workloads.Workload
-module Registry = Aprof_workloads.Registry
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Crc32c = Aprof_util.Crc32c
@@ -31,124 +29,65 @@ let stream_digest src =
   in
   (count, !crc)
 
-let record trace routines ~format_version file =
-  Out_channel.with_open_bin file (fun oc ->
-      let sink =
-        Codec.batch_writer ~format_version
-          ~routine_name:(Aprof_trace.Routine_table.name routines)
-          oc
-      in
-      Aprof_trace.Trace.replay trace sink.Stream.emit_batch;
-      sink.Stream.close_batch ())
-
 let run ~quick ppf =
   Exp_common.section ppf "faults: injection and salvage on a recorded trace";
   let target = if quick then 100_000 else 600_000 in
-  let spec =
-    match Registry.find "blackscholes" with
-    | Some s -> s
-    | None -> failwith "blackscholes workload missing"
+  let paths, n_events =
+    Exp_common.record ~target "blackscholes"
+      [ (Codec.version, false); (1, false); (3, false) ]
   in
-  let rec grow scale =
-    let result = Workload.run_spec spec ~threads:4 ~scale ~seed:42 in
-    if Aprof_trace.Trace.length result.Aprof_vm.Interp.trace >= target || scale > 8_000_000
-    then result
-    else grow (scale * 2)
+  let v2_file, v1_file, v3_file =
+    match paths with [ v2; v1; v3 ] -> (v2, v1, v3) | _ -> assert false
   in
-  let result = grow (target / 8) in
-  let trace = result.Aprof_vm.Interp.trace in
-  let routines = result.Aprof_vm.Interp.routines in
-  let v2_file = Filename.temp_file "aprof_faults" ".atrc" in
-  let v1_file = Filename.temp_file "aprof_faults_v1" ".atrc" in
   let mutant = Filename.temp_file "aprof_faults_mut" ".atrc" in
-  let v3_file = Filename.temp_file "aprof_faults_v3" ".atrc" in
-  record trace routines ~format_version:Codec.version v2_file;
-  record trace routines ~format_version:1 v1_file;
-  record trace routines ~format_version:3 v3_file;
   let pristine = In_channel.with_open_bin v2_file In_channel.input_all in
   let pristine_v3 = In_channel.with_open_bin v3_file In_channel.input_all in
   let total = String.length pristine in
   Format.fprintf ppf "trace: %d events, %d bytes (v2), %d bytes (v3)@."
-    (Aprof_trace.Trace.length trace) total
-    (String.length pristine_v3);
+    n_events total (String.length pristine_v3);
 
   (* --- integrity cost: v1 vs v2 decode throughput -------------------
 
      Raw batch decode, counting events off the batch lengths: rendering
      each event (as the fault sweep below does) costs an order of
      magnitude more than decoding it and would bury the checksum in
-     noise. *)
-  let decode_raw file =
+     noise.  A decode of the quick-mode trace takes about 2 ms, so the
+     sampler repeats it within each sample. *)
+  let decode file time =
     In_channel.with_open_bin file (fun ic ->
-        let _, src = Codec.batch_reader ic in
-        let count = ref 0 in
-        let rec loop () =
-          match src () with
-          | None -> !count
-          | Some b ->
-            count := !count + Aprof_trace.Event.Batch.length b;
-            loop ()
-        in
-        loop ())
+        time (fun () ->
+            let _, src = Codec.batch_reader ic in
+            if Stream.drain src ignore <> n_events then
+              failwith "faults bench: decoded event count mismatch"))
   in
-  let reps = if quick then 5 else 7 in
-  (* One decode of the quick-mode trace takes ~2 ms — below the clock
-     granularity — so each timing sample amortizes many decodes; the v1
-     and v2 samples interleave so machine jitter hits both formats
-     alike. *)
-  let iters = if quick then 50 else 20 in
-  let sample file =
-    let dt, n =
-      Exp_common.time (fun () ->
-          let n = ref 0 in
-          for _ = 1 to iters do
-            n := decode_raw file
-          done;
-          !n)
-    in
-    (dt /. float_of_int iters, n)
+  let crc time =
+    time (fun () -> ignore (Crc32c.digest_string pristine ~pos:0 ~len:total))
   in
-  let v1_best = ref infinity and v2_best = ref infinity in
-  let v3_best = ref infinity in
-  let v1_count = ref 0 and v2_count = ref 0 in
-  for _ = 1 to reps do
-    let s1, n1 = sample v1_file in
-    let s2, n2 = sample v2_file in
-    let s3, n3 = sample v3_file in
-    if s1 < !v1_best then v1_best := s1;
-    if s2 < !v2_best then v2_best := s2;
-    if s3 < !v3_best then v3_best := s3;
-    v1_count := n1;
-    v2_count := n2;
-    assert (n3 = n2)
-  done;
-  let v1_s, v1_count = (!v1_best, !v1_count) in
-  let v2_s, v2_count = (!v2_best, !v2_count) in
-  let v3_s = !v3_best in
-  assert (v1_count = v2_count);
+  let rounds = Exp_common.rounds ~quick in
+  let v1_s, v2_s, v3_s, crc_s =
+    match
+      Exp_common.sample ~rounds
+        [ decode v1_file; decode v2_file; decode v3_file; crc ]
+    with
+    | [ v1; v2; v3; crc ] -> (v1, v2, v3, crc)
+    | _ -> assert false
+  in
   let ref_count, ref_crc =
     In_channel.with_open_bin v2_file (fun ic ->
         let _, src = Codec.batch_reader ic in
         stream_digest src)
   in
-  assert (ref_count = v2_count);
+  assert (ref_count = n_events);
   let rate n s = if s > 0. then float_of_int n /. s /. 1e6 else 0. in
-  let crc_s, _ =
-    Exp_common.time (fun () ->
-        let acc = ref 0 in
-        for _ = 1 to reps do
-          acc := Crc32c.digest_string pristine ~pos:0 ~len:total
-        done;
-        !acc)
-  in
+  let median s = (Exp_common.rate n_events s).median in
   Format.fprintf ppf "crc32c alone: %.0f MB/s@."
-    (float_of_int (total * reps) /. crc_s /. 1e6);
+    ((Exp_common.rate total crc_s).median);
   Format.fprintf ppf
     "v1 decode: %.2fM events/s; v2 decode: %.2fM events/s; v3 decode: %.2fM \
      events/s@."
-    (rate ref_count v1_s) (rate ref_count v2_s) (rate ref_count v3_s);
+    (median v1_s) (median v2_s) (median v3_s);
   Format.fprintf ppf "checksum overhead: %+.1f%% decode time@."
-    ((v2_s -. v1_s) /. v1_s *. 100.);
+    (((Exp_common.Stats.ratio v2_s v1_s).median -. 1.) *. 100.);
 
   (* --- randomized fault sweep ---------------------------------------
 
@@ -236,7 +175,5 @@ let run ~quick ppf =
   in
   sweep ~label:"v2" pristine;
   sweep ~label:"v3" pristine_v3;
-  Sys.remove v2_file;
-  Sys.remove v1_file;
-  Sys.remove v3_file;
+  List.iter Sys.remove paths;
   Sys.remove mutant

@@ -8,10 +8,10 @@
    designs r^2 is monotone in model size, so the legacy ranking
    gravitates to the top of the ladder — the battery quantifies exactly
    how often — while the penalized pick is gated on ">= 90% true-class
-   recovery" in CI.  A fits/s row tracks the cost of a selection (the
-   regression watch runs one per routine per run), and [fit_cost] rows
-   track how that cost grows with the number of distinct inputs — the
-   profile richness drms exists to raise. *)
+   recovery" in CI.  [fit_cost] rows track the cost of a selection (the
+   regression watch runs one per routine per run) and how it grows with
+   the number of distinct inputs — the profile richness drms exists to
+   raise. *)
 
 module Basis = Aprof_analysis.Fit_basis
 module Solve = Aprof_analysis.Fit_solve
@@ -61,7 +61,7 @@ let noises = [ 0.05; 0.12 ]
 (* Selection cost against profile richness: the wall time of one
    [select ~bootstrap:40] (what [aprof fit] spends per routine and
    metric) on a noisy plateau curve with [d] distinct inputs, one point
-   each, spread over the same range for every [d]; median of [reps]. *)
+   each, spread over the same range for every [d]; one cell per [d]. *)
 let cost_inputs = [ 16; 128; 512; 1024 ]
 let cost_bootstrap = 40
 
@@ -75,29 +75,31 @@ let cost_curve d =
       (n, y *. Float.max 0.05 (Rng.gaussian rng ~mu:1.0 ~sigma:0.05)))
 
 let selection_cost ~quick ppf =
-  let cores = Aprof_util.Par.available_parallelism () in
-  let reps = if quick then 1 else 5 in
   Format.fprintf ppf "  selection cost (bootstrap %d, %d cores):@."
-    cost_bootstrap cores;
-  List.iter
-    (fun d ->
-      let points = cost_curve d in
-      let times =
-        List.init reps (fun _ ->
-            let t0 = Unix.gettimeofday () in
-            ignore (Select.select ~bootstrap:cost_bootstrap ~seed:1 points);
-            Unix.gettimeofday () -. t0)
-      in
-      let ms = 1e3 *. Aprof_util.Stats.percentile 50. times in
-      Format.fprintf ppf "    %5d distinct inputs: %9.1f ms@." d ms;
-      Exp_common.emit_row ~experiment:"fit_cost"
-        [
-          ("distinct_inputs", Exp_common.Int d);
-          ("bootstrap", Exp_common.Int cost_bootstrap);
-          ("select_ms", Exp_common.Float ms);
-          ("cores", Exp_common.Int cores);
-        ])
-    cost_inputs
+    cost_bootstrap Exp_common.cores;
+  let rounds = Exp_common.rounds ~quick in
+  let samples =
+    Exp_common.sample ~rounds
+      (List.map
+         (fun d ->
+           let points = cost_curve d in
+           fun time ->
+             time (fun () ->
+                 ignore
+                   (Select.select ~bootstrap:cost_bootstrap ~seed:1 points)))
+         cost_inputs)
+  in
+  List.iter2
+    (fun d s ->
+      let ms = Exp_common.Stats.summary (Array.map (fun t -> 1e3 *. t) s) in
+      Format.fprintf ppf "    %5d distinct inputs: %9.1f ms@." d ms.median;
+      Exp_common.emit_row ~experiment:"fit_cost" ~rounds
+        ([
+           ("distinct_inputs", Exp_common.Int d);
+           ("bootstrap", Exp_common.Int cost_bootstrap);
+         ]
+        @ Exp_common.metric "select_ms" ms))
+    cost_inputs samples
 
 let run ~quick ppf =
   let seeds = if quick then 6 else 30 in
@@ -105,7 +107,6 @@ let run ~quick ppf =
   Exp_common.section ppf "penalized fit selection battery";
   let total = ref 0 and correct = ref 0 and r2_correct = ref 0 in
   let r2_overfit = ref 0 in
-  let select_time = ref 0. and selections = ref 0 in
   let per_class =
     List.map
       (fun (cls, coefs) ->
@@ -117,12 +118,9 @@ let run ~quick ppf =
                 Rng.create ((seed * 7919) + int_of_float (noise *. 1000.))
               in
               let points = plant rng cls coefs ~noise in
-              let t0 = Sys.time () in
               match Select.select ~bootstrap ~seed points with
               | None -> ()
               | Some sel ->
-                select_time := !select_time +. (Sys.time () -. t0);
-                incr selections;
                 incr n;
                 incr total;
                 conf_sum := !conf_sum +. sel.Select.confidence;
@@ -163,16 +161,10 @@ let run ~quick ppf =
   let acc = float_of_int !correct /. float_of_int (max 1 !total) in
   let r2_acc = float_of_int !r2_correct /. float_of_int (max 1 !total) in
   let overfit = float_of_int !r2_overfit /. float_of_int (max 1 !total) in
-  let fits_per_s =
-    if !select_time > 0. then float_of_int !selections /. !select_time else 0.
-  in
   Format.fprintf ppf
     "  overall: penalized %.1f%%, r2-only %.1f%% (overfits upward on \
      %.1f%% of curves)@."
     (100. *. acc) (100. *. r2_acc) (100. *. overfit);
-  Format.fprintf ppf
-    "  %.0f selections/s (bootstrap %d, %d-point curves)@."
-    fits_per_s bootstrap (List.length sizes);
   Exp_common.emit_row ~experiment:"fit"
     [
       ("class", Exp_common.String "overall");
@@ -180,9 +172,7 @@ let run ~quick ppf =
       ("penalized_accuracy", Exp_common.Float acc);
       ("r2_accuracy", Exp_common.Float r2_acc);
       ("r2_overfit_rate", Exp_common.Float overfit);
-      ("selections_per_s", Exp_common.Float fits_per_s);
       ("bootstrap", Exp_common.Int bootstrap);
       ("points_per_curve", Exp_common.Int (List.length sizes));
-      ("cores", Exp_common.Int (Aprof_util.Par.available_parallelism ()));
     ];
   selection_cost ~quick ppf

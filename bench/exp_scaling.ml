@@ -5,29 +5,21 @@ module Harness = Aprof_tools.Harness
 
 let thread_counts = [ 1; 2; 4; 8 ]
 
+(* Five rounds in a full run, not [Exp_common.rounds]: each of the 56
+   (thread count, workload) cells samples seven tools for at least
+   0.02 s a round, so the full run takes about 40 s. *)
 let run ?(quick = false) ppf =
   Exp_common.section ppf
     "fig16: overhead as a function of the number of threads (OMP suite)";
-  let scale = if quick then 150 else 300 in
+  let rounds = if quick then Exp_common.rounds ~quick else 5 in
+  let min_events = if quick then 10_000 else 20_000 in
   let names = Exp_common.omp_suite () in
   let per_thread =
     List.map
       (fun threads ->
-        let rows =
+        ( threads,
           Harness.geometric_rows
-            (List.map
-               (fun name ->
-                 let r =
-                   Exp_table1.sized_run ~threads ~scale
-                     ~min_events:(if quick then 10_000 else 20_000) name
-                 in
-                 Harness.measure
-                   ~program_words:
-                     r.Exp_common.result.Aprof_vm.Interp.memory_high_water
-                   r.Exp_common.result.Aprof_vm.Interp.trace)
-               names)
-        in
-        (threads, rows))
+            (Exp_table1.measure_suite ~rounds ~threads ~min_events names) ))
       thread_counts
   in
   let tools =
@@ -45,7 +37,7 @@ let run ?(quick = false) ppf =
       List.iter
         (fun (_, rows) ->
           let _, native, _, _ = List.find (fun (t, _, _, _) -> t = tool) rows in
-          Format.fprintf ppf " %7.1fx" native)
+          Format.fprintf ppf " %7.1fx" native.Exp_common.Stats.median)
         per_thread;
       Format.fprintf ppf "@.")
     tools;

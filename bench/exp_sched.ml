@@ -152,7 +152,6 @@ let run ppf =
     (List.length benchmarks);
   Format.fprintf ppf "  %-14s %8s %8s %8s %10s %8s %14s %8s %5s@." "benchmark"
     "thread%" "fluct" "cv-mean" "cv-max" "ext-var" "ext ops" "class" "conf";
-  let cores = Aprof_util.Par.available_parallelism () in
   List.iter
     (fun name ->
       let runs =
@@ -226,8 +225,7 @@ let run ppf =
                   ("cost_class", Exp_common.String c);
                   ("cost_class_confidence", Exp_common.Float p);
                 ]
-              | _ -> [])
-            @ [ ("cores", Exp_common.Int cores) ]))
+              | _ -> [])))
         (List.combine runs named_runs);
       Exp_common.emit_row ~experiment:"sched"
         ([
@@ -254,10 +252,9 @@ let run ppf =
             ("cost_class", Exp_common.String class_name);
             ("cost_class_stable", Exp_common.Int (if class_stable then 1 else 0));
           ]
-        @ (match class_confidence with
+        @ match class_confidence with
           | Some p -> [ ("cost_class_confidence", Exp_common.Float p) ]
-          | None -> [])
-        @ [ ("cores", Exp_common.Int cores) ]))
+          | None -> []))
     benchmarks;
   Format.fprintf ppf
     "  (paper: external input is stable across runs; thread input fluctuates \

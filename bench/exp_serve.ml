@@ -2,17 +2,19 @@
    under many concurrent push clients, against the single-file
    sequential replay rate of the same trace.
 
-   A mysqlslap trace is recorded once (binary v2, probe-pinned scale —
+   A mysqlslap trace is recorded once (binary v2, sized to the target —
    the daemon's motivating workload: a fleet of database clients each
    streaming its own trace).  The baseline replays it sequentially
    through the drms profiler.  Then an in-process server is started on
    a temp Unix socket and N client threads connect and stream the file
    concurrently; the fleet window is closed when every connection has
    drained and folded, so the rate is end-to-end ingest (decode +
-   profile + fold), not just socket drain.
+   profile + fold), not just socket drain.  The baseline and every
+   fleet size are cells of one sampler run, so each round runs all of
+   them.
 
    [ratio_vs_replay] compares aggregate ingest against the sequential
-   baseline.  The CI serve gate (4 vCPU) asserts ratio >= 1.0 at >= 8
+   baseline, per round.  The CI serve gate (4 vCPU) asserts ratio >= 1.0 at >= 8
    clients: concurrent ingest across the worker pool must at least
    match single-file replay.  On a single-core host the ratio mostly
    reflects scheduling overhead — [cores] is recorded on every row so a
@@ -20,61 +22,7 @@
    recorded per row: with bounded inboxes it must not scale with the
    client count. *)
 
-module Registry = Aprof_workloads.Registry
-module Workload = Aprof_workloads.Workload
-module Stream = Aprof_trace.Trace_stream
-module Codec = Aprof_trace.Trace_codec
 module Server = Aprof_serve.Server
-module Par = Aprof_util.Par
-module Vec = Aprof_util.Vec
-
-let now () = Unix.gettimeofday ()
-
-let record_trace ~target path =
-  let spec =
-    match Registry.find "mysqlslap" with
-    | Some s -> s
-    | None -> failwith "mysqlslap workload missing"
-  in
-  (* Probe-pin the scale so the gate measures the regime it names.
-     Trace length grows superlinearly in scale for this workload, so a
-     single linear probe can overshoot by an order of magnitude; ramp
-     the scale geometrically instead, with one power-law refinement if
-     the crossing run lands more than 2x past the target. *)
-  let run scale = Workload.run_spec spec ~threads:4 ~scale ~seed:42 in
-  let events r = Aprof_trace.Trace.length r.Aprof_vm.Interp.trace in
-  let rec ramp prev scale =
-    let r = run scale in
-    let e = events r in
-    if e < target / 2 then ramp (Some (scale, e)) (scale * 2)
-    else if e <= target * 2 then r
-    else
-      match prev with
-      | Some (s0, e0) when e > e0 && scale > s0 ->
-        let p =
-          log (float_of_int e /. float_of_int e0)
-          /. log (float_of_int scale /. float_of_int s0)
-        in
-        let p = Float.max 0.5 (Float.min 3.0 p) in
-        let s' =
-          int_of_float
-            (float_of_int scale
-            *. ((float_of_int target /. float_of_int e) ** (1. /. p)))
-        in
-        run (max 50 s')
-      | _ -> r
-  in
-  let result = ramp None 400 in
-  let routines = result.Aprof_vm.Interp.routines in
-  Out_channel.with_open_bin path (fun oc ->
-      let sink =
-        Codec.batch_writer
-          ~routine_name:(Aprof_trace.Routine_table.name routines)
-          oc
-      in
-      Aprof_trace.Trace.replay result.Aprof_vm.Interp.trace sink.Stream.emit_batch;
-      sink.Stream.close_batch ());
-  Aprof_trace.Trace.length result.Aprof_vm.Interp.trace
 
 (* One push client: stream the whole file over a fresh connection,
    [repeat] traces back-to-back, then close and wait for the server's
@@ -99,91 +47,105 @@ let push_client ~sock ~bytes ~repeat () =
 
 let run ~quick ppf =
   Exp_common.section ppf "serve: concurrent ingest daemon throughput";
+  (* Trace length grows about quadratically in scale for this workload;
+     the sizing rule fits that. *)
   let target = if quick then 100_000 else 2_000_000 in
-  let cores = Par.available_parallelism () in
-  let path = Filename.temp_file "aprof_serve" ".atrc" in
-  let trace_events = record_trace ~target path in
+  let cores = Exp_common.cores in
+  let paths, trace_events = Exp_common.record ~target "mysqlslap" [ (2, false) ] in
+  let path = List.hd paths in
   let bytes =
     In_channel.with_open_bin path (fun ic ->
         Bytes.unsafe_of_string (In_channel.input_all ic))
   in
   Format.fprintf ppf "trace: %d events, %d bytes, %d cores available@."
     trace_events (Bytes.length bytes) cores;
+  let jobs = max 1 (min 8 cores) in
   (* Baseline: sequential single-file replay through the same profiler. *)
-  let baseline =
-    let r =
-      Aprof_tools.Replay_driver.replay ~jobs:1
-        ~profiler:(module Aprof_tools.Aprof_adapters.Drms)
-        ~with_tools:false ~keep_going:false ~now [ path ]
-    in
-    if r.Aprof_tools.Replay_driver.failed then failwith "baseline replay failed";
-    let events = r.Aprof_tools.Replay_driver.events in
-    let seconds = r.Aprof_tools.Replay_driver.seconds in
-    let mev = float_of_int events /. seconds /. 1e6 in
-    Format.fprintf ppf "  %-18s %9d events  %.3fs  %6.2fM ev/s@." "replay-j1"
-      events seconds mev;
-    Exp_common.emit_row ~experiment:"serve"
-      [
-        ("mode", Exp_common.String "replay-j1");
-        ("clients", Exp_common.Int 0);
-        ("jobs", Exp_common.Int 1);
-        ("cores", Exp_common.Int cores);
-        ("events", Exp_common.Int events);
-        ("seconds", Exp_common.Float seconds);
-        ("mev_per_s", Exp_common.Float mev);
-        ("ratio_vs_replay", Exp_common.Float 1.);
-        ( "peak_heap_words",
-          Exp_common.Int (Gc.stat ()).Gc.top_heap_words );
-      ];
-    mev
+  let replay time =
+    time (fun () ->
+        let r =
+          Aprof_tools.Replay_driver.replay ~jobs:1
+            ~profiler:(module Aprof_tools.Aprof_adapters.Drms)
+            ~with_tools:false ~keep_going:false ~now:Unix.gettimeofday [ path ]
+        in
+        if r.Aprof_tools.Replay_driver.failed then failwith "baseline replay failed")
   in
-  let serve_round ~clients ~repeat =
+  (* One fleet window: a fresh in-process server on a temp Unix socket,
+     [clients] threads each streaming the file [repeat] times.  The
+     window closes when every client saw the server's EOF, so every
+     stream is fully folded: the rate is end-to-end ingest. *)
+  let serve ~clients ~repeat time =
     let sock = Filename.temp_file "aprof_serve" ".sock" in
     Sys.remove sock;
-    let jobs = max 1 (min 8 cores) in
     let srv =
       Server.start { Server.default_config with unix_path = Some sock; jobs }
     in
-    let t0 = now () in
-    let threads =
-      List.init clients (fun _ ->
-          Thread.create (push_client ~sock ~bytes ~repeat) ())
-    in
-    List.iter Thread.join threads;
-    (* Joined clients saw the server's EOF, so every stream is fully
-       folded: the window closes here. *)
-    let seconds = now () -. t0 in
+    time (fun () ->
+        List.init clients (fun _ ->
+            Thread.create (push_client ~sock ~bytes ~repeat) ())
+        |> List.iter Thread.join);
     let s = Server.stats srv in
     Server.stop srv;
-    let expected = clients * repeat in
-    if s.Server.s_traces <> expected then
+    if s.Server.s_traces <> clients * repeat
+       || s.Server.s_events <> clients * repeat * trace_events
+    then
       failwith
-        (Printf.sprintf "serve: folded %d traces, expected %d"
-           s.Server.s_traces expected);
-    let events = s.Server.s_events in
-    let mev = float_of_int events /. seconds /. 1e6 in
-    let ratio = mev /. baseline in
-    let peak = (Gc.stat ()).Gc.top_heap_words in
-    Format.fprintf ppf
-      "  %-18s %9d events  %.3fs  %6.2fM ev/s  ratio %.2fx  peak %dw@."
-      (Printf.sprintf "serve c=%d j=%d" clients jobs)
-      events seconds mev ratio peak;
-    Exp_common.emit_row ~experiment:"serve"
-      [
-        ("mode", Exp_common.String "serve");
-        ("clients", Exp_common.Int clients);
-        ("jobs", Exp_common.Int jobs);
-        ("cores", Exp_common.Int cores);
-        ("events", Exp_common.Int events);
-        ("seconds", Exp_common.Float seconds);
-        ("mev_per_s", Exp_common.Float mev);
-        ("ratio_vs_replay", Exp_common.Float ratio);
-        ("peak_heap_words", Exp_common.Int peak);
-      ]
+        (Printf.sprintf "serve: folded %d traces (%d events), expected %d"
+           s.Server.s_traces s.Server.s_events (clients * repeat))
   in
   (* The fleet sizes: hundreds of concurrent clients in the full run —
      each client is a blocking-IO systhread, which is exactly the
-     mysqlslap shape (many mostly-idle connections). *)
-  let rounds = if quick then [ (8, 1) ] else [ (8, 2); (128, 1); (512, 1) ] in
-  List.iter (fun (clients, repeat) -> serve_round ~clients ~repeat) rounds;
+     mysqlslap shape (many mostly-idle connections).  Cells run in
+     ascending client order: (mode, clients, jobs, events, cell). *)
+  let cells =
+    ("replay-j1", 0, 1, trace_events, replay)
+    :: List.map
+         (fun (clients, repeat) ->
+           ( "serve",
+             clients,
+             jobs,
+             clients * repeat * trace_events,
+             serve ~clients ~repeat ))
+         (if quick then [ (8, 1) ] else [ (8, 2); (128, 1); (512, 1) ])
+  in
+  (* [peak_heap_words] is [Gc.top_heap_words], which never falls within
+     a process: it is read once, after a cell's first call, and the
+     cells run in ascending client order, so each reading belongs to its
+     own row. *)
+  let peaks = List.map (fun _ -> ref 0) cells in
+  (* Five rounds in a full run, not [Exp_common.rounds]: one round
+     pushes 656 copies of the trace, about 1.6 G events and 50 s on two
+     cores, so a run takes about 4 minutes. *)
+  let rounds = if quick then Exp_common.rounds ~quick else 5 in
+  let samples =
+    Exp_common.sample ~rounds
+      (List.map2
+         (fun (_, _, _, _, cell) peak time ->
+           cell time;
+           if !peak = 0 then peak := (Gc.stat ()).Gc.top_heap_words)
+         cells peaks)
+  in
+  (* Ingest over replay rate, per round. *)
+  let per_s n = Array.map (fun s -> float_of_int n /. s) in
+  let replay_per_s = per_s trace_events (List.hd samples) in
+  List.iter2
+    (fun ((mode, clients, jobs, events, _), peak) seconds ->
+      let mev = Exp_common.rate events seconds in
+      let ratio = Exp_common.Stats.ratio (per_s events seconds) replay_per_s in
+      Format.fprintf ppf
+        "  %-18s %9d events  %6.2fM ev/s (q1-q3 %.2f-%.2f)  ratio %.2fx  peak %dw@."
+        (if clients = 0 then mode
+         else Printf.sprintf "serve c=%d j=%d" clients jobs)
+        events mev.median mev.p25 mev.p75 ratio.median !peak;
+      Exp_common.emit_row ~experiment:"serve" ~rounds
+        ([
+           ("mode", Exp_common.String mode);
+           ("clients", Exp_common.Int clients);
+           ("jobs", Exp_common.Int jobs);
+           ("events", Exp_common.Int events);
+         ]
+        @ Exp_common.metric "mev_per_s" mev
+        @ Exp_common.metric "ratio_vs_replay" ratio
+        @ [ ("peak_heap_words", Exp_common.Int !peak) ]))
+    (List.combine cells peaks) samples;
   Sys.remove path

@@ -7,55 +7,46 @@
 module Harness = Aprof_tools.Harness
 module Workload = Aprof_workloads.Workload
 
-(* Grow the scale until the trace is large enough that per-event handler
-   cost (not tool construction) dominates the timing. *)
-let rec sized_run ~threads ~scale ~min_events name =
-  let r = Exp_common.run_named ~threads ~scale name in
-  if
-    Aprof_trace.Trace.length r.Exp_common.result.Aprof_vm.Interp.trace
-    >= min_events
-    || scale > 64 * min_events
-  then r
-  else sized_run ~threads ~scale:(scale * 2) ~min_events name
-
-let measure_suite ?(threads = 4) ?(scale = 300) ?(min_events = 40_000) names =
+(* [measure_suite ~rounds ~threads ~min_events names] samples every tool
+   on each workload sized to [min_events] (enough that per-event handler
+   cost, not tool construction, dominates the timing). *)
+let measure_suite ~rounds ?(threads = 4) ~min_events names =
   List.map
     (fun name ->
-      let r = sized_run ~threads ~scale ~min_events name in
-      Harness.measure
-        ~program_words:r.Exp_common.result.Aprof_vm.Interp.memory_high_water
-        r.Exp_common.result.Aprof_vm.Interp.trace)
+      let r =
+        Exp_common.sized ~scheduler:Exp_common.default_scheduler ~threads
+          ~target:min_events name
+      in
+      Harness.measure ~now:Unix.gettimeofday ~rounds
+        ~program_words:r.Aprof_vm.Interp.memory_high_water
+        r.Aprof_vm.Interp.trace)
     names
 
-let print_rows ppf ~key suite rows =
-  let cores = Aprof_util.Par.available_parallelism () in
+let print_rows ppf ~rounds ~key suite rows =
   Format.fprintf ppf "  %s:@." suite;
   Format.fprintf ppf "    %-10s %18s %20s %16s@." "tool" "slowdown(native)"
     "slowdown(nulgrind)" "space overhead";
   List.iter
     (fun (tool, native, nul, space) ->
-      Format.fprintf ppf "    %-10s %17.1fx %19.2fx %15.2fx@." tool native nul
-        space;
-      Exp_common.emit_row ~experiment:"table1"
-        [
-          ("suite", Exp_common.String key);
-          ("tool", Exp_common.String tool);
-          ("slowdown_nulgrind", Exp_common.Float nul);
-          ("space_overhead", Exp_common.Float space);
-          ("cores", Exp_common.Int cores);
-        ])
+      Format.fprintf ppf "    %-10s %17.1fx %19.2fx %15.2fx@." tool
+        native.Exp_common.Stats.median nul.Exp_common.Stats.median space;
+      Exp_common.emit_row ~experiment:"table1" ~rounds
+        ([ ("suite", Exp_common.String key); ("tool", Exp_common.String tool) ]
+        @ Exp_common.metric "slowdown_nulgrind" nul
+        @ Exp_common.metric "slowdown_native" native
+        @ [ ("space_overhead", Exp_common.Float space) ]))
     rows
 
 let run ?(quick = false) ppf =
   Exp_common.section ppf
     "table1: performance comparison with aprof and Valgrind tools (geom. means)";
-  let scale = if quick then 150 else 300 in
+  let rounds = Exp_common.rounds ~quick in
   let min_events = if quick then 15_000 else 30_000 in
-  let parsec = measure_suite ~scale ~min_events (Exp_common.parsec_suite ()) in
-  let omp = measure_suite ~scale ~min_events (Exp_common.omp_suite ()) in
-  print_rows ppf ~key:"parsec" "PARSEC 2.1 (miniatures)"
+  let parsec = measure_suite ~rounds ~min_events (Exp_common.parsec_suite ()) in
+  let omp = measure_suite ~rounds ~min_events (Exp_common.omp_suite ()) in
+  print_rows ppf ~rounds ~key:"parsec" "PARSEC 2.1 (miniatures)"
     (Harness.geometric_rows parsec);
-  print_rows ppf ~key:"omp" "SPEC OMP2012 (miniatures)"
+  print_rows ppf ~rounds ~key:"omp" "SPEC OMP2012 (miniatures)"
     (Harness.geometric_rows omp);
   Format.fprintf ppf
     "  (paper shape: nulgrind fastest; memcheck/callgrind midfield; aprof-drms \

@@ -26,7 +26,7 @@ let experiments quick :
     ("faults", "fault injection and salvage on a recorded trace", Exp_faults.run ~quick);
     ("fit", "penalized cost-model selection battery", Exp_fit.run ~quick);
     ("comm", "communication characterization (future-work direction)", Exp_comm.run);
-    ("ablation", "design-choice ablations", Exp_ablation.run);
+    ("ablation", "design-choice ablations", Exp_ablation.run ~quick);
     ("bechamel", "microbenchmarks", Micro.run);
   ]
 
@@ -61,9 +61,8 @@ let () =
   List.iter
     (fun (id, desc, f) ->
       Format.fprintf ppf "@.>>> %s: %s@." id desc;
-      let t0 = Sys.time () in
-      f ppf;
-      Format.fprintf ppf "<<< %s done in %.1fs@." id (Sys.time () -. t0))
+      let seconds, () = Exp_common.time (fun () -> f ppf) in
+      Format.fprintf ppf "<<< %s done in %.1fs@." id seconds)
     to_run;
   match !json_out with
   | None -> ()

@@ -473,13 +473,19 @@ let tools_cmd =
       const run $ workload_arg $ threads_term $ scale_term $ seed_term
       $ scheduler_term)
 
+(* Wall clock, not [Sys.time]: parallel replay spreads the work over
+   domains, where process CPU time overstates elapsed time — and a rate
+   is events per elapsed second. *)
+let now () = Unix.gettimeofday ()
+
 (* ----- overhead -------------------------------------------------------- *)
 
 let overhead_cmd =
   let run name threads scale seed scheduler =
     let result = execute name threads scale seed scheduler in
+    (* Five rounds: at least 0.7 s of samples (7 cells of 0.02 s). *)
     let measurements =
-      Aprof_tools.Harness.measure
+      Aprof_tools.Harness.measure ~now ~rounds:5
         ~program_words:result.Aprof_vm.Interp.memory_high_water
         result.Aprof_vm.Interp.trace
     in
@@ -584,11 +590,6 @@ let profiler_term doc =
         & opt (enum (List.map (fun n -> (n, n)) names)) (List.hd names)
         & info [ "profiler" ] ~docv:"P" ~doc))
 
-(* Wall clock, not [Sys.time]: parallel replay spreads the work over
-   domains, where process CPU time overstates elapsed time — and a rate
-   is events per elapsed second. *)
-let now () = Unix.gettimeofday ()
-
 let record_cmd =
   let run name threads scale seed scheduler output format trace_format entropy =
     let spec = find_spec name in
@@ -672,21 +673,7 @@ let record_cmd =
       $ entropy_term)
 
 (* JSON output is hand-rolled — a flat summary object, no dependency. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Aprof_util.Json.escape
 
 let replay_json (result : Aprof_tools.Replay_driver.t) =
   let buf = Buffer.create 1024 in

@@ -262,23 +262,9 @@ let render report =
       (List.length report.findings) regressions;
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json report =
+  let json_escape = Aprof_util.Json.escape and fnum = Aprof_util.Json.number in
   let buf = Buffer.create 1024 in
-  let fnum f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null" in
   Printf.bprintf buf
     "{\n  \"compared\": %d,\n  \"regressions\": %d,\n  \"findings\": [\n"
     report.compared

@@ -775,20 +775,6 @@ let accept_loop t lfd () =
 
 let addresses t = List.map snd t.listeners
 
-let tcp_port t =
-  List.fold_left
-    (fun acc (_, d) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if String.length d > 4 && String.sub d 0 4 = "tcp:" then
-          match String.rindex_opt d ':' with
-          | Some i ->
-            int_of_string_opt (String.sub d (i + 1) (String.length d - i - 1))
-          | None -> None
-        else None)
-    None t.listeners
-
 let start cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Server.start: no listener configured";

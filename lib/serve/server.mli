@@ -85,9 +85,6 @@ val start : config -> t
     ["tcp:127.0.0.1:4025"] — with the actual port when 0 was asked. *)
 val addresses : t -> string list
 
-(** The bound TCP port, if a TCP listener is up. *)
-val tcp_port : t -> int option
-
 (** Ask the server to shut down (non-blocking; {!wait} does the work). *)
 val request_stop : t -> unit
 

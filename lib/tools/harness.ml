@@ -1,11 +1,12 @@
 module Trace = Aprof_trace.Trace
 module Batch = Aprof_trace.Event.Batch
+module Stats = Aprof_util.Stats
 
 type measurement = {
   tool : string;
   time_s : float;
-  slowdown_native : float;
-  slowdown_nulgrind : float;
+  slowdown_native : float array;
+  slowdown_nulgrind : float array;
   space_words : int;
   space_overhead : float;
   summary : string;
@@ -28,17 +29,6 @@ let profilers : (string * (module Tool.Profiler)) list =
     ("naive", (module Aprof_adapters.Naive));
   ]
 
-(* Mean CPU seconds of [f] per call, repeating until [min_time] total. *)
-let time_of ~min_time f =
-  let runs = ref 0 in
-  let start = Sys.time () in
-  let elapsed () = Sys.time () -. start in
-  while !runs = 0 || elapsed () < min_time do
-    f ();
-    incr runs
-  done;
-  elapsed () /. float_of_int !runs
-
 (* A handler-free replay standing in for native execution: forces the
    walk over every event's packed fields without analysis work.  The
    accumulator escapes through [Sys.opaque_identity] so the loop cannot
@@ -54,45 +44,50 @@ let native_replay trace =
 
 (* [native] enumerates the trace with an empty handler (our stand-in
    for uninstrumented execution); each registry tool replays the same
-   trace, and nulgrind's own row is the instrumentation baseline. *)
-let measure ?(min_time = 0.05) ~program_words trace =
+   trace, and nulgrind's own row is the instrumentation baseline.  One
+   sampler run times the native walk and every tool's create + replay
+   in interleaved rounds, so each slowdown is a per-round ratio. *)
+let measure ~now ~rounds ~program_words trace =
   (* A fresh instance of [M], fed the whole trace. *)
   let replay (type a) (module M : Tool.S with type state = a) =
     let st = M.create () in
     Trace.replay trace (M.on_batch st);
     st
   in
-  let native_time = time_of ~min_time (fun () -> native_replay trace) in
+  let cell f time = time f in
+  let samples =
+    Stats.sample ~now ~rounds
+      (cell (fun () -> native_replay trace)
+      :: List.map
+           (fun (module M : Tool.S) ->
+             cell (fun () -> ignore (replay (module M))))
+           tools)
+  in
+  let native = List.hd samples and seconds = List.tl samples in
+  (* [tools] starts with nulgrind. *)
+  let nulgrind = List.hd seconds in
   let program_words = max program_words 1 in
-  let rows =
-    List.map
-      (fun (module M : Tool.S) ->
-        (* Time fresh instances end to end... *)
-        let time_s = time_of ~min_time (fun () -> ignore (replay (module M))) in
-        (* ...and keep one instance for space and summary. *)
-        let st = replay (module M) in
-        let space_words = M.space_words st in
-        {
-          tool = M.name;
-          time_s;
-          slowdown_native = time_s /. Float.max native_time 1e-9;
-          slowdown_nulgrind = nan;
-          space_words;
-          space_overhead =
-            float_of_int (program_words + space_words)
-            /. float_of_int program_words;
-          summary = M.summary st;
-        })
-      tools
-  in
-  let nulgrind_time =
-    (List.find (fun m -> m.tool = Nulgrind.name) rows).time_s
-  in
-  List.map
-    (fun m ->
-      { m with slowdown_nulgrind = m.time_s /. Float.max nulgrind_time 1e-9 })
-    rows
+  List.map2
+    (fun (module M : Tool.S) seconds ->
+      (* One more, untimed instance for space and summary. *)
+      let st = replay (module M) in
+      let space_words = M.space_words st in
+      {
+        tool = M.name;
+        time_s = (Stats.summary seconds).Stats.median;
+        slowdown_native = Array.map2 ( /. ) seconds native;
+        slowdown_nulgrind = Array.map2 ( /. ) seconds nulgrind;
+        space_words;
+        space_overhead =
+          float_of_int (program_words + space_words)
+          /. float_of_int program_words;
+        summary = M.summary st;
+      })
+    tools seconds
 
+(* Per round, the geometric mean over benchmarks of that round's
+   ratios; a benchmark's rounds are exchangeable, so pairing them by
+   index is as good as any pairing. *)
 let geometric_rows per_benchmark =
   match per_benchmark with
   | [] -> []
@@ -105,16 +100,22 @@ let geometric_rows per_benchmark =
               List.find_opt (fun (m : measurement) -> m.tool = m0.tool) ms)
             per_benchmark
         in
-        let geo f = Aprof_util.Stats.geometric_mean (List.map f same) in
+        let geo f = Stats.geometric_mean (List.map f same) in
+        let per_round f =
+          Stats.summary
+            (Array.init (Array.length (f m0)) (fun k ->
+                 geo (fun m -> (f m).(k))))
+        in
         ( m0.tool,
-          geo (fun m -> m.slowdown_native),
-          geo (fun m -> m.slowdown_nulgrind),
+          per_round (fun m -> m.slowdown_native),
+          per_round (fun m -> m.slowdown_nulgrind),
           geo (fun m -> m.space_overhead) ))
       first
 
 let pp_measurement ppf m =
+  let median xs = (Stats.summary xs).Stats.median in
   Format.fprintf ppf
     "%-10s time=%.4fs slowdown(native)=%.1fx slowdown(nulgrind)=%.1fx \
      space=%d words (%.2fx)"
-    m.tool m.time_s m.slowdown_native m.slowdown_nulgrind m.space_words
-    m.space_overhead
+    m.tool m.time_s (median m.slowdown_native) (median m.slowdown_nulgrind)
+    m.space_words m.space_overhead

@@ -1,9 +1,11 @@
-(** The slowdown/space measurement harness behind Table 1 and Figure 16.
+(** The slowdown/space measurement harness behind Table 1, Figure 16
+    and [aprof overhead].
 
     Every tool replays the *same* packed trace through its [on_batch]
-    ({!Aprof_trace.Trace.replay}); time is CPU seconds over enough
-    repetitions to dominate timer noise, and slowdown is reported
-    against two baselines:
+    ({!Aprof_trace.Trace.replay}).  Time comes from the one sampler,
+    {!Aprof_util.Stats.sample}: interleaved rounds of wall-clock
+    samples of each tool's create + replay, and slowdown is reported
+    per round against two baselines timed in the same rounds:
 
     - [vs_native]: walking every event's packed fields with an empty
       handler — our equivalent of native execution (the program "runs"
@@ -19,9 +21,10 @@
 
 type measurement = {
   tool : string;
-  time_s : float;  (** mean CPU seconds per replay *)
-  slowdown_native : float;
-  slowdown_nulgrind : float;
+  time_s : float;  (** median wall seconds per replay (create included) *)
+  slowdown_native : float array;
+      (** per round: this tool's seconds over the native walk's *)
+  slowdown_nulgrind : float array;  (** per round: over nulgrind's *)
   space_words : int;
   space_overhead : float;
   summary : string;
@@ -41,20 +44,26 @@ val tools : (module Tool.S) list
     {!Aprof_adapters.Naive}. *)
 val profilers : (string * (module Tool.Profiler)) list
 
-(** [measure ~program_words trace] replays [trace] through a fresh
-    instance of each tool in {!tools}, one row per tool in that order.
-    @param min_time keep repeating until this much CPU time was sampled
-    per tool (default 0.05 s). *)
+(** [measure ~now ~rounds ~program_words trace] samples the native
+    walk and a fresh instance of each tool in {!tools} over [trace] for
+    [rounds] rounds by the clock [now] ({!Aprof_util.Stats.sample}),
+    one row per tool in that order. *)
 val measure :
-  ?min_time:float ->
+  now:(unit -> float) ->
+  rounds:int ->
   program_words:int ->
   Aprof_trace.Trace.t ->
   measurement list
 
 (** [geometric_rows per_benchmark] aggregates measurements of the same
     tool across benchmarks by geometric mean (Table 1's aggregation):
-    rows are (tool, slowdown_native, slowdown_nulgrind, space_overhead). *)
+    rows are (tool, slowdown_native, slowdown_nulgrind, space_overhead),
+    where each slowdown is the median and quartiles over rounds of that
+    round's geometric mean.  Every measurement must have the same
+    number of rounds. *)
 val geometric_rows :
-  measurement list list -> (string * float * float * float) list
+  measurement list list ->
+  (string * Aprof_util.Stats.summary * Aprof_util.Stats.summary * float) list
 
+(** One [aprof overhead] line: time and the median slowdowns. *)
 val pp_measurement : Format.formatter -> measurement -> unit

@@ -16,13 +16,7 @@ let int_in t lo hi =
 
 let bool t = Random.State.bool t
 
-let chance t p = Random.State.float t 1.0 < p
-
 let float t bound = Random.State.float t bound
-
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

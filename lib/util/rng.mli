@@ -22,13 +22,7 @@ val int_in : t -> int -> int -> int
 
 val bool : t -> bool
 
-(** [chance t p] is true with probability [p]. *)
-val chance : t -> float -> bool
-
 val float : t -> float -> float
-
-(** [choose t arr] picks a uniform element. @raise Invalid_argument on [||]. *)
-val choose : t -> 'a array -> 'a
 
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit

@@ -90,3 +90,52 @@ module Acc = struct
   let max t =
     if t.count = 0 then invalid_arg "Stats.Acc.max: empty" else t.max_v
 end
+
+type summary = { median : float; p25 : float; p75 : float }
+
+let summary xs =
+  let xs = Array.to_list xs in
+  {
+    median = percentile 50. xs;
+    p25 = percentile 25. xs;
+    p75 = percentile 75. xs;
+  }
+
+let ratio a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Stats.ratio: sample counts differ";
+  summary (Array.map2 ( /. ) a b)
+
+let min_sample = 0.02
+
+type cell = ((unit -> unit) -> unit) -> unit
+
+(* Wall seconds per call of [cell]'s timed part, calling it until the
+   timed parts add up to [min_sample]. *)
+let sample_cell ~now (cell : cell) =
+  let spent = ref 0. and calls = ref 0 in
+  while !calls = 0 || !spent < min_sample do
+    let timed = ref false in
+    cell (fun f ->
+        if !timed then invalid_arg "Stats.sample: a cell timed twice";
+        timed := true;
+        let t0 = now () in
+        f ();
+        spent := !spent +. (now () -. t0));
+    if not !timed then invalid_arg "Stats.sample: a cell timed nothing";
+    incr calls
+  done;
+  !spent /. float_of_int !calls
+
+let sample ~now ~rounds cells =
+  if rounds < 1 then invalid_arg "Stats.sample: rounds < 1";
+  let cells = Array.of_list cells in
+  let samples = Array.map (fun _ -> Array.make rounds 0.) cells in
+  for r = 0 to rounds - 1 do
+    Array.iteri
+      (fun i cell ->
+        Gc.compact ();
+        samples.(i).(r) <- sample_cell ~now cell)
+      cells
+  done;
+  Array.to_list samples

@@ -67,7 +67,4 @@ module Channel = struct
       let* () = Mutex.unlock ch.lock in
       let* () = sem_post ch.spaces in
       return (Some v)
-
-  let send_array ch vs =
-    for_ 0 (Array.length vs - 1) (fun i -> send ch vs.(i))
 end

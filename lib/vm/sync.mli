@@ -32,7 +32,4 @@ module Channel : sig
 
   (** [try_recv ch] dequeues if a value is ready, without blocking. *)
   val try_recv : t -> Program.value option Program.t
-
-  (** [send_array ch vs] sends elements in order. *)
-  val send_array : t -> Program.value array -> unit Program.t
 end

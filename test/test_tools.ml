@@ -254,13 +254,19 @@ let test_harness_measures () =
       ~seed:3
   in
   let ms =
-    Aprof_tools.Harness.measure ~min_time:0.01
+    Aprof_tools.Harness.measure ~now:Unix.gettimeofday ~rounds:3
       ~program_words:r.Interp.memory_high_water r.Interp.trace
   in
   Alcotest.(check int) "six tools" 6 (List.length ms);
   List.iter
     (fun (m : Aprof_tools.Harness.measurement) ->
       Alcotest.(check bool) (m.tool ^ " positive time") true (m.time_s > 0.);
+      Alcotest.(check int) (m.tool ^ " one ratio per round") 3
+        (Array.length m.slowdown_nulgrind);
+      if m.tool = Aprof_tools.Nulgrind.name then
+        Array.iter
+          (Alcotest.(check (float 0.)) "nulgrind is its own baseline" 1.)
+          m.slowdown_nulgrind;
       Alcotest.(check bool) (m.tool ^ " space overhead >= 1") true
         (m.space_overhead >= 1.))
     ms

@@ -83,6 +83,62 @@ let test_acc () =
   Alcotest.(check (float 1e-9)) "min" 1. (Stats.Acc.min a);
   Alcotest.(check (float 1e-9)) "max" 3. (Stats.Acc.max a)
 
+(* The sampler on a fake clock: a cell's timed part advances it by
+   [step], its untimed setup by [setup]. *)
+let fake_cell clock ?(setup = 0.) ~step on_call time =
+  on_call ();
+  clock := !clock +. setup;
+  time (fun () -> clock := !clock +. step)
+
+let test_sample_rounds () =
+  let clock = ref 0. and log = ref [] in
+  let step = 2. *. Stats.min_sample in
+  let cell i = fake_cell clock ~step (fun () -> log := i :: !log) in
+  let samples =
+    Stats.sample ~now:(fun () -> !clock) ~rounds:4 [ cell 0; cell 1; cell 2 ]
+  in
+  Alcotest.(check (list int))
+    "each round runs every cell once, in order"
+    (List.concat (List.init 4 (fun _ -> [ 0; 1; 2 ])))
+    (List.rev !log);
+  Alcotest.(check (list int)) "rounds samples per cell" [ 4; 4; 4 ]
+    (List.map Array.length samples);
+  List.iter
+    (Array.iter (Alcotest.(check (float 1e-12)) "one call per sample" step))
+    samples
+
+let test_sample_repeats_short_cells () =
+  let clock = ref 0. and calls = ref 0 in
+  let step = 0.3 *. Stats.min_sample in
+  let samples =
+    Stats.sample ~now:(fun () -> !clock) ~rounds:2
+      [ fake_cell clock ~setup:1. ~step (fun () -> incr calls) ]
+  in
+  Alcotest.(check int) "4 calls reach the minimum sample, per round" 8 !calls;
+  Array.iter
+    (Alcotest.(check (float 1e-12)) "mean timed seconds, setup left out" step)
+    (List.hd samples)
+
+let test_summaries () =
+  let s = Stats.summary [| 5.; 1.; 4.; 2.; 3. |] in
+  Alcotest.(check (list (float 1e-12))) "median and quartiles" [ 3.; 2.; 4. ]
+    [ s.Stats.median; s.Stats.p25; s.Stats.p75 ];
+  (* Per-round ratios 2, 3, 1: their median is 2, where the ratio of
+     the medians would be 4 / 3. *)
+  let r = Stats.ratio [| 2.; 9.; 4. |] [| 1.; 3.; 4. |] in
+  Alcotest.(check (list (float 1e-12))) "median of per-round ratios"
+    [ 2.; 1.5; 2.5 ]
+    [ r.Stats.median; r.Stats.p25; r.Stats.p75 ]
+
+let test_sample_errors () =
+  let now () = 0. in
+  Alcotest.check_raises "a cell's exception propagates" (Failure "boom")
+    (fun () ->
+      ignore (Stats.sample ~now ~rounds:3 [ (fun _ -> failwith "boom") ]));
+  Alcotest.check_raises "a cell that times nothing"
+    (Invalid_argument "Stats.sample: a cell timed nothing") (fun () ->
+      ignore (Stats.sample ~now ~rounds:1 [ (fun _ -> ()) ]))
+
 let test_rng_determinism () =
   let draw seed =
     let rng = Rng.create seed in
@@ -202,6 +258,12 @@ let suite =
     Alcotest.test_case "value at top fraction" `Quick test_value_at_top_fraction;
     test_geomean_positive;
     Alcotest.test_case "acc" `Quick test_acc;
+    Alcotest.test_case "sampler: interleaved rounds" `Quick test_sample_rounds;
+    Alcotest.test_case "sampler: short cells repeat" `Quick
+      test_sample_repeats_short_cells;
+    Alcotest.test_case "sampler: median, quartiles, ratios" `Quick
+      test_summaries;
+    Alcotest.test_case "sampler: errors" `Quick test_sample_errors;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     test_rng_bounds;
     test_shuffle_permutes;
