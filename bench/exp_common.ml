@@ -84,15 +84,16 @@ let cores = Aprof_util.Par.available_parallelism ()
    [target] events and at most [overshoot] times that. *)
 let overshoot = 1.5
 
-(* [sized ?scheduler ~threads ~target name] is the run of workload
-   [name] (seed 42) with between [target] and [overshoot * target]
-   events, searched for from scale 100.  Near any one scale, trace
-   length is a power of the scale (about linear for most workloads,
-   about quadratic for mysqlslap), so each step fits that power through
-   the last two runs (assuming 1 after the first) and aims at the
-   middle of the window; a step moves the scale by at most 4x after the
-   first run and 16x after that. *)
-let sized ?scheduler ?(threads = 4) ~target name =
+(* [size ?scheduler ~threads ~target name] is the spec of workload
+   [name] and the scale whose run (seed 42) has between [target] and
+   [overshoot * target] events, searched for from scale 100 with
+   streaming runs that only count events, so no probe materializes a
+   trace.  Near any one scale, trace length is a power of the scale
+   (about linear for most workloads, about quadratic for mysqlslap), so
+   each step fits that power through the last two runs (assuming 1
+   after the first) and aims at the middle of the window; a step moves
+   the scale by at most 4x after the first run and 16x after that. *)
+let size ?scheduler ~threads ~target name =
   let spec =
     match Registry.find name with
     | Some spec -> spec
@@ -102,9 +103,12 @@ let sized ?scheduler ?(threads = 4) ~target name =
   let target = float_of_int target in
   let aim = target *. sqrt overshoot in
   let rec go tries prev scale =
-    let r = Workload.run_spec ?scheduler spec ~threads ~scale ~seed:42 in
-    let e = float_of_int (Aprof_trace.Trace.length r.Interp.trace) in
-    if e >= target && e <= overshoot *. target then r
+    let r =
+      Workload.run_spec_batched ?scheduler spec ~threads ~scale ~seed:42
+        ~tool:(fun _ _ -> ())
+    in
+    let e = float_of_int r.Interp.events_emitted in
+    if e >= target && e <= overshoot *. target then (spec, scale)
     else if tries = 0 then
       failwith
         (Printf.sprintf "%s: no scale found for %.0f events (scale %d: %.0f)"
@@ -129,30 +133,41 @@ let sized ?scheduler ?(threads = 4) ~target name =
   in
   go 12 None 100
 
-(* [record ~target name formats] writes the [sized] run of [name] once
-   per (format version, entropy) of [formats], each to a fresh temporary
-   file, and returns those paths in order with the event count.  The
-   trace never leaves this function, so no trace vector is live while a
-   caller times a replay of the files. *)
+(* [sized ?scheduler ~threads ~target name] is the run {!size} finds,
+   materialized, for a caller that walks the trace itself. *)
+let sized ?scheduler ?(threads = 4) ~target name =
+  let spec, scale = size ?scheduler ~threads ~target name in
+  Workload.run_spec ?scheduler spec ~threads ~scale ~seed:42
+
+(* [record ~target name formats] streams the run {!size} finds for
+   [name] once, into one writer per (format version, entropy) of
+   [formats], each to a fresh temporary file, and returns those paths
+   in order with the event count.  No trace is materialized, so none is
+   live while a caller times a replay of the files, and none sets the
+   process's peak heap. *)
 let record ~target name formats =
-  let r = sized ~target name in
-  let routine_name = Aprof_trace.Routine_table.name r.Interp.routines in
+  let spec, scale = size ~threads:4 ~target name in
   let paths =
-    List.map
-      (fun (format_version, entropy) ->
-        let path = Filename.temp_file "aprof_bench" ".atrc" in
-        Out_channel.with_open_bin path (fun oc ->
-            let sink =
-              Aprof_trace.Trace_codec.batch_writer ~format_version ~entropy
-                ~routine_name oc
-            in
-            Aprof_trace.Trace.replay r.Interp.trace
-              sink.Aprof_trace.Trace_stream.emit_batch;
-            sink.Aprof_trace.Trace_stream.close_batch ());
-        path)
-      formats
+    List.map (fun _ -> Filename.temp_file "aprof_bench" ".atrc") formats
   in
-  (paths, Aprof_trace.Trace.length r.Interp.trace)
+  let ocs = List.map open_out_bin paths in
+  let sinks = ref [] in
+  let r =
+    Workload.run_spec_batched spec ~threads:4 ~scale ~seed:42
+      ~tool:(fun routines ->
+        let routine_name = Aprof_trace.Routine_table.name routines in
+        sinks :=
+          List.map2
+            (fun (format_version, entropy) oc ->
+              Aprof_trace.Trace_codec.batch_writer ~format_version ~entropy
+                ~routine_name oc)
+            formats ocs;
+        fun b ->
+          List.iter (fun s -> s.Aprof_trace.Trace_stream.emit_batch b) !sinks)
+  in
+  List.iter (fun s -> s.Aprof_trace.Trace_stream.close_batch ()) !sinks;
+  List.iter close_out ocs;
+  (paths, r.Interp.events_emitted)
 
 (* The penalized class of a cost curve, with its bootstrap confidence. *)
 let fit_note ppf ~label points =

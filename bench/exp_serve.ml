@@ -19,8 +19,12 @@
    match single-file replay.  On a single-core host the ratio mostly
    reflects scheduling overhead — [cores] is recorded on every row so a
    flat number is attributable.  [peak_heap_words] (GC top-of-heap) is
-   recorded per row: with bounded inboxes it must not scale with the
-   client count. *)
+   recorded per row.  The trace is streamed to its file, never
+   materialized, so the replay row's peak is replay's own.  What bounds
+   the serve rows is the daemon's per-connection bound: each connection
+   queues at most [inbox_bytes] of read slices (a reader waits for room
+   under the daemon's one lock) and holds one profiler while its trace
+   is open, so the peak per client must not grow with the client count. *)
 
 module Server = Aprof_serve.Server
 

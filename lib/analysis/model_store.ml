@@ -72,6 +72,10 @@ let to_string t =
   | None -> ());
   List.iter
     (fun e ->
+      if not (Aprof_core.Profile_io.writable_name e.routine) then
+        invalid_arg
+          (Printf.sprintf "Model_store: routine %S: name contains a line break"
+             e.routine);
       let k, lo, hi =
         match e.exponent with Some v -> v | None -> (nan, nan, nan)
       in

@@ -54,6 +54,9 @@ val find : t -> routine:string -> metric:metric -> entry option
 (** [routines t] — distinct routine names, sorted. *)
 val routines : t -> string list
 
+(** [to_string t] is the store as written by {!save}.
+    @raise Invalid_argument when a routine name holds a CR or LF
+    ({!Aprof_core.Profile_io.writable_name}). *)
 val to_string : t -> string
 
 (** [of_string s] parses a dump; [Error] carries a line number.  A

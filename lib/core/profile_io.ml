@@ -13,6 +13,9 @@ let metric_name = function `Drms -> "drms" | `Rms -> "rms"
        can refuse to compare apples to oranges. *)
 let format_version = 3
 
+let writable_name name =
+  not (String.contains name '\n' || String.contains name '\r')
+
 let save_buf buf ?routine_name ?meta (t : Profile.t) =
   let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   add "format,%d" format_version;
@@ -37,7 +40,11 @@ let save_buf buf ?routine_name ?meta (t : Profile.t) =
         let r = k.Profile.routine in
         if not (Hashtbl.mem seen r) then begin
           Hashtbl.add seen r ();
-          add "routine,%d,%s" r (name r)
+          let n = name r in
+          if not (writable_name n) then
+            invalid_arg
+              (Printf.sprintf "Profile_io: routine %d: name contains a line break" r);
+          add "routine,%d,%s" r n
         end)
       keys);
   List.iter

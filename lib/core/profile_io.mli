@@ -24,9 +24,15 @@
     rejected with an explicit error rather than misparsed. *)
 val format_version : int
 
+(** [writable_name s] is whether [s] can be written as a routine name:
+    it holds no CR or LF, either of which would end its record early
+    and let the rest of the name read as records of its own. *)
+val writable_name : string -> bool
+
 (** [save oc ?routine_name ?meta profile] writes the profile as CSV.
     [routine_name] adds the name table and [meta] the run-metadata line
-    when available. *)
+    when available; a name is written as given.
+    @raise Invalid_argument when a name is not {!writable_name}. *)
 val save :
   out_channel ->
   ?routine_name:(int -> string) ->

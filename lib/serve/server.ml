@@ -6,34 +6,42 @@
    - one front systhread per connection: it routes on the first four
      bytes ("ATRC" -> ingest stream, anything else -> one-line control
      command) and, for ingest, becomes the connection's reader loop —
-     [read] into a recycled slice, [Inbox.push] (the backpressure
-     point), mark the connection runnable;
+     [read] into a pooled slice, queue it ([push], the backpressure
+     point);
    - a pool of ingest workers (domains on OCaml 5, systhreads on 4.x
-     via [Serve_backend]): each claims a runnable connection, drains
-     its inbox through [Trace_net.feed] -> [Ingest_driver], and at each
-     completed trace folds the profile into the one accumulator;
+     via [Serve_backend]): each claims a runnable connection, decodes
+     one queued slice through [Trace_net.feed] -> [Ingest_driver]
+     (folding each completed trace's profile into the one
+     accumulator), and puts the connection at the back of the run
+     queue if more is queued;
    - one snapshot systhread polling the timer / SIGHUP-style requests.
+
+   One lock: [t.m] guards every shared field — each connection's
+   queued slices, queued-byte count, end-of-stream flag, run state,
+   counters and descriptor holds, the run queue and the daemon's
+   bookkeeping.  Reads, decodes and folds run outside it ([Shard_acc]
+   keeps its own lock).  A reader's push and a worker's "nothing
+   queued, so idle" both run under it, so a push lands either before
+   the worker looks (and the worker re-queues the connection) or after
+   (and the push schedules it).  A connection is in the run queue or
+   claimed at most once ([c_busy]), so exactly one worker at a time
+   touches its decoder and driver — they need no lock of their own,
+   and may move between workers from one claim to the next because
+   [feed] finishes every chunk it opens before it returns.
 
    Ownership: a worker owns one decode scratch ([Trace_net.scratch]),
    created when it starts and lent to every feed it runs.  The daemon
-   owns one pool of read slices ([Inbox.pool]) and one of reset
-   profilers ([Ingest_driver.pool]), both filled only as connections
-   give back what they used.  A connection owns its parse state, its
-   queued slices, the slices of an unfinished item and, while a trace
-   is open, one profiler.
-
-   Scheduling: a connection is in the run queue at most once
-   (Idle/Queued/Running/Running_dirty), so exactly one worker ever
-   touches a connection's decoder and driver — they need no locks of
-   their own.  A reader that outruns its worker blocks in [Inbox.push];
-   the kernel socket buffer and then the peer absorb the pressure, so
-   per-connection memory stays bounded no matter how slow aggregation
-   is.
+   owns one pool of read slices and one of reset profilers
+   ([Ingest_driver.pool]), both filled only as connections give back
+   what they used.  A connection owns its parse state, its queued
+   slices, the slices of an unfinished item and, while a trace is
+   open, one profiler.  Its reader and its decoding side each hold its
+   descriptor, and the last to let go closes it.
 
    Failure isolation: a decode error poisons only its own connection —
    the worker aborts the partial trace (never folded), the connection
-   is killed, and every other stream is untouched.  With [salvage] the
-   per-chunk drop trichotomy of the file reader applies on the wire
+   is finished, and every other stream is untouched.  With [salvage]
+   the per-chunk drop trichotomy of the file reader applies on the wire
    instead. *)
 
 module Trace_net = Aprof_trace.Trace_net
@@ -41,6 +49,7 @@ module Trace_stream = Aprof_trace.Trace_stream
 module Ingest_driver = Aprof_tools.Ingest_driver
 module Profile = Aprof_core.Profile
 module Profile_io = Aprof_core.Profile_io
+module Pool = Aprof_util.Pool
 
 let now () = Unix.gettimeofday ()
 
@@ -52,7 +61,6 @@ type config = {
   snapshot_every : float;  (* seconds; 0 = only on request *)
   snapshot_profile : string option;  (* profile CSV written per snapshot *)
   fleet_csv : string option;  (* fleet CSV written per snapshot *)
-  max_frame_bytes : int;
   inbox_bytes : int;  (* per-connection queued-byte bound *)
   read_bytes : int;  (* read slice size *)
   idle_timeout : float;  (* seconds without bytes kills a conn; 0 = off *)
@@ -69,7 +77,6 @@ let default_config =
     snapshot_every = 0.;
     snapshot_profile = None;
     fleet_csv = None;
-    max_frame_bytes = 1 lsl 26;
     inbox_bytes = 256 * 1024;
     read_bytes = 64 * 1024;
     idle_timeout = 0.;
@@ -77,18 +84,20 @@ let default_config =
     log = ignore;
   }
 
-type conn_state = Idle | Queued | Running | Running_dirty
-
 type conn = {
   c_id : int;
   c_fd : Unix.file_descr;
   c_peer : string;
-  c_inbox : Inbox.t;
-  mutable c_state : conn_state;  (* sched_m *)
-  mutable c_net : Trace_net.t option;  (* worker-private after setup *)
-  mutable c_driver : Ingest_driver.t option;  (* worker-private *)
   c_started : float;
-  (* Counters below are under stats_m. *)
+  mutable c_dec : (Trace_net.t * Ingest_driver.t) option;
+      (* the claiming worker's; [None] once released *)
+  (* Everything below is under [t.m]. *)
+  c_q : (Bytes.t * int) Queue.t;  (* received slices, with their lengths *)
+  c_room : Condition.t;  (* the reader waits here for queue room *)
+  mutable c_queued : int;  (* payload bytes in [c_q] *)
+  mutable c_eof : bool;  (* the reader saw end of stream *)
+  mutable c_busy : bool;  (* in the run queue or claimed by a worker *)
+  mutable c_fd_holds : int;  (* reader + decoding side; 0 = closed *)
   mutable c_events : int;  (* events of completed (folded) traces *)
   mutable c_traces : int;
   mutable c_drops : int;
@@ -96,34 +105,29 @@ type conn = {
   mutable c_finished : float;  (* 0. while live *)
   mutable c_error : string option;
   mutable c_done : bool;  (* finished (cleanly or not), live-- happened *)
-  mutable c_reader_done : bool;  (* reader thread exited its loop *)
-  mutable c_fd_closed : bool;
 }
 
 type t = {
   cfg : config;
   acc : Shard_acc.t;
-  slices : Inbox.pool;  (* every connection's read slices *)
+  slices : Bytes.t Pool.t;  (* every connection's read slices *)
   profilers : Ingest_driver.pool;  (* reset profilers between traces *)
   started : float;
-  (* Scheduler state, under sched_m. *)
-  sched_m : Mutex.t;
-  sched_c : Condition.t;
+  next_id : int Atomic.t;
+  m : Mutex.t;  (* the one lock: every mutable field below *)
+  work : Condition.t;  (* a connection was queued, or [quit] *)
+  stop_c : Condition.t;  (* [stop_requested] or [stopped] changed *)
   runq : conn Queue.t;
   mutable live : int;
   mutable stop_requested : bool;
-  mutable workers_stop : bool;
-  mutable snap_stop : bool;
+  mutable quit : bool;  (* workers and the snapshot thread exit *)
   mutable stop_running : bool;  (* one thread owns the stop sequence *)
   mutable stopped : bool;
   mutable snapshot_requested : bool;
-  (* Bookkeeping, under stats_m. *)
-  stats_m : Mutex.t;
   mutable conns : conn list;  (* every ingest conn ever, newest first *)
   fronts : (Unix.file_descr, unit) Hashtbl.t;
       (* peers not routed yet or on a control line: not in [conns] *)
   mutable fronts_shut : bool;  (* the stop sequence shut [fronts] down *)
-  mutable next_id : int;
   mutable threads : Thread.t list;  (* accept + front/reader + snapshot *)
   mutable workers : Serve_backend.handle list;
   mutable listeners : (Unix.file_descr * string) list;
@@ -148,6 +152,16 @@ type stats = {
 (* ------------------------------------------------------------------ *)
 (* Small helpers *)
 
+let locked t f =
+  Mutex.lock t.m;
+  match f () with
+  | v ->
+    Mutex.unlock t.m;
+    v
+  | exception e ->
+    Mutex.unlock t.m;
+    raise e
+
 let string_of_sockaddr = function
   | Unix.ADDR_UNIX p -> "unix:" ^ p
   | Unix.ADDR_INET (a, p) ->
@@ -171,88 +185,77 @@ let write_atomic path f =
   Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> f oc);
   Sys.rename tmp path
 
-let add_thread t th =
-  Mutex.lock t.stats_m;
-  t.threads <- th :: t.threads;
-  Mutex.unlock t.stats_m
+let add_thread t th = locked t (fun () -> t.threads <- th :: t.threads)
+
+let take_slice t =
+  match Pool.take t.slices with
+  | Some b -> b
+  | None -> Bytes.create t.cfg.read_bytes
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle *)
 
-let shutdown_fd t c =
-  Mutex.lock t.stats_m;
-  if not c.c_fd_closed then
-    (try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  Mutex.unlock t.stats_m
-
-(* Only the reader thread closes the fd, and only through here, so a
-   concurrent [shutdown_fd] can never hit a closed (possibly reused)
-   descriptor. *)
-let close_fd t c =
-  Mutex.lock t.stats_m;
-  if not c.c_fd_closed then begin
-    c.c_fd_closed <- true;
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ())
-  end;
-  Mutex.unlock t.stats_m
-
-(* Terminal transition of a connection; idempotent, callable from the
-   reader (idle timeout), a worker (EOF or decode error) or the stop
-   sequence (forced shutdown).  Never touches the decoder or driver —
-   those stay worker-private. *)
-let finish t ?error c =
-  Mutex.lock t.stats_m;
-  let first = not c.c_done in
-  if first then begin
-    c.c_done <- true;
-    c.c_finished <- now ();
-    (match error with Some e when c.c_error = None -> c.c_error <- Some e | _ -> ())
-  end;
-  Mutex.unlock t.stats_m;
-  if first then begin
-    (match error with
-    | Some e -> t.cfg.log (Printf.sprintf "conn %d (%s): %s" c.c_id c.c_peer e)
-    | None -> ());
-    Inbox.close c.c_inbox;
-    shutdown_fd t c;
-    Mutex.lock t.sched_m;
-    t.live <- t.live - 1;
-    Condition.broadcast t.sched_c;
-    Mutex.unlock t.sched_m
+(* Under [t.m]: put an idle connection at the back of the run queue. *)
+let schedule t c =
+  if not c.c_busy then begin
+    c.c_busy <- true;
+    Queue.push c t.runq;
+    Condition.signal t.work
   end
 
-let conn_error t c =
-  Mutex.lock t.stats_m;
-  let e = c.c_error in
-  Mutex.unlock t.stats_m;
-  e
+(* The reader and the decoding side each hold the descriptor; the last
+   to let go closes it, so no thread can close (and the system reuse) a
+   descriptor another still reads or shuts down. *)
+let let_go t c =
+  locked t (fun () ->
+      c.c_fd_holds <- c.c_fd_holds - 1;
+      if c.c_fd_holds = 0 then
+        try Unix.close c.c_fd with Unix.Unix_error _ -> ())
 
-let mark_runnable t c =
-  Mutex.lock t.sched_m;
-  (match c.c_state with
-  | Idle ->
-    c.c_state <- Queued;
-    Queue.push c t.runq;
-    Condition.broadcast t.sched_c
-  | Running -> c.c_state <- Running_dirty
-  | Queued | Running_dirty -> ());
-  Mutex.unlock t.sched_m
+(* Terminal transition of a connection; idempotent, callable from the
+   reader (idle timeout, read error), a worker (end of stream or decode
+   error) or the stop sequence (forced shutdown).  It gives the queued
+   slices back, wakes a reader waiting for room, shuts the socket down
+   and schedules the connection, so a worker releases its decoder. *)
+let finish t ?error c =
+  let first =
+    locked t (fun () ->
+        let first = not c.c_done in
+        if first then begin
+          c.c_done <- true;
+          c.c_finished <- now ();
+          c.c_error <- error;
+          Queue.iter (fun (b, _) -> Pool.give t.slices b) c.c_q;
+          Queue.clear c.c_q;
+          c.c_queued <- 0;
+          Condition.signal c.c_room;
+          (if c.c_fd_holds > 0 then
+             try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL
+             with Unix.Unix_error _ -> ());
+          t.live <- t.live - 1;
+          schedule t c
+        end;
+        first)
+  in
+  match error with
+  | Some e when first ->
+    t.cfg.log (Printf.sprintf "conn %d (%s): %s" c.c_id c.c_peer e)
+  | _ -> ()
 
 let make_conn t fd peer =
-  Mutex.lock t.stats_m;
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  Mutex.unlock t.stats_m;
   let c =
     {
-      c_id = id;
+      c_id = Atomic.fetch_and_add t.next_id 1;
       c_fd = fd;
       c_peer = peer;
-      c_inbox = Inbox.create ~capacity:t.cfg.inbox_bytes t.slices;
-      c_state = Idle;
-      c_net = None;
-      c_driver = None;
       c_started = now ();
+      c_dec = None;
+      c_q = Queue.create ();
+      c_room = Condition.create ();
+      c_queued = 0;
+      c_eof = false;
+      c_busy = false;
+      c_fd_holds = 2;
       c_events = 0;
       c_traces = 0;
       c_drops = 0;
@@ -260,31 +263,34 @@ let make_conn t fd peer =
       c_finished = 0.;
       c_error = None;
       c_done = false;
-      c_reader_done = false;
-      c_fd_closed = false;
     }
   in
   let driver =
     Ingest_driver.create ~salvage:t.cfg.salvage ~pool:t.profilers
       ~on_profile:(fun ~profile ~events ->
         Shard_acc.fold t.acc profile;
-        Mutex.lock t.stats_m;
-        c.c_traces <- c.c_traces + 1;
-        c.c_events <- c.c_events + events;
-        Mutex.unlock t.stats_m)
+        locked t (fun () ->
+            c.c_traces <- c.c_traces + 1;
+            c.c_events <- c.c_events + events))
       ()
   in
   let cb =
     {
       Trace_net.on_batch = (fun b -> Ingest_driver.on_batch driver b);
-      on_define = (fun rid name -> Shard_acc.define t.acc rid name);
+      on_define =
+        (fun rid name ->
+          (* A line break would end the record of a snapshot's name
+             table early, and the rest would read as records. *)
+          if not (Profile_io.writable_name name) then
+            raise
+              (Trace_stream.Decode_error
+                 (Printf.sprintf "routine %d: name contains a line break" rid));
+          Shard_acc.define t.acc rid name);
       on_trace_end = (fun () -> Ingest_driver.trace_end driver);
       on_drop =
         (fun d ->
           Ingest_driver.note_drop driver;
-          Mutex.lock t.stats_m;
-          c.c_drops <- c.c_drops + 1;
-          Mutex.unlock t.stats_m;
+          locked t (fun () -> c.c_drops <- c.c_drops + 1);
           let open Aprof_trace.Trace_codec in
           t.cfg.log
             (if d.drop_bytes < 0 then
@@ -298,123 +304,91 @@ let make_conn t fd peer =
                  d.drop_reason));
     }
   in
-  c.c_driver <- Some driver;
-  c.c_net <-
+  c.c_dec <-
     Some
-      (Trace_net.create ~salvage:t.cfg.salvage
-         ~max_frame_bytes:t.cfg.max_frame_bytes
-         ~release:(Inbox.recycle c.c_inbox) cb);
-  Mutex.lock t.stats_m;
-  t.conns <- c :: t.conns;
-  Mutex.unlock t.stats_m;
-  Mutex.lock t.sched_m;
-  t.live <- t.live + 1;
-  Mutex.unlock t.sched_m;
+      ( Trace_net.create ~salvage:t.cfg.salvage ~release:(Pool.give t.slices) cb,
+        driver );
+  locked t (fun () ->
+      t.conns <- c :: t.conns;
+      t.live <- t.live + 1);
   c
 
 (* ------------------------------------------------------------------ *)
 (* Ingest workers *)
 
 (* A finished connection keeps only the counters STATS and the fleet
-   CSV read: its decoder (parse state) and its driver go, a partial
-   trace's profiler back to the pool — [finish] already gave the queued
-   slices back.  Worker-side only, like every use of the two. *)
-let release c =
-  Option.iter Ingest_driver.abort c.c_driver;
-  c.c_net <- None;
-  c.c_driver <- None
+   CSV read: its decoder and driver go, a partial trace's profiler back
+   to the pool ([finish] gives the queued slices back), and the decoding
+   side lets go of the descriptor. *)
+let release t c =
+  match c.c_dec with
+  | None -> ()
+  | Some (_, driver) ->
+    Ingest_driver.abort driver;
+    c.c_dec <- None;
+    let_go t c
 
-(* Feed everything queued to the connection's decoder, on the worker's
-   scratch; the decoder gives each slice back to the pool once no
-   unfinished item needs it.  Exactly one worker runs this for a given
-   connection at a time (scheduler invariant), so the decoder and driver
-   need no locking.  A connection re-queued after its state was released
-   has nothing left to do. *)
-let drain t scratch c =
-  match (c.c_net, c.c_driver) with
-  | None, _ | _, None -> ()
-  | Some net, Some driver ->
-    let continue = ref true in
-    while !continue do
-      match Inbox.pop c.c_inbox with
-      | None -> continue := false
-      | Some Inbox.Eof ->
-        continue := false;
-        (if conn_error t c = None then begin
-           match Trace_net.close net with
-           | () -> finish t c
-           | exception Trace_stream.Decode_error msg ->
-             Ingest_driver.abort driver;
-             finish t ~error:msg c
-         end
-         else finish t c);
-        (* An Eof item means the reader saw read = 0 and will never touch
-           the socket again, so closing here is safe — and it is what
-           turns the peer's pending read into EOF: a client that waits
-           for EOF after shutdown knows its whole stream was decoded and
-           folded, and its connection's state released. *)
-        release c;
-        close_fd t c
-      | Some (Inbox.Data (b, n)) ->
-        if conn_error t c = None then begin
-          Mutex.lock t.stats_m;
-          c.c_bytes <- c.c_bytes + n;
-          Mutex.unlock t.stats_m;
-          match Trace_net.feed net scratch b ~pos:0 ~len:n with
-          | () -> ()
-          | exception Trace_stream.Decode_error msg ->
-            continue := false;
-            Ingest_driver.abort driver;
-            finish t ~error:msg c;
-            (* If the reader already exited (its Eof was just cleared by
-               [finish]'s inbox close), the fd is ours to release; if it
-               is still in its loop, it will observe [c_done] on waking
-               and close on its side. *)
-            Mutex.lock t.stats_m;
-            let reader_done = c.c_reader_done in
-            Mutex.unlock t.stats_m;
-            if reader_done then close_fd t c
-        end
-        else Inbox.recycle c.c_inbox b
-    done
+(* Under [t.m]: the claiming worker's next job.  A connection enters
+   the run queue only with a slice queued, its stream ended or itself
+   finished, and nothing but its claimer and [finish] takes its slices,
+   so a claimed connection that is neither finished nor holding a slice
+   has reached the end of its stream. *)
+let claim c =
+  if c.c_done then `Release
+  else
+    match Queue.take_opt c.c_q with
+    | Some (b, n) ->
+      c.c_queued <- c.c_queued - n;
+      c.c_bytes <- c.c_bytes + n;
+      Condition.signal c.c_room;
+      `Feed (b, n)
+    | None -> `Close
 
-(* Every [finish] is followed by a drain of its connection: [drain]'s
-   own Eof and error paths run on it, the reader marks it runnable after
-   each of its own, and the stop sequence's forced [finish] wakes the
-   reader.  So checking after each drain releases every finished
-   connection. *)
-let release_if_done t c =
-  Mutex.lock t.stats_m;
-  let finished = c.c_done in
-  Mutex.unlock t.stats_m;
-  if finished then release c
+(* Run one claimed job on the worker's scratch; the decoder gives each
+   slice back to the pool once no unfinished item needs it.  A
+   connection's last job releases it before [finish] shuts the socket
+   down, so a peer that sees EOF knows its whole stream was decoded and
+   folded, and its connection's state released. *)
+let step t scratch c net job =
+  let ended error =
+    release t c;
+    finish t ?error c
+  in
+  let failed = function
+    | Trace_stream.Decode_error msg -> ended (Some msg)
+    | e -> ended (Some ("internal error: " ^ Printexc.to_string e))
+  in
+  match job with
+  | `Release -> ended None
+  | `Feed (b, n) -> (
+    try Trace_net.feed net scratch b ~pos:0 ~len:n with e -> failed e)
+  | `Close -> (
+    match Trace_net.close net with () -> ended None | exception e -> failed e)
 
 let worker_loop t () =
   let scratch = Trace_net.scratch () in
   let rec next () =
-    Mutex.lock t.sched_m;
-    while Queue.is_empty t.runq && not t.workers_stop do
-      Condition.wait t.sched_c t.sched_m
+    Mutex.lock t.m;
+    while Queue.is_empty t.runq && not t.quit do
+      Condition.wait t.work t.m
     done;
-    if Queue.is_empty t.runq then Mutex.unlock t.sched_m
-    else begin
-      let c = Queue.pop t.runq in
-      c.c_state <- Running;
-      Mutex.unlock t.sched_m;
-      (try drain t scratch c
-       with e ->
-         finish t ~error:("internal error: " ^ Printexc.to_string e) c);
-      release_if_done t c;
-      Mutex.lock t.sched_m;
-      (match c.c_state with
-      | Running_dirty ->
-        c.c_state <- Queued;
+    match Queue.take_opt t.runq with
+    | None -> Mutex.unlock t.m
+    | Some c ->
+      let job = claim c in
+      Mutex.unlock t.m;
+      Option.iter (fun (net, _) -> step t scratch c net job) c.c_dec;
+      Mutex.lock t.m;
+      if
+        Option.is_some c.c_dec
+        && (c.c_done || c.c_eof || not (Queue.is_empty c.c_q))
+      then begin
         Queue.push c t.runq;
-        Condition.broadcast t.sched_c
-      | _ -> c.c_state <- Idle);
-      Mutex.unlock t.sched_m;
+        Condition.signal t.work
+      end
+      else c.c_busy <- false;
+      Mutex.unlock t.m;
       next ()
-    end
   in
   next ()
 
@@ -422,25 +396,20 @@ let worker_loop t () =
 (* Snapshots *)
 
 let clients t =
-  Mutex.lock t.stats_m;
-  let cs = List.rev t.conns in
-  let rows =
-    List.map
-      (fun c ->
-        let until = if c.c_done then c.c_finished else now () in
-        {
-          Fleet.name = Printf.sprintf "%s#%d" c.c_peer c.c_id;
-          events = c.c_events;
-          traces = c.c_traces;
-          drops = c.c_drops;
-          bytes = c.c_bytes;
-          seconds = until -. c.c_started;
-          error = c.c_error;
-        })
-      cs
-  in
-  Mutex.unlock t.stats_m;
-  rows
+  locked t (fun () ->
+      List.rev_map
+        (fun c ->
+          let until = if c.c_done then c.c_finished else now () in
+          {
+            Fleet.name = Printf.sprintf "%s#%d" c.c_peer c.c_id;
+            events = c.c_events;
+            traces = c.c_traces;
+            drops = c.c_drops;
+            bytes = c.c_bytes;
+            seconds = until -. c.c_started;
+            error = c.c_error;
+          })
+        t.conns)
 
 let snapshot t = Shard_acc.snapshot t.acc
 
@@ -474,20 +443,18 @@ let write_snapshot t =
     Ok ()
   end
 
-let request_snapshot t =
-  Mutex.lock t.sched_m;
-  t.snapshot_requested <- true;
-  Mutex.unlock t.sched_m
+let request_snapshot t = locked t (fun () -> t.snapshot_requested <- true)
 
 let snapshot_loop t () =
   let last = ref (now ()) in
   let rec loop () =
-    Mutex.lock t.sched_m;
-    let stop = t.snap_stop in
-    let requested = t.snapshot_requested in
-    t.snapshot_requested <- false;
-    Mutex.unlock t.sched_m;
-    if not stop then begin
+    let quit, requested =
+      locked t (fun () ->
+          let r = t.snapshot_requested in
+          t.snapshot_requested <- false;
+          (t.quit, r))
+    in
+    if not quit then begin
       let due =
         t.cfg.snapshot_every > 0.
         && now () -. !last >= t.cfg.snapshot_every
@@ -510,31 +477,32 @@ let snapshot_loop t () =
 (* Stats / control protocol *)
 
 let stats t =
-  Mutex.lock t.sched_m;
-  let live = t.live in
-  Mutex.unlock t.sched_m;
-  Mutex.lock t.stats_m;
-  let conns = List.length t.conns in
-  let traces, events, drops =
-    List.fold_left
-      (fun (tr, ev, dr) c -> (tr + c.c_traces, ev + c.c_events, dr + c.c_drops))
-      (0, 0, 0) t.conns
+  let s =
+    locked t (fun () ->
+        List.fold_left
+          (fun s c ->
+            {
+              s with
+              s_traces = s.s_traces + c.c_traces;
+              s_events = s.s_events + c.c_events;
+              s_drops = s.s_drops + c.c_drops;
+            })
+          {
+            s_live = t.live;
+            s_conns = List.length t.conns;
+            s_traces = 0;
+            s_events = 0;
+            s_drops = 0;
+            s_folds = 0;
+          }
+          t.conns)
   in
-  Mutex.unlock t.stats_m;
-  {
-    s_live = live;
-    s_conns = conns;
-    s_traces = traces;
-    s_events = events;
-    s_drops = drops;
-    s_folds = Shard_acc.folds t.acc;
-  }
+  { s with s_folds = Shard_acc.folds t.acc }
 
 let request_stop t =
-  Mutex.lock t.sched_m;
-  t.stop_requested <- true;
-  Condition.broadcast t.sched_c;
-  Mutex.unlock t.sched_m
+  locked t (fun () ->
+      t.stop_requested <- true;
+      Condition.broadcast t.stop_c)
 
 let handle_control t fd line =
   let line = String.trim line in
@@ -568,42 +536,50 @@ let rec read_exact fd b off len =
     | 0 -> false
     | n -> read_exact fd b (off + n) (len - n)
 
-(* Reader loop of one ingest connection.  Push blocks when the worker
-   is behind — that is the backpressure: we stop calling [read]. *)
+(* Queue a received slice, waiting while the queue is non-empty and the
+   slice would take it past [inbox_bytes]: a reader that outruns its
+   worker stops calling [read], and the kernel socket buffer and then
+   the peer absorb the pressure.  An empty queue takes a slice of any
+   size, so the bound can never deadlock a reader.  [false] once the
+   connection has finished: the slice went back to the pool. *)
+let push t c b n =
+  locked t (fun () ->
+      while
+        (not c.c_done) && c.c_queued > 0 && c.c_queued + n > t.cfg.inbox_bytes
+      do
+        Condition.wait c.c_room t.m
+      done;
+      if c.c_done then Pool.give t.slices b
+      else begin
+        Queue.push (b, n) c.c_q;
+        c.c_queued <- c.c_queued + n;
+        schedule t c
+      end;
+      not c.c_done)
+
+(* Reader loop of one ingest connection; it lets go of the descriptor
+   when the stream ends or the connection finishes. *)
 let reader_loop t c =
   let rec loop () =
-    let b = Inbox.take_buffer c.c_inbox in
+    let b = take_slice t in
     match Unix.read c.c_fd b 0 (Bytes.length b) with
     | 0 ->
-      Inbox.recycle c.c_inbox b;
-      Inbox.push_eof c.c_inbox;
-      mark_runnable t c
-    | n ->
-      Inbox.push c.c_inbox b n;
-      mark_runnable t c;
-      if conn_error t c = None then loop ()
+      Pool.give t.slices b;
+      locked t (fun () ->
+          c.c_eof <- true;
+          if not c.c_done then schedule t c)
+    | n -> if push t c b n then loop ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      Inbox.recycle c.c_inbox b;
-      finish t ~error:"idle timeout" c;
-      mark_runnable t c
+      Pool.give t.slices b;
+      finish t ~error:"idle timeout" c
     | exception Unix.Unix_error (e, _, _) ->
       (* [shutdown] from [finish] lands here on some platforms; a real
          socket error is terminal either way. *)
-      Inbox.recycle c.c_inbox b;
-      finish t ~error:("read: " ^ Unix.error_message e) c;
-      mark_runnable t c
+      Pool.give t.slices b;
+      finish t ~error:("read: " ^ Unix.error_message e) c
   in
   loop ();
-  (* Clean EOF leaves the close to the worker's Eof handling (see
-     [drain]); on an error path the connection is already finished and
-     this thread — sole user of the fd — closes it.  Never close a
-     still-live fd from here: the worker could be racing us and a
-     reused descriptor must not be touched. *)
-  Mutex.lock t.stats_m;
-  c.c_reader_done <- true;
-  let conn_done = c.c_done in
-  Mutex.unlock t.stats_m;
-  if conn_done then close_fd t c
+  let_go t c
 
 let read_control_line fd first =
   let b = Buffer.create 64 in
@@ -624,59 +600,54 @@ let read_control_line fd first =
 
 (* A peer's front thread owns its fd until it routes: registered at
    accept, deregistered right before the front closes it or hands it to
-   an ingest connection, both under [stats_m] — so the stop sequence's
+   an ingest connection, both under [t.m] — so the stop sequence's
    [shutdown_fronts] never touches a closed (possibly reused)
    descriptor.  A front registered after the stop sequence started is
    shut down at once. *)
 let front_open t fd =
-  Mutex.lock t.stats_m;
-  Hashtbl.replace t.fronts fd ();
-  if t.fronts_shut then
-    (try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ());
-  Mutex.unlock t.stats_m
+  locked t (fun () ->
+      Hashtbl.replace t.fronts fd ();
+      if t.fronts_shut then
+        try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
 
-let front_leave t fd =
-  Mutex.lock t.stats_m;
-  Hashtbl.remove t.fronts fd;
-  Mutex.unlock t.stats_m
+let front_leave t fd = locked t (fun () -> Hashtbl.remove t.fronts fd)
 
 (* Shutting down the receive side ends a front's blocked read (EOF), so
    a silent or half-line peer cannot hold the stop sequence's join; the
    send side stays open, so a control reply already under way is still
    delivered. *)
 let shutdown_fronts t =
-  Mutex.lock t.stats_m;
-  t.fronts_shut <- true;
-  Hashtbl.iter
-    (fun fd () ->
-      try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-    t.fronts;
-  Mutex.unlock t.stats_m
+  locked t (fun () ->
+      t.fronts_shut <- true;
+      Hashtbl.iter
+        (fun fd () ->
+          try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ())
+        t.fronts)
 
+(* The first four bytes land in a pooled slice, which an ingest stream
+   queues as its first. *)
 let front t fd peer () =
+  let b = take_slice t in
   let cleanup_plain () =
+    Pool.give t.slices b;
     front_leave t fd;
     try Unix.close fd with Unix.Unix_error _ -> ()
   in
   match
     if t.cfg.idle_timeout > 0. then
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
-    let first4 = Bytes.create 4 in
-    if not (read_exact fd first4 0 4) then `Close
-    else if Bytes.to_string first4 = "ATRC" then `Ingest first4
-    else `Control (Bytes.to_string first4)
+    read_exact fd b 0 4
   with
-  | `Close -> cleanup_plain ()
-  | `Control first ->
-    let line = read_control_line fd first in
-    handle_control t fd line;
-    cleanup_plain ()
-  | `Ingest first4 ->
+  | false -> cleanup_plain ()
+  | true when Bytes.sub_string b 0 4 = "ATRC" ->
     front_leave t fd;
     let c = make_conn t fd peer in
-    Inbox.push c.c_inbox first4 4;
-    mark_runnable t c;
+    ignore (push t c b 4);
     reader_loop t c
+  | true ->
+    handle_control t fd (read_control_line fd (Bytes.sub_string b 0 4));
+    cleanup_plain ()
   | exception Unix.Unix_error _ -> cleanup_plain ()
 
 (* ------------------------------------------------------------------ *)
@@ -722,12 +693,7 @@ let accept_backoff = 0.1
    connections close. *)
 let accept_loop t lfd () =
   Unix.set_nonblock lfd;
-  let stopping () =
-    Mutex.lock t.sched_m;
-    let s = t.stop_requested in
-    Mutex.unlock t.sched_m;
-    s
-  in
+  let stopping () = locked t (fun () -> t.stop_requested) in
   let starved = ref false in
   let rec loop () =
     if not (stopping ()) then begin
@@ -778,31 +744,29 @@ let addresses t = List.map snd t.listeners
 let start cfg =
   if cfg.unix_path = None && cfg.tcp = None then
     invalid_arg "Server.start: no listener configured";
-  if cfg.jobs < 1 then invalid_arg "Server.start";
+  if cfg.jobs < 1 || cfg.read_bytes < 4 || cfg.inbox_bytes < 1 then
+    invalid_arg "Server.start";
   let t =
     {
       cfg;
       acc = Shard_acc.create ();
-      slices =
-        Inbox.pool ~buffer_bytes:cfg.read_bytes
-          ~max_idle:(max 1 (idle_slice_bytes / cfg.read_bytes));
+      slices = Pool.create ~max_idle:(max 1 (idle_slice_bytes / cfg.read_bytes));
       profilers = Ingest_driver.pool cfg.profiler;
       started = now ();
-      sched_m = Mutex.create ();
-      sched_c = Condition.create ();
+      next_id = Atomic.make 0;
+      m = Mutex.create ();
+      work = Condition.create ();
+      stop_c = Condition.create ();
       runq = Queue.create ();
       live = 0;
       stop_requested = false;
-      workers_stop = false;
-      snap_stop = false;
+      quit = false;
       stop_running = false;
       stopped = false;
       snapshot_requested = false;
-      stats_m = Mutex.create ();
       conns = [];
       fronts = Hashtbl.create 16;
       fronts_shut = false;
-      next_id = 0;
       threads = [];
       workers = [];
       listeners = [];
@@ -831,16 +795,10 @@ let start cfg =
        (if Serve_backend.parallel then "" else ", no parallelism"));
   t
 
-let live_conns t =
-  Mutex.lock t.sched_m;
-  let n = t.live in
-  Mutex.unlock t.sched_m;
-  n
-
 let poll_drained t ~timeout =
   let deadline = now () +. timeout in
   let rec loop () =
-    if live_conns t = 0 then true
+    if locked t (fun () -> t.live) = 0 then true
     else if now () > deadline then false
     else begin
       Thread.delay 0.02;
@@ -851,13 +809,15 @@ let poll_drained t ~timeout =
 
 let wait t =
   (* Block until someone requests a stop... *)
-  Mutex.lock t.sched_m;
-  while not t.stop_requested do
-    Condition.wait t.sched_c t.sched_m
-  done;
-  let mine = (not t.stopped) && not t.stop_running in
-  if mine then t.stop_running <- true;
-  Mutex.unlock t.sched_m;
+  let mine =
+    locked t (fun () ->
+        while not t.stop_requested do
+          Condition.wait t.stop_c t.m
+        done;
+        let mine = not (t.stopped || t.stop_running) in
+        if mine then t.stop_running <- true;
+        mine)
+  in
   if mine then begin
     (* ...then run the stop sequence on this thread. *)
     (* 1. no new connections; peers not streaming a trace are cut off *)
@@ -868,23 +828,20 @@ let wait t =
     (* 2. let live streams drain; then force the stragglers *)
     if not (poll_drained t ~timeout:10.) then begin
       t.cfg.log "forcing open connections closed";
-      Mutex.lock t.stats_m;
-      let open_conns = List.filter (fun c -> not c.c_done) t.conns in
-      Mutex.unlock t.stats_m;
-      List.iter (fun c -> finish t ~error:"server shutdown" c) open_conns;
+      List.iter
+        (fun c -> finish t ~error:"server shutdown" c)
+        (locked t (fun () -> List.filter (fun c -> not c.c_done) t.conns));
       ignore (poll_drained t ~timeout:5.)
     end;
-    (* 3. stop workers after the queue is quiet, then the aux threads *)
-    Mutex.lock t.sched_m;
-    t.workers_stop <- true;
-    t.snap_stop <- true;
-    Condition.broadcast t.sched_c;
-    Mutex.unlock t.sched_m;
+    (* 3. stop the workers once the run queue is empty (every finished
+       connection released), then the aux threads *)
+    locked t (fun () ->
+        t.quit <- true;
+        Condition.broadcast t.work);
     List.iter Serve_backend.join t.workers;
-    Mutex.lock t.stats_m;
-    let threads = t.threads in
-    Mutex.unlock t.stats_m;
-    List.iter (fun th -> try Thread.join th with _ -> ()) threads;
+    List.iter
+      (fun th -> try Thread.join th with _ -> ())
+      (locked t (fun () -> t.threads));
     (* 4. final snapshot — every fold is in, nothing can race it *)
     (match write_snapshot t with
     | Ok () | Error _ -> ()
@@ -893,19 +850,16 @@ let wait t =
     (match t.cfg.unix_path with
     | Some p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
     | None -> ());
-    Mutex.lock t.sched_m;
-    t.stopped <- true;
-    Condition.broadcast t.sched_c;
-    Mutex.unlock t.sched_m
+    locked t (fun () ->
+        t.stopped <- true;
+        Condition.broadcast t.stop_c)
   end
-  else begin
+  else
     (* another thread is (or was) stopping; wait for it to complete *)
-    Mutex.lock t.sched_m;
-    while not t.stopped do
-      Condition.wait t.sched_c t.sched_m
-    done;
-    Mutex.unlock t.sched_m
-  end
+    locked t (fun () ->
+        while not t.stopped do
+          Condition.wait t.stop_c t.m
+        done)
 
 let stop t =
   request_stop t;

@@ -4,21 +4,32 @@
     number of concurrent connections.  A connection whose first four
     bytes are ["ATRC"] is an ingest stream: the wire format is exactly
     the trace file format (several traces may follow back-to-back), a
-    per-connection reader thread feeds a bounded inbox, and a pool of
-    ingest workers (domains on OCaml 5) decodes and profiles the bytes,
+    per-connection reader thread queues the slices it reads, and a pool
+    of ingest workers (domains on OCaml 5) decodes and profiles them,
     folding each completed trace's profile into one locked accumulator
     ({!Shard_acc}).  Any other first bytes start a one-line text control
     exchange: [PING], [STATS], [SNAPSHOT], [STOP].
 
+    One lock guards every shared field of the daemon: each connection's
+    queued slices, queued-byte count, end-of-stream flag, run state,
+    counters and descriptor state.  Reads, decodes and folds run outside
+    it.  A worker claims a connection, decodes one queued slice, and
+    puts the connection at the back of the run queue if more is queued,
+    so a connection that keeps streaming cannot hold a worker while
+    others wait.  A connection's reader and its decoding side each hold
+    its descriptor, and the last to let go closes it; after {!stop} no
+    connection holds a descriptor, a decoder or a profiler.
+
     Guarantees:
 
     - {b Bounded memory}: a live connection holds its queued slices
-      (at most [inbox_bytes] of queued payload; when a worker falls
+      (at most [inbox_bytes] of queued payload once non-empty — an
+      empty queue takes one slice of any size; when a worker falls
       behind, the reader stops reading and the socket/peer absorb the
       pressure) and the one slice its reader is filling, plus the
-      slices of one unfinished item (a frame header and at most
-      [max_frame_bytes] of payload — 64 KiB more for a footer — in at
-      most two slices more than those bytes fill),
+      slices of one unfinished item (a frame header and at most 64 MiB
+      of payload, the decoder's frame bound — 64 KiB more for a footer
+      — in at most two slices more than those bytes fill),
       plus one profiler while a trace is open.  Everything else a
       decode needs — the recycled batch, the chunk cursors, salvage's
       stage, the area a straddling item is assembled in — belongs to
@@ -39,10 +50,12 @@
       accumulator's one lock, so any snapshot equals the offline
       [aprof merge] of the traces completed so far.
     - {b Corruption isolation}: a malformed stream poisons only its own
-      connection; its partial trace is aborted, never folded.  With
-      [salvage] damaged chunks are dropped per the salvage trichotomy
-      and the stream continues; damage no chunk boundary bounds drops
-      the rest of the connection as one region. *)
+      connection; its partial trace is aborted, never folded.  A
+      routine name holding a CR or LF is malformed too, since it would
+      forge records in a snapshot.  With [salvage] damaged chunks are
+      dropped per the salvage trichotomy and the stream continues;
+      damage no chunk boundary bounds drops the rest of the connection
+      as one region. *)
 
 module Profile = Aprof_core.Profile
 
@@ -55,9 +68,8 @@ type config = {
   snapshot_every : float;  (** seconds; 0 = snapshot only on request *)
   snapshot_profile : string option;  (** profile CSV written per snapshot *)
   fleet_csv : string option;  (** fleet CSV written per snapshot *)
-  max_frame_bytes : int;  (** largest acceptable chunk payload *)
   inbox_bytes : int;  (** per-connection queued-byte bound *)
-  read_bytes : int;  (** read slice size *)
+  read_bytes : int;  (** read slice size, at least 4 *)
   idle_timeout : float;  (** kill a silent connection after this; 0 = off *)
   salvage : bool;  (** drop damaged chunks instead of failing the conn *)
   log : string -> unit;
@@ -78,7 +90,8 @@ type stats = {
 
 (** [start cfg] opens the listeners and spawns the accept threads,
     worker pool and snapshot thread.  Raises [Invalid_argument] when no
-    listener is configured, and [Unix.Unix_error] when binding fails. *)
+    listener is configured or a size or count is out of range, and
+    [Unix.Unix_error] when binding fails. *)
 val start : config -> t
 
 (** The listener addresses, e.g. ["unix:/tmp/aprof.sock"],

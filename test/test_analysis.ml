@@ -513,6 +513,16 @@ let test_store_roundtrip () =
       [ "cubic one"; "name, with, commas"; "plain" ]
       (Store.routines back)
 
+(* A routine name ends each model line, so a line break in it would
+   plant model records of its own; the writer refuses it. *)
+let test_store_forged_name_refused () =
+  List.iter
+    (fun routine ->
+      match Store.to_string (Store.create [ entry ~routine () ]) with
+      | dump -> Alcotest.failf "wrote %S as %S" routine dump
+      | exception Invalid_argument _ -> ())
+    [ "r\nmodel,drms,linear,3,1,1,1,1,1,2,1,2,forged"; "r\rforged" ]
+
 let test_store_versioning () =
   let dump = Store.to_string (Store.create [ entry () ]) in
   (* A future version is refused, not misparsed. *)
@@ -812,6 +822,8 @@ let suite =
       test_battery_selections;
     Alcotest.test_case "store roundtrip" `Quick test_store_roundtrip;
     Alcotest.test_case "store versioning" `Quick test_store_versioning;
+    Alcotest.test_case "store refuses a forged routine name" `Quick
+      test_store_forged_name_refused;
     Alcotest.test_case "planted regression flagged" `Quick
       test_planted_regression;
     Alcotest.test_case "self diff clean" `Quick test_self_diff_clean;

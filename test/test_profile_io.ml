@@ -126,6 +126,30 @@ let test_malformed () =
       | Ok _ -> Alcotest.failf "expected failure on %S" s)
     [ "bogus,1,2"; "point,1,2,xxx,1,1,1,1,1,1"; "agg,a,b,c,d,e,f" ]
 
+(* A name holding a line break would end its [routine] record early and
+   the rest would load as records of their own: here a routine 7 named
+   "forged" with 99 activations.  The writer refuses such a name and
+   writes every other name byte for byte. *)
+let test_forged_name_refused () =
+  let profile = Profile.create () in
+  Profile.record_activation profile ~tid:0 ~routine:1 ~rms:2 ~drms:2 ~cost:5;
+  List.iter
+    (fun name ->
+      match Profile_io.to_string ~routine_name:(fun _ -> name) profile with
+      | dump -> Alcotest.failf "wrote %S as %S" name dump
+      | exception Invalid_argument _ -> ())
+    [ "r\nagg,0,7,99,1,1,1\nroutine,7,forged"; "r\rforged"; "r\n" ];
+  let name = "a,b \"c\"\t\000\255" in
+  match
+    Profile_io.of_string
+      (Profile_io.to_string ~routine_name:(fun _ -> name) profile)
+  with
+  | Ok (back, names) ->
+    check_profiles_equal "profile kept" profile back;
+    Alcotest.(check (list (pair int string))) "name written as given"
+      [ (1, name) ] names
+  | Error e -> Alcotest.failf "load failed: %s" e
+
 let suite =
   [
     Alcotest.test_case "roundtrip equals original" `Quick test_roundtrip_workload;
@@ -134,4 +158,6 @@ let suite =
     Alcotest.test_case "format versions" `Quick test_format_versions;
     Alcotest.test_case "run metadata roundtrip" `Quick test_meta_roundtrip;
     Alcotest.test_case "malformed input rejected" `Quick test_malformed;
+    Alcotest.test_case "forged routine name refused" `Quick
+      test_forged_name_refused;
   ]

@@ -1,15 +1,14 @@
-(* The ingest daemon, bottom-up: the bounded inbox (backpressure), the
-   socket-fed decoder state machine at hostile slice sizes, the sharded
-   accumulators' fold/snapshot consistency, and the live server over
-   real sockets — N concurrent clients must aggregate to exactly the
-   offline merge, and one corrupt stream must never perturb the
-   others. *)
+(* The ingest daemon, bottom-up: the socket-fed decoder state machine
+   at hostile slice sizes, the sharded accumulators' fold/snapshot
+   consistency, and the live server over real sockets — N concurrent
+   clients must aggregate to exactly the offline merge, one corrupt
+   stream must never perturb the others, and each connection's
+   buffering, worker time and descriptors stay bounded. *)
 
 module Event = Aprof_trace.Event
 module Codec = Aprof_trace.Trace_codec
 module Trace_net = Aprof_trace.Trace_net
 module Stream = Aprof_trace.Trace_stream
-module Inbox = Aprof_serve.Inbox
 module Shard_acc = Aprof_serve.Shard_acc
 module Fleet = Aprof_serve.Fleet
 module Server = Aprof_serve.Server
@@ -17,84 +16,6 @@ module Profile = Aprof_core.Profile
 module Trace = Aprof_trace.Trace
 module Workload = Aprof_workloads.Workload
 module Registry = Aprof_workloads.Registry
-
-(* ---------------------------------------------------------------- *)
-(* Inbox *)
-
-let test_inbox_round_trip () =
-  let ib =
-    Inbox.create ~capacity:1000 (Inbox.pool ~buffer_bytes:16 ~max_idle:4)
-  in
-  let b1 = Inbox.take_buffer ib in
-  Bytes.fill b1 0 16 'a';
-  Inbox.push ib b1 10;
-  Alcotest.(check int) "queued" 10 (Inbox.queued_bytes ib);
-  (match Inbox.pop ib with
-  | Some (Inbox.Data (b, 10)) ->
-    Alcotest.(check string) "contents" (String.make 10 'a')
-      (Bytes.sub_string b 0 10);
-    Inbox.recycle ib b
-  | _ -> Alcotest.fail "expected Data");
-  Alcotest.(check int) "drained" 0 (Inbox.queued_bytes ib);
-  (* The recycled slice comes back out of take_buffer. *)
-  let b2 = Inbox.take_buffer ib in
-  Alcotest.(check bool) "recycled buffer reused" true (b1 == b2);
-  Inbox.push_eof ib;
-  (match Inbox.pop ib with
-  | Some Inbox.Eof -> ()
-  | _ -> Alcotest.fail "expected Eof");
-  Alcotest.(check bool) "empty" true (Inbox.is_empty ib)
-
-let test_inbox_oversized_when_empty () =
-  let ib =
-    Inbox.create ~capacity:10 (Inbox.pool ~buffer_bytes:64 ~max_idle:4)
-  in
-  (* Must not block: an empty queue accepts one slice of any size. *)
-  Inbox.push ib (Bytes.create 64) 64;
-  Alcotest.(check int) "accepted" 64 (Inbox.queued_bytes ib)
-
-let test_inbox_backpressure () =
-  let ib =
-    Inbox.create ~capacity:100 (Inbox.pool ~buffer_bytes:64 ~max_idle:4)
-  in
-  Inbox.push ib (Bytes.create 64) 80;
-  (* 80 queued; another 50 would exceed capacity, so the producer must
-     block until the consumer pops. *)
-  let second_done = Atomic.make false in
-  let producer =
-    Thread.create
-      (fun () ->
-        Inbox.push ib (Bytes.create 64) 50;
-        Atomic.set second_done true)
-      ()
-  in
-  Thread.delay 0.05;
-  Alcotest.(check bool) "producer blocked" false (Atomic.get second_done);
-  Alcotest.(check int) "only first queued" 80 (Inbox.queued_bytes ib);
-  (match Inbox.pop ib with
-  | Some (Inbox.Data (_, 80)) -> ()
-  | _ -> Alcotest.fail "expected first slice");
-  Thread.join producer;
-  Alcotest.(check bool) "producer unblocked" true (Atomic.get second_done);
-  Alcotest.(check int) "second queued" 50 (Inbox.queued_bytes ib)
-
-let test_inbox_close_neuters () =
-  let ib =
-    Inbox.create ~capacity:100 (Inbox.pool ~buffer_bytes:64 ~max_idle:4)
-  in
-  Inbox.push ib (Bytes.create 64) 80;
-  (* A producer blocked on capacity must be released by close... *)
-  let blocked =
-    Thread.create (fun () -> Inbox.push ib (Bytes.create 64) 50) ()
-  in
-  Thread.delay 0.02;
-  Inbox.close ib;
-  Thread.join blocked;
-  (* ...and everything queued is gone; later pushes are dropped. *)
-  Alcotest.(check (option reject)) "queue cleared" None (Inbox.pop ib);
-  Inbox.push ib (Bytes.create 64) 10;
-  Alcotest.(check (option reject)) "push after close dropped" None
-    (Inbox.pop ib)
 
 (* ---------------------------------------------------------------- *)
 (* Trace_net: the push driver vs the trace the writer was given *)
@@ -174,7 +95,7 @@ let collector () =
   (c, cb)
 
 (* Feed [s] [slice] bytes at a time, each in a buffer of its own with
-   room to spare, as inbox slices arrive; returns the slices fed. *)
+   room to spare, as read slices arrive; returns the slices fed. *)
 let feed_in_slices ?(scratch = Trace_net.scratch ()) net s ~slice =
   let n = String.length s in
   let pos = ref 0 and fed = ref 0 in
@@ -461,8 +382,7 @@ let test_net_recycled_ingest_allocation () =
       ~routine_name:(Aprof_trace.Routine_table.name run.Aprof_vm.Interp.routines)
       run.Aprof_vm.Interp.trace
   in
-  let slices = Inbox.pool ~buffer_bytes:(64 * 1024) ~max_idle:8 in
-  let reader = Inbox.create slices in
+  let slices = Aprof_util.Pool.create ~max_idle:8 in
   let profilers =
     Aprof_tools.Ingest_driver.pool (module Aprof_tools.Aprof_adapters.Drms)
   in
@@ -475,7 +395,7 @@ let test_net_recycled_ingest_allocation () =
         ()
     in
     let net =
-      Trace_net.create ~release:(Inbox.recycle reader)
+      Trace_net.create ~release:(Aprof_util.Pool.give slices)
         {
           Trace_net.on_batch = Aprof_tools.Ingest_driver.on_batch driver;
           on_define = (fun _ _ -> ());
@@ -485,7 +405,11 @@ let test_net_recycled_ingest_allocation () =
     in
     let pos = ref 0 in
     while !pos < String.length s do
-      let b = Inbox.take_buffer reader in
+      let b =
+        match Aprof_util.Pool.take slices with
+        | Some b -> b
+        | None -> Bytes.create (64 * 1024)
+      in
       let len = min (Bytes.length b) (String.length s - !pos) in
       Bytes.blit_string s !pos b 0 len;
       Trace_net.feed net scratch b ~pos:0 ~len;
@@ -638,7 +562,8 @@ let temp_sock () =
   Sys.remove p;
   p
 
-let push_bytes ?flip ~sock ~repeat s =
+(* [written], when given, counts the bytes the peer has taken. *)
+let push_bytes ?flip ?(written = Atomic.make 0) ~sock ~repeat s =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX sock);
   let b = Bytes.of_string s in
@@ -651,7 +576,9 @@ let push_bytes ?flip ~sock ~repeat s =
       if o < n then
         match Unix.write fd b o (n - o) with
         | 0 -> failwith "closed"
-        | k -> write (o + k)
+        | k ->
+          ignore (Atomic.fetch_and_add written k);
+          write (o + k)
     in
     (try write 0 with Unix.Unix_error _ -> ())
   done;
@@ -659,6 +586,10 @@ let push_bytes ?flip ~sock ~repeat s =
   let one = Bytes.create 1 in
   (try while Unix.read fd one 0 1 > 0 do () done with Unix.Unix_error _ -> ());
   Unix.close fd
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
 
 let expected_merge ~copies =
   let result = Lazy.force small_run in
@@ -915,10 +846,6 @@ let test_server_finished_conns_bounded () =
   let s = trace_bytes ~version:3 () in
   let sock = temp_sock () in
   let srv = start_test_server sock in
-  let live_words () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
   let warmup = 4 and pushes = 64 in
   for _ = 1 to warmup do
     push_bytes ~sock ~repeat:1 s
@@ -1173,16 +1100,292 @@ let test_server_control_fuzz () =
       Alcotest.(check (option string)) "STOP, once, at the end" (Some "OK\n")
         (control_request sock "STOP\n"))
 
+(* --- one lock: buffering, fairness, descriptors ------------------ *)
+
+(* A drms profiler whose [on_batch] waits while the gate is shut, so a
+   worker that enters it stalls until the test opens the gate; opened
+   with [`Fail], it raises instead, failing its connection. *)
+module Gate = struct
+  let m = Mutex.create ()
+  let changed = Condition.create ()
+  let state : [ `Open | `Shut | `Fail ] ref = ref `Open
+  let entered = Atomic.make 0
+
+  let set s =
+    Mutex.lock m;
+    state := s;
+    Condition.broadcast changed;
+    Mutex.unlock m
+
+  let pass () =
+    Atomic.incr entered;
+    Mutex.lock m;
+    while !state = `Shut do
+      Condition.wait changed m
+    done;
+    let s = !state in
+    Mutex.unlock m;
+    if s = `Fail then failwith "gate: failed on purpose"
+end
+
+module Gated = struct
+  include Aprof_tools.Aprof_adapters.Drms
+
+  let name = "gated"
+
+  let on_batch st b =
+    Gate.pass ();
+    on_batch st b
+end
+
+(* Wait until [written] has not moved for 0.3 s: the client is blocked,
+   so the daemon stopped reading. *)
+let wait_stalled written =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec loop last =
+    Thread.delay 0.3;
+    let now = Atomic.get written in
+    if now <> last && Unix.gettimeofday () < deadline then loop now
+  in
+  loop (Atomic.get written)
+
+let start_gated ?(read_bytes = Server.default_config.Server.read_bytes) sock =
+  Server.start
+    {
+      Server.default_config with
+      unix_path = Some sock;
+      jobs = 1;
+      profiler = (module Gated);
+      read_bytes;
+    }
+
+(* What a connection may buffer while its worker is stalled: its queue
+   (256 KiB by default), the slice its reader fills and the slices the
+   decoder holds for an unfinished item — well under this bound, which
+   is an eighth of the 16 MB the client streams. *)
+let stalled_buffer_words = 256 * 1024
+
+let test_server_stalled_worker_bounds_buffer () =
+  let s = trace_bytes ~version:2 () in
+  let repeat = (16 * 1024 * 1024 / String.length s) + 1 in
+  let sock = temp_sock () in
+  Gate.set `Open;
+  let srv = start_gated sock in
+  (* Warm up: the worker's scratch and one pooled profiler exist. *)
+  push_bytes ~sock ~repeat:1 s;
+  Gate.set `Shut;
+  let before = live_words () in
+  let written = Atomic.make 0 in
+  let client = Thread.create (fun () -> push_bytes ~written ~sock ~repeat s) () in
+  wait_stalled written;
+  let grown = live_words () - before in
+  let stalled = Atomic.get written in
+  Gate.set `Open;
+  Thread.join client;
+  let stats = Server.stats srv in
+  let got, _ = Server.snapshot srv in
+  Server.stop srv;
+  if grown >= stalled_buffer_words then
+    Alcotest.failf "the heap grew by %d words while the worker stalled (bound %d)"
+      grown stalled_buffer_words;
+  Alcotest.(check bool)
+    (Printf.sprintf "the client stalled (%d of %d bytes written)" stalled
+       (repeat * String.length s))
+    true
+    (stalled < repeat * String.length s);
+  Alcotest.(check int) "every trace folded" (repeat + 1) stats.Server.s_traces;
+  Helpers.check_profiles_equal "after the stall = offline merge"
+    (expected_merge ~copies:(repeat + 1))
+    got
+
+(* The empty queue takes a slice of any size, so a bound below the read
+   size cannot stall a reader. *)
+let test_server_inbox_below_read_size () =
+  let s = trace_bytes ~version:3 () in
+  let sock = temp_sock () in
+  let srv =
+    Server.start
+      {
+        Server.default_config with
+        unix_path = Some sock;
+        jobs = 2;
+        read_bytes = 4096;
+        inbox_bytes = 100;
+      }
+  in
+  List.iter Thread.join
+    (List.init 3 (fun _ ->
+         Thread.create (fun () -> push_bytes ~sock ~repeat:2 s) ()));
+  let stats = Server.stats srv in
+  let got, _ = Server.snapshot srv in
+  Server.stop srv;
+  Alcotest.(check int) "every trace folded" 6 stats.Server.s_traces;
+  Helpers.check_profiles_equal "small inbox = offline merge"
+    (expected_merge ~copies:6) got
+
+let fd_dir = "/proc/self/fd"
+let open_fds () = Array.length (Sys.readdir fd_dir)
+
+(* Wait until the process holds [n] descriptors; [false] after 5 s. *)
+let fds_settle n =
+  let deadline = Unix.gettimeofday () +. 5. in
+  let rec loop () =
+    open_fds () = n || (Unix.gettimeofday () < deadline && (Thread.delay 0.02; loop ()))
+  in
+  loop ()
+
+(* A connection failed while its queue is full and its reader waits for
+   room: the failure gives the queued slices back and wakes the reader,
+   which lets go of the descriptor, so it closes.  Read slices of 4 MiB
+   leave the daemon's slice pool room for one idle slice, so connection
+   after connection the heap grows by no more than a finished
+   connection's counters, where one that kept its queued slices would
+   keep 512K words or more. *)
+let test_server_finished_conn_gives_back_slices () =
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let s = trace_bytes ~version:2 () in
+  let repeat = (4 * 1024 * 1024 / String.length s) + 1 in
+  let sock = temp_sock () in
+  Gate.set `Open;
+  let srv = start_gated ~read_bytes:(4 * 1024 * 1024) sock in
+  let fds = open_fds () in
+  let fail_one () =
+    Gate.set `Shut;
+    let entered = Atomic.get Gate.entered in
+    let written = Atomic.make 0 in
+    let client = Thread.create (fun () -> push_bytes ~written ~sock ~repeat s) () in
+    wait_stalled written;
+    Alcotest.(check bool) "the worker stalled" true
+      (Atomic.get Gate.entered > entered);
+    Gate.set `Fail;
+    Thread.join client;
+    Alcotest.(check bool) "the reader let go: its descriptor closed" true
+      (fds_settle fds)
+  in
+  let warmup = 2 and cycles = 6 in
+  for _ = 1 to warmup do
+    fail_one ()
+  done;
+  let before = live_words () in
+  for _ = 1 to cycles do
+    fail_one ()
+  done;
+  let per_conn = (live_words () - before) / cycles in
+  Gate.set `Open;
+  let stats = Server.stats srv in
+  Server.stop srv;
+  Alcotest.(check int) "no trace folded" 0 stats.Server.s_traces;
+  Alcotest.(check int) "every connection finished" 0 stats.Server.s_live;
+  if per_conn >= Server.finished_conn_words then
+    Alcotest.failf "%d live words per failed full connection (bound %d)"
+      per_conn Server.finished_conn_words
+
+(* With one worker, a stream that keeps its queue full cannot hold the
+   worker: a 1 KB stream started 0.2 s into a 54 MB one (blackscholes,
+   v2, 150 copies) is decoded between the big one's slices, and its
+   push returns first. *)
+let test_server_long_stream_cannot_hold_worker () =
+  let blackscholes scale =
+    match Registry.find "blackscholes" with
+    | Some spec ->
+      let r = Workload.run_spec spec ~threads:4 ~scale ~seed:1 in
+      Codec.to_string ~format_version:2
+        ~routine_name:(Aprof_trace.Routine_table.name r.Aprof_vm.Interp.routines)
+        r.Aprof_vm.Interp.trace
+    | None -> Alcotest.fail "blackscholes missing"
+  in
+  let big = blackscholes 20_000 and small = blackscholes 40 in
+  let sock = temp_sock () in
+  let srv =
+    Server.start
+      { Server.default_config with unix_path = Some sock; jobs = 1 }
+  in
+  let big_done = Atomic.make false in
+  let big_client =
+    Thread.create
+      (fun () ->
+        push_bytes ~sock ~repeat:150 big;
+        Atomic.set big_done true)
+      ()
+  in
+  Thread.delay 0.2;
+  push_bytes ~sock ~repeat:1 small;
+  let small_first = not (Atomic.get big_done) in
+  Thread.join big_client;
+  let stats = Server.stats srv in
+  Server.stop srv;
+  Alcotest.(check int) "every trace folded" 151 stats.Server.s_traces;
+  Alcotest.(check bool) "the small push returned before the big one" true
+    small_first
+
+(* After [stop], no connection holds a descriptor: clean, corrupt and
+   silent peers leave the process with the descriptors it had before
+   [start]. *)
+let test_server_stop_closes_every_fd () =
+  if not (Sys.file_exists fd_dir) then Alcotest.skip ();
+  let s = trace_bytes ~version:2 () in
+  let before = open_fds () in
+  let sock = temp_sock () in
+  let srv = start_test_server sock in
+  push_bytes ~sock ~repeat:2 s;
+  push_bytes ~flip:40 ~sock ~repeat:1 s;
+  push_bytes ~sock ~repeat:1 (malformed_v3 ());
+  let silent = connect_unix sock in
+  Thread.delay 0.1;
+  Server.stop srv;
+  Unix.close silent;
+  Alcotest.(check int) "descriptors after stop" before (open_fds ())
+
+(* A routine name holding a line break would forge records in the
+   snapshot CSV; the stream that defines one fails like any malformed
+   stream, and only that connection. *)
+let test_server_forged_name_isolated () =
+  let forged = "r\nagg,0,7,99,1,1,1\nroutine,7,forged" in
+  let run = Lazy.force small_run in
+  let bad =
+    Codec.to_string ~format_version:2
+      ~routine_name:(fun r ->
+        if r = 0 then forged
+        else Aprof_trace.Routine_table.name run.Aprof_vm.Interp.routines r)
+      run.Aprof_vm.Interp.trace
+  in
+  let good = trace_bytes ~version:2 () in
+  let sock = temp_sock () in
+  let out = Filename.temp_file "aprof_serve_test" ".csv" in
+  let srv =
+    Server.start
+      {
+        Server.default_config with
+        unix_path = Some sock;
+        jobs = 2;
+        snapshot_profile = Some out;
+      }
+  in
+  List.iter Thread.join
+    (List.map
+       (fun b -> Thread.create (fun () -> push_bytes ~sock ~repeat:1 b) ())
+       [ good; bad; good ]);
+  let stats = Server.stats srv in
+  let errored =
+    List.filter (fun (c : Fleet.client) -> c.Fleet.error <> None)
+      (Server.clients srv)
+  in
+  Server.stop srv;
+  Alcotest.(check int) "only good traces folded" 2 stats.Server.s_traces;
+  Alcotest.(check int) "one errored client" 1 (List.length errored);
+  let loaded = In_channel.with_open_bin out Aprof_core.Profile_io.load in
+  Sys.remove out;
+  match loaded with
+  | Error e -> Alcotest.failf "snapshot does not load: %s" e
+  | Ok (got, names) ->
+    Alcotest.(check bool) "no forged routine" false
+      (List.exists (fun (_, n) -> n = "forged") names);
+    Helpers.check_profiles_equal "snapshot = merge of the good streams"
+      (expected_merge ~copies:2) got
+
 let suite =
   [
-    Alcotest.test_case "inbox: round trip and recycling" `Quick
-      test_inbox_round_trip;
-    Alcotest.test_case "inbox: empty queue accepts oversized slice" `Quick
-      test_inbox_oversized_when_empty;
-    Alcotest.test_case "inbox: push blocks over capacity" `Quick
-      test_inbox_backpressure;
-    Alcotest.test_case "inbox: close releases and neuters producers" `Quick
-      test_inbox_close_neuters;
     Alcotest.test_case "net: every version and slice size = writer input"
       `Quick test_net_matches_reference;
     Alcotest.test_case "net: back-to-back traces on one connection" `Quick
@@ -1227,4 +1430,16 @@ let suite =
       test_server_stop_with_silent_peers;
     Alcotest.test_case "server: control-line fuzz" `Quick
       test_server_control_fuzz;
+    Alcotest.test_case "server: a stalled worker bounds what a connection buffers"
+      `Quick test_server_stalled_worker_bounds_buffer;
+    Alcotest.test_case "server: inbox_bytes below read_bytes still ingests"
+      `Quick test_server_inbox_below_read_size;
+    Alcotest.test_case "server: a failed full connection gives its slices back"
+      `Quick test_server_finished_conn_gives_back_slices;
+    Alcotest.test_case "server: one worker: a long stream cannot hold it"
+      `Quick test_server_long_stream_cannot_hold_worker;
+    Alcotest.test_case "server: stop leaves no descriptor open" `Quick
+      test_server_stop_closes_every_fd;
+    Alcotest.test_case "server: a forged routine name fails only its stream"
+      `Quick test_server_forged_name_isolated;
   ]
