@@ -50,25 +50,25 @@ let run ~quick ppf =
             Trace.replay trace sink.Stream.emit_batch;
             sink.Stream.close_batch ()))
   in
-  let decode file source time =
+  let decode file read time =
     In_channel.with_open_bin file (fun ic ->
         time (fun () ->
-            if Stream.drain (source ic) ignore <> n_events then
+            if read ic ignore <> n_events then
               failwith "codec bench: decoded event count mismatch"))
   in
-  let binary_source ic = snd (Codec.batch_reader ic) in
+  let read_binary ic f = snd (Codec.read ~on_corrupt:`Fail ic f) in
   let rounds = Exp_common.rounds ~quick in
   let samples =
     Exp_common.sample ~rounds
       (encode text_file Stream.text_sink
-      :: decode text_file Stream.of_text_channel
+      :: decode text_file Stream.read_text
       :: List.concat_map
            (fun (label, format_version, entropy) ->
              let file = List.assoc label files in
              [
                encode file
                  (Codec.batch_writer ~format_version ~entropy ~routine_name);
-               decode file binary_source;
+               decode file read_binary;
              ])
            formats)
   in
@@ -97,7 +97,7 @@ let run ~quick ppf =
   In_channel.with_open_bin (List.assoc "v2" files) (fun ic ->
       let count = ref 0 in
       ignore
-        (Stream.drain (binary_source ic) (fun b ->
+        (read_binary ic (fun b ->
              let before = !count / sample_every in
              count := !count + Aprof_trace.Event.Batch.length b;
              if !count / sample_every > before then

@@ -11,22 +11,34 @@
 
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
+module Batch = Aprof_trace.Event.Batch
 module Crc32c = Aprof_util.Crc32c
 module Rng = Aprof_util.Rng
 
-(* Events are compared by count plus a running checksum of their text
-   rendering — materializing a million event strings per fault would
-   dominate the sweep. *)
-let stream_digest src =
+(* Events are compared by count plus a running CRC32C of their raw
+   fields: each batch's tags, tids, args and lens are packed into one
+   reused buffer, eight bytes a field, and digested in one call.  A CRC
+   chains over concatenation, so the digest does not depend on where
+   the reader ends its batches.  [read f] hands every batch to [f] and
+   returns the event count. *)
+let stream_digest read =
   let crc = ref 0 in
-  let count =
-    Stream.drain src
-      (Aprof_trace.Event.Batch.iter_events (fun ev ->
-           let line = Aprof_trace.Event.to_line ev in
-           crc :=
-             Crc32c.digest_string ~crc:!crc line ~pos:0
-               ~len:(String.length line)))
+  let buf = ref Bytes.empty in
+  let digest b =
+    let n = Batch.length b in
+    if Bytes.length !buf < 32 * n then buf := Bytes.create (32 * n);
+    let out = !buf in
+    let tags = Batch.tags b and tids = Batch.tids b in
+    let args = Batch.args b and lens = Batch.lens b in
+    for i = 0 to n - 1 do
+      Bytes.set_int64_le out (32 * i) (Int64.of_int tags.(i));
+      Bytes.set_int64_le out ((32 * i) + 8) (Int64.of_int tids.(i));
+      Bytes.set_int64_le out ((32 * i) + 16) (Int64.of_int args.(i));
+      Bytes.set_int64_le out ((32 * i) + 24) (Int64.of_int lens.(i))
+    done;
+    crc := Crc32c.digest ~crc:!crc out ~pos:0 ~len:(32 * n)
   in
+  let count = read digest in
   (count, !crc)
 
 let run ~quick ppf =
@@ -48,16 +60,15 @@ let run ~quick ppf =
 
   (* --- integrity cost: v1 vs v2 decode throughput -------------------
 
-     Raw batch decode, counting events off the batch lengths: rendering
-     each event (as the fault sweep below does) costs an order of
-     magnitude more than decoding it and would bury the checksum in
-     noise.  A decode of the quick-mode trace takes about 2 ms, so the
-     sampler repeats it within each sample. *)
+     Raw batch decode, counting events off the batch lengths: digesting
+     each event's fields (as the fault sweep below does) would add its
+     own cost to the checksum's.  A decode of the quick-mode trace takes
+     about 2 ms, so the sampler repeats it within each sample. *)
+  let strict ic f = snd (Codec.read ~on_corrupt:`Fail ic f) in
   let decode file time =
     In_channel.with_open_bin file (fun ic ->
         time (fun () ->
-            let _, src = Codec.batch_reader ic in
-            if Stream.drain src ignore <> n_events then
+            if strict ic ignore <> n_events then
               failwith "faults bench: decoded event count mismatch"))
   in
   let crc time =
@@ -73,9 +84,7 @@ let run ~quick ppf =
     | _ -> assert false
   in
   let ref_count, ref_crc =
-    In_channel.with_open_bin v2_file (fun ic ->
-        let _, src = Codec.batch_reader ic in
-        stream_digest src)
+    In_channel.with_open_bin v2_file (fun ic -> stream_digest (strict ic))
   in
   assert (ref_count = n_events);
   let rate n s = if s > 0. then float_of_int n /. s /. 1e6 else 0. in
@@ -124,9 +133,7 @@ let run ~quick ppf =
     in
     Out_channel.with_open_bin mutant (fun oc -> output_string oc m);
     (match
-       In_channel.with_open_bin mutant (fun ic ->
-           let _, src = Codec.batch_reader ic in
-           stream_digest src)
+       In_channel.with_open_bin mutant (fun ic -> stream_digest (strict ic))
      with
     | count, crc ->
       if count = ref_count && crc = ref_crc then incr strict_identical
@@ -140,12 +147,13 @@ let run ~quick ppf =
       Exp_common.time (fun () ->
           In_channel.with_open_bin mutant (fun ic ->
               let drops = ref 0 in
-              let _, src =
-                Codec.read ~path:mutant
-                  ~on_corrupt:(`Skip (fun _ -> incr drops))
-                  ic
+              let count, _ =
+                stream_digest (fun f ->
+                    snd
+                      (Codec.read ~path:mutant
+                         ~on_corrupt:(`Skip (fun _ -> incr drops))
+                         ic f))
               in
-              let count, _ = stream_digest src in
               (count, !drops)))
     with
     | dt, (count, drops) ->

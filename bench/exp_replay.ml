@@ -5,11 +5,11 @@
    the v2 file through the one event path (decode -> Event.Batch ->
    on_batch), and into nulgrind and aprof-drms from every format.  A
    cell times decode + on_batch, not the tool's [create].  The figures
-   of merit are events/second and minor-words/event: a tool that
-   dispatches on the raw fields should allocate close to nothing per
-   event. *)
+   of merit are events/second and minor-words/event, the latter from one
+   untimed replay per (tool, format) cell: a tool that dispatches on the
+   raw fields should allocate close to nothing per event, and neither
+   should the decoder of any format. *)
 
-module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Tool = Aprof_tools.Tool
 module Harness = Aprof_tools.Harness
@@ -36,14 +36,14 @@ let run ~quick ppf =
     let st = M.create () in
     In_channel.with_open_bin path (fun ic ->
         f (fun () ->
-            let _names, batches = Codec.batch_reader ic in
-            if Stream.drain batches (M.on_batch st) <> n_events then
+            let _names, n = Codec.read ~on_corrupt:`Fail ic (M.on_batch st) in
+            if n <> n_events then
               failwith "replay bench: replay count mismatch"))
   in
   (* Minor words per event are deterministic: one untimed replay. *)
-  let words_per_event (module M : Tool.S) =
+  let words_per_event (module M : Tool.S) path =
     let m0 = Gc.minor_words () in
-    replay (module M) v2 (fun f -> f ());
+    replay (module M) path (fun f -> f ());
     (Gc.minor_words () -. m0) /. float_of_int n_events
   in
   let tools =
@@ -81,7 +81,7 @@ let run ~quick ppf =
   Format.fprintf ppf "  %-12s %12s %12s@." "" "Mev/s" "w/ev";
   List.iter
     (fun (module M : Tool.S) ->
-      let mev = mev M.name "v2" and w = words_per_event (module M) in
+      let mev = mev M.name "v2" and w = words_per_event (module M) v2 in
       Format.fprintf ppf "  %-12s %12.1f %12.2f@." M.name mev.median w;
       Exp_common.emit_row ~experiment:"replay" ~rounds
         ([
@@ -92,17 +92,18 @@ let run ~quick ppf =
         @ [ ("batch_minor_words_per_event", Exp_common.Float w) ]))
     tools;
   Format.fprintf ppf "@.trace formats (batch replay):@.";
-  Format.fprintf ppf "  %-12s %-8s %12s %12s@." "tool" "format" "bytes" "Mev/s";
+  Format.fprintf ppf "  %-12s %-8s %12s %12s %12s@." "tool" "format" "bytes"
+    "Mev/s" "w/ev";
   List.iter
     (fun (module M : Tool.S) ->
       List.iter
         (fun (label, path) ->
-          let mev = mev M.name label in
+          let mev = mev M.name label and w = words_per_event (module M) path in
           let bytes =
             Int64.to_int (In_channel.with_open_bin path In_channel.length)
           in
-          Format.fprintf ppf "  %-12s %-8s %12d %12.1f@." M.name label bytes
-            mev.median;
+          Format.fprintf ppf "  %-12s %-8s %12d %12.1f %12.2f@." M.name label
+            bytes mev.median w;
           Exp_common.emit_row ~experiment:"replay" ~rounds
             ([
                ("tool", Exp_common.String M.name);
@@ -110,7 +111,8 @@ let run ~quick ppf =
                ("events", Exp_common.Int n_events);
                ("bytes", Exp_common.Int bytes);
              ]
-            @ Exp_common.metric "batch_mev_per_s" mev))
+            @ Exp_common.metric "batch_mev_per_s" mev
+            @ [ ("batch_minor_words_per_event", Exp_common.Float w) ]))
         files)
     (List.filter swept tools);
   List.iter Sys.remove paths

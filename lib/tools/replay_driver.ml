@@ -81,33 +81,32 @@ let filter_orphans f b =
       else true)
     b
 
-(* Per-file source selection.  [drops] collects what salvage skipped;
-   in [`Fail] mode it stays empty and the first malformation raises. *)
-let open_batches ~keep_going ~drops path ic =
+(* One file's batches into [f], whatever it encodes.  [drops] collects
+   what salvage skipped; in [`Fail] mode it stays empty and the first
+   malformation raises.  Returns the name table and the events [f] was
+   handed (after the orphan filter). *)
+let read_file ~keep_going ~drops path ic f =
   match Codec.detect ic with
-  | `Binary ->
-    if keep_going then (
-      (* A drop is reported before the next surviving batch. *)
-      let orphans = orphan_filter () in
-      let names, batches =
-        Codec.read ~path
-          ~on_corrupt:
-            (`Skip
-              (fun d ->
-                drops := d :: !drops;
-                arm orphans))
-          ic
-      in
-      ( names,
-        fun () ->
-          match batches () with
-          | Some b as batch ->
-            filter_orphans orphans b;
-            batch
-          | None -> None ))
-    else Codec.read ~path ~on_corrupt:`Fail ic
-  | `Text ->
-    (Hashtbl.create 1, Stream.of_text_channel ic)
+  | `Binary when keep_going ->
+    (* A drop is reported before the next surviving batch. *)
+    let orphans = orphan_filter () in
+    let events = ref 0 in
+    let names, _ =
+      Codec.read ~path
+        ~on_corrupt:
+          (`Skip
+            (fun d ->
+              drops := d :: !drops;
+              arm orphans))
+        ic
+        (fun b ->
+          filter_orphans orphans b;
+          events := !events + Batch.length b;
+          f b)
+    in
+    (names, !events)
+  | `Binary -> Codec.read ~path ~on_corrupt:`Fail ic f
+  | `Text -> (Hashtbl.create 1, Stream.read_text ic f)
 
 (* Sharding needs the chunk index: binary traces with an ATRI footer
    only, and never under salvage ([--keep-going] replays the salvaged
@@ -126,9 +125,8 @@ let replay_file (type a) ~pool ~jobs ~keep_going ~drops ~shards path
   | Some shards -> Tool.replay_parallel ~pool ~jobs ~shards (module M)
   | None ->
     In_channel.with_open_bin path (fun ic ->
-        let names, batches = open_batches ~keep_going ~drops path ic in
         let st = M.create () in
-        let n = Stream.drain batches (M.on_batch st) in
+        let names, n = read_file ~keep_going ~drops path ic (M.on_batch st) in
         (st, n, names))
 
 (* Everything a tool prints is buffered here and only surfaced once the

@@ -1,5 +1,4 @@
 module Event = Aprof_trace.Event
-module Stream = Aprof_trace.Trace_stream
 
 type 'state sharding =
   | By_chunk of { merge : into:'state -> 'state -> unit }
@@ -49,24 +48,19 @@ module Par = Aprof_util.Par
 
 let bad = Aprof_trace.Trace_wire.bad
 
-(* The run loop every shard shares: one read session drains the chunk
-   ordinals [next] hands out until it returns a negative one, feeding
-   chunk [i]'s batches to [on_chunk i].  Returns the events drained and
-   the session's name table. *)
+(* The run loop every shard shares: one read session decodes the chunk
+   ordinals [next] hands out until it returns a negative one, pushing
+   chunk [i]'s batches into [on_chunk i].  Returns the events decoded
+   and the session's name table. *)
 let drain_chunks ~shards ~on_chunk next =
   In_channel.with_open_bin shards.Shards.path (fun ic ->
       let names, read = Codec.chunk_session ic in
-      let drained = ref 0 in
-      let rec go () =
+      let rec go drained =
         let i = next () in
-        if i >= 0 then begin
-          let src = read shards.Shards.chunks.(i) in
-          drained := !drained + Stream.drain src (on_chunk i);
-          go ()
-        end
+        if i < 0 then drained
+        else go (drained + read shards.Shards.chunks.(i) (on_chunk i))
       in
-      go ();
-      (!drained, names))
+      (go 0, names))
 
 (* The ordinals of [list], in order, then [-1]. *)
 let in_order list =

@@ -260,16 +260,12 @@ module Batch = struct
       let tid = Array.unsafe_get b.tids i in
       if tid < 0 || tid > max_tid then
         invalid_arg
-          (Printf.sprintf "Event.Batch: thread id %d out of range at event %d"
-             tid i);
+          (Printf.sprintf "Event.Batch: thread id %d out of range" tid);
       let arg = Array.unsafe_get b.args i in
       if (addr_mask lsr tag) land 1 = 1 && arg < 0 then
-        invalid_arg
-          (Printf.sprintf "Event.Batch: negative address %d at event %d" arg i);
+        invalid_arg (Printf.sprintf "Event.Batch: negative address %d" arg);
       if (lock_mask lsr tag) land 1 = 1 && (arg < 0 || arg > max_lock) then
-        invalid_arg
-          (Printf.sprintf "Event.Batch: lock id %d out of range at event %d"
-             arg i)
+        invalid_arg (Printf.sprintf "Event.Batch: lock id %d out of range" arg)
     done
 
   let tags b = b.tags

@@ -149,7 +149,9 @@ module Batch : sig
       Decoders call this once per batch at the trust boundary, so
       consumers can index page tables, dense per-thread state and
       lockset memo keys with the raw fields and no per-access guard.
-      @raise Invalid_argument on the first out-of-range field. *)
+      @raise Invalid_argument on the first out-of-range field, naming
+      the field and its value but not its position: that is a row of a
+      recycled batch, which depends on where the reader ended batches. *)
   val validate : t -> unit
 
   val tag_of_event : event -> int

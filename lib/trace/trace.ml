@@ -77,161 +77,3 @@ let iter_raw t ~pos ~len f =
     done;
     i := min stop (base + Batch.length b)
   done
-
-let get t i =
-  if i < 0 || i >= t.length then
-    invalid_arg
-      (Printf.sprintf "Trace.get: index %d out of bounds [0,%d)" i t.length);
-  Batch.get (batch_of t (i / chunk)) (i mod chunk)
-
-let iter f t = replay t (Batch.iter_events f)
-
-let iteri f t =
-  let i = ref 0 in
-  iter
-    (fun ev ->
-      f !i ev;
-      incr i)
-    t
-
-let of_list events =
-  let t = create () in
-  List.iter (push t) events;
-  t
-
-let to_list t =
-  let acc = ref [] in
-  iter (fun ev -> acc := ev :: !acc) t;
-  List.rev !acc
-
-let well_formed (t : t) =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  let depth : (int, int ref) Hashtbl.t = Hashtbl.create 8 in
-  let exited : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let depth_of tid =
-    match Hashtbl.find_opt depth tid with
-    | Some d -> d
-    | None ->
-      let d = ref 0 in
-      Hashtbl.add depth tid d;
-      d
-  in
-  iteri
-    (fun pos ev ->
-      let tid = Event.tid ev in
-      if Hashtbl.mem exited tid && not (Event.is_switch ev) then
-        err "event %d: thread %d acts after exit" pos tid;
-      match ev with
-      | Event.Call _ -> incr (depth_of tid)
-      | Event.Return _ ->
-        let d = depth_of tid in
-        if !d <= 0 then err "event %d: return with empty call stack in thread %d" pos tid
-        else decr d
-      | Event.Read { addr; _ } | Event.Write { addr; _ } ->
-        if addr < 0 then err "event %d: negative address" pos
-      | Event.User_to_kernel { addr; len; _ }
-      | Event.Kernel_to_user { addr; len; _ }
-      | Event.Alloc { addr; len; _ }
-      | Event.Free { addr; len; _ } ->
-        if addr < 0 then err "event %d: negative address" pos;
-        if len <= 0 then err "event %d: non-positive length" pos
-      | Event.Block { units; _ } ->
-        if units < 0 then err "event %d: negative block units" pos
-      | Event.Thread_exit _ -> Hashtbl.replace exited tid ()
-      | Event.Thread_start _ | Event.Acquire _ | Event.Release _
-      | Event.Switch_thread _ ->
-        ())
-    t;
-  Hashtbl.iter
-    (fun tid d -> if !d <> 0 then err "thread %d: %d unbalanced calls" tid !d)
-    depth;
-  List.rev !errors
-
-type stats = {
-  events : int;
-  calls : int;
-  reads : int;
-  writes : int;
-  blocks : int;
-  block_units : int;
-  user_to_kernel : int;
-  kernel_to_user : int;
-  switches : int;
-  threads : int;
-  max_call_depth : int;
-  distinct_addresses : int;
-}
-
-let stats (t : t) =
-  let calls = ref 0
-  and reads = ref 0
-  and writes = ref 0
-  and blocks = ref 0
-  and block_units = ref 0
-  and u2k = ref 0
-  and k2u = ref 0
-  and switches = ref 0 in
-  let threads = Hashtbl.create 8 in
-  let addresses = Hashtbl.create 1024 in
-  let depth = Hashtbl.create 8 in
-  let max_depth = ref 0 in
-  let touch_addr a = if not (Hashtbl.mem addresses a) then Hashtbl.add addresses a () in
-  iter
-    (fun ev ->
-      if not (Event.is_switch ev) then Hashtbl.replace threads (Event.tid ev) ();
-      match ev with
-      | Event.Call { tid; _ } ->
-        incr calls;
-        let d = 1 + (Option.value ~default:0 (Hashtbl.find_opt depth tid)) in
-        Hashtbl.replace depth tid d;
-        if d > !max_depth then max_depth := d
-      | Event.Return { tid } ->
-        let d = Option.value ~default:0 (Hashtbl.find_opt depth tid) in
-        Hashtbl.replace depth tid (d - 1)
-      | Event.Read { addr; _ } ->
-        incr reads;
-        touch_addr addr
-      | Event.Write { addr; _ } ->
-        incr writes;
-        touch_addr addr
-      | Event.Block { units; _ } ->
-        incr blocks;
-        block_units := !block_units + units
-      | Event.User_to_kernel { addr; len; _ } ->
-        incr u2k;
-        for a = addr to addr + len - 1 do
-          touch_addr a
-        done
-      | Event.Kernel_to_user { addr; len; _ } ->
-        incr k2u;
-        for a = addr to addr + len - 1 do
-          touch_addr a
-        done
-      | Event.Switch_thread _ -> incr switches
-      | Event.Acquire _ | Event.Release _ | Event.Alloc _ | Event.Free _
-      | Event.Thread_start _ | Event.Thread_exit _ ->
-        ())
-    t;
-  {
-    events = t.length;
-    calls = !calls;
-    reads = !reads;
-    writes = !writes;
-    blocks = !blocks;
-    block_units = !block_units;
-    user_to_kernel = !u2k;
-    kernel_to_user = !k2u;
-    switches = !switches;
-    threads = Hashtbl.length threads;
-    max_call_depth = !max_depth;
-    distinct_addresses = Hashtbl.length addresses;
-  }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "@[<v>events: %d@ calls: %d@ reads: %d@ writes: %d@ blocks: %d (%d units)@ \
-     userToKernel: %d@ kernelToUser: %d@ switches: %d@ threads: %d@ \
-     max call depth: %d@ distinct addresses: %d@]"
-    s.events s.calls s.reads s.writes s.blocks s.block_units s.user_to_kernel
-    s.kernel_to_user s.switches s.threads s.max_call_depth s.distinct_addresses

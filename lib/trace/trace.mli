@@ -9,9 +9,8 @@
     {!Event.Batch.default_capacity} events each, plus one open tail.
     {!Aprof_vm.Interp.run} appends the interpreter's emission batches
     field array by field array, and {!replay} hands each stored batch to
-    a consumer's [on_batch] without copying or unpacking anything.  The
-    event view ({!get}, {!iter}, {!to_list}, {!of_list}, {!push}) packs
-    and unpacks at the edge, for tests and printing. *)
+    a consumer's [on_batch] without copying or unpacking anything.
+    {!push} packs one event at the edge. *)
 
 type t
 
@@ -37,39 +36,3 @@ val replay : t -> (Event.Batch.t -> unit) -> unit
     @raise Invalid_argument when the range exceeds the trace. *)
 val iter_raw :
   t -> pos:int -> len:int -> (int -> int -> int -> int -> unit) -> unit
-
-(** {1 Event view} *)
-
-(** [get t i] unpacks the [i]-th event.
-    @raise Invalid_argument when [i] is out of bounds. *)
-val get : t -> int -> Event.t
-
-val iter : (Event.t -> unit) -> t -> unit
-val iteri : (int -> Event.t -> unit) -> t -> unit
-val of_list : Event.t list -> t
-val to_list : t -> Event.t list
-
-(** [well_formed t] checks structural sanity — balanced call/return per
-    thread, non-negative addresses, positive lengths, no events from a
-    thread after its [Thread_exit] — and returns human-readable violations
-    (empty when the trace is well formed). *)
-val well_formed : t -> string list
-
-(** Per-constructor counts and simple shape statistics. *)
-type stats = {
-  events : int;
-  calls : int;
-  reads : int;
-  writes : int;
-  blocks : int;
-  block_units : int;
-  user_to_kernel : int;
-  kernel_to_user : int;
-  switches : int;
-  threads : int;
-  max_call_depth : int;
-  distinct_addresses : int;
-}
-
-val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

@@ -13,8 +13,9 @@
 
    This module owns the writer — one encode loop for every version, into
    a channel or a string — and wires the readers as thin drivers:
-   channels and strings pull from {!Trace_net}, and the seek paths
-   (chunk sessions, indexed salvage) drive the chunk cursor directly.
+   channels and strings feed {!Trace_net} as a connection does, and the
+   seek paths (chunk sessions, indexed salvage) drive the chunk cursor
+   directly.  Every reader pushes its batches into a callback.
    The version difference lives in one place on each side: the chunk
    encoder below and the chunk cursor.  Formats 1 and 2 are
    byte-for-byte what the pre-split codec produced (pinned by the golden
@@ -167,20 +168,22 @@ let batch_writer ?(chunk_bytes = default_chunk) ?(index = true)
       Buffer.clear out)
     (Buffer.create 4096)
 
-(* ----- streaming reader: a pull driver of the stream machine -------- *)
+(* ----- streaming reader: files feed the stream machine --------------- *)
 
 (* A file holds one trace.  Its frames are capped at
    [max_chunk_payload], which bounds what a reader allocates. *)
-let pull ~salvage ~chunk_bytes ~batch_size ~on_drop ic =
+let feed_input ~salvage ~chunk_bytes ~batch_size ~on_drop ic f =
   let names = Hashtbl.create 64 in
-  ( names,
-    Trace_net.source ~salvage ~max_frame_bytes:max_chunk_payload ~batch_size
-      ~chunk_bytes ~on_define:(Hashtbl.replace names) ~on_drop
-      (In_channel.input ic) )
-
-let batch_reader ?(chunk_bytes = default_chunk)
-    ?(batch_size = Batch.default_capacity) ic =
-  pull ~salvage:false ~chunk_bytes ~batch_size ~on_drop:ignore ic
+  Trace_net.read_input ~salvage ~max_frame_bytes:max_chunk_payload ~chunk_bytes
+    (Trace_net.scratch ~batch_size ())
+    {
+      on_batch = f;
+      on_define = Hashtbl.replace names;
+      on_trace_end = ignore;
+      on_drop;
+    }
+    (In_channel.input ic);
+  names
 
 (* ----- shard index ----------------------------------------------------- *)
 
@@ -213,7 +216,7 @@ let chunk_session ?(batch_size = Batch.default_capacity) ic =
   let define id name = Hashtbl.replace names id name in
   let b = Batch.create ~capacity:(max batch_size Trace_packed.pat_kmax) () in
   let buf = ref Bytes.empty in
-  let read (sh : shard) =
+  let read (sh : shard) f =
     (match read_payload ic buf sh with
     | exception End_of_file -> bad "chunk at byte %d truncated" sh.offset
     | () -> (
@@ -221,15 +224,15 @@ let chunk_session ?(batch_size = Batch.default_capacity) ic =
         Trace_chunk.start_verified cursor !buf ~pos:0 ~len:sh.bytes ~crc:sh.crc
       with Trace_stream.Decode_error m ->
         bad "chunk at byte %d: %s" sh.offset m));
-    let finished = ref false in
-    fun () ->
-      if !finished then None
-      else begin
-        Batch.clear b;
-        finished := Trace_chunk.fill cursor ~define b;
-        validate_batch b;
-        if Batch.is_empty b then None else Some b
-      end
+    let rec go events =
+      Batch.clear b;
+      let drained = Trace_chunk.fill cursor ~define b in
+      validate_batch b;
+      let events = events + Batch.length b in
+      if not (Batch.is_empty b) then f b;
+      if drained then events else go events
+    in
+    go 0
   in
   (names, read)
 
@@ -249,18 +252,13 @@ type drop = Trace_chunk.drop = {
    version-1 files detection falls back to decode errors and the
    index's event count.  Each chunk is decoded whole into the stage
    ({!Trace_chunk.salvage}). *)
-let salvage_indexed ~report ~version ic shs =
+let salvage_indexed ~report ~version ic shs f =
   let cursor = Trace_chunk.create ~version in
   let stage = ref (Batch.create ~capacity:1024 ()) in
   let names = Hashtbl.create 64 in
   let buf = ref Bytes.empty in
-  let idx = ref 0 in
-  let rec next () =
-    if !idx >= Array.length shs then None
-    else begin
-      let ordinal = !idx in
-      let sh = shs.(ordinal) in
-      incr idx;
+  Array.iteri
+    (fun ordinal (sh : shard) ->
       let drop reason =
         report
           {
@@ -269,8 +267,7 @@ let salvage_indexed ~report ~version ic shs =
             drop_bytes = sh.bytes;
             drop_events = sh.events;
             drop_reason = reason;
-          };
-        next ()
+          }
       in
       match
         read_payload ic buf sh;
@@ -279,26 +276,35 @@ let salvage_indexed ~report ~version ic shs =
       with
       | exception End_of_file -> drop "chunk truncated"
       | exception Trace_stream.Decode_error msg -> drop msg
-      | () -> Some !stage
-    end
-  in
-  (names, next)
+      | () -> f !stage)
+    shs;
+  names
 
 let read ?(chunk_bytes = default_chunk) ?(batch_size = Batch.default_capacity)
-    ?path ~on_corrupt ic =
-  match on_corrupt with
-  | `Fail -> batch_reader ~chunk_bytes ~batch_size ic
-  | `Skip report -> (
-    let version = input_header ic in
-    (* A trailer promises an index; it is the authority on chunk
-       boundaries, so an unreadable footer is fatal even in salvage mode
-       — without trusted boundaries a skip could deliver re-framed
-       garbage as events. *)
-    match shards ?path ic with
-    | Some shs -> salvage_indexed ~report ~version ic shs
-    | None ->
-      In_channel.seek ic 0L;
-      pull ~salvage:true ~chunk_bytes ~batch_size ~on_drop:report ic)
+    ?path ~on_corrupt ic f =
+  let events = ref 0 in
+  let f b =
+    events := !events + Batch.length b;
+    f b
+  in
+  let names =
+    match on_corrupt with
+    | `Fail ->
+      feed_input ~salvage:false ~chunk_bytes ~batch_size ~on_drop:ignore ic f
+    | `Skip report -> (
+      let version = input_header ic in
+      (* A trailer promises an index; it is the authority on chunk
+         boundaries, so an unreadable footer is fatal even in salvage
+         mode — without trusted boundaries a skip could deliver
+         re-framed garbage as events. *)
+      match shards ?path ic with
+      | Some shs -> salvage_indexed ~report ~version ic shs f
+      | None ->
+        In_channel.seek ic 0L;
+        feed_input ~salvage:true ~chunk_bytes ~batch_size ~on_drop:report ic
+          f)
+  in
+  (names, !events)
 
 (* ----- whole-trace convenience ---------------------------------------- *)
 
@@ -327,15 +333,17 @@ let of_string s =
     end
   in
   match
-    let batches =
-      Trace_net.source ~salvage:false ~max_frame_bytes:max_chunk_payload
-        ~batch_size:Batch.default_capacity ~chunk_bytes:(String.length s)
-        ~on_define:(fun id name -> names := (id, name) :: !names)
-        ~on_drop:ignore input
-    in
-    Trace_stream.drain batches (Trace.add_batch out)
+    Trace_net.read_input ~salvage:false ~max_frame_bytes:max_chunk_payload
+      ~chunk_bytes:(String.length s) (Trace_net.scratch ())
+      {
+        on_batch = Trace.add_batch out;
+        on_define = (fun id name -> names := (id, name) :: !names);
+        on_trace_end = ignore;
+        on_drop = ignore;
+      }
+      input
   with
-  | _ -> Ok (out, List.rev !names)
+  | () -> Ok (out, List.rev !names)
   | exception Trace_stream.Decode_error msg -> Error msg
 
 let detect ic =

@@ -98,8 +98,8 @@
     Every reader parses an entry with one parser, which requires the
     tids to be ascending within [0, Event.max_tid] and an entry with
     events to name a thread.  Each reader then checks what it relies
-    on: the sequential readers match [bytes] and [crc] against the
-    streamed frames (versions 2 and 3); {!shards} checks that the chunks
+    on: the sequential readers ({!read}) match [bytes] and [crc]
+    against the streamed frames (versions 2 and 3); {!shards} checks that the chunks
     cover every byte up to the footer; {!chunk_session} checks each
     chunk's [crc]; indexed salvage checks the decoded event count
     against [events].  A sharded replay picks chunks by [tag_mask] and
@@ -120,12 +120,12 @@
 
     One decoder parses every byte stream: the sans-IO machine
     {!Trace_net}, which decodes chunk payloads through the one chunk
-    cursor ({!Trace_chunk}).  The readers here are thin drivers of
-    it — {!batch_reader}, [read ~on_corrupt:`Fail] and
-    index-less salvage pull from the machine over a channel,
-    {!of_string} feeds it a string — except the seek paths
-    ({!chunk_session}, salvage over an index), which drive the chunk
-    cursor directly.  A file or string holds exactly one trace. *)
+    cursor ({!Trace_chunk}).  The readers here are thin drivers of it
+    that push each decoded batch into a callback: {!read} feeds the
+    machine a channel in slices, as a connection is fed, and
+    {!of_string} feeds it a string as one slice.  The seek paths
+    ({!chunk_session}, salvage over an index) drive the chunk cursor
+    directly.  A file or string holds exactly one trace. *)
 
 val magic : string
 
@@ -144,7 +144,8 @@ val file_version : in_channel -> int
 
     The writer and readers move whole {!Event.Batch.t}s of raw int
     fields at a time through a reused buffer/chunk, never constructing
-    an [Event.t]. *)
+    an [Event.t].  A reader hands each batch to a callback; the batch is
+    recycled once the callback returns. *)
 
 (** [batch_writer oc] is a batch sink encoding packed events into [oc].
     Output is buffered; the sink's [close_batch] writes the end-of-trace
@@ -173,24 +174,6 @@ val batch_writer :
   out_channel ->
   Trace_stream.batch_sink
 
-(** [batch_reader ic] validates the header and returns the routine-name
-    table together with a batch source decoding up to [batch_size]
-    events per pull into a recycled batch (valid until the next pull).
-    The table fills in as batches are pulled.  It is the pull driver of
-    {!Trace_net}, refilled from [ic] in [chunk_bytes] slices (default
-    64 KiB).  Every format version is accepted; each chunk's checksum
-    is verified before its records are decoded, and the streamed frame
-    sequence is cross-checked against the index footer when one is
-    present (catching duplicated, deleted, or reordered frames, which
-    are individually self-consistent).
-    @raise Trace_stream.Decode_error on a bad header; the source raises
-    it on malformed records or a checksum mismatch. *)
-val batch_reader :
-  ?chunk_bytes:int ->
-  ?batch_size:int ->
-  in_channel ->
-  (int, string) Hashtbl.t * Trace_stream.batch_source
-
 (** {1 Shard index} *)
 
 (** One writer flush unit, as described by the index footer.  [offset]
@@ -211,7 +194,7 @@ type shard = {
 
 (** [shards ~path ic] reads the shard index of a seekable channel.
     [None] means the file carries no index (written before the index
-    existed, or with [~index:false]) — fall back to {!batch_reader}.
+    existed, or with [~index:false]) — fall back to {!read}.
     The channel position is unspecified afterwards.
     @param path the file name used in error messages (default ["trace"]).
     @raise Trace_stream.Decode_error when the trailing magic is present
@@ -221,20 +204,19 @@ val shards : ?path:string -> in_channel -> shard array option
 
 (** [chunk_session ic] is the seek path for callers that pick their
     chunks from the index (the sharded replay engine, through
-    {!Aprof_tools.Tool.Shards}): [read sh] seeks to, checksums, and
-    decodes the single chunk [sh] with the chunk cursor, reusing one
+    {!Aprof_tools.Tool.Shards}): [read sh f] seeks to, checksums, and
+    decodes the single chunk [sh] with the chunk cursor, hands each
+    batch to [f] and returns the chunk's event count.  It reuses one
     batch, one byte buffer, and one name table across calls — so
     visiting a chunk costs no allocation beyond the first, largest
     chunk.  Because routine-name definitions live in the chunk holding
     the routine's first [Call], the name table only covers the chunks
-    read so far; a parallel replay unions the tables of its workers.  A
-    source returned by [read] must be drained (or abandoned) before
-    [read] is called again: it shares the session's buffers.  Every
-    batch is validated like the sequential readers' batches. *)
+    read so far; a parallel replay unions the tables of its workers.
+    Every batch is validated like the sequential readers' batches. *)
 val chunk_session :
   ?batch_size:int ->
   in_channel ->
-  (int, string) Hashtbl.t * (shard -> Trace_stream.batch_source)
+  (int, string) Hashtbl.t * (shard -> (Event.Batch.t -> unit) -> int)
 
 (** {1 Salvage}
 
@@ -260,27 +242,38 @@ type drop = Trace_chunk.drop = {
   drop_reason : string;
 }
 
-(** [read ~on_corrupt ic] reads a binary trace from a seekable channel.
+(** [read ~on_corrupt ic f] reads the binary trace of a seekable
+    channel, hands each decoded batch to [f] (a recycled batch, valid
+    until [f] returns), and returns the routine-name table and the
+    number of events handed over.  The table fills in as the trace
+    decodes, each name before the first batch that can use it.
 
-    With [`Fail] this is exactly {!batch_reader}.  [`Skip] over an
-    index drives the chunk cursor, one indexed chunk at a time;
-    without an index it is the salvage-mode pull driver of
-    {!Trace_net}.
+    With [`Fail] the channel is fed to {!Trace_net} from its current
+    position in [chunk_bytes] slices (default 64 KiB), each batch
+    holding up to [batch_size] events.  Every format version is
+    accepted; each chunk's checksum is verified before its records are
+    decoded, and the streamed frame sequence is cross-checked against
+    the index footer when one is present (catching duplicated, deleted,
+    or reordered frames, which are individually self-consistent).  The
+    first malformation raises {!Trace_stream.Decode_error}, after the
+    batches before it went to [f].
 
     With [`Skip report], damaged regions are skipped and [report] is
-    called once per skipped region, in file order, as reading
-    progresses.  Chunks are delivered all-or-nothing: a chunk either
-    decodes completely (and arrives as one batch) or is dropped whole,
-    so a surviving prefix of a damaged chunk can never leak into the
-    profile.  Re-synchronization uses, in order of preference: the ATRI
-    shard index (exact boundaries, exact dropped-event counts — also the
-    only way duplicated or reordered chunk frames are detected), the
-    version-2 frame lengths (the remainder of the file is dropped as
-    one terminal region once the framing itself, the footer, or the
-    end of the file is damaged), or — for an index-less version-1
-    file, which has no boundaries to re-synchronize on — nothing: the
-    first malformation drops the rest of the file as one terminal
-    region.
+    called once per skipped region, in file order, before the next
+    surviving batch.  Chunks are delivered all-or-nothing: a chunk
+    either decodes completely (and arrives as one batch) or is dropped
+    whole, so a surviving prefix of a damaged chunk can never leak into
+    the profile.  Re-synchronization uses, in order of preference: the
+    ATRI shard index (exact boundaries, exact dropped-event counts —
+    also the only way duplicated or reordered chunk frames are
+    detected; the chunk cursor reads one indexed chunk at a time), the
+    version-2 frame lengths ({!Trace_net} under salvage; the remainder
+    of the file is dropped as one terminal region once the framing
+    itself, the footer, or the end of the file is damaged), or — for an
+    index-less version-1 file, which has no boundaries to
+    re-synchronize on — nothing: the first malformation drops the rest
+    of the file as one terminal region, keeping the batches handed over
+    before it.
 
     Even under [`Skip] some damage is beyond salvage and raises
     {!Trace_stream.Decode_error}: an unreadable header, and a file whose
@@ -293,7 +286,8 @@ val read :
   ?path:string ->
   on_corrupt:[ `Fail | `Skip of drop -> unit ] ->
   in_channel ->
-  (int, string) Hashtbl.t * Trace_stream.batch_source
+  (Event.Batch.t -> unit) ->
+  (int, string) Hashtbl.t * int
 
 (** {1 Whole-trace convenience} *)
 
@@ -308,9 +302,9 @@ val to_string :
 
 (** [of_string s] decodes a full binary trace of any version,
     returning the events and the embedded routine-name table (in
-    definition order).  It feeds the whole string to {!Trace_net} once
-    and then closes it, so it accepts and rejects exactly what
-    {!batch_reader} does.  All decode failures are reported as
+    definition order).  It feeds the whole string to {!Trace_net} as one
+    slice and then closes it, so it accepts and rejects exactly what
+    [read ~on_corrupt:`Fail] does.  All decode failures are reported as
     [Error]. *)
 val of_string : string -> (Trace.t * (int * string) list, string) result
 

@@ -2,29 +2,29 @@
    the bytes of one input in arbitrary slices.  It is the only code that
    parses headers, frames, version-1 records, end markers and shard-index
    footers; chunk payloads go through the one payload decoder
-   ({!Trace_chunk}).  Every reader drives it:
+   ({!Trace_chunk}).  There is one way in, [feed], and every reader
+   drives it the same way:
 
-     connections  [feed] pushes each received slice; back-to-back traces
-     files        [source] pulls from a channel in [chunk_bytes] slices
-     strings      [source] over the whole string at once
+     connections  each received slice; back-to-back traces
+     files        [read_input]: [chunk_bytes] slices of one trace
+     strings      [read_input]: the whole string as one slice
 
    State is split by lifetime.  A machine [t] holds one input's parse
-   state: where the cursor is, the version, the frames streamed so far.
-   A [scratch] holds what only a decode pass needs: the recycled batch
-   every streamed event passes through, the chunk cursors, salvage's
-   stage and the area where a straddling item is assembled.  A push
-   drains every chunk it opens before [feed] returns, so one scratch can
-   serve every connection a worker decodes; a pull source keeps a chunk
-   open between pulls and owns its scratch.
+   state: where the cursor is, the version, the frames streamed so far,
+   and the slices an unfinished item is still in.  A [scratch] holds
+   what only a decode pass needs: the recycled batch every streamed
+   event passes through, the chunk cursors, salvage's stage and the area
+   where a straddling item is assembled.  [feed] drains every chunk it
+   opens before it returns, so one scratch can serve every input its
+   owner decodes, one at a time.
 
-   Bytes are read in place from a window ([buf], [start], [len]).  A
-   pull source's window is its own pending buffer, refilled from the
-   input.  A push decodes complete items straight out of the slice fed
-   to it; the bytes of an item that a slice ends inside stay in their
-   slices, held by the machine, until a later slice completes the item,
-   which is then assembled in the scratch and decoded from there.
-   Either way a verified strict chunk streams through the recycled
-   batch in place, and memory is bounded by one frame plus one batch.
+   Bytes are read in place from a window ([buf], [start], [len]): the
+   slice being fed.  Complete items are decoded straight out of it; the
+   bytes of an item that a slice ends inside stay in their slices, held
+   by the machine, until a later slice completes the item, which is then
+   assembled in the scratch and decoded from there.  Either way a
+   verified strict chunk streams through the recycled batch in place,
+   and memory is bounded by one frame plus one batch.
 
    Corruption follows the salvage trichotomy.  Strict mode raises
    {!Trace_stream.Decode_error} at the first malformation and poisons the
@@ -69,7 +69,7 @@ type scratch = {
   mutable packed : Trace_chunk.t option;  (* the version-3 one, on first use *)
   mutable chunk_open : bool;  (* strict: a cursor holds an undrained chunk *)
   stage : Batch.t ref;  (* salvage: the whole-chunk stage *)
-  mutable asm : Bytes.t;  (* push: where a straddling item is assembled *)
+  mutable asm : Bytes.t;  (* where a straddling item is assembled *)
 }
 
 (* Bytes of an unfinished item, in a slice the machine holds. *)
@@ -80,12 +80,12 @@ type t = {
   salvage : bool;
   one_trace : bool;  (* files and strings: a second trace is trailing data *)
   max_frame_bytes : int;
-  release : Bytes.t -> unit;  (* push: a fed slice is no longer needed *)
+  release : Bytes.t -> unit;  (* a fed slice is no longer needed *)
   mutable buf : Bytes.t;  (* the window: pending bytes at [start..start+len) *)
   mutable start : int;
   mutable len : int;
   mutable off : int;  (* input offset of [start] *)
-  mutable held : held list;  (* push, between feeds: newest first *)
+  mutable held : held list;  (* between feeds: newest first *)
   mutable held_len : int;
   mutable need : int;  (* least length the unfinished item can have *)
   mutable state : state;
@@ -325,8 +325,8 @@ let salvage_chunk t s ~pos ~paylen ~crc ~ord ~rel_off =
 (* One framed chunk, or the end marker.  The frame is committed before
    it is checked, so it is consumed exactly once whatever its callbacks
    do; a strict chunk then opens in place (nothing overwrites the bytes
-   before the chunk is drained: a pull refills, and a push moves on to
-   another slice, only once it is). *)
+   before the chunk is drained: [feed] moves on to another slice, and
+   reassembles into the scratch, only once it is). *)
 let step_chunk t s =
   let cur = ref 0 in
   match
@@ -444,7 +444,7 @@ let step_trailer t =
     | _ -> trailing ()
 
 (* One step.  [partial] hands out a part-filled batch once the pending
-   bytes run out (a push delivers what each slice completed).  Under
+   bytes run out ([feed] delivers what each slice completed).  Under
    salvage, a malformation that escapes a step is beyond its chunk. *)
 let step t s ~partial =
   if s.handed then begin
@@ -487,32 +487,22 @@ let guard t f =
     drop_held t;
     raise e
 
-(* End of input.  [discard] drops the batch a cut-off trace was filling. *)
-let close_input t ~discard =
+(* End of input.  [feed] leaves no batch behind: each delivers what it
+   decoded.  A file or string that ends before a whole header never
+   started its trace. *)
+let close t =
   check_failed t;
   guard t (fun () ->
-      let clean =
-        pending_bytes t = 0
-        &&
-        match t.state with
-        | Trailer | Gap | Lost -> true
-        | Header -> t.off = 0
-        | Chunks | Records -> false
-      in
-      if not clean then begin
+      match t.state with
+      | Header when t.one_trace -> bad "truncated header"
+      | (Trailer | Gap | Lost) when pending_bytes t = 0 -> ()
+      | Header when t.off = 0 && pending_bytes t = 0 -> ()
+      | state ->
         let m = "truncated trace (missing end-of-trace marker)" in
-        if t.salvage && t.state <> Header then begin
-          discard ();
-          lose t m
-        end
-        else bad "%s" m
-      end)
-
-(* A push leaves no batch behind: each [feed] delivers what it decoded. *)
-let close t = close_input t ~discard:ignore
+        if t.salvage && state <> Header then lose t m else bad "%s" m)
 
 (* ------------------------------------------------------------------ *)
-(* Push: slices in, items decoded where they lie *)
+(* Slices in, items decoded where they lie *)
 
 (* Keep [bytes[p..p+l)], the start of an unfinished item or more of it.
    New bytes first fill the room left in the newest held slice (the
@@ -631,61 +621,31 @@ let feed t s bytes ~pos ~len =
     raise e
 
 (* ------------------------------------------------------------------ *)
-(* Pull: one trace from an input, a batch per pull *)
+(* Files and strings: one trace, fed from an input *)
 
-let source ~salvage ~max_frame_bytes ~batch_size ~chunk_bytes ~on_define
-    ~on_drop input =
-  let cb =
-    { on_batch = ignore; on_define; on_trace_end = ignore; on_drop }
-  in
+(* Slices are recycled: the machine releases each one it lets go of,
+   and the next read goes into it, so a file costs the slices an
+   unfinished item is still in plus the one being read. *)
+let read_input ~salvage ~max_frame_bytes ~chunk_bytes s cb input =
+  let spare = ref [] in
   let t =
-    make ~one_trace:true ~salvage ~max_frame_bytes ~release:ignore cb
+    make ~one_trace:true ~salvage ~max_frame_bytes
+      ~release:(fun b -> spare := b :: !spare)
+      cb
   in
-  let s = scratch ~batch_size () in
   let slice = max 1 chunk_bytes in
-  t.buf <- Bytes.create 65536;
-  (* Make room for [n] more pending bytes.  Compaction moves the pending
-     bytes, so it only ever runs while no chunk is open. *)
-  let reserve n =
-    let cap = Bytes.length t.buf in
-    if t.start + t.len + n > cap then
-      if t.len + n <= cap then begin
-        Bytes.blit t.buf t.start t.buf 0 t.len;
-        t.start <- 0
-      end
-      else begin
-        let nb = Bytes.create (max (t.len + n) (2 * cap)) in
-        Bytes.blit t.buf t.start nb 0 t.len;
-        t.buf <- nb;
-        t.start <- 0
-      end
+  let rec loop () =
+    let b =
+      match !spare with
+      | b :: rest ->
+        spare := rest;
+        b
+      | [] -> Bytes.create slice
+    in
+    match input b 0 slice with
+    | 0 -> close t
+    | n ->
+      feed t s b ~pos:0 ~len:n;
+      loop ()
   in
-  (* Read straight into the pending buffer: no chunk is open when the
-     machine runs hungry. *)
-  let refill () =
-    if t.len > t.max_frame_bytes + pending_slack then
-      bad "connection buffered %d bytes without a decodable item" t.len;
-    reserve slice;
-    let n = input t.buf (t.start + t.len) slice in
-    t.len <- t.len + n;
-    n > 0
-  in
-  guard t (fun () ->
-      while t.len < 5 && refill () do
-        ()
-      done;
-      if t.len < 5 then bad "truncated header";
-      ignore (step_header t));
-  let finished = ref false in
-  let rec next () =
-    match pump t s ~partial:false with
-    | Ready b -> Some b
-    | Continue | Hungry ->
-      if refill () then next ()
-      else begin
-        close_input t ~discard:(fun () -> discard s);
-        finished := true;
-        None
-      end
-  in
-  fun () -> if !finished then None else (check_failed t; guard t next)
+  loop ()

@@ -4,36 +4,32 @@
     it is the only code that parses headers, framed chunks (versions
     2/3), bare records (version 1), end-of-trace markers and shard-index
     footers, and it decodes chunk payloads through the one chunk cursor
-    ({!Trace_chunk}).  It is used two ways:
+    ({!Trace_chunk}).  There is one way in: {!feed} hands over each
+    slice of the input, decoded items come back through the callbacks
+    inside it, and {!close} ends the input.  Batches end when full, at
+    each end-of-trace marker and at the end of every {!feed}.
 
-    - {b push} ({!create}, {!feed}, {!close}): a connection hands over
-      each slice as it arrives and decoded items come back through the
-      callbacks, inside {!feed}.  Several traces may follow back-to-back
-      on one connection, each delimited by its own header and end
-      marker, so a client can stream recorded trace files verbatim.
-      Batches end when full, at each end-of-trace marker and at the end
-      of every {!feed}.
-    - {b pull} ({!source}): a file or string holds exactly one trace;
-      the machine asks its input for slices and hands out a batch
-      whenever one is full, plus the last part-filled one before the end
-      marker.  Anything after the trace but its footer — a second trace
-      included — is trailing data.
+    - A connection ({!create}) feeds each slice as it arrives.  Several
+      traces may follow back-to-back on one connection, each delimited
+      by its own header and end marker, so a client can stream recorded
+      trace files verbatim.
+    - A file or string ({!read_input}) holds exactly one trace, fed in
+      slices read from it.  Anything after the trace but its footer — a
+      second trace included — is trailing data.
 
-    A push machine keeps only its connection's parse state.  What a
-    decode pass needs besides — the recycled batch, the chunk cursors,
-    salvage's stage, and room to assemble an item that straddles slices
-    — is a {!scratch} the caller lends to each {!feed}: {!feed} drains
-    every chunk it opens before it returns, so one scratch serves every
-    connection its owner decodes, one at a time.  Complete items are
-    decoded in place, from the slice they arrived in.  The bytes of an
-    unfinished item stay in their slices, which the machine holds until
-    the item completes; held bytes are bounded by one item (a frame
-    header plus at most [max_frame_bytes] of payload, or a footer of at
-    most 64 KiB more), in at most two slices more than those bytes
-    fill.  A pull source owns its scratch and reads
-    into its own buffer, so its peak memory is one frame plus one batch
-    (plus the input slice).  Decoded work is never queued — callers
-    implement backpressure by not feeding.
+    A machine keeps only its input's parse state.  What a decode pass
+    needs besides — the recycled batch, the chunk cursors, salvage's
+    stage, and room to assemble an item that straddles slices — is a
+    {!scratch} the caller lends to each {!feed}: {!feed} drains every
+    chunk it opens before it returns, so one scratch serves every input
+    its owner decodes, one at a time.  Complete items are decoded in
+    place, from the slice they arrived in.  The bytes of an unfinished
+    item stay in their slices, which the machine holds until the item
+    completes; held bytes are bounded by one item (a frame header plus
+    at most [max_frame_bytes] of payload, or a footer of at most 64 KiB
+    more), in at most two slices more than those bytes fill.  Decoded
+    work is never queued — callers implement backpressure by not
+    feeding.
 
     Corruption.  In strict mode (the default) the first malformation
     raises {!Trace_stream.Decode_error}; the machine is then poisoned
@@ -73,7 +69,7 @@ type callbacks = {
 
 type t
 
-(** The decode scratch of a push: the recycled batch, one chunk cursor
+(** The decode scratch of a {!feed}: the recycled batch, one chunk cursor
     per format version, salvage's whole-chunk stage and the assembly
     area for straddling items.  Not thread-safe: one scratch serves one
     {!feed} at a time.  Between feeds it keeps at most 256 KiB of
@@ -87,8 +83,8 @@ type scratch
     if smaller (default {!Event.Batch.default_capacity}). *)
 val scratch : ?batch_size:int -> unit -> scratch
 
-(** [create ~release callbacks] is a fresh connection decoder (push
-    use).  It allocates no buffer: bytes are decoded where {!feed} finds
+(** [create ~release callbacks] is a fresh connection decoder.  It
+    allocates no buffer: bytes are decoded where {!feed} finds
     them.  [release] takes back each slice given to {!feed} once the
     machine no longer reads it ([ignore] when the caller does not
     recycle slices).
@@ -123,8 +119,8 @@ val feed : t -> scratch -> Bytes.t -> pos:int -> len:int -> unit
     a connection that carried no bytes at all); under salvage a stream
     cut mid-trace ends with a terminal drop instead.
     @raise Trace_stream.Decode_error when a strict stream ends mid-trace
-    or with undecodable bytes pending — the truncation report a file
-    reader gives. *)
+    or with undecodable bytes pending, and when a file or string ends
+    before a whole header (["truncated header"]). *)
 val close : t -> unit
 
 (** Bytes currently held awaiting a complete item — bounded by one
@@ -137,24 +133,21 @@ val traces_completed : t -> int
 (** The poisoning failure, if the machine has one. *)
 val failure : t -> string option
 
-(** [source ~salvage ~max_frame_bytes ~batch_size ~chunk_bytes
-    ~on_define ~on_drop input] is the pull use over a one-trace input:
-    [input buf pos len] stores up to [len] bytes at [buf.(pos)] and
-    returns how many, [0] at end of input (the contract of
-    [In_channel.input]).  Input is requested [chunk_bytes] at a time.
-    The header is read and validated before [source] returns; the
-    returned source then yields recycled batches (valid until the next
-    pull) and [None] once the input ended cleanly after the trace.
-    Definitions and drops go to the callbacks as they decode, each
-    before the batch it concerns.
-    @raise Trace_stream.Decode_error on a bad header; the source raises
-    it on malformed input, as {!feed} does. *)
-val source :
+(** [read_input ~salvage ~max_frame_bytes ~chunk_bytes scratch
+    callbacks input] decodes the one trace of a file or string: it
+    builds a one-trace machine, reads [input] in slices of
+    [chunk_bytes], {!feed}s each on [scratch] and {!close}s the machine
+    when [input] returns [0].  [input buf pos len] stores up to [len]
+    bytes at [buf.(pos)] and returns how many (the contract of
+    [In_channel.input]).  Slices are recycled through the machine's
+    release, so memory is the slices an unfinished item is in plus one.
+    [on_trace_end] runs once, after the trace's last batch.
+    @raise Trace_stream.Decode_error as {!feed} and {!close} do. *)
+val read_input :
   salvage:bool ->
   max_frame_bytes:int ->
-  batch_size:int ->
   chunk_bytes:int ->
-  on_define:(int -> string -> unit) ->
-  on_drop:(Trace_chunk.drop -> unit) ->
+  scratch ->
+  callbacks ->
   (Bytes.t -> int -> int -> int) ->
-  Trace_stream.batch_source
+  unit

@@ -503,7 +503,9 @@ type decoder = {
      to apply against the thread register, 0 when it is stored verbatim.
      [t_idx] is the row cursor, persisted so replay resumes after a
      batch fills mid-iteration; [t_end_tid] is the current-thread value
-     after one pass, installed when the repeat completes. *)
+     after one pass, installed when the repeat completes.  [t_pos] is
+     the byte cursor of the parse, owned here because a local [ref]
+     handed to the varint readers would be allocated per region. *)
   mutable t_tags : int array;
   mutable t_tids : int array;
   mutable t_kind : int array;
@@ -512,6 +514,7 @@ type decoder = {
   mutable t_n : int;
   mutable t_idx : int;
   mutable t_end_tid : int;
+  t_pos : int ref;
 }
 
 let create_decoder () =
@@ -536,6 +539,7 @@ let create_decoder () =
     t_n = 0;
     t_idx = 0;
     t_end_tid = 0;
+    t_pos = ref 0;
   }
 
 let start_chunk d src ~pos ~len =
@@ -549,13 +553,15 @@ let start_chunk d src ~pos ~len =
   d.left <- max_chunk_events;
   d.rep_on <- false
 
-(* Decode the operand fields of one event.  [el] is the effective limit
-   (the repeat region end while parsing a template); [fast] means a
-   whole record is known to fit below it, entitling the unchecked
-   varint path. *)
-let[@inline] read_field d el fast =
-  if fast then Trace_wire.read_varint_bytes_fast d.src d.pos
-  else Trace_wire.read_varint_bytes_checked d.src d.pos el
+(* Decode one operand field at [!p] in [src].  [el] is the effective
+   limit (the repeat region end while parsing a template); [fast] means
+   a whole record is known to fit below it, entitling the unchecked
+   varint path.  Top-level, so a caller's cursor costs no closure. *)
+let[@inline] field src p el fast =
+  if fast then Trace_wire.read_varint_bytes_fast src p
+  else Trace_wire.read_varint_bytes_checked src p el
+
+let[@inline] read_field d el fast = field d.src d.pos el fast
 
 let ensure_template d k =
   if d.t_n + k > Array.length d.t_tags then begin
@@ -596,16 +602,13 @@ let[@inline] push_row d ~tag ~tid ~kind ~arg ~len =
 let build_template d lo hi =
   d.t_n <- 0;
   let cur = ref d.d_cur_tid in
-  let p = ref lo in
+  let p = d.t_pos in
+  p := lo;
   let src = d.src in
   while !p < hi do
     let op_pos = !p in
     let op = Char.code (Bytes.unsafe_get src op_pos) in
     incr p;
-    let field fast =
-      if fast then Trace_wire.read_varint_bytes_fast src p
-      else Trace_wire.read_varint_bytes_checked src p hi
-    in
     let fast = op_pos <= hi - Trace_wire.max_record_bytes in
     if op >= 1 && op <= Batch.max_tag then begin
       let kind = ref 0 in
@@ -613,18 +616,20 @@ let build_template d lo hi =
         if (Batch.arg_mask lsr op) land 1 = 1 then
           if (Batch.addr_mask lsr op) land 1 = 1 then begin
             kind := 1;
-            field fast
+            field src p hi fast
           end
-          else field fast
+          else field src p hi fast
         else 0
       in
-      let len = if (Batch.len_mask lsr op) land 1 = 1 then field fast else 0 in
+      let len =
+        if (Batch.len_mask lsr op) land 1 = 1 then field src p hi fast else 0
+      in
       push_row d ~tag:op ~tid:!cur ~kind:!kind ~arg ~len
     end
     else if op >= first_short_usepat || op = op_usepat then begin
       let id =
         if op >= first_short_usepat then op - first_short_usepat
-        else field fast
+        else field src p hi fast
       in
       if id < 0 || id >= d.d_npats then
         bad "packed chunk: undefined pattern %d" id;
@@ -637,19 +642,19 @@ let build_template d lo hi =
           if (Batch.arg_mask lsr tag) land 1 = 1 then
             if (Batch.addr_mask lsr tag) land 1 = 1 then begin
               kind := 1;
-              field fast
+              field src p hi fast
             end
-            else field fast
+            else field src p hi fast
           else 0
         in
         let len =
-          if (Batch.len_mask lsr tag) land 1 = 1 then field fast else 0
+          if (Batch.len_mask lsr tag) land 1 = 1 then field src p hi fast else 0
         in
         push_row d ~tag ~tid:!cur ~kind:!kind ~arg ~len
       done
     end
     else if op = op_set_tid then begin
-      let tid = field fast in
+      let tid = field src p hi fast in
       if tid < 0 || tid > Event.max_tid then
         bad "packed chunk: thread id %d out of range" tid;
       reserve d.d_hist tid;

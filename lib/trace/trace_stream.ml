@@ -2,35 +2,35 @@ module Batch = Event.Batch
 
 exception Decode_error of string
 
-type batch_source = unit -> Batch.t option
-
 type batch_sink = {
   emit_batch : Batch.t -> unit;
   close_batch : unit -> unit;
 }
 
-let of_text_channel ic : batch_source =
+let read_text ic f =
   let b = Batch.create () in
-  let lineno = ref 0 in
-  let finished = ref false in
-  let rec fill () =
-    if not (Batch.is_full b) then
-      match In_channel.input_line ic with
-      | None -> finished := true
-      | Some line ->
-        incr lineno;
-        if String.trim line <> "" then begin
-          match Event.of_line line with
-          | Ok ev -> Batch.push b ev
-          | Error msg ->
-            raise (Decode_error (Printf.sprintf "line %d: %s" !lineno msg))
-        end;
-        fill ()
+  let flush () =
+    if not (Batch.is_empty b) then begin
+      f b;
+      Batch.clear b
+    end
   in
-  fun () ->
-    Batch.clear b;
-    if not !finished then fill ();
-    if Batch.is_empty b then None else Some b
+  let rec go lineno events =
+    match In_channel.input_line ic with
+    | None ->
+      flush ();
+      events
+    | Some line when String.trim line = "" -> go (lineno + 1) events
+    | Some line -> (
+      match Event.of_line line with
+      | Ok ev ->
+        Batch.push b ev;
+        if Batch.is_full b then flush ();
+        go (lineno + 1) (events + 1)
+      | Error msg ->
+        raise (Decode_error (Printf.sprintf "line %d: %s" lineno msg)))
+  in
+  go 1 0
 
 let text_sink oc =
   {
@@ -40,14 +40,3 @@ let text_sink oc =
           output_char oc '\n');
     close_batch = ignore;
   }
-
-let drain (src : batch_source) f =
-  let rec loop n =
-    match src () with
-    | None -> n
-    | Some b ->
-      let n = n + Batch.length b in
-      f b;
-      loop n
-  in
-  loop 0

@@ -1,26 +1,20 @@
 (** Incremental batch streams.
 
-    A {!batch_source} is a pull-based source of packed
-    {!Event.Batch.t}s: calling it yields the next batch, or [None] when
-    the stream is exhausted.  Sources let the profilers and tools consume
-    traces of unbounded length — a trace file, a socket, a text trace —
-    without ever materializing the whole event sequence, mirroring how
-    the paper's Valgrind tool observes billions of events online.  An
-    in-memory trace replays through {!Trace.replay} instead, and a live
-    VM run pushes its batches through
-    {!Aprof_vm.Interp.run_batched}'s callback.
+    Every producer pushes packed {!Event.Batch.t}s into its consumer's
+    [on_batch]: a live VM run through {!Aprof_vm.Interp.run_batched}'s
+    callback, an in-memory trace through {!Trace.replay}, and every
+    reader of a trace file, string or socket through the one decoder
+    ({!Trace_net.feed}) or, for the text format, {!read_text}.  Profilers
+    and tools therefore consume traces of unbounded length without ever
+    materializing the event sequence, as the paper's Valgrind tool
+    observes billions of events online.  A pushed batch belongs to its
+    producer and may be recycled once the consumer returns.
 
-    A source recycles its buffer: the returned batch is only valid until
-    the next pull, so consumers must finish with (or copy) a batch before
-    pulling again.  Sources are single-use.
+    The writers' side is a {!batch_sink}. *)
 
-    The dual {!batch_sink} is a push-based consumer. *)
-
-(** Raised by decoding sources ({!of_text_channel},
-    {!Trace_codec.batch_reader}) on malformed input. *)
+(** Raised by decoders ({!read_text}, {!Trace_codec.read},
+    {!Trace_net.feed}) on malformed input. *)
 exception Decode_error of string
-
-type batch_source = unit -> Event.Batch.t option
 
 type batch_sink = {
   emit_batch : Event.Batch.t -> unit;
@@ -32,17 +26,14 @@ type batch_sink = {
           channel's owner does. *)
 }
 
-(** [of_text_channel ic] decodes the one-event-per-line text format
-    ({!Event.of_line}), skipping blank lines, into a recycled batch of
-    {!Event.Batch.default_capacity} events per pull.  The channel is
-    read lazily; the caller keeps ownership.
+(** [read_text ic f] decodes the one-event-per-line text format
+    ({!Event.of_line}), skipping blank lines, and hands [f] a recycled
+    batch of up to {!Event.Batch.default_capacity} events at a time.  It
+    returns the number of events read.  The caller keeps ownership of
+    the channel.
     @raise Decode_error on the first malformed line. *)
-val of_text_channel : in_channel -> batch_source
+val read_text : in_channel -> (Event.Batch.t -> unit) -> int
 
 (** [text_sink oc] writes each event of each batch in the text format,
     one line per event. *)
 val text_sink : out_channel -> batch_sink
-
-(** [drain src f] calls [f] on every batch of [src] and returns the
-    number of events it carried. *)
-val drain : batch_source -> (Event.Batch.t -> unit) -> int

@@ -88,22 +88,25 @@ let[@inline always] read_varint_bytes_fast chunk pos =
     (v lsr 1) lxor (- (v land 1))
 
 (* Bounds-checked twin of [read_varint_bytes_fast] for the tail of a
-   buffer where the [max_record_bytes] margin no longer holds. *)
+   buffer where the [max_record_bytes] margin no longer holds.  Short
+   packed regions take it for nearly every field, so it too is a
+   top-level recursion: a local loop closure would allocate per call. *)
+let rec read_varint_bytes_checked_rest chunk pos limit shift acc =
+  if !pos >= limit then bad "truncated varint"
+  else begin
+    let b = Char.code (Bytes.unsafe_get chunk !pos) in
+    incr pos;
+    let bits = b land 0x7f in
+    check_varint_bits bits shift;
+    let acc = acc lor (bits lsl shift) in
+    if b land 0x80 <> 0 then
+      read_varint_bytes_checked_rest chunk pos limit (shift + 7) acc
+    else if bits = 0 && shift > 0 then bad "non-canonical varint encoding"
+    else acc
+  end
+
 let read_varint_bytes_checked chunk pos limit =
-  let rec go shift acc =
-    if !pos >= limit then bad "truncated varint"
-    else begin
-      let b = Char.code (Bytes.unsafe_get chunk !pos) in
-      incr pos;
-      let bits = b land 0x7f in
-      check_varint_bits bits shift;
-      let acc = acc lor (bits lsl shift) in
-      if b land 0x80 <> 0 then go (shift + 7) acc
-      else if bits = 0 && shift > 0 then bad "non-canonical varint encoding"
-      else acc
-    end
-  in
-  let v = go 0 0 in
+  let v = read_varint_bytes_checked_rest chunk pos limit 0 0 in
   (v lsr 1) lxor (- (v land 1))
 
 (* A record is at most 1 tag byte + 3 varints of at most 10 bytes (a

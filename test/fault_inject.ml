@@ -52,21 +52,12 @@ let write_trace ?index ?format_version ?entropy file =
         Codec.batch_writer ~chunk_bytes:128 ?index ?format_version ?entropy
           ~routine_name oc
       in
-      let batches = Helpers.batches_of_trace ~batch_size:16 reference_trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
-      sink.Stream.close_batch ())
+      Helpers.write_batches ~batch_size:16 reference_trace sink)
 
 let read_all file = In_channel.with_open_bin file In_channel.input_all
 let write_all file s = Out_channel.with_open_bin file (fun oc -> output_string oc s)
 
-let lines_of tr = List.map Event.to_line (Aprof_trace.Trace.to_list tr)
+let lines_of tr = List.map Event.to_line (Helpers.Trace.to_list tr)
 
 let sorted_names tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
@@ -79,7 +70,7 @@ let ref_names =
        (function
          | Event.Call { routine; _ } -> Some (routine, routine_name routine)
          | _ -> None)
-       (Aprof_trace.Trace.to_list reference_trace))
+       (Helpers.Trace.to_list reference_trace))
 
 (* [xs] is a subsequence of [ys]: every delivered event is a real event,
    in the original order — the "never a wrong profile" core. *)
@@ -102,8 +93,9 @@ let strict_outcome ~fault file =
   incr faults;
   match
     In_channel.with_open_bin file (fun ic ->
-        let names, src = Codec.batch_reader ic in
-        let tr = Helpers.trace_of_batches src in
+        let tr, (names, _) =
+          Helpers.collect (Codec.read ~on_corrupt:`Fail ic)
+        in
         (lines_of tr, sorted_names names))
   with
   | lines, names -> `Decoded (lines, names)
@@ -116,12 +108,12 @@ let salvage_outcome ~fault file =
   match
     In_channel.with_open_bin file (fun ic ->
         let drops = ref [] in
-        let _names, src =
-          Codec.read ~path:file
-            ~on_corrupt:(`Skip (fun d -> drops := d :: !drops))
-            ic
+        let tr, _ =
+          Helpers.collect
+            (Codec.read ~path:file
+               ~on_corrupt:(`Skip (fun d -> drops := d :: !drops))
+               ic)
         in
-        let tr = Helpers.trace_of_batches src in
         (lines_of tr, List.rev !drops))
   with
   | lines, drops -> `Salvaged (lines, drops)

@@ -106,4 +106,4 @@ let gen ?(params = default_params) () : Aprof_trace.Trace.t QCheck2.Gen.t =
     ~shrink:(fun _ -> Seq.empty)
 
 let print trace =
-  Aprof_trace.Trace.to_list trace |> List.map Event.to_string |> String.concat "\n"
+  Helpers.Trace.to_list trace |> List.map Event.to_string |> String.concat "\n"

@@ -8,7 +8,7 @@ module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Tool = Aprof_tools.Tool
 module Harness = Aprof_tools.Harness
-module Trace = Aprof_trace.Trace
+module Trace = Helpers.Trace
 
 let event = Alcotest.testable Event.pp Event.equal
 
@@ -96,9 +96,7 @@ let equivalence_test (module M : Tool.S) =
        (fun trace ->
          let per_event = M.create () in
          let n =
-           Stream.drain
-             (Helpers.batches_of_trace ~batch_size:1 trace)
-             (M.on_batch per_event)
+           Helpers.batches_of_trace ~batch_size:1 trace (M.on_batch per_event)
          in
          if n <> Trace.length trace then
            QCheck2.Test.fail_reportf "replayed %d of %d events" n
@@ -141,22 +139,22 @@ let synth_trace n =
   done;
   tr
 
-let batched_minor_words_per_event (module M : Tool.S) trace =
+let batched_minor_words_per_event ?format_version ?entropy (module M : Tool.S)
+    trace =
   let file = Filename.temp_file "aprof_batch_alloc" ".atrc" in
   Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
   let n =
     Out_channel.with_open_bin file (fun oc ->
-        let sink = Codec.batch_writer oc in
+        let sink = Codec.batch_writer ?format_version ?entropy oc in
         Trace.replay trace sink.Stream.emit_batch;
         sink.Stream.close_batch ();
         Trace.length trace)
   in
   In_channel.with_open_bin file (fun ic ->
       let st = M.create () in
-      let _names, batches = Codec.batch_reader ic in
       Gc.full_major ();
       let m0 = Gc.minor_words () in
-      let n' = Stream.drain batches (M.on_batch st) in
+      let _names, n' = Codec.read ~on_corrupt:`Fail ic (M.on_batch st) in
       let words = Gc.minor_words () -. m0 in
       Alcotest.(check int) "replay count" n n';
       words /. float_of_int n)
@@ -176,6 +174,29 @@ let test_drms_allocation_budget () =
   if w >= 3.0 then
     Alcotest.failf "batched drms replay allocates %.2f minor words/event" w
 
+(* Version 3 replays repeat regions from a template parsed once per
+   region, so decoding must not allocate per region either: a recorded,
+   repeat-heavy trace (blackscholes, 325,046 events in 65,536-event
+   chunks) through the file path into nulgrind, raw and entropy-coded.
+   What remains is per chunk (the Huffman tables) and per file. *)
+let test_v3_decode_allocation_free () =
+  let spec = Option.get (Aprof_workloads.Registry.find "blackscholes") in
+  let trace =
+    (Aprof_workloads.Workload.run_spec spec ~threads:4 ~scale:64000 ~seed:1)
+      .Aprof_vm.Interp.trace
+  in
+  List.iter
+    (fun entropy ->
+      let w =
+        batched_minor_words_per_event ~format_version:3 ~entropy
+          (tool_named "nulgrind") trace
+      in
+      if w > 0.02 then
+        Alcotest.failf
+          "v3 (entropy %b) nulgrind replay allocates %.3f minor words/event"
+          entropy w)
+    [ false; true ]
+
 let suite =
   [
     Alcotest.test_case "push/get round-trip" `Quick test_push_get_roundtrip;
@@ -186,5 +207,7 @@ let suite =
       test_nulgrind_allocation_free;
     Alcotest.test_case "drms batched replay allocation budget" `Quick
       test_drms_allocation_budget;
+    Alcotest.test_case "v3 decode allocation-free on a recorded trace" `Quick
+      test_v3_decode_allocation_free;
   ]
   @ equivalence_tests ()

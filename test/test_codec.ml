@@ -5,7 +5,7 @@
    names byte-exactly.  Malformed input must be rejected, not crash. *)
 
 module Event = Aprof_trace.Event
-module Trace = Aprof_trace.Trace
+module Trace = Helpers.Trace
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 
@@ -131,8 +131,9 @@ let channel_round_trip () =
         match Codec.detect ic with
         | `Text -> Alcotest.fail "binary file detected as text"
         | `Binary ->
-          let names, src = Codec.batch_reader ~chunk_bytes:64 ic in
-          let tr = Helpers.trace_of_batches src in
+          let tr, (names, _) =
+            Helpers.collect (Codec.read ~chunk_bytes:64 ~on_corrupt:`Fail ic)
+          in
           (tr, names))
   in
   Sys.remove file;
@@ -147,15 +148,18 @@ let channel_round_trip () =
     trace
 
 let rejects_garbage () =
-  let check_error name s =
+  let check_error ?message name s =
     match Codec.of_string s with
     | Ok _ -> Alcotest.failf "%s: expected decode error" name
-    | Error _ -> ()
+    | Error m ->
+      Option.iter
+        (fun want -> Alcotest.(check string) (name ^ ": message") want m)
+        message
   in
-  check_error "empty" "";
+  check_error ~message:"truncated header" "empty" "";
   check_error "bad magic" "NOPE\x01";
   check_error "bad version" "ATRC\x63";
-  check_error "truncated header" "ATR";
+  check_error ~message:"truncated header" "truncated header" "ATR";
   let valid = Codec.to_string (Trace.of_list [ Event.Read { tid = 1; addr = 2 } ]) in
   (* [valid] ends with the end-of-trace marker byte. *)
   let unterminated = String.sub valid 0 (String.length valid - 1) in
@@ -183,16 +187,15 @@ let rejects_negative_addrs () =
         Alcotest.(check bool)
           (name ^ ": error names the address") true
           (contains ~sub:"negative address" msg));
-      (* The streaming batch reader rejects too. *)
+      (* The streaming file reader rejects too. *)
       let file = Filename.temp_file "aprof_negaddr" ".atrc" in
       Out_channel.with_open_bin file (fun oc -> output_string oc s);
       (match
          In_channel.with_open_bin file (fun ic ->
-             let _names, batches = Codec.batch_reader ic in
-             batches ())
+             Codec.read ~on_corrupt:`Fail ic ignore)
        with
       | exception Stream.Decode_error _ -> ()
-      | _ -> Alcotest.failf "%s: batch reader accepted it" name);
+      | _ -> Alcotest.failf "%s: file reader accepted it" name);
       Sys.remove file)
     [
       ("read", Event.Read { tid = 0; addr = -1 });
@@ -275,25 +278,17 @@ let sample_trace seed =
    several index entries. *)
 let write_binary ?(index = true) ?format_version trace file =
   Out_channel.with_open_bin file (fun oc ->
-      let sink = Codec.batch_writer ~chunk_bytes:128 ~index ?format_version oc in
-      let batches = Helpers.batches_of_trace ~batch_size:16 trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
-      sink.Stream.close_batch ())
+      Helpers.write_batches ~batch_size:16 trace
+        (Codec.batch_writer ~chunk_bytes:128 ~index ?format_version oc))
 
-let decode_source src = Helpers.trace_of_batches src
+(* What a push reader hands over, as a trace. *)
+let decode read = fst (Helpers.collect read)
 
 (* Every chunk of [shs], in file order, through one chunk session — the
    seek path the parallel replay engine uses. *)
 let session_read ic shs =
   let names, read = Codec.chunk_session ic in
-  let parts = Array.map (fun sh -> Trace.to_list (decode_source (read sh))) shs in
+  let parts = Array.map (fun sh -> Trace.to_list (decode (read sh))) shs in
   (Trace.of_list (List.concat (Array.to_list parts)), names)
 
 let rec uvarint_size v = if v < 0x80 then 1 else 1 + uvarint_size (v lsr 7)
@@ -345,8 +340,7 @@ let session_reads_one_chunk () =
       let parts = ref [] in
       Array.iter
         (fun (sh : Codec.shard) ->
-          let src = read sh in
-          let part = decode_source src in
+          let part = decode (read sh) in
           Alcotest.(check int) "chunk event count" sh.Codec.events
             (Trace.length part);
           (* The index's tid set really describes the chunk. *)
@@ -371,16 +365,18 @@ let index_compat () =
   In_channel.with_open_bin file (fun ic ->
       Alcotest.(check bool) "no index" true (Codec.shards ~path:file ic = None);
       In_channel.seek ic 0L;
-      let _, src = Codec.batch_reader ic in
-      trace_equal "index-less file decodes" (decode_source src) trace);
+      trace_equal "index-less file decodes"
+        (decode (Codec.read ~on_corrupt:`Fail ic))
+        trace);
   (* Old-style streaming consumers skip the footer of an indexed file. *)
   write_binary ~index:true trace file;
   In_channel.with_open_bin file (fun ic ->
-      let _, src = Codec.batch_reader ic in
-      trace_equal "streaming read of an indexed file" (decode_source src) trace);
+      trace_equal "streaming read of an indexed file"
+        (decode (Codec.read ~on_corrupt:`Fail ic))
+        trace);
   In_channel.with_open_bin file (fun ic ->
-      let _, src = Codec.batch_reader ~batch_size:1 ic in
-      trace_equal "per-event read of an indexed file" (decode_source src)
+      trace_equal "per-event read of an indexed file"
+        (decode (Codec.read ~batch_size:1 ~on_corrupt:`Fail ic))
         trace);
   Sys.remove file
 
@@ -456,8 +452,9 @@ let v1_compat () =
   write_binary ~format_version:1 trace file;
   (* A version-1 file replays identically through every read path. *)
   In_channel.with_open_bin file (fun ic ->
-      let _, src = Codec.batch_reader ic in
-      trace_equal "v1 streaming read" (decode_source src) trace);
+      trace_equal "v1 streaming read"
+        (decode (Codec.read ~on_corrupt:`Fail ic))
+        trace);
   In_channel.with_open_bin file (fun ic ->
       match Codec.shards ~path:file ic with
       | None -> Alcotest.fail "v1 indexed file reports no shard index"
@@ -564,8 +561,7 @@ let checksum_mismatch_detected () =
   Out_channel.with_open_bin file (fun oc -> output_string oc corrupt);
   (match
      In_channel.with_open_bin file (fun ic ->
-         let _, src = Codec.batch_reader ic in
-         ignore (decode_source src))
+         ignore (decode (Codec.read ~on_corrupt:`Fail ic)))
    with
   | exception Stream.Decode_error msg ->
     Alcotest.(check bool) "streaming read names the checksum" true
@@ -580,14 +576,13 @@ let checksum_mismatch_detected () =
   | () -> Alcotest.fail "session read accepted a corrupt chunk");
   (* Salvage mode recovers every other chunk and reports the drop. *)
   let drops = ref [] in
-  let names, src =
+  let src =
     In_channel.with_open_bin file (fun ic ->
-        let names, src =
-          Codec.read ~path:file ~on_corrupt:(`Skip (fun d -> drops := d :: !drops)) ic
-        in
-        (names, decode_source src))
+        decode
+          (Codec.read ~path:file
+             ~on_corrupt:(`Skip (fun d -> drops := d :: !drops))
+             ic))
   in
-  ignore names;
   (match !drops with
   | [ d ] ->
     Alcotest.(check int) "dropped the corrupt chunk"

@@ -12,7 +12,7 @@ module Event = Aprof_trace.Event
 module Batch = Event.Batch
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
-module Trace = Aprof_trace.Trace
+module Trace = Helpers.Trace
 module Workload = Aprof_workloads.Workload
 module Registry = Aprof_workloads.Registry
 module Interp = Aprof_vm.Interp
@@ -20,7 +20,7 @@ module Tool = Aprof_tools.Tool
 
 let decode_exn = Test_codec.decode_exn
 let trace_equal = Test_codec.trace_equal
-let decode_source = Test_codec.decode_source
+let decode = Test_codec.decode
 
 let write_v3 ?(chunk_bytes = 256) ?index ?(entropy = true) ?routine_name trace
     file =
@@ -29,16 +29,7 @@ let write_v3 ?(chunk_bytes = 256) ?index ?(entropy = true) ?routine_name trace
         Codec.batch_writer ~chunk_bytes ?index ~format_version:3 ~entropy
           ?routine_name oc
       in
-      let batches = Helpers.batches_of_trace ~batch_size:16 trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
-      sink.Stream.close_batch ())
+      Helpers.write_batches ~batch_size:16 trace sink)
 
 let with_tmp f =
   let file = Filename.temp_file "aprof_v3" ".atrc" in
@@ -78,11 +69,11 @@ let check_file ~label ?routine_name trace =
               Alcotest.(check int)
                 (label ^ ": file version") 3 (Codec.file_version ic));
           In_channel.with_open_bin file (fun ic ->
-              let _, src = Codec.batch_reader ic in
               trace_equal
                 (Printf.sprintf "%s: v3 file (entropy %b) = trace" label
                    entropy)
-                (decode_source src) trace);
+                (decode (Codec.read ~on_corrupt:`Fail ic))
+                trace);
           (* And through the shard index, chunk by chunk. *)
           In_channel.with_open_bin file (fun ic ->
               match Codec.shards ~path:file ic with
@@ -392,17 +383,9 @@ let huge_repeat_rejected () =
       Out_channel.with_open_bin file (fun oc -> output_string oc s);
       In_channel.with_open_bin file (fun ic ->
           match
-            let _, src = Codec.batch_reader ic in
-            let rec loop () =
-              match src () with
-              | None -> ()
-              | Some b ->
-                count (Batch.length b);
-                loop ()
-            in
-            loop ()
+            Codec.read ~on_corrupt:`Fail ic (fun b -> count (Batch.length b))
           with
-          | () -> Alcotest.fail "batch_reader accepted the chunk"
+          | _ -> Alcotest.fail "the file reader accepted the chunk"
           | exception Stream.Decode_error _ -> ()));
   let module Net = Aprof_trace.Trace_net in
   let net_feed ~salvage ~on_drop =
@@ -454,7 +437,7 @@ let full_chunks_salvage () =
           write_v3 ~chunk_bytes:(64 * 1024) ~index ~entropy:false tr file;
           let strict =
             In_channel.with_open_bin file (fun ic ->
-                decode_source (snd (Codec.batch_reader ic)))
+                decode (Codec.read ~on_corrupt:`Fail ic))
           in
           trace_equal (label ^ ": strict read = trace") strict tr;
           if index then
@@ -468,8 +451,7 @@ let full_chunks_salvage () =
           let on_drop (d : Codec.drop) = drops := d.drop_reason :: !drops in
           let salvaged =
             In_channel.with_open_bin file (fun ic ->
-                decode_source
-                  (snd (Codec.read ~on_corrupt:(`Skip on_drop) ic)))
+                decode (Codec.read ~on_corrupt:(`Skip on_drop) ic))
           in
           Alcotest.(check (list string)) (label ^ ": read drops") [] !drops;
           trace_equal (label ^ ": salvaging read = strict") salvaged strict;

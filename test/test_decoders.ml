@@ -1,17 +1,18 @@
-(* One ATRC decoder, many drivers.  Every reader — the pull driver over
-   a channel ({!Codec.batch_reader}), the push driver
-   ({!Trace_net.feed}) at any slice size, {!Codec.of_string}, and chunk
-   sessions over the shard index — must return exactly what the writer
-   was given; on damaged bytes the stream drivers must agree with each
-   other, and nothing but [Decode_error] may escape any of them.
-   Salvage must describe the same damage the same way on every path. *)
+(* One ATRC decoder, many drivers.  Every reader — the file reader
+   ({!Codec.read}, which feeds the decoder a channel's slices), a
+   connection's decoder ({!Trace_net.feed}) at any slice size,
+   {!Codec.of_string}, and chunk sessions over the shard index — must
+   return exactly what the writer was given; on damaged bytes the stream
+   drivers must agree with each other, and nothing but [Decode_error]
+   may escape any of them.  Salvage must describe the same damage the
+   same way on every path. *)
 
 module Event = Aprof_trace.Event
 module Batch = Event.Batch
 module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Trace_net = Aprof_trace.Trace_net
-module Trace = Aprof_trace.Trace
+module Trace = Helpers.Trace
 
 (* A driver's result: event lines, and definitions as the driver
    reports them (a name table has no order, so it is sorted). *)
@@ -23,17 +24,12 @@ let show = function
       (List.length defs)
   | Refused -> "decode error"
 
-let lines_of_batches src =
+(* The event lines the push reader [read] hands over, and what it
+   returned. *)
+let lines_of read =
   let out = ref [] in
-  let rec loop () =
-    match src () with
-    | None -> ()
-    | Some b ->
-      Batch.iter_events (fun e -> out := Event.to_line e :: !out) b;
-      loop ()
-  in
-  loop ();
-  List.rev !out
+  let r = read (Batch.iter_events (fun e -> out := Event.to_line e :: !out)) in
+  (List.rev !out, r)
 
 let sorted_table tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
@@ -55,12 +51,13 @@ let with_file s f =
       Out_channel.with_open_bin file (fun oc -> output_string oc s);
       f file)
 
-let pull ?chunk_bytes s =
-  outcome_of ~driver:"pull driver" (fun () ->
+let file ?chunk_bytes s =
+  outcome_of ~driver:"file reader" (fun () ->
       with_file s (fun file ->
           In_channel.with_open_bin file (fun ic ->
-              let names, src = Codec.batch_reader ?chunk_bytes ic in
-              let lines = lines_of_batches src in
+              let lines, (names, _) =
+                lines_of (Codec.read ?chunk_bytes ~on_corrupt:`Fail ic)
+              in
               (lines, sorted_table names))))
 
 (* Feed [s] to [net] [slice] bytes at a time, each in a buffer of its
@@ -75,9 +72,10 @@ let feed_slices net s ~slice =
     pos := !pos + len
   done
 
-(* A push driver reading one input: a second trace is not this input's. *)
+(* A connection's decoder reading one input: a second trace is not
+   this input's. *)
 let push ~slice s =
-  outcome_of ~driver:"push driver" (fun () ->
+  outcome_of ~driver:"connection decoder" (fun () ->
       let lines = ref [] and defs = ref [] in
       let net =
         Trace_net.create ~release:ignore
@@ -111,9 +109,7 @@ let sessions s =
             | None -> None
             | Some shs ->
               let names, read = Codec.chunk_session ic in
-              let parts =
-                Array.map (fun sh -> lines_of_batches (read sh)) shs
-              in
+              let parts = Array.map (fun sh -> fst (lines_of (read sh))) shs in
               Some (List.concat (Array.to_list parts), sorted_table names))
       with
       | None -> None
@@ -128,7 +124,7 @@ let sorted = function
   | Refused -> Refused
 
 (* What a name table keeps of definitions in stream order: the last name
-   per id.  Drivers that report a table ([pull], chunk sessions) are
+   per id.  Drivers that report a table ([file], chunk sessions) are
    compared with this; damage can turn a record into a second definition
    of an id, which a list reports twice and a table once. *)
 let as_table = function
@@ -161,8 +157,7 @@ let encode ?(index = true) ?(chunk_bytes = 128) ~format_version ~entropy trace
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Out_channel.with_open_bin file (fun oc ->
-          Helpers.write_batches
-            (Helpers.batches_of_trace ~batch_size:16 trace)
+          Helpers.write_batches ~batch_size:16 trace
             (Codec.batch_writer ~chunk_bytes ~index ~format_version ~entropy
                ~routine_name oc));
       In_channel.with_open_bin file In_channel.input_all)
@@ -203,7 +198,7 @@ let drivers_return_input =
          check "of_string" (of_string s) expected;
          check "push" (push ~slice s) expected;
          check "push, whole" (push ~slice:(String.length s) s) expected;
-         check "pull" (pull ~chunk_bytes s) (sorted expected);
+         check "file" (file ~chunk_bytes s) (sorted expected);
          (match sessions s with
          | Some o -> check "sessions" o (sorted expected)
          | None -> QCheck2.Test.fail_reportf "sessions: no shard index");
@@ -275,7 +270,7 @@ let drivers_agree_on_damage =
            [
              ("push", push ~slice s, reference);
              ("push, whole", push ~slice:(String.length s) s, reference);
-             ("pull", pull ~chunk_bytes s, table);
+             ("file", file ~chunk_bytes s, table);
            ];
          (match (sessions s, table) with
          | (None | Some Refused), _ | Some _, Refused -> ()
@@ -298,8 +293,7 @@ let recorded name ~format_version =
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
       Out_channel.with_open_bin file (fun oc ->
-          Helpers.write_batches
-            (Helpers.batches_of_trace trace)
+          Helpers.write_batches trace
             (Codec.batch_writer ~chunk_bytes:512 ~format_version
                ~routine_name:
                  (Aprof_trace.Routine_table.name
@@ -316,8 +310,9 @@ let footer_offset s =
   !v
 
 (* Every bit of every footer byte, and junk after the footer: the same
-   outcome through of_string, the pull driver, and the push driver fed
-   whole and byte by byte — the original trace, or a clean error. *)
+   outcome through of_string, the file reader, and a connection's
+   decoder fed whole and byte by byte — the original trace, or a clean
+   error. *)
 let footer_drift () =
   List.iter
     (fun (name, format_version) ->
@@ -338,7 +333,7 @@ let footer_drift () =
               Alcotest.failf "%s v%d %s: %s gives %s, of_string %s" name
                 format_version label driver (show got) (show reference))
           [
-            ("pull", pull s);
+            ("file", file s);
             ("push, whole", push ~slice:(String.length s) s);
             ("push, 1-byte slices", push ~slice:1 s);
           ]
@@ -372,8 +367,8 @@ let one_trace_per_input () =
       let label = Printf.sprintf "v%d entropy=%b" format_version entropy in
       Alcotest.(check bool) (label ^ ": of_string refuses") true
         (of_string twice = Refused);
-      Alcotest.(check bool) (label ^ ": pull refuses") true
-        (pull twice = Refused);
+      Alcotest.(check bool) (label ^ ": the file reader refuses") true
+        (file twice = Refused);
       let traces = ref 0 in
       let net =
         Trace_net.create ~release:ignore
@@ -400,19 +395,20 @@ let drop_fields (d : Codec.drop) =
 let pp_drop (c, o, b, r) =
   Printf.sprintf "chunk %d at %d (%d bytes): %s" c o b r
 
-(* Salvage through the file reader, and through the push machine fed
-   [slice] bytes at a time: the drop records and the events delivered. *)
+(* Salvage through the file reader, and through a connection's decoder
+   fed [slice] bytes at a time: the drop records and the events
+   delivered. *)
 let file_salvage s =
   with_file s (fun file ->
       In_channel.with_open_bin file (fun ic ->
           let drops = ref [] in
-          let _, src =
-            Codec.read ~path:file
-              ~on_corrupt:(`Skip (fun d -> drops := drop_fields d :: !drops))
-              ic
+          let lines, _ =
+            lines_of
+              (Codec.read ~path:file
+                 ~on_corrupt:(`Skip (fun d -> drops := drop_fields d :: !drops))
+                 ic)
           in
-          let events = List.length (lines_of_batches src) in
-          (List.rev_map pp_drop !drops, events)))
+          (List.rev_map pp_drop !drops, List.length lines)))
 
 let net_salvage ~slice s =
   let drops = ref [] and events = ref 0 in
@@ -430,10 +426,10 @@ let net_salvage ~slice s =
   (List.rev_map pp_drop !drops, !events)
 
 (* The same CRC-damaged chunk through file salvage without an index,
-   the push machine under salvage (byte by byte and whole), and indexed
-   salvage with the footer kept: one identical drop record.  A file cut
-   inside that chunk ends every index-less path with the same terminal
-   drop at its frame, after the same events. *)
+   a connection's decoder under salvage (byte by byte and whole), and
+   indexed salvage with the footer kept: one identical drop record.  A
+   file cut inside that chunk ends every index-less path with the same
+   terminal drop at its frame, after the same events. *)
 let drop_records_agree () =
   let spec = Option.get (Aprof_workloads.Registry.find "canneal") in
   let result =
@@ -541,11 +537,13 @@ let dropped_chunk_defines_nothing () =
     with_file s (fun file ->
         In_channel.with_open_bin file (fun ic ->
             let drops = ref 0 in
-            let names, src =
-              Codec.read ~path:file ~on_corrupt:(`Skip (fun _ -> incr drops)) ic
+            let lines, (names, _) =
+              lines_of
+                (Codec.read ~path:file
+                   ~on_corrupt:(`Skip (fun _ -> incr drops))
+                   ic)
             in
-            let events = List.length (lines_of_batches src) in
-            (sorted_table names, events, !drops)))
+            (sorted_table names, List.length lines, !drops)))
   in
   let defs = ref [] and events = ref 0 and drops = ref 0 in
   let net =

@@ -111,16 +111,7 @@ let test_file_roundtrip () =
                     (Aprof_trace.Routine_table.name result.Interp.routines)
                   oc
               in
-              let batches = Helpers.batches_of_trace trace in
-              let rec loop () =
-                match batches () with
-                | None -> ()
-                | Some b ->
-                  sink.Stream.emit_batch b;
-                  loop ()
-              in
-              loop ();
-              sink.Stream.close_batch ());
+              Helpers.write_batches trace sink);
           match Tool.Shards.of_file path with
           | None -> Alcotest.failf "%s: recorded file has no chunk index" name
           | Some shards ->

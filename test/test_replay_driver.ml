@@ -8,10 +8,9 @@
    failed. *)
 
 module Event = Aprof_trace.Event
-module Stream = Aprof_trace.Trace_stream
 module Codec = Aprof_trace.Trace_codec
 module Driver = Aprof_tools.Replay_driver
-module Trace = Aprof_trace.Trace
+module Trace = Helpers.Trace
 module Profile_io = Aprof_core.Profile_io
 
 let now = Sys.time
@@ -32,16 +31,7 @@ let mk_trace n =
 let write_trace trace file =
   Out_channel.with_open_bin file (fun oc ->
       let sink = Codec.batch_writer ~chunk_bytes:128 oc in
-      let batches = Helpers.batches_of_trace ~batch_size:16 trace in
-      let rec loop () =
-        match batches () with
-        | None -> ()
-        | Some b ->
-          sink.Stream.emit_batch b;
-          loop ()
-      in
-      loop ();
-      sink.Stream.close_batch ())
+      Helpers.write_batches ~batch_size:16 trace sink)
 
 (* Flip one byte inside chunk [k]'s payload (counted from the end when
    negative). *)

@@ -13,7 +13,7 @@ module Shard_acc = Aprof_serve.Shard_acc
 module Fleet = Aprof_serve.Fleet
 module Server = Aprof_serve.Server
 module Profile = Aprof_core.Profile
-module Trace = Aprof_trace.Trace
+module Trace = Helpers.Trace
 module Workload = Aprof_workloads.Workload
 module Registry = Aprof_workloads.Registry
 
@@ -226,16 +226,7 @@ let test_net_with_footer () =
                    result.Aprof_vm.Interp.routines)
               oc
           in
-          let batches = Helpers.batches_of_trace result.Aprof_vm.Interp.trace in
-          let rec loop () =
-            match batches () with
-            | None -> ()
-            | Some b ->
-              sink.Stream.emit_batch b;
-              loop ()
-          in
-          loop ();
-          sink.Stream.close_batch ());
+          Helpers.write_batches result.Aprof_vm.Interp.trace sink);
       let s = In_channel.with_open_bin file In_channel.input_all in
       Sys.remove file;
       let expected_lines, _ = reference_lines s in

@@ -1,4 +1,4 @@
-(* The stream pipeline: batch-source sanity, the text edge, and the
+(* The stream pipeline: batch-push sanity, the text edge, and the
    load-bearing equivalence — streaming consumption (live VM callbacks,
    binary decode) must produce bit-identical profiles to materialized
    replay, on every registered workload. *)
@@ -28,11 +28,11 @@ let combinators () =
   Trace.replay tr (Trace.add_batch replayed);
   Alcotest.check ev_list "replay identity" (lines tr) (lines replayed);
   Alcotest.(check int) "length" 5 (Trace.length tr);
-  (* drain delivers every batch in order. *)
+  (* A push hands over every batch in order. *)
   let a = Trace.create () in
-  Alcotest.(check int) "drain count" 5
-    (Stream.drain (batches_of_trace ~batch_size:2 tr) (Trace.add_batch a));
-  Alcotest.check ev_list "drain delivers in order" (lines tr) (lines a)
+  Alcotest.(check int) "push count" 5
+    (batches_of_trace ~batch_size:2 tr (Trace.add_batch a));
+  Alcotest.check ev_list "push delivers in order" (lines tr) (lines a)
 
 let text_channel_source () =
   let tr =
@@ -44,15 +44,14 @@ let text_channel_source () =
       Trace.replay tr sink.Stream.emit_batch;
       sink.Stream.close_batch ());
   let decoded =
-    In_channel.with_open_bin file (fun ic ->
-        trace_of_batches (Stream.of_text_channel ic))
+    In_channel.with_open_bin file (fun ic -> fst (collect (Stream.read_text ic)))
   in
   Sys.remove file;
   Alcotest.check ev_list "text channel round trip" (lines tr) (lines decoded);
   Out_channel.with_open_bin file (fun oc -> output_string oc "C 1\nnot an event\n");
   let raises =
     In_channel.with_open_bin file (fun ic ->
-        match trace_of_batches (Stream.of_text_channel ic) with
+        match collect (Stream.read_text ic) with
         | _ -> false
         | exception Stream.Decode_error _ -> true)
   in

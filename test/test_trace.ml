@@ -2,7 +2,7 @@
    text round trip, and the routine table. *)
 
 module Event = Aprof_trace.Event
-module Trace = Aprof_trace.Trace
+module Trace = Helpers.Trace
 module Routine_table = Aprof_trace.Routine_table
 
 let gen_event =
@@ -55,7 +55,7 @@ let test_well_formed_negatives () =
   Alcotest.(check bool) "act after exit flagged" true (Trace.well_formed t2 <> [])
 
 (* The text format, through the sink [aprof record --format text]
-   writes with and the source [aprof replay] reads with. *)
+   writes with and the reader [aprof replay] reads with. *)
 let save_load_roundtrip trace =
   let module Stream = Aprof_trace.Trace_stream in
   let tmp = Filename.temp_file "aprof" ".trace" in
@@ -65,7 +65,7 @@ let save_load_roundtrip trace =
       sink.Stream.close_batch ());
   let back = Trace.create () in
   In_channel.with_open_text tmp (fun ic ->
-      ignore (Stream.drain (Stream.of_text_channel ic) (Trace.add_batch back)));
+      ignore (Stream.read_text ic (Trace.add_batch back)));
   Sys.remove tmp;
   Trace.to_list back = Trace.to_list trace
 

@@ -17,7 +17,7 @@ let run ?scheduler ?seed ?devices ?max_events threads =
   Interp.run (config ?scheduler ?seed ?devices ?max_events ()) threads
 
 let lines result =
-  Aprof_trace.Trace.to_list result.Interp.trace |> List.map Event.to_line
+  Helpers.Trace.to_list result.Interp.trace |> List.map Event.to_line
 
 let test_determinism () =
   let mk () =
@@ -62,7 +62,7 @@ let test_schedulers_well_formed () =
       Alcotest.(check (list string))
         (Scheduler.policy_name sched ^ " well-formed")
         []
-        (Aprof_trace.Trace.well_formed r.Interp.trace))
+        (Helpers.Trace.well_formed r.Interp.trace))
     ([
        Scheduler.Round_robin { slice = 1 };
        Scheduler.Round_robin { slice = 1000 };
