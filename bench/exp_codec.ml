@@ -1,8 +1,10 @@
 (* Trace-pipeline benchmark: binary vs text codec throughput, and the
    memory story of streaming decode.
 
-   A large PARSEC miniature is sized to the target event count, then
-   encoded and decoded through both codecs.  The
+   Two PARSEC miniatures are each sized to the target event count, then
+   encoded and decoded through both codecs: blackscholes, whose loops
+   collapse into repeat regions, and canneal, a mutex-shuffled address
+   mix with little repetition, where v3 encoding costs the most.  The
    figures of merit are events/second for encode and decode, the
    binary/text throughput ratio (the pipeline's raison d'etre), bytes
    per event, and the peak live heap during a streaming decode — which
@@ -21,20 +23,19 @@ let live_words () =
 
 (* The same trace through every container version.  v1 is the raw
    record stream, v2 adds CRC framing and the shard index, v3 packs
-   each chunk (tid runs, address deltas, dictionary-coded patterns,
-   repeat suppression) and optionally entropy-codes the payload — the
-   "v3-raw" row isolates the packing gain from the Huffman pass. *)
+   each chunk (tid runs, address deltas, repeat suppression) and
+   optionally entropy-codes the payload — the "v3-raw" row isolates the
+   packing gain from the Huffman pass. *)
 let formats =
   [ ("v1", 1, false); ("v2", 2, false); ("v3", 3, true); ("v3-raw", 3, false) ]
 
-let run ~quick ppf =
-  Exp_common.section ppf "codec: binary vs text trace pipeline";
+let run_workload ~quick ppf workload =
   let target = if quick then 200_000 else 1_200_000 in
   (* Encoding is what this experiment times, so the trace stays live. *)
-  let result = Exp_common.sized ~target "blackscholes" in
+  let result = Exp_common.sized ~target workload in
   let trace = result.Aprof_vm.Interp.trace in
   let n_events = Trace.length trace in
-  Format.fprintf ppf "workload: %s, %d events@." "blackscholes" n_events;
+  Format.fprintf ppf "@.workload: %s, %d events@." workload n_events;
   let routine_name =
     Aprof_trace.Routine_table.name result.Aprof_vm.Interp.routines
   in
@@ -137,6 +138,7 @@ let run ~quick ppf =
         bpe ratio (median enc) (median dec);
       Exp_common.emit_row ~experiment:"codec" ~rounds
         ([
+           ("workload", Exp_common.String workload);
            ("format", Exp_common.String label);
            ("format_version", Exp_common.Int format_version);
            ("entropy", Exp_common.Int (if entropy then 1 else 0));
@@ -150,3 +152,7 @@ let run ~quick ppf =
     per_format;
   List.iter (fun (_, f) -> Sys.remove f) files;
   Sys.remove text_file
+
+let run ~quick ppf =
+  Exp_common.section ppf "codec: binary vs text trace pipeline";
+  List.iter (run_workload ~quick ppf) [ "blackscholes"; "canneal" ]

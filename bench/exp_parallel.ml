@@ -15,10 +15,10 @@
    each trace event once (broadcast copies excluded), so the column is
    comparable across tools and job counts.  Every row records the
    host's core count and the number of domains actually backing the
-   pool: on a single-core machine, or under the 4.14 sequential
-   backend, [domains] exposes why the curve is flat — the speedup
-   column is only meaningful when [cores] and [domains] both reach the
-   job count (the CI gate checks exactly that). *)
+   pool: on a single-core machine [domains] exposes why the curve is
+   flat — the speedup column is only meaningful when [cores] and
+   [domains] both reach the job count (the CI gate checks exactly
+   that). *)
 
 module Tool = Aprof_tools.Tool
 module Harness = Aprof_tools.Harness
@@ -110,12 +110,9 @@ let run ~quick ppf =
             ([
                ("tool", Exp_common.String label);
                ("jobs", Exp_common.Int jobs);
-               ( "domains",
-                 (* Domains the pool actually runs on: at most one per
-                    core, and the 4.14 backend has no Domain module and
-                    executes every task on the caller. *)
-                 Exp_common.Int
-                   (if Par.parallel_backend then Par.jobs pool else 1) );
+               (* Domains the pool actually runs on: at most one per
+                  core. *)
+               ("domains", Exp_common.Int (Par.jobs pool));
                ("events", Exp_common.Int events);
              ]
             @ Exp_common.metric "mev_per_s" mev

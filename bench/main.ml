@@ -27,7 +27,6 @@ let experiments quick :
     ("fit", "penalized cost-model selection battery", Exp_fit.run ~quick);
     ("comm", "communication characterization (future-work direction)", Exp_comm.run);
     ("ablation", "design-choice ablations", Exp_ablation.run ~quick);
-    ("bechamel", "microbenchmarks", Micro.run);
   ]
 
 let () =

@@ -646,8 +646,8 @@ let record_cmd =
     let doc =
       "Binary trace format version to write: $(b,1) (bare records), $(b,2) \
        (checksummed chunk frames, the default), or $(b,3) \
-       (redundancy-suppressed chunks: delta/pattern packed).  Ignored \
-       with $(b,--format text)."
+       (redundancy-suppressed chunks: delta packed, repeats collapsed). \
+       Ignored with $(b,--format text)."
     in
     Arg.(
       value

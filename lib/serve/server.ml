@@ -8,11 +8,10 @@
      command) and, for ingest, becomes the connection's reader loop —
      [read] into a pooled slice, queue it ([push], the backpressure
      point);
-   - a pool of ingest workers (domains on OCaml 5, systhreads on 4.x
-     via [Serve_backend]): each claims a runnable connection, decodes
-     one queued slice through [Trace_net.feed] -> [Ingest_driver]
-     (folding each completed trace's profile into the one
-     accumulator), and puts the connection at the back of the run
+   - a pool of ingest worker domains: each claims a runnable
+     connection, decodes one queued slice through [Trace_net.feed] ->
+     [Ingest_driver] (folding each completed trace's profile into the
+     one accumulator), and puts the connection at the back of the run
      queue if more is queued;
    - one snapshot systhread polling the timer / SIGHUP-style requests.
 
@@ -73,7 +72,7 @@ let default_config =
     unix_path = None;
     tcp = None;
     profiler = (module Aprof_tools.Aprof_adapters.Drms);
-    jobs = max 1 (Serve_backend.cpu_count () - 1);
+    jobs = max 1 (Domain.recommended_domain_count () - 1);
     snapshot_every = 0.;
     snapshot_profile = None;
     fleet_csv = None;
@@ -129,7 +128,7 @@ type t = {
       (* peers not routed yet or on a control line: not in [conns] *)
   mutable fronts_shut : bool;  (* the stop sequence shut [fronts] down *)
   mutable threads : Thread.t list;  (* accept + front/reader + snapshot *)
-  mutable workers : Serve_backend.handle list;
+  mutable workers : unit Domain.t list;
   mutable listeners : (Unix.file_descr * string) list;
 }
 
@@ -786,13 +785,12 @@ let start cfg =
     (fun (lfd, _) -> add_thread t (Thread.create (accept_loop t lfd) ()))
     listeners;
   t.workers <-
-    List.init cfg.jobs (fun _ -> Serve_backend.spawn (worker_loop t));
+    List.init cfg.jobs (fun _ -> Domain.spawn (worker_loop t));
   add_thread t (Thread.create (snapshot_loop t) ());
   t.cfg.log
-    (Printf.sprintf "serving on %s (%d workers%s)"
+    (Printf.sprintf "serving on %s (%d workers)"
        (String.concat ", " (addresses t))
-       cfg.jobs
-       (if Serve_backend.parallel then "" else ", no parallelism"));
+       cfg.jobs);
   t
 
 let poll_drained t ~timeout =
@@ -838,7 +836,7 @@ let wait t =
     locked t (fun () ->
         t.quit <- true;
         Condition.broadcast t.work);
-    List.iter Serve_backend.join t.workers;
+    List.iter Domain.join t.workers;
     List.iter
       (fun th -> try Thread.join th with _ -> ())
       (locked t (fun () -> t.threads));

@@ -55,10 +55,12 @@
 
     The packed event stream replaces the per-record [tid] with a current
     thread id (opcode 16 switches it), delta-encodes address arguments
-    against a per-(chunk, thread) register, collapses repeated event
+    against a per-(chunk, thread) register, and collapses repeated event
     groups into a repeat opcode (17: replay the previous [L] bytes [n]
-    more times), and dictionary-codes recurring event-tag sequences
-    (18 defines a pattern, 19 / short opcodes 32–255 instantiate one).
+    more times).  Files written before the writer stopped defining tag
+    patterns may also dictionary-code recurring event-tag sequences (18
+    defines a pattern, 19 / short opcodes 32–255 instantiate one); every
+    reader still decodes them, and no writer emits them.
     All coding context resets at each chunk boundary, so chunks stay
     independently decodable and the shard index, salvage, and the
     seeking readers work unchanged on the stored bytes.  The optional

@@ -11,8 +11,8 @@ let magic = "ATRC"
    CRC32C of the payload, so readers verify integrity before any varint
    decoding touches the bytes; version 1 (a bare record stream) remains
    readable.  Version 3 keeps the exact v2 framing and index but runs
-   each payload through the transform layer (delta + pattern packing,
-   optional entropy coding) — see {!Trace_transform} and
+   each payload through the transform layer (delta packing and repeat
+   suppression, optional entropy coding) — see {!Trace_transform} and
    {!Trace_packed}.  Writers emit version 2 unless asked otherwise. *)
 let version = 2
 let max_version = 3

@@ -422,13 +422,30 @@ let step_footer t =
   Continue
 
 (* After the end marker: one footer, then only the next trace of a
-   connection may follow. *)
+   connection may follow.  A file or string holds one trace, so there
+   every byte after the footer is trailing data, and one after the end
+   marker must go on spelling the footer's magic: each pending byte is
+   checked as it arrives. *)
 let step_trailer t =
   let trailing () =
     if t.state = Trailer then bad "trailing data after end-of-trace marker"
     else bad "trailing data after shard index"
   in
+  let footer () = try step_footer t with Need_more -> Hungry in
   if t.len = 0 then Hungry
+  else if t.one_trace then begin
+    let n = min t.len 4 in
+    if
+      t.state = Gap
+      || Bytes.sub_string t.buf t.start n
+         <> String.sub Trace_container.index_magic 0 n
+    then trailing ()
+    else if n < 4 then begin
+      t.need <- n + 1;
+      Hungry
+    end
+    else footer ()
+  end
   else if Bytes.get t.buf t.start <> 'A' then trailing ()
   else if t.len < 4 then begin
     t.need <- 4;
@@ -436,11 +453,10 @@ let step_trailer t =
   end
   else
     match Bytes.sub_string t.buf t.start 4 with
-    | m when m = Trace_container.magic && not t.one_trace ->
+    | m when m = Trace_container.magic ->
       t.state <- Header;
       Continue
-    | m when m = Trace_container.index_magic && t.state = Trailer -> (
-      try step_footer t with Need_more -> Hungry)
+    | m when m = Trace_container.index_magic && t.state = Trailer -> footer ()
     | _ -> trailing ()
 
 (* One step.  [partial] hands out a part-filled batch once the pending
@@ -489,7 +505,8 @@ let guard t f =
 
 (* End of input.  [feed] leaves no batch behind: each delivers what it
    decoded.  A file or string that ends before a whole header never
-   started its trace. *)
+   started its trace, and one that ends inside its footer did end its
+   trace. *)
 let close t =
   check_failed t;
   guard t (fun () ->
@@ -498,7 +515,10 @@ let close t =
       | (Trailer | Gap | Lost) when pending_bytes t = 0 -> ()
       | Header when t.off = 0 && pending_bytes t = 0 -> ()
       | state ->
-        let m = "truncated trace (missing end-of-trace marker)" in
+        let m =
+          if state = Trailer && t.one_trace then "truncated shard index"
+          else "truncated trace (missing end-of-trace marker)"
+        in
         if t.salvage && state <> Header then lose t m else bad "%s" m)
 
 (* ------------------------------------------------------------------ *)

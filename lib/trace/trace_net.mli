@@ -79,8 +79,9 @@ type scratch
 (** [scratch ()] is a fresh, empty scratch; its parts are allocated or
     grown on first use.
     @param batch_size capacity of the recycled batch every strict-mode
-    event passes through, raised to 16 (the longest packed tag pattern)
-    if smaller (default {!Event.Batch.default_capacity}). *)
+    event passes through, raised to 16 (the longest packed tag pattern,
+    which files written before the writer stopped defining patterns may
+    carry) if smaller (default {!Event.Batch.default_capacity}). *)
 val scratch : ?batch_size:int -> unit -> scratch
 
 (** [create ~release callbacks] is a fresh connection decoder.  It

@@ -26,17 +26,23 @@
      32..255      use pattern id (byte - 32), same operands
      0, 20..31    invalid
 
-   Three redundancy mechanisms compose: address deltas make regular
-   strides small and repetitive; the tag-pattern dictionary replaces a
-   recurring tag sequence (a basic block's instrumentation burst) with
-   one token; and the repeat token collapses byte-identical group runs —
-   after delta coding, a constant-stride loop iteration *is* byte
-   identical.  Correctness of repeat suppression rests on a strict rule:
-   the encoder swallows a group into a repeat only when the bytes it
-   just produced from the live context equal the region bytes at the
-   current phase.  Decoding is deterministic given (bytes, context) and
-   the context evolves identically either way, so replaying the region
-   reproduces exactly the swallowed events. *)
+   The writer emits groups 1..17 only.  Groups 18, 19 and 32..255, the
+   tag-pattern dictionary, are read-only: files written before the
+   writer stopped defining patterns carry them, and the decoder keeps
+   reading them with every check.  The dictionary cost most of the
+   encode time and saved at most 3.2% of the raw bytes on the traces
+   measured, and entropy-coded chunks came out smaller without it.
+
+   Two redundancy mechanisms compose: address deltas make regular
+   strides small and repetitive, and the repeat token collapses
+   byte-identical group runs — after delta coding, a constant-stride
+   loop iteration *is* byte identical.  Correctness of repeat
+   suppression rests on a strict rule: the encoder swallows a group into
+   a repeat only when the bytes it just produced from the live context
+   equal the region bytes at the current phase.  Decoding is
+   deterministic given (bytes, context) and the context evolves
+   identically either way, so replaying the region reproduces exactly
+   the swallowed events. *)
 
 module Batch = Event.Batch
 
@@ -47,16 +53,13 @@ let op_repeat = 17
 let op_defpat = 18
 let op_usepat = 19
 let first_short_usepat = 32
-let pat_kmin = 2
 let pat_kmax = 16
 let max_pats = 4096
 
-(* Tandem detection windows: how many trailing groups the encoder can
-   fold into one repeat region, and how many trailing tags it scans for
-   a recurring pattern. *)
+(* Tandem detection window: how many trailing groups the encoder can
+   fold into one repeat region. *)
 let rep_kmax = 32
 let ring_cap = 64 (* 2 * rep_kmax, power of two *)
-let hist_cap = 32 (* 2 * pat_kmax, power of two *)
 
 (* A region shorter than the repeat token itself is not worth a token. *)
 let min_region_bytes = 4
@@ -132,21 +135,6 @@ type encoder = {
   (* chunk-local event context (mirrored by the decoder) *)
   mutable e_cur_tid : int;
   e_hist : history;
-  (* pattern dictionary, reset per chunk *)
-  mutable pats : int array array;
-  mutable npats : int;
-  pat_by_first : int array; (* first tag -> latest pattern id, -1 none *)
-  pat_dict : (string, unit) Hashtbl.t;
-  (* tag history ring for pattern detection *)
-  hist : int array;
-  mutable hist_n : int;
-  (* active pattern instance (at most one: any interleaving event from
-     another thread must flush it to preserve global event order) *)
-  mutable inst_pat : int; (* -1 none *)
-  mutable inst_phase : int;
-  mutable inst_tid : int;
-  inst_arg : int array;
-  inst_len : int array;
   (* group ring + repeat mode *)
   ring : int array; (* start offsets of recent groups *)
   mutable ring_n : int;
@@ -163,17 +151,6 @@ let create_encoder () =
     olen = 0;
     e_cur_tid = 0;
     e_hist = create_history ();
-    pats = Array.make 64 [||];
-    npats = 0;
-    pat_by_first = Array.make 16 (-1);
-    pat_dict = Hashtbl.create 32;
-    hist = Array.make hist_cap 0;
-    hist_n = 0;
-    inst_pat = -1;
-    inst_phase = 0;
-    inst_tid = 0;
-    inst_arg = Array.make pat_kmax 0;
-    inst_len = Array.make pat_kmax 0;
     ring = Array.make ring_cap 0;
     ring_n = 0;
     r_active = false;
@@ -242,9 +219,9 @@ let finalize_repeat e =
     e.ring_n <- 0
   end
 
-(* Emitting a group that cannot participate in repeats (definitions,
-   pattern definitions): close the repeat and empty the detection ring
-   so no region ever spans the barrier. *)
+(* Emitting a group that cannot participate in repeats (a routine
+   definition): close the repeat and empty the detection ring so no
+   region ever spans the barrier. *)
 let barrier e =
   finalize_repeat e;
   e.ring_n <- 0
@@ -324,50 +301,6 @@ let put_operands e ~tag ~tid ~arg ~len =
     else put_varint e arg;
   if (Batch.len_mask lsr tag) land 1 = 1 then put_varint e len
 
-(* After each literal tag, look for a fresh tag tandem and, when found,
-   publish it as a pattern (a barrier group).  Deduplicated per chunk;
-   later occurrences then flow through the instance matcher. *)
-let maybe_define_pattern e =
-  if e.npats < max_pats then begin
-    let n = e.hist_n in
-    let k = ref pat_kmin in
-    let found = ref 0 in
-    while !found = 0 && !k <= pat_kmax && 2 * !k <= min n hist_cap do
-      let i = ref 0 in
-      while
-        !i < !k
-        && e.hist.((n - 1 - !i) land (hist_cap - 1))
-           = e.hist.((n - 1 - !k - !i) land (hist_cap - 1))
-      do
-        incr i
-      done;
-      if !i = !k then found := !k else incr k
-    done;
-    if !found > 0 then begin
-      let k = !found in
-      let tags = Array.init k (fun i -> e.hist.((n - k + i) land (hist_cap - 1))) in
-      let key = String.init k (fun i -> Char.chr tags.(i)) in
-      if not (Hashtbl.mem e.pat_dict key) then begin
-        Hashtbl.add e.pat_dict key ();
-        if e.npats >= Array.length e.pats then begin
-          let grown = Array.make (2 * Array.length e.pats) [||] in
-          Array.blit e.pats 0 grown 0 e.npats;
-          e.pats <- grown
-        end;
-        let id = e.npats in
-        e.pats.(id) <- tags;
-        e.npats <- id + 1;
-        e.pat_by_first.(tags.(0)) <- id;
-        barrier e;
-        put_byte e op_defpat;
-        put_varint e k;
-        for i = 0 to k - 1 do
-          put_byte e tags.(i)
-        done
-      end
-    end
-  end
-
 (* Thread switches are the only place a new tid enters the context
    (the chunk starts on tid 0, which the history always covers). *)
 let switch_tid e tid =
@@ -378,83 +311,18 @@ let switch_tid e tid =
     e.e_cur_tid <- tid
   end
 
-let emit_literal e ~tag ~tid ~arg ~len =
-  let g = e.olen in
-  switch_tid e tid;
-  put_byte e tag;
-  put_operands e ~tag ~tid ~arg ~len;
-  commit_group e g;
-  e.hist.(e.hist_n land (hist_cap - 1)) <- tag;
-  e.hist_n <- e.hist_n + 1;
-  maybe_define_pattern e
-
-let complete_instance e =
-  let id = e.inst_pat in
-  let tags = e.pats.(id) in
-  let k = Array.length tags in
-  let tid = e.inst_tid in
-  e.inst_pat <- -1;
-  let g = e.olen in
-  switch_tid e tid;
-  if id < 256 - first_short_usepat then put_byte e (first_short_usepat + id)
-  else begin
-    put_byte e op_usepat;
-    put_varint e id
-  end;
-  for i = 0 to k - 1 do
-    put_operands e ~tag:tags.(i) ~tid ~arg:e.inst_arg.(i) ~len:e.inst_len.(i)
-  done;
-  commit_group e g
-
-(* Flush a dead instance attempt back out as the literal events it
-   buffered; they re-enter history/detection but not instance matching
-   ([inst_pat] is already cleared, and [emit_literal] never matches). *)
-let abort_instance e =
-  if e.inst_pat >= 0 then begin
-    let tags = e.pats.(e.inst_pat) in
-    let phase = e.inst_phase and tid = e.inst_tid in
-    e.inst_pat <- -1;
-    for i = 0 to phase - 1 do
-      emit_literal e ~tag:tags.(i) ~tid ~arg:e.inst_arg.(i)
-        ~len:e.inst_len.(i)
-    done
-  end
-
-let process_event e ~tag ~tid ~arg ~len =
-  let pid = e.pat_by_first.(tag) in
-  if pid >= 0 then begin
-    (* Patterns are at least two tags long, so the instance cannot
-       complete on its first event. *)
-    e.inst_pat <- pid;
-    e.inst_tid <- tid;
-    e.inst_phase <- 1;
-    e.inst_arg.(0) <- arg;
-    e.inst_len.(0) <- len
-  end
-  else emit_literal e ~tag ~tid ~arg ~len
-
 let add_event e ~tag ~tid ~arg ~len =
   if tid < 0 || tid > Event.max_tid then
     invalid_arg
       (Printf.sprintf "Trace_codec: tid %d out of range for format version 3"
          tid);
-  if e.inst_pat >= 0 then begin
-    let tags = e.pats.(e.inst_pat) in
-    if tid = e.inst_tid && tag = tags.(e.inst_phase) then begin
-      e.inst_arg.(e.inst_phase) <- arg;
-      e.inst_len.(e.inst_phase) <- len;
-      e.inst_phase <- e.inst_phase + 1;
-      if e.inst_phase = Array.length tags then complete_instance e
-    end
-    else begin
-      abort_instance e;
-      process_event e ~tag ~tid ~arg ~len
-    end
-  end
-  else process_event e ~tag ~tid ~arg ~len
+  let g = e.olen in
+  switch_tid e tid;
+  put_byte e tag;
+  put_operands e ~tag ~tid ~arg ~len;
+  commit_group e g
 
 let add_def e id name =
-  abort_instance e;
   barrier e;
   put_byte e op_def;
   put_varint e id;
@@ -468,16 +336,11 @@ let add_def e id name =
    payload out, and reset the per-chunk context so the next chunk is
    independently decodable. *)
 let take_chunk e =
-  abort_instance e;
   barrier e;
   let chunk = Bytes.sub e.out 0 e.olen in
   e.olen <- 0;
   e.e_cur_tid <- 0;
   e.e_hist.cur_epoch <- e.e_hist.cur_epoch + 1;
-  e.npats <- 0;
-  Hashtbl.reset e.pat_dict;
-  Array.fill e.pat_by_first 0 16 (-1);
-  e.hist_n <- 0;
   e.ring_n <- 0;
   chunk
 

@@ -1,12 +1,11 @@
 (** A minimal fork/join job pool: the one task runner of parallel
     replay, its sharded engine included.
 
-    On OCaml 5 a {!run} of [n] tasks spawns [min jobs n - 1] [Domain]s
-    and works beside them on the calling one; each takes the next task
-    index from a shared atomic counter until none is left.  On 4.x the build
-    selects a sequential backend with identical semantics, so callers
-    never need to know which they got — the parallel replay engine
-    degrades to ordinary sequential replay.
+    A {!run} of [n] tasks spawns [min jobs n - 1] [Domain]s and works
+    beside them on the calling one; each takes the next task index from
+    a shared atomic counter until none is left.  A pool of one job (the
+    default on a one-core host) runs every task on the caller, in index
+    order.
 
     Tasks of one {!run} must be independent: they may run in any order,
     concurrently, and must not share mutable state unless that state is
@@ -16,7 +15,7 @@
 type t
 
 (** [available_parallelism ()] is the number of hardware-backed domains
-    worth spawning ([Domain.recommended_domain_count]; 1 on OCaml 4). *)
+    worth spawning ([Domain.recommended_domain_count]). *)
 val available_parallelism : unit -> int
 
 (** [create ?jobs ()] is a pool running at most [jobs] tasks at once
@@ -31,8 +30,3 @@ val jobs : t -> int
     exception of the lowest-indexed failing task is re-raised —
     deterministic regardless of scheduling. *)
 val run : t -> (unit -> unit) array -> unit
-
-(** Whether {!run} can actually overlap tasks: [true] on the OCaml 5
-    Domain backend, [false] on the 4.x sequential backend.  Benchmarks
-    record it so a flat scaling curve is attributable. *)
-val parallel_backend : bool

@@ -167,6 +167,47 @@ let rejects_garbage () =
   check_error "truncated at a record boundary (marker missing)" unterminated;
   check_error "unknown tag" (unterminated ^ "\xff\x00");
   check_error "trailing data after marker" (valid ^ "x");
+  (* After the end marker only the footer may follow, and after the
+     footer nothing: bytes that merely start like a magic are refused
+     as what they are, by [of_string] and the file reader alike. *)
+  let indexed =
+    let file = Filename.temp_file "aprof_test" ".atrc" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Out_channel.with_open_bin file (fun oc ->
+            let sink = Codec.batch_writer oc in
+            Trace.replay (Trace.of_list [ Event.Read { tid = 1; addr = 2 } ])
+              sink.Stream.emit_batch;
+            sink.Stream.close_batch ());
+        In_channel.with_open_bin file In_channel.input_all)
+  in
+  let file_error s =
+    let file = Filename.temp_file "aprof_test" ".atrc" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Out_channel.with_open_bin file (fun oc -> output_string oc s);
+        match
+          In_channel.with_open_bin file (fun ic ->
+              Codec.read ~on_corrupt:`Fail ic ignore)
+        with
+        | _ -> None
+        | exception Stream.Decode_error m -> Some m)
+  in
+  List.iter
+    (fun (name, s, message) ->
+      check_error ~message name s;
+      Alcotest.(check (option string))
+        (name ^ ": file reader") (Some message) (file_error s))
+    [
+      ("indexed + A", indexed ^ "A", "trailing data after shard index");
+      ("indexed + AT", indexed ^ "AT", "trailing data after shard index");
+      ("indexed + X", indexed ^ "X", "trailing data after shard index");
+      ("marker + A", valid ^ "A", "truncated shard index");
+      ("marker + AT", valid ^ "AT", "truncated shard index");
+      ("marker + ATR", valid ^ "ATR", "truncated shard index");
+    ];
   (* Text files must not be mistaken for binary ones. *)
   let file = Filename.temp_file "aprof_test" ".trace" in
   Out_channel.with_open_bin file (fun oc -> output_string oc "C 0 1\nR 0\n");

@@ -204,6 +204,142 @@ let drivers_return_input =
          | None -> QCheck2.Test.fail_reportf "sessions: no shard index");
          true))
 
+(* --- version-3 files with tag patterns -------------------------------- *)
+
+(* The writer no longer defines tag patterns, but every version-3 file
+   written before it stopped may carry them, so the reader's half of the
+   dictionary (groups 18, 19 and 32..255) is tested on a committed
+   fixture: golden/v3_patterns_{raw,entropy}.bin.  Nothing in the
+   repository writes these files.  They were written by the last writer
+   that defined patterns (commit ea7d47c), raw and with the entropy
+   stage, as [batch_writer ~chunk_bytes:4096 ~format_version:3] over
+   [long_pattern_prelude ()] followed by swaptions (4 threads, scale 60,
+   seed 1); then one hand-assembled chunk was framed in before the end
+   marker and the footer rewritten to index all three chunks.  The
+   expected events come from that generating code, never from today's
+   writer:
+
+   - chunk 0 holds the prelude and defines more than 224 patterns, so
+     besides definitions (18) and short uses (32..255) it holds long
+     uses (19, ids 224 and up), two of them inside repeat regions;
+   - chunk 1 (swaptions) restarts the dictionary, and most of its short
+     uses sit inside repeat regions;
+   - chunk 2, stored raw in both files, is the case the writer cannot
+     reach within one chunk: a use of a pattern that a later definition
+     with the same first tag displaced.  The writer starts every
+     instance at the newest pattern for its first tag, so once pattern 1
+     (Read, Read) is defined, a Read–Write pair of that chunk goes out as
+     literals, never as pattern 0.  Its bytes: transform 0x01; 12 04 03
+     04 defines pattern 0 = (Read, Write); 12 04 03 03 defines pattern 1
+     = (Read, Read); 20 20 30 uses pattern 0 with address deltas 16 and
+     24; 21 20 20 uses pattern 1 with deltas 16 and 16 against the
+     depth-2 registers, giving [displaced_events]. *)
+let pattern_fixtures =
+  [
+    ("v3_patterns_raw.bin", "955d4de8988900713e4b40b68b29901a");
+    ("v3_patterns_entropy.bin", "05dcc695b72ef0c0abc42d6274856ed4");
+  ]
+
+let fixture_bytes name =
+  In_channel.with_open_bin (Test_golden.golden_path name) In_channel.input_all
+
+(* Every ordered pair of the thirteen tags after [Call], each twice in a
+   row, then triples, then a strided loop over one triple: more than 224
+   distinct tag tandems in one chunk. *)
+let long_pattern_prelude () =
+  let tr = Trace.create () in
+  let event tag i : Event.t =
+    let tid = 0 in
+    match tag with
+    | 2 -> Return { tid }
+    | 3 -> Read { tid; addr = 8 * i }
+    | 4 -> Write { tid; addr = 8 * i }
+    | 5 -> Block { tid; units = 1 + (i land 3) }
+    | 6 -> User_to_kernel { tid; addr = 64; len = 4 }
+    | 7 -> Kernel_to_user { tid; addr = 64; len = 4 }
+    | 8 -> Acquire { tid; lock = 1 }
+    | 9 -> Release { tid; lock = 1 }
+    | 10 -> Alloc { tid; addr = 128; len = 2 }
+    | 11 -> Free { tid; addr = 128; len = 2 }
+    | 12 -> Thread_start { tid }
+    | 13 -> Thread_exit { tid }
+    | _ -> Switch_thread { tid }
+  in
+  let push tags i = List.iter (fun tag -> Trace.push tr (event tag i)) tags in
+  let tags = List.init 13 (fun i -> i + 2) in
+  List.iter (fun x -> List.iter (fun y -> push [ x; y; x; y ] 0) tags) tags;
+  List.iter
+    (fun x -> List.iter (fun y -> push [ x; y; 3; x; y; 3 ] 0) tags)
+    [ 4; 5; 6; 7; 8 ];
+  for i = 0 to 9 do
+    push [ 8; 14; 3 ] i
+  done;
+  tr
+
+let displaced_events =
+  Event.
+    [
+      Read { tid = 0; addr = 16 };
+      Write { tid = 0; addr = 24 };
+      Read { tid = 0; addr = 32 };
+      Read { tid = 0; addr = 40 };
+    ]
+
+(* What the fixture's generating code wrote: event lines and names. *)
+let fixture_input =
+  lazy
+    (let spec = Option.get (Aprof_workloads.Registry.find "swaptions") in
+     let result =
+       Aprof_workloads.Workload.run_spec spec ~threads:4 ~scale:60 ~seed:1
+     in
+     let trace = Trace.create () in
+     Trace.replay (long_pattern_prelude ()) (Trace.add_batch trace);
+     Trace.replay result.Aprof_vm.Interp.trace (Trace.add_batch trace);
+     List.iter (Trace.push trace) displaced_events;
+     writer_input
+       ~routine_name:
+         (Aprof_trace.Routine_table.name result.Aprof_vm.Interp.routines)
+       trace)
+
+(* Where two outcomes part: the first event line that differs. *)
+let difference got want =
+  match (got, want) with
+  | Decoded (g, _), Decoded (w, _) when g <> w ->
+    let rec first i = function
+      | x :: xs, y :: ys when x = y -> first (i + 1) (xs, ys)
+      | x :: _, y :: _ -> Printf.sprintf "event %d is %S, expected %S" i x y
+      | [], y :: _ -> Printf.sprintf "no event %d, expected %S" i y
+      | x :: _, [] -> Printf.sprintf "extra event %d %S" i x
+      | [], [] -> assert false
+    in
+    first 0 (g, w)
+  | _ -> Printf.sprintf "%s, expected %s" (show got) (show want)
+
+let pattern_fixture_decodes () =
+  let lines, defs = Lazy.force fixture_input in
+  let expected = Decoded (lines, defs) in
+  List.iter
+    (fun (name, md5) ->
+      let s = fixture_bytes name in
+      Alcotest.(check string)
+        (name ^ ": pinned bytes") md5
+        (Digest.to_hex (Digest.string s));
+      List.iter
+        (fun (driver, got, want) ->
+          if got <> want then
+            Alcotest.failf "%s, %s: %s" name driver (difference got want))
+        [
+          ("of_string", of_string s, expected);
+          ("file", file s, sorted expected);
+          ("push, 1-byte slices", push ~slice:1 s, expected);
+          ("push, 7-byte slices", push ~slice:7 s, expected);
+          ("push, whole", push ~slice:(String.length s) s, expected);
+          ( "sessions",
+            Option.value (sessions s) ~default:Refused,
+            sorted expected );
+        ])
+    pattern_fixtures
+
 type mutation =
   | Flip of int * int
   | Cut of int
@@ -244,22 +380,37 @@ let gen_mutation =
    chunk session over a parseable index either refuses or agrees with a
    successful stream read — except on version 1, whose chunks carry no
    checksum: a damaged record decodes differently from a chunk start
-   than from the stream's. *)
+   than from the stream's.  The bytes are a fresh encoding of the case's
+   trace or, in about one case in eight, a pattern fixture (read with
+   the case's slice sizes). *)
 let drivers_agree_on_damage =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"damaged bytes: drivers agree or refuse"
        ~count:400
-       ~print:(fun (case, m) -> show_mutation m ^ "\n" ^ print_case case)
-       QCheck2.Gen.(pair gen_case gen_mutation)
-       (fun (case, m) ->
+       ~print:(fun (case, fixture, m) ->
+         show_mutation m ^ "\n"
+         ^ Option.fold ~none:"" ~some:(Printf.sprintf "bytes of %s\n") fixture
+         ^ print_case case)
+       QCheck2.Gen.(
+         triple gen_case
+           (frequency
+              [
+                (7, pure None);
+                (1, map Option.some (oneofl (List.map fst pattern_fixtures)));
+              ])
+           gen_mutation)
+       (fun (case, fixture, m) ->
          let trace, (format_version, entropy), chunk_bytes, slice, writer_chunk =
            case
          in
-         let s =
-           apply
-             (encode ~chunk_bytes:writer_chunk ~format_version ~entropy trace)
-             m
+         let s, format_version =
+           match fixture with
+           | Some name -> (fixture_bytes name, 3)
+           | None ->
+             ( encode ~chunk_bytes:writer_chunk ~format_version ~entropy trace,
+               format_version )
          in
+         let s = apply s m in
          let stream = of_string s in
          let reference = sorted stream and table = as_table stream in
          List.iter
@@ -572,6 +723,8 @@ let suite =
   [
     drivers_return_input;
     drivers_agree_on_damage;
+    Alcotest.test_case "v3 pattern fixture decodes on every driver" `Quick
+      pattern_fixture_decodes;
     Alcotest.test_case "footer drift: one outcome on every driver" `Quick
       footer_drift;
     Alcotest.test_case "salvage paths report one drop record" `Quick

@@ -215,7 +215,7 @@ let misstated_entry_is_refused () =
   let pool = Par.create ~jobs:2 () in
   List.iter
     (fun format_version ->
-      with_shards ~format_version ~chunk_bytes:1024 result.Interp.trace
+      with_shards ~format_version ~chunk_bytes:512 result.Interp.trace
         (fun shards ->
           let chunks = shards.Tool.Shards.chunks in
           Alcotest.(check bool) "several chunks" true
