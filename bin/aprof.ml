@@ -110,6 +110,20 @@ let run_meta name threads scale seed scheduler =
     scheduler = Aprof_vm.Scheduler.policy_name scheduler;
   }
 
+(* [load_or_exit load path]: a dump or store that cannot be read or
+   parsed ends the command with status 2. *)
+let load_or_exit load path =
+  match load path with
+  | Ok v -> v
+  | Error e ->
+    Printf.eprintf "cannot load %s: %s\n" path e;
+    exit 2
+
+let names_of names id =
+  match List.assoc_opt id names with
+  | Some n -> n
+  | None -> Printf.sprintf "routine_%d" id
+
 (* ----- list ----------------------------------------------------------- *)
 
 let list_cmd =
@@ -132,10 +146,11 @@ let run_cmd =
     (match output with
     | Some path ->
       Out_channel.with_open_text path (fun oc ->
-          Aprof_core.Profile_io.save oc
-            ~routine_name:(Aprof_trace.Routine_table.name tbl)
-            ~meta:(run_meta name threads scale seed scheduler)
-            profile);
+          output_string oc
+            (Aprof_core.Profile_io.to_string
+               ~routine_name:(Aprof_trace.Routine_table.name tbl)
+               ~meta:(run_meta name threads scale seed scheduler)
+               profile));
       Printf.printf "profile written to %s\n" path
     | None ->
       Format.printf "%a@."
@@ -160,18 +175,10 @@ let run_cmd =
 
 let report_cmd =
   let run path =
-    match In_channel.with_open_text path Aprof_core.Profile_io.load with
-    | Error e ->
-      Printf.eprintf "cannot load %s: %s\n" path e;
-      exit 2
-    | Ok (profile, names) ->
-      let name id =
-        match List.assoc_opt id names with
-        | Some n -> n
-        | None -> Printf.sprintf "routine_%d" id
-      in
-      print_string
-        (Aprof_core.Profile_io.render_report ~routine_name:name profile)
+    let profile, names, _ = load_or_exit Aprof_core.Profile_io.load path in
+    print_string
+      (Aprof_core.Profile_io.render_report ~routine_name:(names_of names)
+         profile)
   in
   let path_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
@@ -256,18 +263,11 @@ let fit_cmd =
       | None, None ->
         Printf.eprintf "nothing to fit: give a WORKLOAD or --profile FILE\n";
         exit 2
-      | None, Some path -> (
-        match In_channel.with_open_text path Aprof_core.Profile_io.load_meta with
-        | Error e ->
-          Printf.eprintf "cannot load %s: %s\n" path e;
-          exit 2
-        | Ok (profile, names, meta) ->
-          let routine_name id =
-            match List.assoc_opt id names with
-            | Some n -> n
-            | None -> Printf.sprintf "routine_%d" id
-          in
-          (profile, routine_name, meta))
+      | None, Some path ->
+        let profile, names, meta =
+          load_or_exit Aprof_core.Profile_io.load path
+        in
+        (profile, names_of names, meta)
       | Some name, None ->
         let _, profile, tbl = profile_run name threads scale seed scheduler in
         ( profile,
@@ -295,7 +295,7 @@ let fit_cmd =
       List.iter
         (fun (e : Store.entry) ->
           Printf.printf "%-28s %-5s %-14s %8.4f %6.2f %10s\n" e.Store.routine
-            (Store.metric_name e.Store.metric)
+            (Aprof_core.Profile_io.metric_name e.Store.metric)
             (Basis.name e.Store.cls) e.Store.r2 e.Store.confidence
             (match e.Store.exponent with
             | Some (k, _, _) -> Printf.sprintf "n^%.2f" k
@@ -306,7 +306,8 @@ let fit_cmd =
     | Some path ->
       let entries = Lazy.force entries in
       let store = Store.create ?meta entries in
-      Out_channel.with_open_text path (fun oc -> Store.save oc store);
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Store.to_string store));
       Printf.printf "%d fitted models written to %s\n" (List.length entries)
         path
   in
@@ -361,20 +362,10 @@ let fit_cmd =
 let diff_cmd =
   let module Store = Aprof_analysis.Model_store in
   let module Diff = Aprof_analysis.Cost_diff in
-  let load_store path =
-    match In_channel.with_open_text path Store.load with
-    | Ok s -> s
-    | Error e ->
-      Printf.eprintf "cannot load %s: %s\n" path e;
-      exit 2
-    | exception Sys_error msg ->
-      Printf.eprintf "cannot load %s: %s\n" path msg;
-      exit 2
-  in
   let run old_path new_path json fail_on_regression min_confidence slope_ratio
       ignore_meta =
-    let old_store = load_store old_path in
-    let new_store = load_store new_path in
+    let old_store = load_or_exit Store.load old_path in
+    let new_store = load_or_exit Store.load new_path in
     match
       Diff.diff ~min_confidence ~slope_ratio ~require_meta:(not ignore_meta)
         old_store new_store
@@ -875,16 +866,15 @@ let merge_cmd =
     let merged = ref 0 in
     List.iter
       (fun path ->
-        match In_channel.with_open_text path Aprof_core.Profile_io.load with
-        | Ok (p, ns) ->
+        match Aprof_core.Profile_io.load path with
+        | Ok (p, ns, _) ->
           Aprof_core.Profile.merge_into ~into:profile p;
           List.iter
             (fun (id, n) ->
               if not (Hashtbl.mem names id) then Hashtbl.add names id n)
             ns;
           incr merged
-        | Error e -> failures := (path, e) :: !failures
-        | exception Sys_error msg -> failures := (path, msg) :: !failures)
+        | Error e -> failures := (path, e) :: !failures)
       inputs;
     let routine_name id =
       match Hashtbl.find_opt names id with
@@ -894,7 +884,8 @@ let merge_cmd =
     (match output with
     | Some path ->
       Out_channel.with_open_text path (fun oc ->
-          Aprof_core.Profile_io.save oc ~routine_name profile);
+          output_string oc
+            (Aprof_core.Profile_io.to_string ~routine_name profile));
       Printf.printf "merged %d of %d profiles into %s\n" !merged
         (List.length inputs) path
     | None ->
@@ -1229,8 +1220,8 @@ let fleet_cmd =
     let clients =
       List.map
         (fun path ->
-          match In_channel.with_open_text path Aprof_core.Profile_io.load with
-          | Ok (p, ns) ->
+          match Aprof_core.Profile_io.load path with
+          | Ok (p, ns, _) ->
             Aprof_core.Profile.merge_into ~into:merged p;
             List.iter
               (fun (id, n) ->
@@ -1255,17 +1246,6 @@ let fleet_cmd =
               bytes = 0;
               seconds = 0.;
               error = Some e;
-            }
-          | exception Sys_error msg ->
-            failures := (path, msg) :: !failures;
-            {
-              Aprof_serve.Fleet.name = path;
-              events = 0;
-              traces = 0;
-              drops = 0;
-              bytes = 0;
-              seconds = 0.;
-              error = Some msg;
             })
         inputs
     in

@@ -1,3 +1,5 @@
+module Profile_io = Aprof_core.Profile_io
+
 type severity = Regression | Improvement | Info
 
 type change =
@@ -190,10 +192,10 @@ let diff ?(min_confidence = 0.7) ?(slope_ratio = 2.0) ?(require_meta = true)
         (fun a b ->
           compare
             ( a.routine,
-              Option.map Model_store.metric_name a.metric,
+              Option.map Profile_io.metric_name a.metric,
               a.severity )
             ( b.routine,
-              Option.map Model_store.metric_name b.metric,
+              Option.map Profile_io.metric_name b.metric,
               b.severity ))
         (pair_findings @ div_findings)
     in
@@ -218,7 +220,7 @@ let severity_name = function
 let change_line f =
   let where =
     match f.metric with
-    | Some m -> Printf.sprintf "%s [%s]" f.routine (Model_store.metric_name m)
+    | Some m -> Printf.sprintf "%s [%s]" f.routine (Profile_io.metric_name m)
     | None -> f.routine
   in
   match f.change with
@@ -280,7 +282,7 @@ let to_json report =
         | Info -> "info");
       (match f.metric with
       | Some m ->
-        Printf.bprintf buf ", \"metric\": \"%s\"" (Model_store.metric_name m)
+        Printf.bprintf buf ", \"metric\": \"%s\"" (Profile_io.metric_name m)
       | None -> ());
       (match f.change with
       | Class_change { old_cls; new_cls; old_confidence; new_confidence } ->

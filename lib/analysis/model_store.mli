@@ -7,15 +7,16 @@
     compared by {!Cost_diff} (and refused when they describe incomparable
     runs).
 
-    The format is line-oriented CSV opened by a [costmodel,<version>]
-    header, in the spirit of {!Profile_io}: versions newer than
-    {!format_version} are rejected with an explicit error rather than
-    misparsed.  Routine names come last on their line so that names
-    containing commas survive. *)
+    A store is a {!Aprof_util.Line_record} file, as a profile dump is
+    (that module owns the layout: fields, line ends, the header and the
+    rule that no blank is trimmed), opened by a [costmodel,<version>]
+    header: versions newer than {!format_version} are rejected with an
+    explicit error rather than misparsed.  Routine names come last on
+    their line, verbatim, so that names holding commas or leading and
+    trailing blanks survive.  Metrics are written as
+    {!Aprof_core.Profile_io.metric_name} tokens. *)
 
 type metric = [ `Drms | `Rms ]
-
-val metric_name : metric -> string
 
 type entry = {
   routine : string;  (** routine name (stable across runs, unlike ids) *)
@@ -30,7 +31,7 @@ type entry = {
 
 type t = { meta : Aprof_core.Run_meta.t option; entries : entry list }
 
-(** The version written by {!save}; loading rejects anything newer. *)
+(** The version {!to_string} writes; loading rejects anything newer. *)
 val format_version : int
 
 val create : ?meta:Aprof_core.Run_meta.t -> entry list -> t
@@ -54,15 +55,19 @@ val find : t -> routine:string -> metric:metric -> entry option
 (** [routines t] — distinct routine names, sorted. *)
 val routines : t -> string list
 
-(** [to_string t] is the store as written by {!save}.
-    @raise Invalid_argument when a routine name holds a CR or LF
-    ({!Aprof_core.Profile_io.writable_name}). *)
+(** [to_string t] is the store's text.
+    @raise Invalid_argument when the store holds what {!of_string} could
+    not return: a routine name with a CR or LF, run metadata that
+    {!Aprof_core.Run_meta.write} refuses, a present exponent whose [k]
+    is nan (a missing one is written as nan), or a coefficient count
+    other than its class's {!Fit_basis.param_count}. *)
 val to_string : t -> string
 
-(** [of_string s] parses a dump; [Error] carries a line number.  A
+(** [of_string s] parses a store; [Error] carries a line number.  A
     model line whose coefficient count is not its class's
     {!Fit_basis.param_count} is an error. *)
 val of_string : string -> (t, string) result
 
-val save : out_channel -> t -> unit
-val load : in_channel -> (t, string) result
+(** [load path] is {!of_string} of the file at [path]; a file that
+    cannot be read is an [Error] too. *)
+val load : string -> (t, string) result

@@ -122,9 +122,10 @@ let cell_slow t ~tid ~routine c =
 
 let cell t ~tid ~routine =
   let c = code ~tid ~routine in
-  if c = t.last_code then
-    match t.last_cell with Some cl -> cl | None -> assert false
-  else cell_slow t ~tid ~routine c
+  (* A fresh profile's [last_code] is a code too (tid 2^30, routine 0). *)
+  match t.last_cell with
+  | Some cl when c = t.last_code -> cl
+  | _ -> cell_slow t ~tid ~routine c
 
 let bump_acc a cost fcost =
   a.a_calls <- a.a_calls + 1;

@@ -1,14 +1,18 @@
 (** Saving and loading profiles.
 
-    The format is plain CSV, opened by a [format,<version>] header line
-    (see {!format_version}; dumps without the header are read as the
-    original version-1 format), followed by records of two kinds, one
-    line each:
+    A dump is a {!Aprof_util.Line_record} file (that module owns the
+    layout: fields, line ends, the header and the rule that no blank is
+    trimmed, so a routine name ending in a space reads back with it),
+    opened by a [format,<version>] header (see {!format_version}; dumps
+    without the header are read as the original version-1 format),
+    followed by records of three kinds, one line each:
 
-    - [point,<tid>,<routine>,<metric>,<input>,<calls>,<max>,<min>,<sum>,<sumsq>]
-      — one performance point ([metric] is [drms] or [rms]);
+    - [agg,<tid>,<routine>,<activations>,<sum_rms>,<sum_drms>,<total_cost>]
+      — the activation totals;
     - [ops,<tid>,<routine>,<plain>,<induced_thread>,<induced_external>]
-      — the first-read operation counters.
+      — the first-read operation counters;
+    - [point,<tid>,<routine>,<metric>,<input>,<calls>,<max>,<min>,<sum>,<sumsq>]
+      — one performance point ([metric] is [drms] or [rms]).
 
     A [routine,<id>,<name>] line per interned routine makes dumps
     self-describing, and (since format 3) an optional
@@ -19,52 +23,42 @@
     aggregates are reconstructed exactly; per-activation history is not
     retained by profiles in the first place). *)
 
-(** The version written by {!save}.  Loading accepts any version up to
+(** The version {!to_string} writes.  Loading accepts any version up to
     this one (and headerless version-1 dumps); newer versions are
     rejected with an explicit error rather than misparsed. *)
 val format_version : int
 
-(** [writable_name s] is whether [s] can be written as a routine name:
-    it holds no CR or LF, either of which would end its record early
-    and let the rest of the name read as records of its own. *)
-val writable_name : string -> bool
+(** The [drms]/[rms] token of a metric, in profile dumps and model
+    stores alike. *)
+val metric_name : [ `Drms | `Rms ] -> string
 
-(** [save oc ?routine_name ?meta profile] writes the profile as CSV.
-    [routine_name] adds the name table and [meta] the run-metadata line
-    when available; a name is written as given.
-    @raise Invalid_argument when a name is not {!writable_name}. *)
-val save :
-  out_channel ->
-  ?routine_name:(int -> string) ->
-  ?meta:Run_meta.t ->
-  Profile.t ->
-  unit
+(** [metric f] reads a {!metric_name} token as the next field. *)
+val metric : Aprof_util.Line_record.fields -> [ `Drms | `Rms ]
 
-(** [load ic] parses a dump; returns the profile and the routine name
-    table found in it (empty list when the dump had none).
-    Returns [Error] with a line number on malformed input. *)
-val load :
-  in_channel -> (Profile.t * (int * string) list, string) result
-
-(** [load_meta ic] is {!load} plus the run metadata, when the dump
-    carries a [meta] line. *)
-val load_meta :
-  in_channel ->
-  ( Profile.t * (int * string) list * Run_meta.t option,
-    string )
-  result
-
-(** [to_string] / [of_string] / [of_string_meta] — same, via strings
-    (for tests). *)
+(** [to_string ?routine_name ?meta profile] is the dump of [profile].
+    [routine_name] adds the name table and [meta] the run-metadata line;
+    a name is written as given.
+    @raise Invalid_argument when a name or [meta] holds text the reader
+    could not return ({!Aprof_util.Line_record}). *)
 val to_string :
   ?routine_name:(int -> string) ->
   ?meta:Run_meta.t ->
   Profile.t ->
   string
 
-val of_string : string -> (Profile.t * (int * string) list, string) result
+(** [of_string s] parses a dump: the profile, the routine name table
+    found in it (empty when the dump had none) and the run metadata,
+    when the dump carries a [meta] line.  Returns [Error] with a line
+    number on malformed input. *)
+val of_string :
+  string ->
+  ( Profile.t * (int * string) list * Run_meta.t option,
+    string )
+  result
 
-val of_string_meta :
+(** [load path] is {!of_string} of the file at [path]; a file that
+    cannot be read is an [Error] too. *)
+val load :
   string ->
   ( Profile.t * (int * string) list * Run_meta.t option,
     string )

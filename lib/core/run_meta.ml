@@ -6,27 +6,20 @@ type t = {
   scheduler : string;
 }
 
-let to_fields t =
-  [
-    t.workload;
-    string_of_int t.seed;
-    string_of_int t.scale;
-    string_of_int t.threads;
-    t.scheduler;
-  ]
+module L = Aprof_util.Line_record
 
-let of_fields = function
-  | workload :: seed :: scale :: threads :: rest when rest <> [] -> (
-    (* The scheduler name is last and may itself contain commas
-       (e.g. "random(8-96)" is safe today, but stay robust). *)
-    let scheduler = String.concat "," rest in
-    match
-      (int_of_string_opt seed, int_of_string_opt scale, int_of_string_opt threads)
-    with
-    | Some seed, Some scale, Some threads ->
-      Ok { workload; seed; scale; threads; scheduler }
-    | _ -> Error "bad run metadata: non-integer seed/scale/threads")
-  | _ -> Error "bad run metadata: expected workload,seed,scale,threads,scheduler"
+let write w t =
+  L.record w "meta";
+  L.add_text w t.workload;
+  List.iter (L.add_int w) [ t.seed; t.scale; t.threads ];
+  L.add_last w t.scheduler
+
+let read f =
+  let workload = L.text f in
+  let seed = L.int f in
+  let scale = L.int f in
+  let threads = L.int f in
+  { workload; seed; scale; threads; scheduler = L.last f }
 
 let compatible ~old_run ~new_run =
   let mismatch what a b = Error (Printf.sprintf "%s differs (%s vs %s)" what a b) in

@@ -15,18 +15,22 @@
      queue if more is queued;
    - one snapshot systhread polling the timer / SIGHUP-style requests.
 
-   One lock: [t.m] guards every shared field — each connection's
-   queued slices, queued-byte count, end-of-stream flag, run state,
-   counters and descriptor holds, the run queue and the daemon's
-   bookkeeping.  Reads, decodes and folds run outside it ([Shard_acc]
-   keeps its own lock).  A reader's push and a worker's "nothing
+   One lock: [t.m] guards every shared field but the two request flags
+   — each connection's queued slices, queued-byte count, end-of-stream
+   flag, run state, counters and descriptor holds, the run queue and
+   the daemon's bookkeeping.  Reads, decodes and folds run outside it
+   ([Shard_acc] keeps its own lock).  A reader's push and a worker's "nothing
    queued, so idle" both run under it, so a push lands either before
    the worker looks (and the worker re-queues the connection) or after
    (and the push schedules it).  A connection is in the run queue or
    claimed at most once ([c_busy]), so exactly one worker at a time
    touches its decoder and driver — they need no lock of their own,
    and may move between workers from one claim to the next because
-   [feed] finishes every chunk it opens before it returns.
+   [feed] finishes every chunk it opens before it returns.  A stop or
+   snapshot request only sets an atomic flag, since signal handlers
+   make it and one may run on a thread that holds [t.m]; the snapshot
+   thread, awake every 50 ms, turns a stop request into the locked
+   wake-up [wait] blocks on.
 
    Ownership: a worker owns one decode scratch ([Trace_net.scratch]),
    created when it starts and lent to every feed it runs.  The daemon
@@ -115,14 +119,14 @@ type t = {
   next_id : int Atomic.t;
   m : Mutex.t;  (* the one lock: every mutable field below *)
   work : Condition.t;  (* a connection was queued, or [quit] *)
-  stop_c : Condition.t;  (* [stop_requested] or [stopped] changed *)
+  stop_c : Condition.t;  (* [stop_requested] was seen or [stopped] changed *)
   runq : conn Queue.t;
   mutable live : int;
-  mutable stop_requested : bool;
+  stop_requested : bool Atomic.t;  (* no lock: see [request_stop] *)
   mutable quit : bool;  (* workers and the snapshot thread exit *)
   mutable stop_running : bool;  (* one thread owns the stop sequence *)
   mutable stopped : bool;
-  mutable snapshot_requested : bool;
+  snapshot_requested : bool Atomic.t;
   mutable conns : conn list;  (* every ingest conn ever, newest first *)
   fronts : (Unix.file_descr, unit) Hashtbl.t;
       (* peers not routed yet or on a control line: not in [conns] *)
@@ -202,44 +206,55 @@ let schedule t c =
     Condition.signal t.work
   end
 
-(* The reader and the decoding side each hold the descriptor; the last
-   to let go closes it, so no thread can close (and the system reuse) a
-   descriptor another still reads or shuts down. *)
-let let_go t c =
-  locked t (fun () ->
-      c.c_fd_holds <- c.c_fd_holds - 1;
-      if c.c_fd_holds = 0 then
-        try Unix.close c.c_fd with Unix.Unix_error _ -> ())
+(* Under [t.m]: the reader and the decoding side each hold the
+   descriptor; the last to let go closes it, so no thread can close (and
+   the system reuse) a descriptor another still reads or shuts down. *)
+let drop_hold c =
+  c.c_fd_holds <- c.c_fd_holds - 1;
+  if c.c_fd_holds = 0 then try Unix.close c.c_fd with Unix.Unix_error _ -> ()
 
-(* Terminal transition of a connection; idempotent, callable from the
-   reader (idle timeout, read error), a worker (end of stream or decode
-   error) or the stop sequence (forced shutdown).  It gives the queued
-   slices back, wakes a reader waiting for room, shuts the socket down
-   and schedules the connection, so a worker releases its decoder. *)
-let finish t ?error c =
-  let first =
-    locked t (fun () ->
-        let first = not c.c_done in
-        if first then begin
-          c.c_done <- true;
-          c.c_finished <- now ();
-          c.c_error <- error;
-          Queue.iter (fun (b, _) -> Pool.give t.slices b) c.c_q;
-          Queue.clear c.c_q;
-          c.c_queued <- 0;
-          Condition.signal c.c_room;
-          (if c.c_fd_holds > 0 then
-             try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL
-             with Unix.Unix_error _ -> ());
-          t.live <- t.live - 1;
-          schedule t c
-        end;
-        first)
-  in
-  match error with
+let let_go t c = locked t (fun () -> drop_hold c)
+
+(* Under [t.m]: shutting the socket down ends the reader's [read] and
+   shows the peer EOF. *)
+let shut_down c =
+  if c.c_fd_holds > 0 then
+    try Unix.shutdown c.c_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
+
+(* Under [t.m]: the terminal transition of a connection, [true] the
+   first time only.  It records the error, gives the queued slices back,
+   wakes a reader waiting for room and schedules the connection, so a
+   worker releases its decoder. *)
+let mark_finished t ?error c =
+  let first = not c.c_done in
+  if first then begin
+    c.c_done <- true;
+    c.c_finished <- now ();
+    c.c_error <- error;
+    Queue.iter (fun (b, _) -> Pool.give t.slices b) c.c_q;
+    Queue.clear c.c_q;
+    c.c_queued <- 0;
+    Condition.signal c.c_room;
+    t.live <- t.live - 1;
+    schedule t c
+  end;
+  first
+
+let log_error t c ~first = function
   | Some e when first ->
     t.cfg.log (Printf.sprintf "conn %d (%s): %s" c.c_id c.c_peer e)
   | _ -> ()
+
+(* Terminal transition of a connection from its reader (idle timeout,
+   read error) or the stop sequence (forced shutdown); idempotent. *)
+let finish t ?error c =
+  let first =
+    locked t (fun () ->
+        let first = mark_finished t ?error c in
+        if first then shut_down c;
+        first)
+  in
+  log_error t c ~first error
 
 let make_conn t fd peer =
   let c =
@@ -280,7 +295,7 @@ let make_conn t fd peer =
         (fun rid name ->
           (* A line break would end the record of a snapshot's name
              table early, and the rest would read as records. *)
-          if not (Profile_io.writable_name name) then
+          if not (Aprof_util.Line_record.writable name) then
             raise
               (Trace_stream.Decode_error
                  (Printf.sprintf "routine %d: name contains a line break" rid));
@@ -315,18 +330,6 @@ let make_conn t fd peer =
 (* ------------------------------------------------------------------ *)
 (* Ingest workers *)
 
-(* A finished connection keeps only the counters STATS and the fleet
-   CSV read: its decoder and driver go, a partial trace's profiler back
-   to the pool ([finish] gives the queued slices back), and the decoding
-   side lets go of the descriptor. *)
-let release t c =
-  match c.c_dec with
-  | None -> ()
-  | Some (_, driver) ->
-    Ingest_driver.abort driver;
-    c.c_dec <- None;
-    let_go t c
-
 (* Under [t.m]: the claiming worker's next job.  A connection enters
    the run queue only with a slice queued, its stream ended or itself
    finished, and nothing but its claimer and [finish] takes its slices,
@@ -345,13 +348,25 @@ let claim c =
 
 (* Run one claimed job on the worker's scratch; the decoder gives each
    slice back to the pool once no unfinished item needs it.  A
-   connection's last job releases it before [finish] shuts the socket
-   down, so a peer that sees EOF knows its whole stream was decoded and
-   folded, and its connection's state released. *)
+   connection's last job ends it: a finished connection keeps only the
+   counters STATS and the fleet CSV read, so its decoder and driver go
+   (a partial trace's profiler back to the pool), and then one critical
+   section marks it finished, records its error and lets go of the
+   descriptor, closing or shutting the socket down.  So a peer that sees
+   EOF knows its whole stream was decoded and folded, its connection's
+   state released and its error recorded. *)
 let step t scratch c net job =
   let ended error =
-    release t c;
-    finish t ?error c
+    Option.iter (fun (_, driver) -> Ingest_driver.abort driver) c.c_dec;
+    c.c_dec <- None;
+    let first =
+      locked t (fun () ->
+          let first = mark_finished t ?error c in
+          drop_hold c;
+          if first then shut_down c;
+          first)
+    in
+    log_error t c ~first error
   in
   let failed = function
     | Trace_stream.Decode_error msg -> ended (Some msg)
@@ -428,7 +443,8 @@ let write_snapshot t =
     (match t.cfg.snapshot_profile with
     | Some path ->
       write_atomic path (fun oc ->
-          Profile_io.save oc ~routine_name:name_of profile)
+          output_string oc
+            (Profile_io.to_string ~routine_name:name_of profile))
     | None -> ());
     (match t.cfg.fleet_csv with
     | Some path ->
@@ -442,18 +458,19 @@ let write_snapshot t =
     Ok ()
   end
 
-let request_snapshot t = locked t (fun () -> t.snapshot_requested <- true)
+(* Signal handlers call this and [request_stop]: neither takes a lock. *)
+let request_snapshot t = Atomic.set t.snapshot_requested true
 
 let snapshot_loop t () =
   let last = ref (now ()) in
   let rec loop () =
-    let quit, requested =
+    let quit =
       locked t (fun () ->
-          let r = t.snapshot_requested in
-          t.snapshot_requested <- false;
-          (t.quit, r))
+          if Atomic.get t.stop_requested then Condition.broadcast t.stop_c;
+          t.quit)
     in
     if not quit then begin
+      let requested = Atomic.exchange t.snapshot_requested false in
       let due =
         t.cfg.snapshot_every > 0.
         && now () -. !last >= t.cfg.snapshot_every
@@ -498,10 +515,7 @@ let stats t =
   in
   { s with s_folds = Shard_acc.folds t.acc }
 
-let request_stop t =
-  locked t (fun () ->
-      t.stop_requested <- true;
-      Condition.broadcast t.stop_c)
+let request_stop t = Atomic.set t.stop_requested true
 
 let handle_control t fd line =
   let line = String.trim line in
@@ -692,7 +706,7 @@ let accept_backoff = 0.1
    connections close. *)
 let accept_loop t lfd () =
   Unix.set_nonblock lfd;
-  let stopping () = locked t (fun () -> t.stop_requested) in
+  let stopping () = Atomic.get t.stop_requested in
   let starved = ref false in
   let rec loop () =
     if not (stopping ()) then begin
@@ -758,11 +772,11 @@ let start cfg =
       stop_c = Condition.create ();
       runq = Queue.create ();
       live = 0;
-      stop_requested = false;
+      stop_requested = Atomic.make false;
       quit = false;
       stop_running = false;
       stopped = false;
-      snapshot_requested = false;
+      snapshot_requested = Atomic.make false;
       conns = [];
       fronts = Hashtbl.create 16;
       fronts_shut = false;
@@ -809,7 +823,7 @@ let wait t =
   (* Block until someone requests a stop... *)
   let mine =
     locked t (fun () ->
-        while not t.stop_requested do
+        while not (Atomic.get t.stop_requested) do
           Condition.wait t.stop_c t.m
         done;
         let mine = not (t.stopped || t.stop_running) in

@@ -10,9 +10,9 @@
     ({!Shard_acc}).  Any other first bytes start a one-line text control
     exchange: [PING], [STATS], [SNAPSHOT], [STOP].
 
-    One lock guards every shared field of the daemon: each connection's
-    queued slices, queued-byte count, end-of-stream flag, run state,
-    counters and descriptor state.  Reads, decodes and folds run outside
+    One lock guards every shared field of the daemon but the stop and
+    snapshot requests: each connection's queued slices, queued-byte
+    count, end-of-stream flag, run state, counters and descriptor state.  Reads, decodes and folds run outside
     it.  A worker claims a connection, decodes one queued slice, and
     puts the connection at the back of the run queue if more is queued,
     so a connection that keeps streaming cannot hold a worker while
@@ -51,11 +51,13 @@
       [aprof merge] of the traces completed so far.
     - {b Corruption isolation}: a malformed stream poisons only its own
       connection; its partial trace is aborted, never folded.  A
-      routine name holding a CR or LF is malformed too, since it would
-      forge records in a snapshot.  With [salvage] damaged chunks are
-      dropped per the salvage trichotomy and the stream continues;
-      damage no chunk boundary bounds drops the rest of the connection
-      as one region. *)
+      routine name that is not {!Aprof_util.Line_record.writable} (it
+      holds a CR or LF) is malformed too, since it would forge records
+      in a snapshot.  A peer that sees its connection end can already
+      read the connection's error in {!clients}.  With [salvage] damaged
+      chunks are dropped per the salvage trichotomy and the stream
+      continues; damage no chunk boundary bounds drops the rest of the
+      connection as one region. *)
 
 module Profile = Aprof_core.Profile
 
@@ -98,7 +100,10 @@ val start : config -> t
     ["tcp:127.0.0.1:4025"] — with the actual port when 0 was asked. *)
 val addresses : t -> string list
 
-(** Ask the server to shut down (non-blocking; {!wait} does the work). *)
+(** Ask the server to shut down (non-blocking; {!wait} does the work).
+    It only sets a flag, taking no lock, so a signal handler may call it
+    whichever thread it interrupts; a thread blocked in {!wait} sees it
+    within the snapshot thread's 50 ms tick. *)
 val request_stop : t -> unit
 
 (** [wait t] blocks until a stop is requested, then runs the shutdown
@@ -116,10 +121,12 @@ val request_stop : t -> unit
     decoding) and to write the final snapshot. *)
 val wait : t -> unit
 
-(** {!request_stop} + {!wait}. *)
+(** {!request_stop} + {!wait}; the stop starts at once. *)
 val stop : t -> unit
 
-(** Ask the snapshot thread to write the configured artifacts soon. *)
+(** Ask the snapshot thread to write the configured artifacts within
+    its 50 ms tick.  Like {!request_stop}, it only sets a flag, so a
+    signal handler may call it. *)
 val request_snapshot : t -> unit
 
 (** Write the configured snapshot artifacts now (atomically, via

@@ -8,6 +8,7 @@ module Store = Aprof_analysis.Model_store
 module Diff = Aprof_analysis.Cost_diff
 module Run_meta = Aprof_core.Run_meta
 module Profile = Aprof_core.Profile
+module Profile_io = Aprof_core.Profile_io
 
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -247,7 +248,7 @@ let test_plateau_screen_workloads () =
               let what i =
                 Printf.sprintf "%s routine %d %s %s sample %d"
                   spec.Aprof_workloads.Workload.name rid
-                  (Store.metric_name metric)
+                  (Profile_io.metric_name metric)
                   (match cost with `Max -> "max" | `Mean -> "mean")
                   i
               in
@@ -454,8 +455,8 @@ let check_entry_equal msg (a : Store.entry) (b : Store.entry) =
   Alcotest.(check string) (msg ^ ": routine") a.Store.routine b.Store.routine;
   Alcotest.(check string)
     (msg ^ ": metric")
-    (Store.metric_name a.Store.metric)
-    (Store.metric_name b.Store.metric);
+    (Profile_io.metric_name a.Store.metric)
+    (Profile_io.metric_name b.Store.metric);
   Alcotest.(check string)
     (msg ^ ": class")
     (Basis.name a.Store.cls) (Basis.name b.Store.cls);
@@ -521,7 +522,26 @@ let test_store_forged_name_refused () =
       match Store.to_string (Store.create [ entry ~routine () ]) with
       | dump -> Alcotest.failf "wrote %S as %S" routine dump
       | exception Invalid_argument _ -> ())
-    [ "r\nmodel,drms,linear,3,1,1,1,1,1,2,1,2,forged"; "r\rforged" ]
+    [ "r\nmodel,drms,linear,3,1,1,1,1,1,2,1,2,forged"; "r\rforged" ];
+  (* So is any model or metadata the reader could not return: a present
+     exponent written as nan would read back as none, a coefficient
+     count that contradicts the class would be refused, and a comma in
+     the workload would shift the meta fields. *)
+  List.iter
+    (fun (what, store) ->
+      match Store.to_string store with
+      | dump -> Alcotest.failf "wrote %s as %S" what dump
+      | exception Invalid_argument _ -> ())
+    [
+      ( "a nan exponent",
+        Store.create [ entry ~exponent:(Some (nan, 1., 2.)) () ] );
+      ( "three linear coefficients",
+        Store.create [ entry ~coefs:[| 1.; 2.; 3. |] () ] );
+      ( "a comma in the workload",
+        Store.create ~meta:{ (meta ()) with Run_meta.workload = "a,b" } [] );
+      ( "a line break in the scheduler",
+        Store.create ~meta:{ (meta ()) with Run_meta.scheduler = "s\nx" } [] );
+    ]
 
 let test_store_versioning () =
   let dump = Store.to_string (Store.create [ entry () ]) in
@@ -555,6 +575,15 @@ let test_store_versioning () =
       (* Coefficient counts that disagree with the class. *)
       "model,drms,linear,12,0.99,0.92,2,1.8,2.2,0,hot_routine\n";
       "model,drms,plateau,12,0.99,0.92,1,0.9,1.1,1,5,hot_routine\n";
+      (* Nothing is trimmed: a blank in a number field or before a
+         record's kind is an error, and so is a line of blanks. *)
+      "model,drms,linear,3, 1,1,1,1,1,2,1,2,r\n";
+      " model,drms,linear,3,1,1,1,1,1,2,1,2,r\n";
+      "  \n";
+      "costmodel,1 \n";
+      "costmodel\n";
+      (* Only a final CR is dropped: no writer writes another. *)
+      "meta,a\rb,1,1,1,s\n";
     ]
 
 (* --- cost diff ---------------------------------------------------------- *)
@@ -771,6 +800,9 @@ let test_only_in_lists () =
 
 (* --- run metadata ------------------------------------------------------- *)
 
+(* The meta record of a model store: every field survives, the
+   scheduler (last on its line) keeps its commas, a bad seed is
+   refused. *)
 let test_run_meta_fields () =
   let m =
     {
@@ -781,7 +813,12 @@ let test_run_meta_fields () =
       scheduler = "random(8-96)";
     }
   in
-  (match Run_meta.of_fields (Run_meta.to_fields m) with
+  let through m =
+    Result.map
+      (fun st -> Option.get st.Store.meta)
+      (Store.of_string (Store.to_string (Store.create ~meta:m [])))
+  in
+  (match through m with
   | Ok back ->
     Alcotest.(check string) "workload" m.Run_meta.workload back.Run_meta.workload;
     Alcotest.(check int) "seed" m.Run_meta.seed back.Run_meta.seed;
@@ -792,12 +829,12 @@ let test_run_meta_fields () =
   | Error e -> Alcotest.failf "round trip failed: %s" e);
   (* The scheduler field is last on the line: embedded commas survive. *)
   let weird = { m with Run_meta.scheduler = "custom,with,commas" } in
-  (match Run_meta.of_fields (Run_meta.to_fields weird) with
+  (match through weird with
   | Ok back ->
     Alcotest.(check string) "comma scheduler" "custom,with,commas"
       back.Run_meta.scheduler
   | Error e -> Alcotest.failf "comma round trip failed: %s" e);
-  match Run_meta.of_fields [ "w"; "notanint"; "1"; "1"; "s" ] with
+  match Store.of_string "costmodel,1\nmeta,w,notanint,1,1,s\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad seed accepted"
 

@@ -1,5 +1,5 @@
 (* Fuzzers for the parsed text inputs: [format,3] profile dumps
-   ({!Profile_io.of_string_meta}) and [costmodel,1] model stores
+   ({!Profile_io.of_string}) and [costmodel,1] model stores
    ({!Model_store.of_string}).  Real dumps are damaged by byte flips,
    truncations and spliced fields; the parser must answer [Ok] or
    [Error], never raise. *)
@@ -95,7 +95,7 @@ let store_dump () = snd (Lazy.force dumps)
 
 (* The pristine dumps parse, so the fuzzers damage real inputs. *)
 let pristine_dumps_parse () =
-  (match Profile_io.of_string_meta (profile_dump ()) with
+  (match Profile_io.of_string (profile_dump ()) with
   | Ok (_, _, Some _) -> ()
   | Ok (_, _, None) -> Alcotest.fail "profile dump lost its meta line"
   | Error e -> Alcotest.failf "profile dump: %s" e);
@@ -108,7 +108,7 @@ let suite =
   [
     Alcotest.test_case "pristine dumps parse" `Quick pristine_dumps_parse;
     never_raises ~name:"format,3 profile dumps: Ok or Error, never raise"
-      ~dump:profile_dump Profile_io.of_string_meta;
+      ~dump:profile_dump Profile_io.of_string;
     never_raises ~name:"costmodel,1 stores: Ok or Error, never raise"
       ~dump:store_dump Store.of_string;
   ]

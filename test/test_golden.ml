@@ -80,7 +80,7 @@ let run_case ~workload ~threads ~scale () =
   (* The `report` path renders what it loads from the CSV, names included. *)
   (match Profile_io.of_string csv with
   | Error e -> Alcotest.failf "saved CSV does not load back: %s" e
-  | Ok (loaded, names) ->
+  | Ok (loaded, names, _) ->
     let name id =
       match List.assoc_opt id names with
       | Some n -> n
@@ -174,7 +174,7 @@ let store_case () =
     In_channel.with_open_bin (golden_path "mysqlslap.profile.csv")
       In_channel.input_all
   in
-  match Profile_io.of_string_meta csv with
+  match Profile_io.of_string csv with
   | Error e -> Alcotest.failf "golden profile does not load: %s" e
   | Ok (profile, names, meta) ->
     let routine_name id =

@@ -29,6 +29,7 @@ let () =
       ("profile-io", Test_profile_io.suite);
       ("analysis", Test_analysis.suite);
       ("input-fuzz", Test_fuzz.suite);
+      ("round-trip", Test_roundtrip.suite);
       ("modes", Test_modes.suite);
       ("cct", Test_cct.suite);
       ("plot", Test_plot.suite);

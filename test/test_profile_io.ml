@@ -7,7 +7,7 @@ module Profile_io = Aprof_core.Profile_io
 
 let roundtrip profile =
   match Profile_io.of_string (Profile_io.to_string profile) with
-  | Ok (p, _) -> p
+  | Ok (p, _, _) -> p
   | Error e -> Alcotest.failf "load failed: %s" e
 
 let test_roundtrip_workload () =
@@ -39,7 +39,7 @@ let test_routine_names () =
       profile
   in
   match Profile_io.of_string dump with
-  | Ok (_, names) ->
+  | Ok (_, names, _) ->
     let consumer = routine_id tbl "consumer" in
     Alcotest.(check (option string)) "name preserved" (Some "consumer")
       (List.assoc_opt consumer names)
@@ -68,11 +68,11 @@ let test_format_versions () =
       (String.length dump - String.length header)
   in
   (match Profile_io.of_string headerless with
-  | Ok (p, _) -> check_profiles_equal "headerless (v1) dump loads" profile p
+  | Ok (p, _, _) -> check_profiles_equal "headerless (v1) dump loads" profile p
   | Error e -> Alcotest.failf "headerless dump rejected: %s" e);
   (* An explicit version 1 header is accepted too. *)
   (match Profile_io.of_string ("format,1\n" ^ headerless) with
-  | Ok (p, _) -> check_profiles_equal "explicit v1 header loads" profile p
+  | Ok (p, _, _) -> check_profiles_equal "explicit v1 header loads" profile p
   | Error e -> Alcotest.failf "v1 header rejected: %s" e);
   (* Versions we do not know how to read are refused, not misread. *)
   match Profile_io.of_string ("format,99\n" ^ headerless) with
@@ -92,7 +92,7 @@ let test_meta_roundtrip () =
     }
   in
   let dump = Profile_io.to_string ~meta profile in
-  (match Profile_io.of_string_meta dump with
+  (match Profile_io.of_string dump with
   | Ok (p, _, Some m) ->
     check_profiles_equal "profile survives with meta" profile p;
     Alcotest.(check string) "workload" "producer_consumer"
@@ -106,15 +106,15 @@ let test_meta_roundtrip () =
   | Error e -> Alcotest.failf "load failed: %s" e);
   (* A dump without the meta line loads with [None], and the plain
      loader ignores the meta line entirely. *)
-  (match Profile_io.of_string_meta (Profile_io.to_string profile) with
+  (match Profile_io.of_string (Profile_io.to_string profile) with
   | Ok (_, _, None) -> ()
   | Ok (_, _, Some _) -> Alcotest.fail "phantom meta"
   | Error e -> Alcotest.failf "load failed: %s" e);
   (match Profile_io.of_string dump with
-  | Ok (p, _) -> check_profiles_equal "plain loader skips meta" profile p
+  | Ok (p, _, _) -> check_profiles_equal "plain loader skips meta" profile p
   | Error e -> Alcotest.failf "plain load failed: %s" e);
   (* A malformed meta line is an error, not a silent None. *)
-  match Profile_io.of_string_meta "format,3\nmeta,w,notanint,1,1,s\n" with
+  match Profile_io.of_string "format,3\nmeta,w,notanint,1,1,s\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad meta accepted"
 
@@ -124,7 +124,25 @@ let test_malformed () =
       match Profile_io.of_string s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected failure on %S" s)
-    [ "bogus,1,2"; "point,1,2,xxx,1,1,1,1,1,1"; "agg,a,b,c,d,e,f" ]
+    [
+      "bogus,1,2";
+      "point,1,2,xxx,1,1,1,1,1,1";
+      "agg,a,b,c,d,e,f";
+      (* Nothing is trimmed: a blank in a number field or before a
+         record's kind is an error, and so is a line of blanks. *)
+      "agg,0,1,1,2,2,5 ";
+      "agg,0,1,1, 2,2,5";
+      " agg,0,1,1,2,2,5";
+      "format,3\n  \n";
+      "format,3 ";
+      (* Only a final CR is dropped: no writer writes another. *)
+      "routine,1,a\rb";
+      "routine,1,a\r\r\n";
+      (* Every field is there. *)
+      "routine,5";
+      "format";
+      "agg,0,1,1,2,2,5,";
+    ]
 
 (* A name holding a line break would end its [routine] record early and
    the rest would load as records of their own: here a routine 7 named
@@ -139,12 +157,34 @@ let test_forged_name_refused () =
       | dump -> Alcotest.failf "wrote %S as %S" name dump
       | exception Invalid_argument _ -> ())
     [ "r\nagg,0,7,99,1,1,1\nroutine,7,forged"; "r\rforged"; "r\n" ];
+  (* Run metadata the reader could not return is refused too: a comma in
+     the workload would shift every later field, a line break anywhere
+     would plant records. *)
+  let meta =
+    {
+      Aprof_core.Run_meta.workload = "w";
+      seed = 1;
+      scale = 1;
+      threads = 1;
+      scheduler = "s";
+    }
+  in
+  List.iter
+    (fun meta ->
+      match Profile_io.to_string ~meta profile with
+      | dump -> Alcotest.failf "wrote %S" dump
+      | exception Invalid_argument _ -> ())
+    [
+      { meta with workload = "a,b" };
+      { meta with workload = "a\nb" };
+      { meta with scheduler = "s\nbogus,1" };
+    ];
   let name = "a,b \"c\"\t\000\255" in
   match
     Profile_io.of_string
       (Profile_io.to_string ~routine_name:(fun _ -> name) profile)
   with
-  | Ok (back, names) ->
+  | Ok (back, names, _) ->
     check_profiles_equal "profile kept" profile back;
     Alcotest.(check (list (pair int string))) "name written as given"
       [ (1, name) ] names

@@ -1365,15 +1365,150 @@ let test_server_forged_name_isolated () =
   Server.stop srv;
   Alcotest.(check int) "only good traces folded" 2 stats.Server.s_traces;
   Alcotest.(check int) "one errored client" 1 (List.length errored);
-  let loaded = In_channel.with_open_bin out Aprof_core.Profile_io.load in
+  let loaded = Aprof_core.Profile_io.load out in
   Sys.remove out;
   match loaded with
   | Error e -> Alcotest.failf "snapshot does not load: %s" e
-  | Ok (got, names) ->
+  | Ok (got, names, _) ->
     Alcotest.(check bool) "no forged routine" false
       (List.exists (fun (_, n) -> n = "forged") names);
     Helpers.check_profiles_equal "snapshot = merge of the good streams"
       (expected_merge ~copies:2) got
+
+(* A stream whose routine 0 is named with a line break. *)
+let forged_stream () =
+  let run = Lazy.force small_run in
+  Codec.to_string ~format_version:2
+    ~routine_name:(fun r ->
+      if r = 0 then "r\nagg,0,7,99,1,1,1\nroutine,7,forged"
+      else Aprof_trace.Routine_table.name run.Aprof_vm.Interp.routines r)
+    run.Aprof_vm.Interp.trace
+
+(* A failed connection's error is recorded before its descriptor goes:
+   a peer that sees EOF already finds it in [clients]. *)
+let test_server_error_before_eof () =
+  let bad = forged_stream () in
+  let sock = temp_sock () in
+  let srv = start_test_server sock in
+  let errors () =
+    List.length
+      (List.filter
+         (fun (c : Fleet.client) -> c.Fleet.error <> None)
+         (Server.clients srv))
+  in
+  let seen =
+    List.init 20 (fun _ ->
+        push_bytes ~sock ~repeat:1 bad;
+        errors ())
+  in
+  Server.stop srv;
+  Alcotest.(check (list int)) "one more error after each push"
+    (List.init 20 succ) seen
+
+(* Signal handlers run on whichever thread a signal interrupts, which may
+   hold the daemon's lock: [request_snapshot] and [request_stop] must
+   take none.  Two threads read [stats] in a loop (over 8 finished
+   connections, so that they hold the lock a while) while 3,000 SIGUSR1s
+   ask for snapshots; afterwards the daemon still folds a push, writes
+   a requested snapshot and stops on a signal. *)
+let test_server_signal_requests () =
+  let pid = Unix.getpid () in
+  let sock = temp_sock () in
+  let out = Filename.temp_file "aprof_serve_test" ".csv" in
+  let srv =
+    Server.start
+      {
+        Server.default_config with
+        unix_path = Some sock;
+        jobs = 1;
+        snapshot_profile = Some out;
+      }
+  in
+  let raised = ref [] and m = Mutex.create () in
+  let note e =
+    Mutex.protect m (fun () -> raised := Printexc.to_string e :: !raised)
+  in
+  let within seconds ok =
+    let deadline = Unix.gettimeofday () +. seconds in
+    let rec poll () =
+      ok () || (Unix.gettimeofday () < deadline && (Thread.delay 0.01; poll ()))
+    in
+    poll ()
+  in
+  let s = trace_bytes ~version:2 () in
+  for _ = 1 to 8 do
+    push_bytes ~sock ~repeat:1 s
+  done;
+  Thread.set_uncaught_exception_handler note;
+  let usr1 =
+    Sys.signal Sys.sigusr1
+      (Sys.Signal_handle (fun _ -> Server.request_snapshot srv))
+  in
+  let usr2 =
+    Sys.signal Sys.sigusr2
+      (Sys.Signal_handle (fun _ -> Server.request_stop srv))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigusr1 usr1;
+      Sys.set_signal Sys.sigusr2 usr2;
+      Thread.set_uncaught_exception_handler
+        Thread.default_uncaught_exception_handler;
+      if Sys.file_exists out then Sys.remove out)
+    (fun () ->
+      let probing = Atomic.make true in
+      let probe () =
+        try
+          while Atomic.get probing do
+            ignore (Server.stats srv)
+          done
+        with e -> note e
+      in
+      let probes = List.init 2 (fun _ -> Thread.create probe ()) in
+      let storm =
+        Unix.create_process "sh"
+          [|
+            "sh";
+            "-c";
+            Printf.sprintf
+              "i=0; while [ $i -lt 3000 ]; do kill -USR1 %d; i=$((i+1)); done"
+              pid;
+          |]
+          Unix.stdin Unix.stdout Unix.stderr
+      in
+      let rec reap () =
+        try ignore (Unix.waitpid [] storm)
+        with Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
+      in
+      reap ();
+      Atomic.set probing false;
+      List.iter Thread.join probes;
+      Alcotest.(check (list string)) "no thread raised" [] !raised;
+      (* Let the storm's last request write, then watch for a new one. *)
+      Thread.delay 0.2;
+      if Sys.file_exists out then Sys.remove out;
+      ignore (Thread.create (fun () -> push_bytes ~sock ~repeat:1 s) ());
+      Alcotest.(check bool) "a push is folded" true
+        (within 10. (fun () -> (Server.stats srv).Server.s_traces = 9));
+      Unix.kill pid Sys.sigusr1;
+      Alcotest.(check bool) "a requested snapshot is written" true
+        (within 10. (fun () -> Sys.file_exists out));
+      (match Aprof_core.Profile_io.load out with
+      | Ok (got, _, _) ->
+        Helpers.check_profiles_equal "snapshot = every push"
+          (expected_merge ~copies:9) got
+      | Error e -> Alcotest.failf "snapshot does not load: %s" e);
+      let stopped = Atomic.make false in
+      ignore
+        (Thread.create
+           (fun () ->
+             Server.wait srv;
+             Atomic.set stopped true)
+           ());
+      Unix.kill pid Sys.sigusr2;
+      Alcotest.(check bool) "wait returns after a stop signal" true
+        (within 10. (fun () -> Atomic.get stopped));
+      Alcotest.(check (list string)) "no thread raised" [] !raised)
 
 let suite =
   [
@@ -1433,4 +1568,8 @@ let suite =
       test_server_stop_closes_every_fd;
     Alcotest.test_case "server: a forged routine name fails only its stream"
       `Quick test_server_forged_name_isolated;
+    Alcotest.test_case "server: an error is recorded before the peer sees EOF"
+      `Quick test_server_error_before_eof;
+    Alcotest.test_case "server: signal handlers take no lock" `Quick
+      test_server_signal_requests;
   ]
